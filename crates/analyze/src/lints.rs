@@ -47,7 +47,6 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/broker/src/reliable.rs",
     "crates/broker/src/rtpproxy.rs",
     "crates/broker/src/sharded.rs",
-    "crates/broker/src/threaded.rs",
     "crates/broker/src/wire.rs",
     "crates/rtp/src/packet.rs",
     "crates/streaming/src/helix.rs",

@@ -1,5 +1,6 @@
 //! `sharded_fanout`: publish throughput of the sharded multi-worker
-//! runtime versus the single-loop threaded broker, at fan-out 100.
+//! runtime at fan-out 100; one shard — the plain single-loop broker —
+//! is the baseline.
 //!
 //! One publisher sprays events round-robin across eight first-segment
 //! topic families (so the sharded runtime spreads ownership across its
@@ -9,17 +10,16 @@
 //! the way — the measured number is end-to-end delivered events per
 //! second with the ordering guarantee intact.
 //!
-//! The sharded win on a small host comes from the batched hand-off:
-//! the single-loop broker performs one channel send per (event,
-//! subscriber) pair, while a shard worker flushes one `Vec<Arc<Event>>`
-//! per subscriber per drained ingress batch.
+//! Even one shard is cheap per delivery thanks to the batched
+//! hand-off: a shard worker flushes one `Vec<Arc<Event>>` per
+//! subscriber per drained ingress batch rather than one channel send
+//! per (event, subscriber) pair.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mmcs_broker::sharded::{ShardedBroker, ShardedClient};
-use mmcs_broker::threaded::ThreadedBroker;
 use mmcs_broker::topic::{Topic, TopicFilter};
 
 const FANOUT: usize = 100;
@@ -32,34 +32,15 @@ fn family_topics() -> Vec<Topic> {
         .collect()
 }
 
-/// Drains `expected` events from one subscriber, asserting per-topic
-/// sequence monotonicity. The publisher sprays round-robin with a
-/// globally increasing seq, and a burst is a multiple of `FAMILIES`,
-/// so within one burst `seq % FAMILIES` identifies the topic and any
-/// per-topic reordering shows up as a non-increasing step — an O(1),
-/// allocation-free check that stays out of the measured hot path.
-fn drain_ordered<F>(mut recv: F, expected: u64, last_seq: &mut [u64; FAMILIES])
-where
-    F: FnMut() -> Option<std::sync::Arc<mmcs_broker::event::Event>>,
-{
-    last_seq.fill(u64::MAX);
-    let mut got = 0u64;
-    while got < expected {
-        let event = recv().expect("subscriber starved mid-burst");
-        let family = (event.seq % FAMILIES as u64) as usize;
-        let prev = last_seq[family];
-        assert!(
-            prev == u64::MAX || event.seq > prev,
-            "per-topic order violated on family {family}"
-        );
-        last_seq[family] = event.seq;
-        got += 1;
-    }
-}
-
-/// Same contract as [`drain_ordered`] but through the sharded client's
-/// batch-drain API: whole batches are moved out per channel receive,
-/// with a blocking single-event receive only when nothing is buffered.
+/// Drains `expected` events from one subscriber through the sharded
+/// client's batch-drain API — whole batches are moved out per channel
+/// receive, with a blocking single-event receive only when nothing is
+/// buffered — asserting per-topic sequence monotonicity. The publisher
+/// sprays round-robin with a globally increasing seq, and a burst is a
+/// multiple of `FAMILIES`, so within one burst `seq % FAMILIES`
+/// identifies the topic and any per-topic reordering shows up as a
+/// non-increasing step — an O(1), allocation-free check that stays out
+/// of the measured hot path.
 fn drain_ordered_batched(
     client: &ShardedClient,
     expected: u64,
@@ -94,39 +75,6 @@ fn bench_sharded_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_fanout");
     group.throughput(Throughput::Elements(EVENTS * FANOUT as u64));
     let topics = family_topics();
-
-    // --- Baseline: the single-loop threaded broker.
-    {
-        let broker = ThreadedBroker::spawn();
-        let subscribers: Vec<_> = (0..FANOUT)
-            .map(|_| {
-                let s = broker.attach();
-                s.subscribe(TopicFilter::parse("#").unwrap());
-                s
-            })
-            .collect();
-        let publisher = broker.attach();
-        // Settle the subscriptions before the first timed burst.
-        publisher.publish(topics[0].clone(), Bytes::new());
-        for s in &subscribers {
-            assert!(s.recv_timeout(Duration::from_secs(5)).is_some());
-        }
-        let mut last_seq = [u64::MAX; FAMILIES];
-        group.bench_function("threaded_fanout_100", |b| {
-            b.iter(|| {
-                for i in 0..EVENTS {
-                    publisher.publish(topics[i as usize % FAMILIES].clone(), Bytes::new());
-                }
-                for s in &subscribers {
-                    drain_ordered(
-                        || s.recv_timeout(Duration::from_secs(5)),
-                        EVENTS,
-                        &mut last_seq,
-                    );
-                }
-            })
-        });
-    }
 
     // --- The sharded runtime at 1, 2 and 4 worker shards.
     for shards in [1usize, 2, 4] {

@@ -16,8 +16,9 @@
 //! that produces the paper's ~80 ms average.
 
 use mmcs_broker::batch::CostModel;
-use mmcs_broker::shardsim::{ShardedSimCluster, ShardedSimConfig};
-use mmcs_broker::simdrv::{BrokerProcess, PublisherConfig, RtpReceiver, VideoPublisher};
+use mmcs_broker::sharded::{home_shard, owner_shard_of_topic};
+use mmcs_broker::simdrv::{PublisherConfig, RtpReceiver, VideoPublisher};
+use mmcs_broker::simtopo::{self, Links};
 use mmcs_broker::topic::{Topic, TopicFilter};
 use mmcs_jmf::{DirectMedia, GcModel, ReflectorCost, ReflectorProcess, RtpDirectSender, RtpDirectSink};
 use mmcs_rtp::packet::payload_type;
@@ -25,7 +26,7 @@ use mmcs_rtp::source::{VideoSource, VideoSourceConfig};
 use mmcs_sim::net::NicConfig;
 use mmcs_sim::Simulation;
 use mmcs_telemetry::{Histogram, HistogramSnapshot};
-use mmcs_util::id::{BrokerId, ClientId};
+use mmcs_util::id::ClientId;
 use mmcs_util::rate::Bandwidth;
 use mmcs_util::rng::DetRng;
 use mmcs_util::time::{SimDuration, SimTime};
@@ -104,9 +105,7 @@ impl Fig3Config {
     fn relay_nic_config(&self) -> NicConfig {
         NicConfig {
             bandwidth: self.relay_nic,
-            // Large socket buffers (the paper's optimized transmission
-            // path); I-frame bursts need several MB of backlog headroom.
-            queue_bytes: 64 * 1024 * 1024,
+            queue_bytes: simtopo::NIC_QUEUE_BYTES,
             ..NicConfig::default()
         }
     }
@@ -190,68 +189,10 @@ fn summarize(per_receiver: Vec<ReceiverSeries>) -> SystemResult {
     }
 }
 
-/// Runs the NaradaBrokering side of Figure 3.
+/// Runs the NaradaBrokering side of Figure 3: the paper's single
+/// broker, which is the one-shard case of [`run_narada_sharded`].
 pub fn run_narada(config: &Fig3Config) -> SystemResult {
-    let mut sim = Simulation::new(config.seed);
-    let sender_host = sim.add_host("sender-machine", NicConfig::default());
-    let broker_host = sim.add_host("broker-machine", config.relay_nic_config());
-    let client_host = sim.add_host("client-machine", NicConfig::default());
-    sim.set_default_latency(config.lan_latency);
-
-    let broker = sim.add_typed_process(
-        broker_host,
-        BrokerProcess::new(BrokerId::from_raw(1), config.broker_cost),
-    );
-
-    let topic = Topic::parse("globalmmcs/session-1/video").expect("static topic");
-    let filter = TopicFilter::exact(&topic);
-
-    let mut measured_ids = Vec::new();
-    for i in 0..config.receivers {
-        let co_located = i < config.measured;
-        let host = if co_located { sender_host } else { client_host };
-        let mut receiver = RtpReceiver::new(
-            broker,
-            ClientId::from_raw(100 + i as u64),
-            filter.clone(),
-            payload_type::H263,
-            config.recv_cpu,
-        );
-        if co_located {
-            receiver = receiver.with_series_capture();
-        }
-        let id = sim.add_typed_process(host, receiver);
-        if co_located {
-            measured_ids.push(id);
-        }
-    }
-
-    let mut publisher_config =
-        PublisherConfig::new(broker, ClientId::from_raw(1), topic);
-    publisher_config.max_packets = config.packets;
-    let source = VideoSource::new(config.video, 0xABCD, DetRng::new(config.seed ^ 0x5EED));
-    sim.add_typed_process(sender_host, VideoPublisher::new(publisher_config, source));
-
-    sim.run_until(config.run_duration());
-
-    let per_receiver = measured_ids
-        .iter()
-        .map(|id| {
-            let stats = sim
-                .process_ref::<RtpReceiver>(*id)
-                .expect("receiver process")
-                .stats();
-            (
-                stats.delay_series().expect("capture on").samples().to_vec(),
-                stats.jitter_series().expect("capture on").samples().to_vec(),
-                stats.received(),
-                stats.jitter_ms(),
-            )
-        })
-        .collect();
-    let mut result = summarize(per_receiver);
-    result.loss_fraction = measured_loss(&sim, &measured_ids);
-    result
+    run_narada_sharded(config, 1).system
 }
 
 fn measured_loss(sim: &Simulation, ids: &[mmcs_sim::ProcessId]) -> f64 {
@@ -330,10 +271,10 @@ pub fn run_jmf(config: &Fig3Config) -> SystemResult {
 }
 
 /// Figure 3's methodology re-run on the *sharded* runtime: the same
-/// stream, receivers and measurement, but the relay is a
-/// [`ShardedSimCluster`] — receivers attach to their home shard and the
-/// publisher to the topic's owner shard, so cross-shard deliveries take
-/// the forward hop exactly as in the thread runtime.
+/// stream, receivers and measurement, but the relay is a simulated
+/// shard mesh ([`simtopo`]) — receivers attach to their home shard and
+/// the publisher to the topic's owner shard, so cross-shard deliveries
+/// take the forward hop exactly as in the thread runtime.
 #[derive(Debug, Clone)]
 pub struct ShardedFig3Result {
     /// The usual Figure 3 summary over the measured receivers.
@@ -356,11 +297,12 @@ pub struct ShardedFig3Result {
 pub fn run_narada_sharded(config: &Fig3Config, shards: usize) -> ShardedFig3Result {
     assert!(shards > 0, "shard count must be positive");
     let mut sim = Simulation::new(config.seed);
-    let cluster = ShardedSimCluster::build(&mut sim, &{
-        let mut sharded = ShardedSimConfig::split(shards, config.relay_nic);
-        sharded.cost = config.broker_cost;
-        sharded
-    });
+    let brokers = simtopo::add_brokers(
+        &mut sim,
+        Links::ShardMesh(shards),
+        config.broker_cost,
+        Bandwidth::from_bps(config.relay_nic.bps() / shards as u64),
+    );
     let sender_host = sim.add_host("sender-machine", NicConfig::default());
     let client_host = sim.add_host("client-machine", NicConfig::default());
     sim.set_default_latency(config.lan_latency);
@@ -373,8 +315,9 @@ pub fn run_narada_sharded(config: &Fig3Config, shards: usize) -> ShardedFig3Resu
         let co_located = i < config.measured;
         let host = if co_located { sender_host } else { client_host };
         let client = ClientId::from_raw(100 + i as u64);
+        let home = home_shard(client, shards);
         let mut receiver = RtpReceiver::new(
-            cluster.home_process(client),
+            brokers[home],
             client,
             filter.clone(),
             payload_type::H263,
@@ -385,15 +328,12 @@ pub fn run_narada_sharded(config: &Fig3Config, shards: usize) -> ShardedFig3Resu
         }
         let id = sim.add_typed_process(host, receiver);
         if co_located {
-            measured.push((id, cluster.home_shard(client)));
+            measured.push((id, home));
         }
     }
 
-    let mut publisher_config = PublisherConfig::new(
-        cluster.owner_process(&topic),
-        ClientId::from_raw(1),
-        topic,
-    );
+    let owner = brokers[owner_shard_of_topic(&topic, shards)];
+    let mut publisher_config = PublisherConfig::new(owner, ClientId::from_raw(1), topic);
     publisher_config.max_packets = config.packets;
     let source = VideoSource::new(config.video, 0xABCD, DetRng::new(config.seed ^ 0x5EED));
     sim.add_typed_process(sender_host, VideoPublisher::new(publisher_config, source));

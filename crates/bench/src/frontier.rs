@@ -4,9 +4,8 @@
 //! ROADMAP item 3: push the paper's capacity claims (C1/C2, >1000 audio
 //! / >400 video clients on *one* broker) onto the sharded runtime and
 //! into the millions. This harness rebuilds the `ShardedBroker` topology
-//! inside the deterministic simulator
-//! ([`mmcs_broker::shardsim::ShardedSimCluster`] — same placement
-//! hashes, same one-hop forward ring), loads it with conference sessions
+//! inside the deterministic simulator ([`mmcs_broker::simtopo`] — same
+//! placement hashes, same one-hop forward ring), loads it with conference sessions
 //! of a given fan-out, and walks a client-count ladder until the pooled
 //! delay histogram's p99 or the loss fraction leaves the quality bound
 //! ("IP Video Conferencing: A Tutorial"'s interactive budget). The knee
@@ -30,11 +29,11 @@ use std::sync::Arc;
 
 use mmcs_broker::batch::CostModel;
 use mmcs_broker::cluster::LatencyMap;
-use mmcs_broker::clustersim::{ClusterSimConfig, ClusterSimNet};
-use mmcs_broker::shardsim::{ShardedSimCluster, ShardedSimConfig};
+use mmcs_broker::sharded::{home_shard, owner_shard_of_topic};
 use mmcs_broker::simdrv::{
     AudioPublisher, ClientBundle, PublisherConfig, RtpReceiver, VideoPublisher,
 };
+use mmcs_broker::simtopo::{self, Links};
 use mmcs_broker::topic::{Topic, TopicFilter};
 use mmcs_rtp::packet::payload_type;
 use mmcs_rtp::source::{AudioCodec, AudioSource, VideoSource, VideoSourceConfig};
@@ -231,26 +230,58 @@ impl FrontierPoint {
 /// sessions of `fanout`, runs to the deadline, pools delay histograms
 /// per home shard and merges them for the summary.
 pub fn run_point(config: &FrontierConfig) -> FrontierPoint {
-    assert!(config.shards > 0, "need at least one shard");
+    run_on(config, Links::ShardMesh(config.shards))
+}
+
+/// Measures one federation point: the same conference load as
+/// [`run_point`], but spread across a full mesh of `nodes` gateway
+/// nodes (2 ms links) instead of the shards of one process. Clients and
+/// publishers home round-robin to zone gateways (zone `z` → node
+/// `z % nodes`), so most deliveries cross at least one inter-node link
+/// — the federation counterpart of the sharded sweeps, holding
+/// aggregate NIC constant while adding nodes.
+pub fn run_federation_point(config: &FrontierConfig, nodes: usize) -> FrontierPoint {
+    run_on(config, Links::Federation(&LatencyMap::full_mesh(nodes, 2)))
+}
+
+/// The one runner behind both entry points. `links` decides the three
+/// things that differ between a shard mesh and a federation: how many
+/// brokers (and delay pools) there are, where the k-th subscriber
+/// homes, and where session `s`'s publisher enters.
+fn run_on(config: &FrontierConfig, links: Links<'_>) -> FrontierPoint {
     assert!(config.fanout > 0, "need a positive session size");
     assert!(config.bundle > 0, "need a positive bundle weight");
     let mut sim = Simulation::new(config.seed);
-    let cluster = ShardedSimCluster::build(
+    let node_count = links.node_count();
+    assert!(node_count > 0, "need at least one shard or node");
+    let brokers = simtopo::add_brokers(
         &mut sim,
-        &ShardedSimConfig {
-            shards: config.shards,
-            cost: config.cost,
-            shard_nic: Bandwidth::from_bps(config.total_nic.bps() / config.shards as u64),
-            queue_bytes: 64 * 1024 * 1024,
-        },
+        links,
+        config.cost,
+        Bandwidth::from_bps(config.total_nic.bps() / node_count as u64),
     );
     sim.set_default_latency(config.lan_latency);
+    // Shards place by the live runtime's hashes: a subscriber homes by
+    // client id, a publisher enters at its topic's owner shard (exactly
+    // where `ShardedClient::publish` lands). A federation places by
+    // geography: the k-th subscriber lives in zone k and session s's
+    // publisher in zone s, each entering at its own zone gateway —
+    // where a federation client would publish — not at some owner node.
+    let subscriber_home = |k: usize, client: ClientId| match links {
+        Links::ShardMesh(shards) => home_shard(client, shards),
+        Links::Federation(map) => map.home_node(k) as usize,
+    };
+    let publisher_entry = |session: u64, topic: &Topic| match links {
+        Links::ShardMesh(shards) => owner_shard_of_topic(topic, shards),
+        Links::Federation(map) => map.home_node(session as usize) as usize,
+    };
 
     // Sessions: fanout-sized, the last one taking the remainder.
     let sessions = config.clients.div_ceil(config.fanout).max(1);
     let mut next_client = 1_000u64;
+    let mut next_subscriber = 0usize;
     let mut bundles = Vec::new();
-    let pools: Vec<Arc<Histogram>> = (0..config.shards).map(|_| Arc::new(Histogram::new())).collect();
+    let pools: Vec<Arc<Histogram>> = (0..node_count).map(|_| Arc::new(Histogram::new())).collect();
 
     let mut bundle_host = None;
     let mut bundles_on_host = 0u64;
@@ -274,11 +305,12 @@ pub fn run_point(config: &FrontierConfig) -> FrontierPoint {
             bundles_on_host = (bundles_on_host + 1) % config.bundles_per_host;
             let client = ClientId::from_raw(next_client);
             next_client += 1;
-            let home = cluster.home_shard(client);
+            let home = subscriber_home(next_subscriber, client);
+            next_subscriber += 1;
             let process = sim.add_typed_process(
                 host,
                 ClientBundle::new(
-                    cluster.home_process(client),
+                    brokers[home],
                     client,
                     filter.clone(),
                     weight,
@@ -302,10 +334,12 @@ pub fn run_point(config: &FrontierConfig) -> FrontierPoint {
         for _ in 0..config.spot_clients {
             let client = ClientId::from_raw(next_client);
             next_client += 1;
+            let home = subscriber_home(next_subscriber, client);
+            next_subscriber += 1;
             spot_ids.push(sim.add_typed_process(
                 spot_host,
                 RtpReceiver::new(
-                    cluster.home_process(client),
+                    brokers[home],
                     client,
                     TopicFilter::exact(&spot_topic),
                     pt,
@@ -315,8 +349,7 @@ pub fn run_point(config: &FrontierConfig) -> FrontierPoint {
         }
     }
 
-    // One publisher per session, publishing straight to the topic's
-    // owner shard (exactly where `ShardedClient::publish` lands).
+    // One publisher per session.
     let mut sender_host = None;
     for session in 0..sessions {
         if session % config.publishers_per_host == 0 {
@@ -327,11 +360,9 @@ pub fn run_point(config: &FrontierConfig) -> FrontierPoint {
         }
         let host = sender_host.expect("host created above");
         let topic = Topic::parse(&format!("s{session}/av")).expect("static session topic");
-        let mut publisher_config = PublisherConfig::new(
-            cluster.owner_process(&topic),
-            ClientId::from_raw(next_client),
-            topic,
-        );
+        let entry = brokers[publisher_entry(session, &topic)];
+        let mut publisher_config =
+            PublisherConfig::new(entry, ClientId::from_raw(next_client), topic);
         next_client += 1;
         publisher_config.start_delay = config.start_delay + config.stagger_offset(session);
         publisher_config.max_packets = config.packets;
@@ -388,7 +419,7 @@ pub fn run_point(config: &FrontierConfig) -> FrontierPoint {
     let good = p99_delay_ms < GOOD_P99_DELAY_MS && loss < GOOD_LOSS && delivered > 0;
     FrontierPoint {
         clients: config.clients,
-        shards: config.shards,
+        shards: node_count,
         fanout: config.fanout,
         mean_delay_ms,
         p99_delay_ms,
@@ -507,188 +538,6 @@ pub fn conference_100k() -> ScenarioResult {
         name: "conference_100k".to_owned(),
         config,
         point,
-    }
-}
-
-/// Measures one federation point: the same conference load as
-/// [`run_point`], but spread across a full-mesh
-/// [`ClusterSimNet`] of `nodes` gateway nodes instead of the shards of
-/// one process. Clients and publishers home round-robin to zone
-/// gateways (zone `z` → node `z % nodes`), so most deliveries cross at
-/// least one inter-node link — the federation counterpart of the
-/// sharded sweeps, holding aggregate NIC constant while adding nodes.
-pub fn run_federation_point(config: &FrontierConfig, nodes: usize) -> FrontierPoint {
-    assert!(nodes > 0, "need at least one node");
-    assert!(config.fanout > 0, "need a positive session size");
-    assert!(config.bundle > 0, "need a positive bundle weight");
-    let mut sim = Simulation::new(config.seed);
-    let net = ClusterSimNet::build(
-        &mut sim,
-        &ClusterSimConfig {
-            latency: LatencyMap::full_mesh(nodes, 2),
-            cost: config.cost,
-            node_nic: Bandwidth::from_bps(config.total_nic.bps() / nodes as u64),
-            queue_bytes: 64 * 1024 * 1024,
-        },
-    );
-    sim.set_default_latency(config.lan_latency);
-
-    let sessions = config.clients.div_ceil(config.fanout).max(1);
-    let mut next_client = 1_000u64;
-    let mut next_zone = 0usize;
-    let mut bundles = Vec::new();
-    let pools: Vec<Arc<Histogram>> = (0..nodes).map(|_| Arc::new(Histogram::new())).collect();
-
-    let mut bundle_host = None;
-    let mut bundles_on_host = 0u64;
-    let mut remaining = config.clients;
-    for session in 0..sessions {
-        let session_size = config.fanout.min(remaining);
-        remaining -= session_size;
-        let topic = Topic::parse(&format!("s{session}/av")).expect("static session topic");
-        let filter = TopicFilter::exact(&topic);
-        let mut left = session_size;
-        while left > 0 {
-            let weight = config.bundle.min(left);
-            left -= weight;
-            if bundles_on_host == 0 {
-                bundle_host = Some(sim.add_host(
-                    &format!("zone-seg-{}", bundles.len() / config.bundles_per_host as usize),
-                    NicConfig::default(),
-                ));
-            }
-            let host = bundle_host.expect("host created above");
-            bundles_on_host = (bundles_on_host + 1) % config.bundles_per_host;
-            let client = ClientId::from_raw(next_client);
-            next_client += 1;
-            let zone = next_zone;
-            next_zone += 1;
-            let home = net.home_node(zone);
-            let process = sim.add_typed_process(
-                host,
-                ClientBundle::new(
-                    net.home_process(zone),
-                    client,
-                    filter.clone(),
-                    weight,
-                    config.recv_cpu,
-                    Arc::clone(&pools[home]),
-                ),
-            );
-            bundles.push((process, weight));
-        }
-    }
-
-    let spot_topic = Topic::parse("s0/av").expect("static session topic");
-    let mut spot_ids = Vec::new();
-    if config.spot_clients > 0 {
-        let spot_host = sim.add_host("spot", NicConfig::default());
-        let pt = match config.media {
-            Media::Audio => payload_type::PCMU,
-            Media::Video => payload_type::H263,
-        };
-        for _ in 0..config.spot_clients {
-            let client = ClientId::from_raw(next_client);
-            next_client += 1;
-            let zone = next_zone;
-            next_zone += 1;
-            spot_ids.push(sim.add_typed_process(
-                spot_host,
-                RtpReceiver::new(
-                    net.home_process(zone),
-                    client,
-                    TopicFilter::exact(&spot_topic),
-                    pt,
-                    config.recv_cpu,
-                ),
-            ));
-        }
-    }
-
-    // One publisher per session, entering at its own zone gateway —
-    // where a federation client would publish — not at some owner node.
-    let mut sender_host = None;
-    for session in 0..sessions {
-        if session % config.publishers_per_host == 0 {
-            sender_host = Some(sim.add_host(
-                &format!("zone-senders-{}", session / config.publishers_per_host),
-                NicConfig::default(),
-            ));
-        }
-        let host = sender_host.expect("host created above");
-        let topic = Topic::parse(&format!("s{session}/av")).expect("static session topic");
-        let mut publisher_config = PublisherConfig::new(
-            net.home_process(session as usize),
-            ClientId::from_raw(next_client),
-            topic,
-        );
-        next_client += 1;
-        publisher_config.start_delay = config.start_delay + config.stagger_offset(session);
-        publisher_config.max_packets = config.packets;
-        match config.media {
-            Media::Audio => {
-                let source = AudioSource::new(AudioCodec::Pcmu, 0xA0D10 + session as u32);
-                sim.add_typed_process(host, AudioPublisher::new(publisher_config, source));
-            }
-            Media::Video => {
-                let source = VideoSource::new(
-                    VideoSourceConfig::default(),
-                    0x71DE0 + session as u32,
-                    DetRng::new(config.seed ^ (0xFEED + session)),
-                );
-                sim.add_typed_process(host, VideoPublisher::new(publisher_config, source));
-            }
-        }
-    }
-
-    if config.workers > 1 {
-        sim.run_parallel_until(config.deadline(), config.workers);
-    } else {
-        sim.run_until(config.deadline());
-    }
-
-    let mut expected = 0u64;
-    let mut delivered = 0u64;
-    for (process, weight) in &bundles {
-        let bundle = sim
-            .process_ref::<ClientBundle>(*process)
-            .expect("bundle process");
-        expected += weight * config.packets;
-        delivered += weight * bundle.received().min(config.packets);
-    }
-    let spot_expected = config.spot_clients * config.packets;
-    let mut spot_delivered = 0u64;
-    for id in &spot_ids {
-        spot_delivered += sim
-            .process_ref::<RtpReceiver>(*id)
-            .expect("spot receiver")
-            .stats()
-            .received();
-    }
-
-    let shard_delay: Vec<HistogramSnapshot> = pools.iter().map(|p| p.snapshot()).collect();
-    let merged = HistogramSnapshot::merge_all(&shard_delay);
-    let mean_delay_ms = merged.mean() / 1e6;
-    let p99_delay_ms = merged.quantile(0.99).unwrap_or(0) as f64 / 1e6;
-    let loss = if expected == 0 {
-        0.0
-    } else {
-        1.0 - delivered as f64 / expected as f64
-    };
-    let good = p99_delay_ms < GOOD_P99_DELAY_MS && loss < GOOD_LOSS && delivered > 0;
-    FrontierPoint {
-        clients: config.clients,
-        shards: nodes,
-        fanout: config.fanout,
-        mean_delay_ms,
-        p99_delay_ms,
-        loss,
-        expected,
-        delivered,
-        spot_expected,
-        spot_delivered,
-        good,
-        shard_delay,
     }
 }
 

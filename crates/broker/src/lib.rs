@@ -33,11 +33,16 @@
 //!   performance-functionality trade-off knob.
 //! * [`simdrv`] — drives a [`node::BrokerNode`] inside the deterministic
 //!   simulator with a CPU cost model; used by every experiment.
-//! * [`threaded`] — a real multi-threaded in-process driver with
-//!   crossbeam channels, for the examples and concurrency tests.
-//! * [`sharded`] — the multi-worker runtime: the topic space is
-//!   partitioned across N shards, each with its own node slice and
-//!   batched ingress queue, joined by a cross-shard forwarding ring.
+//! * [`simtopo`] — rebuilds the live shard mesh or a federation's
+//!   latency map out of simulated broker processes, for the capacity
+//!   and figure harnesses.
+//! * [`sharded`] — the live runtime on real OS threads: the topic space
+//!   is partitioned across N shards (one is a plain single-loop
+//!   broker), each with its own node slice and batched ingress queue,
+//!   joined by a cross-shard forwarding ring.
+//! * [`cluster`] — the federation: sharded brokers joined over
+//!   in-process or loopback-TCP links, with [`gossip`] interest
+//!   exchange.
 //!
 //! # Examples
 //!
@@ -71,9 +76,6 @@ pub mod event;
 pub mod cluster;
 /// Firewall/NAT traversal modelling for client transports.
 pub mod firewall;
-/// The federation topology rebuilt inside the deterministic simulator:
-/// one broker process per cluster node, links from the latency map.
-pub mod clustersim;
 /// Anti-entropy gossip of per-node subscription interest.
 pub mod gossip;
 /// Liveness tracking: heartbeats and failure suspicion for peers.
@@ -97,15 +99,14 @@ pub mod rtpproxy;
 /// A sharded multi-worker runtime: topic-partitioned node slices with
 /// batched ingress and a cross-shard forwarding ring.
 pub mod sharded;
-/// The sharded topology rebuilt inside the deterministic simulator:
-/// one broker process per shard, shared placement hashes, full mesh.
-pub mod shardsim;
 /// Drives broker nodes from the discrete-event simulator clock.
 pub mod simdrv;
+/// The live topologies rebuilt inside the deterministic simulator: one
+/// broker process per shard or cluster node, joined as a shard mesh or
+/// along a latency map.
+pub mod simtopo;
 /// Flat zero-copy wire encoding for events over pooled frame buffers.
 pub mod wire;
-/// A threaded runtime wrapping the sans-IO node in real OS threads.
-pub mod threaded;
 /// Hierarchical topics and wildcard topic filters.
 pub mod topic;
 

@@ -5,7 +5,7 @@
 //! interest table — and advances purely through
 //! [`BrokerNode::handle`]: `(Input) -> Vec<Action>`. Drivers (the
 //! in-memory [`crate::network::BrokerNetwork`], the simulator
-//! [`crate::simdrv`], the threaded [`crate::threaded`] runtime) own
+//! [`crate::simdrv`], the threaded [`crate::sharded`] runtime) own
 //! transport and time.
 //!
 //! ## Routing protocol
@@ -299,7 +299,7 @@ impl BrokerNode {
     /// The default (off) implements NaradaBrokering's tree routing, where
     /// interest must propagate hop by hop — correct only on acyclic peer
     /// graphs. Full-mesh topologies (the sharded runtime's one-hop
-    /// forward ring, rebuilt in the simulator by [`crate::shardsim`])
+    /// forward ring, rebuilt in the simulator by [`crate::simtopo`])
     /// turn that propagation into an advert/forward loop; with this mode
     /// on, every node advertises straight to every peer and a data event
     /// is forwarded at most one hop, exactly the thread runtime's

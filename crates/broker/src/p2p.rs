@@ -52,15 +52,7 @@ pub enum DeliveryMode {
 pub struct P2pGroup {
     members: HashMap<ClientId, u64>,
     subs: SubscriptionTable<ClientId>,
-    /// Bumped whenever `subs` changes; stale plans are discarded lazily.
-    generation: u64,
-    /// Memoized matching-peer sets per concrete topic (the publisher is
-    /// filtered out at publish time, so one plan serves all members).
-    plans: HashMap<Topic, (u64, Arc<Vec<ClientId>>)>,
 }
-
-/// Upper bound on memoized peer sets before stale entries are swept.
-const P2P_PLAN_CACHE_MAX: usize = 1024;
 
 /// Error from peer-group operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +79,8 @@ impl P2pGroup {
 
     /// Removes a peer and all its subscriptions.
     pub fn leave(&mut self, peer: ClientId) {
-        if self.members.remove(&peer).is_some() && self.subs.unsubscribe_all(&peer) > 0 {
-            self.generation += 1;
+        if self.members.remove(&peer).is_some() {
+            self.subs.unsubscribe_all(&peer);
         }
     }
 
@@ -111,9 +103,7 @@ impl P2pGroup {
         if !self.members.contains_key(&peer) {
             return Err(NotAMemberError(peer));
         }
-        if self.subs.subscribe(&filter, peer) {
-            self.generation += 1;
-        }
+        self.subs.subscribe(&filter, peer);
         Ok(())
     }
 
@@ -136,35 +126,13 @@ impl P2pGroup {
         let event = Event::new(topic, from, *seq, crate::event::EventClass::Data, payload)
             .into_shared();
         *seq += 1;
-        let plan = self.plan_for(&event.topic);
-        Ok(plan
-            .iter()
-            .filter(|peer| **peer != from)
-            .map(|&peer| (peer, Arc::clone(&event)))
+        Ok(self
+            .subs
+            .matches(&event.topic)
+            .into_iter()
+            .filter(|peer| *peer != from)
+            .map(|peer| (peer, Arc::clone(&event)))
             .collect())
-    }
-
-    /// The memoized set of peers matching `topic`, rebuilt when the
-    /// subscription table has changed since it was cached.
-    fn plan_for(&mut self, topic: &Topic) -> Arc<Vec<ClientId>> {
-        if let Some((generation, plan)) = self.plans.get(topic) {
-            if *generation == self.generation {
-                return Arc::clone(plan);
-            }
-        }
-        let mut peers = Vec::new();
-        self.subs.matches_into(topic, &mut peers);
-        let plan = Arc::new(peers);
-        if self.plans.len() >= P2P_PLAN_CACHE_MAX {
-            let generation = self.generation;
-            self.plans.retain(|_, (g, _)| *g == generation);
-            if self.plans.len() >= P2P_PLAN_CACHE_MAX {
-                self.plans.clear();
-            }
-        }
-        self.plans
-            .insert(topic.clone(), (self.generation, Arc::clone(&plan)));
-        plan
     }
 }
 

@@ -33,15 +33,14 @@
 //! broadcast to all shards and become visible shard-by-shard; data
 //! routing is exact between control epochs. Commands from one thread
 //! stay FIFO per shard queue, so the classic "subscribe, then publish"
-//! sequence from a single thread is reliably delivered, exactly like
-//! [`crate::threaded::ThreadedBroker`]. Tests settle in-flight traffic
-//! with [`ShardedBroker::quiesce`].
+//! sequence from a single thread is reliably delivered. Tests settle
+//! in-flight traffic with [`ShardedBroker::quiesce`].
 //!
 //! # Backpressure
 //!
 //! Each shard's queue depth is tracked by a gauge that producers bump
 //! **before** enqueueing (so the worker's decrement can never race it
-//! below zero — the same discipline as the threaded driver). Client
+//! below zero). Client
 //! publishes spin-yield while the owner shard's depth is at the
 //! configured soft capacity; worker-originated sends (forwards,
 //! barriers) never block, so the ring cannot deadlock.
@@ -107,7 +106,7 @@ fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 
 /// Stable owner shard for a topic first segment: FNV-1a of the segment
 /// bytes modulo the shard count. Public so other shard layouts — the
-/// simulator bridge in [`crate::shardsim`], capacity harnesses — place
+/// simulator bridge in [`crate::simtopo`], capacity harnesses — place
 /// topics exactly where the live runtime would.
 pub fn owner_shard(head: &str, shards: usize) -> usize {
     (fnv1a_bytes(head.as_bytes()) % shards as u64) as usize
@@ -129,20 +128,12 @@ pub fn owner_shard_of_topic(topic: &Topic, shards: usize) -> usize {
     }
 }
 
-fn owner_of(head: &str, shards: usize) -> usize {
-    owner_shard(head, shards)
-}
-
-fn home_of(client: ClientId, shards: usize) -> usize {
-    home_shard(client, shards)
-}
-
 /// Whether shard `index` can own topics matching `filter`. A literal
 /// head pins the filter to one shard; a wildcard head (`*` or bare `#`)
 /// can match topics on every shard.
 fn shard_may_own(filter: &TopicFilter, index: usize, shards: usize) -> bool {
     match filter.first_literal() {
-        Some(head) => owner_of(head, shards) == index,
+        Some(head) => owner_shard(head, shards) == index,
         None => true,
     }
 }
@@ -227,15 +218,25 @@ impl Router {
     }
 
     /// Client-publish enqueue with soft backpressure: spin-yield while
-    /// the owner shard's queue is at capacity. The shutdown flag breaks
-    /// the spin so publishers can never hang on a dead broker.
+    /// the owner shard's queue is at capacity. Once the shutdown flag is
+    /// set the command is dropped instead of enqueued — that also breaks
+    /// the spin, so publishers can never hang on a dead broker. The
+    /// `Acquire` load pairs with the `Release` store in
+    /// [`ShardedBroker::shutdown`]: a publish that happens-after
+    /// `shutdown()` returned always sees the flag.
     fn publish_to(&self, shard: usize, cmd: ShardCmd) {
-        // Shard indices come from `owner_of(_, self.shard_count())`, so
+        // Shard indices come from `owner_shard(_, self.shard_count())`, so
         // this lookup cannot miss; `get` keeps the hot path panic-free.
         let Some(link) = self.shards.get(shard) else {
             return;
         };
-        while link.depth.get() >= self.capacity as i64 && !self.shutdown.load(Ordering::Relaxed) {
+        loop {
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            if link.depth.get() < self.capacity as i64 {
+                break;
+            }
             std::thread::yield_now();
         }
         link.send(cmd);
@@ -343,20 +344,12 @@ impl ShardedBroker {
         }
         let mut handles = Vec::with_capacity(shards);
         for (index, ingress) in receivers.into_iter().enumerate() {
-            let worker = ShardWorker {
+            let worker = ShardWorker::new(
                 index,
-                shards,
                 ingress,
-                links: links.clone(),
-                metrics: metrics.as_ref().map(|m| Arc::clone(m.shard(index))),
-                node: BrokerNode::new(BrokerId::from_raw(index as u64)),
-                deliveries: HashMap::new(),
-                filters: HashMap::new(),
-                remote_refs: HashMap::new(),
-                out_buffers: HashMap::new(),
-                acks: Vec::new(),
-                actions: Vec::new(),
-            };
+                links.clone(),
+                metrics.as_ref().map(|m| Arc::clone(m.shard(index))),
+            );
             let handle = std::thread::Builder::new()
                 .name(format!("mmcs-shard{index}"))
                 .spawn(move || worker.run())
@@ -387,7 +380,7 @@ impl ShardedBroker {
 
     /// The shard holding `client`'s subscriptions and delivery queue.
     pub fn home_shard(&self, client: ClientId) -> usize {
-        home_of(client, self.shard_count())
+        home_shard(client, self.shard_count())
     }
 
     /// Attaches a client with the default (TCP) profile.
@@ -450,7 +443,7 @@ impl ShardedBroker {
     pub fn inject(&self, frame: Bytes) -> Result<(), wire::DecodeEventError> {
         let parsed = wire::WireEvent::parse(&frame)?;
         let shard = match parsed.topic_str().split('/').next() {
-            Some(head) if !head.is_empty() => owner_of(head, self.shard_count()),
+            Some(head) if !head.is_empty() => owner_shard(head, self.shard_count()),
             _ => 0,
         };
         self.router.publish_to(shard, ShardCmd::Inject(frame));
@@ -485,11 +478,18 @@ impl ShardedBroker {
         self.router.shards[index].send(ShardCmd::Stall(duration));
     }
 
-    /// Stops all worker shards (idempotent). Clients created from this
-    /// broker stop receiving deliveries, and any publisher spinning on
-    /// backpressure unblocks.
+    /// Stops all worker shards (idempotent, asynchronous: the workers
+    /// exit on their own threads and are joined on drop).
+    ///
+    /// The contract: a publish (or [`ShardedBroker::inject`]) that
+    /// happens-after `shutdown()` returns is dropped — it is neither
+    /// enqueued nor delivered — and a publisher spinning on backpressure
+    /// unblocks. Each worker stops *at* its `Shutdown` command: what was
+    /// enqueued ahead of it is still routed and flushed, and whatever a
+    /// racing publisher managed to enqueue behind it is discarded with
+    /// the queue.
     pub fn shutdown(&self) {
-        self.router.shutdown.store(true, Ordering::Relaxed);
+        self.router.shutdown.store(true, Ordering::Release);
         for link in &self.router.shards {
             link.send(ShardCmd::Shutdown);
         }
@@ -559,10 +559,7 @@ impl ShardedClient {
     /// Publishes an event with an explicit class.
     pub fn publish_class(&self, topic: Topic, class: EventClass, payload: bytes::Bytes) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let shard = match topic.segments().first() {
-            Some(head) => owner_of(head, self.router.shard_count()),
-            None => 0,
-        };
+        let shard = owner_shard_of_topic(&topic, self.router.shard_count());
         let event = Event::new(topic, self.id, seq, class, payload).into_shared();
         self.router
             .publish_to(shard, ShardCmd::Publish(self.id, event));
@@ -676,6 +673,29 @@ struct ShardWorker {
 }
 
 impl ShardWorker {
+    /// Worker `index` of the `links.len()` shards reachable over `links`.
+    fn new(
+        index: usize,
+        ingress: Receiver<ShardCmd>,
+        links: Vec<ShardLink>,
+        metrics: Option<Arc<BrokerMetrics>>,
+    ) -> Self {
+        Self {
+            index,
+            shards: links.len(),
+            ingress,
+            links,
+            metrics,
+            node: BrokerNode::new(BrokerId::from_raw(index as u64)),
+            deliveries: HashMap::new(),
+            filters: HashMap::new(),
+            remote_refs: HashMap::new(),
+            out_buffers: HashMap::new(),
+            acks: Vec::new(),
+            actions: Vec::new(),
+        }
+    }
+
     fn run(mut self) {
         if let Some(m) = &self.metrics {
             self.node.set_metrics(Arc::clone(m));
@@ -729,7 +749,7 @@ impl ShardWorker {
         if let Some(m) = &self.metrics {
             m.batch_size.record(commands.len() as u64);
         }
-        let mut stop = false;
+        let mut running = true;
         for cmd in commands {
             if let Some(m) = &self.metrics {
                 m.queue_depth.sub(1);
@@ -758,7 +778,12 @@ impl ShardWorker {
                 ShardCmd::Inject(frame) => self.inject(frame),
                 ShardCmd::Barrier(ack) => self.acks.push(ack),
                 ShardCmd::Stall(duration) => std::thread::sleep(duration),
-                ShardCmd::Shutdown => stop = true,
+                ShardCmd::Shutdown => {
+                    // Stop here, not at the end of the batch: commands
+                    // drained behind the shutdown are dropped unrouted.
+                    running = false;
+                    break;
+                }
             }
         }
         for (client, buffer) in &mut self.out_buffers {
@@ -775,7 +800,7 @@ impl ShardWorker {
         for ack in self.acks.drain(..) {
             let _ = ack.send(());
         }
-        !stop
+        running
     }
 
     fn subscribe(&mut self, client: ClientId, filter: TopicFilter) {
@@ -790,7 +815,7 @@ impl ShardWorker {
             .entry(client)
             .or_default()
             .push(filter.clone());
-        let home = home_of(client, self.shards);
+        let home = home_shard(client, self.shards);
         if home == self.index {
             let _ = self
                 .node
@@ -815,7 +840,7 @@ impl ShardWorker {
         if !removed {
             return;
         }
-        let home = home_of(client, self.shards);
+        let home = home_shard(client, self.shards);
         if home == self.index {
             let _ = self
                 .node
@@ -829,7 +854,7 @@ impl ShardWorker {
     fn detach(&mut self, client: ClientId) {
         self.deliveries.remove(&client);
         self.out_buffers.remove(&client);
-        let home = home_of(client, self.shards);
+        let home = home_shard(client, self.shards);
         if let Some(filters) = self.filters.remove(&client) {
             if home != self.index {
                 for filter in filters {
@@ -1032,6 +1057,15 @@ mod tests {
 
     const RECV: Duration = Duration::from_secs(2);
 
+    /// Orders this thread's earlier control commands before its next
+    /// publish. Several shards need a barrier for that; one shard — the
+    /// plain single-loop broker — is one FIFO queue and needs nothing.
+    fn settle(broker: &ShardedBroker) {
+        if broker.shard_count() > 1 {
+            broker.quiesce();
+        }
+    }
+
     #[test]
     fn injected_frame_delivers_like_a_publish() {
         let broker = ShardedBroker::spawn(4);
@@ -1073,14 +1107,16 @@ mod tests {
 
     #[test]
     fn pub_sub_across_shards() {
-        let broker = ShardedBroker::spawn(4);
-        let publisher = broker.attach();
-        let subscriber = broker.attach();
-        subscriber.subscribe(filter("news/#"));
-        publisher.publish(topic("news/tech"), Bytes::from_static(b"1"));
-        let event = subscriber.recv_timeout(RECV).unwrap();
-        assert_eq!(&event.payload[..], b"1");
-        assert_eq!(event.source, publisher.id());
+        for shards in [1, 4] {
+            let broker = ShardedBroker::spawn(shards);
+            let publisher = broker.attach();
+            let subscriber = broker.attach();
+            subscriber.subscribe(filter("news/#"));
+            publisher.publish(topic("news/tech"), Bytes::from_static(b"1"));
+            let event = subscriber.recv_timeout(RECV).unwrap();
+            assert_eq!(&event.payload[..], b"1");
+            assert_eq!(event.source, publisher.id());
+        }
     }
 
     #[test]
@@ -1168,41 +1204,51 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_stops_flow_after_quiesce() {
-        let broker = ShardedBroker::spawn(4);
-        let publisher = broker.attach();
-        let subscriber = broker.attach();
-        subscriber.subscribe(filter("u/x"));
-        publisher.publish(topic("u/x"), Bytes::new());
-        assert!(subscriber.recv_timeout(RECV).is_some());
-        subscriber.unsubscribe(filter("u/x"));
-        broker.quiesce();
-        publisher.publish(topic("u/x"), Bytes::new());
-        broker.quiesce();
-        assert!(subscriber.try_recv().is_none());
+    fn unsubscribe_stops_flow_once_settled() {
+        for shards in [1, 4] {
+            let broker = ShardedBroker::spawn(shards);
+            let publisher = broker.attach();
+            let subscriber = broker.attach();
+            subscriber.subscribe(filter("u/x"));
+            publisher.publish(topic("u/x"), Bytes::new());
+            assert!(subscriber.recv_timeout(RECV).is_some());
+            subscriber.unsubscribe(filter("u/x"));
+            settle(&broker);
+            publisher.publish(topic("u/x"), Bytes::new());
+            broker.quiesce();
+            assert!(subscriber.try_recv().is_none());
+        }
     }
 
     #[test]
     fn detach_stops_delivery_and_fresh_client_works() {
-        let broker = ShardedBroker::spawn(2);
-        let publisher = broker.attach();
-        {
-            let subscriber = broker.attach();
-            subscriber.subscribe(filter("d/#"));
-        } // dropped -> detach broadcast
-        broker.quiesce();
-        publisher.publish(topic("d/x"), Bytes::new());
-        let fresh = broker.attach();
-        fresh.subscribe(filter("d/#"));
-        broker.quiesce();
-        publisher.publish(topic("d/x"), Bytes::new());
-        assert!(fresh.recv_timeout(RECV).is_some());
-        assert!(fresh.try_recv().is_none());
+        for shards in [1, 2] {
+            let broker = ShardedBroker::spawn(shards);
+            let publisher = broker.attach();
+            {
+                let subscriber = broker.attach();
+                subscriber.subscribe(filter("d/#"));
+            } // dropped -> detach broadcast
+            settle(&broker);
+            publisher.publish(topic("d/x"), Bytes::new());
+            let fresh = broker.attach();
+            fresh.subscribe(filter("d/#"));
+            settle(&broker);
+            publisher.publish(topic("d/x"), Bytes::new());
+            assert!(fresh.recv_timeout(RECV).is_some());
+            assert!(fresh.try_recv().is_none());
+        }
     }
 
     #[test]
     fn metrics_identities_hold_after_quiesce() {
-        let metrics = ShardedBrokerMetrics::detached(4);
+        for shards in [1, 4] {
+            metrics_identities_hold(shards);
+        }
+    }
+
+    fn metrics_identities_hold(shards: usize) {
+        let metrics = ShardedBrokerMetrics::detached(shards);
         let broker = ShardedBroker::spawn_with_metrics(Arc::clone(&metrics));
         let publisher = broker.attach();
         let sub_a = broker.attach();
@@ -1217,11 +1263,12 @@ mod tests {
         broker.quiesce();
         // Both subscribers match every publish.
         assert_eq!(metrics.total(|s| s.deliveries.get()), publishes * 2);
-        // Every event enters its owner shard once plus once per ring hop.
-        assert_eq!(
-            metrics.total(|s| s.events_in.get()),
-            publishes + metrics.total(|s| s.cross_shard_forwards.get())
-        );
+        // Every event enters its owner shard once plus once per ring hop
+        // (one shard has no ring), and records its fan-out where it enters.
+        let forwards = metrics.total(|s| s.cross_shard_forwards.get());
+        assert!(shards > 1 || forwards == 0);
+        assert_eq!(metrics.total(|s| s.events_in.get()), publishes + forwards);
+        assert_eq!(metrics.total(|s| s.fanout.count()), publishes + forwards);
         // Quiesced: nothing left in any ingress queue.
         for shard in metrics.shards() {
             assert_eq!(shard.queue_depth.get(), 0);
@@ -1277,15 +1324,86 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_matches_threaded_semantics() {
-        let broker = ShardedBroker::spawn(1);
-        let publisher = broker.attach();
+    fn shutdown_drops_publishes_that_happen_after_it() {
+        let metrics = ShardedBrokerMetrics::detached(1);
+        let broker = ShardedBroker::builder(1)
+            .capacity(4)
+            .metrics(Arc::clone(&metrics))
+            .spawn();
         let subscriber = broker.attach();
-        subscriber.subscribe(filter("one/*"));
-        publisher.publish(topic("one/a"), Bytes::from_static(b"p"));
-        let event = subscriber.recv_timeout(RECV).unwrap();
-        assert_eq!(&event.payload[..], b"p");
-        // No peers exist, so nothing can have been forwarded.
-        assert_eq!(broker.shard_count(), 1);
+        let publisher = broker.attach();
+        let racer = broker.attach();
+        subscriber.subscribe(filter("s/#"));
+        broker.quiesce();
+        // Hold the worker mid-batch: once the gauge reads empty it has
+        // dequeued the stall and sleeps inside `process_batch`.
+        broker.stall_shard(0, Duration::from_millis(250));
+        while metrics.shard(0).queue_depth.get() != 0 {
+            std::thread::yield_now();
+        }
+        // Fill the queue to its soft capacity ahead of the shutdown.
+        for _ in 0..4 {
+            publisher.publish(topic("s/x"), Bytes::from_static(b"before"));
+        }
+        std::thread::scope(|scope| {
+            // A racing publisher blocks on backpressure until shutdown
+            // releases it; the scope joining proves it never hangs.
+            scope.spawn(move || {
+                for _ in 0..16 {
+                    racer.publish(topic("s/x"), Bytes::from_static(b"racing"));
+                }
+            });
+            broker.shutdown();
+            broker.shutdown();
+        });
+        // These happen-after `shutdown()` returned: dropped, never
+        // enqueued behind the worker's `Shutdown` command.
+        for _ in 0..16 {
+            publisher.publish(topic("s/x"), Bytes::from_static(b"after"));
+        }
+        // The worker wakes, routes what was queued ahead of the
+        // shutdown, flushes it and exits (which closes the channel).
+        let mut payloads = Vec::new();
+        while let Some(event) = subscriber.recv_timeout(RECV) {
+            payloads.push(event.payload.clone());
+        }
+        assert!(payloads.len() >= 4, "{payloads:?}");
+        assert!(payloads[..4].iter().all(|p| &p[..] == b"before"), "{payloads:?}");
+        assert!(payloads.iter().all(|p| &p[..] != b"after"), "{payloads:?}");
+    }
+
+    #[test]
+    fn worker_stops_at_the_shutdown_command_not_at_end_of_batch() {
+        let (ingress, commands) = unbounded();
+        let links = vec![ShardLink {
+            ingress,
+            depth: Arc::new(Gauge::new()),
+        }];
+        let mut worker = ShardWorker::new(0, commands, links, None);
+        let (delivery, inbox) = unbounded();
+        let (subscriber, publisher) = (ClientId::from_raw(1), ClientId::from_raw(2));
+        let publish = |seq| {
+            let event = Event::new(topic("s/x"), publisher, seq, EventClass::Data, Bytes::new());
+            ShardCmd::Publish(publisher, event.into_shared())
+        };
+        let attach = |client, delivery| ShardCmd::Attach {
+            client,
+            profile: TransportProfile::default(),
+            delivery,
+        };
+        let running = worker.process_batch(vec![
+            attach(subscriber, Some(delivery)),
+            attach(publisher, None),
+            ShardCmd::Subscribe(subscriber, filter("s/#")),
+            publish(0),
+            ShardCmd::Shutdown,
+            publish(1),
+        ]);
+        assert!(!running);
+        // What was drained ahead of the shutdown is routed and flushed;
+        // what was drained behind it is dropped.
+        let flushed = inbox.try_recv().unwrap();
+        assert_eq!(flushed.iter().map(|e| e.seq).collect::<Vec<_>>(), [0]);
+        assert!(inbox.try_recv().is_err());
     }
 }

@@ -193,8 +193,8 @@ impl BrokerProcess {
 
     /// One-hop mesh mode, builder style: adverts carry only local
     /// subscriber interest (see [`BrokerNode::set_local_adverts_only`]).
-    /// Required whenever the peer graph has cycles — the full-mesh shard
-    /// cluster of [`crate::shardsim`] — and durable across restarts.
+    /// Required whenever the peer graph has cycles — the full meshes of
+    /// [`crate::simtopo`] — and durable across restarts.
     pub fn with_local_adverts_only(mut self) -> Self {
         self.node.set_local_adverts_only(true);
         self.local_adverts_only = true;

@@ -14,6 +14,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+#[cfg(debug_assertions)]
 use std::panic::Location;
 use std::sync;
 

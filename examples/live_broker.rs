@@ -1,17 +1,18 @@
 //! The broker as a real concurrent bus: four publisher threads fan
-//! events into one subscriber over the threaded NaradaBrokering-style
-//! runtime (crossbeam channels, OS threads — no simulation).
+//! events into one subscriber over the live NaradaBrokering-style
+//! runtime (one worker shard, crossbeam channels, OS threads — no
+//! simulation).
 //!
-//! Run with: `cargo run --example threaded_broker`
+//! Run with: `cargo run --example live_broker`
 
 use std::time::Duration;
 
 use bytes::Bytes;
-use mmcs::broker::threaded::ThreadedBroker;
+use mmcs::broker::sharded::ShardedBroker;
 use mmcs::broker::topic::{Topic, TopicFilter};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let broker = std::sync::Arc::new(ThreadedBroker::spawn());
+    let broker = std::sync::Arc::new(ShardedBroker::spawn(1));
 
     let subscriber = broker.attach();
     subscriber.subscribe(TopicFilter::parse("metrics/#")?);
@@ -43,6 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("subscriber received {received}/1000 events from 4 threads");
     assert_eq!(received, 1000);
     broker.shutdown();
-    println!("threaded broker OK");
+    println!("live broker OK");
     Ok(())
 }

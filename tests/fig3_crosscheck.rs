@@ -4,7 +4,7 @@
 //! accounting code path, no drift between "what the bench prints" and
 //! "what the metrics say".
 
-use mmcs_bench::fig3::{run, run_narada_sharded, Fig3Config, SystemResult};
+use mmcs_bench::fig3::{run, run_narada, run_narada_sharded, Fig3Config, SystemResult};
 use mmcs_telemetry::HistogramSnapshot;
 use mmcs_util::rate::Bandwidth;
 
@@ -92,4 +92,18 @@ fn sharded_fig3_per_shard_pools_merge_to_the_system_histogram() {
         let again = run_narada_sharded(&config, shards);
         assert_eq!(result.shard_delay, again.shard_delay);
     }
+}
+
+/// Value pin: the full-scale NaradaBrokering side of Figure 3 (the
+/// benchmark's `sim_fig3` workload) reproduces these exact numbers.
+/// Any refactor of the simulator bridge or the bench runners must keep
+/// them bit-for-bit.
+#[test]
+fn full_scale_narada_numbers_are_pinned() {
+    let result = run_narada(&Fig3Config::default());
+    assert_eq!(result.avg_delay_ms, 75.73765975399999);
+    assert_eq!(result.avg_jitter_ms, 18.19718025);
+    // Twelve receivers × 2000 packets, averaged as Σ 2000/12 in f64.
+    assert_eq!(result.received, 2000.0000000000002);
+    assert_eq!(result.loss_fraction, 0.0);
 }

@@ -46,3 +46,15 @@ fn different_seed_changes_the_timeline_not_the_accounting() {
     assert_eq!(a.delivered, a.expected);
     assert_eq!(b.delivered, b.expected);
 }
+
+/// Value pin: the federation scenario of the frontier report
+/// reproduces these exact numbers. Any refactor of the simulator bridge
+/// or the frontier runner must keep them bit-for-bit.
+#[test]
+fn federation_point_numbers_are_pinned() {
+    let point = frontier::federation_point().point;
+    assert_eq!(point.mean_delay_ms, 7.010820441666667);
+    assert_eq!(point.p99_delay_ms, 12.648447);
+    assert_eq!((point.delivered, point.expected), (7200, 7200));
+    assert_eq!((point.spot_delivered, point.spot_expected), (120, 120));
+}

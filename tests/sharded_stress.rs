@@ -1,9 +1,15 @@
-//! Detector-supervised soak of the sharded broker runtime: 4 shards,
-//! 8 concurrent publisher threads, 100k events, with **exact** per-shard
-//! counter totals cross-checked against `ShardedBrokerMetrics`
-//! snapshots. In debug builds the instrumented `parking_lot` shim's
-//! lock-order deadlock detector supervises every acquisition; any
-//! inversion panics a worker or publisher thread and fails the joins.
+//! Concurrency stress on the live broker runtime, on real OS threads
+//! (no virtual time).
+//!
+//! Sharded: a detector-supervised soak — 4 shards, 8 concurrent
+//! publisher threads, 100k events, with **exact** per-shard counter
+//! totals cross-checked against `ShardedBrokerMetrics` snapshots — and
+//! shutdown during traffic. Single shard (the plain one-loop broker):
+//! client churn while publishers blast, subscription add/remove races,
+//! and the queue-depth gauge discipline. In debug builds the
+//! instrumented `parking_lot` shim's lock-order deadlock detector
+//! supervises every acquisition; any inversion panics a worker or
+//! publisher thread and fails the joins.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -149,29 +155,235 @@ fn four_shard_soak_has_exact_counters() {
     }
 }
 
-/// Shutdown mid-soak: publishers spinning on backpressure must unblock
-/// and no thread may hang or panic.
+/// Shutdown mid-soak, on the single-loop broker and on four shards:
+/// publishers spinning on backpressure must unblock (their sends go
+/// nowhere) and no thread may hang or panic.
 #[test]
-fn shutdown_under_sharded_load_is_clean() {
-    let broker = Arc::new(ShardedBroker::builder(SHARDS).capacity(64).spawn());
-    let subscriber = broker.attach();
-    subscriber.subscribe(TopicFilter::parse("#").unwrap());
-    broker.quiesce();
+fn shutdown_under_load_is_clean() {
+    for shards in [1, SHARDS] {
+        let broker = Arc::new(ShardedBroker::builder(shards).capacity(64).spawn());
+        let subscriber = broker.attach();
+        subscriber.subscribe(TopicFilter::parse("#").unwrap());
+        broker.quiesce();
+        let mut handles = Vec::new();
+        for p in 0..4 {
+            let broker = Arc::clone(&broker);
+            handles.push(std::thread::spawn(move || {
+                let publisher = broker.attach();
+                let topic = Topic::parse(&format!("load{p}/x")).unwrap();
+                for _ in 0..5_000 {
+                    publisher.publish(topic.clone(), Bytes::new());
+                }
+            }));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        broker.shutdown();
+        for handle in handles {
+            handle.join().expect("publisher must unblock after shutdown");
+        }
+        // Drain whatever made it through before shutdown.
+        while subscriber.recv_timeout(Duration::from_millis(50)).is_some() {}
+    }
+}
+
+#[test]
+fn churn_does_not_lose_stable_subscribers() {
+    let broker = Arc::new(ShardedBroker::spawn(1));
+    let stable = broker.attach();
+    stable.subscribe(TopicFilter::parse("load/#").unwrap());
+
+    // Churners attach, subscribe, receive a bit, and vanish, while two
+    // publishers keep a steady stream going.
     let mut handles = Vec::new();
-    for p in 0..4 {
+    for worker in 0..2 {
         let broker = Arc::clone(&broker);
         handles.push(std::thread::spawn(move || {
             let publisher = broker.attach();
-            let topic = Topic::parse(&format!("load{p}/x")).unwrap();
-            for _ in 0..5_000 {
-                publisher.publish(topic.clone(), Bytes::new());
+            for i in 0..300 {
+                publisher.publish(
+                    Topic::parse(&format!("load/{worker}")).unwrap(),
+                    Bytes::from(format!("{i}").into_bytes()),
+                );
+                if i % 50 == 0 {
+                    std::thread::yield_now();
+                }
             }
         }));
     }
-    std::thread::sleep(Duration::from_millis(5));
-    broker.shutdown();
-    for handle in handles {
-        handle.join().expect("publisher must unblock after shutdown");
+    for _ in 0..3 {
+        let broker = Arc::clone(&broker);
+        handles.push(std::thread::spawn(move || {
+            for _ in 0..20 {
+                let churner = broker.attach();
+                churner.subscribe(TopicFilter::parse("load/#").unwrap());
+                let _ = churner.recv_timeout(Duration::from_millis(1));
+                drop(churner); // detach
+            }
+        }));
     }
-    while subscriber.recv_timeout(Duration::from_millis(50)).is_some() {}
+    for handle in handles {
+        handle.join().unwrap();
+    }
+
+    let mut received = 0;
+    while stable.recv_timeout(Duration::from_millis(500)).is_some() {
+        received += 1;
+        if received == 600 {
+            break;
+        }
+    }
+    assert_eq!(received, 600, "stable subscriber must see every event");
+}
+
+#[test]
+fn unsubscribe_race_converges() {
+    let broker = ShardedBroker::spawn(1);
+    let publisher = broker.attach();
+    let subscriber = broker.attach();
+    // Rapid subscribe/unsubscribe cycles end subscribed.
+    for _ in 0..50 {
+        subscriber.subscribe(TopicFilter::parse("flip").unwrap());
+        subscriber.unsubscribe(TopicFilter::parse("flip").unwrap());
+    }
+    subscriber.subscribe(TopicFilter::parse("flip").unwrap());
+    publisher.publish(Topic::parse("flip").unwrap(), Bytes::new());
+    assert!(
+        subscriber.recv_timeout(Duration::from_secs(2)).is_some(),
+        "final subscribe must win"
+    );
+}
+
+/// Positive run under the lock-order deadlock detector: the same churn
+/// the other tests apply, executed while the instrumented `parking_lot`
+/// shim watches every acquisition. Any lock-order inversion in the
+/// single-loop broker would panic the worker or a client thread; the
+/// watchdog must also stay quiet for broker-owned locks (its hot-path
+/// holds are microseconds).
+#[cfg(debug_assertions)]
+#[test]
+fn stress_is_lock_inversion_free_under_detector() {
+    use parking_lot::deadlock;
+    assert!(deadlock::is_active(), "debug build must carry the detector");
+    let broker = Arc::new(ShardedBroker::spawn(1));
+    let stable = broker.attach();
+    stable.subscribe(TopicFilter::parse("det/#").unwrap());
+    let mut handles = Vec::new();
+    for worker in 0..3 {
+        let broker = Arc::clone(&broker);
+        handles.push(std::thread::spawn(move || {
+            let publisher = broker.attach();
+            for i in 0..200 {
+                publisher.publish(
+                    Topic::parse(&format!("det/{worker}")).unwrap(),
+                    Bytes::from(format!("{i}").into_bytes()),
+                );
+            }
+        }));
+    }
+    for _ in 0..2 {
+        let broker = Arc::clone(&broker);
+        handles.push(std::thread::spawn(move || {
+            for _ in 0..15 {
+                let churner = broker.attach();
+                churner.subscribe(TopicFilter::parse("det/#").unwrap());
+                let _ = churner.recv_timeout(Duration::from_millis(1));
+                drop(churner);
+            }
+        }));
+    }
+    for handle in handles {
+        handle.join().expect("no thread may trip the deadlock detector");
+    }
+    let mut received = 0;
+    while stable.recv_timeout(Duration::from_millis(500)).is_some() {
+        received += 1;
+        if received == 600 {
+            break;
+        }
+    }
+    assert_eq!(received, 600, "delivery must be unaffected by the detector");
+    let broker_holds: Vec<_> = deadlock::long_holds()
+        .into_iter()
+        .filter(|h| h.site.contains("crates/broker"))
+        .collect();
+    assert!(
+        broker_holds.is_empty(),
+        "broker locks held past the watchdog threshold: {broker_holds:?}"
+    );
+}
+
+/// Regression: the queue-depth gauge is incremented **before** the
+/// command is enqueued, so the shard worker's decrement can never race
+/// it below zero. A concurrent sampler watches the gauge while four
+/// publishers hammer the queue; with the old increment-after-enqueue
+/// ordering the loop could dequeue (and decrement) between the two
+/// steps and the sampler would observe a negative depth.
+#[test]
+fn queue_depth_gauge_never_underflows() {
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+
+    let bundle = ShardedBrokerMetrics::detached(1);
+    let metrics = Arc::clone(bundle.shard(0));
+    let broker = Arc::new(ShardedBroker::spawn_with_metrics(bundle));
+    let subscriber = broker.attach();
+    subscriber.subscribe(TopicFilter::parse("q/#").unwrap());
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let min_seen = Arc::new(AtomicI64::new(0));
+    let sampler = {
+        let metrics = Arc::clone(&metrics);
+        let stop = Arc::clone(&stop);
+        let min_seen = Arc::clone(&min_seen);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let depth = metrics.queue_depth.get();
+                min_seen.fetch_min(depth, Ordering::Relaxed);
+            }
+        })
+    };
+    let mut handles = Vec::new();
+    for _ in 0..4 {
+        let broker = Arc::clone(&broker);
+        handles.push(std::thread::spawn(move || {
+            let publisher = broker.attach();
+            for _ in 0..2_000 {
+                publisher.publish(Topic::parse("q/x").unwrap(), Bytes::new());
+            }
+        }));
+    }
+    for handle in handles {
+        handle.join().unwrap();
+    }
+    let mut received = 0;
+    while subscriber.recv_timeout(Duration::from_millis(500)).is_some() {
+        received += 1;
+        if received == 8_000 {
+            break;
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    sampler.join().unwrap();
+    assert_eq!(received, 8_000);
+    assert!(
+        min_seen.load(Ordering::Relaxed) >= 0,
+        "queue-depth gauge underflowed to {}",
+        min_seen.load(Ordering::Relaxed)
+    );
+    // Fully drained: the gauge must read empty.
+    assert_eq!(metrics.queue_depth.get(), 0);
+    // Revert path: once the loop is gone, a rejected send must take its
+    // depth bump back and the gauge must stay non-negative.
+    broker.shutdown();
+    for _ in 0..500 {
+        if metrics.queue_depth.get() == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let publisher = broker.attach();
+    publisher.publish(Topic::parse("q/x").unwrap(), Bytes::new());
+    assert!(
+        metrics.queue_depth.get() >= 0,
+        "rejected sends must never drive the gauge negative"
+    );
 }

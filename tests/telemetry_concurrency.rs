@@ -1,14 +1,14 @@
 //! Concurrency guarantees of the telemetry primitives: eight threads
 //! hammering one shared `Counter`/`Gauge`/`Histogram` lose nothing and
-//! tear nothing, and the instrumented threaded broker runtime keeps the
+//! tear nothing, and the instrumented live broker runtime keeps the
 //! lock-order deadlock detector silent while metrics are live.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use mmcs::broker::metrics::BrokerMetrics;
-use mmcs::broker::threaded::ThreadedBroker;
+use mmcs::broker::metrics::ShardedBrokerMetrics;
+use mmcs::broker::sharded::ShardedBroker;
 use mmcs::broker::topic::{Topic, TopicFilter};
 use mmcs::telemetry::{Counter, Gauge, Histogram};
 
@@ -64,10 +64,11 @@ fn shared_instruments_survive_eight_threads_of_contention() {
 /// detector watching: installing metrics must not add any lock the
 /// detector could object to (instruments are lock-free atomics).
 #[test]
-fn instrumented_threaded_broker_counts_exactly_and_stays_deadlock_free() {
+fn instrumented_live_broker_counts_exactly_and_stays_deadlock_free() {
     let registry = mmcs::telemetry::Registry::new();
-    let metrics = BrokerMetrics::register(&registry, "broker");
-    let broker = Arc::new(ThreadedBroker::spawn_with_metrics(Arc::clone(&metrics)));
+    let bundle = ShardedBrokerMetrics::register(&registry, "broker", 1);
+    let metrics = bundle.shard(0);
+    let broker = Arc::new(ShardedBroker::spawn_with_metrics(Arc::clone(&bundle)));
     let subscriber = broker.attach();
     subscriber.subscribe(TopicFilter::parse("tel/#").unwrap());
 
