@@ -26,7 +26,7 @@ pub const LINT: &str = "blocking-in-shard-worker";
 /// The worker-loop roots: `(path suffix, self type, fn name)`.
 pub const ROOTS: &[(&str, &str, &str)] = &[
     ("crates/broker/src/sharded.rs", "ShardWorker", "run"),
-    ("crates/broker/src/cluster.rs", "ClusterWorker", "run"),
+    ("crates/broker/src/cluster/worker.rs", "ClusterWorker", "run"),
     ("crates/sim/src/parsim.rs", "SimWorker", "run"),
 ];
 

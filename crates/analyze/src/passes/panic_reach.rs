@@ -32,7 +32,9 @@ pub const LINT: &str = "panic-reachable-hot-path";
 pub const ROOTS: &[(&str, &str)] = &[
     ("crates/broker/src/node.rs", "handle_into"),
     ("crates/broker/src/sharded.rs", "run"),
-    ("crates/broker/src/cluster.rs", "run"),
+    ("crates/broker/src/cluster/worker.rs", "run"),
+    ("crates/broker/src/cluster/tcp.rs", "run_link"),
+    ("crates/broker/src/cluster/tcp.rs", "run_reader"),
     ("crates/broker/src/sharded.rs", "process_batch"),
     ("crates/broker/src/wire.rs", "encode"),
     ("crates/broker/src/wire.rs", "encode_into"),

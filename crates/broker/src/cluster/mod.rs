@@ -1,0 +1,644 @@
+//! Broker federation: N sharded broker nodes joined into one cluster.
+//!
+//! This is the paper's NaradaBrokering layout one level up from
+//! [`crate::sharded`]: each **node** runs a whole [`ShardedBroker`]
+//! (one process worth of cores), nodes exchange subscription interest
+//! via the anti-entropy gossip of [`crate::gossip`], and events cross
+//! nodes as [`ClusterFrame`]s — a 16-byte envelope around the PR-6
+//! zero-copy [`crate::wire`] event frame. Clients are homed to the
+//! nearest **zone gateway** by a static [`LatencyMap`], and inter-node
+//! routing follows latency-weighted shortest paths ([`RouteTable`],
+//! Floyd–Warshall over the same map) with a hard hop bound
+//! ([`MAX_HOPS`]) so no forwarding loop can survive.
+//!
+//! # Data path
+//!
+//! A publish enters the client's home node, is injected into that
+//! node's own sharded broker ([`ShardedBroker::inject`]: local
+//! deliveries plus the intra-node ring hop), and is then forwarded
+//! once per *interested* node — the gossip view answers "who needs
+//! this topic" from a generation-stamped cache — as an `Event` frame
+//! routed hop-by-hop along the latency-weighted path. Intermediate
+//! nodes relay with the hop count bumped; the destination injects the
+//! embedded wire frame into its broker. Each (publish, destination)
+//! pair produces exactly one frame, and every node delivers only to
+//! its local subscribers, so cluster-wide delivery is exactly-once.
+//!
+//! # Transports
+//!
+//! The same worker runs over two link fabrics:
+//!
+//! * **in-process** — crossbeam channels between node workers, with a
+//!   fault plane (down links, gossip loss) the chaos harness toggles
+//!   deterministically; and
+//! * **loopback TCP** ([`ClusterBuilder::tcp`]) — length-prefixed
+//!   records over real sockets; event frames ride [`crate::reliable`]
+//!   (sequence numbers, cumulative acks, RTO retransmit, dedup) and
+//!   links reconnect with capped exponential backoff, so a node kill
+//!   mid-stream still yields exactly-once delivery after the listener
+//!   returns.
+//!
+//! Malformed frames at either edge are rejected by typed decode
+//! errors ([`DecodeClusterError`]) and counted in telemetry — never
+//! panicked on: the worker loop, the link sender and the socket reader
+//! are in the analyzer's panic-reachability root set.
+
+mod frame;
+mod route;
+mod tcp;
+mod worker;
+
+use std::collections::VecDeque;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+use bytes::Bytes;
+use crossbeam::channel::{unbounded, Sender};
+use mmcs_util::id::ClientId;
+use parking_lot::Mutex;
+
+use crate::event::{Event, EventClass};
+use crate::gossip::{GossipState, InterestEntry, NodeId};
+use crate::metrics::ClusterMetrics;
+use crate::sharded::{ShardedBroker, ShardedClient};
+use crate::topic::{Topic, TopicFilter};
+
+pub use frame::{
+    encode_event_frame, encode_frame, encode_header_into, ClusterFrame, DecodeClusterError,
+    FrameKind, CLUSTER_HEADER_LEN, CLUSTER_VERSION, MAX_HOPS, OFF_DEST, OFF_GENERATION, OFF_HOPS,
+    OFF_KIND, OFF_ORIGIN, OFF_RESERVED, OFF_VERSION,
+};
+pub use route::{LatencyMap, RouteTable};
+
+use tcp::TcpFabric;
+use worker::{ClusterWorker, FaultPlane, Link, NodeCmd};
+
+/// Extra settle time per quiesce round over TCP, where barriers cannot
+/// flush in-flight socket frames.
+const TCP_SETTLE_PAUSE: Duration = Duration::from_millis(25);
+
+/// Configures a [`Cluster`] before spawning it.
+pub struct ClusterBuilder {
+    latency: LatencyMap,
+    shards: usize,
+    metrics: Option<Arc<ClusterMetrics>>,
+    tcp: bool,
+}
+
+impl ClusterBuilder {
+    /// Starts configuring a cluster over `latency`'s topology with one
+    /// shard per node broker.
+    pub fn new(latency: LatencyMap) -> Self {
+        Self {
+            latency,
+            shards: 1,
+            metrics: None,
+            tcp: false,
+        }
+    }
+
+    /// Worker shards inside each node's broker.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards;
+        self
+    }
+
+    /// Installs per-node telemetry; the bundle's node count must match
+    /// the latency map's.
+    pub fn metrics(mut self, metrics: Arc<ClusterMetrics>) -> Self {
+        self.metrics = Some(metrics);
+        self
+    }
+
+    /// Runs inter-node links over real loopback TCP sockets instead of
+    /// in-process channels.
+    pub fn tcp(mut self) -> Self {
+        self.tcp = true;
+        self
+    }
+
+    /// Spawns the node workers (and, for TCP, listeners and links).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an installed metrics bundle's node count mismatches
+    /// the map, or if a TCP listener cannot bind on 127.0.0.1.
+    pub fn spawn(self) -> Cluster {
+        let n = self.latency.node_count();
+        let metrics = self.metrics.unwrap_or_else(|| ClusterMetrics::detached(n));
+        assert!(
+            metrics.node_count() == n,
+            "metrics bundle has {} nodes, cluster has {n}",
+            metrics.node_count()
+        );
+        let faults = Arc::new(FaultPlane::new(n));
+        let routes = Arc::new(RouteTable::new(&self.latency));
+        let brokers: Vec<Arc<ShardedBroker>> = (0..n)
+            .map(|_| Arc::new(ShardedBroker::spawn(self.shards)))
+            .collect();
+        let mut senders = Vec::with_capacity(n);
+        let mut receivers = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (tx, rx) = unbounded::<NodeCmd>();
+            senders.push(tx);
+            receivers.push(rx);
+        }
+        let tcp = self
+            .tcp
+            .then(|| TcpFabric::spawn(&self.latency, &senders, &metrics));
+        let mut workers = Vec::with_capacity(n);
+        for (me, ingress) in receivers.into_iter().enumerate() {
+            let links = match &tcp {
+                Some(fabric) => fabric.links(me),
+                None => (0..n)
+                    .map(|peer| {
+                        self.latency.link(me as NodeId, peer as NodeId)?;
+                        let ingress = senders[peer].clone();
+                        Some(Box::new(move |frame| {
+                            let _ = ingress.send(NodeCmd::Frame(frame));
+                        }) as Link)
+                    })
+                    .collect(),
+            };
+            let worker = ClusterWorker {
+                me: me as NodeId,
+                ingress,
+                links,
+                routes: Arc::clone(&routes),
+                faults: Arc::clone(&faults),
+                gossip: GossipState::new(me as NodeId, n),
+                broker: Arc::clone(&brokers[me]),
+                metrics: Arc::clone(metrics.node(me)),
+                digest_scratch: Vec::new(),
+            };
+            let handle = std::thread::Builder::new()
+                .name(format!("mmcs-cluster{me}"))
+                .spawn(move || worker.run())
+                .expect("spawn cluster node worker");
+            workers.push(handle);
+        }
+        Cluster {
+            shared: Arc::new(ClusterShared {
+                latency: self.latency,
+                routes,
+                metrics,
+                faults,
+                nodes: senders,
+                brokers,
+                next_client: AtomicU64::new(1),
+            }),
+            workers,
+            tcp,
+        }
+    }
+}
+
+/// One federation cluster: `n` node workers, each owning a
+/// [`ShardedBroker`], joined by gossip and the routed event plane. See
+/// the [module docs](self).
+pub struct Cluster {
+    shared: Arc<ClusterShared>,
+    workers: Vec<JoinHandle<()>>,
+    /// The socket fabric; `Some` on the loopback-TCP transport.
+    tcp: Option<TcpFabric>,
+}
+
+struct ClusterShared {
+    latency: LatencyMap,
+    routes: Arc<RouteTable>,
+    metrics: Arc<ClusterMetrics>,
+    faults: Arc<FaultPlane>,
+    nodes: Vec<Sender<NodeCmd>>,
+    brokers: Vec<Arc<ShardedBroker>>,
+    next_client: AtomicU64,
+}
+
+impl ClusterShared {
+    /// Attaches client `id` to `node`'s broker.
+    fn attach_at(&self, node: NodeId, id: ClientId) -> ShardedClient {
+        let broker = self.brokers.get(node as usize);
+        broker.expect("home node in range").attach_as(id)
+    }
+
+    /// Enqueues `cmd` on `node`'s worker (a no-op once it has exited).
+    fn tell(&self, node: NodeId, cmd: NodeCmd) {
+        if let Some(ingress) = self.nodes.get(node as usize) {
+            let _ = ingress.send(cmd);
+        }
+    }
+}
+
+impl Cluster {
+    /// Spawns an in-process cluster over `latency` with single-shard
+    /// node brokers — the common test configuration.
+    pub fn spawn(latency: LatencyMap) -> Cluster {
+        ClusterBuilder::new(latency).spawn()
+    }
+
+    /// Starts configuring a cluster.
+    pub fn builder(latency: LatencyMap) -> ClusterBuilder {
+        ClusterBuilder::new(latency)
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.shared.nodes.len()
+    }
+
+    /// The per-node telemetry bundles.
+    pub fn metrics(&self) -> &Arc<ClusterMetrics> {
+        &self.shared.metrics
+    }
+
+    /// The static route table.
+    pub fn routes(&self) -> &RouteTable {
+        &self.shared.routes
+    }
+
+    /// The latency map this cluster was built from.
+    pub fn latency(&self) -> &LatencyMap {
+        &self.shared.latency
+    }
+
+    /// Node `index`'s inner broker (tests peek at shard placement).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn broker(&self, index: usize) -> &Arc<ShardedBroker> {
+        &self.shared.brokers[index]
+    }
+
+    /// Attaches a client homed to `zone`'s nearest gateway node. Client
+    /// ids are allocated at cluster scope, so they stay unique across
+    /// nodes and survive [`ClusterClient::move_to_zone`].
+    pub fn attach(&self, zone: usize) -> ClusterClient {
+        let id = ClientId::from_raw(self.shared.next_client.fetch_add(1, Ordering::Relaxed));
+        let node = self.shared.latency.home_node(zone);
+        let inner = self.shared.attach_at(node, id);
+        ClusterClient {
+            id,
+            shared: Arc::clone(&self.shared),
+            state: Mutex::new(ClientState {
+                zone,
+                node,
+                inner,
+                filters: Vec::new(),
+                stash: VecDeque::new(),
+            }),
+            seq: AtomicU64::new(0),
+        }
+    }
+
+    /// Waits until every command enqueued before this call — including
+    /// multi-hop relays and intra-node ring forwards it generates —
+    /// has been processed. One barrier round flushes one link hop, so
+    /// `max(n,2)+2` rounds cover the longest relay chain plus the
+    /// gossip push-pull depth; each round also quiesces every node
+    /// broker. Over TCP an extra pause per round lets in-flight socket
+    /// frames land (barriers cannot observe them).
+    pub fn quiesce(&self) {
+        let rounds = self.node_count().max(2) + 2;
+        for _ in 0..rounds {
+            let (tx, rx) = unbounded();
+            for node in &self.shared.nodes {
+                let _ = node.send(NodeCmd::Barrier(tx.clone()));
+            }
+            drop(tx);
+            while rx.recv().is_ok() {}
+            if self.tcp.is_some() {
+                std::thread::sleep(TCP_SETTLE_PAUSE);
+            }
+            for broker in &self.shared.brokers {
+                broker.quiesce();
+            }
+        }
+    }
+
+    /// Runs one gossip round (every node digests to its direct peers)
+    /// and settles it.
+    pub fn gossip_round(&self) {
+        for node in &self.shared.nodes {
+            let _ = node.send(NodeCmd::GossipTick);
+        }
+        self.quiesce();
+    }
+
+    /// Snapshots node `index`'s gossip view: one [`InterestEntry`] per
+    /// node, entry `index` being its local truth.
+    pub fn snapshot(&self, index: usize) -> Vec<InterestEntry> {
+        let (tx, rx) = unbounded();
+        self.shared.tell(index as NodeId, NodeCmd::Inspect(tx));
+        rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default()
+    }
+
+    /// Whether every node's view of every other node matches that
+    /// node's local truth — the gossip convergence invariant.
+    pub fn converged(&self) -> bool {
+        let n = self.node_count();
+        let snapshots: Vec<Vec<InterestEntry>> = (0..n).map(|i| self.snapshot(i)).collect();
+        for (holder, view) in snapshots.iter().enumerate() {
+            if view.len() != n {
+                return false;
+            }
+            for (subject, entry) in view.iter().enumerate() {
+                let truth = snapshots
+                    .get(subject)
+                    .and_then(|view| view.get(subject));
+                if truth != Some(entry) && holder != subject {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Gossips until [`Cluster::converged`] or `max_rounds` is spent;
+    /// returns whether convergence was reached.
+    pub fn converge(&self, max_rounds: usize) -> bool {
+        for _ in 0..max_rounds {
+            if self.converged() {
+                return true;
+            }
+            self.gossip_round();
+        }
+        self.converged()
+    }
+
+    /// Severs or restores the symmetric link `a ↔ b` (in-process
+    /// fault plane; frames on a down link are dropped and counted).
+    pub fn set_link_down(&self, a: NodeId, b: NodeId, down: bool) {
+        self.shared.faults.set_down(a, b, down);
+    }
+
+    /// Drops (or stops dropping) gossip frames on the symmetric link
+    /// `a ↔ b` while event frames keep flowing — the gossip-loss
+    /// chaos fault.
+    pub fn set_gossip_loss(&self, a: NodeId, b: NodeId, on: bool) {
+        self.shared.faults.set_gossip_loss(a, b, on);
+    }
+
+    /// Crashes node `index`'s gateway: every link to and from it drops
+    /// frames until [`Cluster::restart`].
+    pub fn crash(&self, index: NodeId) {
+        for peer in (0..self.node_count() as u16).filter(|peer| *peer != index) {
+            self.set_link_down(index, peer, true);
+        }
+    }
+
+    /// Restores node `index` after [`Cluster::crash`]: links come back
+    /// and the node's gossip view restarts empty (its local truth
+    /// survives unless `lose_interest` injects the resync bug the
+    /// chaos harness hunts for).
+    pub fn restart(&self, index: NodeId, lose_interest: bool) {
+        for peer in (0..self.node_count() as u16).filter(|peer| *peer != index) {
+            self.set_link_down(index, peer, false);
+        }
+        self.shared.tell(index, NodeCmd::Restart { lose_interest });
+    }
+
+    /// The loopback address node `index`'s listener is bound on, or
+    /// `None` on the in-process transport (or out-of-range index).
+    pub fn listener_addr(&self, index: usize) -> Option<SocketAddr> {
+        Some(self.tcp.as_ref()?.nodes.get(index)?.addr)
+    }
+
+    /// Drops node `index`'s TCP listener and shuts every accepted
+    /// connection — the mid-stream kill of the reconnect test. No-op
+    /// on the in-process transport.
+    pub fn drop_listener(&mut self, index: usize) {
+        if let Some(node) = self.tcp.as_mut().and_then(|tcp| tcp.nodes.get_mut(index)) {
+            node.stop();
+        }
+    }
+
+    /// Rebinds node `index`'s listener on its original address and
+    /// resumes accepting; peers' links reconnect with backoff and
+    /// retransmit their unacked frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the original address cannot be rebound after retries.
+    pub fn restore_listener(&mut self, index: usize) {
+        if let Some(node) = self.tcp.as_mut().and_then(|tcp| tcp.nodes.get_mut(index)) {
+            node.restore();
+        }
+    }
+
+    /// Stops every node worker and broker (idempotent).
+    pub fn shutdown(&self) {
+        for node in &self.shared.nodes {
+            let _ = node.send(NodeCmd::Shutdown);
+        }
+        for broker in &self.shared.brokers {
+            broker.shutdown();
+        }
+    }
+}
+
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.shutdown();
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
+        // The TCP fabric, if any, tears itself down as the field drops.
+    }
+}
+
+impl std::fmt::Debug for Cluster {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cluster")
+            .field("nodes", &self.node_count())
+            .field("tcp", &self.tcp.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Mutable per-client state behind the [`ClusterClient`] handle.
+struct ClientState {
+    zone: usize,
+    node: NodeId,
+    inner: ShardedClient,
+    filters: Vec<TopicFilter>,
+    /// Deliveries drained from the previous gateway during a move,
+    /// handed out before new ones so nothing is lost or reordered.
+    stash: VecDeque<Arc<Event>>,
+}
+
+/// A client of the federation: homed on one zone gateway, movable
+/// between zones, publishing and receiving through its current node.
+pub struct ClusterClient {
+    id: ClientId,
+    shared: Arc<ClusterShared>,
+    state: Mutex<ClientState>,
+    seq: AtomicU64,
+}
+
+impl ClusterClient {
+    /// This client's cluster-unique id.
+    pub fn id(&self) -> ClientId {
+        self.id
+    }
+
+    /// The node currently homing this client.
+    pub fn node(&self) -> NodeId {
+        self.state.lock().node
+    }
+
+    /// The zone this client last homed to.
+    pub fn zone(&self) -> usize {
+        self.state.lock().zone
+    }
+
+    /// Subscribes to `filter`: locally on the home node's broker, and
+    /// cluster-wide via the gossip interest plane. Duplicate
+    /// subscriptions are a no-op, mirroring [`crate::node::BrokerNode`].
+    pub fn subscribe(&self, filter: TopicFilter) {
+        let mut state = self.state.lock();
+        if state.filters.contains(&filter) {
+            return;
+        }
+        state.inner.subscribe(filter.clone());
+        self.shared
+            .tell(state.node, NodeCmd::Subscribe(filter.clone()));
+        state.filters.push(filter);
+    }
+
+    /// Removes one subscription; a filter this client does not hold is
+    /// a no-op.
+    pub fn unsubscribe(&self, filter: &TopicFilter) {
+        let mut state = self.state.lock();
+        let Some(pos) = state.filters.iter().position(|f| f == filter) else {
+            return;
+        };
+        state.filters.remove(pos);
+        state.inner.unsubscribe(filter.clone());
+        self.shared
+            .tell(state.node, NodeCmd::Unsubscribe(filter.clone()));
+    }
+
+    /// Publishes a data event through the home gateway.
+    pub fn publish(&self, topic: Topic, payload: Bytes) {
+        self.publish_class(topic, EventClass::Data, payload);
+    }
+
+    /// Publishes with an explicit class. The sequence counter lives in
+    /// this handle, so per-source ordering survives zone moves.
+    pub fn publish_class(&self, topic: Topic, class: EventClass, payload: Bytes) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let event = Event::new(topic, self.id, seq, class, payload).into_shared();
+        let node = self.state.lock().node;
+        self.shared.tell(node, NodeCmd::Publish(event));
+    }
+
+    /// Rehomes this client to `zone`'s nearest gateway. Pending
+    /// deliveries are drained into a stash first, so with the cluster
+    /// quiesced a move loses and reorders nothing; subscriptions are
+    /// re-established on the new node and withdrawn from the old one.
+    pub fn move_to_zone(&self, zone: usize) {
+        let mut state = self.state.lock();
+        state.zone = zone;
+        let new_node = self.shared.latency.home_node(zone);
+        if new_node == state.node {
+            return;
+        }
+        let mut pending = Vec::new();
+        state.inner.drain_into(&mut pending);
+        state.stash.extend(pending);
+        let old_node = state.node;
+        for filter in state.filters.clone() {
+            state.inner.unsubscribe(filter.clone());
+            self.shared.tell(old_node, NodeCmd::Unsubscribe(filter));
+        }
+        // Replacing the handle detaches the old attachment on drop.
+        state.inner = self.shared.attach_at(new_node, self.id);
+        for filter in state.filters.clone() {
+            state.inner.subscribe(filter.clone());
+            self.shared.tell(new_node, NodeCmd::Subscribe(filter));
+        }
+        state.node = new_node;
+    }
+
+    /// Receives the next delivered event, waiting up to `timeout`.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
+        let mut state = self.state.lock();
+        let stashed = state.stash.pop_front();
+        stashed.or_else(|| state.inner.recv_timeout(timeout))
+    }
+
+    /// Receives without blocking.
+    pub fn try_recv(&self) -> Option<Arc<Event>> {
+        let mut state = self.state.lock();
+        let stashed = state.stash.pop_front();
+        stashed.or_else(|| state.inner.try_recv())
+    }
+
+    /// Drains everything currently delivered into `sink`, stashed
+    /// events first; returns how many were appended.
+    pub fn drain_into(&self, sink: &mut Vec<Arc<Event>>) -> usize {
+        let mut state = self.state.lock();
+        let before = sink.len();
+        sink.extend(state.stash.drain(..));
+        state.inner.drain_into(sink);
+        sink.len() - before
+    }
+}
+
+impl std::fmt::Debug for ClusterClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.state.lock();
+        f.debug_struct("ClusterClient")
+            .field("id", &self.id)
+            .field("node", &state.node)
+            .field("zone", &state.zone)
+            .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn topic(s: &str) -> Topic {
+        Topic::parse(s).expect("valid topic")
+    }
+
+    fn filter(s: &str) -> TopicFilter {
+        TopicFilter::parse(s).expect("valid filter")
+    }
+
+    #[test]
+    fn a_stray_link_ack_is_counted_and_dropped_by_the_worker() {
+        let cluster = Cluster::spawn(LatencyMap::full_mesh(2, 5));
+        let ack = encode_frame(FrameKind::Ack, 1, 0, 0, 7, &[]).freeze();
+        assert!(cluster.shared.nodes[0].send(NodeCmd::Frame(ack)).is_ok());
+        cluster.quiesce();
+        assert_eq!(cluster.metrics().node(0).decode_errors.get(), 1);
+        assert_eq!(cluster.metrics().node(0).frames_in.get(), 1);
+    }
+
+    #[test]
+    fn malformed_frames_are_counted_not_crashed_on() {
+        let cluster = Cluster::spawn(LatencyMap::full_mesh(2, 5));
+        // Reach into node 0's ingress the way a link would.
+        let sent = cluster.shared.nodes[0]
+            .send(NodeCmd::Frame(Bytes::from_static(b"garbage")))
+            .is_ok();
+        assert!(sent, "worker alive");
+        cluster.quiesce();
+        assert_eq!(cluster.metrics().node(0).decode_errors.get(), 1);
+        // Worker survived: a real publish still flows.
+        let client = cluster.attach(0);
+        client.subscribe(filter("t/#"));
+        cluster.converge(8);
+        client.publish(topic("t/x"), Bytes::from_static(b"ok"));
+        cluster.quiesce();
+        let mut got = Vec::new();
+        client.drain_into(&mut got);
+        assert_eq!(got.len(), 1);
+    }
+}

@@ -24,8 +24,9 @@
 //!   the ablation benchmark toggles it.
 //! * [`firewall`] — outbound-only tunnelling through a proxy for clients
 //!   behind firewalls.
-//! * [`reliable`] — positive-ack reliable delivery for control-plane
-//!   events, and [`ordering`] — per-source in-order release.
+//! * [`reliable`] — positive-ack reliable delivery, generic over its
+//!   payload: control-plane events, and the frames on the federation's
+//!   TCP links; and [`ordering`] — per-source in-order release.
 //! * [`liveness`] — heartbeat failure detection for broker links, and
 //!   [`rtpproxy`] — the raw-RTP ⇄ event bridge for legacy endpoints.
 //! * [`p2p`] — the JXTA-like peer-to-peer delivery mode; combined with
@@ -42,7 +43,9 @@
 //!   joined by a cross-shard forwarding ring.
 //! * [`cluster`] — the federation: sharded brokers joined over
 //!   in-process or loopback-TCP links, with [`gossip`] interest
-//!   exchange.
+//!   exchange; under `cluster/`: `frame` (codec), `route` (latency map,
+//!   shortest paths), `worker` (node event loop), `tcp` (link senders
+//!   and socket readers over [`reliable`]), `mod` (public surface).
 //!
 //! # Examples
 //!

@@ -208,7 +208,8 @@ pub struct ClusterNodeMetrics {
     pub hop_histogram: Arc<Histogram>,
     /// Cluster frames received (before validation).
     pub frames_in: Arc<Counter>,
-    /// Frames rejected by the typed cluster/gossip/event decoders.
+    /// Frames rejected by the typed cluster/gossip/event decoders (and
+    /// link acks that strayed past the TCP socket edge into a worker).
     pub decode_errors: Arc<Counter>,
     /// Event frames routed under an interest generation older than the
     /// destination's current one (harmless — counted for observability).

@@ -8,6 +8,11 @@
 //! sans-IO: sequence numbers, cumulative acks, timeout-driven
 //! retransmission with a bounded in-flight window, and duplicate
 //! suppression on the receiving side.
+//!
+//! Both halves are generic over their payload: `Arc<Event>` (the
+//! default) is the control-plane channel above, and the federation's
+//! TCP links ([`crate::cluster`]) run the same state machines over
+//! `Bytes` frames — this file is the workspace's one reliability layer.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -22,11 +27,11 @@ use crate::wire;
 
 /// A sequenced frame on the reliable channel.
 #[derive(Debug, Clone)]
-pub struct ReliableFrame {
+pub struct ReliableFrame<P = Arc<Event>> {
     /// Channel sequence number.
     pub seq: u64,
-    /// The event carried.
-    pub event: Arc<Event>,
+    /// The payload carried (an event on the default channel).
+    pub event: P,
 }
 
 impl ReliableFrame {
@@ -73,22 +78,23 @@ pub struct Ack {
 
 /// Sender half of the reliable channel.
 #[derive(Debug)]
-pub struct ReliableSender {
+pub struct ReliableSender<P = Arc<Event>> {
     next_seq: u64,
-    /// Unacked frames with their last transmission time.
-    in_flight: BTreeMap<u64, (Arc<Event>, SimTime)>,
+    /// Unacked payloads with their last transmission time: always the
+    /// contiguous sequence range ending at `next_seq - 1`, oldest first.
+    in_flight: VecDeque<(P, SimTime)>,
     window: usize,
     retransmit_after: SimDuration,
-    /// Events accepted but not yet transmitted (window full). A deque:
+    /// Payloads accepted but not yet transmitted (window full). A deque:
     /// `pump` drains from the front, so draining a backlog of n events
     /// is O(n) rather than the O(n²) a `Vec::remove(0)` would cost.
-    backlog: VecDeque<Arc<Event>>,
+    backlog: VecDeque<P>,
     retransmissions: u64,
     /// Optional telemetry counter mirroring `retransmissions`.
     retransmit_counter: Option<Arc<Counter>>,
 }
 
-impl ReliableSender {
+impl<P: Clone> ReliableSender<P> {
     /// Creates a sender with the given in-flight window and
     /// retransmission timeout.
     ///
@@ -99,7 +105,7 @@ impl ReliableSender {
         assert!(window > 0, "window must be positive");
         Self {
             next_seq: 0,
-            in_flight: BTreeMap::new(),
+            in_flight: VecDeque::new(),
             window,
             retransmit_after,
             backlog: VecDeque::new(),
@@ -116,21 +122,23 @@ impl ReliableSender {
 
     /// Offers an event for transmission; returns the frames to put on
     /// the wire now (possibly none if the window is full).
-    pub fn send(&mut self, event: Arc<Event>, now: SimTime) -> Vec<ReliableFrame> {
+    pub fn send(&mut self, event: P, now: SimTime) -> Vec<ReliableFrame<P>> {
         self.backlog.push_back(event);
         self.pump(now)
     }
 
     /// Processes an ack; returns frames newly released by the window.
-    pub fn on_ack(&mut self, ack: Ack, now: SimTime) -> Vec<ReliableFrame> {
-        self.in_flight = self.in_flight.split_off(&ack.next_expected);
+    pub fn on_ack(&mut self, ack: Ack, now: SimTime) -> Vec<ReliableFrame<P>> {
+        let acked = ack.next_expected.saturating_sub(self.oldest_seq()) as usize;
+        self.in_flight.drain(..acked.min(self.in_flight.len()));
         self.pump(now)
     }
 
     /// Timer tick: returns frames due for retransmission.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<ReliableFrame> {
+    pub fn on_tick(&mut self, now: SimTime) -> Vec<ReliableFrame<P>> {
         let mut out = Vec::new();
-        for (seq, (event, last_sent)) in self.in_flight.iter_mut() {
+        let oldest = self.oldest_seq();
+        for (seq, (event, last_sent)) in (oldest..).zip(self.in_flight.iter_mut()) {
             if now.saturating_duration_since(*last_sent) >= self.retransmit_after {
                 *last_sent = now;
                 self.retransmissions += 1;
@@ -138,15 +146,20 @@ impl ReliableSender {
                     counter.inc();
                 }
                 out.push(ReliableFrame {
-                    seq: *seq,
-                    event: Arc::clone(event),
+                    seq,
+                    event: event.clone(),
                 });
             }
         }
         out
     }
 
-    fn pump(&mut self, now: SimTime) -> Vec<ReliableFrame> {
+    /// The oldest unacked sequence number (`next_seq` if none).
+    fn oldest_seq(&self) -> u64 {
+        self.next_seq - self.in_flight.len() as u64
+    }
+
+    fn pump(&mut self, now: SimTime) -> Vec<ReliableFrame<P>> {
         let mut out = Vec::new();
         while self.in_flight.len() < self.window {
             let Some(event) = self.backlog.pop_front() else {
@@ -154,7 +167,7 @@ impl ReliableSender {
             };
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.in_flight.insert(seq, (Arc::clone(&event), now));
+            self.in_flight.push_back((event.clone(), now));
             out.push(ReliableFrame { seq, event });
         }
         out
@@ -182,22 +195,32 @@ impl ReliableSender {
 }
 
 /// Receiver half of the reliable channel.
-#[derive(Debug, Default)]
-pub struct ReliableReceiver {
+#[derive(Debug)]
+pub struct ReliableReceiver<P = Arc<Event>> {
     next_expected: u64,
     /// Out-of-order frames waiting for the gap to fill.
-    pending: BTreeMap<u64, Arc<Event>>,
+    pending: BTreeMap<u64, P>,
     duplicates: u64,
 }
 
-impl ReliableReceiver {
+impl<P> Default for ReliableReceiver<P> {
+    fn default() -> Self {
+        Self {
+            next_expected: 0,
+            pending: BTreeMap::new(),
+            duplicates: 0,
+        }
+    }
+}
+
+impl<P> ReliableReceiver<P> {
     /// Creates a receiver expecting sequence 0 first.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Processes a frame; returns `(deliverable events in order, ack)`.
-    pub fn on_frame(&mut self, frame: ReliableFrame) -> (Vec<Arc<Event>>, Ack) {
+    pub fn on_frame(&mut self, frame: ReliableFrame<P>) -> (Vec<P>, Ack) {
         if frame.seq < self.next_expected || self.pending.contains_key(&frame.seq) {
             self.duplicates += 1;
         } else {

@@ -44,6 +44,9 @@ use mmcs_broker::topic::{Topic, TopicFilter};
 use mmcs_util::id::{BrokerId, ClientId};
 use mmcs_util::rng::DetRng;
 
+use crate::sharded::{fingerprint, random_filter, random_topic};
+use crate::shrink::ddmin;
+
 /// One delivery in sortable form: (receiver, topic, source, seq).
 pub type ClusterDelivery = (u64, String, u64, u64);
 
@@ -120,31 +123,6 @@ pub enum ClusterOp {
     GossipRound,
 }
 
-fn random_topic(rng: &mut DetRng) -> String {
-    let depth = rng.range_usize(1, 4);
-    let mut segments = Vec::with_capacity(depth);
-    for _ in 0..depth {
-        segments.push(format!("s{}", rng.range_u64(0, 6)));
-    }
-    segments.join("/")
-}
-
-fn random_filter(rng: &mut DetRng) -> String {
-    let depth = rng.range_usize(1, 4);
-    let mut segments = Vec::with_capacity(depth);
-    for _ in 0..depth {
-        if rng.chance(0.2) {
-            segments.push("*".to_owned());
-        } else {
-            segments.push(format!("s{}", rng.range_u64(0, 6)));
-        }
-    }
-    if rng.chance(0.3) {
-        segments.push("#".to_owned());
-    }
-    segments.join("/")
-}
-
 /// Generates the operation schedule for a configuration. The real run,
 /// the oracle, and the shrinker all consume exactly this list.
 pub fn generate_cluster_ops(config: &ClusterChaosConfig) -> Vec<ClusterOp> {
@@ -216,23 +194,6 @@ pub struct ClusterRunReport {
     pub decode_errors: u64,
     /// FNV-1a fingerprint over the sorted run deliveries.
     pub fingerprint: u64,
-}
-
-fn fingerprint(deliveries: &[ClusterDelivery]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (receiver, topic, source, seq) in deliveries {
-        mix(&receiver.to_le_bytes());
-        mix(topic.as_bytes());
-        mix(&source.to_le_bytes());
-        mix(&seq.to_le_bytes());
-    }
-    hash
 }
 
 fn drain_all(
@@ -563,58 +524,12 @@ pub struct ClusterShrink {
     pub runs: usize,
 }
 
-/// ddmin over the op schedule: repeatedly removes chunks while the
-/// failure persists, halving granularity until single ops are tried.
+/// Minimizes a failing op schedule with [`ddmin`].
 pub fn minimize_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterShrink {
-    let mut current: Vec<ClusterOp> = ops.to_vec();
-    let mut violations = check_cluster(config, &current).1;
-    let mut runs = 1usize;
-    let mut chunk = (current.len() / 2).max(1);
-    while chunk >= 1 {
-        let mut start = 0;
-        let mut removed_any = false;
-        while start < current.len() {
-            let end = (start + chunk).min(current.len());
-            let mut candidate = current.clone();
-            candidate.drain(start..end);
-            if candidate.is_empty() {
-                start = end;
-                continue;
-            }
-            let (_, v) = check_cluster(config, &candidate);
-            runs += 1;
-            if v.is_empty() {
-                start = end;
-            } else {
-                current = candidate;
-                violations = v;
-                removed_any = true;
-                // Same start index now points at the next chunk.
-            }
-        }
-        if chunk == 1 && !removed_any {
-            break;
-        }
-        if !removed_any {
-            chunk /= 2;
-        }
-    }
-    // Final pass: try dropping every single op once more.
-    let mut index = 0;
-    while index < current.len() && current.len() > 1 {
-        let mut candidate = current.clone();
-        candidate.remove(index);
-        let (_, v) = check_cluster(config, &candidate);
-        runs += 1;
-        if v.is_empty() {
-            index += 1;
-        } else {
-            current = candidate;
-            violations = v;
-        }
-    }
+    let (ops, runs) = ddmin(ops, |candidate| !check_cluster(config, candidate).1.is_empty());
+    let violations = check_cluster(config, &ops).1;
     ClusterShrink {
-        ops: current,
+        ops,
         violations,
         runs,
     }

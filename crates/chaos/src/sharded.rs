@@ -85,7 +85,9 @@ pub enum ShardedOp {
     Stall(usize, u64),
 }
 
-fn random_topic(rng: &mut DetRng) -> String {
+/// A random 1–3 segment topic over a six-name alphabet (shared with
+/// the cluster harness, so both draw from one generator).
+pub(crate) fn random_topic(rng: &mut DetRng) -> String {
     let depth = rng.range_usize(1, 4);
     let mut segments = Vec::with_capacity(depth);
     for _ in 0..depth {
@@ -94,7 +96,8 @@ fn random_topic(rng: &mut DetRng) -> String {
     segments.join("/")
 }
 
-fn random_filter(rng: &mut DetRng) -> String {
+/// A random filter over the same alphabet, with `*` and `#` wildcards.
+pub(crate) fn random_filter(rng: &mut DetRng) -> String {
     let depth = rng.range_usize(1, 4);
     let mut segments = Vec::with_capacity(depth);
     for _ in 0..depth {
@@ -159,7 +162,8 @@ pub struct ShardedRunReport {
     pub fingerprint: u64,
 }
 
-fn fingerprint(deliveries: &[ShardedDelivery]) -> u64 {
+/// FNV-1a over the sorted delivery list: the run's fingerprint.
+pub(crate) fn fingerprint(deliveries: &[ShardedDelivery]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |bytes: &[u8]| {
         for &b in bytes {

@@ -1,4 +1,6 @@
-//! Schedule shrinking: ddmin over the fault list.
+//! Schedule shrinking: one ddmin ([`ddmin`]) for every harness — the
+//! simulator's fault list here, the federation's op list in
+//! [`crate::cluster`].
 //!
 //! When a seed fails, the full generated schedule usually contains many
 //! faults that are irrelevant to the violation. Because every fault is a
@@ -27,14 +29,15 @@ fn fails(config: &ScenarioConfig, faults: &[Fault]) -> bool {
     !invariants::check(&scenario::run(config, faults)).is_empty()
 }
 
-/// Minimizes a failing schedule with ddmin.
+/// ddmin over any list whose every subset is well-formed: partition,
+/// try dropping each chunk, keep the smallest subset on which `fails`
+/// still holds. Returns that subset and how many times `fails` ran.
 ///
-/// Precondition: `faults` fails under `config` (the caller observed the
-/// violation). Postcondition: the returned subset still fails, and no
-/// single fault can be removed from it without the failure disappearing
-/// (1-minimality).
-pub fn minimize(config: &ScenarioConfig, faults: &[Fault]) -> Shrunk {
-    let mut current: Vec<Fault> = faults.to_vec();
+/// Precondition: `fails(items)`. Postcondition: the result still fails
+/// and is 1-minimal — no single element can be removed from it without
+/// the failure disappearing. The empty list is never tried.
+pub fn ddmin<T: Clone>(items: &[T], mut fails: impl FnMut(&[T]) -> bool) -> (Vec<T>, usize) {
+    let mut current: Vec<T> = items.to_vec();
     let mut runs = 0usize;
     let mut granularity = 2usize;
     while current.len() >= 2 {
@@ -44,11 +47,11 @@ pub fn minimize(config: &ScenarioConfig, faults: &[Fault]) -> Shrunk {
         while start < current.len() {
             let end = (start + chunk).min(current.len());
             // Try the complement: everything except current[start..end].
-            let mut candidate: Vec<Fault> = Vec::with_capacity(current.len() - (end - start));
+            let mut candidate: Vec<T> = Vec::with_capacity(current.len() - (end - start));
             candidate.extend_from_slice(&current[..start]);
             candidate.extend_from_slice(&current[end..]);
             runs += 1;
-            if fails(config, &candidate) {
+            if fails(&candidate) {
                 current = candidate;
                 granularity = granularity.saturating_sub(1).max(2);
                 reduced = true;
@@ -63,22 +66,31 @@ pub fn minimize(config: &ScenarioConfig, faults: &[Fault]) -> Shrunk {
             granularity = (granularity * 2).min(current.len());
         }
     }
-    // Final 1-minimality sweep: drop single faults until none can go.
+    // Final 1-minimality sweep: drop single elements until none can go.
     let mut i = 0;
     while current.len() > 1 && i < current.len() {
         let mut candidate = current.clone();
         candidate.remove(i);
         runs += 1;
-        if fails(config, &candidate) {
+        if fails(&candidate) {
             current = candidate;
             i = 0;
         } else {
             i += 1;
         }
     }
-    let violations = invariants::check(&scenario::run(config, &current));
+    (current, runs)
+}
+
+/// Minimizes a failing fault schedule with [`ddmin`].
+///
+/// Precondition: `faults` fails under `config` (the caller observed the
+/// violation).
+pub fn minimize(config: &ScenarioConfig, faults: &[Fault]) -> Shrunk {
+    let (faults, runs) = ddmin(faults, |candidate| fails(config, candidate));
+    let violations = invariants::check(&scenario::run(config, &faults));
     Shrunk {
-        faults: current,
+        faults,
         violations,
         runs,
     }

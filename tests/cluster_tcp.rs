@@ -2,19 +2,24 @@
 //!
 //! Three node workers linked by `TcpLink` senders (length-prefixed
 //! frames, pooled buffers, capped exponential backoff) and per-node
-//! listener/reader threads. Two properties the simulator cannot prove:
+//! listener/reader threads. Three properties the simulator cannot
+//! prove:
 //!
 //! * **mid-stream kill** — dropping a node's listener (and shutting
 //!   every accepted connection) while events stream must not lose or
-//!   duplicate anything: publishes issued during the outage queue as
-//!   unacked link frames, the sender reconnects with backoff once the
-//!   listener is rebound, retransmits in order, and the receiver's
-//!   per-peer link-sequence dedup keeps delivery exactly-once;
+//!   duplicate anything: publishes issued during the outage stay in
+//!   flight in the link's `ReliableSender`, the RTO re-offers them, the
+//!   sender reconnects with backoff once the listener is rebound, and
+//!   the receiver's per-peer `ReliableReceiver` keeps delivery
+//!   exactly-once and in order;
 //! * **garbage at the socket edge** — a malformed `ClusterFrame` body
 //!   on an otherwise intact framing layer is rejected with a typed
 //!   decode error, counted in telemetry, and the connection keeps
 //!   working; an unframeable length prefix is counted and ends only
-//!   that connection, never the node.
+//!   that connection, never the node;
+//! * **prompt shutdown** — dropping a cluster joins every thread it
+//!   spawned within a bound that does not depend on how much traffic
+//!   is still queued toward peers that are already gone.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -66,10 +71,15 @@ fn listener_kill_mid_stream_reconnects_without_loss_or_duplication() {
     }
     let before = collect(&subscriber, 10, Duration::from_secs(15));
     assert_eq!(before.len(), 10, "clean-link stream fully delivered");
+    assert_eq!(
+        cluster.metrics().total(|m| m.duplicate_frames.get()),
+        0,
+        "a healthy link writes every frame exactly once"
+    );
 
     // Mid-stream kill: listener gone, accepted connections shut. The
-    // next ten publishes hit a dead or refusing socket and queue as
-    // unacked link frames.
+    // next ten publishes hit a dead or refusing socket and stay in
+    // flight, unacked.
     cluster.drop_listener(subscriber.node() as usize);
     for _ in 0..10 {
         publisher.publish(topic.clone(), Bytes::new());
@@ -166,4 +176,32 @@ fn malformed_frames_are_counted_and_do_not_poison_the_node() {
     let tail = collect(&subscriber, 1, Duration::from_secs(10));
     assert_eq!(tail.len(), 1, "node still serves real traffic");
     assert_eq!(tail[0].topic.to_string(), "edge/after");
+}
+
+/// Dropping a TCP cluster must not take longer the more it has queued.
+///
+/// A link sender that sleeps its reconnect backoff (up to 250 ms)
+/// inline, once per queued frame, and notices the shutdown only after
+/// draining its queue, blocks a drop for 30–60 s when a few hundred
+/// frames are still queued toward an already-closed listener. Fifty
+/// passes, each dropped with its publishes still in flight.
+#[test]
+fn drop_with_traffic_in_flight_is_prompt() {
+    let topic = Topic::parse("s/drop").expect("topic");
+    for pass in 0..50 {
+        let cluster = Cluster::builder(LatencyMap::full_mesh(3, 2)).tcp().spawn();
+        let clients: Vec<_> = (0..3).map(|zone| cluster.attach(zone)).collect();
+        for client in &clients {
+            client.subscribe(TopicFilter::parse("s/#").expect("filter"));
+        }
+        assert!(cluster.converge(8), "pass {pass}: interest gossip converged");
+        for i in 0..200 {
+            clients[i % 3].publish(topic.clone(), Bytes::new());
+        }
+        let start = Instant::now();
+        drop(clients);
+        drop(cluster);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(2), "pass {pass}: drop took {took:?}");
+    }
 }

@@ -3,6 +3,12 @@
 //! (per-frame loss, reordering, duplication, ack loss) must still
 //! deliver exactly the offered events, in order, without duplicates,
 //! while never exceeding the in-flight window.
+//!
+//! The channel is generic over its payload and the federation's TCP
+//! links run it over `Bytes` cluster frames, so the emission-discipline
+//! property at the bottom is instantiated for both payload types: it is
+//! what rules out writing a frame twice when the send that queued it
+//! is also the one that reconnects.
 
 use std::sync::Arc;
 
@@ -125,8 +131,140 @@ fn drive(seed: u64, total: u64, window: usize, loss: f64, duplicate: f64) -> (Ve
     (delivered, max_in_flight)
 }
 
+/// Runs one sender/receiver pair under a seeded schedule of sends,
+/// frame drops, ack drops and clock advances, asserting the emission
+/// discipline at every step:
+///
+/// * `send` and `on_ack` emit only sequence numbers never emitted
+///   before, consecutively — each exactly once;
+/// * `on_tick` emits only sequence numbers emitted before, and never
+///   sooner than the RTO after that number's last emission;
+/// * the receiver releases every payload exactly once, in offer order.
+///
+/// `make` builds payload `i`; `index` reads `i` back out of it.
+fn check_emission_discipline<P: Clone>(
+    seed: u64,
+    total: u64,
+    window: usize,
+    loss: f64,
+    make: impl Fn(u64) -> P,
+    index: impl Fn(&P) -> u64,
+) -> Result<(), TestCaseError> {
+    let rto = SimDuration::from_millis(50);
+    let mut rng = DetRng::new(seed);
+    let mut sender = ReliableSender::<P>::new(window, rto);
+    let mut receiver = ReliableReceiver::<P>::new();
+    let mut now = SimTime::ZERO;
+    let mut offered = 0u64;
+    // Per sequence number: when it was last emitted.
+    let mut last_emitted: Vec<SimTime> = Vec::new();
+    let mut released: Vec<u64> = Vec::new();
+    let mut wire: Vec<ReliableFrame<P>> = Vec::new();
+    let mut acks: Vec<Ack> = Vec::new();
+
+    // A random phase, then a lossless round-robin tail (whole batches,
+    // one RTO per tick) so the stream completes.
+    for step in 0..6_000u64 {
+        let healing = step >= 3_000;
+        let loss = if healing { 0.0 } else { loss };
+        let action = if healing { step % 4 } else { rng.range_u64(0, 4) };
+        let mut fresh = Vec::new();
+        let mut due = Vec::new();
+        match action {
+            0 if offered < total => {
+                offered += 1;
+                fresh = sender.send(make(offered - 1), now);
+            }
+            1 => {
+                for _ in 0..if healing { acks.len() } else { acks.len().min(1) } {
+                    let ack = acks.swap_remove(rng.range_usize(0, acks.len()));
+                    if !rng.chance(loss) {
+                        fresh.extend(sender.on_ack(ack, now));
+                    }
+                }
+            }
+            2 => {
+                for _ in 0..if healing { wire.len() } else { wire.len().min(1) } {
+                    let frame = wire.swap_remove(rng.range_usize(0, wire.len()));
+                    if !rng.chance(loss) {
+                        let (payloads, ack) = receiver.on_frame(frame);
+                        released.extend(payloads.iter().map(&index));
+                        acks.push(ack);
+                    }
+                }
+            }
+            _ => {
+                now += SimDuration::from_millis(if healing { 50 } else { rng.range_u64(0, 40) });
+                due = sender.on_tick(now);
+            }
+        }
+        for frame in &fresh {
+            prop_assert_eq!(
+                frame.seq,
+                last_emitted.len() as u64,
+                "send/on_ack emitted a sequence number out of turn"
+            );
+            prop_assert_eq!(index(&frame.event), frame.seq, "payload rides its own seq");
+            last_emitted.push(now);
+        }
+        for frame in &due {
+            let Some(last) = last_emitted.get_mut(frame.seq as usize) else {
+                return Err(TestCaseError::fail(format!(
+                    "on_tick emitted {} before send/on_ack did",
+                    frame.seq
+                )));
+            };
+            prop_assert!(
+                now.saturating_duration_since(*last) >= rto,
+                "seq {} re-emitted {:?} after its last emission, RTO is {:?}",
+                frame.seq,
+                now.saturating_duration_since(*last),
+                rto
+            );
+            *last = now;
+        }
+        wire.extend(fresh);
+        wire.extend(due);
+        if healing && offered == total && sender.is_idle() {
+            break;
+        }
+    }
+    prop_assert!(sender.is_idle(), "stream did not complete");
+    prop_assert_eq!(released, (0..total).collect::<Vec<_>>());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The emission discipline over the default payload, `Arc<Event>`.
+    #[test]
+    fn every_seq_is_emitted_once_then_only_by_the_rto_events(
+        seed in any::<u64>(),
+        total in 1u64..120,
+        window in 1usize..12,
+        loss in 0.0f64..0.45,
+    ) {
+        check_emission_discipline(seed, total, window, loss, event, |e: &Arc<Event>| e.seq)?;
+    }
+
+    /// The same over `Bytes`, as the federation's TCP links run it.
+    #[test]
+    fn every_seq_is_emitted_once_then_only_by_the_rto_bytes(
+        seed in any::<u64>(),
+        total in 1u64..120,
+        window in 1usize..12,
+        loss in 0.0f64..0.45,
+    ) {
+        check_emission_discipline(
+            seed,
+            total,
+            window,
+            loss,
+            |i| Bytes::from(i.to_be_bytes().to_vec()),
+            |b: &Bytes| u64::from_be_bytes(b[..8].try_into().expect("8 bytes")),
+        )?;
+    }
 
     /// Exactly-once, in-order delivery under loss + reorder + duplication:
     /// whatever the channel does, the receiver surfaces exactly the
