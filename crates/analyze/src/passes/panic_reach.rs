@@ -35,6 +35,10 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("crates/broker/src/cluster/worker.rs", "run"),
     ("crates/broker/src/cluster/tcp.rs", "run_link"),
     ("crates/broker/src/cluster/tcp.rs", "run_reader"),
+    ("crates/broker/src/cluster/tcp.rs", "next_record"),
+    ("crates/broker/src/cluster/tcp.rs", "record"),
+    ("crates/broker/src/cluster/tcp.rs", "release"),
+    ("crates/broker/src/cluster/worker.rs", "answer_flush"),
     ("crates/broker/src/sharded.rs", "process_batch"),
     ("crates/broker/src/wire.rs", "encode"),
     ("crates/broker/src/wire.rs", "encode_into"),

@@ -51,6 +51,15 @@ pub enum FrameKind {
     /// by the TCP transport's socket readers — it never enters a node
     /// worker.
     Ack = 3,
+    /// A TCP link flush: a sequenced record the peer answers with a
+    /// [`FrameKind::FlushAck`] once its worker has processed everything
+    /// the link released before it. The generation field holds the
+    /// sender's flush token and the body is empty. Link control like
+    /// `Ack`: built by the link sender, consumed by the socket reader.
+    Flush = 4,
+    /// The answer to a [`FrameKind::Flush`], echoing its token; sent
+    /// sequenced on the reverse link.
+    FlushAck = 5,
 }
 
 impl FrameKind {
@@ -60,6 +69,8 @@ impl FrameKind {
             1 => Some(Self::GossipDigest),
             2 => Some(Self::GossipEntries),
             3 => Some(Self::Ack),
+            4 => Some(Self::Flush),
+            5 => Some(Self::FlushAck),
             _ => None,
         }
     }
@@ -82,7 +93,8 @@ pub enum DecodeClusterError {
     BadReserved(u8),
     /// An `Event` frame whose embedded wire event is malformed.
     BadEvent(wire::DecodeEventError),
-    /// An `Ack` frame carrying a body.
+    /// A link-control frame (`Ack`, `Flush`, `FlushAck`) carrying a
+    /// body.
     BadBody,
 }
 
@@ -95,7 +107,7 @@ impl std::fmt::Display for DecodeClusterError {
             Self::HopLimit(h) => write!(f, "hop count {h} exceeds bound {MAX_HOPS}"),
             Self::BadReserved(b) => write!(f, "reserved byte is {b}, expected 0"),
             Self::BadEvent(err) => write!(f, "embedded event frame invalid: {err}"),
-            Self::BadBody => write!(f, "ack frame carries a body"),
+            Self::BadBody => write!(f, "link-control frame carries a body"),
         }
     }
 }
@@ -142,8 +154,12 @@ impl<'a> ClusterFrame<'a> {
             FrameKind::Event => {
                 wire::WireEvent::parse(frame.body()).map_err(DecodeClusterError::BadEvent)?;
             }
-            FrameKind::Ack if !frame.body().is_empty() => return Err(DecodeClusterError::BadBody),
-            FrameKind::Ack | FrameKind::GossipDigest | FrameKind::GossipEntries => {}
+            FrameKind::Ack | FrameKind::Flush | FrameKind::FlushAck => {
+                if !frame.body().is_empty() {
+                    return Err(DecodeClusterError::BadBody);
+                }
+            }
+            FrameKind::GossipDigest | FrameKind::GossipEntries => {}
         }
         Ok(frame)
     }
@@ -169,7 +185,7 @@ impl<'a> ClusterFrame<'a> {
     }
 
     /// The interest generation stamped at routing time (for acks: the
-    /// acked link sequence).
+    /// acked link sequence; for flushes and their answers: the token).
     pub fn generation(&self) -> u64 {
         read_u64(self.raw, OFF_GENERATION)
     }
@@ -328,14 +344,17 @@ mod tests {
             DecodeClusterError::BadEvent(_)
         ));
 
-        // Ack frames must have an empty body.
-        let ack = encode_frame(FrameKind::Ack, 0, 1, 0, 7, b"junk");
-        assert_eq!(
-            ClusterFrame::parse(&ack).unwrap_err(),
-            DecodeClusterError::BadBody
-        );
-        let ack = encode_frame(FrameKind::Ack, 0, 1, 0, 7, &[]);
-        let parsed = ClusterFrame::parse(&ack).expect("valid ack");
-        assert_eq!(parsed.generation(), 7);
+        // Link-control frames must have an empty body.
+        for kind in [FrameKind::Ack, FrameKind::Flush, FrameKind::FlushAck] {
+            let bad = encode_frame(kind, 0, 1, 0, 7, b"junk");
+            assert_eq!(
+                ClusterFrame::parse(&bad).unwrap_err(),
+                DecodeClusterError::BadBody,
+                "{kind:?}"
+            );
+            let good = encode_frame(kind, 0, 1, 0, 7, &[]);
+            let parsed = ClusterFrame::parse(&good).expect("valid control frame");
+            assert_eq!((parsed.kind(), parsed.generation()), (kind, 7));
+        }
     }
 }

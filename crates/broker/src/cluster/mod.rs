@@ -36,7 +36,8 @@
 //!   (sequence numbers, cumulative acks, RTO retransmit, dedup) and
 //!   links reconnect with capped exponential backoff, so a node kill
 //!   mid-stream still yields exactly-once delivery after the listener
-//!   returns.
+//!   returns. [`Cluster::quiesce`] settles it with a link-level flush
+//!   that rides the same sequence, never with a pause.
 //!
 //! Malformed frames at either edge are rejected by typed decode
 //! errors ([`DecodeClusterError`]) and counted in telemetry — never
@@ -75,10 +76,6 @@ pub use route::{LatencyMap, RouteTable};
 
 use tcp::TcpFabric;
 use worker::{ClusterWorker, FaultPlane, Link, NodeCmd};
-
-/// Extra settle time per quiesce round over TCP, where barriers cannot
-/// flush in-flight socket frames.
-const TCP_SETTLE_PAUSE: Duration = Duration::from_millis(25);
 
 /// Configures a [`Cluster`] before spawning it.
 pub struct ClusterBuilder {
@@ -295,11 +292,20 @@ impl Cluster {
 
     /// Waits until every command enqueued before this call — including
     /// multi-hop relays and intra-node ring forwards it generates —
-    /// has been processed. One barrier round flushes one link hop, so
-    /// `max(n,2)+2` rounds cover the longest relay chain plus the
-    /// gossip push-pull depth; each round also quiesces every node
-    /// broker. Over TCP an extra pause per round lets in-flight socket
-    /// frames land (barriers cannot observe them).
+    /// has been processed. A round is the same on both transports:
+    /// barrier every node worker, flush every link, quiesce every node
+    /// broker. One round carries a frame one link hop, so `max(n,2)+2`
+    /// rounds cover the longest relay chain plus the gossip push-pull
+    /// depth.
+    ///
+    /// In-process a link *is* the peer's ingress queue, so the barrier
+    /// is the flush. Over TCP the flush is a protocol exchange on every
+    /// directed link (see `cluster/tcp.rs`): it returns because the
+    /// peer's worker has processed what the link carried, not because
+    /// time has passed. A link with nothing connected — a dropped
+    /// listener at either end — is not waited for, so the call stays
+    /// bounded and frames parked behind that link stay in flight until
+    /// it reconnects.
     pub fn quiesce(&self) {
         let rounds = self.node_count().max(2) + 2;
         for _ in 0..rounds {
@@ -308,9 +314,17 @@ impl Cluster {
                 let _ = node.send(NodeCmd::Barrier(tx.clone()));
             }
             drop(tx);
-            while rx.recv().is_ok() {}
-            if self.tcp.is_some() {
-                std::thread::sleep(TCP_SETTLE_PAUSE);
+            let mut alive = 0;
+            while rx.recv().is_ok() {
+                alive += 1;
+            }
+            if alive < self.node_count() {
+                // A worker has exited (`shutdown`): nothing is left to
+                // settle, and nobody would answer a flush.
+                return;
+            }
+            if let Some(fabric) = &self.tcp {
+                fabric.flush_links();
             }
             for broker in &self.shared.brokers {
                 broker.quiesce();

@@ -2,18 +2,38 @@
 //! one listener (accept loop plus a reader thread per connection) per
 //! node. Everything on a socket is a `[u32 len][u64 seq][frame]` record.
 //!
-//! Event frames are sequenced by [`crate::reliable`]: the link sender
-//! is a thin IO shell around a [`ReliableSender<Bytes>`], the readers
-//! keep one [`ReliableReceiver<Bytes>`] per claimed peer, and `seq` is
-//! the reliable sequence plus one (`0` = unsequenced: gossip, acks). A
-//! dead connection is a lossy channel — the RTO re-offers what was
-//! written into it, and the next write reconnects. Acks stop at the
-//! socket edge: the reader hands a [`FrameKind::Ack`] to the local
-//! link sender for that peer, never to the node worker. Both loops are
-//! panic-reachability roots of the analyzer.
+//! Record kinds, by how they travel:
+//!
+//! * **sequenced** (`seq` = reliable sequence + 1) — `Event`, `Flush`
+//!   and `FlushAck` frames ride [`crate::reliable`]: the link sender is
+//!   a thin IO shell around a [`ReliableSender<Bytes>`], the readers
+//!   keep one [`ReliableReceiver<Bytes>`] per claimed peer, and a dead
+//!   connection is a lossy channel — the RTO re-offers what was written
+//!   into it, and the next write reconnects;
+//! * **unsequenced** (`seq` 0) — gossip, which tolerates loss, and
+//!   `Ack`, which the next ack supersedes.
+//!
+//! Link control stops at the socket edge: the reader hands an `Ack` or
+//! a `FlushAck` to the local link sender for that peer, and turns a
+//! released `Flush` into a [`NodeCmd::Flush`] behind the frames released
+//! before it; none of the three reaches a node worker as a frame.
+//!
+//! **Flush.** [`TcpFabric::flush_links`] returns once every frame handed to a
+//! connected link before the call has been processed by the peer's
+//! worker: the `Flush` record is sequenced, so it cannot overtake
+//! backlogged or retransmitted events, and the peer's worker answers it
+//! from its FIFO ingress. A link with nothing connected — its socket is
+//! down and inside the reconnect backoff, or goes down with the flush
+//! unanswered — completes at once instead: what is parked behind a dead
+//! connection stays in flight until the link reconnects by itself.
+//!
+//! The sender gathers what is queued into one socket write and the
+//! reader takes records out of one buffered read, answering a read's
+//! worth of sequenced records with a single cumulative ack. Both loops
+//! are panic-reachability roots of the analyzer.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,7 +45,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mmcs_util::time::{monotonic_now, SimDuration, SimTime};
 use parking_lot::Mutex;
 
-use super::frame::{encode_frame, read_u64, ClusterFrame, FrameKind, OFF_KIND};
+use super::frame::{encode_frame, read_u64, ClusterFrame, FrameKind, OFF_GENERATION, OFF_KIND};
 use super::route::LatencyMap;
 use super::worker::{Link, NodeCmd};
 use crate::gossip::NodeId;
@@ -36,20 +56,31 @@ use crate::reliable::{Ack, ReliableFrame, ReliableReceiver, ReliableSender};
 const LINK_WINDOW: usize = 1024;
 /// How long a sequenced frame waits for its ack before it is re-sent.
 const LINK_RTO: SimDuration = SimDuration::from_millis(250);
-/// How often an idle link sender wakes to check the RTO.
+/// How often a link sender with unacked frames wakes to check the RTO.
 const LINK_TICK: SimDuration = SimDuration::from_millis(20);
 /// Reconnect backoff: doubles from `MIN` per failed attempt, to `MAX`.
 const BACKOFF_MIN: SimDuration = SimDuration::from_millis(5);
 const BACKOFF_MAX: SimDuration = SimDuration::from_millis(250);
 /// Upper bound on one record's `len` (sequence + envelope + wire event).
 const MAX_TCP_FRAME: usize = 8 * 1024 * 1024;
+/// The `[u32 len][u64 seq]` in front of every frame.
+const RECORD_HEADER: usize = 12;
+/// Bytes a link sender gathers before it writes, and a reader's buffer.
+const IO_BATCH: usize = 64 * 1024;
 
 /// What a link sender thread is asked to do.
 enum LinkOp {
-    /// Put a frame on the wire (sequenced if it is an event frame).
+    /// Put a frame on the wire (sequenced if it is an event frame or a
+    /// flush answer).
     Send(Bytes),
     /// The peer's cumulative ack for this link, off a socket reader.
     Ack(Ack),
+    /// Put a `Flush` record behind everything sent so far. The handle is
+    /// dropped when the peer has answered, or at once if nothing is
+    /// connected.
+    Flush(Sender<()>),
+    /// The peer's answer to the flush with this token, off a reader.
+    FlushAck(u64),
     /// Exit, whoever else still holds the queue.
     Close,
 }
@@ -58,44 +89,102 @@ enum LinkOp {
 type TcpLink = Sender<LinkOp>;
 
 /// The link sender loop: feeds the queue through the reliable sender
-/// and writes whatever that releases. It never sleeps, so a queue of
-/// any depth drains (and `Close` is reached) promptly even while the
-/// peer is down.
-fn run_link(me: NodeId, peer: SocketAddr, ops: &Receiver<LinkOp>, metrics: &ClusterNodeMetrics) {
+/// and writes whatever that releases, one socket write per drained
+/// queue. It never sleeps, so a queue of any depth drains (and `Close`
+/// is reached) promptly even while the peer is down; with nothing
+/// unacked it parks on the queue.
+fn run_link(
+    me: NodeId,
+    peer: NodeId,
+    addr: SocketAddr,
+    ops: &Receiver<LinkOp>,
+    metrics: &ClusterNodeMetrics,
+) {
     let mut reliable = ReliableSender::<Bytes>::new(LINK_WINDOW, LINK_RTO);
     let mut socket = LinkSocket {
         me,
-        peer,
+        addr,
         metrics,
         stream: None,
         retry_at: SimTime::ZERO,
         backoff: BACKOFF_MIN,
         connects: 0,
+        out: Vec::with_capacity(IO_BATCH),
     };
+    // Flushes written and not yet answered. Tokens count up from zero,
+    // so an answer to one this link never sent is recognisable.
+    let mut flushes: Vec<(u64, Sender<()>)> = Vec::new();
+    let mut next_token = 0u64;
     let mut next_tick = SimTime::ZERO;
     loop {
-        let op = ops.recv_timeout(Duration::from_nanos(LINK_TICK.as_nanos()));
-        let now = monotonic_now();
-        let mut due = match op {
-            // Never queue something the peer will reject outright.
-            Ok(LinkOp::Send(frame)) if frame.len() + 8 > MAX_TCP_FRAME => Vec::new(),
-            Ok(LinkOp::Send(frame)) if frame.get(OFF_KIND) == Some(&(FrameKind::Event as u8)) => {
-                reliable.send(frame, now)
-            }
-            Ok(LinkOp::Send(frame)) => {
-                socket.write(now, 0, &frame);
-                Vec::new()
-            }
-            Ok(LinkOp::Ack(ack)) => reliable.on_ack(ack, now),
-            Err(RecvTimeoutError::Timeout) => Vec::new(),
-            Ok(LinkOp::Close) | Err(RecvTimeoutError::Disconnected) => break,
+        let first = if reliable.is_idle() {
+            ops.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        } else {
+            ops.recv_timeout(Duration::from_nanos(LINK_TICK.as_nanos()))
         };
+        let now = monotonic_now();
+        let mut next = match first {
+            Ok(op) => Some(op),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        while let Some(op) = next {
+            let due = match op {
+                // Never queue something the peer will reject outright.
+                LinkOp::Send(frame) if frame.len() + 8 > MAX_TCP_FRAME => {
+                    metrics.link_drops.inc();
+                    Vec::new()
+                }
+                LinkOp::Send(frame) => match frame.get(OFF_KIND) {
+                    Some(&kind) if kind == FrameKind::Event as u8 => reliable.send(frame, now),
+                    Some(&kind) if kind == FrameKind::FlushAck as u8 => {
+                        // The peer is waiting on this one: notice a
+                        // closed connection now, not an RTO from now.
+                        socket.connected(now);
+                        reliable.send(frame, now)
+                    }
+                    _ => {
+                        socket.queue(0, &frame);
+                        Vec::new()
+                    }
+                },
+                LinkOp::Ack(ack) => reliable.on_ack(ack, now),
+                LinkOp::Flush(done) if socket.connected(now) => {
+                    let flush = encode_frame(FrameKind::Flush, me, peer, 0, next_token, &[]);
+                    flushes.push((next_token, done));
+                    next_token += 1;
+                    reliable.send(flush.freeze(), now)
+                }
+                // Nothing connected: dropping the handle completes it.
+                LinkOp::Flush(_) => Vec::new(),
+                LinkOp::FlushAck(token) if token < next_token => {
+                    flushes.retain(|(pending, _)| *pending != token);
+                    Vec::new()
+                }
+                LinkOp::FlushAck(_) => {
+                    metrics.decode_errors.inc();
+                    Vec::new()
+                }
+                LinkOp::Close => return,
+            };
+            for frame in due {
+                socket.queue(frame.seq + 1, &frame.event);
+            }
+            next = if socket.out.len() < IO_BATCH {
+                ops.try_recv().ok()
+            } else {
+                None
+            };
+        }
         if now >= next_tick {
-            due.extend(reliable.on_tick(now));
+            for frame in reliable.on_tick(now) {
+                socket.queue(frame.seq + 1, &frame.event);
+            }
             next_tick = now + LINK_TICK;
         }
-        for frame in due {
-            socket.write(now, frame.seq + 1, &frame.event);
+        socket.write(now);
+        if socket.stream.is_none() {
+            flushes.clear();
         }
     }
 }
@@ -103,37 +192,70 @@ fn run_link(me: NodeId, peer: SocketAddr, ops: &Receiver<LinkOp>, metrics: &Clus
 /// The socket under one link sender. Connects lazily, announces `me`
 /// in a two-byte preamble (the accept side keys its per-peer receiver
 /// on it), and after a failed attempt does not try again until the
-/// backoff has elapsed. Records offered while it is down are dropped.
+/// backoff has elapsed. Records written while it is down are dropped.
 struct LinkSocket<'a> {
     me: NodeId,
-    peer: SocketAddr,
+    addr: SocketAddr,
     metrics: &'a ClusterNodeMetrics,
     stream: Option<TcpStream>,
     retry_at: SimTime,
     backoff: SimDuration,
     connects: u64,
+    /// Records gathered for the next write.
+    out: Vec<u8>,
 }
 
 impl LinkSocket<'_> {
-    /// Writes one record, connecting first if need be; any IO error
-    /// tears the connection down.
-    fn write(&mut self, now: SimTime, seq: u64, frame: &[u8]) {
-        if self.stream.is_none() && now >= self.retry_at {
-            self.connect(now);
-        }
-        let Some(stream) = self.stream.as_mut() else {
-            return;
-        };
-        let mut header = [0u8; 12];
-        header[..4].copy_from_slice(&((frame.len() + 8) as u32).to_be_bytes());
-        header[4..].copy_from_slice(&seq.to_be_bytes());
-        if stream.write_all(&header).is_err() || stream.write_all(frame).is_err() {
-            self.stream = None;
-        }
+    /// Adds one record to the next write.
+    fn queue(&mut self, seq: u64, frame: &[u8]) {
+        self.out
+            .extend_from_slice(&((frame.len() + 8) as u32).to_be_bytes());
+        self.out.extend_from_slice(&seq.to_be_bytes());
+        self.out.extend_from_slice(frame);
     }
 
+    /// Writes the gathered records in one call, connecting first if
+    /// need be (what is offered while down is dropped); any IO error
+    /// tears the connection down.
+    fn write(&mut self, now: SimTime) {
+        if self.out.is_empty() {
+            return;
+        }
+        self.connect(now);
+        if let Some(stream) = self.stream.as_mut() {
+            if stream.write_all(&self.out).is_err() {
+                self.stream = None;
+            }
+        }
+        self.out.clear();
+    }
+
+    /// Whether a record written now goes into a live connection. The
+    /// peer never writes on this socket, so anything but "no data yet"
+    /// from a non-blocking read means it has closed its end; such a
+    /// stream is dropped, and a missing one is connected unless the
+    /// backoff forbids.
+    fn connected(&mut self, now: SimTime) -> bool {
+        let live = self.stream.as_ref().is_some_and(|stream| {
+            let probe = stream
+                .set_nonblocking(true)
+                .and_then(|()| stream.peek(&mut [0u8; 1]));
+            let would_block = matches!(&probe, Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+            would_block && stream.set_nonblocking(false).is_ok()
+        });
+        if !live {
+            self.stream = None;
+        }
+        self.connect(now);
+        self.stream.is_some()
+    }
+
+    /// Connects, unless connected or inside the backoff.
     fn connect(&mut self, now: SimTime) {
-        let connected = TcpStream::connect(self.peer).and_then(|mut stream| {
+        if self.stream.is_some() || now < self.retry_at {
+            return;
+        }
+        let connected = TcpStream::connect(self.addr).and_then(|mut stream| {
             let _ = stream.set_nodelay(true);
             stream.write_all(&self.me.to_be_bytes())?;
             Ok(stream)
@@ -177,76 +299,165 @@ struct ReaderCtx {
 }
 
 impl ReaderCtx {
-    fn tell_link(&self, peer: NodeId, op: LinkOp) {
-        if let Some(Some(link)) = self.links.get(peer as usize) {
-            let _ = link.send(op);
+    fn link(&self, peer: NodeId) -> Option<&TcpLink> {
+        self.links.get(peer as usize)?.as_ref()
+    }
+
+    /// Handles one record off `peer`'s connection; `ack` collects the
+    /// cumulative ack its sequenced records are owed. A malformed frame
+    /// is counted and skipped — the framing around it is still intact.
+    fn record(&self, peer: NodeId, seq: u64, raw: &[u8], ack: &mut Option<Ack>) {
+        // Validate at the socket edge so garbage is charged to the
+        // connection that sent it, then once more (free) in the worker.
+        let Ok(parsed) = ClusterFrame::parse(raw) else {
+            self.metrics.decode_errors.inc();
+            return;
+        };
+        let kind = parsed.kind();
+        if kind == FrameKind::Ack {
+            if let Some(link) = self.link(peer) {
+                let next_expected = parsed.generation();
+                let _ = link.send(LinkOp::Ack(Ack { next_expected }));
+            }
+            return;
+        }
+        // A flush (or its answer) is one only on the link it names, and
+        // only sequenced: unsequenced it could overtake what it flushes.
+        if matches!(kind, FrameKind::Flush | FrameKind::FlushAck)
+            && (seq == 0
+                || parsed.origin() != peer
+                || parsed.dest() != self.me
+                || self.link(peer).is_none())
+        {
+            self.metrics.decode_errors.inc();
+            return;
+        }
+        let frame = Bytes::copy_from_slice(raw);
+        if seq == 0 {
+            let _ = self.ingress.send(NodeCmd::Frame(frame));
+            return;
+        }
+        // Held across the hand-off so an old and a new connection of
+        // the same peer cannot reorder their releases.
+        let mut receivers = self.receivers.lock();
+        let receiver = receivers.entry(peer).or_default();
+        let duplicates = receiver.duplicates();
+        let (released, owed) = receiver.on_frame(ReliableFrame {
+            seq: seq - 1,
+            event: frame,
+        });
+        if receiver.duplicates() > duplicates {
+            self.metrics.duplicate_frames.inc();
+        }
+        *ack = Some(owed);
+        for frame in released {
+            self.release(peer, frame);
+        }
+    }
+
+    /// Hands on one sequenced frame, in its turn.
+    fn release(&self, peer: NodeId, frame: Bytes) {
+        let token = read_u64(&frame, OFF_GENERATION);
+        match frame.get(OFF_KIND) {
+            Some(&kind) if kind == FrameKind::Flush as u8 => {
+                let _ = self.ingress.send(NodeCmd::Flush { peer, token });
+            }
+            Some(&kind) if kind == FrameKind::FlushAck as u8 => {
+                if let Some(link) = self.link(peer) {
+                    let _ = link.send(LinkOp::FlushAck(token));
+                }
+            }
+            _ => {
+                let _ = self.ingress.send(NodeCmd::Frame(frame));
+            }
         }
     }
 }
 
-/// Reads records off one accepted connection until it ends. Malformed
-/// input is counted and either skipped (bad frame — framing still
-/// intact) or ends the connection (bad length — cannot resync).
+/// A record length no record can have: the stream cannot be resynced.
+struct BadLength;
+
+/// A socket reader's buffer: `bytes[start..end]` is read and not yet
+/// handed on.
+struct RecordBuf {
+    bytes: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl RecordBuf {
+    /// The next whole record as `(seq, frame)`, or `None` if it has not
+    /// all been read yet.
+    fn next_record(&mut self) -> Result<Option<(u64, &[u8])>, BadLength> {
+        let unread = self.bytes.get(self.start..self.end);
+        let Some(header) = unread.and_then(|unread| unread.get(..RECORD_HEADER)) else {
+            return Ok(None);
+        };
+        let total = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        if !(8..=MAX_TCP_FRAME).contains(&total) {
+            return Err(BadLength);
+        }
+        let seq = read_u64(header, 4);
+        let (body, next) = (self.start + RECORD_HEADER, self.start + 4 + total);
+        if next > self.end {
+            // Room for the rest, once `fill` has moved it to the front.
+            if self.bytes.len() < 4 + total {
+                self.bytes.resize(4 + total, 0);
+            }
+            return Ok(None);
+        }
+        self.start = next;
+        Ok(self.bytes.get(body..next).map(|frame| (seq, frame)))
+    }
+
+    /// Moves the unread bytes to the front and reads more behind them.
+    fn fill(&mut self, stream: &mut TcpStream) -> io::Result<()> {
+        self.bytes.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let read = stream.read(self.bytes.get_mut(self.end..).unwrap_or_default())?;
+        if read == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        self.end += read;
+        Ok(())
+    }
+}
+
+/// Reads records off one accepted connection until it ends, a buffer
+/// at a time; each buffer's sequenced records are answered with one
+/// cumulative ack. A bad length is counted and ends the connection (the
+/// sender reconnects and retransmits).
 fn run_reader(mut stream: TcpStream, ctx: &ReaderCtx) {
     let mut peer_bytes = [0u8; 2];
     if stream.read_exact(&mut peer_bytes).is_err() {
         return;
     }
     let peer = NodeId::from_be_bytes(peer_bytes);
-    let mut header = [0u8; 12];
+    let mut buf = RecordBuf {
+        bytes: vec![0u8; IO_BATCH],
+        start: 0,
+        end: 0,
+    };
     loop {
-        if stream.read_exact(&mut header).is_err() {
-            return;
-        }
-        let total = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        let seq = read_u64(&header, 4);
-        if !(8..=MAX_TCP_FRAME).contains(&total) {
-            // A garbage length desynchronizes the stream: count it and
-            // drop the connection; the sender reconnects and
-            // retransmits.
-            ctx.metrics.decode_errors.inc();
-            return;
-        }
-        let mut raw = vec![0u8; total - 8];
-        if stream.read_exact(&mut raw).is_err() {
-            return;
-        }
-        // Validate at the socket edge so garbage is charged to the
-        // connection that sent it, then once more (free) in the worker.
-        let Ok(parsed) = ClusterFrame::parse(&raw) else {
-            ctx.metrics.decode_errors.inc();
-            continue;
-        };
-        if parsed.kind() == FrameKind::Ack {
-            let next_expected = parsed.generation();
-            ctx.tell_link(peer, LinkOp::Ack(Ack { next_expected }));
-            continue;
-        }
-        let frame = Bytes::from_owner(raw);
-        if seq == 0 {
-            let _ = ctx.ingress.send(NodeCmd::Frame(frame));
-            continue;
-        }
-        let ack = {
-            // Held across the hand-off so an old and a new connection
-            // of the same peer cannot reorder their releases.
-            let mut receivers = ctx.receivers.lock();
-            let receiver = receivers.entry(peer).or_default();
-            let duplicates = receiver.duplicates();
-            let (released, ack) = receiver.on_frame(ReliableFrame {
-                seq: seq - 1,
-                event: frame,
-            });
-            if receiver.duplicates() > duplicates {
-                ctx.metrics.duplicate_frames.inc();
+        let mut ack = None;
+        loop {
+            match buf.next_record() {
+                Ok(Some((seq, raw))) => ctx.record(peer, seq, raw, &mut ack),
+                Ok(None) => break,
+                Err(BadLength) => {
+                    ctx.metrics.decode_errors.inc();
+                    return;
+                }
             }
-            for frame in released {
-                let _ = ctx.ingress.send(NodeCmd::Frame(frame));
-            }
-            ack
-        };
-        let ack = encode_frame(FrameKind::Ack, ctx.me, peer, 0, ack.next_expected, &[]);
-        ctx.tell_link(peer, LinkOp::Send(ack.freeze()));
+        }
+        if let (Some(Ack { next_expected }), Some(link)) = (ack, ctx.link(peer)) {
+            let ack = encode_frame(FrameKind::Ack, ctx.me, peer, 0, next_expected, &[]);
+            let _ = link.send(LinkOp::Send(ack.freeze()));
+        }
+        if buf.fill(&mut stream).is_err() {
+            return;
+        }
     }
 }
 
@@ -357,7 +568,7 @@ impl TcpFabric {
                 let (addr, metrics) = (addrs[peer], Arc::clone(node_metrics));
                 let thread = std::thread::Builder::new()
                     .name(format!("mmcs-link{me}"))
-                    .spawn(move || run_link(me as NodeId, addr, &rx, &metrics))
+                    .spawn(move || run_link(me as NodeId, peer as NodeId, addr, &rx, &metrics))
                     .expect("spawn tcp link thread");
                 link_threads.push(thread);
                 ops
@@ -388,6 +599,21 @@ impl TcpFabric {
             nodes,
             link_threads,
         }
+    }
+
+    /// Flushes every directed link (see the module docs) and waits for
+    /// the answers. A node that is not listening cannot hear one, so its
+    /// outbound links count as not connected.
+    pub(super) fn flush_links(&self) {
+        let (done, answered) = unbounded();
+        for node in self.nodes.iter().filter(|node| node.accept.is_some()) {
+            for link in node.ctx.links.iter().flatten() {
+                let _ = link.send(LinkOp::Flush(done.clone()));
+            }
+        }
+        drop(done);
+        // Ends when the last link has dropped its handle.
+        while answered.recv().is_ok() {}
     }
 
     /// Node `me`'s outbound links, as its worker sends on them.
@@ -458,7 +684,7 @@ mod tests {
         drop(reserved);
         let (link, ops) = unbounded();
         let metrics = ClusterNodeMetrics::detached();
-        let thread = std::thread::spawn(move || run_link(7, addr, &ops, &metrics));
+        let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
         let send = |frame| assert!(link.send(LinkOp::Send(frame)).is_ok());
         send(event_frame(0)); // peer down: lost, stays in flight
         std::thread::sleep(Duration::from_millis(30)); // let the backoff lapse
@@ -504,5 +730,103 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|r| r.0 == 1 || r.0 == 2), "{seen:?}");
+    }
+
+    /// A port nothing listens on.
+    fn closed_port() -> SocketAddr {
+        let reserved = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+        reserved.local_addr().expect("addr")
+    }
+
+    #[test]
+    fn an_oversize_frame_is_counted_as_a_link_drop() {
+        let (link, ops) = unbounded();
+        let metrics = ClusterNodeMetrics::detached();
+        let seen = Arc::clone(&metrics);
+        let addr = closed_port();
+        let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
+        for len in [MAX_TCP_FRAME - 7, MAX_TCP_FRAME - 8] {
+            assert!(link.send(LinkOp::Send(Bytes::from(vec![0u8; len]))).is_ok());
+        }
+        assert!(link.send(LinkOp::Close).is_ok());
+        thread.join().expect("link thread exits on close");
+        assert_eq!(seen.link_drops.get(), 1, "only the frame over the bound");
+    }
+
+    /// Reads one record off a link sender's connection.
+    fn read_record(stream: &mut TcpStream) -> (u64, Vec<u8>) {
+        let mut header = [0u8; RECORD_HEADER];
+        stream.read_exact(&mut header).expect("record header");
+        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        let mut frame = vec![0u8; len - 8];
+        stream.read_exact(&mut frame).expect("record body");
+        (read_u64(&header, 4), frame)
+    }
+
+    /// Whether the link lets go of the flush `answered` waits on within
+    /// `wait`.
+    fn completes(answered: &Receiver<()>, wait: Duration) -> bool {
+        answered.recv_timeout(wait) == Err(RecvTimeoutError::Disconnected)
+    }
+
+    /// The test plays the peer of one link sender. A flush goes out as a
+    /// sequenced record and stays pending until its own token comes
+    /// back: an answer to a flush the link never sent is counted and
+    /// completes nothing. When the peer goes away, pending and new
+    /// flushes complete at once — nothing is connected.
+    #[test]
+    fn a_flush_completes_on_its_own_answer_or_when_nothing_is_connected() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (link, ops) = unbounded();
+        let metrics = ClusterNodeMetrics::detached();
+        let seen = Arc::clone(&metrics);
+        let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
+        let flush = || {
+            let (done, answered) = unbounded();
+            assert!(link.send(LinkOp::Flush(done)).is_ok());
+            answered
+        };
+
+        let first = flush();
+        let (mut stream, _) = listener.accept().expect("the flush connects");
+        let mut preamble = [0u8; 2];
+        stream.read_exact(&mut preamble).expect("preamble");
+        let (seq, frame) = read_record(&mut stream);
+        let parsed = ClusterFrame::parse(&frame).expect("a valid frame");
+        assert_eq!(seq, 1, "sequenced, so it cannot overtake an event");
+        assert_eq!(
+            (
+                parsed.kind(),
+                parsed.origin(),
+                parsed.dest(),
+                parsed.generation()
+            ),
+            (FrameKind::Flush, 7, 9, 0)
+        );
+
+        // An answer to token 5, which was never sent. The second flush
+        // is read back only to know the link has got that far.
+        assert!(link.send(LinkOp::FlushAck(5)).is_ok());
+        let second = flush();
+        let (seq, frame) = read_record(&mut stream);
+        assert_eq!((seq, read_u64(&frame, OFF_GENERATION)), (2, 1));
+        assert_eq!(seen.decode_errors.get(), 1, "the stray answer is counted");
+        let (now, soon) = (Duration::ZERO, Duration::from_secs(5));
+        assert!(!completes(&first, now) && !completes(&second, now));
+
+        assert!(link.send(LinkOp::FlushAck(0)).is_ok());
+        assert!(completes(&first, soon), "its own answer completes it");
+        assert!(!completes(&second, now), "and nothing else");
+
+        drop(stream);
+        drop(listener);
+        let third = flush();
+        assert!(completes(&third, soon), "peer gone: completes at once");
+        assert!(completes(&second, soon), "and so does the pending one");
+
+        assert!(link.send(LinkOp::Close).is_ok());
+        thread.join().expect("link thread exits on close");
+        assert_eq!(seen.decode_errors.get(), 1);
     }
 }

@@ -88,6 +88,9 @@ pub(super) enum NodeCmd {
     Inspect(Sender<Vec<InterestEntry>>),
     /// Flush everything ahead of this command, then ack.
     Barrier(Sender<()>),
+    /// `peer`'s link flush, queued by the socket reader behind every
+    /// frame that link released before it: answer with a `FlushAck`.
+    Flush { peer: NodeId, token: u64 },
     Shutdown,
 }
 
@@ -146,6 +149,7 @@ impl ClusterWorker {
                 NodeCmd::Barrier(ack) => {
                     let _ = ack.send(());
                 }
+                NodeCmd::Flush { peer, token } => self.answer_flush(peer, token),
                 NodeCmd::Shutdown => break,
             }
         }
@@ -189,9 +193,20 @@ impl ClusterWorker {
             FrameKind::Event => self.event_frame(&bytes, &parsed),
             FrameKind::GossipDigest => self.digest_frame(&parsed),
             FrameKind::GossipEntries => self.entries_frame(&parsed),
-            // Link acks are consumed by the TCP socket reader; one that
-            // reaches a worker is stray input.
-            FrameKind::Ack => self.metrics.decode_errors.inc(),
+            // Link control is consumed by the TCP socket reader; a
+            // frame of it that reaches a worker is stray input.
+            FrameKind::Ack | FrameKind::Flush | FrameKind::FlushAck => {
+                self.metrics.decode_errors.inc();
+            }
+        }
+    }
+
+    /// Everything `peer`'s link released ahead of its flush has been
+    /// processed by now (one FIFO ingress), so the answer goes out. It
+    /// is control, not data: the fault plane does not apply.
+    fn answer_flush(&self, peer: NodeId, token: u64) {
+        if let Some(Some(link)) = self.links.get(peer as usize) {
+            link(encode_frame(FrameKind::FlushAck, self.me, peer, 0, token, &[]).freeze());
         }
     }
 

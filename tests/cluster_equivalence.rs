@@ -12,7 +12,10 @@
 //! Interest spreads by gossip, so the sequence is settled with
 //! [`Cluster::quiesce`] after every op (the equivalence contract is
 //! exact between settled epochs; the chaos harness covers the faulted
-//! regime). A second property checks gossip convergence itself: after
+//! regime). The same property runs over loopback TCP, where `quiesce`
+//! is a link-level flush exchange: that it holds there is the check
+//! that the flush settles exactly what the in-process barrier settles.
+//! A second property checks gossip convergence itself: after
 //! any churn sequence, a bounded number of anti-entropy rounds makes
 //! every node's view of every other node match that node's local truth.
 //!
@@ -136,14 +139,17 @@ fn oracle_run(ops: &[Op]) -> Vec<Delivery> {
 /// monotonicity in arrival order. Clients start spread across zones so
 /// most publishes cross node boundaries.
 fn cluster_run(ops: &[Op], latency: LatencyMap) -> Vec<Delivery> {
-    let nodes = latency.node_count();
+    run_on(ops, Cluster::spawn(latency))
+}
+
+fn run_on(ops: &[Op], cluster: Cluster) -> Vec<Delivery> {
+    let nodes = cluster.node_count();
     let zones = 2 * nodes;
     // Interest spreads by anti-entropy: every control op must gossip to
     // convergence before the next publish sees its effect. On a chain
     // the far end is node_count-1 pushes away, so converge() gets a
     // bound past that.
     let settle = nodes + 2;
-    let cluster = Cluster::spawn(latency);
     let clients: Vec<ClusterClient> = (0..CLIENTS).map(|i| cluster.attach(i % zones)).collect();
     cluster.quiesce();
     for op in ops {
@@ -227,6 +233,22 @@ proptest! {
         let expected = oracle_run(&ops);
         let actual = cluster_run(&ops, LatencyMap::chain(4, 2));
         prop_assert_eq!(&actual, &expected, "4-node chain diverged");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Same property over loopback TCP sockets — a mesh, and the chain
+    /// whose relays carry a publish over up to three sockets.
+    #[test]
+    fn tcp_cluster_matches_oracle(ops in prop::collection::vec(op_strategy(), 1..20)) {
+        let expected = oracle_run(&ops);
+        for latency in [LatencyMap::full_mesh(3, 2), LatencyMap::chain(4, 2)] {
+            let nodes = latency.node_count();
+            let actual = run_on(&ops, Cluster::builder(latency).tcp().spawn());
+            prop_assert_eq!(&actual, &expected, "{} nodes over TCP diverged", nodes);
+        }
     }
 }
 

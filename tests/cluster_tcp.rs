@@ -2,9 +2,13 @@
 //!
 //! Three node workers linked by `TcpLink` senders (length-prefixed
 //! frames, pooled buffers, capped exponential backoff) and per-node
-//! listener/reader threads. Three properties the simulator cannot
-//! prove:
+//! listener/reader threads. Properties the simulator cannot prove:
 //!
+//! * **the barrier is a barrier** — `quiesce()` returns because every
+//!   hop has carried and processed what was published before it, so one
+//!   drain right after it finds everything, with no timeout to tune; a
+//!   dropped listener makes it skip that node's links, not hang; stray
+//!   or malformed flush records are counted and complete nothing;
 //! * **mid-stream kill** — dropping a node's listener (and shutting
 //!   every accepted connection) while events stream must not lose or
 //!   duplicate anything: publishes issued during the outage stay in
@@ -28,18 +32,15 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use mmcs::broker::cluster::{
-    encode_event_frame, encode_frame, Cluster, FrameKind, LatencyMap, CLUSTER_HEADER_LEN,
+    encode_event_frame, encode_frame, Cluster, ClusterClient, FrameKind, LatencyMap,
+    CLUSTER_HEADER_LEN,
 };
 use mmcs::broker::event::{Event, EventClass};
 use mmcs::broker::topic::{Topic, TopicFilter};
 use mmcs_util::id::ClientId;
 
 /// Drains until `want` events arrived or `deadline` passed.
-fn collect(
-    client: &mmcs::broker::cluster::ClusterClient,
-    want: usize,
-    deadline: Duration,
-) -> Vec<std::sync::Arc<Event>> {
+fn collect(client: &ClusterClient, want: usize, deadline: Duration) -> Vec<std::sync::Arc<Event>> {
     let start = Instant::now();
     let mut got = Vec::new();
     while got.len() < want && start.elapsed() < deadline {
@@ -204,4 +205,209 @@ fn drop_with_traffic_in_flight_is_prompt() {
         let took = start.elapsed();
         assert!(took < Duration::from_secs(2), "pass {pass}: drop took {took:?}");
     }
+}
+
+/// One `drain_into`: what has been delivered by now, and nothing more.
+fn drain(client: &ClusterClient) -> Vec<std::sync::Arc<Event>> {
+    let mut sink = Vec::new();
+    client.drain_into(&mut sink);
+    sink
+}
+
+/// `quiesce()` is the only thing between the last publish and the one
+/// drain per subscriber: no timeout, no sleep. On the mesh every frame
+/// crosses one socket; on the chain the end nodes publish, so frames are
+/// relayed over up to three, and the 3 000 that share the first link
+/// overrun its 1 024-frame window — the flush waits behind the backlog.
+#[test]
+fn quiesce_over_tcp_flushes_every_hop() {
+    let topic = Topic::parse("hop/x").expect("topic");
+    for latency in [LatencyMap::full_mesh(3, 2), LatencyMap::chain(4, 2)] {
+        let nodes = latency.node_count();
+        let cluster = Cluster::builder(latency).tcp().spawn();
+        let clients: Vec<_> = (0..nodes).map(|zone| cluster.attach(zone)).collect();
+        for client in &clients {
+            client.subscribe(TopicFilter::parse("hop/#").expect("filter"));
+        }
+        assert!(cluster.converge(nodes + 2), "interest gossip converged");
+        for iteration in 0..20 {
+            for i in 0..2000 {
+                clients[(i % 2) * (nodes - 1)].publish(topic.clone(), Bytes::new());
+            }
+            cluster.quiesce();
+            for client in &clients {
+                let got = drain(client).len();
+                assert_eq!(
+                    got, 2000,
+                    "{nodes} nodes, iteration {iteration}: {client:?}"
+                );
+            }
+        }
+        // The liveness probe a flush makes must never drop a healthy
+        // connection.
+        assert_eq!(cluster.metrics().total(|m| m.reconnects.get()), 0);
+    }
+}
+
+/// A dropped listener takes its node's links out of the flush in both
+/// directions — toward it nothing is connected, from it no answer could
+/// be heard — so `quiesce()` returns promptly and still settles the
+/// rest of the mesh. What was published toward the dead node stays
+/// parked in the link and arrives, once and in order, after the
+/// listener is back and the link has reconnected by its own backoff.
+#[test]
+fn quiesce_with_a_dropped_listener_is_bounded() {
+    let mut cluster = Cluster::builder(LatencyMap::full_mesh(3, 2)).tcp().spawn();
+    let publisher = cluster.attach(0);
+    let near = cluster.attach(1);
+    let far = cluster.attach(2);
+    for client in [&near, &far] {
+        client.subscribe(TopicFilter::parse("s/#").expect("filter"));
+    }
+    assert!(cluster.converge(8), "interest gossip converged");
+    let topic = Topic::parse("s/tcp").expect("topic");
+    let publish = |count: usize| {
+        for _ in 0..count {
+            publisher.publish(topic.clone(), Bytes::new());
+        }
+    };
+    publish(10);
+    cluster.quiesce();
+    let mut seqs: Vec<u64> = drain(&far).iter().map(|e| e.seq).collect();
+    assert_eq!((drain(&near).len(), seqs.len()), (10, 10), "clean links");
+
+    cluster.drop_listener(far.node() as usize);
+    publish(50);
+    let start = Instant::now();
+    cluster.quiesce();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "quiesce took {took:?}");
+    assert_eq!(drain(&near).len(), 50, "the live link was flushed");
+    assert_eq!(drain(&far).len(), 0, "the dead one delivers nothing");
+
+    cluster.restore_listener(far.node() as usize);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while seqs.len() < 60 && Instant::now() < deadline {
+        cluster.quiesce();
+        seqs.extend(drain(&far).iter().map(|e| e.seq));
+    }
+    assert_eq!(
+        seqs,
+        (0..60).collect::<Vec<u64>>(),
+        "exactly once, in order"
+    );
+    cluster.quiesce();
+    assert!(
+        drain(&far).is_empty() && drain(&near).is_empty(),
+        "no stragglers"
+    );
+}
+
+/// After `shutdown()` no worker is left to answer a flush; `quiesce()`
+/// notices at its barrier and returns instead of waiting for one.
+#[test]
+fn quiesce_after_shutdown_returns() {
+    let cluster = Cluster::builder(LatencyMap::full_mesh(3, 2)).tcp().spawn();
+    assert!(cluster.converge(8), "links connected");
+    cluster.shutdown();
+    cluster.quiesce();
+}
+
+/// Writes one raw record on a fresh connection that claims to be node
+/// `claim`, and leaves the connection open.
+fn inject(addr: std::net::SocketAddr, claim: u16, seq: u64, frame: &[u8]) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut record = claim.to_be_bytes().to_vec();
+    record.extend_from_slice(&((frame.len() + 8) as u32).to_be_bytes());
+    record.extend_from_slice(&seq.to_be_bytes());
+    record.extend_from_slice(frame);
+    stream.write_all(&record).expect("write record");
+    stream
+}
+
+/// Spins until `count()` reaches `want`.
+fn await_count(what: &str, want: u64, count: impl Fn() -> u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while count() < want && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(count(), want, "{what}");
+}
+
+/// Flush records that are not what a link sender would write: each is
+/// counted as a decode error, none panics a thread or answers a flush,
+/// and the node's real links still flush.
+#[test]
+fn stray_flush_records_are_counted_and_complete_nothing() {
+    let control = |kind, origin, dest, token| {
+        let frame = encode_frame(kind, origin, dest, 0, token, &[]);
+        frame.freeze().to_vec()
+    };
+    // A chain, so node 0 has a link to node 1 and none to node 2.
+    let cluster = Cluster::builder(LatencyMap::chain(3, 2)).tcp().spawn();
+    let clients: Vec<_> = (0..3).map(|zone| cluster.attach(zone)).collect();
+    clients[0].subscribe(TopicFilter::parse("edge/#").expect("filter"));
+    assert!(cluster.converge(6), "interest gossip converged");
+    let addr = cluster.listener_addr(0).expect("tcp listener address");
+    let errors = || cluster.metrics().node(0).decode_errors.get();
+    let cases: [(&str, u16, u64, Vec<u8>); 6] = [
+        (
+            "unsequenced flush",
+            1,
+            0,
+            control(FrameKind::Flush, 1, 0, 0),
+        ),
+        (
+            "unsequenced answer",
+            1,
+            0,
+            control(FrameKind::FlushAck, 1, 0, 0),
+        ),
+        (
+            "flush from another origin than the connection's",
+            1,
+            900,
+            control(FrameKind::Flush, 2, 0, 0),
+        ),
+        (
+            "flush addressed to another node",
+            1,
+            901,
+            control(FrameKind::Flush, 1, 2, 0),
+        ),
+        (
+            "answer from a node this one has no link to",
+            2,
+            1,
+            control(FrameKind::FlushAck, 2, 0, 0),
+        ),
+        (
+            "flush with a body",
+            1,
+            902,
+            encode_frame(FrameKind::Flush, 1, 0, 0, 0, b"x")
+                .freeze()
+                .to_vec(),
+        ),
+    ];
+    let mut open = Vec::new();
+    for (done, (what, claim, seq, frame)) in cases.iter().enumerate() {
+        open.push(inject(addr, *claim, *seq, frame));
+        await_count(what, done as u64 + 1, errors);
+    }
+    clients[2].publish(Topic::parse("edge/ok").expect("topic"), Bytes::new());
+    cluster.quiesce();
+    assert_eq!(drain(&clients[0]).len(), 1, "the real links still flush");
+    assert_eq!(errors(), cases.len() as u64, "and counted nothing else");
+
+    // A well-formed answer on the right link to a flush that link never
+    // sent. This needs the peer's next sequence number, so the cluster
+    // is a fresh one whose links have sent nothing — and is not used
+    // afterwards, since the forgery has taken node 1's first number.
+    let fresh = Cluster::builder(LatencyMap::full_mesh(2, 2)).tcp().spawn();
+    let addr = fresh.listener_addr(0).expect("tcp listener address");
+    open.push(inject(addr, 1, 1, &control(FrameKind::FlushAck, 1, 0, 99)));
+    await_count("answer to a flush never sent", 1, || {
+        fresh.metrics().node(0).decode_errors.get()
+    });
 }

@@ -324,12 +324,14 @@ fn frame_kind_strategy() -> impl Strategy<Value = FrameKind> {
         FrameKind::GossipDigest,
         FrameKind::GossipEntries,
         FrameKind::Ack,
+        FrameKind::Flush,
+        FrameKind::FlushAck,
     ])
 }
 
 /// An arbitrary valid cluster frame: event kinds embed a real wire
 /// event, gossip kinds carry opaque bytes (the gossip codec validates
-/// them later, in the worker), acks are empty by contract.
+/// them later, in the worker), link control is empty by contract.
 fn cluster_frame_strategy() -> impl Strategy<Value = (FrameKind, u16, u16, u8, u64, Vec<u8>)> {
     (
         frame_kind_strategy(),
@@ -351,7 +353,7 @@ fn cluster_frame_strategy() -> impl Strategy<Value = (FrameKind, u16, u16, u8, u
                     );
                     wire::encode(&event).freeze().to_vec()
                 }
-                FrameKind::Ack => Vec::new(),
+                FrameKind::Ack | FrameKind::Flush | FrameKind::FlushAck => Vec::new(),
                 FrameKind::GossipDigest | FrameKind::GossipEntries => raw,
             };
             (kind, origin, dest, hops, generation, body)
@@ -407,7 +409,7 @@ proptest! {
                 }
                 Ok(view) => {
                     // Gossip bodies are opaque at this layer, so a cut
-                    // body still parses; events and acks must not.
+                    // body still parses; events and link control must not.
                     prop_assert!(matches!(
                         kind,
                         FrameKind::GossipDigest | FrameKind::GossipEntries
@@ -473,7 +475,9 @@ fn cluster_frame_schema_matches_golden() {
     {{ "name": "Event", "value": {k_event}, "body": "wire event frame" }},
     {{ "name": "GossipDigest", "value": {k_digest}, "body": "gossip digest" }},
     {{ "name": "GossipEntries", "value": {k_entries}, "body": "gossip entries" }},
-    {{ "name": "Ack", "value": {k_ack}, "body": "empty; generation carries the acked link seq" }}
+    {{ "name": "Ack", "value": {k_ack}, "body": "empty; generation carries the acked link seq" }},
+    {{ "name": "Flush", "value": {k_flush}, "body": "empty; generation carries the flush token" }},
+    {{ "name": "FlushAck", "value": {k_flush_ack}, "body": "empty; generation echoes the flush token" }}
   ]
 }}
 "#,
@@ -491,6 +495,8 @@ fn cluster_frame_schema_matches_golden() {
         k_digest = FrameKind::GossipDigest as u8,
         k_entries = FrameKind::GossipEntries as u8,
         k_ack = FrameKind::Ack as u8,
+        k_flush = FrameKind::Flush as u8,
+        k_flush_ack = FrameKind::FlushAck as u8,
     );
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
