@@ -5,9 +5,12 @@
 //! its thread — a blocking channel receive, `thread::sleep`, a join, a
 //! condvar wait, file IO — stalls every topic on the shard and shows up
 //! as tail latency in the Figure-3 curves. The only sanctioned blocking
-//! point is the worker's own ingress drain: the `.recv()` inside
-//! `ShardWorker::run` that parks the worker when its queue is empty.
-//! Everything else reachable from the loop body is a finding.
+//! points are the ingress queues' own ([`PARK_POINTS`], named by
+//! `(self type, fn)` like the roots): where a worker sleeps on its
+//! empty queue, and where a producer is held at a full one. A federation
+//! worker's ingress is still a channel, so the `.recv()` in its loop is
+//! sanctioned too. Everything else reachable from a loop body is a
+//! finding.
 //!
 //! The conservative-parallel sim worker (`SimWorker::run`) is a root
 //! for the same reason: a blocked worker stalls its whole host shard
@@ -30,19 +33,30 @@ pub const ROOTS: &[(&str, &str, &str)] = &[
     ("crates/sim/src/parsim.rs", "SimWorker", "run"),
 ];
 
+/// The sanctioned park points, `(path suffix, self type, fn name)`: a
+/// condvar `.wait(..)` inside one of these is the design, not a stall.
+pub const PARK_POINTS: &[(&str, &str, &str)] = &[
+    // The shard worker asleep on its empty ingress queue.
+    ("crates/broker/src/sharded.rs", "Ingress", "take_all"),
+    // A producer held at the ingress bound. The federation worker gets
+    // here through `inject`: backpressure from a full shard is what the
+    // bound is for, and `shutdown` releases it.
+    ("crates/broker/src/sharded.rs", "Ingress", "push_bounded"),
+];
+
 /// The check pass: BFS from the worker loop, scan every reachable body
-/// for blocking constructs, and skip the sanctioned ingress `.recv()`
-/// in the root itself.
+/// for blocking constructs, and skip the sanctioned park points.
 pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
-    let roots: Vec<usize> = (0..ws.graph.nodes.len())
-        .filter(|&id| {
-            let n = &ws.graph.nodes[id];
-            let f = &ws.files[n.file];
-            let d = &f.fns[n.def];
-            ROOTS.iter().any(|&(path, ty, name)| {
-                f.src.path.ends_with(path) && d.name == name && d.self_type.as_deref() == Some(ty)
-            })
+    let named_in = |id: usize, table: &[(&str, &str, &str)]| {
+        let n = &ws.graph.nodes[id];
+        let f = &ws.files[n.file];
+        let d = &f.fns[n.def];
+        table.iter().any(|&(path, ty, name)| {
+            f.src.path.ends_with(path) && d.name == name && d.self_type.as_deref() == Some(ty)
         })
+    };
+    let roots: Vec<usize> = (0..ws.graph.nodes.len())
+        .filter(|&id| named_in(id, ROOTS))
         .collect();
     let parent = ws.graph.reach_bounded(&ws.files, &roots, PROCESS_CALLBACKS);
     let mut ids: Vec<_> = parent.keys().copied().collect();
@@ -52,6 +66,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
         let file = &ws.files[node.file];
         let def = &file.fns[node.def];
         let is_root = roots.contains(&id);
+        let is_park_point = named_in(id, PARK_POINTS);
         let toks = &file.toks;
         for i in def.body.clone() {
             let t = &toks[i];
@@ -63,9 +78,9 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
             let next_open = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
             let empty_args = next_open && toks.get(i + 2).is_some_and(|n| n.is_punct(")"));
             let what: Option<&str> = match t.text.as_str() {
-                // The sanctioned ingress drain: `self.ingress.recv()`
-                // inside the worker loop itself parks the worker when
-                // the shard is idle — that is the design, not a stall.
+                // A channel ingress: `self.ingress.recv()` inside the
+                // worker loop itself parks the worker when the node is
+                // idle — that is the design, not a stall.
                 "recv" if prev_dot && empty_args => {
                     if is_root {
                         None
@@ -82,7 +97,14 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
                     Some("`thread::sleep`")
                 }
                 "join" if prev_dot && empty_args => Some("a thread `.join()`"),
-                "wait" if prev_dot && next_open => Some("a condvar `.wait(..)`"),
+                "wait" if prev_dot && next_open => {
+                    if is_park_point {
+                        None
+                    } else {
+                        Some("a condvar `.wait(..)`")
+                    }
+                }
+                "wait_for" if prev_dot && next_open => Some("a condvar `.wait_for(..)`"),
                 "fs" if toks.get(i + 1).is_some_and(|n| n.is_punct("::")) => {
                     Some("file IO (`fs::..`)")
                 }
@@ -121,10 +143,21 @@ mod tests {
     #[test]
     fn ingress_recv_in_the_loop_is_sanctioned() {
         let hits = run(&[(
-            "crates/broker/src/sharded.rs",
-            "struct ShardWorker;\nimpl ShardWorker {\n    fn run(&self) {\n        self.ingress.recv();\n        self.ingress.try_recv();\n    }\n}\n",
+            "crates/broker/src/cluster/worker.rs",
+            "struct ClusterWorker;\nimpl ClusterWorker {\n    fn run(&self) {\n        self.ingress.recv();\n        self.ingress.try_recv();\n    }\n}\n",
         )]);
         assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    #[test]
+    fn the_ingress_park_is_sanctioned_by_type_and_fn_not_by_token() {
+        // `Ingress::take_all` may wait; the same `.wait(..)` in a
+        // method of another type, or of another name, may not.
+        let hits = run(&[(
+            "crates/broker/src/sharded.rs",
+            "struct ShardWorker;\nimpl ShardWorker {\n    fn run(&self) {\n        self.ingress.take_all();\n        self.egress.flush();\n    }\n}\nstruct Ingress;\nimpl Ingress {\n    fn take_all(&self) {\n        self.work.wait(&mut queue);\n    }\n}\nstruct Egress;\nimpl Egress {\n    fn flush(&self) {\n        self.ready.wait(&mut inbox);\n        self.ready.wait_for(&mut inbox, left);\n    }\n}\n",
+        )]);
+        assert_eq!(hits, vec![17, 18]);
     }
 
     #[test]

@@ -83,14 +83,15 @@ fn blocking_calls_in_worker_exact_lines() {
     assert_eq!(
         got,
         vec![
-            ("blocking-in-shard-worker", 32), // thread::sleep in step
-            ("blocking-in-shard-worker", 39), // recv_timeout in helper
+            ("blocking-in-shard-worker", 34), // a second wait, in Mailbox::append
+            ("blocking-in-shard-worker", 54), // thread::sleep in step
+            ("blocking-in-shard-worker", 62), // recv_timeout in helper
         ],
         "{violations:#?}"
     );
-    // The ingress `.recv()` in `run` (line 25) is the sanctioned
-    // parking point; `cold_join`'s `.join()` (line 43) is unreachable.
-    assert!(!got.iter().any(|&(_, line)| line == 25 || line == 43));
+    // The wait in `Ingress::take_all` (line 21) is the sanctioned park
+    // point; `cold_join`'s `.join()` (line 66) is unreachable.
+    assert!(!got.iter().any(|&(_, line)| line == 21 || line == 66));
 }
 
 #[test]

@@ -4,10 +4,9 @@
 //! some optimizations on the message transmission". We model that
 //! optimization explicitly: a fan-out of one event to N destinations pays
 //! the full per-send cost once and a reduced marginal cost for the
-//! remaining N−1 sends (amortized syscalls/buffer handling), and
-//! broker-to-broker transit can coalesce small events into one framed
-//! batch ([`Batcher`]). The ablation benchmark (`ablation` bench target)
-//! toggles [`CostModel::batching`] to show the effect.
+//! remaining N−1 sends (amortized syscalls/buffer handling). The
+//! ablation benchmark (`ablation` bench target) toggles
+//! [`CostModel::batching`] to show the effect.
 
 use mmcs_util::time::SimDuration;
 
@@ -73,120 +72,6 @@ impl CostModel {
     }
 }
 
-/// A byte-budgeted event coalescer for broker-to-broker links.
-///
-/// Push events until the batch is full (by count or bytes), then
-/// [`Batcher::flush`] returns the batch to frame as a single transmission.
-///
-/// # Examples
-///
-/// ```
-/// use mmcs_broker::batch::Batcher;
-///
-/// let mut b: Batcher<u32> = Batcher::new(3, 1000);
-/// assert!(b.push(1, 100).is_none());
-/// assert!(b.push(2, 100).is_none());
-/// let flushed = b.push(3, 100).unwrap(); // count limit reached
-/// assert_eq!(flushed.items, vec![1, 2, 3]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Batcher<T> {
-    max_items: usize,
-    max_bytes: usize,
-    items: Vec<T>,
-    bytes: usize,
-}
-
-/// A flushed batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Batch<T> {
-    /// The coalesced items, oldest first.
-    pub items: Vec<T>,
-    /// Their summed payload bytes (excluding the shared frame header).
-    pub bytes: usize,
-}
-
-impl<T> Batcher<T> {
-    /// Creates a batcher with the given limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either limit is zero.
-    pub fn new(max_items: usize, max_bytes: usize) -> Self {
-        assert!(max_items > 0, "batch item limit must be positive");
-        assert!(max_bytes > 0, "batch byte limit must be positive");
-        Self {
-            max_items,
-            max_bytes,
-            items: Vec::new(),
-            bytes: 0,
-        }
-    }
-
-    /// Adds an item; returns a full batch if a limit was reached.
-    ///
-    /// An item larger than the byte limit flushes whatever is pending and
-    /// then travels alone.
-    pub fn push(&mut self, item: T, bytes: usize) -> Option<Batch<T>> {
-        if bytes >= self.max_bytes {
-            let mut flushed = self.flush();
-            let solo = Batch {
-                items: vec![item],
-                bytes,
-            };
-            return match &mut flushed {
-                Some(batch) => {
-                    // Pending batch goes first; caller sends both. To keep
-                    // the API single-return, merge them (order preserved).
-                    batch.items.extend(solo.items);
-                    batch.bytes += solo.bytes;
-                    flushed
-                }
-                None => Some(solo),
-            };
-        }
-        self.items.push(item);
-        self.bytes += bytes;
-        if self.items.len() >= self.max_items || self.bytes >= self.max_bytes {
-            self.flush()
-        } else {
-            None
-        }
-    }
-
-    /// Flushes the pending batch, if any.
-    pub fn flush(&mut self) -> Option<Batch<T>> {
-        if self.items.is_empty() {
-            return None;
-        }
-        let items = std::mem::take(&mut self.items);
-        let bytes = std::mem::replace(&mut self.bytes, 0);
-        Some(Batch { items, bytes })
-    }
-
-    /// Items currently pending.
-    pub fn pending(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Payload bytes currently pending.
-    pub fn pending_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// The configured item limit. Drain loops (the sharded broker's
-    /// ingress) use this to bound how many queued commands they pull
-    /// before processing a batch.
-    pub fn max_items(&self) -> usize {
-        self.max_items
-    }
-
-    /// The configured byte limit.
-    pub fn max_bytes(&self) -> usize {
-        self.max_bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,50 +107,5 @@ mod tests {
     fn byte_cost_matters() {
         let m = CostModel::narada();
         assert!(m.send_cost(0, 10_000) > m.send_cost(0, 100));
-    }
-
-    #[test]
-    fn batcher_flushes_on_count() {
-        let mut b: Batcher<u8> = Batcher::new(2, 10_000);
-        assert!(b.push(1, 10).is_none());
-        let batch = b.push(2, 10).unwrap();
-        assert_eq!(batch.items, vec![1, 2]);
-        assert_eq!(batch.bytes, 20);
-        assert_eq!(b.pending(), 0);
-    }
-
-    #[test]
-    fn batcher_flushes_on_bytes() {
-        let mut b: Batcher<u8> = Batcher::new(100, 250);
-        assert!(b.push(1, 100).is_none());
-        assert!(b.push(2, 100).is_none());
-        let batch = b.push(3, 100).unwrap();
-        assert_eq!(batch.items.len(), 3);
-    }
-
-    #[test]
-    fn oversized_item_flushes_pending_and_travels_merged() {
-        let mut b: Batcher<u8> = Batcher::new(100, 200);
-        b.push(1, 50);
-        let batch = b.push(2, 500).unwrap();
-        assert_eq!(batch.items, vec![1, 2]);
-        assert_eq!(batch.bytes, 550);
-        assert_eq!(b.pending(), 0);
-    }
-
-    #[test]
-    fn manual_flush_drains() {
-        let mut b: Batcher<u8> = Batcher::new(10, 1000);
-        assert!(b.flush().is_none());
-        b.push(7, 10);
-        let batch = b.flush().unwrap();
-        assert_eq!(batch.items, vec![7]);
-        assert!(b.flush().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_limits_panic() {
-        let _ = Batcher::<u8>::new(0, 10);
     }
 }

@@ -577,11 +577,20 @@ impl ClusterClient {
         state.node = new_node;
     }
 
-    /// Receives the next delivered event, waiting up to `timeout`.
+    /// Receives the next delivered event, waiting up to `timeout`. The
+    /// wait is on the current gateway's mailbox and holds no lock of
+    /// this handle, so sibling threads keep publishing meanwhile; a
+    /// [`ClusterClient::move_to_zone`] during the wait ends it early.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
-        let mut state = self.state.lock();
-        let stashed = state.stash.pop_front();
-        stashed.or_else(|| state.inner.recv_timeout(timeout))
+        let mailbox = {
+            let mut state = self.state.lock();
+            // Stashed events are older than anything the mailbox holds.
+            if let Some(stashed) = state.stash.pop_front() {
+                return Some(stashed);
+            }
+            state.inner.mailbox()
+        };
+        mailbox.recv_timeout(timeout)
     }
 
     /// Receives without blocking.

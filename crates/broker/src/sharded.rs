@@ -2,10 +2,15 @@
 //!
 //! [`ShardedBroker`] partitions the topic space across N worker shards.
 //! Each shard runs its own [`BrokerNode`] slice on a dedicated OS
-//! thread — with its own generation-stamped route cache — and drains an
-//! ingress MPSC queue in batches (via [`crate::batch::Batcher`]), so a
-//! publish costs one queue hand-off and deliveries coalesce into one
-//! channel send per client per drained batch.
+//! thread — with its own generation-stamped route cache. Both ends of
+//! the hand-off are a buffer behind one short lock, moved whole: a
+//! publish is a push onto the owner shard's bounded ingress queue, the
+//! worker takes everything queued in one swap, and each client's
+//! deliveries are appended to its mailbox once per processed batch.
+//! A peer is woken only when it is actually asleep, and a worker that
+//! runs out of commands watches its queue for a millisecond before it
+//! sleeps, so a closed publish → deliver → publish loop never pays a
+//! wake-up per turn.
 //!
 //! # Topology
 //!
@@ -38,12 +43,16 @@
 //!
 //! # Backpressure
 //!
-//! Each shard's queue depth is tracked by a gauge that producers bump
-//! **before** enqueueing (so the worker's decrement can never race it
-//! below zero). Client
-//! publishes spin-yield while the owner shard's depth is at the
-//! configured soft capacity; worker-originated sends (forwards,
-//! barriers) never block, so the ring cannot deadlock.
+//! The ingress queue's own length is the bound
+//! ([`ShardedBrokerBuilder::capacity`]): a client publish (or
+//! [`ShardedBroker::inject`]) that finds the owner shard's queue full
+//! sleeps until the worker has taken it, or until
+//! [`ShardedBroker::shutdown`] releases it. Control commands and
+//! worker-originated sends (forwards, barriers) never wait, so the ring
+//! cannot deadlock. The worker takes the whole queue at once, so up to
+//! one more queue-full of commands can be in its hands while the next
+//! fills. A client's mailbox is unbounded: a subscriber that never
+//! drains costs memory, not broker progress.
 //!
 //! # Examples
 //!
@@ -66,18 +75,17 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mmcs_telemetry::Gauge;
 use mmcs_util::id::{BrokerId, ClientId};
-use parking_lot::Mutex;
+use mmcs_util::time::{monotonic_now, SimDuration};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::batch::Batcher;
 use crate::event::{Event, EventClass};
 use crate::metrics::{BrokerMetrics, ShardedBrokerMetrics};
 use crate::node::{Action, BrokerNode, Input, Origin};
@@ -85,12 +93,20 @@ use crate::profile::TransportProfile;
 use crate::topic::{Topic, TopicFilter};
 use crate::wire;
 
-/// Most commands a shard worker drains per wakeup.
+/// Most commands a shard worker processes between two delivery flushes.
 const SHARD_BATCH_MAX: usize = 64;
-/// Payload-byte budget per drained batch.
+/// Payload-byte budget between two delivery flushes.
 const SHARD_BATCH_BYTES: usize = 256 * 1024;
-/// Default soft per-shard queue capacity (publishes spin past this).
+/// Default per-shard ingress capacity (publishes wait past this).
 const DEFAULT_SHARD_CAPACITY: usize = 65_536;
+/// How long a worker that finds its ingress empty keeps watching it
+/// (yielding its core each turn) before it sleeps. A closed loop —
+/// publish, wait for the deliveries, publish again — leaves the worker
+/// idle for 50–500 µs a turn; sleeping through each gap costs a futex
+/// wake plus however long the host takes to put the worker back on a
+/// core, which is a quarter of such a turn on a quiet host and varies
+/// with the neighbours. An idle broker pays this once per burst.
+const IDLE_POLL: SimDuration = SimDuration::from_millis(1);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -143,7 +159,7 @@ enum ShardCmd {
         client: ClientId,
         profile: TransportProfile,
         /// `Some` only on the client's home shard.
-        delivery: Option<Sender<Vec<Arc<Event>>>>,
+        delivery: Option<MailboxWriter>,
     },
     Detach(ClientId),
     Subscribe(ClientId, TopicFilter),
@@ -164,7 +180,7 @@ enum ShardCmd {
     /// [`crate::cluster`].
     Inject(Bytes),
     /// Flush everything queued ahead of this command, then ack.
-    Barrier(Sender<()>),
+    Barrier(BarrierAck),
     /// Sleep the worker (chaos/backpressure testing).
     Stall(Duration),
     Shutdown,
@@ -178,31 +194,268 @@ fn cmd_bytes(cmd: &ShardCmd) -> usize {
     }
 }
 
-/// One shard's ingress endpoint plus its producer-side depth gauge.
-#[derive(Clone)]
-struct ShardLink {
-    ingress: Sender<ShardCmd>,
+/// One shard's ingress: a bounded multi-producer queue the worker takes
+/// whole. `capacity` binds client publishes and injects; everything
+/// else is always accepted.
+struct Ingress {
+    queue: Mutex<IngressQueue>,
+    /// The worker sleeps here while the queue is empty.
+    work: Condvar,
+    /// Bounded producers sleep here while the queue is full.
+    room: Condvar,
+    capacity: usize,
+    /// Mirrors the queue's length: the `queue_depth` instrument.
     depth: Arc<Gauge>,
 }
 
-impl ShardLink {
-    /// Sends, bumping the depth gauge first so the worker's decrement
-    /// can never race it below zero; reverts the bump if the shard is
-    /// already gone.
-    fn send(&self, cmd: ShardCmd) {
-        self.depth.add(1);
-        if self.ingress.send(cmd).is_err() {
-            self.depth.sub(1);
+#[derive(Default)]
+struct IngressQueue {
+    commands: Vec<ShardCmd>,
+    /// The worker is asleep on `work` and nobody has woken it yet: the
+    /// only state in which a producer issues a wake.
+    parked: bool,
+    /// Producers asleep on `room`.
+    waiting: usize,
+    /// Shutdown was requested or the worker is gone: nothing more is
+    /// accepted, and what is refused is dropped.
+    closed: bool,
+}
+
+impl Ingress {
+    fn new(capacity: usize, depth: Arc<Gauge>) -> Self {
+        Self {
+            queue: Mutex::new(IngressQueue::default()),
+            work: Condvar::new(),
+            room: Condvar::new(),
+            capacity,
+            depth,
         }
+    }
+
+    /// Enqueues without waiting, whatever the queue's length.
+    fn push(&self, cmd: ShardCmd) {
+        self.enqueue(self.queue.lock(), cmd);
+    }
+
+    /// Enqueues a client publish, sleeping while the queue is at
+    /// capacity. Closing the queue releases the sleeper and drops the
+    /// command, so publishers can never hang on a dead broker — and a
+    /// publish that happens-after [`ShardedBroker::shutdown`] returned
+    /// finds the queue closed under the same lock that closed it.
+    fn push_bounded(&self, cmd: ShardCmd) {
+        let mut queue = self.queue.lock();
+        while queue.commands.len() >= self.capacity && !queue.closed {
+            queue.waiting += 1;
+            self.room.wait(&mut queue);
+            queue.waiting -= 1;
+        }
+        self.enqueue(queue, cmd);
+    }
+
+    fn enqueue(&self, mut queue: MutexGuard<'_, IngressQueue>, cmd: ShardCmd) {
+        if queue.closed {
+            drop(queue);
+            return; // `cmd` is dropped unqueued, outside the lock
+        }
+        queue.commands.push(cmd);
+        self.depth.set(queue.commands.len() as i64);
+        self.unlock_and_wake(queue);
+    }
+
+    /// Unlocks, then wakes the worker if it was asleep and nobody has
+    /// woken it since.
+    fn unlock_and_wake(&self, mut queue: MutexGuard<'_, IngressQueue>) {
+        let wake = std::mem::take(&mut queue.parked);
+        drop(queue);
+        if wake {
+            self.work.notify_one();
+        }
+    }
+
+    /// Moves everything queued into `taken` (which must be empty; its
+    /// capacity becomes the queue's), waiting first if there is
+    /// nothing. This is the worker's one sanctioned park point.
+    fn take_all(&self, taken: &mut Vec<ShardCmd>) {
+        let mut queue = self.queue.lock();
+        if queue.commands.is_empty() {
+            // Gone idle: watch the length for `IDLE_POLL`, offering the
+            // core to any runnable thread each turn, before sleeping.
+            drop(queue);
+            let give_up = monotonic_now().saturating_add(IDLE_POLL);
+            while self.depth.get() == 0 && monotonic_now() < give_up {
+                std::thread::yield_now();
+            }
+            queue = self.queue.lock();
+        }
+        while queue.commands.is_empty() {
+            queue.parked = true;
+            self.work.wait(&mut queue);
+        }
+        std::mem::swap(&mut queue.commands, taken);
+        self.depth.set(0);
+        let waiting = queue.waiting;
+        drop(queue);
+        if waiting > 0 {
+            self.room.notify_all();
+        }
+    }
+
+    /// Shutdown: `last` is the final command this queue accepts, and
+    /// every sleeping producer is released. Idempotent.
+    fn close(&self, last: ShardCmd) {
+        let mut queue = self.queue.lock();
+        if queue.closed {
+            return;
+        }
+        queue.closed = true;
+        queue.commands.push(last);
+        self.depth.set(queue.commands.len() as i64);
+        self.unlock_and_wake(queue);
+        self.room.notify_all();
+    }
+
+    /// The consumer is gone: nothing more is accepted, and what is
+    /// still queued is dropped (which acks any barrier in it).
+    fn abandon(&self) {
+        let mut queue = self.queue.lock();
+        queue.closed = true;
+        let dropped = std::mem::take(&mut queue.commands);
+        self.depth.set(0);
+        drop(queue);
+        self.room.notify_all();
+        drop(dropped);
+    }
+}
+
+/// What [`ShardedBroker::quiesce`] waits on: barrier acks still owed.
+struct Latch {
+    owed: Mutex<usize>,
+    settled: Condvar,
+}
+
+/// One shard's share of a barrier; dropping it is the ack, so a
+/// barrier that a closed ingress refuses, or that dies with its queue,
+/// still counts down.
+struct BarrierAck(Arc<Latch>);
+
+impl Drop for BarrierAck {
+    fn drop(&mut self) {
+        let mut owed = self.0.owed.lock();
+        *owed = owed.saturating_sub(1);
+        if *owed == 0 {
+            self.0.settled.notify_all();
+        }
+    }
+}
+
+/// One client's egress: the buffer its home worker appends to and the
+/// client handle drains, shared by both.
+pub(crate) struct Mailbox {
+    /// Mirrors the buffer's length (written under the lock), so a drain
+    /// that would find nothing returns without taking it.
+    len: AtomicUsize,
+    inbox: Mutex<Inbox>,
+    /// Receivers sleep here while the buffer is empty.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Inbox {
+    events: VecDeque<Arc<Event>>,
+    /// Receivers asleep on `ready`: the worker wakes only these.
+    waiting: usize,
+    /// The worker-side handle is gone: nothing more will arrive.
+    closed: bool,
+}
+
+impl Mailbox {
+    fn new() -> Arc<Self> {
+        Arc::new(Self {
+            len: AtomicUsize::new(0),
+            inbox: Mutex::new(Inbox::default()),
+            ready: Condvar::new(),
+        })
+    }
+
+    /// Worker side: moves `staged` in, leaving it empty with its
+    /// capacity.
+    fn append(&self, staged: &mut Vec<Arc<Event>>) {
+        let mut inbox = self.inbox.lock();
+        inbox.events.extend(staged.drain(..));
+        self.len.store(inbox.events.len(), Ordering::Release);
+        self.unlock_and_wake(inbox);
+    }
+
+    /// Unlocks, then wakes the receivers that are actually asleep.
+    fn unlock_and_wake(&self, inbox: MutexGuard<'_, Inbox>) {
+        let wake = inbox.waiting > 0;
+        drop(inbox);
+        if wake {
+            self.ready.notify_all();
+        }
+    }
+
+    fn drain_into(&self, sink: &mut Vec<Arc<Event>>) -> usize {
+        // Pairs with the `Release` stores under the lock: an append that
+        // happens-before this call (a barrier ack, say) is seen here.
+        if self.len.load(Ordering::Acquire) == 0 {
+            return 0;
+        }
+        let mut inbox = self.inbox.lock();
+        let drained = inbox.events.len();
+        sink.extend(inbox.events.drain(..));
+        self.len.store(0, Ordering::Release);
+        drained
+    }
+
+    fn try_recv(&self) -> Option<Arc<Event>> {
+        if self.len.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut inbox = self.inbox.lock();
+        let event = inbox.events.pop_front();
+        self.len.store(inbox.events.len(), Ordering::Release);
+        event
+    }
+
+    /// Pops the next event, sleeping up to `timeout` for one. A closed
+    /// mailbox hands out what it still holds, then `None` at once.
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
+        let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+        let deadline = monotonic_now().saturating_add(SimDuration::from_nanos(nanos));
+        let mut inbox = self.inbox.lock();
+        loop {
+            if let Some(event) = inbox.events.pop_front() {
+                self.len.store(inbox.events.len(), Ordering::Release);
+                return Some(event);
+            }
+            let left = deadline.saturating_duration_since(monotonic_now());
+            if inbox.closed || left == SimDuration::ZERO {
+                return None;
+            }
+            inbox.waiting += 1;
+            self.ready.wait_for(&mut inbox, Duration::from_nanos(left.as_nanos()));
+            inbox.waiting -= 1;
+        }
+    }
+}
+
+/// The home worker's end of a [`Mailbox`]; dropping it (detach, worker
+/// exit) closes the mailbox and wakes its receivers.
+struct MailboxWriter(Arc<Mailbox>);
+
+impl Drop for MailboxWriter {
+    fn drop(&mut self) {
+        let mut inbox = self.0.inbox.lock();
+        inbox.closed = true;
+        self.0.unlock_and_wake(inbox);
     }
 }
 
 /// Shared command-routing state between the broker handle, its clients,
 /// and (read-only) the workers.
 struct Router {
-    shards: Vec<ShardLink>,
-    capacity: usize,
-    shutdown: AtomicBool,
+    shards: Vec<Arc<Ingress>>,
     next_client: AtomicU64,
 }
 
@@ -212,34 +465,18 @@ impl Router {
     }
 
     fn broadcast(&self, mut make: impl FnMut() -> ShardCmd) {
-        for link in &self.shards {
-            link.send(make());
+        for ingress in &self.shards {
+            ingress.push(make());
         }
     }
 
-    /// Client-publish enqueue with soft backpressure: spin-yield while
-    /// the owner shard's queue is at capacity. Once the shutdown flag is
-    /// set the command is dropped instead of enqueued — that also breaks
-    /// the spin, so publishers can never hang on a dead broker. The
-    /// `Acquire` load pairs with the `Release` store in
-    /// [`ShardedBroker::shutdown`]: a publish that happens-after
-    /// `shutdown()` returned always sees the flag.
+    /// Client-publish enqueue, bounded by the owner shard's capacity.
     fn publish_to(&self, shard: usize, cmd: ShardCmd) {
         // Shard indices come from `owner_shard(_, self.shard_count())`, so
         // this lookup cannot miss; `get` keeps the hot path panic-free.
-        let Some(link) = self.shards.get(shard) else {
-            return;
-        };
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            if link.depth.get() < self.capacity as i64 {
-                break;
-            }
-            std::thread::yield_now();
+        if let Some(ingress) = self.shards.get(shard) {
+            ingress.push_bounded(cmd);
         }
-        link.send(cmd);
     }
 }
 
@@ -252,8 +489,8 @@ pub struct ShardedBrokerBuilder {
 }
 
 impl ShardedBrokerBuilder {
-    /// Soft per-shard queue capacity; client publishes spin-yield while
-    /// the owner shard's depth is at or above it. Defaults to 65 536.
+    /// Per-shard ingress capacity; a client publish waits while the
+    /// owner shard's queue holds this many commands. Defaults to 65 536.
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
         self
@@ -331,22 +568,19 @@ impl ShardedBroker {
         capacity: usize,
         metrics: Option<Arc<ShardedBrokerMetrics>>,
     ) -> Self {
-        let mut links = Vec::with_capacity(shards);
-        let mut receivers = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let (tx, rx) = unbounded::<ShardCmd>();
-            let depth = match &metrics {
-                Some(m) => Arc::clone(&m.shard(index).queue_depth),
-                None => Arc::new(Gauge::new()),
-            };
-            links.push(ShardLink { ingress: tx, depth });
-            receivers.push(rx);
-        }
+        let links: Vec<Arc<Ingress>> = (0..shards)
+            .map(|index| {
+                let depth = match &metrics {
+                    Some(m) => Arc::clone(&m.shard(index).queue_depth),
+                    None => Arc::new(Gauge::new()),
+                };
+                Arc::new(Ingress::new(capacity, depth))
+            })
+            .collect();
         let mut handles = Vec::with_capacity(shards);
-        for (index, ingress) in receivers.into_iter().enumerate() {
+        for index in 0..shards {
             let worker = ShardWorker::new(
                 index,
-                ingress,
                 links.clone(),
                 metrics.as_ref().map(|m| Arc::clone(m.shard(index))),
             );
@@ -359,8 +593,6 @@ impl ShardedBroker {
         Self {
             router: Arc::new(Router {
                 shards: links,
-                capacity,
-                shutdown: AtomicBool::new(false),
                 next_client: AtomicU64::new(1),
             }),
             handles,
@@ -410,28 +642,27 @@ impl ShardedBroker {
     /// receives nothing.
     pub fn attach_as_with(&self, id: ClientId, profile: TransportProfile) -> ShardedClient {
         let home = self.home_shard(id);
-        let (tx, rx) = unbounded();
-        for (index, link) in self.router.shards.iter().enumerate() {
-            link.send(ShardCmd::Attach {
+        let mailbox = Mailbox::new();
+        for (index, ingress) in self.router.shards.iter().enumerate() {
+            ingress.push(ShardCmd::Attach {
                 client: id,
                 profile,
-                delivery: (index == home).then(|| tx.clone()),
+                delivery: (index == home).then(|| MailboxWriter(Arc::clone(&mailbox))),
             });
         }
         ShardedClient {
             id,
             home,
             router: Arc::clone(&self.router),
-            deliveries: rx,
-            pending: Mutex::new(VecDeque::new()),
+            mailbox,
             seq: AtomicU64::new(0),
         }
     }
 
     /// Injects an externally-routed event, carried as a pooled [`wire`]
     /// frame, into this broker as if it had been published locally: the
-    /// frame is validated, enqueued at its topic's owner shard (with the
-    /// same soft backpressure as a client publish), delivered to local
+    /// frame is validated, enqueued at its topic's owner shard (bounded
+    /// by its capacity like a client publish), delivered to local
     /// subscribers and ring-forwarded to subscriber home shards. The
     /// event is **not** re-advertised or routed back out — the caller
     /// (the cluster layer) owns inter-node routing.
@@ -452,18 +683,24 @@ impl ShardedBroker {
 
     /// Waits until every command enqueued before this call — including
     /// cross-shard forwards those commands generate — has been
-    /// processed and its deliveries flushed. Two barrier rounds
-    /// suffice because forwarding is one-hop: round one drains direct
-    /// publishes (enqueueing their forwards), round two drains the
-    /// forwards.
+    /// processed and its deliveries appended to their mailboxes, where
+    /// the next `drain_into` sees them. Two barrier rounds suffice
+    /// because forwarding is one-hop: round one drains direct publishes
+    /// (enqueueing their forwards), round two drains the forwards. A
+    /// shard that has shut down acks by refusing the barrier.
     pub fn quiesce(&self) {
         for _ in 0..2 {
-            let (tx, rx) = unbounded();
-            for link in &self.router.shards {
-                link.send(ShardCmd::Barrier(tx.clone()));
+            let latch = Arc::new(Latch {
+                owed: Mutex::new(self.shard_count()),
+                settled: Condvar::new(),
+            });
+            for ingress in &self.router.shards {
+                ingress.push(ShardCmd::Barrier(BarrierAck(Arc::clone(&latch))));
             }
-            drop(tx);
-            while rx.recv().is_ok() {}
+            let mut owed = latch.owed.lock();
+            while *owed > 0 {
+                latch.settled.wait(&mut owed);
+            }
         }
     }
 
@@ -475,7 +712,7 @@ impl ShardedBroker {
     ///
     /// Panics if `index` is out of range.
     pub fn stall_shard(&self, index: usize, duration: Duration) {
-        self.router.shards[index].send(ShardCmd::Stall(duration));
+        self.router.shards[index].push(ShardCmd::Stall(duration));
     }
 
     /// Stops all worker shards (idempotent, asynchronous: the workers
@@ -483,15 +720,14 @@ impl ShardedBroker {
     ///
     /// The contract: a publish (or [`ShardedBroker::inject`]) that
     /// happens-after `shutdown()` returns is dropped — it is neither
-    /// enqueued nor delivered — and a publisher spinning on backpressure
-    /// unblocks. Each worker stops *at* its `Shutdown` command: what was
-    /// enqueued ahead of it is still routed and flushed, and whatever a
-    /// racing publisher managed to enqueue behind it is discarded with
-    /// the queue.
+    /// enqueued nor delivered — and a publisher waiting at the ingress
+    /// bound is released. `Shutdown` is the last command each ingress
+    /// ever accepts: what was enqueued ahead of it is still routed and
+    /// flushed, then the worker exits, which closes its clients'
+    /// mailboxes.
     pub fn shutdown(&self) {
-        self.router.shutdown.store(true, Ordering::Release);
-        for link in &self.router.shards {
-            link.send(ShardCmd::Shutdown);
+        for ingress in &self.router.shards {
+            ingress.close(ShardCmd::Shutdown);
         }
     }
 }
@@ -513,15 +749,14 @@ impl std::fmt::Debug for ShardedBroker {
     }
 }
 
-/// A client handle bound to a [`ShardedBroker`]. Deliveries arrive as
-/// coalesced batches (one channel send per home-shard drain) and are
-/// handed out one event at a time.
+/// A client handle bound to a [`ShardedBroker`]. Deliveries arrive in
+/// the client's mailbox, appended by its home worker once per processed
+/// batch, and are taken one at a time or all at once.
 pub struct ShardedClient {
     id: ClientId,
     home: usize,
     router: Arc<Router>,
-    deliveries: Receiver<Vec<Arc<Event>>>,
-    pending: Mutex<VecDeque<Arc<Event>>>,
+    mailbox: Arc<Mailbox>,
     seq: AtomicU64,
 }
 
@@ -534,6 +769,12 @@ impl ShardedClient {
     /// This client's home shard index.
     pub fn home_shard(&self) -> usize {
         self.home
+    }
+
+    /// The receiving end, for a wrapper that must wait on it without
+    /// holding whatever guards this handle.
+    pub(crate) fn mailbox(&self) -> Arc<Mailbox> {
+        Arc::clone(&self.mailbox)
     }
 
     /// Subscribes to a filter. The subscription is broadcast to all
@@ -550,8 +791,8 @@ impl ShardedClient {
             .broadcast(|| ShardCmd::Unsubscribe(self.id, filter.clone()));
     }
 
-    /// Publishes a data event to its owner shard, spinning briefly if
-    /// that shard's queue is at the soft capacity.
+    /// Publishes a data event to its owner shard, waiting while that
+    /// shard's queue is at capacity.
     pub fn publish(&self, topic: Topic, payload: bytes::Bytes) {
         self.publish_class(topic, EventClass::Data, payload);
     }
@@ -565,64 +806,25 @@ impl ShardedClient {
             .publish_to(shard, ShardCmd::Publish(self.id, event));
     }
 
-    /// Receives the next delivered event, waiting up to `timeout` for a
-    /// new batch if none is pending.
+    /// Receives the next delivered event, waiting up to `timeout` for
+    /// one. Once the home worker has let go of this client (detach,
+    /// shutdown) what was already delivered is still handed out, then
+    /// `None` at once.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
-        // The pending lock is released before the blocking wait so a
-        // concurrent `try_recv`/`drain_into` never stalls behind it.
-        {
-            let mut pending = self.pending.lock();
-            if let Some(event) = pending.pop_front() {
-                return Some(event);
-            }
-        }
-        match self.deliveries.recv_timeout(timeout) {
-            Ok(batch) => {
-                let mut pending = self.pending.lock();
-                pending.extend(batch);
-                pending.pop_front()
-            }
-            Err(_) => None,
-        }
+        self.mailbox.recv_timeout(timeout)
     }
 
     /// Drains everything currently delivered into `sink` without
-    /// blocking, returning how many events were appended. This is the
-    /// batch-consumption counterpart of the workers' batched hand-off:
-    /// one lock acquisition moves the whole pending queue, and each
-    /// buffered batch is appended with a single channel receive —
-    /// per-event cost is a pointer move instead of a lock + pop.
+    /// blocking, returning how many events were appended: a length
+    /// check when there is nothing, otherwise one lock and one move of
+    /// the whole buffer — per-event cost is a pointer move.
     pub fn drain_into(&self, sink: &mut Vec<Arc<Event>>) -> usize {
-        let before = sink.len();
-        {
-            let mut pending = self.pending.lock();
-            if !pending.is_empty() {
-                sink.extend(pending.drain(..));
-            }
-        }
-        while let Ok(batch) = self.deliveries.try_recv() {
-            sink.extend(batch);
-        }
-        sink.len() - before
+        self.mailbox.drain_into(sink)
     }
 
     /// Receives without blocking.
     pub fn try_recv(&self) -> Option<Arc<Event>> {
-        // Mirrors `recv_timeout`: no lock held across the channel poll.
-        {
-            let mut pending = self.pending.lock();
-            if let Some(event) = pending.pop_front() {
-                return Some(event);
-            }
-        }
-        match self.deliveries.try_recv() {
-            Ok(batch) => {
-                let mut pending = self.pending.lock();
-                pending.extend(batch);
-                pending.pop_front()
-            }
-            Err(_) => None,
-        }
+        self.mailbox.try_recv()
     }
 
     /// Detaches this client everywhere (also done on drop).
@@ -646,51 +848,91 @@ impl std::fmt::Debug for ShardedClient {
     }
 }
 
+/// A homed client as its worker sees it: the mailbox and the deliveries
+/// staged for it since the last flush.
+struct Slot {
+    mailbox: MailboxWriter,
+    staged: Vec<Arc<Event>>,
+}
+
+/// The worker's side of client egress: one lookup per delivery, and a
+/// flush that touches only the clients something was staged for.
+#[derive(Default)]
+struct Egress {
+    /// The clients homed on this shard.
+    slots: HashMap<ClientId, Slot>,
+    /// Clients with staged deliveries, in first-staged order.
+    dirty: Vec<ClientId>,
+}
+
+impl Egress {
+    /// Stages `event` for `client` if it is homed here.
+    fn stage(&mut self, client: ClientId, event: Arc<Event>) -> bool {
+        let Some(slot) = self.slots.get_mut(&client) else {
+            return false;
+        };
+        if slot.staged.is_empty() {
+            self.dirty.push(client);
+        }
+        slot.staged.push(event);
+        true
+    }
+
+    /// Appends every staged delivery to its client's mailbox.
+    fn flush(&mut self) {
+        for client in self.dirty.drain(..) {
+            // A client detached since it was staged for has no slot.
+            if let Some(slot) = self.slots.get_mut(&client) {
+                slot.mailbox.0.append(&mut slot.staged);
+            }
+        }
+    }
+}
+
 /// Per-worker state: one node slice plus the driver-level subscription
 /// ownership map.
 struct ShardWorker {
     index: usize,
     shards: usize,
-    ingress: Receiver<ShardCmd>,
-    links: Vec<ShardLink>,
+    /// Every shard's ingress, this worker's own at `index`.
+    links: Vec<Arc<Ingress>>,
     metrics: Option<Arc<BrokerMetrics>>,
     node: BrokerNode,
-    /// Delivery channels for clients homed on this shard.
-    deliveries: HashMap<ClientId, Sender<Vec<Arc<Event>>>>,
+    egress: Egress,
     /// Every client's filter list (all shards track all clients, so
     /// duplicate subscribes dedup identically everywhere).
     filters: HashMap<ClientId, Vec<TopicFilter>>,
     /// Refcounts for remote interest this shard holds on behalf of
     /// other shards' clients, keyed by (home shard, filter).
     remote_refs: HashMap<(usize, TopicFilter), usize>,
-    /// Per-client delivery buffers, flushed as one channel send per
-    /// client per drained batch.
-    out_buffers: HashMap<ClientId, Vec<Arc<Event>>>,
     /// Barrier acks owed after the current batch's flush.
-    acks: Vec<Sender<()>>,
+    acks: Vec<BarrierAck>,
     /// Scratch action buffer reused across commands.
     actions: Vec<Action>,
 }
 
+impl Drop for ShardWorker {
+    /// However the worker ends, producers must not wait on a queue
+    /// nobody takes from any more.
+    fn drop(&mut self) {
+        if let Some(ingress) = self.links.get(self.index) {
+            ingress.abandon();
+        }
+    }
+}
+
 impl ShardWorker {
     /// Worker `index` of the `links.len()` shards reachable over `links`.
-    fn new(
-        index: usize,
-        ingress: Receiver<ShardCmd>,
-        links: Vec<ShardLink>,
-        metrics: Option<Arc<BrokerMetrics>>,
-    ) -> Self {
+    fn new(index: usize, links: Vec<Arc<Ingress>>, metrics: Option<Arc<BrokerMetrics>>) -> Self {
         Self {
             index,
             shards: links.len(),
-            ingress,
             links,
             metrics,
             node: BrokerNode::new(BrokerId::from_raw(index as u64)),
-            deliveries: HashMap::new(),
+            egress: Egress::default(),
             filters: HashMap::new(),
             remote_refs: HashMap::new(),
-            out_buffers: HashMap::new(),
             acks: Vec::new(),
             actions: Vec::new(),
         }
@@ -715,55 +957,44 @@ impl ShardWorker {
             );
             self.actions.clear();
         }
-        let mut batcher: Batcher<ShardCmd> = Batcher::new(SHARD_BATCH_MAX, SHARD_BATCH_BYTES);
-        'outer: loop {
-            let Ok(first) = self.ingress.recv() else {
-                break;
-            };
-            let bytes = cmd_bytes(&first);
-            let batch = match batcher.push(first, bytes) {
-                Some(batch) => batch,
-                None => loop {
-                    match self.ingress.try_recv() {
-                        Ok(cmd) => {
-                            let bytes = cmd_bytes(&cmd);
-                            if let Some(batch) = batcher.push(cmd, bytes) {
-                                break batch;
-                            }
-                        }
-                        Err(_) => match batcher.flush() {
-                            Some(batch) => break batch,
-                            None => continue 'outer,
-                        },
-                    }
-                },
-            };
-            if !self.process_batch(batch.items) {
-                break;
+        let Some(ingress) = self.links.get(self.index).map(Arc::clone) else {
+            return;
+        };
+        let mut taken = Vec::new();
+        loop {
+            ingress.take_all(&mut taken);
+            let mut commands = taken.drain(..);
+            while commands.len() > 0 {
+                if !self.process_batch(&mut commands) {
+                    return;
+                }
             }
         }
     }
 
-    /// Processes one drained batch; returns `false` on shutdown.
-    fn process_batch(&mut self, commands: Vec<ShardCmd>) -> bool {
-        if let Some(m) = &self.metrics {
-            m.batch_size.record(commands.len() as u64);
-        }
+    /// Processes commands up to the flush cadence, then hands the
+    /// staged deliveries over and acks; returns `false` on shutdown.
+    fn process_batch(&mut self, commands: &mut std::vec::Drain<'_, ShardCmd>) -> bool {
+        let (mut count, mut bytes) = (0, 0);
         let mut running = true;
-        for cmd in commands {
-            if let Some(m) = &self.metrics {
-                m.queue_depth.sub(1);
-            } else if let Some(link) = self.links.get(self.index) {
-                link.depth.sub(1);
-            }
+        while count < SHARD_BATCH_MAX && bytes < SHARD_BATCH_BYTES {
+            let Some(cmd) = commands.next() else {
+                break;
+            };
+            count += 1;
+            bytes += cmd_bytes(&cmd);
             match cmd {
                 ShardCmd::Attach {
                     client,
                     profile,
                     delivery,
                 } => {
-                    if let Some(tx) = delivery {
-                        self.deliveries.insert(client, tx);
+                    if let Some(mailbox) = delivery {
+                        let slot = Slot {
+                            mailbox,
+                            staged: Vec::new(),
+                        };
+                        self.egress.slots.insert(client, slot);
                     }
                     let _ = self
                         .node
@@ -780,26 +1011,19 @@ impl ShardWorker {
                 ShardCmd::Stall(duration) => std::thread::sleep(duration),
                 ShardCmd::Shutdown => {
                     // Stop here, not at the end of the batch: commands
-                    // drained behind the shutdown are dropped unrouted.
+                    // taken behind the shutdown are dropped unrouted.
                     running = false;
                     break;
                 }
             }
         }
-        for (client, buffer) in &mut self.out_buffers {
-            if buffer.is_empty() {
-                continue;
-            }
-            match self.deliveries.get(client) {
-                Some(tx) => {
-                    let _ = tx.send(std::mem::take(buffer));
-                }
-                None => buffer.clear(),
-            }
+        if let Some(m) = &self.metrics {
+            m.batch_size.record(count as u64);
         }
-        for ack in self.acks.drain(..) {
-            let _ = ack.send(());
-        }
+        self.egress.flush();
+        // Acked only now: everything staged ahead of a barrier is in
+        // its mailbox before the barrier's waiter wakes.
+        self.acks.clear();
         running
     }
 
@@ -852,8 +1076,7 @@ impl ShardWorker {
     }
 
     fn detach(&mut self, client: ClientId) {
-        self.deliveries.remove(&client);
-        self.out_buffers.remove(&client);
+        self.egress.slots.remove(&client);
         let home = home_shard(client, self.shards);
         if let Some(filters) = self.filters.remove(&client) {
             if home != self.index {
@@ -930,9 +1153,7 @@ impl ShardWorker {
         for action in self.actions.drain(..) {
             match action {
                 Action::Deliver { client, event, .. } => {
-                    if self.deliveries.contains_key(&client) {
-                        self.out_buffers.entry(client).or_default().push(event);
-                    }
+                    self.egress.stage(client, event);
                 }
                 Action::Forward { peer, event } => {
                     let target = peer.value() as usize;
@@ -945,7 +1166,7 @@ impl ShardWorker {
                     let frame = frame
                         .get_or_insert_with(|| wire::encode(&event).freeze())
                         .clone();
-                    link.send(ShardCmd::Forward(frame));
+                    link.push(ShardCmd::Forward(frame));
                     if let Some(m) = &self.metrics {
                         m.cross_shard_forwards.inc();
                     }
@@ -975,13 +1196,7 @@ impl ShardWorker {
         let plan = self.node.plan_for(&event.topic);
         let mut delivered = 0u64;
         for (client, _profile) in &plan.local {
-            if self.deliveries.contains_key(client) {
-                self.out_buffers
-                    .entry(*client)
-                    .or_default()
-                    .push(Arc::clone(&event));
-                delivered += 1;
-            }
+            delivered += u64::from(self.egress.stage(*client, Arc::clone(&event)));
         }
         if let Some(m) = &self.metrics {
             m.events_in.inc();
@@ -1013,20 +1228,14 @@ impl ShardWorker {
         let plan = self.node.plan_for(&event.topic);
         let mut delivered = 0u64;
         for (client, _profile) in &plan.local {
-            if self.deliveries.contains_key(client) {
-                self.out_buffers
-                    .entry(*client)
-                    .or_default()
-                    .push(Arc::clone(&event));
-                delivered += 1;
-            }
+            delivered += u64::from(self.egress.stage(*client, Arc::clone(&event)));
         }
         for peer in &plan.remote {
             let target = peer.value() as usize;
             let Some(link) = self.links.get(target) else {
                 continue;
             };
-            link.send(ShardCmd::Forward(frame.clone()));
+            link.push(ShardCmd::Forward(frame.clone()));
             if let Some(m) = &self.metrics {
                 m.cross_shard_forwards.inc();
             }
@@ -1189,9 +1398,8 @@ mod tests {
             publisher.publish(topic("d/t"), Bytes::from(i.to_le_bytes().to_vec()));
         }
         broker.quiesce();
-        // Pull one event the slow way so part of a batch sits in
-        // `pending`, then drain the rest in bulk: nothing lost, nothing
-        // duplicated, order intact.
+        // Pop one event, then take the rest whole: both read the same
+        // mailbox, so nothing is lost, duplicated or reordered.
         let first = subscriber.recv_timeout(RECV).unwrap();
         assert_eq!(first.seq, 0);
         let mut rest = Vec::new();
@@ -1284,14 +1492,14 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_spins_then_delivers_everything() {
+    fn backpressure_waits_then_delivers_everything() {
         let broker = ShardedBroker::builder(2).capacity(4).spawn();
         let publisher = broker.attach();
         let subscriber = broker.attach();
         subscriber.subscribe(filter("bp/#"));
         broker.quiesce();
-        // Stall the owner shard so its queue hits the soft capacity and
-        // the publisher has to spin.
+        // Stall the owner shard so its queue fills to capacity and the
+        // publisher has to wait.
         let owner = broker.shard_for_topic(&topic("bp/x"));
         broker.stall_shard(owner, Duration::from_millis(50));
         for _ in 0..64 {
@@ -1341,7 +1549,7 @@ mod tests {
         while metrics.shard(0).queue_depth.get() != 0 {
             std::thread::yield_now();
         }
-        // Fill the queue to its soft capacity ahead of the shutdown.
+        // Fill the queue to its capacity ahead of the shutdown.
         for _ in 0..4 {
             publisher.publish(topic("s/x"), Bytes::from_static(b"before"));
         }
@@ -1362,7 +1570,7 @@ mod tests {
             publisher.publish(topic("s/x"), Bytes::from_static(b"after"));
         }
         // The worker wakes, routes what was queued ahead of the
-        // shutdown, flushes it and exits (which closes the channel).
+        // shutdown, flushes it and exits (which closes the mailbox).
         let mut payloads = Vec::new();
         while let Some(event) = subscriber.recv_timeout(RECV) {
             payloads.push(event.payload.clone());
@@ -1374,13 +1582,9 @@ mod tests {
 
     #[test]
     fn worker_stops_at_the_shutdown_command_not_at_end_of_batch() {
-        let (ingress, commands) = unbounded();
-        let links = vec![ShardLink {
-            ingress,
-            depth: Arc::new(Gauge::new()),
-        }];
-        let mut worker = ShardWorker::new(0, commands, links, None);
-        let (delivery, inbox) = unbounded();
+        let links = vec![Arc::new(Ingress::new(4, Arc::new(Gauge::new())))];
+        let mut worker = ShardWorker::new(0, links, None);
+        let inbox = Mailbox::new();
         let (subscriber, publisher) = (ClientId::from_raw(1), ClientId::from_raw(2));
         let publish = |seq| {
             let event = Event::new(topic("s/x"), publisher, seq, EventClass::Data, Bytes::new());
@@ -1391,19 +1595,26 @@ mod tests {
             profile: TransportProfile::default(),
             delivery,
         };
-        let running = worker.process_batch(vec![
-            attach(subscriber, Some(delivery)),
+        let mut commands = vec![
+            attach(subscriber, Some(MailboxWriter(Arc::clone(&inbox)))),
             attach(publisher, None),
             ShardCmd::Subscribe(subscriber, filter("s/#")),
             publish(0),
             ShardCmd::Shutdown,
             publish(1),
-        ]);
+        ];
+        let running = worker.process_batch(&mut commands.drain(..));
         assert!(!running);
-        // What was drained ahead of the shutdown is routed and flushed;
-        // what was drained behind it is dropped.
-        let flushed = inbox.try_recv().unwrap();
-        assert_eq!(flushed.iter().map(|e| e.seq).collect::<Vec<_>>(), [0]);
-        assert!(inbox.try_recv().is_err());
+        // What was taken ahead of the shutdown is routed and flushed;
+        // what was taken behind it is dropped.
+        let mut flushed = Vec::new();
+        assert_eq!(inbox.drain_into(&mut flushed), 1);
+        assert_eq!(flushed[0].seq, 0);
+        // The worker going away closes the mailbox and its ingress.
+        let ingress = Arc::clone(&worker.links[0]);
+        drop(worker);
+        assert!(inbox.recv_timeout(RECV).is_none());
+        ingress.push_bounded(publish(2));
+        assert_eq!(ingress.depth.get(), 0);
     }
 }

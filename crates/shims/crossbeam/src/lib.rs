@@ -4,7 +4,9 @@
 //! tiny subset the workspace uses: `crossbeam::channel::{unbounded,
 //! Sender, Receiver, RecvTimeoutError}` implemented over
 //! [`std::sync::mpsc`]. Semantics match for the single-consumer use in
-//! the sharded broker driver (std's `Sender` is `Sync` since 1.72).
+//! the federation layer (`mmcs_broker::cluster`: node-worker ingress,
+//! link-sender queues, barrier and flush replies); std's `Sender` is
+//! `Sync` since 1.72.
 
 /// Multi-producer channels (std-backed).
 pub mod channel {

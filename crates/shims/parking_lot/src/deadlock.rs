@@ -418,6 +418,23 @@ impl Tracked {
     pub(crate) fn new() -> Tracked {
         Tracked {}
     }
+
+    /// The lock is given up for a condvar wait: report the release so
+    /// the watchdog does not count the sleep as a hold.
+    pub(crate) fn released(&mut self) {
+        #[cfg(debug_assertions)]
+        on_release(self.site, self.acquired);
+    }
+
+    /// The wait re-locked: a fresh blocking acquisition, ordered
+    /// against everything the thread still holds.
+    pub(crate) fn reacquired(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            on_blocking_acquire(self.site);
+            self.acquired = Instant::now();
+        }
+    }
 }
 
 #[cfg(debug_assertions)]

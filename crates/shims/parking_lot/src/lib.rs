@@ -17,6 +17,7 @@ use std::ops::{Deref, DerefMut};
 #[cfg(debug_assertions)]
 use std::panic::Location;
 use std::sync;
+use std::time::Duration;
 
 pub mod deadlock;
 
@@ -32,8 +33,9 @@ pub struct Mutex<T: ?Sized> {
 /// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
     // Declared before `tracked` so the std guard drops (unlocks) first
-    // and the tracker then records the release.
-    inner: sync::MutexGuard<'a, T>,
+    // and the tracker then records the release. `None` only inside a
+    // [`Condvar`] wait, while std owns the guard.
+    inner: Option<sync::MutexGuard<'a, T>>,
     #[allow(dead_code)]
     tracked: Tracked,
 }
@@ -67,7 +69,7 @@ impl<T: ?Sized> Mutex<T> {
         #[cfg(debug_assertions)]
         deadlock::on_blocking_acquire(self.site);
         MutexGuard {
-            inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
+            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
             tracked: self.tracked(),
         }
     }
@@ -84,7 +86,7 @@ impl<T: ?Sized> Mutex<T> {
         #[cfg(debug_assertions)]
         deadlock::on_try_acquire(self.site);
         Some(MutexGuard {
-            inner,
+            inner: Some(inner),
             tracked: self.tracked(),
         })
     }
@@ -113,22 +115,90 @@ impl<T: Default> Default for Mutex<T> {
     }
 }
 
+const GUARD_PRESENT: &str = "the std guard is only absent inside a condvar wait";
+
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        self.inner.as_deref().expect(GUARD_PRESENT)
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        self.inner.as_deref_mut().expect(GUARD_PRESENT)
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.inner.fmt(f)
+    }
+}
+
+/// A condition variable for [`Mutex`] guards.
+///
+/// Mirrors `parking_lot::Condvar`: waits take the guard by `&mut` and
+/// hand it back re-locked. For the detector a wait is a release
+/// followed by a fresh blocking acquisition, so the hold-time watchdog
+/// never counts time spent asleep and the re-lock is ordered against
+/// whatever else the thread still holds.
+#[derive(Default)]
+pub struct Condvar {
+    inner: sync::Condvar,
+}
+
+impl Condvar {
+    /// Creates a condition variable with no waiters.
+    pub const fn new() -> Condvar {
+        Condvar {
+            inner: sync::Condvar::new(),
+        }
+    }
+
+    /// Wakes one waiter, if any.
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
+    }
+
+    /// Wakes every waiter.
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
+    }
+
+    /// Atomically unlocks `guard` and sleeps until notified; the lock
+    /// is held again on return. Wake-ups can be spurious: re-check the
+    /// condition.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.park(guard, |cv, held| cv.wait(held).unwrap_or_else(|e| e.into_inner()));
+    }
+
+    /// [`Condvar::wait`] that also returns once `timeout` has passed.
+    /// (The real crate reports which it was; callers here re-check
+    /// their own deadline.)
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) {
+        self.park(guard, |cv, held| match cv.wait_timeout(held, timeout) {
+            Ok((held, _)) => held,
+            Err(e) => e.into_inner().0,
+        });
+    }
+
+    fn park<'a, T>(
+        &self,
+        guard: &mut MutexGuard<'a, T>,
+        sleep: impl FnOnce(&sync::Condvar, sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
+    ) {
+        let held = guard.inner.take().expect(GUARD_PRESENT);
+        guard.tracked.released();
+        let held = sleep(&self.inner, held);
+        guard.tracked.reacquired();
+        guard.inner = Some(held);
+    }
+}
+
+impl fmt::Debug for Condvar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad("Condvar { .. }")
     }
 }
 
@@ -253,6 +323,26 @@ mod tests {
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn condvar_hands_the_guard_back_locked() {
+        let pair = std::sync::Arc::new((Mutex::new(false), Condvar::new()));
+        let waker = std::sync::Arc::clone(&pair);
+        let handle = std::thread::spawn(move || {
+            *waker.0.lock() = true;
+            waker.1.notify_all();
+        });
+        let mut ready = pair.0.lock();
+        while !*ready {
+            pair.1.wait(&mut ready);
+        }
+        // A timed wait nobody answers returns with the lock held too.
+        pair.1.wait_for(&mut ready, Duration::from_millis(1));
+        assert!(*ready);
+        drop(ready);
+        handle.join().unwrap();
+        pair.1.notify_one();
     }
 
     #[test]

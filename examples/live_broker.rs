@@ -1,7 +1,7 @@
 //! The broker as a real concurrent bus: four publisher threads fan
 //! events into one subscriber over the live NaradaBrokering-style
-//! runtime (one worker shard, crossbeam channels, OS threads — no
-//! simulation).
+//! runtime (one worker shard, its ingress queue and a mailbox per
+//! client, OS threads — no simulation).
 //!
 //! Run with: `cargo run --example live_broker`
 

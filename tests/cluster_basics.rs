@@ -5,6 +5,8 @@
 //! The oracle-equivalence properties live in `cluster_equivalence.rs`,
 //! the socket transport in `cluster_tcp.rs`.
 
+use std::time::{Duration, Instant};
+
 use bytes::Bytes;
 
 use mmcs::broker::cluster::{Cluster, LatencyMap};
@@ -158,4 +160,38 @@ fn stale_generation_is_counted_but_still_delivered() {
     subscriber.drain_into(&mut got);
     assert_eq!(got.len(), 1, "stale generation still delivers");
     assert_eq!(cluster.metrics().node(1).stale_generation.get(), 1);
+}
+
+/// Regression: `recv_timeout` used to sleep with the handle's state
+/// lock held, so a `publish` from another thread on the same client
+/// (it reads the home node under that lock) stalled for the rest of the
+/// timeout.
+#[test]
+fn a_waiting_receiver_does_not_hold_up_a_sibling_publish() {
+    let cluster = Cluster::spawn(LatencyMap::full_mesh(2, 5));
+    let client = cluster.attach(0);
+    client.subscribe(filter("echo/#"));
+    cluster.converge(8);
+
+    let about_to_wait = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| {
+            about_to_wait.wait();
+            client.recv_timeout(Duration::from_secs(1))
+        });
+        about_to_wait.wait();
+        // Nothing outside can observe "asleep inside recv_timeout"; the
+        // pause only makes it the likely interleaving. The assertions
+        // hold on either side of it.
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        client.publish(topic("echo/x"), Bytes::from_static(b"ping"));
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "publish waited {took:?} behind a sibling's recv_timeout"
+        );
+        let got = waiter.join().expect("waiter thread");
+        assert_eq!(got.expect("the waiter receives the event").payload.as_ref(), b"ping");
+    });
 }

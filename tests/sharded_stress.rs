@@ -6,14 +6,16 @@
 //! totals cross-checked against `ShardedBrokerMetrics` snapshots — and
 //! shutdown during traffic. Single shard (the plain one-loop broker):
 //! client churn while publishers blast, subscription add/remove races,
-//! and the queue-depth gauge discipline. In debug builds the
+//! and the queue-depth gauge discipline. Then the hand-off contract,
+//! one test per clause: no lost wake-up, closed means closed, the bound
+//! binds, a barrier is a barrier. In debug builds the
 //! instrumented `parking_lot` shim's lock-order deadlock detector
 //! supervises every acquisition; any inversion panics a worker or
 //! publisher thread and fails the joins.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use mmcs::broker::metrics::ShardedBrokerMetrics;
@@ -386,4 +388,253 @@ fn queue_depth_gauge_never_underflows() {
         metrics.queue_depth.get() >= 0,
         "rejected sends must never drive the gauge negative"
     );
+}
+
+fn topic(s: &str) -> Topic {
+    Topic::parse(s).unwrap()
+}
+
+fn filter(s: &str) -> TopicFilter {
+    TopicFilter::parse(s).unwrap()
+}
+
+/// Hand-off contract (a), *no lost wake-up*: a publish → `recv_timeout`
+/// ping-pong in which every side goes idle every turn — the receiver
+/// asleep on its empty mailbox, the owner worker (and, on four shards,
+/// the home worker behind the ring hop) watching its empty ingress. The
+/// last `SLOW_TURNS` pause first, longer than a worker watches before it
+/// sleeps, so those publishes find the workers asleep too. A wake-up
+/// lost anywhere leaves the receiver asleep until its 2 s timeout (it
+/// then finds the event, or `None`): one turn over a second fails the
+/// test. Wake-ups issued to peers that are not asleep show as a run far
+/// over the bound.
+#[test]
+fn ping_pong_loses_no_wake_up() {
+    const TURNS: u64 = 50_000;
+    const SLOW_TURNS: u64 = 300;
+    for shards in [1, SHARDS] {
+        let broker = ShardedBroker::spawn(shards);
+        let publisher = broker.attach();
+        let subscriber = broker.attach();
+        subscriber.subscribe(filter("ping/#"));
+        broker.quiesce();
+        let start = Instant::now();
+        for turn in 0..TURNS {
+            if turn >= TURNS - SLOW_TURNS {
+                std::thread::sleep(Duration::from_millis(3));
+            }
+            let sent = Instant::now();
+            publisher.publish(topic("ping/x"), Bytes::new());
+            let event = subscriber.recv_timeout(Duration::from_secs(2));
+            let took = sent.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "turn {turn} on {shards} shard(s) took {took:?}: wake-up lost"
+            );
+            assert_eq!(event.map(|e| e.seq), Some(turn));
+        }
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(10),
+            "{TURNS} turns on {shards} shard(s) took {took:?}"
+        );
+    }
+}
+
+/// Hand-off contract (b), *closed means closed*: once the home worker
+/// has let go of a client — it exited, or it processed the client's
+/// detach — `recv_timeout` hands out what was delivered before, then
+/// returns `None` at once, whether it was already asleep or called
+/// later.
+#[test]
+fn a_closed_mailbox_wakes_and_refuses_receivers() {
+    let long = Duration::from_secs(5);
+    let prompt = Duration::from_millis(100);
+
+    // A receiver already asleep when the broker shuts down.
+    let broker = ShardedBroker::spawn(2);
+    let publisher = broker.attach();
+    let sleeper = broker.attach();
+    let late = broker.attach();
+    sleeper.subscribe(filter("c/#"));
+    late.subscribe(filter("c/#"));
+    for _ in 0..3 {
+        publisher.publish(topic("c/x"), Bytes::new());
+    }
+    broker.quiesce();
+    let about_to_wait = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| {
+            about_to_wait.wait();
+            let mut before_close = 0;
+            while sleeper.recv_timeout(long).is_some() {
+                before_close += 1;
+            }
+            (before_close, Instant::now())
+        });
+        about_to_wait.wait();
+        // Lets the waiter take its three events and fall asleep on the
+        // fourth call; the bounds hold whichever side of the close that
+        // call starts on.
+        std::thread::sleep(Duration::from_millis(50));
+        broker.shutdown();
+        drop(broker); // joins the workers
+        let exited = Instant::now();
+        let (before_close, woke) = waiter.join().expect("waiter thread");
+        assert_eq!(before_close, 3, "events queued before the close come first");
+        let lag = woke.saturating_duration_since(exited);
+        assert!(lag < prompt, "woke {lag:?} after the workers exited");
+    });
+    // A receiver that only asks after the close.
+    let start = Instant::now();
+    let mut before_close = 0;
+    while late.recv_timeout(long).is_some() {
+        before_close += 1;
+    }
+    assert_eq!(before_close, 3);
+    assert!(start.elapsed() < prompt, "took {:?}", start.elapsed());
+
+    // The client's own detach, once processed, closes its mailbox too.
+    let broker = ShardedBroker::spawn(2);
+    let publisher = broker.attach();
+    let leaver = broker.attach();
+    leaver.subscribe(filter("c/#"));
+    for _ in 0..3 {
+        publisher.publish(topic("c/x"), Bytes::new());
+    }
+    broker.quiesce();
+    leaver.detach();
+    broker.quiesce();
+    let start = Instant::now();
+    let mut before_close = 0;
+    while leaver.recv_timeout(long).is_some() {
+        before_close += 1;
+    }
+    assert_eq!(before_close, 3);
+    assert!(start.elapsed() < prompt, "took {:?}", start.elapsed());
+}
+
+/// Hand-off contract (c), *the bound binds*: with the owner shard
+/// stalled, producers fill the ingress to its capacity and sleep; the
+/// gauge never reads past the bound (plus one in-flight command per
+/// producer, which the contract allows), nothing is lost or reordered,
+/// and `shutdown()` releases producers that would otherwise sleep for
+/// as long as the worker does.
+#[test]
+fn the_ingress_bound_binds_and_shutdown_releases_it() {
+    const CAPACITY: usize = 4;
+    const PRODUCERS: usize = 4;
+    const EACH: u64 = 2_000;
+    let bundle = ShardedBrokerMetrics::detached(1);
+    let depth = Arc::clone(&bundle.shard(0).queue_depth);
+    let broker = ShardedBroker::builder(1)
+        .capacity(CAPACITY)
+        .metrics(bundle)
+        .spawn();
+    let subscriber = broker.attach();
+    subscriber.subscribe(filter("b/#"));
+    broker.quiesce();
+    broker.stall_shard(0, Duration::from_millis(100));
+    let deepest = std::thread::scope(|scope| {
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let (broker, depth) = (&broker, &depth);
+                scope.spawn(move || {
+                    let publisher = broker.attach();
+                    let mut deepest = 0;
+                    for _ in 0..EACH {
+                        publisher.publish(topic(&format!("b/{p}")), Bytes::new());
+                        deepest = deepest.max(depth.get());
+                    }
+                    deepest
+                })
+            })
+            .collect();
+        let deepest = producers.into_iter().map(|p| p.join().expect("producer"));
+        deepest.max().expect("some producer")
+    });
+    assert!(
+        (CAPACITY as i64..=(CAPACITY + PRODUCERS) as i64).contains(&deepest),
+        "queue_depth peaked at {deepest}: the stall must fill the queue, the bound must hold it"
+    );
+    broker.quiesce();
+    let mut got = Vec::new();
+    assert_eq!(subscriber.drain_into(&mut got), PRODUCERS * EACH as usize);
+    let mut next: HashMap<u64, u64> = HashMap::new();
+    for event in &got {
+        let expected = next.entry(event.source.value()).or_insert(0);
+        assert_eq!(event.seq, *expected, "source {} out of order", event.source.value());
+        *expected += 1;
+    }
+    assert_eq!(next.len(), PRODUCERS);
+
+    // Stall again, let the producers pile up against the bound, then
+    // shut down: they must come back long before the worker wakes.
+    let stall = Duration::from_secs(1);
+    broker.stall_shard(0, stall);
+    while depth.get() != 0 {
+        std::thread::yield_now(); // the worker has not reached the stall yet
+    }
+    let shut_down = std::thread::scope(|scope| {
+        for p in 0..PRODUCERS {
+            let broker = &broker;
+            scope.spawn(move || {
+                let publisher = broker.attach();
+                for _ in 0..EACH {
+                    publisher.publish(topic(&format!("b/{p}")), Bytes::new());
+                }
+            });
+        }
+        while depth.get() < CAPACITY as i64 {
+            std::thread::yield_now();
+        }
+        let shut_down = Instant::now();
+        broker.shutdown();
+        shut_down // leaving the scope joins every producer
+    });
+    let released = shut_down.elapsed();
+    assert!(released < stall / 2, "producers came back {released:?} after shutdown()");
+}
+
+/// Hand-off contract (d), *a barrier is a barrier*: when `quiesce()`
+/// returns, every delivery of every earlier publish — ring hops
+/// included — is already in its mailbox, so ONE `drain_into` per
+/// subscriber finds exactly the expected count. No timeout, no sleep.
+#[test]
+fn quiesce_makes_every_earlier_delivery_drainable() {
+    const ROUNDS: usize = 20;
+    const EACH: usize = 250;
+    let broker = ShardedBroker::spawn(SHARDS);
+    let subscribers: Vec<_> = (0..6).map(|_| broker.attach()).collect();
+    for (i, subscriber) in subscribers.iter().enumerate() {
+        // Half hear everything, half one family.
+        let family = if i % 2 == 0 { "#".to_owned() } else { format!("fam{}/#", i % 4) };
+        subscriber.subscribe(filter(&family));
+    }
+    broker.quiesce();
+    let mut sink = Vec::new();
+    for round in 0..ROUNDS {
+        std::thread::scope(|scope| {
+            for p in 0..4 {
+                let broker = &broker;
+                scope.spawn(move || {
+                    let publisher = broker.attach();
+                    for _ in 0..EACH {
+                        publisher.publish(topic(&format!("fam{p}/x")), Bytes::new());
+                    }
+                });
+            }
+        });
+        broker.quiesce();
+        for (i, subscriber) in subscribers.iter().enumerate() {
+            let expected = if i % 2 == 0 { 4 * EACH } else { EACH };
+            sink.clear();
+            assert_eq!(
+                subscriber.drain_into(&mut sink),
+                expected,
+                "round {round}, subscriber {i}"
+            );
+            assert_eq!(subscriber.drain_into(&mut sink), 0);
+        }
+    }
 }

@@ -193,37 +193,6 @@ proptest! {
 }
 
 proptest! {
-    /// The batcher never exceeds its limits, preserves order, and drops
-    /// nothing: concatenating every flushed batch (plus the residue)
-    /// reproduces the input exactly.
-    #[test]
-    fn batcher_conserves_items_within_limits(
-        max_items in 1usize..8,
-        max_bytes in 1usize..2000,
-        items in prop::collection::vec(1usize..600, 0..60),
-    ) {
-        use mmcs::broker::batch::Batcher;
-        let mut batcher: Batcher<usize> = Batcher::new(max_items, max_bytes);
-        let mut flushed: Vec<usize> = Vec::new();
-        for (tag, bytes) in items.iter().enumerate() {
-            if let Some(batch) = batcher.push(tag, *bytes) {
-                // Batches only exceed the byte limit when a single item
-                // does (oversized items travel merged with the residue).
-                prop_assert!(
-                    batch.items.len() <= max_items + 1,
-                    "{} items in a batch of limit {}",
-                    batch.items.len(),
-                    max_items
-                );
-                flushed.extend(batch.items);
-            }
-        }
-        if let Some(batch) = batcher.flush() {
-            flushed.extend(batch.items);
-        }
-        prop_assert_eq!(flushed, (0..items.len()).collect::<Vec<_>>());
-    }
-
     /// The token bucket never goes negative and never exceeds its burst;
     /// conforming traffic over a long window respects the average rate.
     #[test]
