@@ -16,11 +16,7 @@
 //! and the process exits 1 on any regression — this is the CI gate.
 //!
 //! `MMCS_FRONTIER_WORKERS=N` runs every reduced sweep point on the
-//! parallel engine with N workers (bit-identical numbers, less wall
-//! clock). `MMCS_FRONTIER_SPEEDUP=N` skips the sweeps and instead runs
-//! the timed speedup probe ([`frontier::parallel_speedup_probe`]):
-//! exits 1 if the parallel run is not faster than the sequential one
-//! or if any reported number diverges.
+//! parallel engine with N workers (bit-identical numbers).
 
 use std::process::ExitCode;
 
@@ -53,41 +49,6 @@ fn full_report() -> FrontierReport {
 }
 
 fn main() -> ExitCode {
-    if let Ok(value) = std::env::var("MMCS_FRONTIER_SPEEDUP") {
-        let Ok(workers) = value.parse::<usize>() else {
-            eprintln!("frontier: MMCS_FRONTIER_SPEEDUP must be a worker count, got {value:?}");
-            return ExitCode::FAILURE;
-        };
-        let probe = frontier::parallel_speedup_probe(workers);
-        println!(
-            "speedup probe: serial {:.0} ms, {} workers {:.0} ms, speedup {:.2}x, identical={}",
-            probe.serial_ms, probe.workers, probe.parallel_ms, probe.speedup, probe.identical
-        );
-        if !probe.identical {
-            eprintln!("frontier: parallel run DIVERGED from sequential results");
-            return ExitCode::FAILURE;
-        }
-        if probe.parallel_ms >= probe.serial_ms {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            if cores < 2 {
-                // A wall-clock win needs real cores; on a single-CPU
-                // host the probe still proves determinism, so report
-                // and pass rather than fail on physics.
-                println!(
-                    "frontier: single-CPU host ({cores} core) — speedup not gated, results identical"
-                );
-                return ExitCode::SUCCESS;
-            }
-            eprintln!(
-                "frontier: parallel run ({:.0} ms) did not beat serial ({:.0} ms) on {cores} cores",
-                probe.parallel_ms, probe.serial_ms
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
     let workers = std::env::var("MMCS_FRONTIER_WORKERS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

@@ -317,7 +317,7 @@ pub struct ModePoint {
 mod modecmp {
     //! Minimal processes for the A4 mode comparison.
 
-    use mmcs_rtp::packet::RtpPacket;
+    use mmcs_rtp::packet::WireRtp;
     use mmcs_rtp::recv::ReceiverStats;
     use mmcs_rtp::source::AudioSource;
     use mmcs_sim::{Context, Packet, Process, ProcessId};
@@ -379,8 +379,8 @@ mod modecmp {
                 return;
             };
             let arrival = ctx.now();
-            if let Ok(rtp) = RtpPacket::decode(&raw.bytes) {
-                self.stats.record(&rtp.header, raw.sent_at, arrival);
+            if let Ok(rtp) = WireRtp::parse(&raw.bytes) {
+                self.stats.record_wire(&rtp, raw.sent_at, arrival);
             }
             ctx.spend_cpu(self.recv_cpu);
         }

@@ -43,7 +43,7 @@ use mmcs_telemetry::{Histogram, HistogramSnapshot};
 use mmcs_util::id::ClientId;
 use mmcs_util::rate::Bandwidth;
 use mmcs_util::rng::DetRng;
-use mmcs_util::time::{monotonic_now, SimDuration, SimTime};
+use mmcs_util::time::{SimDuration, SimTime};
 
 use crate::capacity::{knee_index, Media, GOOD_LOSS};
 use crate::json::Json;
@@ -643,60 +643,6 @@ pub fn reduced_report_with_workers(workers: usize) -> FrontierReport {
         seed: 77,
         sweeps,
         scenarios: vec![million_broadcast(), conference_100k(), federation_point()],
-    }
-}
-
-/// Wall-clock comparison of one frontier point on the sequential vs
-/// the parallel engine (see [`crate::frontier`] and `DESIGN.md` §14).
-#[derive(Debug, Clone)]
-pub struct SpeedupProbe {
-    /// Worker threads the parallel run used.
-    pub workers: usize,
-    /// Sequential wall clock (ms).
-    pub serial_ms: f64,
-    /// Parallel wall clock (ms).
-    pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
-    /// Whether the two runs produced identical measurements — they
-    /// must; anything else is an engine determinism bug.
-    pub identical: bool,
-}
-
-/// Measures parallel-engine speedup on a heavyweight reduced 4-shard
-/// audio point (4× the CI sweep's top rung, where per-event CPU
-/// dominates). The LAN latency is raised to 5 ms so the conservative
-/// engine's lookahead window carries thousands of events per
-/// synchronization round and the two barriers per round amortize away
-/// (see `DESIGN.md` §14). Runs the identical config sequentially and
-/// on `workers` threads, wall-clocks both, and cross-checks every
-/// reported number.
-pub fn parallel_speedup_probe(workers: usize) -> SpeedupProbe {
-    let mut config = FrontierConfig::reduced(Media::Audio, 4, 2240, 10);
-    config.lan_latency = SimDuration::from_millis(5);
-    let t0 = monotonic_now();
-    let serial = run_point(&config);
-    let t1 = monotonic_now();
-    config.workers = workers;
-    let t2 = monotonic_now();
-    let parallel = run_point(&config);
-    let t3 = monotonic_now();
-    let serial_ms = (t1 - t0).as_millis_f64();
-    let parallel_ms = (t3 - t2).as_millis_f64();
-    let identical = serial.delivered == parallel.delivered
-        && serial.expected == parallel.expected
-        && serial.spot_delivered == parallel.spot_delivered
-        && serial.shard_delay == parallel.shard_delay;
-    SpeedupProbe {
-        workers,
-        serial_ms,
-        parallel_ms,
-        speedup: if parallel_ms > 0.0 {
-            serial_ms / parallel_ms
-        } else {
-            0.0
-        },
-        identical,
     }
 }
 

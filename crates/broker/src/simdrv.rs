@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use mmcs_rtp::packet::RtpPacket;
+use mmcs_rtp::packet::{RtpPacket, WireRtp};
 use mmcs_rtp::recv::ReceiverStats;
 use mmcs_rtp::source::{AudioSource, VideoSource};
 use mmcs_sim::{Context, Packet, Process, ProcessId};
@@ -261,6 +261,9 @@ impl BrokerProcess {
 
     fn execute(&mut self, ctx: &mut Context<'_>, actions: &mut Vec<Action>) {
         let mut send_index = 0usize;
+        // A fan-out is a run of `Deliver`s carrying the same event: they
+        // share one message, so 400 receivers cost one allocation.
+        let mut fanout: Option<Arc<ClientMsg>> = None;
         for action in actions.drain(..) {
             match action {
                 Action::Deliver {
@@ -275,7 +278,16 @@ impl BrokerProcess {
                     let wire = event.wire_len() + profile.overhead_bytes();
                     ctx.spend_cpu(profile.scale_cost(self.cost.send_cost(send_index, wire)));
                     send_index += 1;
-                    ctx.send(*process, ClientMsg::Deliver(event), wire);
+                    let message = match fanout.take() {
+                        Some(message)
+                            if matches!(&*message, ClientMsg::Deliver(last) if Arc::ptr_eq(last, &event)) =>
+                        {
+                            message
+                        }
+                        _ => Arc::new(ClientMsg::Deliver(event)),
+                    };
+                    ctx.send_shared(*process, message.clone(), wire);
+                    fanout = Some(message);
                     ctx.count("broker.delivered", 1);
                 }
                 Action::Forward { peer, event } => {
@@ -864,9 +876,9 @@ impl Process for RtpReceiver {
             return;
         };
         let arrival = ctx.now();
-        match RtpPacket::decode(&event.payload) {
+        match WireRtp::parse(&event.payload) {
             Ok(rtp) => {
-                self.stats.record(&rtp.header, event.published_at, arrival);
+                self.stats.record_wire(&rtp, event.published_at, arrival);
                 ctx.count("receiver.rtp_received", 1);
             }
             Err(_) => ctx.count("receiver.rtp_decode_error", 1),

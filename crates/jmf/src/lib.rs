@@ -34,7 +34,7 @@
 //! ```
 
 use bytes::Bytes;
-use mmcs_rtp::packet::RtpPacket;
+use mmcs_rtp::packet::{RtpPacket, WireRtp};
 use mmcs_rtp::recv::ReceiverStats;
 use mmcs_rtp::source::{AudioSource, VideoSource};
 use mmcs_sim::{Context, Packet, Process, ProcessId};
@@ -328,9 +328,9 @@ impl Process for RtpDirectSink {
             return;
         };
         let arrival = ctx.now();
-        match RtpPacket::decode(&raw.bytes) {
+        match WireRtp::parse(&raw.bytes) {
             Ok(rtp) => {
-                self.stats.record(&rtp.header, raw.sent_at, arrival);
+                self.stats.record_wire(&rtp, raw.sent_at, arrival);
                 ctx.count("jmf.rtp_received", 1);
             }
             Err(_) => ctx.count("jmf.rtp_decode_error", 1),

@@ -10,7 +10,7 @@ use mmcs_util::stats::{OnlineStats, SampleSeries};
 use mmcs_util::time::SimTime;
 
 use crate::jitter::JitterEstimator;
-use crate::packet::{payload_type, RtpHeader};
+use crate::packet::{payload_type, RtpHeader, WireRtp};
 use crate::rtcp::ReportBlock;
 use crate::seq::SequenceTracker;
 
@@ -52,15 +52,26 @@ impl ReceiverStats {
     /// `sent_at` is when the sender emitted it (known in simulation; on
     /// the paper's testbed, known for the co-located clients).
     pub fn record(&mut self, header: &RtpHeader, sent_at: SimTime, arrival: SimTime) {
+        self.record_fields(header.sequence_number, header.timestamp, sent_at, arrival);
+    }
+
+    /// [`ReceiverStats::record`] for a packet still in wire format: reads
+    /// the two header fields it needs from the borrowed view, so a
+    /// receiver that only measures never copies the payload.
+    pub fn record_wire(&mut self, rtp: &WireRtp<'_>, sent_at: SimTime, arrival: SimTime) {
+        self.record_fields(rtp.sequence_number(), rtp.timestamp(), sent_at, arrival);
+    }
+
+    fn record_fields(&mut self, sequence_number: u16, timestamp: u32, sent_at: SimTime, arrival: SimTime) {
         match &mut self.tracker {
             Some(tracker) => {
-                tracker.record(header.sequence_number);
+                tracker.record(sequence_number);
             }
-            None => self.tracker = Some(SequenceTracker::new(header.sequence_number)),
+            None => self.tracker = Some(SequenceTracker::new(sequence_number)),
         }
         let delay = arrival.saturating_duration_since(sent_at).as_millis_f64();
         self.delay_ms.record(delay);
-        self.jitter.record(arrival, header.timestamp);
+        self.jitter.record(arrival, timestamp);
         if let Some(series) = &mut self.delay_series {
             series.record(delay);
         }

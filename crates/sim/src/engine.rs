@@ -12,7 +12,7 @@
 
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
@@ -23,6 +23,7 @@ use mmcs_util::time::{SimDuration, SimTime};
 use crate::net::{HostId, LinkConfig, NetworkState, NicConfig};
 use crate::parsim::ParsimStats;
 use crate::process::{Context, Packet, Process, ProcessId};
+use crate::queue::EventQueue;
 
 /// A packet send requested during a callback, not yet routed.
 pub(crate) struct PendingSend {
@@ -118,7 +119,7 @@ pub struct EngineCore {
     pub(crate) master_seed: u64,
     /// Push counter for control-origin events (origin 0).
     pub(crate) control_seq: u64,
-    pub(crate) queue: BinaryHeap<Event>,
+    pub(crate) queue: EventQueue,
     pub(crate) counters: HashMap<String, u64>,
     pub(crate) observations: HashMap<String, OnlineStats>,
     pub(crate) proc_hosts: Vec<HostId>,
@@ -227,15 +228,22 @@ impl EngineCore {
         &mut self.net.host_mut(host).rng
     }
 
+    /// Bumps a counter, allocating its name only the first time it is
+    /// seen (three counters tick on every delivered packet).
     pub(crate) fn count(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     pub(crate) fn observe(&mut self, name: &str, value: f64) {
-        self.observations
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
+        match self.observations.get_mut(name) {
+            Some(stats) => stats.record(value),
+            None => self.observations.entry(name.to_owned()).or_default().record(value),
+        }
     }
 
     pub(crate) fn request_stop(&mut self) {
@@ -297,22 +305,25 @@ impl EngineCore {
         // Network-level duplication delivers a second, independently
         // jittered copy; the duplicate costs no extra NIC time (it is
         // created inside the network, not at the sender).
-        let copies = if link.duplicate > 0.0 && self.host_rng(src_host).chance(link.duplicate) {
+        if link.duplicate > 0.0 && self.host_rng(src_host).chance(link.duplicate) {
             self.count("net.duplicated", 1);
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let extra = if link.jitter > SimDuration::ZERO {
-                let bound = link.jitter.as_nanos().saturating_add(1);
-                SimDuration::from_nanos(self.host_rng(src_host).range_u64(0, bound))
-            } else {
-                SimDuration::ZERO
-            };
-            let at = tx_done.saturating_add(link.latency).saturating_add(extra);
+            let at = self.jittered_arrival(src_host, tx_done, &link);
             self.push_deliver(src_host, dst_host, at, packet.clone());
         }
+        let at = self.jittered_arrival(src_host, tx_done, &link);
+        self.push_deliver(src_host, dst_host, at, packet);
+    }
+
+    /// Arrival time of one copy leaving the NIC at `tx_done`: link
+    /// latency plus this copy's own jitter draw.
+    fn jittered_arrival(&mut self, src_host: HostId, tx_done: SimTime, link: &LinkConfig) -> SimTime {
+        let extra = if link.jitter > SimDuration::ZERO {
+            let bound = link.jitter.as_nanos().saturating_add(1);
+            SimDuration::from_nanos(self.host_rng(src_host).range_u64(0, bound))
+        } else {
+            SimDuration::ZERO
+        };
+        tx_done.saturating_add(link.latency).saturating_add(extra)
     }
 }
 
@@ -344,6 +355,9 @@ pub struct Simulation {
     pub(crate) core: EngineCore,
     pub(crate) processes: Vec<Option<Box<dyn AnyProcess>>>,
     pub(crate) started: bool,
+    /// The buffer lent to each callback's [`Context`] for its sends, so
+    /// a 400-way fan-out grows it once per run, not once per publish.
+    pub(crate) send_buf: Vec<PendingSend>,
     /// Cumulative parallel-run statistics (never part of counters, so
     /// fingerprints stay engine-independent).
     pub(crate) par_stats: ParsimStats,
@@ -358,7 +372,7 @@ impl Simulation {
                 now: SimTime::ZERO,
                 master_seed: seed,
                 control_seq: 0,
-                queue: BinaryHeap::new(),
+                queue: EventQueue::default(),
                 counters: HashMap::new(),
                 observations: HashMap::new(),
                 proc_hosts: Vec::new(),
@@ -370,6 +384,7 @@ impl Simulation {
             },
             processes: Vec::new(),
             started: false,
+            send_buf: Vec::new(),
             par_stats: ParsimStats::default(),
         }
     }
@@ -470,7 +485,7 @@ impl Simulation {
     /// [`Simulation::run_until`] calls) — this is the fault-injection
     /// hook chaos harnesses use to partition, degrade, and heal links.
     pub fn set_link(&mut self, a: HostId, b: HostId, link: LinkConfig) {
-        self.core.net.link_overrides.insert((a, b), link);
+        self.core.net.set_link(a, b, link);
     }
 
     /// The effective link configuration between two hosts right now.
@@ -754,7 +769,7 @@ impl Simulation {
             host,
             started_at: now,
             elapsed: SimDuration::ZERO,
-            sends: Vec::new(),
+            sends: std::mem::take(&mut self.send_buf),
         };
         match kind {
             EventKind::Start(_) => process.on_start(&mut ctx),
@@ -767,7 +782,7 @@ impl Simulation {
             EventKind::Drain(_) => {}
         }
         let elapsed = ctx.elapsed;
-        let sends = std::mem::take(&mut ctx.sends);
+        let mut sends = std::mem::take(&mut ctx.sends);
         drop(ctx);
         if let Some(slot) = self.processes.get_mut(idx) {
             *slot = Some(process);
@@ -780,9 +795,10 @@ impl Simulation {
                 host_state.cpu_free_at = busy_until;
             }
         }
-        for send in sends {
+        for send in sends.drain(..) {
             self.core.route(send);
         }
+        self.send_buf = sends;
     }
 
     /// After a dispatch on `host`, arms its drain timer if work is still
@@ -806,8 +822,8 @@ impl Simulation {
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.ensure_started();
         loop {
-            match self.core.queue.peek() {
-                Some(event) if event.key.at <= deadline => {
+            match self.core.queue.peek_key() {
+                Some(key) if key.at <= deadline => {
                     if !self.step() {
                         break;
                     }
@@ -815,7 +831,7 @@ impl Simulation {
                 _ => break,
             }
         }
-        if self.core.now < deadline && self.core.queue.peek().is_some() {
+        if self.core.now < deadline && !self.core.queue.is_empty() {
             // Stopped early by request; clock stays where it was.
         } else if self.core.now < deadline {
             self.core.now = deadline;
@@ -1131,6 +1147,45 @@ mod tests {
         let stats = sim.stat("x").unwrap();
         assert_eq!(stats.count(), 2);
         assert_eq!(stats.mean(), 2.0);
+    }
+
+    /// Counters are created by their first bump (even a zero one), read
+    /// back under the name they were bumped with, and a link override
+    /// set in one order is read in either.
+    #[test]
+    fn counters_and_link_overrides_read_back_exactly() {
+        struct Meter;
+        impl Process for Meter {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.count("meter.twice", 2);
+                ctx.count("meter.twice", 3);
+                ctx.count("meter.zero", 0);
+                ctx.observe("meter.seen", 4.0);
+            }
+            fn on_packet(&mut self, _ctx: &mut Context<'_>, _p: Packet) {}
+        }
+        let mut sim = Simulation::new(1);
+        let a = sim.add_host("a", NicConfig::default());
+        let b = sim.add_host("b", NicConfig::default());
+        sim.add_process(a, Box::new(Meter));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.counter("meter.twice"), 5);
+        assert_eq!(sim.counter("meter.never"), 0);
+        let mut counters: Vec<(&str, u64)> = sim.counters().collect();
+        counters.sort_unstable();
+        assert_eq!(counters, vec![("meter.twice", 5), ("meter.zero", 0)]);
+        assert_eq!(sim.stat("meter.seen").map(OnlineStats::count), Some(1));
+        assert!(sim.stat("meter.twice").is_none());
+
+        let slow = LinkConfig {
+            latency: SimDuration::from_millis(7),
+            ..LinkConfig::default()
+        };
+        sim.set_link(b, a, slow);
+        assert_eq!(sim.link_config(a, b), slow);
+        assert_eq!(sim.link_config(b, a), slow);
+        sim.set_link(a, b, LinkConfig::default());
+        assert_eq!(sim.link_config(b, a), LinkConfig::default());
     }
 
     #[test]

@@ -61,6 +61,7 @@ pub mod engine;
 pub mod net;
 pub mod parsim;
 pub mod process;
+mod queue;
 
 pub use engine::Simulation;
 pub use net::{LinkConfig, NicConfig};

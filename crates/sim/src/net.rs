@@ -134,7 +134,13 @@ pub(crate) fn host_stream_seed(master_seed: u64, id: u64) -> u64 {
 pub(crate) struct NetworkState {
     pub hosts: Vec<HostState>,
     pub default_link: LinkConfig,
+    /// Per-pair overrides, keyed `(lower id, higher id)`: links are
+    /// symmetric, so one normalised key makes a lookup one probe.
     pub link_overrides: HashMap<(HostId, HostId), LinkConfig>,
+}
+
+fn link_key(a: HostId, b: HostId) -> (HostId, HostId) {
+    (a.min(b), a.max(b))
 }
 
 impl NetworkState {
@@ -162,11 +168,19 @@ impl NetworkState {
         &mut self.hosts[id.0 as usize]
     }
 
-    /// Link configuration between two hosts, checking both key orders.
+    /// Overrides the link between `a` and `b`, in both directions.
+    pub fn set_link(&mut self, a: HostId, b: HostId, link: LinkConfig) {
+        self.link_overrides.insert(link_key(a, b), link);
+    }
+
+    /// Link configuration between two hosts, in either order. Most runs
+    /// override nothing, and then a send hashes nothing.
     pub fn link(&self, a: HostId, b: HostId) -> LinkConfig {
+        if self.link_overrides.is_empty() {
+            return self.default_link;
+        }
         self.link_overrides
-            .get(&(a, b))
-            .or_else(|| self.link_overrides.get(&(b, a)))
+            .get(&link_key(a, b))
             .copied()
             .unwrap_or(self.default_link)
     }
@@ -196,9 +210,12 @@ mod tests {
             loss: 0.25,
             ..LinkConfig::default()
         };
-        net.link_overrides.insert((a, b), cfg);
+        net.set_link(b, a, cfg);
         assert_eq!(net.link(a, b).latency, cfg.latency);
         assert_eq!(net.link(b, a).latency, cfg.latency);
+        // Both orders are one key: re-setting replaces, it does not add.
+        net.set_link(a, b, cfg);
+        assert_eq!(net.link_overrides.len(), 1);
         let c = net.add_host("c", NicConfig::default(), 1);
         assert_eq!(net.link(a, c), LinkConfig::default());
     }

@@ -38,7 +38,7 @@
 //! the sequential engine. Fault injection (`set_link`, crash/restart)
 //! happens between runs and is unaffected.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
@@ -47,6 +47,7 @@ use mmcs_util::time::{SimDuration, SimTime};
 
 use crate::engine::{AnyProcess, CrossLinks, EngineCore, Event, Simulation};
 use crate::net::{HostState, NetworkState};
+use crate::queue::EventQueue;
 
 /// Cumulative statistics about parallel runs, kept outside the metric
 /// counters so chaos fingerprints stay engine-independent.
@@ -184,8 +185,8 @@ impl SimWorker {
         let mut rounds: u64 = 0;
         loop {
             self.drain_inbox();
-            let bound = match self.sim.core.queue.peek() {
-                Some(event) => event.key.at.as_nanos(),
+            let bound = match self.sim.core.queue.peek_key() {
+                Some(key) => key.at.as_nanos(),
                 None => u64::MAX,
             };
             self.publish(bound);
@@ -253,9 +254,9 @@ impl SimWorker {
     fn execute(&mut self, limit: SimTime, last_exec: &mut SimTime) -> u64 {
         let mut ran: u64 = 0;
         loop {
-            match self.sim.core.queue.peek() {
-                Some(event) if event.key.at <= limit => {
-                    let at = event.key.at;
+            match self.sim.core.queue.peek_key() {
+                Some(key) if key.at <= limit => {
+                    let at = key.at;
                     if !self.sim.step() {
                         break;
                     }
@@ -309,8 +310,8 @@ impl Simulation {
         let owner: Arc<Vec<usize>> = Arc::new((0..host_count).map(|h| h % workers).collect());
 
         // Partition pending events by the worker owning their target host.
-        let mut queues: Vec<BinaryHeap<Event>> = (0..workers).map(|_| BinaryHeap::new()).collect();
-        for event in std::mem::take(&mut self.core.queue) {
+        let mut queues: Vec<EventQueue> = (0..workers).map(|_| EventQueue::default()).collect();
+        while let Some(event) = self.core.queue.pop() {
             let worker = self
                 .core
                 .target_host(&event.kind)
@@ -390,6 +391,7 @@ impl Simulation {
                 core,
                 processes: procs,
                 started: true,
+                send_buf: Vec::new(),
                 par_stats: ParsimStats::default(),
             };
             worker_sims.push(SimWorker {
@@ -434,13 +436,13 @@ impl Simulation {
         let mut host_back: Vec<Option<HostState>> = (0..host_count).map(|_| None).collect();
         let mut procs_back: Vec<Option<Box<dyn AnyProcess>>> =
             (0..proc_count).map(|_| None).collect();
-        let mut merged_queue: BinaryHeap<Event> = BinaryHeap::new();
+        let mut merged_queue = EventQueue::default();
         let mut last_exec = self.core.now;
         let mut stopped = false;
         let mut rounds: u64 = 0;
         for (w, outcome) in outcomes.into_iter().enumerate() {
             let mut wsim = outcome.sim;
-            for event in std::mem::take(&mut wsim.core.queue) {
+            while let Some(event) = wsim.core.queue.pop() {
                 merged_queue.push(event);
             }
             for (h, state) in wsim.core.net.hosts.into_iter().enumerate() {

@@ -4,7 +4,7 @@
 //! accounting code path, no drift between "what the bench prints" and
 //! "what the metrics say".
 
-use mmcs_bench::fig3::{run, run_narada, run_narada_sharded, Fig3Config, SystemResult};
+use mmcs_bench::fig3::{run, run_jmf, run_narada, run_narada_sharded, Fig3Config, SystemResult};
 use mmcs_telemetry::HistogramSnapshot;
 use mmcs_util::rate::Bandwidth;
 
@@ -104,6 +104,19 @@ fn full_scale_narada_numbers_are_pinned() {
     assert_eq!(result.avg_delay_ms, 75.73765975399999);
     assert_eq!(result.avg_jitter_ms, 18.19718025);
     // Twelve receivers × 2000 packets, averaged as Σ 2000/12 in f64.
+    assert_eq!(result.received, 2000.0000000000002);
+    assert_eq!(result.loss_fraction, 0.0);
+}
+
+/// Value pin for the other half of the paper's headline ratio: the
+/// full-scale JMF-reflector side. It drifted once unpinned (per-host
+/// RNG streams moved it from 233 ms to 415 ms while EXPERIMENTS.md kept
+/// quoting the old number); the next move fails here.
+#[test]
+fn full_scale_jmf_numbers_are_pinned() {
+    let result = run_jmf(&Fig3Config::default());
+    assert_eq!(result.avg_delay_ms, 414.80191512475);
+    assert_eq!(result.avg_jitter_ms, 16.96665366666667);
     assert_eq!(result.received, 2000.0000000000002);
     assert_eq!(result.loss_fraction, 0.0);
 }
