@@ -250,49 +250,6 @@ impl CallGraph {
         parent
     }
 
-    /// [`CallGraph::reach`] with a name boundary: the BFS does not
-    /// descend *into* functions whose name is in `boundary` (roots are
-    /// always entered). The reachability passes cut at the engine →
-    /// application boundary this way: a worker loop reaches the event
-    /// dispatcher, but the `Process` callbacks the dispatcher invokes
-    /// (`on_start`, `on_packet`, …) are application code — judged by
-    /// the line lints and by their own pass roots — and the name-based
-    /// resolver would otherwise link every implementation in the
-    /// workspace into the engine's reach set.
-    pub fn reach_bounded(
-        &self,
-        files: &[ParsedFile],
-        roots: &[NodeId],
-        boundary: &[&str],
-    ) -> HashMap<NodeId, Option<NodeId>> {
-        let mut parent: HashMap<NodeId, Option<NodeId>> = HashMap::new();
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        for &r in roots {
-            if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(r) {
-                e.insert(None);
-                queue.push_back(r);
-            }
-        }
-        while let Some(n) = queue.pop_front() {
-            let callees: Vec<NodeId> = self.nodes[n]
-                .calls
-                .iter()
-                .flat_map(|(_, ts)| ts.iter().copied())
-                .collect();
-            for c in callees {
-                let node = &self.nodes[c];
-                if boundary.contains(&files[node.file].fns[node.def].name.as_str()) {
-                    continue;
-                }
-                if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(c) {
-                    e.insert(Some(n));
-                    queue.push_back(c);
-                }
-            }
-        }
-        parent
-    }
-
     /// Renders the call chain root → … → `node` as `Type::name` labels.
     pub fn chain(
         &self,
@@ -458,25 +415,6 @@ mod tests {
         assert!(parent.contains_key(&leaf));
         assert!(!parent.contains_key(&island));
         assert_eq!(g.chain(&files, &parent, leaf), "root -> mid -> leaf");
-    }
-
-    #[test]
-    fn bounded_reach_stops_at_the_boundary_names() {
-        let (files, g) = graph(&[(
-            "a.rs",
-            "fn root() { dispatch(); }\nfn dispatch() { on_packet(); }\nfn on_packet() { helper(); }\nfn helper() {}\n",
-        )]);
-        let root = g.find_fn(&files, "a.rs", "root").unwrap();
-        let dispatch = g.find_fn(&files, "a.rs", "dispatch").unwrap();
-        let on_packet = g.find_fn(&files, "a.rs", "on_packet").unwrap();
-        let helper = g.find_fn(&files, "a.rs", "helper").unwrap();
-        let parent = g.reach_bounded(&files, &[root], &["on_packet"]);
-        assert!(parent.contains_key(&dispatch));
-        assert!(!parent.contains_key(&on_packet), "boundary fn must not be entered");
-        assert!(!parent.contains_key(&helper), "nothing behind the boundary is reached");
-        // An explicit root is always entered, even with a boundary name.
-        let from_callback = g.reach_bounded(&files, &[on_packet], &["on_packet"]);
-        assert!(from_callback.contains_key(&helper));
     }
 
     #[test]

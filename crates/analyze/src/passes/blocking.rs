@@ -11,17 +11,11 @@
 //! worker's ingress is still a channel, so the `.recv()` in its loop is
 //! sanctioned too. Everything else reachable from a loop body is a
 //! finding.
-//!
-//! The conservative-parallel sim worker (`SimWorker::run`) is a root
-//! for the same reason: a blocked worker stalls its whole host shard
-//! and, through the watermark, every other worker. Its barrier
-//! `.wait()` is the protocol's synchronization point (a spin barrier,
-//! not a kernel park) and is allowlisted rather than sanctioned here.
 
 use crate::lexer::TokKind;
 use crate::lints::Violation;
 
-use super::{Workspace, PROCESS_CALLBACKS};
+use super::Workspace;
 
 /// The lint name this pass reports under.
 pub const LINT: &str = "blocking-in-shard-worker";
@@ -30,7 +24,6 @@ pub const LINT: &str = "blocking-in-shard-worker";
 pub const ROOTS: &[(&str, &str, &str)] = &[
     ("crates/broker/src/sharded.rs", "ShardWorker", "run"),
     ("crates/broker/src/cluster/worker.rs", "ClusterWorker", "run"),
-    ("crates/sim/src/parsim.rs", "SimWorker", "run"),
 ];
 
 /// The sanctioned park points, `(path suffix, self type, fn name)`: a
@@ -58,7 +51,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
     let roots: Vec<usize> = (0..ws.graph.nodes.len())
         .filter(|&id| named_in(id, ROOTS))
         .collect();
-    let parent = ws.graph.reach_bounded(&ws.files, &roots, PROCESS_CALLBACKS);
+    let parent = ws.graph.reach(&roots);
     let mut ids: Vec<_> = parent.keys().copied().collect();
     ids.sort_unstable();
     for id in ids {
@@ -174,27 +167,6 @@ mod tests {
         let hits = run(&[(
             "crates/broker/src/sharded.rs",
             "struct ShardWorker;\nimpl ShardWorker {\n    fn run(&self) {\n        self.drain();\n    }\n    fn drain(&self) {\n        self.ingress.recv();\n    }\n}\n",
-        )]);
-        assert_eq!(hits, vec![7]);
-    }
-
-    #[test]
-    fn blocking_behind_a_process_callback_is_silent() {
-        // The dispatcher invokes `on_packet` across the engine →
-        // application boundary; what the callback does is the app's
-        // business (and its own roots'), not the sim worker's.
-        let hits = run(&[(
-            "crates/sim/src/parsim.rs",
-            "struct SimWorker;\nimpl SimWorker {\n    fn run(&self) {\n        self.dispatch();\n    }\n    fn dispatch(&self) {\n        self.on_packet();\n    }\n    fn on_packet(&self) {\n        std::thread::sleep(std::time::Duration::from_millis(1));\n    }\n}\n",
-        )]);
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn sim_worker_loop_is_a_root() {
-        let hits = run(&[(
-            "crates/sim/src/parsim.rs",
-            "struct SimWorker;\nimpl SimWorker {\n    fn run(&self) {\n        self.merge();\n    }\n    fn merge(&self) {\n        self.handle.join();\n    }\n}\n",
         )]);
         assert_eq!(hits, vec![7]);
     }

@@ -59,14 +59,6 @@ pub fn run_all(sources: &[SourceFile]) -> Vec<Violation> {
     out
 }
 
-/// The engine → application boundary: `Process` callback names the
-/// reachability passes do not descend into. The sim engine's dispatch
-/// invokes these through `dyn Process`, so the name-based resolver
-/// links every implementation in the workspace; the callback bodies are
-/// application code, covered by the line lints and by their own pass
-/// roots rather than inheriting the engine's no-panic/no-block budget.
-pub(crate) const PROCESS_CALLBACKS: &[&str] = &["on_start", "on_packet", "on_timer", "on_restart"];
-
 /// Identifiers that never make an index expression dynamic: primitive
 /// type names and cast keywords. Everything else outside the workspace
 /// `const` set counts as a dynamic subscript.

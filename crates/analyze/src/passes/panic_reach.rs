@@ -21,7 +21,7 @@ use crate::lexer::TokKind;
 use crate::lints::Violation;
 use crate::parse::ParsedFile;
 
-use super::{Workspace, NON_DYNAMIC_IDENTS, NON_INDEX_KEYWORDS, PROCESS_CALLBACKS};
+use super::{Workspace, NON_DYNAMIC_IDENTS, NON_INDEX_KEYWORDS};
 
 /// The lint name this pass reports under.
 pub const LINT: &str = "panic-reachable-hot-path";
@@ -47,7 +47,6 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("crates/broker/src/wire.rs", "parse"),
     ("crates/util/src/pool.rs", "acquire"),
     ("crates/util/src/pool.rs", "release"),
-    ("crates/sim/src/parsim.rs", "run"),
 ];
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -68,7 +67,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
     for &(path, name) in ROOTS {
         roots.extend(ws.graph.find_all(&ws.files, path, name));
     }
-    let parent = ws.graph.reach_bounded(&ws.files, &roots, PROCESS_CALLBACKS);
+    let parent = ws.graph.reach(&roots);
     let mut ids: Vec<_> = parent.keys().copied().collect();
     ids.sort_unstable();
     for id in ids {
@@ -215,24 +214,6 @@ mod tests {
             "pub fn decode(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n",
         )]);
         assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn panics_behind_a_process_callback_are_silent() {
-        let hits = run(&[(
-            "crates/sim/src/parsim.rs",
-            "pub fn run() { dispatch(); }\nfn dispatch() { on_timer(); }\nfn on_timer() { None::<u32>.unwrap(); }\n",
-        )]);
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn sim_worker_loop_is_a_root() {
-        let hits = run(&[(
-            "crates/sim/src/parsim.rs",
-            "pub fn run() { helper(); }\nfn helper() { None::<u32>.unwrap(); }\n",
-        )]);
-        assert_eq!(hits, vec![("crates/sim/src/parsim.rs".to_string(), 2)]);
     }
 
     #[test]

@@ -14,9 +14,6 @@
 //! If `MMCS_FRONTIER_BASELINE` names a baseline JSON file, the fresh
 //! report is compared against it ([`frontier::compare_to_baseline`])
 //! and the process exits 1 on any regression — this is the CI gate.
-//!
-//! `MMCS_FRONTIER_WORKERS=N` runs every reduced sweep point on the
-//! parallel engine with N workers (bit-identical numbers).
 
 use std::process::ExitCode;
 
@@ -49,16 +46,12 @@ fn full_report() -> FrontierReport {
 }
 
 fn main() -> ExitCode {
-    let workers = std::env::var("MMCS_FRONTIER_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
     let mode = std::env::var("MMCS_FRONTIER_MODE").unwrap_or_else(|_| "reduced".to_owned());
-    eprintln!("frontier: running {mode} sweep set ({workers} engine worker(s))");
+    eprintln!("frontier: running {mode} sweep set");
     let report = match mode.as_str() {
         "mini" => frontier::mini_report(),
         "full" => full_report(),
-        "reduced" => frontier::reduced_report_with_workers(workers),
+        "reduced" => frontier::reduced_report(),
         other => {
             eprintln!("frontier: unknown MMCS_FRONTIER_MODE {other:?} (reduced|mini|full)");
             return ExitCode::FAILURE;

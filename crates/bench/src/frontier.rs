@@ -109,10 +109,10 @@ pub struct FrontierConfig {
     /// Unbundled [`RtpReceiver`] spot-check clients subscribed to the
     /// first session's topic; each must receive exactly `packets`.
     pub spot_clients: u64,
-    /// Simulation engine worker threads. `1` runs sequentially; more
-    /// drives the point through `Simulation::run_parallel_until`, which
-    /// is bit-deterministic, so every reported number is unchanged —
-    /// only the wall clock moves.
+    /// Read by nothing: the simulator has one engine (DESIGN §2 "One
+    /// engine"). Kept because `benchmark/src/workloads.rs` assigns it
+    /// for its `sim.par2_*` readings; the `benchmark` PR that drops those
+    /// (ROADMAP, Done, item 3 follow-up) deletes this field too.
     pub workers: usize,
 }
 
@@ -382,11 +382,7 @@ fn run_on(config: &FrontierConfig, links: Links<'_>) -> FrontierPoint {
         }
     }
 
-    if config.workers > 1 {
-        sim.run_parallel_until(config.deadline(), config.workers);
-    } else {
-        sim.run_until(config.deadline());
-    }
+    sim.run_until(config.deadline());
 
     let mut expected = 0u64;
     let mut delivered = 0u64;
@@ -618,23 +614,11 @@ pub fn reduced_sweep_specs() -> Vec<SweepSpec> {
 /// scenarios. Minutes of virtual time, seconds of wall clock in
 /// release mode.
 pub fn reduced_report() -> FrontierReport {
-    reduced_report_with_workers(1)
-}
-
-/// [`reduced_report`] with every sweep point run on `workers` engine
-/// threads. The engine is bit-deterministic, so the report — knees,
-/// histograms, JSON — is byte-identical to the sequential one; only
-/// wall clock changes. The headline scenarios stay sequential (they
-/// are bundled and cheap).
-pub fn reduced_report_with_workers(workers: usize) -> FrontierReport {
     let sweeps = reduced_sweep_specs()
         .iter()
         .map(|spec| {
             run_sweep(spec, |spec, clients| {
-                let mut config =
-                    FrontierConfig::reduced(spec.media, spec.shards, clients, spec.fanout);
-                config.workers = workers;
-                config
+                FrontierConfig::reduced(spec.media, spec.shards, clients, spec.fanout)
             })
         })
         .collect();

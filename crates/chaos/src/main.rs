@@ -35,7 +35,7 @@ use mmcs_chaos::{check, generate, shrink};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  mmcs-chaos fuzz --seeds N [--base B] [--inject-bug] [--workers W] [--artifact PATH] [--metrics-dir DIR]\n  mmcs-chaos replay SEED [--inject-bug] [--workers W]\n  mmcs-chaos sharded --seeds N [--base B] [--shards K]\n  mmcs-chaos cluster --seeds N [--base B] [--inject-bug] [--artifact PATH]"
+        "usage:\n  mmcs-chaos fuzz --seeds N [--base B] [--inject-bug] [--artifact PATH] [--metrics-dir DIR]\n  mmcs-chaos replay SEED [--inject-bug]\n  mmcs-chaos sharded --seeds N [--base B] [--shards K]\n  mmcs-chaos cluster --seeds N [--base B] [--inject-bug] [--artifact PATH]"
     );
     ExitCode::from(2)
 }
@@ -55,7 +55,6 @@ fn fuzz(
     seeds: u64,
     base: u64,
     inject_bug: bool,
-    workers: usize,
     artifact: Option<&str>,
     metrics_dir: &str,
 ) -> ExitCode {
@@ -68,25 +67,6 @@ fn fuzz(
         let config = config_for(seed, inject_bug);
         let schedule = schedule_for(&config);
         let report = scenario::run(&config, &schedule);
-        if workers > 1 {
-            // Cross-engine check: the same seed on the parallel engine
-            // must reproduce the sequential fingerprint exactly.
-            let par = scenario::run(
-                &ScenarioConfig {
-                    workers,
-                    ..config
-                },
-                &schedule,
-            );
-            if par.fingerprint != report.fingerprint || par.counters != report.counters {
-                eprintln!(
-                    "seed {seed}: NONDETERMINISM — parallel ({workers} workers) fingerprint {:#018x} vs sequential {:#018x}",
-                    par.fingerprint, report.fingerprint
-                );
-                eprintln!("replay with: mmcs-chaos replay {seed} --workers {workers}");
-                return ExitCode::FAILURE;
-            }
-        }
         let dump = format!("{metrics_dir}/seed-{seed}.json");
         if let Err(e) = std::fs::write(&dump, &report.metrics_json) {
             eprintln!("failed to write metrics dump {dump}: {e}");
@@ -126,43 +106,23 @@ fn fuzz(
         println!("replay with: mmcs-chaos replay {seed}");
         return ExitCode::FAILURE;
     }
-    if workers > 1 {
-        println!(
-            "all {clean} seed(s) clean and engine-identical at {workers} workers; metrics dumps in {metrics_dir}/"
-        );
-    } else {
-        println!("all {clean} seed(s) clean; metrics dumps in {metrics_dir}/");
-    }
+    println!("all {clean} seed(s) clean; metrics dumps in {metrics_dir}/");
     ExitCode::SUCCESS
 }
 
-fn replay(seed: u64, inject_bug: bool, workers: usize) -> ExitCode {
+fn replay(seed: u64, inject_bug: bool) -> ExitCode {
     let config = config_for(seed, inject_bug);
     let schedule = schedule_for(&config);
     let a = scenario::run(&config, &schedule);
-    // Run B on the parallel engine when --workers is given; the
-    // conservative synchronization protocol guarantees a bit-identical
-    // fingerprint, so any divergence here is an engine bug.
-    let b = scenario::run(
-        &ScenarioConfig {
-            workers,
-            ..config
-        },
-        &schedule,
-    );
+    let b = scenario::run(&config, &schedule);
     println!("seed {seed}: {} fault(s)", schedule.len());
     for fault in &schedule {
         println!("  {}", fault.to_literal());
     }
-    let b_engine = if workers > 1 {
-        format!("parallel, {workers} workers")
-    } else {
-        "sequential".to_owned()
-    };
-    println!("run A fingerprint: {:#018x} (sequential)", a.fingerprint);
-    println!("run B fingerprint: {:#018x} ({b_engine})", b.fingerprint);
+    println!("run A fingerprint: {:#018x}", a.fingerprint);
+    println!("run B fingerprint: {:#018x}", b.fingerprint);
     if a.fingerprint != b.fingerprint || a.counters != b.counters {
-        eprintln!("NONDETERMINISM: two in-process runs of seed {seed} diverged ({b_engine} vs sequential)");
+        eprintln!("NONDETERMINISM: two in-process runs of seed {seed} diverged");
         for (ca, cb) in a.counters.iter().zip(b.counters.iter()) {
             if ca != cb {
                 eprintln!("  counter {:?} vs {:?}", ca, cb);
@@ -300,13 +260,6 @@ fn main() -> ExitCode {
             .and_then(|i| rest.get(i + 1))
             .map(|s| s.as_str())
     };
-    let workers = match flag_value("--workers") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(w) if w >= 1 => w,
-            _ => return usage(),
-        },
-        None => 1,
-    };
     match command.as_str() {
         "fuzz" => {
             let Some(seeds) = flag_value("--seeds").and_then(|v| v.parse().ok()) else {
@@ -323,26 +276,19 @@ fn main() -> ExitCode {
                 seeds,
                 base,
                 inject_bug,
-                workers,
                 flag_value("--artifact"),
                 flag_value("--metrics-dir").unwrap_or("target/chaos-metrics"),
             )
         }
         "replay" => {
-            // The seed is the first positional arg: skip flags and the
-            // value slot right after a value-taking flag.
             let Some(seed) = rest
                 .iter()
-                .enumerate()
-                .find(|(i, a)| {
-                    let after_flag = *i > 0 && rest[i - 1].as_str() == "--workers";
-                    !a.starts_with("--") && !after_flag
-                })
-                .and_then(|(_, v)| v.parse().ok())
+                .find(|a| !a.starts_with("--"))
+                .and_then(|v| v.parse().ok())
             else {
                 return usage();
             };
-            replay(seed, inject_bug, workers)
+            replay(seed, inject_bug)
         }
         "sharded" => {
             let Some(seeds) = flag_value("--seeds").and_then(|v| v.parse().ok()) else {

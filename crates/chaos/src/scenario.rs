@@ -57,11 +57,6 @@ pub struct ScenarioConfig {
     /// Chaos-bug injection: senders never retransmit. Any lossy schedule
     /// then strands frames, which the invariant checkers must catch.
     pub disable_retransmit: bool,
-    /// Worker threads for the simulation engine. `1` (the default) uses
-    /// the sequential engine; anything larger drives the run through
-    /// [`Simulation::run_parallel_until`], which must produce the same
-    /// fingerprint bit-for-bit.
-    pub workers: usize,
 }
 
 impl ScenarioConfig {
@@ -74,7 +69,6 @@ impl ScenarioConfig {
             settle_ms: 15_000,
             events_per_pair: 150,
             disable_retransmit: false,
-            workers: 1,
         }
     }
 }
@@ -519,17 +513,6 @@ fn ack_topic(pair: usize) -> Topic {
     Topic::parse(&format!("chaos/relack/{pair}")).expect("static topic")
 }
 
-/// Advances the simulation to `until` on whichever engine the config
-/// selects. The parallel engine is conservative and deterministic, so
-/// the choice must not change any reported value.
-fn advance(sim: &mut Simulation, workers: usize, until: SimTime) {
-    if workers > 1 {
-        sim.run_parallel_until(until, workers);
-    } else {
-        sim.run_until(until);
-    }
-}
-
 /// Runs the scenario under `schedule` and reports.
 pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
     let mut sim = Simulation::new(config.seed);
@@ -671,7 +654,7 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
     ops.sort_by_key(|(t, tie, _)| (*t, *tie));
 
     for (t_ms, _, op) in ops {
-        advance(&mut sim, config.workers, SimTime::from_millis(t_ms));
+        sim.run_until(SimTime::from_millis(t_ms));
         match op {
             Op::Link(e, cfg) => sim.set_link(hosts[e], hosts[e + 1], cfg),
             Op::Crash(pid) => sim.crash_process(pid),
@@ -688,7 +671,7 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
             }
         }
     }
-    advance(&mut sim, config.workers, SimTime::from_millis(config.horizon_ms));
+    sim.run_until(SimTime::from_millis(config.horizon_ms));
     // Belt and braces: every fault interval ends by the horizon, but a
     // hand-written schedule might not be well-formed. Heal everything.
     for e in 0..EDGES {
@@ -704,38 +687,7 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
             b.unmute_heartbeats();
         }
     }
-    advance(
-        &mut sim,
-        config.workers,
-        SimTime::from_millis(config.horizon_ms + config.settle_ms),
-    );
-
-    if config.workers > 1 {
-        // Publish engine-side parallel telemetry. These live in the
-        // registry (metrics_json), never in the fingerprinted counters,
-        // so sequential and parallel reports stay comparable.
-        let stats = sim.parallel_stats();
-        registry
-            .counter(
-                "parsim_rounds_total",
-                "Watermark synchronization rounds across the run",
-            )
-            .add(stats.rounds);
-        registry
-            .counter(
-                "parsim_sequential_fallbacks_total",
-                "Parallel runs that fell back to the sequential engine",
-            )
-            .add(stats.sequential_fallbacks);
-        for (w, stalls) in stats.worker_stalls.iter().enumerate() {
-            registry
-                .counter(
-                    &format!("parsim_worker{w}_watermark_stalls_total"),
-                    "Rounds this worker only republished its bound (no safe event)",
-                )
-                .add(*stalls);
-        }
-    }
+    sim.run_until(SimTime::from_millis(config.horizon_ms + config.settle_ms));
 
     collect(
         config,

@@ -5,15 +5,14 @@
 //! the event (0 for control pushes — process registration and restarts —
 //! which happen identically in every run), and `seq` is that origin's
 //! private push counter. A host's pushes happen only while its own
-//! events execute, and a host's events execute in the same relative
-//! order under the sequential engine and under every worker layout of
-//! the parallel engine ([`crate::parsim`]) — so the keys, and therefore
-//! the entire run, are bit-identical at any worker count.
+//! events execute, so a key depends on what its origin did and never on
+//! the order in which events of *other* hosts at the same instant were
+//! dispatched — the keys, and therefore the entire run, are a function
+//! of the seed and the registered processes alone.
 
 use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use mmcs_util::rng::DetRng;
@@ -21,7 +20,6 @@ use mmcs_util::stats::OnlineStats;
 use mmcs_util::time::{SimDuration, SimTime};
 
 use crate::net::{HostId, LinkConfig, NetworkState, NicConfig};
-use crate::parsim::ParsimStats;
 use crate::process::{Context, Packet, Process, ProcessId};
 use crate::queue::EventQueue;
 
@@ -58,8 +56,8 @@ pub(crate) type DeferredEvent = EventKind;
 /// which are issued by the harness in a fixed order) and `host id + 1`
 /// for events produced while that host executed. `seq` is the origin's
 /// private push counter. Two events never share a key, and the key a
-/// given event receives does not depend on how hosts are partitioned
-/// across workers — the backbone of parallel determinism.
+/// given event receives depends only on its origin's own execution —
+/// the backbone of run-to-run determinism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct EventKey {
     pub at: SimTime,
@@ -88,17 +86,6 @@ impl Ord for Event {
         // BinaryHeap is a max-heap; invert so the smallest key pops first.
         other.key.cmp(&self.key)
     }
-}
-
-/// Outbound routes to the other workers of a parallel run (see
-/// [`crate::parsim`]). `None` in sequential runs.
-pub(crate) struct CrossLinks {
-    /// This worker's index.
-    pub me: usize,
-    /// Host index -> owning worker index.
-    pub owner: Arc<Vec<usize>>,
-    /// One inbox sender per worker, indexed by worker.
-    pub txs: Vec<Sender<Event>>,
 }
 
 /// Execution-trace record tags. Each trace record is
@@ -131,8 +118,6 @@ pub struct EngineCore {
     pub(crate) stop_requested: bool,
     /// Whether dispatches append to the per-host execution traces.
     pub(crate) trace_on: bool,
-    /// Worker-mode routing table; `None` outside parallel runs.
-    pub(crate) cross: Option<CrossLinks>,
 }
 
 impl EngineCore {
@@ -147,49 +132,17 @@ impl EngineCore {
         self.queue.push(Event { key, kind });
     }
 
-    /// Mints the next key for an event produced by `origin`'s execution.
-    fn key_from(&mut self, origin: HostId, at: SimTime) -> EventKey {
+    /// Pushes an event attributed to `origin`, minting its key from that
+    /// host's push counter.
+    pub(crate) fn push_from(&mut self, origin: HostId, at: SimTime, kind: EventKind) {
         let host = self.net.host_mut(origin);
         host.push_seq += 1;
-        EventKey {
+        let key = EventKey {
             at,
             origin: origin.0 + 1,
             seq: host.push_seq,
-        }
-    }
-
-    /// Pushes an event attributed to `origin` into the local queue.
-    pub(crate) fn push_from(&mut self, origin: HostId, at: SimTime, kind: EventKind) {
-        let key = self.key_from(origin, at);
-        self.queue.push(Event { key, kind });
-    }
-
-    /// Pushes a delivery, routing it to the destination host's owning
-    /// worker in a parallel run. The key is minted from the sender either
-    /// way, so the sender's push counter advances identically under the
-    /// sequential and parallel engines.
-    fn push_deliver(&mut self, origin: HostId, dst_host: HostId, at: SimTime, packet: Packet) {
-        let key = self.key_from(origin, at);
-        let event = Event {
-            key,
-            kind: EventKind::Deliver(packet),
         };
-        if let Some(cross) = &self.cross {
-            let target = cross
-                .owner
-                .get(dst_host.0 as usize)
-                .copied()
-                .unwrap_or(cross.me);
-            if target != cross.me {
-                if let Some(tx) = cross.txs.get(target) {
-                    // A send failure means the run is tearing down; the
-                    // event dies with it.
-                    let _ = tx.send(event);
-                }
-                return;
-            }
-        }
-        self.queue.push(event);
+        self.queue.push(Event { key, kind });
     }
 
     pub(crate) fn schedule_timer(
@@ -210,17 +163,6 @@ impl EngineCore {
     pub(crate) fn host_of(&self, process: ProcessId) -> Option<HostId> {
         let idx = process.0.checked_sub(1)? as usize;
         self.proc_hosts.get(idx).copied()
-    }
-
-    /// The host an event will execute on (where its key sorts it).
-    pub(crate) fn target_host(&self, kind: &EventKind) -> Option<HostId> {
-        match kind {
-            EventKind::Start(p) | EventKind::Timer(p, _, _) | EventKind::Restart(p) => {
-                self.host_of(*p)
-            }
-            EventKind::Deliver(packet) => self.host_of(packet.dst),
-            EventKind::Drain(host) => Some(*host),
-        }
     }
 
     /// The named host's private deterministic RNG stream.
@@ -270,7 +212,7 @@ impl EngineCore {
         if src_host == dst_host {
             let latency = self.net.host(src_host).nic.loopback_latency;
             let at = send.at.saturating_add(latency);
-            self.push_deliver(src_host, dst_host, at, packet);
+            self.push_from(src_host, at, EventKind::Deliver(packet));
             return;
         }
 
@@ -308,10 +250,10 @@ impl EngineCore {
         if link.duplicate > 0.0 && self.host_rng(src_host).chance(link.duplicate) {
             self.count("net.duplicated", 1);
             let at = self.jittered_arrival(src_host, tx_done, &link);
-            self.push_deliver(src_host, dst_host, at, packet.clone());
+            self.push_from(src_host, at, EventKind::Deliver(packet.clone()));
         }
         let at = self.jittered_arrival(src_host, tx_done, &link);
-        self.push_deliver(src_host, dst_host, at, packet);
+        self.push_from(src_host, at, EventKind::Deliver(packet));
     }
 
     /// Arrival time of one copy leaving the NIC at `tx_done`: link
@@ -329,9 +271,10 @@ impl EngineCore {
 
 /// Trait-object adapter so process state can be inspected after a run.
 ///
-/// `Send` is a supertrait because the parallel engine moves processes to
-/// worker threads for the duration of a run.
-pub(crate) trait AnyProcess: Process + Send {
+/// `Send` is a supertrait so that a whole [`Simulation`] is `Send`: the
+/// benchmark and the frontier tests build and run theirs on spawned
+/// threads.
+trait AnyProcess: Process + Send {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
@@ -347,20 +290,14 @@ impl<T: Process + Send + 'static> AnyProcess for T {
 
 /// A deterministic discrete-event simulation.
 ///
-/// See the [crate documentation](crate) for the model and an example,
-/// and [`crate::parsim`] for the multi-threaded runner
-/// ([`Simulation::run_parallel_until`]) that produces bit-identical
-/// results on worker threads.
+/// See the [crate documentation](crate) for the model and an example.
 pub struct Simulation {
-    pub(crate) core: EngineCore,
-    pub(crate) processes: Vec<Option<Box<dyn AnyProcess>>>,
-    pub(crate) started: bool,
+    core: EngineCore,
+    processes: Vec<Option<Box<dyn AnyProcess>>>,
+    started: bool,
     /// The buffer lent to each callback's [`Context`] for its sends, so
     /// a 400-way fan-out grows it once per run, not once per publish.
-    pub(crate) send_buf: Vec<PendingSend>,
-    /// Cumulative parallel-run statistics (never part of counters, so
-    /// fingerprints stay engine-independent).
-    pub(crate) par_stats: ParsimStats,
+    send_buf: Vec<PendingSend>,
 }
 
 impl Simulation {
@@ -380,12 +317,10 @@ impl Simulation {
                 proc_incarnation: Vec::new(),
                 stop_requested: false,
                 trace_on: false,
-                cross: None,
             },
             processes: Vec::new(),
             started: false,
             send_buf: Vec::new(),
-            par_stats: ParsimStats::default(),
         }
     }
 
@@ -397,8 +332,8 @@ impl Simulation {
 
     /// Registers a process on `host`. Ids are sequential starting at 1.
     ///
-    /// Processes must be `Send`: the parallel engine moves them to worker
-    /// threads for the duration of a run.
+    /// Processes must be `Send` so that the simulation itself is: callers
+    /// build and run one on a spawned thread.
     ///
     /// # Panics
     ///
@@ -571,7 +506,7 @@ impl Simulation {
     /// event appends a fixed-width record ([`TRACE_WORDS`] `u64`s) to its
     /// host's trace. Traces are the strongest equivalence witness the
     /// engine offers — identical traces mean identical event sequences
-    /// per host, which the parallel engine must reproduce exactly.
+    /// per host, which two runs of one seed must reproduce exactly.
     pub fn set_trace_enabled(&mut self, on: bool) {
         self.core.trace_on = on;
     }
@@ -628,7 +563,7 @@ impl Simulation {
             .downcast_mut::<T>()
     }
 
-    pub(crate) fn ensure_started(&mut self) {
+    fn ensure_started(&mut self) {
         if self.started {
             return;
         }

@@ -16,10 +16,9 @@
 //!
 //! Components are actor-style [`Process`]es exchanging [`Packet`]s; all
 //! scheduling is virtual-time ([`SimTime`](mmcs_util::time::SimTime)), all
-//! randomness is seeded, so runs are bit-reproducible — including on the
-//! conservative-parallel engine ([`parsim`]), which shards hosts across
-//! worker threads ([`Simulation::run_parallel_until`]) while reproducing
-//! the sequential engine's event order bit-for-bit.
+//! randomness is seeded per host, so runs are bit-reproducible. There is
+//! one engine, and it is single-threaded (see `DESIGN.md` §2 "One
+//! engine").
 //!
 //! # Examples
 //!
@@ -59,11 +58,9 @@
 
 pub mod engine;
 pub mod net;
-pub mod parsim;
 pub mod process;
 mod queue;
 
 pub use engine::Simulation;
 pub use net::{LinkConfig, NicConfig};
-pub use parsim::ParsimStats;
 pub use process::{Context, Packet, Process, ProcessId};

@@ -93,8 +93,8 @@ pub(crate) struct HostState {
     /// Deterministic RNG stream private to this host. Every random draw
     /// attributable to the host (its processes' `ctx.rng()`, plus
     /// loss/duplication/jitter on packets it sends) comes from here, so
-    /// the draw sequence depends only on the host's own execution order —
-    /// which is identical under the sequential and parallel engines.
+    /// the draw sequence depends only on the host's own execution order,
+    /// not on how its events interleave with other hosts'.
     pub rng: DetRng,
     /// Private counter for event keys minted with this host as origin.
     /// See `engine::EventKey` for the total-order argument.
@@ -102,24 +102,6 @@ pub(crate) struct HostState {
     /// Execution trace (fixed-width records, see `engine` trace tags);
     /// only appended to while `Simulation::set_trace_enabled(true)`.
     pub trace: Vec<u64>,
-}
-
-impl HostState {
-    /// An inert placeholder occupying a non-owned slot in a parallel
-    /// worker's host table (see `crate::parsim`). Never executed.
-    pub(crate) fn placeholder() -> Self {
-        Self {
-            name: String::new(),
-            nic: NicConfig::default(),
-            nic_free_at: SimTime::ZERO,
-            cpu_free_at: SimTime::ZERO,
-            pending: std::collections::VecDeque::new(),
-            drain_scheduled: false,
-            rng: DetRng::new(0),
-            push_seq: 0,
-            trace: Vec::new(),
-        }
-    }
 }
 
 /// Derives a host's private RNG seed from the simulation master seed.

@@ -42,8 +42,8 @@ impl std::fmt::Display for ProcessId {
 
 /// A packet delivered to a process.
 ///
-/// The payload is reference-counted (atomically, so packets may cross
-/// worker threads under the parallel engine) — a fan-out of one logical
+/// The payload is reference-counted (atomically: a queued packet must
+/// not stop a `Simulation` from being `Send`) — a fan-out of one logical
 /// message to hundreds of receivers does not copy the payload;
 /// `wire_bytes` is the size the network charges for serialization.
 #[derive(Debug, Clone)]
@@ -170,8 +170,8 @@ impl<'a> Context<'a> {
     /// Sends `payload` to `dst` as a `wire_bytes`-sized packet through the
     /// simulated network (loopback if `dst` is on the same host).
     ///
-    /// The payload may be any `Send + Sync + 'static` value (packets can
-    /// cross worker threads under the parallel engine); receivers
+    /// The payload may be any `Send + Sync + 'static` value (packets sit
+    /// in the event queue, and a `Simulation` is `Send`); receivers
     /// downcast with [`Packet::payload`]. For fan-out, pass an `Arc` via
     /// [`Context::send_shared`] to avoid cloning.
     pub fn send<T: Send + Sync + 'static>(&mut self, dst: ProcessId, payload: T, wire_bytes: usize) {
@@ -207,9 +207,9 @@ impl<'a> Context<'a> {
 
     /// A deterministic RNG stream private to this process's host.
     ///
-    /// Draws depend only on the host's own execution order, which is the
-    /// same under the sequential and parallel engines — so replays stay
-    /// bit-identical at any worker count.
+    /// Draws depend only on the host's own execution order, not on how
+    /// its events interleave with other hosts' — so replays stay
+    /// bit-identical.
     pub fn rng(&mut self) -> &mut DetRng {
         self.core.host_rng(self.host)
     }

@@ -114,7 +114,7 @@ proptest! {
             );
             recorder
         };
-        sim.run_parallel(2);
+        sim.run_to_completion();
         let arrivals = &sim.process_ref::<Recorder>(recorder).expect("recorder").arrivals;
         prop_assert_eq!(arrivals.len() as u64, packets, "lossless link delivers all");
         for (seq, sent_at, arrived_at) in arrivals {
@@ -159,7 +159,7 @@ proptest! {
             );
             recorder
         };
-        sim.run_parallel(2);
+        sim.run_to_completion();
         let arrivals = &sim.process_ref::<Recorder>(recorder).expect("recorder").arrivals;
         prop_assert_eq!(
             arrivals.len() as u64,

@@ -14,7 +14,7 @@
 //! * [`xml`] — a minimal XML document model, writer and parser. XGSP,
 //!   SOAP and the IM stanzas are XML protocols and no XML crate is on the
 //!   allowed offline dependency list, so we carry our own.
-//! * [`stats`] — online statistics, histograms and time-series capture
+//! * [`stats`] — online statistics and time-series capture
 //!   used by the benchmark harnesses.
 //! * [`rate`] — bandwidth/serialization arithmetic and a token bucket.
 //! * [`pool`] — thread-local size-classed buffer pools backing the

@@ -1,11 +1,10 @@
 //! Statistics collection for experiments.
 //!
-//! Three tools, matching what the paper's figures need:
+//! Two tools, matching what the paper's figures need:
 //!
 //! * [`OnlineStats`] — streaming count/mean/variance/min/max (Welford).
 //! * [`SampleSeries`] — stores every sample so percentiles and the
 //!   per-packet series of Figure 3 can be reported and written to CSV.
-//! * [`Histogram`] — fixed-width bucket counts for distribution shape.
 //!
 //! # Examples
 //!
@@ -280,83 +279,6 @@ impl Extend<f64> for SampleSeries {
     }
 }
 
-/// Fixed-width bucket histogram over `[lo, hi)` with overflow/underflow
-/// buckets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range is empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Self {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            if let Some(bucket) = self.buckets.get_mut(idx) {
-                *bucket += 1;
-            }
-        }
-    }
-
-    /// Per-bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The inclusive-exclusive value range `[lo, hi)` of bucket `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn bucket_range(&self, idx: usize) -> (f64, f64) {
-        assert!(idx < self.buckets.len(), "bucket index out of range");
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        (self.lo + width * idx as f64, self.lo + width * (idx + 1) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,24 +379,5 @@ mod tests {
         let csv = s.to_csv("delay_ms");
         assert!(csv.starts_with("index,delay_ms\n"));
         assert!(csv.contains("0,1.500000"));
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-1.0);
-        h.record(0.0);
-        h.record(5.5);
-        h.record(9.999);
-        h.record(10.0);
-        h.record(42.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[5], 1);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.bucket_range(0), (0.0, 1.0));
-        assert_eq!(h.bucket_range(9), (9.0, 10.0));
     }
 }
