@@ -496,7 +496,7 @@ mod tests {
     #[test]
     fn shims_exempt_from_clock_and_lock_lints() {
         let f = parse(
-            "crates/shims/criterion/src/lib.rs",
+            "crates/shims/parking_lot/src/lib.rs",
             "fn f() { Instant::now(); std::sync::Mutex::new(0); }\n",
         );
         let mut out = Vec::new();

@@ -48,7 +48,8 @@ pub fn two_series_csv(a_name: &str, a: &[f64], b_name: &str, b: &[f64]) -> Strin
 }
 
 /// Formats a row-oriented text table with a header, padding each column
-/// to its widest cell.
+/// to its widest cell. Cells beyond the header's columns are printed at
+/// their own width.
 pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -64,7 +65,8 @@ pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {
             if i > 0 {
                 out.push_str("  ");
             }
-            out.push_str(&format!("{cell:>width$}", width = widths[i]));
+            let width = widths.get(i).copied().unwrap_or(0);
+            out.push_str(&format!("{cell:>width$}"));
         }
         out.push('\n');
     };
@@ -99,13 +101,16 @@ mod tests {
             &[
                 vec!["x".into(), "1".into()],
                 vec!["longer".into(), "22".into()],
+                vec!["y".into(), "3".into(), "extra".into()],
             ],
         );
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 5);
         // Right-aligned in a 6-wide column.
         assert!(lines[2].starts_with("     x"));
         assert!(lines[3].starts_with("longer"));
+        // A cell with no header column is printed at its own width.
+        assert_eq!(lines[4], "     y      3  extra");
     }
 
     #[test]

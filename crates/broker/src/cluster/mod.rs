@@ -28,9 +28,9 @@
 //!
 //! The same worker runs over two link fabrics:
 //!
-//! * **in-process** — crossbeam channels between node workers, with a
-//!   fault plane (down links, gossip loss) the chaos harness toggles
-//!   deterministically; and
+//! * **in-process** — `std::sync::mpsc` channels between node workers,
+//!   with a fault plane (down links, gossip loss) the chaos harness
+//!   toggles deterministically; and
 //! * **loopback TCP** ([`ClusterBuilder::tcp`]) — length-prefixed
 //!   records over real sockets; event frames ride [`crate::reliable`]
 //!   (sequence numbers, cumulative acks, RTO retransmit, dedup) and
@@ -52,12 +52,12 @@ mod worker;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use mmcs_util::id::ClientId;
 use parking_lot::Mutex;
 
@@ -139,7 +139,7 @@ impl ClusterBuilder {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<NodeCmd>();
+            let (tx, rx) = channel::<NodeCmd>();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -309,7 +309,7 @@ impl Cluster {
     pub fn quiesce(&self) {
         let rounds = self.node_count().max(2) + 2;
         for _ in 0..rounds {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             for node in &self.shared.nodes {
                 let _ = node.send(NodeCmd::Barrier(tx.clone()));
             }
@@ -344,7 +344,7 @@ impl Cluster {
     /// Snapshots node `index`'s gossip view: one [`InterestEntry`] per
     /// node, entry `index` being its local truth.
     pub fn snapshot(&self, index: usize) -> Vec<InterestEntry> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.shared.tell(index as NodeId, NodeCmd::Inspect(tx));
         rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default()
     }

@@ -36,12 +36,12 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mmcs_util::time::{monotonic_now, SimDuration, SimTime};
 use parking_lot::Mutex;
 
@@ -564,7 +564,7 @@ impl TcpFabric {
         for (me, socket) in sockets.into_iter().enumerate() {
             let node_metrics = metrics.node(me);
             let mut spawn_link = |peer: usize| {
-                let (ops, rx) = unbounded();
+                let (ops, rx) = channel();
                 let (addr, metrics) = (addrs[peer], Arc::clone(node_metrics));
                 let thread = std::thread::Builder::new()
                     .name(format!("mmcs-link{me}"))
@@ -605,7 +605,7 @@ impl TcpFabric {
     /// the answers. A node that is not listening cannot hear one, so its
     /// outbound links count as not connected.
     pub(super) fn flush_links(&self) {
-        let (done, answered) = unbounded();
+        let (done, answered) = channel();
         for node in self.nodes.iter().filter(|node| node.accept.is_some()) {
             for link in node.ctx.links.iter().flatten() {
                 let _ = link.send(LinkOp::Flush(done.clone()));
@@ -682,7 +682,7 @@ mod tests {
         let reserved = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
         let addr = reserved.local_addr().expect("addr");
         drop(reserved);
-        let (link, ops) = unbounded();
+        let (link, ops) = channel();
         let metrics = ClusterNodeMetrics::detached();
         let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
         let send = |frame| assert!(link.send(LinkOp::Send(frame)).is_ok());
@@ -740,7 +740,7 @@ mod tests {
 
     #[test]
     fn an_oversize_frame_is_counted_as_a_link_drop() {
-        let (link, ops) = unbounded();
+        let (link, ops) = channel();
         let metrics = ClusterNodeMetrics::detached();
         let seen = Arc::clone(&metrics);
         let addr = closed_port();
@@ -778,12 +778,12 @@ mod tests {
     fn a_flush_completes_on_its_own_answer_or_when_nothing_is_connected() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let (link, ops) = unbounded();
+        let (link, ops) = channel();
         let metrics = ClusterNodeMetrics::detached();
         let seen = Arc::clone(&metrics);
         let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
         let flush = || {
-            let (done, answered) = unbounded();
+            let (done, answered) = channel();
             assert!(link.send(LinkOp::Flush(done)).is_ok());
             answered
         };

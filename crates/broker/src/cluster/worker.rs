@@ -5,10 +5,10 @@
 //! (sequencing, acks, retransmit) never reaches this file.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use mmcs_util::pool;
 
 use super::frame::{

@@ -7,7 +7,7 @@
 //! transitions. All instruments are relaxed atomics from
 //! `mmcs-telemetry`, so an instrumented warm publish stays
 //! **zero-allocation and lock-free** — `tests/route_alloc.rs` and the
-//! `telemetry_overhead` Criterion group hold that line.
+//! benchmark's `telemetry.metrics_overhead_ratio` hold that line.
 //!
 //! Instrumentation is opt-in: [`node::BrokerNode`](crate::node) carries
 //! an `Option<Arc<BrokerMetrics>>` and pays one branch per publish when

@@ -1,16 +1,15 @@
-//! Golden-schema tests for the two machine-readable bench artifacts:
-//! the criterion shim's `MMCS_BENCH_JSON` dump and the frontier's
-//! `BENCH_capacity.json`. The goldens pin the *schema* — key names, key
-//! order, value kinds — not the measured numbers: each document is
-//! parsed and normalized ([`Json::schema_normal`]: numbers → 0, bools →
-//! false, arrays → first element) before comparison, so timing noise
-//! never trips CI but a silently renamed or reordered field does.
+//! Golden-schema test for the frontier's machine-readable bench
+//! artifact, `BENCH_capacity.json`. The golden pins the *schema* — key
+//! names, key order, value kinds — not the measured numbers: the
+//! document is parsed and normalized ([`Json::schema_normal`]: numbers →
+//! 0, bools → false, arrays → first element) before comparison, so
+//! timing noise never trips CI but a silently renamed or reordered field
+//! does.
 //!
 //! To regenerate after an intentional schema change:
 //! `UPDATE_GOLDEN=1 cargo test --test bench_json_golden`.
 
 use std::path::Path;
-use std::time::Duration;
 
 use mmcs_bench::capacity::Media;
 use mmcs_bench::frontier::{
@@ -42,26 +41,6 @@ fn normalize(document: &str) -> String {
     let mut out = parsed.schema_normal().render();
     out.push('\n');
     out
-}
-
-#[test]
-fn criterion_shim_json_matches_golden_schema() {
-    // Run one real (tiny) benchmark through the shim so the dump is the
-    // genuine article, then strip the measurements.
-    let mut criterion = criterion::Criterion::default()
-        .sample_size(2)
-        .measurement_time(Duration::from_millis(10))
-        .warm_up_time(Duration::from_millis(2));
-    let mut group = criterion.benchmark_group("golden");
-    group.throughput(criterion::Throughput::Elements(1));
-    let mut counter = 0u64;
-    group.bench_function("spin", |b| b.iter(|| counter += 1));
-    group.finish();
-    assert!(counter > 0);
-    check_golden(
-        "bench_criterion_schema.json",
-        &normalize(&criterion::render_json()),
-    );
 }
 
 /// A synthetic frontier point with fixed nonzero numbers (all erased by
