@@ -19,12 +19,13 @@
 //! have settled.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use mmcs_rtp::packet::{RtpPacket, WireRtp};
 use mmcs_rtp::recv::ReceiverStats;
 use mmcs_rtp::source::{AudioSource, VideoSource};
-use mmcs_sim::{Context, Packet, Process, ProcessId};
+use mmcs_sim::{Context, CounterId, Packet, Process, ProcessId};
 use mmcs_util::id::{BrokerId, ClientId};
 use mmcs_util::time::SimDuration;
 
@@ -119,11 +120,69 @@ pub enum ClientMsg {
 /// Control-plane message size on the wire (attach/subscribe/adverts).
 const CONTROL_BYTES: usize = 96;
 
+/// Hashes the broker-assigned integer ids that key
+/// [`BrokerProcess::clients`] with one multiply (Fibonacci hashing):
+/// the lookup runs once per delivery, and the ids are not chosen by an
+/// adversary, so SipHash buys nothing there.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// The broker's counters, resolved once per run so that a delivery
+/// bumps them by index (see [`Context::counter_id`]).
+#[derive(Clone, Copy)]
+struct BrokerCounters {
+    delivered: CounterId,
+    forwarded: CounterId,
+    unknown_client: CounterId,
+    unknown_peer: CounterId,
+    protocol_error: CounterId,
+    bad_payload: CounterId,
+    client_reattach: CounterId,
+    peer_rejoined: CounterId,
+    peer_resynced: CounterId,
+}
+
+impl BrokerCounters {
+    fn resolve(ctx: &mut Context<'_>) -> Self {
+        Self {
+            delivered: ctx.counter_id("broker.delivered"),
+            forwarded: ctx.counter_id("broker.forwarded"),
+            unknown_client: ctx.counter_id("broker.deliver.unknown_client"),
+            unknown_peer: ctx.counter_id("broker.forward.unknown_peer"),
+            protocol_error: ctx.counter_id("broker.protocol_error"),
+            bad_payload: ctx.counter_id("broker.bad_payload"),
+            client_reattach: ctx.counter_id("broker.client_reattach"),
+            peer_rejoined: ctx.counter_id("broker.peer_rejoined"),
+            peer_resynced: ctx.counter_id("broker.peer_resynced"),
+        }
+    }
+}
+
+/// What one send's CPU charge depends on: whether it is the first send
+/// of its action run, its wire size and the client's profile.
+type SendKey = (bool, usize, TransportProfile);
+
 /// A broker running inside the simulator.
 pub struct BrokerProcess {
     node: BrokerNode,
     cost: CostModel,
-    clients: HashMap<ClientId, (ProcessId, TransportProfile)>,
+    clients: HashMap<ClientId, (ProcessId, TransportProfile), BuildHasherDefault<IdHasher>>,
     /// Static configuration: every peer this broker is wired to, whether
     /// or not the node-level link is currently up. Ordered so heartbeat
     /// and resync send order is deterministic across process runs.
@@ -148,6 +207,13 @@ pub struct BrokerProcess {
     /// Reused action buffer: the per-packet hot path allocates nothing
     /// once it has grown to the peak fan-out.
     scratch: Vec<Action>,
+    /// The delivery charges computed so far in the current action run.
+    /// [`CostModel::send_cost`] is pure and reads its index only as
+    /// "first send or not", so a 400-way fan-out computes two charges
+    /// and reuses them, bit for bit, for the other 398 sends.
+    send_costs: Vec<(SendKey, SimDuration)>,
+    /// Resolved on the first callback that bumps one.
+    counters: Option<BrokerCounters>,
     /// Telemetry instruments, kept here (durable configuration, like
     /// `liveness_cfg`) so a restart reinstalls them on the fresh node.
     metrics: Option<Arc<BrokerMetrics>>,
@@ -176,7 +242,7 @@ impl BrokerProcess {
         Self {
             node: BrokerNode::new(id),
             cost,
-            clients: HashMap::new(),
+            clients: HashMap::default(),
             peers: BTreeMap::new(),
             detector: None,
             liveness_cfg: None,
@@ -186,6 +252,8 @@ impl BrokerProcess {
             heartbeats_enabled: true,
             peer_history: Vec::new(),
             scratch: Vec::new(),
+            send_costs: Vec::new(),
+            counters: None,
             metrics: None,
             local_adverts_only: false,
         }
@@ -259,8 +327,15 @@ impl BrokerProcess {
         &self.node
     }
 
+    fn counters(&mut self, ctx: &mut Context<'_>) -> BrokerCounters {
+        *self.counters.get_or_insert_with(|| BrokerCounters::resolve(ctx))
+    }
+
     fn execute(&mut self, ctx: &mut Context<'_>, actions: &mut Vec<Action>) {
+        let counters = self.counters(ctx);
+        self.send_costs.clear();
         let mut send_index = 0usize;
+        let mut delivered = 0u64;
         // A fan-out is a run of `Deliver`s carrying the same event: they
         // share one message, so 400 receivers cost one allocation.
         let mut fanout: Option<Arc<ClientMsg>> = None;
@@ -271,12 +346,21 @@ impl BrokerProcess {
                     profile,
                     event,
                 } => {
-                    let Some((process, _)) = self.clients.get(&client) else {
-                        ctx.count("broker.deliver.unknown_client", 1);
+                    let Some(&(process, _)) = self.clients.get(&client) else {
+                        ctx.bump(counters.unknown_client, 1);
                         continue;
                     };
                     let wire = event.wire_len() + profile.overhead_bytes();
-                    ctx.spend_cpu(profile.scale_cost(self.cost.send_cost(send_index, wire)));
+                    let key = (send_index > 0, wire, profile);
+                    let charge = match self.send_costs.iter().find(|(k, _)| *k == key) {
+                        Some(&(_, charge)) => charge,
+                        None => {
+                            let charge = profile.scale_cost(self.cost.send_cost(send_index, wire));
+                            self.send_costs.push((key, charge));
+                            charge
+                        }
+                    };
+                    ctx.spend_cpu(charge);
                     send_index += 1;
                     let message = match fanout.take() {
                         Some(message)
@@ -286,13 +370,13 @@ impl BrokerProcess {
                         }
                         _ => Arc::new(ClientMsg::Deliver(event)),
                     };
-                    ctx.send_shared(*process, message.clone(), wire);
+                    ctx.send_shared(process, message.clone(), wire);
                     fanout = Some(message);
-                    ctx.count("broker.delivered", 1);
+                    delivered += 1;
                 }
                 Action::Forward { peer, event } => {
                     let Some(process) = self.peers.get(&peer) else {
-                        ctx.count("broker.forward.unknown_peer", 1);
+                        ctx.bump(counters.unknown_peer, 1);
                         continue;
                     };
                     let wire = event.wire_len() + TransportProfile::Tcp.overhead_bytes();
@@ -306,7 +390,7 @@ impl BrokerProcess {
                         },
                         wire,
                     );
-                    ctx.count("broker.forwarded", 1);
+                    ctx.bump(counters.forwarded, 1);
                 }
                 Action::AdvertiseAdd { peer, filter } => {
                     if let Some(process) = self.peers.get(&peer) {
@@ -334,6 +418,9 @@ impl BrokerProcess {
                 }
             }
         }
+        if delivered > 0 {
+            ctx.bump(counters.delivered, delivered);
+        }
     }
 
     fn apply(&mut self, ctx: &mut Context<'_>, input: Input) {
@@ -344,7 +431,8 @@ impl BrokerProcess {
                 // Drivers drop protocol violations (e.g. racing a detach);
                 // surface them as a counter for the harness.
                 let _ = err;
-                ctx.count("broker.protocol_error", 1);
+                let counters = self.counters(ctx);
+                ctx.bump(counters.protocol_error, 1);
             }
         }
         actions.clear();
@@ -358,7 +446,8 @@ impl BrokerProcess {
             detector.watch(peer, ctx.now());
         }
         self.peer_history.push((peer, PeerLinkEvent::Rejoined));
-        ctx.count("broker.peer_rejoined", 1);
+        let counters = self.counters(ctx);
+        ctx.bump(counters.peer_rejoined, 1);
         if let Some(m) = &self.metrics {
             m.peers_rejoined.inc();
         }
@@ -373,7 +462,8 @@ impl BrokerProcess {
         if let Some(detector) = &mut self.detector {
             detector.watch(peer, ctx.now());
         }
-        ctx.count("broker.peer_resynced", 1);
+        let counters = self.counters(ctx);
+        ctx.bump(counters.peer_resynced, 1);
     }
 
     /// Re-sends every advert this node believes `peer` holds. Duplicate
@@ -501,7 +591,8 @@ impl Process for BrokerProcess {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         let Some(msg) = packet.payload::<BrokerMsg>() else {
-            ctx.count("broker.bad_payload", 1);
+            let counters = self.counters(ctx);
+            ctx.bump(counters.bad_payload, 1);
             return;
         };
         let msg = msg.clone();
@@ -515,7 +606,8 @@ impl Process for BrokerProcess {
                 if self.node.has_client(client) {
                     // Periodic client refresh: already attached, nothing
                     // for the node to do.
-                    ctx.count("broker.client_reattach", 1);
+                    let counters = self.counters(ctx);
+                    ctx.bump(counters.client_reattach, 1);
                 } else {
                     self.apply(ctx, Input::AttachClient { client, profile });
                 }
@@ -651,6 +743,8 @@ pub struct VideoPublisher {
     source: VideoSource,
     sent: u64,
     seq: u64,
+    /// `publisher.rtp_sent`, resolved on the first publish.
+    sent_counter: Option<CounterId>,
 }
 
 impl VideoPublisher {
@@ -661,6 +755,7 @@ impl VideoPublisher {
             source,
             sent: 0,
             seq: 0,
+            sent_counter: None,
         }
     }
 
@@ -691,7 +786,10 @@ impl VideoPublisher {
             wire,
         );
         self.sent += 1;
-        ctx.count("publisher.rtp_sent", 1);
+        let sent = *self
+            .sent_counter
+            .get_or_insert_with(|| ctx.counter_id("publisher.rtp_sent"));
+        ctx.bump(sent, 1);
     }
 }
 
@@ -732,6 +830,8 @@ pub struct AudioPublisher {
     source: AudioSource,
     sent: u64,
     seq: u64,
+    /// `publisher.rtp_sent`, resolved on the first publish.
+    sent_counter: Option<CounterId>,
 }
 
 impl AudioPublisher {
@@ -742,6 +842,7 @@ impl AudioPublisher {
             source,
             sent: 0,
             seq: 0,
+            sent_counter: None,
         }
     }
 
@@ -793,7 +894,10 @@ impl Process for AudioPublisher {
             wire,
         );
         self.sent += 1;
-        ctx.count("publisher.rtp_sent", 1);
+        let sent = *self
+            .sent_counter
+            .get_or_insert_with(|| ctx.counter_id("publisher.rtp_sent"));
+        ctx.bump(sent, 1);
         ctx.set_timer(self.source.frame_interval(), 0);
     }
 }
@@ -806,6 +910,10 @@ pub struct RtpReceiver {
     profile: TransportProfile,
     recv_cpu: SimDuration,
     stats: ReceiverStats,
+    /// `receiver.rtp_received`, `receiver.rtp_decode_error` and
+    /// `receiver.bad_payload`, resolved on the first delivery (see
+    /// [`Context::counter_id`]).
+    counters: Option<(CounterId, CounterId, CounterId)>,
 }
 
 impl RtpReceiver {
@@ -828,6 +936,7 @@ impl RtpReceiver {
             profile: TransportProfile::Udp,
             recv_cpu,
             stats: ReceiverStats::new(0, payload_type),
+            counters: None,
         }
     }
 
@@ -871,17 +980,24 @@ impl Process for RtpReceiver {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+        let (received, decode_error, bad_payload) = *self.counters.get_or_insert_with(|| {
+            (
+                ctx.counter_id("receiver.rtp_received"),
+                ctx.counter_id("receiver.rtp_decode_error"),
+                ctx.counter_id("receiver.bad_payload"),
+            )
+        });
         let Some(ClientMsg::Deliver(event)) = packet.payload::<ClientMsg>() else {
-            ctx.count("receiver.bad_payload", 1);
+            ctx.bump(bad_payload, 1);
             return;
         };
         let arrival = ctx.now();
         match WireRtp::parse(&event.payload) {
             Ok(rtp) => {
                 self.stats.record_wire(&rtp, event.published_at, arrival);
-                ctx.count("receiver.rtp_received", 1);
+                ctx.bump(received, 1);
             }
-            Err(_) => ctx.count("receiver.rtp_decode_error", 1),
+            Err(_) => ctx.bump(decode_error, 1),
         }
         ctx.spend_cpu(self.recv_cpu);
     }
@@ -1039,6 +1155,144 @@ mod tests {
         // Two broker hops forwarded across hosts.
         assert!(sim.counter("broker.forwarded") >= 50);
     }
+
+    /// Attaches with `profile`, subscribes to `topic`, and records each
+    /// delivery as `(event seq, sent_at, wire bytes)`.
+    struct Recorder {
+        broker: ProcessId,
+        client: ClientId,
+        profile: TransportProfile,
+        topic: Topic,
+        got: Vec<(u64, SimTime, usize)>,
+    }
+
+    impl Process for Recorder {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let (client, profile) = (self.client, self.profile);
+            let attach = BrokerMsg::Attach { client, process: ctx.me(), profile };
+            ctx.send(self.broker, attach, CONTROL_BYTES);
+            let filter = TopicFilter::exact(&self.topic);
+            ctx.send(self.broker, BrokerMsg::Subscribe { client, filter }, CONTROL_BYTES);
+        }
+
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
+            if let Some(ClientMsg::Deliver(event)) = packet.payload::<ClientMsg>() {
+                self.got.push((event.seq, packet.sent_at, packet.wire_bytes));
+            }
+        }
+    }
+
+    /// Publishes one event per entry of `sizes`, back to back, at 50 ms.
+    struct Burst {
+        broker: ProcessId,
+        client: ClientId,
+        topic: Topic,
+        sizes: Vec<usize>,
+    }
+
+    impl Process for Burst {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let attach = BrokerMsg::Attach {
+                client: self.client,
+                process: ctx.me(),
+                profile: TransportProfile::Udp,
+            };
+            ctx.send(self.broker, attach, CONTROL_BYTES);
+            ctx.set_timer(SimDuration::from_millis(50), 0);
+        }
+
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, _packet: Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+            for (seq, &size) in self.sizes.iter().enumerate() {
+                let payload = bytes::Bytes::from(vec![0u8; size]);
+                let event = Event::new(self.topic.clone(), self.client, seq as u64, EventClass::Rtp, payload)
+                    .into_shared();
+                let wire = event.wire_len() + TransportProfile::Udp.overhead_bytes();
+                ctx.send(self.broker, BrokerMsg::Publish { client: self.client, event }, wire);
+            }
+        }
+    }
+
+    /// Every delivery of a fan-out leaves at the broker callback's start
+    /// plus routing plus the prefix sum of its sends' charges, each
+    /// computed straight from the cost model — whatever mix of profiles
+    /// and event sizes the reused per-run charges have to tell apart.
+    #[test]
+    fn fanout_charges_match_the_cost_model_exactly() {
+        let cost = CostModel::narada();
+        let mut sim = Simulation::new(11);
+        let sender_host = sim.add_host("sender", NicConfig::default());
+        let broker_host = sim.add_host("broker", NicConfig::default());
+        let client_host = sim.add_host("clients", NicConfig::default());
+        let broker = sim.add_typed_process(broker_host, BrokerProcess::new(BrokerId::from_raw(1), cost));
+        let topic = Topic::parse("conf/5/video").unwrap();
+        let profiles = [
+            TransportProfile::Udp,
+            TransportProfile::Tcp,
+            TransportProfile::Tcp,
+            TransportProfile::Udp,
+            TransportProfile::Udp,
+            TransportProfile::Tcp,
+        ];
+        let recorders: Vec<ProcessId> = profiles
+            .iter()
+            .enumerate()
+            .map(|(i, &profile)| {
+                let recorder = Recorder {
+                    broker,
+                    client: ClientId::from_raw(100 + i as u64),
+                    profile,
+                    topic: topic.clone(),
+                    got: Vec::new(),
+                };
+                sim.add_typed_process(client_host, recorder)
+            })
+            .collect();
+        let sizes = vec![180, 1060];
+        let publisher = sim.add_typed_process(
+            sender_host,
+            Burst {
+                broker,
+                client: ClientId::from_raw(1),
+                topic,
+                sizes: sizes.clone(),
+            },
+        );
+        sim.set_trace_enabled(true);
+        sim.run_until(SimTime::from_secs(1));
+
+        // The broker's callback starts: its publisher-sent deliveries
+        // after the attach, from the execution trace.
+        let traces = sim.take_traces();
+        let starts: Vec<SimTime> = traces[broker_host.0 as usize]
+            .chunks(mmcs_sim::engine::TRACE_WORDS)
+            .filter(|r| r[1] == broker.0 && r[3] == publisher.0)
+            .map(|r| SimTime::from_nanos(r[0]))
+            .filter(|&t| t >= SimTime::from_millis(50))
+            .collect();
+        assert_eq!(starts.len(), sizes.len());
+
+        for (seq, start) in starts.into_iter().enumerate() {
+            let mut sends: Vec<(SimTime, usize, TransportProfile)> = recorders
+                .iter()
+                .zip(profiles)
+                .flat_map(|(id, profile)| {
+                    let got = &sim.process_ref::<Recorder>(*id).unwrap().got;
+                    got.iter()
+                        .filter(|(s, _, _)| *s == seq as u64)
+                        .map(move |&(_, sent_at, wire)| (sent_at, wire, profile))
+                })
+                .collect();
+            assert_eq!(sends.len(), profiles.len(), "event {seq} reached every recorder once");
+            sends.sort_unstable_by_key(|&(sent_at, _, _)| sent_at);
+            let mut at = start + cost.routing;
+            for (i, (sent_at, wire, profile)) in sends.into_iter().enumerate() {
+                at += profile.scale_cost(cost.send_cost(i, wire));
+                assert_eq!(sent_at, at, "event {seq} send {i} ({profile:?}, {wire} B)");
+            }
+        }
+    }
 }
 
 /// A multicast relay: the broker delivers one copy per *machine*, and
@@ -1054,6 +1308,8 @@ pub struct MulticastRelay {
     local_receivers: Vec<ProcessId>,
     relay_cpu: SimDuration,
     relayed: u64,
+    /// `mcast.relayed`, resolved on the first relayed event.
+    relayed_counter: Option<CounterId>,
 }
 
 impl MulticastRelay {
@@ -1066,6 +1322,7 @@ impl MulticastRelay {
             local_receivers: Vec::new(),
             relay_cpu: SimDuration::from_micros(4),
             relayed: 0,
+            relayed_counter: None,
         }
     }
 
@@ -1114,7 +1371,10 @@ impl Process for MulticastRelay {
             ctx.send_shared(*receiver, message.clone(), wire);
         }
         self.relayed += 1;
-        ctx.count("mcast.relayed", 1);
+        let relayed = *self
+            .relayed_counter
+            .get_or_insert_with(|| ctx.counter_id("mcast.relayed"));
+        ctx.bump(relayed, 1);
     }
 }
 
@@ -1308,6 +1568,9 @@ pub struct ClientBundle {
     recv_cpu: SimDuration,
     delay_pool: Arc<mmcs_telemetry::Histogram>,
     received: u64,
+    /// `bundle.delivered_clients` and `bundle.bad_payload`, resolved on
+    /// the first delivery.
+    counters: Option<(CounterId, CounterId)>,
 }
 
 impl ClientBundle {
@@ -1335,6 +1598,7 @@ impl ClientBundle {
             recv_cpu,
             delay_pool,
             received: 0,
+            counters: None,
         }
     }
 
@@ -1376,14 +1640,20 @@ impl Process for ClientBundle {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+        let (delivered_clients, bad_payload) = *self.counters.get_or_insert_with(|| {
+            (
+                ctx.counter_id("bundle.delivered_clients"),
+                ctx.counter_id("bundle.bad_payload"),
+            )
+        });
         let Some(ClientMsg::Deliver(event)) = packet.payload::<ClientMsg>() else {
-            ctx.count("bundle.bad_payload", 1);
+            ctx.bump(bad_payload, 1);
             return;
         };
         let delay = ctx.now().saturating_duration_since(event.published_at);
         self.delay_pool.record_n(delay.as_nanos(), self.weight);
         self.received += 1;
-        ctx.count("bundle.delivered_clients", self.weight);
+        ctx.bump(delivered_clients, self.weight);
         ctx.spend_cpu(self.recv_cpu * self.weight);
     }
 }

@@ -19,7 +19,7 @@ use mmcs_broker::profile::TransportProfile;
 use mmcs_broker::reliable::{Ack, ReliableFrame, ReliableReceiver, ReliableSender};
 use mmcs_broker::simdrv::{BrokerMsg, BrokerProcess, ClientMsg, PeerLinkEvent};
 use mmcs_broker::topic::{Topic, TopicFilter};
-use mmcs_sim::{Context, LinkConfig, NicConfig, Packet, Process, ProcessId, Simulation};
+use mmcs_sim::{Context, CounterId, LinkConfig, NicConfig, Packet, Process, ProcessId, Simulation};
 use mmcs_telemetry::Registry;
 use mmcs_util::id::{BrokerId, ClientId, SessionId, TerminalId};
 use mmcs_util::rng::DetRng;
@@ -180,6 +180,9 @@ struct ChaosSender {
     offered: u64,
     total: u64,
     retransmit: bool,
+    /// `chaos.frames_sent` and `chaos.retransmits`, resolved on first use
+    /// (see [`Context::counter_id`]).
+    counters: Option<(CounterId, CounterId)>,
 }
 
 impl ChaosSender {
@@ -204,7 +207,17 @@ impl ChaosSender {
         );
     }
 
+    fn counters(&mut self, ctx: &mut Context<'_>) -> (CounterId, CounterId) {
+        *self.counters.get_or_insert_with(|| {
+            (
+                ctx.counter_id("chaos.frames_sent"),
+                ctx.counter_id("chaos.retransmits"),
+            )
+        })
+    }
+
     fn publish_frames(&mut self, ctx: &mut Context<'_>, frames: Vec<ReliableFrame>) {
+        let (frames_sent, _) = self.counters(ctx);
         for frame in frames {
             debug_assert_eq!(frame.seq, frame.event.seq, "frame seq rides Event::seq");
             let wire = frame.event.wire_len() + TransportProfile::Tcp.overhead_bytes();
@@ -216,7 +229,7 @@ impl ChaosSender {
                 },
                 wire,
             );
-            ctx.count("chaos.frames_sent", 1);
+            ctx.bump(frames_sent, 1);
         }
     }
 }
@@ -261,7 +274,8 @@ impl Process for ChaosSender {
                 if self.retransmit {
                     let frames = self.sender.on_tick(ctx.now());
                     if !frames.is_empty() {
-                        ctx.count("chaos.retransmits", frames.len() as u64);
+                        let (_, retransmits) = self.counters(ctx);
+                        ctx.bump(retransmits, frames.len() as u64);
                     }
                     self.publish_frames(ctx, frames);
                 }
@@ -289,6 +303,8 @@ struct ChaosReceiver {
     receiver: ReliableReceiver,
     delivered: Vec<u64>,
     xgsp: Option<XgspApplier>,
+    /// `chaos.delivered`, resolved on the first frame.
+    delivered_counter: Option<CounterId>,
 }
 
 impl ChaosReceiver {
@@ -328,12 +344,15 @@ impl Process for ChaosReceiver {
             event: Arc::clone(event),
         };
         let (events, ack) = self.receiver.on_frame(frame);
+        let delivered = *self
+            .delivered_counter
+            .get_or_insert_with(|| ctx.counter_id("chaos.delivered"));
         for event in events {
             let mut index_bytes = [0u8; 8];
             index_bytes.copy_from_slice(&event.payload[..8]);
             let index = u64::from_be_bytes(index_bytes);
             self.delivered.push(index);
-            ctx.count("chaos.delivered", 1);
+            ctx.bump(delivered, 1);
             if let Some(xgsp) = &mut self.xgsp {
                 xgsp.apply(index);
             }
@@ -372,6 +391,8 @@ struct ChurnClient {
     broker: ProcessId,
     client: ClientId,
     filter: TopicFilter,
+    /// `chaos.churn_received`, resolved on the first packet.
+    received_counter: Option<CounterId>,
 }
 
 impl ChurnClient {
@@ -408,7 +429,10 @@ impl Process for ChurnClient {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, _packet: Packet) {
-        ctx.count("chaos.churn_received", 1);
+        let received = *self
+            .received_counter
+            .get_or_insert_with(|| ctx.counter_id("chaos.churn_received"));
+        ctx.bump(received, 1);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
@@ -563,6 +587,7 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
             offered: 0,
             total: config.events_per_pair,
             retransmit: !config.disable_retransmit,
+            counters: None,
         };
         sender_pids.push(sim.add_typed_process(hosts[*s], sender));
         let receiver = ChaosReceiver {
@@ -573,6 +598,7 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
             receiver: ReliableReceiver::new(),
             delivered: Vec::new(),
             xgsp: (k == 0).then(|| XgspApplier::new(config.seed, config.events_per_pair)),
+            delivered_counter: None,
         };
         receiver_pids.push(sim.add_typed_process(hosts[*r], receiver));
     }
@@ -586,6 +612,7 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
                     broker: broker_pids[b],
                     client: ClientId::from_raw(300 + c as u64),
                     filter: TopicFilter::exact(&data_topic(0)),
+                    received_counter: None,
                 },
             )
         })

@@ -37,7 +37,7 @@ use bytes::Bytes;
 use mmcs_rtp::packet::{RtpPacket, WireRtp};
 use mmcs_rtp::recv::ReceiverStats;
 use mmcs_rtp::source::{AudioSource, VideoSource};
-use mmcs_sim::{Context, Packet, Process, ProcessId};
+use mmcs_sim::{Context, CounterId, Packet, Process, ProcessId};
 use mmcs_util::time::{SimDuration, SimTime};
 
 /// CPU cost profile of the reflector.
@@ -130,6 +130,9 @@ pub struct ReflectorProcess {
     gc: GcModel,
     receivers: Vec<ProcessId>,
     reflected: u64,
+    /// `reflector.reflected` and `reflector.bad_payload`, resolved on the
+    /// first packet (see [`Context::counter_id`]).
+    counters: Option<(CounterId, CounterId)>,
 }
 
 impl ReflectorProcess {
@@ -140,6 +143,7 @@ impl ReflectorProcess {
             gc,
             receivers: Vec::new(),
             reflected: 0,
+            counters: None,
         }
     }
 
@@ -171,8 +175,14 @@ impl Process for ReflectorProcess {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+        let (reflected, bad_payload) = *self.counters.get_or_insert_with(|| {
+            (
+                ctx.counter_id("reflector.reflected"),
+                ctx.counter_id("reflector.bad_payload"),
+            )
+        });
         let Some(msg) = packet.payload::<ReflectorMsg>() else {
-            ctx.count("reflector.bad_payload", 1);
+            ctx.bump(bad_payload, 1);
             return;
         };
         match msg {
@@ -189,7 +199,7 @@ impl Process for ReflectorProcess {
                     ctx.send_shared(*receiver, std::sync::Arc::clone(&shared), wire);
                 }
                 self.reflected += 1;
-                ctx.count("reflector.reflected", 1);
+                ctx.bump(reflected, 1);
             }
         }
     }
@@ -226,6 +236,8 @@ pub struct RtpDirectSender {
     max_packets: u64,
     send_cpu: SimDuration,
     sent: u64,
+    /// `jmf.rtp_sent`, resolved on the first packet.
+    sent_counter: Option<CounterId>,
 }
 
 impl RtpDirectSender {
@@ -244,6 +256,7 @@ impl RtpDirectSender {
             max_packets,
             send_cpu: SimDuration::from_micros(5),
             sent: 0,
+            sent_counter: None,
         }
     }
 
@@ -265,7 +278,10 @@ impl RtpDirectSender {
             wire,
         );
         self.sent += 1;
-        ctx.count("jmf.rtp_sent", 1);
+        let sent = *self
+            .sent_counter
+            .get_or_insert_with(|| ctx.counter_id("jmf.rtp_sent"));
+        ctx.bump(sent, 1);
     }
 }
 
@@ -298,6 +314,9 @@ impl Process for RtpDirectSender {
 pub struct RtpDirectSink {
     recv_cpu: SimDuration,
     stats: ReceiverStats,
+    /// `jmf.rtp_received`, `jmf.rtp_decode_error` and
+    /// `jmf.sink_bad_payload`, resolved on the first packet.
+    counters: Option<(CounterId, CounterId, CounterId)>,
 }
 
 impl RtpDirectSink {
@@ -306,6 +325,7 @@ impl RtpDirectSink {
         Self {
             recv_cpu,
             stats: ReceiverStats::new(0, payload_type),
+            counters: None,
         }
     }
 
@@ -323,17 +343,24 @@ impl RtpDirectSink {
 
 impl Process for RtpDirectSink {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+        let (received, decode_error, bad_payload) = *self.counters.get_or_insert_with(|| {
+            (
+                ctx.counter_id("jmf.rtp_received"),
+                ctx.counter_id("jmf.rtp_decode_error"),
+                ctx.counter_id("jmf.sink_bad_payload"),
+            )
+        });
         let Some(ReflectorMsg::Rtp(raw)) = packet.payload::<ReflectorMsg>() else {
-            ctx.count("jmf.sink_bad_payload", 1);
+            ctx.bump(bad_payload, 1);
             return;
         };
         let arrival = ctx.now();
         match WireRtp::parse(&raw.bytes) {
             Ok(rtp) => {
                 self.stats.record_wire(&rtp, raw.sent_at, arrival);
-                ctx.count("jmf.rtp_received", 1);
+                ctx.bump(received, 1);
             }
-            Err(_) => ctx.count("jmf.rtp_decode_error", 1),
+            Err(_) => ctx.bump(decode_error, 1),
         }
         ctx.spend_cpu(self.recv_cpu);
     }

@@ -98,6 +98,107 @@ pub(crate) const TRACE_DELIVER: u64 = 3;
 /// Words per trace record.
 pub const TRACE_WORDS: usize = 6;
 
+/// A counter name resolved once, through
+/// [`Context::counter_id`](crate::Context::counter_id): bumping it with
+/// [`Context::bump`](crate::Context::bump) costs one vector index where
+/// bumping by name costs a string hash and compare. Valid only in the
+/// simulation that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(u32);
+
+const NET_DELIVERED: CounterId = CounterId(0);
+const NET_NOROUTE: CounterId = CounterId(1);
+const NET_QUEUE: CounterId = CounterId(2);
+const NET_LINKDOWN: CounterId = CounterId(3);
+const NET_LOSS: CounterId = CounterId(4);
+const NET_DUPLICATED: CounterId = CounterId(5);
+const NET_CRASHED: CounterId = CounterId(6);
+const EVENT_CRASHED: CounterId = CounterId(7);
+const TIMER_STALE: CounterId = CounterId(8);
+const CRASHES: CounterId = CounterId(9);
+const RESTARTS: CounterId = CounterId(10);
+
+/// The counters the engine bumps itself, interned first and in this
+/// order so that each one's id is the constant beside it.
+const ENGINE_COUNTERS: [(&str, CounterId); 11] = [
+    ("net.delivered", NET_DELIVERED),
+    ("net.dropped.noroute", NET_NOROUTE),
+    ("net.dropped.queue", NET_QUEUE),
+    ("net.dropped.linkdown", NET_LINKDOWN),
+    ("net.dropped.loss", NET_LOSS),
+    ("net.duplicated", NET_DUPLICATED),
+    ("net.dropped.crashed", NET_CRASHED),
+    ("sim.event.crashed", EVENT_CRASHED),
+    ("sim.timer.stale", TIMER_STALE),
+    ("sim.crashes", CRASHES),
+    ("sim.restarts", RESTARTS),
+];
+
+/// Every named counter and observation of a run. A name is interned once
+/// and its id indexes `counts` and `stats`; names are read only when
+/// reporting. A slot stays `None` — absent from every report — until its
+/// first bump (even a zero one) or observation, so resolving an id has no
+/// visible effect.
+#[derive(Default)]
+pub(crate) struct MetricTable {
+    ids: HashMap<String, CounterId>,
+    counts: Vec<Option<u64>>,
+    stats: Vec<Option<OnlineStats>>,
+}
+
+impl MetricTable {
+    fn with_engine_counters() -> Self {
+        let mut table = Self::default();
+        for (name, id) in ENGINE_COUNTERS {
+            let interned = table.intern(name);
+            debug_assert_eq!(interned, id, "engine counters intern in declaration order");
+        }
+        table
+    }
+
+    pub(crate) fn intern(&mut self, name: &str) -> CounterId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = CounterId(self.counts.len() as u32);
+        self.ids.insert(name.to_owned(), id);
+        self.counts.push(None);
+        self.stats.push(None);
+        id
+    }
+
+    pub(crate) fn bump(&mut self, id: CounterId, delta: u64) {
+        if let Some(slot) = self.counts.get_mut(id.0 as usize) {
+            *slot.get_or_insert(0) += delta;
+        }
+    }
+
+    fn observe(&mut self, id: CounterId, value: f64) {
+        if let Some(slot) = self.stats.get_mut(id.0 as usize) {
+            slot.get_or_insert_with(OnlineStats::default).record(value);
+        }
+    }
+
+    fn count_of(&self, id: CounterId) -> Option<u64> {
+        self.counts.get(id.0 as usize).copied().flatten()
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        self.ids.get(name).and_then(|&id| self.count_of(id)).unwrap_or(0)
+    }
+
+    fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.ids
+            .iter()
+            .filter_map(|(name, &id)| Some((name.as_str(), self.count_of(id)?)))
+    }
+
+    fn stat(&self, name: &str) -> Option<&OnlineStats> {
+        let id = self.ids.get(name)?;
+        self.stats.get(id.0 as usize)?.as_ref()
+    }
+}
+
 /// Engine state shared with [`Context`]: network, clock, metrics.
 pub struct EngineCore {
     pub(crate) net: NetworkState,
@@ -107,8 +208,7 @@ pub struct EngineCore {
     /// Push counter for control-origin events (origin 0).
     pub(crate) control_seq: u64,
     pub(crate) queue: EventQueue,
-    pub(crate) counters: HashMap<String, u64>,
-    pub(crate) observations: HashMap<String, OnlineStats>,
+    pub(crate) metrics: MetricTable,
     pub(crate) proc_hosts: Vec<HostId>,
     /// Whether each process is currently crashed (deliveries dropped).
     pub(crate) proc_crashed: Vec<bool>,
@@ -170,22 +270,16 @@ impl EngineCore {
         &mut self.net.host_mut(host).rng
     }
 
-    /// Bumps a counter, allocating its name only the first time it is
-    /// seen (three counters tick on every delivered packet).
+    /// Bumps a counter by name: the cold-path form of
+    /// [`MetricTable::bump`], interning the name on first use.
     pub(crate) fn count(&mut self, name: &str, delta: u64) {
-        match self.counters.get_mut(name) {
-            Some(value) => *value += delta,
-            None => {
-                self.counters.insert(name.to_owned(), delta);
-            }
-        }
+        let id = self.metrics.intern(name);
+        self.metrics.bump(id, delta);
     }
 
     pub(crate) fn observe(&mut self, name: &str, value: f64) {
-        match self.observations.get_mut(name) {
-            Some(stats) => stats.record(value),
-            None => self.observations.entry(name.to_owned()).or_default().record(value),
-        }
+        let id = self.metrics.intern(name);
+        self.metrics.observe(id, value);
     }
 
     pub(crate) fn request_stop(&mut self) {
@@ -199,11 +293,11 @@ impl EngineCore {
     /// host's own execution order.
     fn route(&mut self, send: PendingSend) {
         let Some(src_host) = self.host_of(send.src) else {
-            self.count("net.dropped.noroute", 1);
+            self.metrics.bump(NET_NOROUTE, 1);
             return;
         };
         let Some(dst_host) = self.host_of(send.dst) else {
-            self.count("net.dropped.noroute", 1);
+            self.metrics.bump(NET_NOROUTE, 1);
             return;
         };
 
@@ -224,7 +318,7 @@ impl EngineCore {
             .bandwidth
             .bytes_in(nic_free_at.saturating_duration_since(send.at));
         if backlog + send.wire_bytes as u64 > nic.queue_bytes {
-            self.count("net.dropped.queue", 1);
+            self.metrics.bump(NET_QUEUE, 1);
             return;
         }
         let start = if nic_free_at > send.at {
@@ -237,18 +331,18 @@ impl EngineCore {
 
         let link: LinkConfig = self.net.link(src_host, dst_host);
         if link.down {
-            self.count("net.dropped.linkdown", 1);
+            self.metrics.bump(NET_LINKDOWN, 1);
             return;
         }
         if link.loss > 0.0 && self.host_rng(src_host).chance(link.loss) {
-            self.count("net.dropped.loss", 1);
+            self.metrics.bump(NET_LOSS, 1);
             return;
         }
         // Network-level duplication delivers a second, independently
         // jittered copy; the duplicate costs no extra NIC time (it is
         // created inside the network, not at the sender).
         if link.duplicate > 0.0 && self.host_rng(src_host).chance(link.duplicate) {
-            self.count("net.duplicated", 1);
+            self.metrics.bump(NET_DUPLICATED, 1);
             let at = self.jittered_arrival(src_host, tx_done, &link);
             self.push_from(src_host, at, EventKind::Deliver(packet.clone()));
         }
@@ -310,8 +404,7 @@ impl Simulation {
                 master_seed: seed,
                 control_seq: 0,
                 queue: EventQueue::default(),
-                counters: HashMap::new(),
-                observations: HashMap::new(),
+                metrics: MetricTable::with_engine_counters(),
                 proc_hosts: Vec::new(),
                 proc_crashed: Vec::new(),
                 proc_incarnation: Vec::new(),
@@ -443,7 +536,7 @@ impl Simulation {
         }
         self.core.proc_crashed[idx] = true;
         self.core.proc_incarnation[idx] += 1;
-        self.core.count("sim.crashes", 1);
+        self.core.metrics.bump(CRASHES, 1);
     }
 
     /// Restarts a crashed process: deliveries resume and
@@ -458,7 +551,7 @@ impl Simulation {
             return;
         }
         self.core.proc_crashed[idx] = false;
-        self.core.count("sim.restarts", 1);
+        self.core.metrics.bump(RESTARTS, 1);
         let now = self.core.now;
         self.core.push_control(now, EventKind::Restart(process));
     }
@@ -488,18 +581,19 @@ impl Simulation {
 
     /// Reads a metric counter (0 if never bumped).
     pub fn counter(&self, name: &str) -> u64 {
-        self.core.counters.get(name).copied().unwrap_or(0)
+        self.core.metrics.counter(name)
     }
 
-    /// All counters, for reporting.
+    /// All counters bumped at least once, in no particular order, for
+    /// reporting.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.core.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.core.metrics.counters()
     }
 
     /// Reads an observation accumulator recorded via
     /// [`Context::observe`](crate::Context::observe).
     pub fn stat(&self, name: &str) -> Option<&OnlineStats> {
-        self.core.observations.get(name)
+        self.core.metrics.stat(name)
     }
 
     /// Enables recording a per-host execution trace: every dispatched
@@ -616,7 +710,7 @@ impl Simulation {
         };
         let Some(host) = self.core.host_of(pid) else {
             // Destination process never existed; count and move on.
-            self.core.count("net.dropped.noroute", 1);
+            self.core.metrics.bump(NET_NOROUTE, 1);
             return true;
         };
 
@@ -652,7 +746,7 @@ impl Simulation {
             EventKind::Drain(_) => return,
         };
         let Some(host) = self.core.host_of(pid) else {
-            self.core.count("net.dropped.noroute", 1);
+            self.core.metrics.bump(NET_NOROUTE, 1);
             return;
         };
         if self.core.trace_on {
@@ -681,8 +775,8 @@ impl Simulation {
             // A dead process neither receives nor computes; what was in
             // flight toward it is lost.
             match kind {
-                EventKind::Deliver(_) => self.core.count("net.dropped.crashed", 1),
-                _ => self.core.count("sim.event.crashed", 1),
+                EventKind::Deliver(_) => self.core.metrics.bump(NET_CRASHED, 1),
+                _ => self.core.metrics.bump(EVENT_CRASHED, 1),
             }
             return;
         }
@@ -690,7 +784,7 @@ impl Simulation {
             let current = self.core.proc_incarnation.get(idx).copied().unwrap_or(0);
             if *incarnation != current {
                 // Armed by a previous incarnation; the crash killed it.
-                self.core.count("sim.timer.stale", 1);
+                self.core.metrics.bump(TIMER_STALE, 1);
                 return;
             }
         }
@@ -711,7 +805,7 @@ impl Simulation {
             EventKind::Timer(_, token, _) => process.on_timer(&mut ctx, token),
             EventKind::Restart(_) => process.on_restart(&mut ctx),
             EventKind::Deliver(packet) => {
-                ctx.core.count("net.delivered", 1);
+                ctx.core.metrics.bump(NET_DELIVERED, 1);
                 process.on_packet(&mut ctx, packet);
             }
             EventKind::Drain(_) => {}
@@ -1084,17 +1178,23 @@ mod tests {
         assert_eq!(stats.mean(), 2.0);
     }
 
-    /// Counters are created by their first bump (even a zero one), read
-    /// back under the name they were bumped with, and a link override
-    /// set in one order is read in either.
+    /// Counters are created by their first bump (even a zero one), by
+    /// name or by id, and read back under the name they were bumped
+    /// with; a bump by name and one by id land in one entry; resolving
+    /// an id creates nothing; and a link override set in one order is
+    /// read in either.
     #[test]
     fn counters_and_link_overrides_read_back_exactly() {
         struct Meter;
         impl Process for Meter {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
                 ctx.count("meter.twice", 2);
-                ctx.count("meter.twice", 3);
+                let twice = ctx.counter_id("meter.twice");
+                ctx.bump(twice, 3);
                 ctx.count("meter.zero", 0);
+                let zero_by_id = ctx.counter_id("meter.zero_by_id");
+                ctx.bump(zero_by_id, 0);
+                ctx.counter_id("meter.resolved_only");
                 ctx.observe("meter.seen", 4.0);
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _p: Packet) {}
@@ -1106,11 +1206,18 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.counter("meter.twice"), 5);
         assert_eq!(sim.counter("meter.never"), 0);
+        assert_eq!(sim.counter("meter.resolved_only"), 0);
+        // The engine's own counters are interned but never fired here,
+        // so, like the resolved-only name, they are absent.
         let mut counters: Vec<(&str, u64)> = sim.counters().collect();
         counters.sort_unstable();
-        assert_eq!(counters, vec![("meter.twice", 5), ("meter.zero", 0)]);
+        assert_eq!(
+            counters,
+            vec![("meter.twice", 5), ("meter.zero", 0), ("meter.zero_by_id", 0)]
+        );
         assert_eq!(sim.stat("meter.seen").map(OnlineStats::count), Some(1));
         assert!(sim.stat("meter.twice").is_none());
+        assert!(sim.stat("meter.resolved_only").is_none());
 
         let slow = LinkConfig {
             latency: SimDuration::from_millis(7),

@@ -61,6 +61,6 @@ pub mod net;
 pub mod process;
 mod queue;
 
-pub use engine::Simulation;
+pub use engine::{CounterId, Simulation};
 pub use net::{LinkConfig, NicConfig};
 pub use process::{Context, Packet, Process, ProcessId};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use mmcs_util::rng::DetRng;
 use mmcs_util::time::{SimDuration, SimTime};
 
-use crate::engine::{EngineCore, PendingSend};
+use crate::engine::{CounterId, EngineCore, PendingSend};
 use crate::net::HostId;
 
 /// Identifies a process registered with a [`Simulation`](crate::Simulation).
@@ -214,9 +214,26 @@ impl<'a> Context<'a> {
         self.core.host_rng(self.host)
     }
 
-    /// Adds `delta` to the named metric counter.
+    /// Adds `delta` to the named metric counter. This looks the name up
+    /// on every call; a counter bumped per packet is resolved once with
+    /// [`Context::counter_id`] and bumped with [`Context::bump`].
+    ///
+    /// A counter exists from its first bump, even a zero one.
     pub fn count(&mut self, name: &str, delta: u64) {
         self.core.count(name, delta);
+    }
+
+    /// Resolves the named counter to an id for [`Context::bump`]. The id
+    /// stays valid for the whole run, restarts included. Resolving does
+    /// not create the counter; only a bump does.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        self.core.metrics.intern(name)
+    }
+
+    /// Adds `delta` to a counter resolved with [`Context::counter_id`]:
+    /// the same counter [`Context::count`] bumps by name.
+    pub fn bump(&mut self, id: CounterId, delta: u64) {
+        self.core.metrics.bump(id, delta);
     }
 
     /// Records a floating-point observation under `name` (mean/min/max are
