@@ -35,7 +35,9 @@
 //! walks the cache. On a warm hit, [`BrokerNode::handle_into`] appends
 //! actions into a caller-owned scratch buffer without allocating:
 //! one hash lookup, one `Arc` clone per plan, one `Arc<Event>` clone per
-//! destination.
+//! destination. [`BrokerNode::publish_plan`] counts the publish the
+//! same way and hands back the plan itself, for a driver that fans out
+//! without actions.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -596,14 +598,25 @@ impl BrokerNode {
         }
     }
 
-    /// The publish hot path: validate, fetch (or build) the plan, append
-    /// one action per destination. Warm hits allocate nothing.
-    fn route(
+    /// The publish hot path without the actions: validates `origin`,
+    /// counts the publish — [`counters`](Self::counters) and, when
+    /// installed, the [`BrokerMetrics`] publish instruments — and returns
+    /// the plan it routes by. The event goes to every `plan.local`
+    /// client and to every `plan.remote` peer except the one it came
+    /// from; an event that crossed a link goes to no peer at all under
+    /// [`set_local_adverts_only`](Self::set_local_adverts_only).
+    /// [`handle_into`](Self::handle_into) is this plus one action per
+    /// destination. A warm hit allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BrokerError`] if `origin` is not an attached client or
+    /// a linked peer; nothing is counted then.
+    pub fn publish_plan(
         &mut self,
         origin: Origin,
-        event: Arc<Event>,
-        out: &mut Vec<Action>,
-    ) -> Result<(), BrokerError> {
+        topic: &Topic,
+    ) -> Result<Arc<RoutePlan>, BrokerError> {
         match origin {
             Origin::Client(client) if !self.clients.contains_key(&client) => {
                 return Err(BrokerError::UnknownClient(client));
@@ -613,19 +626,35 @@ impl BrokerNode {
             }
             _ => {}
         }
+        let plan = self.plan_for(topic);
+        let deliveries = plan.local.len() as u64;
+        let forwards = self.forward_peers(origin, &plan).count() as u64;
+        let emitted = deliveries + forwards;
         self.counters.events_in += 1;
-        let before = out.len();
-        let plan = self.plan_for(&event.topic);
-        out.reserve(plan.local.len() + plan.remote.len());
-        for (client, profile) in &plan.local {
-            out.push(Action::Deliver {
-                client: *client,
-                profile: *profile,
-                event: Arc::clone(&event),
-            });
+        self.counters.deliveries += deliveries;
+        self.counters.forwards += forwards;
+        if emitted == 0 {
+            self.counters.unroutable += 1;
         }
-        self.counters.deliveries += plan.local.len() as u64;
-        let skip_peer = match origin {
+        if let Some(m) = &self.metrics {
+            m.events_in.inc();
+            m.deliveries.add(deliveries);
+            m.forwards.add(forwards);
+            if emitted == 0 {
+                m.unroutable.inc();
+            }
+            m.fanout.record(emitted);
+        }
+        Ok(plan)
+    }
+
+    /// The peers of `plan` an event from `origin` is forwarded to.
+    fn forward_peers<'a>(
+        &self,
+        origin: Origin,
+        plan: &'a RoutePlan,
+    ) -> impl Iterator<Item = BrokerId> + 'a {
+        let from = match origin {
             Origin::Broker(peer) => Some(peer),
             Origin::Client(_) => None,
         };
@@ -634,32 +663,35 @@ impl BrokerNode {
         // interested peer heard it from the origin broker directly, so a
         // second hop would duplicate (split horizon alone only protects
         // the link it came in on, not the rest of a cyclic mesh).
-        let forward = !(self.local_adverts_only && skip_peer.is_some());
-        if forward {
-            for &peer in &plan.remote {
-                if Some(peer) == skip_peer {
-                    continue;
-                }
-                out.push(Action::Forward {
+        let forward = !(self.local_adverts_only && from.is_some());
+        plan.remote
+            .iter()
+            .copied()
+            .filter(move |&peer| forward && Some(peer) != from)
+    }
+
+    /// [`publish_plan`](Self::publish_plan), then one action per
+    /// destination.
+    fn route(
+        &mut self,
+        origin: Origin,
+        event: Arc<Event>,
+        out: &mut Vec<Action>,
+    ) -> Result<(), BrokerError> {
+        let plan = self.publish_plan(origin, &event.topic)?;
+        out.reserve(plan.local.len() + plan.remote.len());
+        out.extend(plan.local.iter().map(|&(client, profile)| Action::Deliver {
+            client,
+            profile,
+            event: Arc::clone(&event),
+        }));
+        out.extend(
+            self.forward_peers(origin, &plan)
+                .map(|peer| Action::Forward {
                     peer,
                     event: Arc::clone(&event),
-                });
-                self.counters.forwards += 1;
-            }
-        }
-        if out.len() == before {
-            self.counters.unroutable += 1;
-        }
-        if let Some(m) = &self.metrics {
-            let emitted = (out.len() - before) as u64;
-            m.events_in.inc();
-            m.deliveries.add(plan.local.len() as u64);
-            m.forwards.add(emitted.saturating_sub(plan.local.len() as u64));
-            if emitted == 0 {
-                m.unroutable.inc();
-            }
-            m.fanout.record(emitted);
-        }
+                }),
+        );
         Ok(())
     }
 

@@ -29,8 +29,15 @@
 //!   another shard, the router registers refcounted *remote* interest
 //!   there (peer id = the client's home shard). A publish then touches
 //!   at most the owner shard plus the subscriber home shards: the owner
-//!   routes, `Forward` actions hop once over the ring, and the home
-//!   shard delivers from its own route plan without re-forwarding.
+//!   routes, one frame per interested home shard hops once over the
+//!   ring, and the home shard delivers from its own route plan without
+//!   re-forwarding.
+//! * **Fan-out straight from the plan**: a worker asks its node for the
+//!   cached route plan ([`BrokerNode::publish_plan`], which also counts
+//!   the publish) and walks it — a staged delivery per local subscriber,
+//!   found in a multiply-hashed slot map, and a shared frame per remote
+//!   shard. Publishes, ring hops and injected frames take that one path;
+//!   no `Action` is built for any of them.
 //!
 //! # Consistency model
 //!
@@ -82,7 +89,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mmcs_telemetry::Gauge;
-use mmcs_util::id::{BrokerId, ClientId};
+use mmcs_util::id::{BrokerId, ClientId, IdMap};
 use mmcs_util::time::{monotonic_now, SimDuration};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -164,6 +171,18 @@ enum ShardCmd {
     Detach(ClientId),
     Subscribe(ClientId, TopicFilter),
     Unsubscribe(ClientId, TopicFilter),
+    Event(Inbound),
+    /// Flush everything queued ahead of this command, then ack.
+    Barrier(BarrierAck),
+    /// Sleep the worker (chaos/backpressure testing).
+    Stall(Duration),
+    Shutdown,
+}
+
+/// A data event entering a shard. Where it comes from decides who
+/// counts it and whether it may still hop the ring.
+enum Inbound {
+    /// A client's publish, at the topic's owner shard.
     Publish(ClientId, Arc<Event>),
     /// An event hopping the ring from its owner shard to a subscriber's
     /// home shard, carried as a pooled [`wire`] frame: the sender encodes
@@ -179,17 +198,12 @@ enum ShardCmd {
     /// to the cluster: inter-node routing happens a layer above, in
     /// [`crate::cluster`].
     Inject(Bytes),
-    /// Flush everything queued ahead of this command, then ack.
-    Barrier(BarrierAck),
-    /// Sleep the worker (chaos/backpressure testing).
-    Stall(Duration),
-    Shutdown,
 }
 
 fn cmd_bytes(cmd: &ShardCmd) -> usize {
     match cmd {
-        ShardCmd::Publish(_, event) => event.payload.len(),
-        ShardCmd::Forward(frame) | ShardCmd::Inject(frame) => frame.len(),
+        ShardCmd::Event(Inbound::Publish(_, event)) => event.payload.len(),
+        ShardCmd::Event(Inbound::Forward(frame) | Inbound::Inject(frame)) => frame.len(),
         _ => 0,
     }
 }
@@ -677,7 +691,8 @@ impl ShardedBroker {
             Some(head) if !head.is_empty() => owner_shard(head, self.shard_count()),
             _ => 0,
         };
-        self.router.publish_to(shard, ShardCmd::Inject(frame));
+        self.router
+            .publish_to(shard, ShardCmd::Event(Inbound::Inject(frame)));
         Ok(())
     }
 
@@ -803,7 +818,7 @@ impl ShardedClient {
         let shard = owner_shard_of_topic(&topic, self.router.shard_count());
         let event = Event::new(topic, self.id, seq, class, payload).into_shared();
         self.router
-            .publish_to(shard, ShardCmd::Publish(self.id, event));
+            .publish_to(shard, ShardCmd::Event(Inbound::Publish(self.id, event)));
     }
 
     /// Receives the next delivered event, waiting up to `timeout` for
@@ -855,26 +870,27 @@ struct Slot {
     staged: Vec<Arc<Event>>,
 }
 
-/// The worker's side of client egress: one lookup per delivery, and a
-/// flush that touches only the clients something was staged for.
+/// The worker's side of client egress: one multiply-hashed lookup per
+/// delivery, and a flush that touches only the clients something was
+/// staged for.
 #[derive(Default)]
 struct Egress {
     /// The clients homed on this shard.
-    slots: HashMap<ClientId, Slot>,
+    slots: IdMap<ClientId, Slot>,
     /// Clients with staged deliveries, in first-staged order.
     dirty: Vec<ClientId>,
 }
 
 impl Egress {
     /// Stages `event` for `client` if it is homed here.
-    fn stage(&mut self, client: ClientId, event: Arc<Event>) -> bool {
+    fn stage(&mut self, client: ClientId, event: &Arc<Event>) -> bool {
         let Some(slot) = self.slots.get_mut(&client) else {
             return false;
         };
         if slot.staged.is_empty() {
             self.dirty.push(client);
         }
-        slot.staged.push(event);
+        slot.staged.push(Arc::clone(event));
         true
     }
 
@@ -907,7 +923,7 @@ struct ShardWorker {
     remote_refs: HashMap<(usize, TopicFilter), usize>,
     /// Barrier acks owed after the current batch's flush.
     acks: Vec<BarrierAck>,
-    /// Scratch action buffer reused across commands.
+    /// Scratch buffer for the actions control inputs emit.
     actions: Vec<Action>,
 }
 
@@ -942,20 +958,14 @@ impl ShardWorker {
         if let Some(m) = &self.metrics {
             self.node.set_metrics(Arc::clone(m));
         }
-        // Ring setup: every other shard is a peer. Advertise actions
-        // are discarded — interest is driven by the router's explicit
-        // subscription broadcast, not the node's advert gossip.
+        // Ring setup: every other shard is a peer.
         for peer in 0..self.shards {
             if peer == self.index {
                 continue;
             }
-            let _ = self.node.handle_into(
-                Input::LinkUp {
-                    peer: BrokerId::from_raw(peer as u64),
-                },
-                &mut self.actions,
-            );
-            self.actions.clear();
+            self.apply_control(Input::LinkUp {
+                peer: BrokerId::from_raw(peer as u64),
+            });
         }
         let Some(ingress) = self.links.get(self.index).map(Arc::clone) else {
             return;
@@ -996,17 +1006,12 @@ impl ShardWorker {
                         };
                         self.egress.slots.insert(client, slot);
                     }
-                    let _ = self
-                        .node
-                        .handle_into(Input::AttachClient { client, profile }, &mut self.actions);
-                    self.actions.clear();
+                    self.apply_control(Input::AttachClient { client, profile });
                 }
                 ShardCmd::Detach(client) => self.detach(client),
                 ShardCmd::Subscribe(client, filter) => self.subscribe(client, filter),
                 ShardCmd::Unsubscribe(client, filter) => self.unsubscribe(client, filter),
-                ShardCmd::Publish(client, event) => self.publish(client, event),
-                ShardCmd::Forward(frame) => self.deliver_forwarded(frame),
-                ShardCmd::Inject(frame) => self.inject(frame),
+                ShardCmd::Event(inbound) => self.fan_out(inbound),
                 ShardCmd::Barrier(ack) => self.acks.push(ack),
                 ShardCmd::Stall(duration) => std::thread::sleep(duration),
                 ShardCmd::Shutdown => {
@@ -1027,6 +1032,15 @@ impl ShardWorker {
         running
     }
 
+    /// Applies a control input to the node. Its advert actions are
+    /// discarded — interest is driven by the router's explicit
+    /// subscription broadcast, not the node's advert gossip — and so are
+    /// its errors: a rejected input leaves the node unchanged.
+    fn apply_control(&mut self, input: Input) {
+        let _ = self.node.handle_into(input, &mut self.actions);
+        self.actions.clear();
+    }
+
     fn subscribe(&mut self, client: ClientId, filter: TopicFilter) {
         let known = self
             .filters
@@ -1041,10 +1055,7 @@ impl ShardWorker {
             .push(filter.clone());
         let home = home_shard(client, self.shards);
         if home == self.index {
-            let _ = self
-                .node
-                .handle_into(Input::Subscribe { client, filter }, &mut self.actions);
-            self.actions.clear();
+            self.apply_control(Input::Subscribe { client, filter });
         } else if shard_may_own(&filter, self.index, self.shards) {
             self.add_remote_ref(home, filter);
         }
@@ -1066,10 +1077,7 @@ impl ShardWorker {
         }
         let home = home_shard(client, self.shards);
         if home == self.index {
-            let _ = self
-                .node
-                .handle_into(Input::Unsubscribe { client, filter }, &mut self.actions);
-            self.actions.clear();
+            self.apply_control(Input::Unsubscribe { client, filter });
         } else if shard_may_own(&filter, self.index, self.shards) {
             self.drop_remote_ref(home, filter);
         }
@@ -1088,24 +1096,17 @@ impl ShardWorker {
             }
             // Home-shard local subscriptions fall with DetachClient.
         }
-        let _ = self
-            .node
-            .handle_into(Input::DetachClient { client }, &mut self.actions);
-        self.actions.clear();
+        self.apply_control(Input::DetachClient { client });
     }
 
     fn add_remote_ref(&mut self, home: usize, filter: TopicFilter) {
         let refs = self.remote_refs.entry((home, filter.clone())).or_insert(0);
         *refs += 1;
         if *refs == 1 {
-            let _ = self.node.handle_into(
-                Input::RemoteSubscribe {
-                    peer: BrokerId::from_raw(home as u64),
-                    filter,
-                },
-                &mut self.actions,
-            );
-            self.actions.clear();
+            self.apply_control(Input::RemoteSubscribe {
+                peer: BrokerId::from_raw(home as u64),
+                filter,
+            });
         }
     }
 
@@ -1119,133 +1120,73 @@ impl ShardWorker {
         };
         if gone {
             self.remote_refs.remove(&(home, filter.clone()));
-            let _ = self.node.handle_into(
-                Input::RemoteUnsubscribe {
-                    peer: BrokerId::from_raw(home as u64),
-                    filter,
-                },
-                &mut self.actions,
-            );
-            self.actions.clear();
+            self.apply_control(Input::RemoteUnsubscribe {
+                peer: BrokerId::from_raw(home as u64),
+                filter,
+            });
         }
     }
 
-    /// Owner-shard publish: route through the node, buffer local
-    /// deliveries, hop `Forward` actions once over the ring.
-    fn publish(&mut self, client: ClientId, event: Arc<Event>) {
-        self.actions.clear();
-        let routed = self.node.handle_into(
-            Input::Publish {
-                origin: Origin::Client(client),
-                event,
+    /// The one data path, for all three ways an event enters a shard:
+    /// stage a delivery for every `plan.local` client, then — unless the
+    /// event already crossed the ring — push one frame to every
+    /// `plan.remote` shard, encoded at most once and shared by every
+    /// target. No `Action` is built.
+    fn fan_out(&mut self, inbound: Inbound) {
+        let hop = !matches!(inbound, Inbound::Forward(_));
+        let (publisher, event, mut frame) = match inbound {
+            Inbound::Publish(client, event) => (Some(client), event, None),
+            Inbound::Forward(frame) | Inbound::Inject(frame) => match wire::decode_shared(&frame) {
+                // Zero-copy: the payload stays a slice of the frame.
+                Ok(event) => (None, event.into_shared(), Some(frame)),
+                Err(err) => {
+                    // Frames come from `wire::encode` on a sibling shard
+                    // or were validated by `ShardedBroker::inject`, so
+                    // this is unreachable short of memory corruption;
+                    // drop rather than poison the worker.
+                    debug_assert!(false, "malformed frame: {err}");
+                    return;
+                }
             },
-            &mut self.actions,
-        );
-        if routed.is_err() {
-            // A racing detach invalidated this publish; skip it.
-            self.actions.clear();
-            return;
-        }
-        // Encode the wire frame lazily, once, no matter how many shards
-        // the event forwards to: each target receives a cheap `Bytes`
-        // clone sharing the same pooled storage.
-        let mut frame: Option<Bytes> = None;
-        for action in self.actions.drain(..) {
-            match action {
-                Action::Deliver { client, event, .. } => {
-                    self.egress.stage(client, event);
-                }
-                Action::Forward { peer, event } => {
-                    let target = peer.value() as usize;
-                    // Peer ids come from the router's own shard plan, so
-                    // the index is always in range; `get` keeps a
-                    // corrupted plan from panicking the worker.
-                    let Some(link) = self.links.get(target) else {
-                        continue;
-                    };
-                    let frame = frame
-                        .get_or_insert_with(|| wire::encode(&event).freeze())
-                        .clone();
-                    link.push(ShardCmd::Forward(frame));
-                    if let Some(m) = &self.metrics {
-                        m.cross_shard_forwards.inc();
-                    }
-                }
-                Action::AdvertiseAdd { .. } | Action::AdvertiseRemove { .. } => {}
-            }
-        }
-    }
-
-    /// Subscriber-home delivery of a forwarded event: decode the pooled
-    /// wire frame zero-copy (the payload stays a slice of the frame),
-    /// consult this shard's own route plan and deliver to local clients
-    /// only — never re-forward, so each event makes at most one ring
-    /// hop. Metrics mirror what `BrokerNode::route` reports for a direct
-    /// publish.
-    fn deliver_forwarded(&mut self, frame: Bytes) {
-        let event = match wire::decode_shared(&frame) {
-            Ok(event) => event.into_shared(),
-            Err(err) => {
-                // Frames originate from `wire::encode` on a sibling
-                // shard, so this is unreachable short of memory
-                // corruption; drop rather than poison the worker.
-                debug_assert!(false, "malformed cross-shard frame: {err}");
-                return;
-            }
         };
-        let plan = self.node.plan_for(&event.topic);
-        let mut delivered = 0u64;
-        for (client, _profile) in &plan.local {
-            delivered += u64::from(self.egress.stage(*client, Arc::clone(&event)));
-        }
-        if let Some(m) = &self.metrics {
-            m.events_in.inc();
-            m.deliveries.add(delivered);
-            m.fanout.record(delivered);
-            if delivered == 0 {
-                m.unroutable.inc();
-            }
-        }
-    }
-
-    /// Owner-shard entry for an event injected from outside the broker
-    /// (the cluster layer's inter-node hop): deliver from this shard's
-    /// own route plan, then hop the *same* frame once over the ring to
-    /// every shard holding remote interest — exactly the fan-out a
-    /// local publish would produce, minus the publisher validation
-    /// (the source client lives on another node).
-    fn inject(&mut self, frame: Bytes) {
-        let event = match wire::decode_shared(&frame) {
-            Ok(event) => event.into_shared(),
-            Err(_) => {
-                // The cluster layer validates frames before enqueueing,
-                // so this is unreachable short of corruption; drop
-                // rather than poison the worker.
-                debug_assert!(false, "malformed injected frame");
-                return;
-            }
+        let plan = match publisher {
+            // The node validates the publisher and counts the publish.
+            Some(client) => match self.node.publish_plan(Origin::Client(client), &event.topic) {
+                Ok(plan) => plan,
+                // A racing detach invalidated this publish; skip it.
+                Err(_) => return,
+            },
+            None => self.node.plan_for(&event.topic),
         };
-        let plan = self.node.plan_for(&event.topic);
-        let mut delivered = 0u64;
-        for (client, _profile) in &plan.local {
-            delivered += u64::from(self.egress.stage(*client, Arc::clone(&event)));
+        let mut delivered = 0;
+        for &(client, _) in &plan.local {
+            delivered += u64::from(self.egress.stage(client, &event));
         }
-        for peer in &plan.remote {
-            let target = peer.value() as usize;
-            let Some(link) = self.links.get(target) else {
-                continue;
-            };
-            link.push(ShardCmd::Forward(frame.clone()));
-            if let Some(m) = &self.metrics {
-                m.cross_shard_forwards.inc();
+        let mut hops = 0;
+        if hop {
+            for peer in &plan.remote {
+                // Peer ids come from the router's own shard plan, so the
+                // index is always in range; `get` keeps a corrupted plan
+                // from panicking the worker.
+                let Some(link) = self.links.get(peer.value() as usize) else {
+                    continue;
+                };
+                let frame = frame.get_or_insert_with(|| wire::encode(&event).freeze());
+                link.push(ShardCmd::Event(Inbound::Forward(frame.clone())));
+                hops += 1;
             }
         }
         if let Some(m) = &self.metrics {
-            m.events_in.inc();
-            m.deliveries.add(delivered);
-            m.fanout.record(delivered);
-            if delivered == 0 && plan.remote.is_empty() {
-                m.unroutable.inc();
+            m.cross_shard_forwards.add(hops);
+            if publisher.is_none() {
+                // The node never saw this event: count it here the way
+                // the node counts a publish, by what this shard did.
+                m.events_in.inc();
+                m.deliveries.add(delivered);
+                m.fanout.record(delivered);
+                if delivered == 0 && hops == 0 {
+                    m.unroutable.inc();
+                }
             }
         }
     }
@@ -1588,7 +1529,7 @@ mod tests {
         let (subscriber, publisher) = (ClientId::from_raw(1), ClientId::from_raw(2));
         let publish = |seq| {
             let event = Event::new(topic("s/x"), publisher, seq, EventClass::Data, Bytes::new());
-            ShardCmd::Publish(publisher, event.into_shared())
+            ShardCmd::Event(Inbound::Publish(publisher, event.into_shared()))
         };
         let attach = |client, delivery| ShardCmd::Attach {
             client,

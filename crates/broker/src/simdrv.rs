@@ -18,15 +18,14 @@
 //! flows after a configurable start delay, by which point subscriptions
 //! have settled.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mmcs_rtp::packet::{RtpPacket, WireRtp};
 use mmcs_rtp::recv::ReceiverStats;
 use mmcs_rtp::source::{AudioSource, VideoSource};
 use mmcs_sim::{Context, CounterId, Packet, Process, ProcessId};
-use mmcs_util::id::{BrokerId, ClientId};
+use mmcs_util::id::{BrokerId, ClientId, IdMap};
 use mmcs_util::time::SimDuration;
 
 use crate::batch::CostModel;
@@ -120,29 +119,6 @@ pub enum ClientMsg {
 /// Control-plane message size on the wire (attach/subscribe/adverts).
 const CONTROL_BYTES: usize = 96;
 
-/// Hashes the broker-assigned integer ids that key
-/// [`BrokerProcess::clients`] with one multiply (Fibonacci hashing):
-/// the lookup runs once per delivery, and the ids are not chosen by an
-/// adversary, so SipHash buys nothing there.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// The broker's counters, resolved once per run so that a delivery
 /// bumps them by index (see [`Context::counter_id`]).
 #[derive(Clone, Copy)]
@@ -182,7 +158,8 @@ type SendKey = (bool, usize, TransportProfile);
 pub struct BrokerProcess {
     node: BrokerNode,
     cost: CostModel,
-    clients: HashMap<ClientId, (ProcessId, TransportProfile), BuildHasherDefault<IdHasher>>,
+    /// Looked up once per delivery, so hashed with one multiply.
+    clients: IdMap<ClientId, (ProcessId, TransportProfile)>,
     /// Static configuration: every peer this broker is wired to, whether
     /// or not the node-level link is currently up. Ordered so heartbeat
     /// and resync send order is deterministic across process runs.
@@ -242,7 +219,7 @@ impl BrokerProcess {
         Self {
             node: BrokerNode::new(id),
             cost,
-            clients: HashMap::default(),
+            clients: IdMap::default(),
             peers: BTreeMap::new(),
             detector: None,
             liveness_cfg: None,

@@ -6,7 +6,8 @@
 //! [`UserId`] can never be passed where a [`TerminalId`] is expected.
 //!
 //! Ids are allocated by [`IdAllocator`], a simple monotonically increasing
-//! counter that each directory/server owns.
+//! counter that each directory/server owns. Maps keyed by them on a
+//! per-packet path hash with [`IdHasher`] ([`IdMap`]).
 //!
 //! # Examples
 //!
@@ -21,6 +22,8 @@
 //! ```
 
 use core::fmt;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 
 /// Implements a `u64`-backed identifier newtype with the common traits.
@@ -166,6 +169,48 @@ impl<T: From<u64>> IdAllocator<T> {
 impl<T: From<u64>> Default for IdAllocator<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A `HashMap` keyed by ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Hashes ids with one multiply by 2^64/φ (Fibonacci hashing), for maps
+/// looked up once per packet: the ids are not chosen by an adversary,
+/// so SipHash buys nothing there.
+///
+/// The product's high bits depend on every bit of the id, its low bits
+/// only on the id's low bits, and `HashMap` picks a bucket from the low
+/// bits of the hash. `finish` therefore folds the high bits into the
+/// low ones by reversing the word, so the bucket is read from the top
+/// of the product whatever the table size: ids strided by 2^k spread
+/// like sequential ones instead of sharing one bucket group.
+///
+/// # Examples
+///
+/// ```
+/// use mmcs_util::id::{ClientId, IdMap};
+///
+/// let mut homed: IdMap<ClientId, &str> = IdMap::default();
+/// homed.insert(ClientId::from_raw(1 << 20), "strided");
+/// assert_eq!(homed.get(&ClientId::from_raw(1 << 20)), Some(&"strided"));
+/// ```
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.reverse_bits()
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 

@@ -9,9 +9,11 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use mmcs::broker::event::{Event, EventClass};
+use mmcs::broker::metrics::BrokerMetrics;
 use mmcs::broker::network::BrokerNetwork;
-use mmcs::broker::node::{Action, BrokerNode, Input, Origin};
+use mmcs::broker::node::{Action, BrokerCounters, BrokerNode, Input, Origin};
 use mmcs::broker::topic::{SubscriptionTable, Topic, TopicFilter};
+use mmcs::telemetry::Registry;
 use mmcs_util::id::{BrokerId, ClientId};
 
 /// Strategy: a topic from a small alphabet, 1–4 segments deep.
@@ -293,6 +295,119 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// One step of the counting-equivalence property below.
+#[derive(Debug, Clone)]
+enum CountOp {
+    Attach(u64),
+    Subscribe(u64, TopicFilter),
+    Link(u64),
+    RemoteSubscribe(u64, TopicFilter),
+    /// From a client (`false`) or a peer broker (`true`), by index.
+    Publish(bool, u64, Topic),
+}
+
+fn count_op_strategy() -> impl Strategy<Value = CountOp> {
+    // Indices run past the attached/linked ones, so unknown origins and
+    // subscribers are exercised too.
+    prop_oneof![
+        2 => (1u64..6).prop_map(CountOp::Attach),
+        3 => (1u64..6, filter_strategy()).prop_map(|(c, f)| CountOp::Subscribe(c, f)),
+        1 => (10u64..13).prop_map(CountOp::Link),
+        2 => (10u64..13, filter_strategy()).prop_map(|(p, f)| CountOp::RemoteSubscribe(p, f)),
+        5 => (any::<bool>(), 0u64..6, topic_strategy())
+            .prop_map(|(from_peer, i, t)| CountOp::Publish(from_peer, if from_peer { 10 + i % 3 } else { i }, t)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `publish_plan` counts exactly what a `Publish` through
+    /// `handle_into` counts, and its plan names the same targets: two
+    /// identical nodes, one driven each way, agree on `counters()`, on
+    /// every `BrokerMetrics` reading and on who is delivered to and
+    /// forwarded to — for client origins, for broker origins (split
+    /// horizon) and in one-hop mesh mode, where an event that crossed a
+    /// link is forwarded nowhere. Both also match a tally of the actions.
+    #[test]
+    fn publish_plan_counts_what_handle_into_counts(
+        mesh in any::<bool>(),
+        ops in prop::collection::vec(count_op_strategy(), 1..60),
+    ) {
+        let registries = [Registry::new(), Registry::new()];
+        let mut nodes = [BrokerNode::new(BrokerId::from_raw(1)), BrokerNode::new(BrokerId::from_raw(1))];
+        for (node, registry) in nodes.iter_mut().zip(&registries) {
+            node.set_local_adverts_only(mesh);
+            node.set_metrics(BrokerMetrics::register(registry, "broker"));
+        }
+        let [by_actions, by_plan] = &mut nodes;
+        let mut actions: Vec<Action> = Vec::new();
+        let mut tally = BrokerCounters::default();
+        for (seq, op) in ops.into_iter().enumerate() {
+            let input = match op {
+                CountOp::Attach(c) => Input::AttachClient { client: ClientId::from_raw(c), profile: Default::default() },
+                CountOp::Subscribe(c, filter) => Input::Subscribe { client: ClientId::from_raw(c), filter },
+                CountOp::Link(p) => Input::LinkUp { peer: BrokerId::from_raw(p) },
+                CountOp::RemoteSubscribe(p, filter) => Input::RemoteSubscribe { peer: BrokerId::from_raw(p), filter },
+                CountOp::Publish(from_peer, index, topic) => {
+                    let origin = if from_peer {
+                        Origin::Broker(BrokerId::from_raw(index))
+                    } else {
+                        Origin::Client(ClientId::from_raw(index))
+                    };
+                    let event = Event::new(topic.clone(), ClientId::from_raw(index), seq as u64, EventClass::Data, Bytes::new()).into_shared();
+                    actions.clear();
+                    let routed = by_actions.handle_into(Input::Publish { origin, event }, &mut actions);
+                    let planned = by_plan.publish_plan(origin, &topic);
+                    let plan = match (routed, planned) {
+                        (Ok(()), Ok(plan)) => plan,
+                        (Err(a), Err(b)) => {
+                            prop_assert_eq!(a, b);
+                            continue;
+                        }
+                        (a, b) => {
+                            prop_assert!(false, "handle_into {:?} but publish_plan {:?}", a, b.map(|_| ()));
+                            continue;
+                        }
+                    };
+                    let delivered: Vec<ClientId> = actions.iter().filter_map(|a| match a {
+                        Action::Deliver { client, .. } => Some(*client),
+                        _ => None,
+                    }).collect();
+                    let forwarded: Vec<BrokerId> = actions.iter().filter_map(|a| match a {
+                        Action::Forward { peer, .. } => Some(*peer),
+                        _ => None,
+                    }).collect();
+                    tally.events_in += 1;
+                    tally.deliveries += delivered.len() as u64;
+                    tally.forwards += forwarded.len() as u64;
+                    tally.unroutable += u64::from(actions.is_empty());
+                    let planned_local: Vec<ClientId> = plan.local.iter().map(|(c, _)| *c).collect();
+                    // The forwarding rule, stated independently.
+                    let planned_remote: Vec<BrokerId> = match origin {
+                        Origin::Client(_) => plan.remote.clone(),
+                        Origin::Broker(_) if mesh => Vec::new(),
+                        Origin::Broker(from) => plan.remote.iter().copied().filter(|p| *p != from).collect(),
+                    };
+                    prop_assert_eq!(delivered, planned_local, "deliveries for {}", &topic);
+                    prop_assert_eq!(forwarded, planned_remote, "forwards for {}", &topic);
+                    continue;
+                }
+            };
+            let a = by_actions.handle(input.clone()).map(|_| ());
+            let b = by_plan.handle(input).map(|_| ());
+            prop_assert_eq!(a, b);
+        }
+        prop_assert_eq!(by_actions.counters(), tally);
+        prop_assert_eq!(by_plan.counters(), tally);
+        let metrics = by_plan.metrics().expect("installed");
+        let readings = [metrics.events_in.get(), metrics.deliveries.get(), metrics.forwards.get(), metrics.unroutable.get()];
+        prop_assert_eq!(readings, [tally.events_in, tally.deliveries, tally.forwards, tally.unroutable]);
+        prop_assert_eq!(metrics.fanout.count(), tally.events_in);
+        prop_assert_eq!(registries[0].render_prometheus(), registries[1].render_prometheus());
     }
 }
 

@@ -2,7 +2,9 @@
 //! is memoized and the caller's action buffer has grown to the fan-out,
 //! publishing does not touch the heap at all — including with full
 //! telemetry installed (counters and the fan-out histogram are relaxed
-//! atomic increments into preallocated storage), and including the wire
+//! atomic increments into preallocated storage), whether the publish
+//! builds actions (`handle_into`) or only counts and returns its plan
+//! (`publish_plan`, the shard workers' entry), and including the wire
 //! encode of every routed event when the frame buffer comes from a warm
 //! buffer pool. An unpooled control phase re-encodes the same events
 //! into fresh `BytesMut` buffers and shows the allocations come back,
@@ -148,6 +150,32 @@ fn warm_publish_allocates_nothing() {
     assert_eq!(metrics.route_cache_hits.get(), PUBLISHES);
     assert_eq!(metrics.events_in.get(), PUBLISHES + 1);
     assert_eq!(metrics.fanout.snapshot().count(), PUBLISHES + 1);
+
+    // Phase 1b — the same publishes through `publish_plan`, the entry a
+    // shard worker fans out from: validation, counters, the instruments
+    // and one plan clone, with no action buffer at all.
+    let before = thread_allocs();
+    for _ in 0..PUBLISHES {
+        let plan = node
+            .publish_plan(Origin::Client(publisher), &event.topic)
+            .unwrap();
+        assert_eq!(plan.local.len(), FANOUT);
+    }
+    let after = thread_allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "warm publish_plan must not allocate ({} allocations across {} publishes)",
+        after - before,
+        PUBLISHES,
+    );
+    assert_eq!(metrics.route_cache_hits.get(), 2 * PUBLISHES);
+    assert_eq!(metrics.events_in.get(), 2 * PUBLISHES + 1);
+    assert_eq!(
+        metrics.deliveries.get(),
+        (2 * PUBLISHES + 1) * FANOUT as u64
+    );
+    assert_eq!(metrics.fanout.snapshot().count(), 2 * PUBLISHES + 1);
 
     // Phase 2 — publish → deliver → wire-encode, pooled. One warm-up
     // encode charges the pool's one-time class allocation; after that,

@@ -3,7 +3,8 @@
 //!
 //! Sharded: a detector-supervised soak — 4 shards, 8 concurrent
 //! publisher threads, 100k events, with **exact** per-shard counter
-//! totals cross-checked against `ShardedBrokerMetrics` snapshots — and
+//! totals cross-checked against `ShardedBrokerMetrics` snapshots, the
+//! same totals for 100k events entering through `inject` — and
 //! shutdown during traffic. Single shard (the plain one-loop broker):
 //! client churn while publishers blast, subscription add/remove races,
 //! and the queue-depth gauge discipline. Then the hand-off contract,
@@ -18,9 +19,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use mmcs::broker::event::{Event, EventClass};
 use mmcs::broker::metrics::ShardedBrokerMetrics;
-use mmcs::broker::sharded::ShardedBroker;
+use mmcs::broker::sharded::{ShardedBroker, ShardedClient};
 use mmcs::broker::topic::{Topic, TopicFilter};
+use mmcs::broker::wire;
+use mmcs_util::id::ClientId;
 
 const SHARDS: usize = 4;
 const PUBLISHERS: usize = 8;
@@ -65,24 +69,82 @@ fn four_shard_soak_has_exact_counters() {
     }
     broker.quiesce();
 
-    // ---- Exact per-shard expectations, derived from the hash layout.
     let mut owned = [0u64; SHARDS]; // direct publishes per owner shard
     for p in 0..PUBLISHERS {
         let topic = Topic::parse(&format!("fam{p}/events")).unwrap();
         owned[broker.shard_for_topic(&topic)] += PER_PUBLISHER;
     }
-    let homes: HashSet<usize> = [sub_a.id(), sub_b.id()]
-        .into_iter()
-        .map(|id| broker.home_shard(id))
+    assert_exact_counters(&metrics, &broker, &owned, [&sub_a, &sub_b]);
+    assert_every_event_drained_in_order([&sub_a, &sub_b], TOTAL, PUBLISHERS);
+
+    // In debug builds, no broker lock may have been held past the
+    // watchdog threshold either.
+    #[cfg(debug_assertions)]
+    {
+        let broker_holds: Vec<_> = parking_lot::deadlock::long_holds()
+            .into_iter()
+            .filter(|h| h.site.contains("crates/broker"))
+            .collect();
+        assert!(
+            broker_holds.is_empty(),
+            "broker locks held past the watchdog threshold: {broker_holds:?}"
+        );
+    }
+}
+
+/// The same exact counters when every event enters through
+/// `ShardedBroker::inject` — the federation's way in — instead of a
+/// client publish: the owner shard counts it, delivers it to the
+/// subscribers homed there and hops it once to every other subscriber
+/// home, where it is counted again as it arrives.
+#[test]
+fn four_shard_inject_has_exact_counters() {
+    const FAMILIES: usize = 8;
+    const EACH: u64 = TOTAL / FAMILIES as u64;
+    let metrics = ShardedBrokerMetrics::detached(SHARDS);
+    let broker = ShardedBroker::spawn_with_metrics(Arc::clone(&metrics));
+    let sub_a = broker.attach();
+    let sub_b = broker.attach();
+    sub_a.subscribe(TopicFilter::parse("#").unwrap());
+    sub_b.subscribe(TopicFilter::parse("#").unwrap());
+    broker.quiesce();
+
+    let mut owned = [0u64; SHARDS];
+    for f in 0..FAMILIES {
+        let topic = Topic::parse(&format!("fam{f}/remote")).unwrap();
+        owned[broker.shard_for_topic(&topic)] += EACH;
+        // One publisher per family, attached to another node.
+        let source = ClientId::from_raw(1_000_000 + f as u64);
+        for seq in 0..EACH {
+            let event = Event::new(topic.clone(), source, seq, EventClass::Data, Bytes::new());
+            broker.inject(wire::encode(&event).freeze()).unwrap();
+        }
+    }
+    broker.quiesce();
+    assert_exact_counters(&metrics, &broker, &owned, [&sub_a, &sub_b]);
+    assert_every_event_drained_in_order([&sub_a, &sub_b], TOTAL, FAMILIES);
+}
+
+/// Pins every shard's counters when `owned[s]` of `TOTAL` events entered
+/// shard `s` from outside the ring and both subscribers hear all of them.
+fn assert_exact_counters(
+    metrics: &ShardedBrokerMetrics,
+    broker: &ShardedBroker,
+    owned: &[u64; SHARDS],
+    subscribers: [&ShardedClient; 2],
+) {
+    let homes: HashSet<usize> = subscribers
+        .iter()
+        .map(|sub| broker.home_shard(sub.id()))
         .collect();
     let mut subs_at_home = [0u64; SHARDS];
-    for id in [sub_a.id(), sub_b.id()] {
-        subs_at_home[broker.home_shard(id)] += 1;
+    for sub in subscribers {
+        subs_at_home[broker.home_shard(sub.id())] += 1;
     }
     for shard in 0..SHARDS {
         let m = metrics.shard(shard);
-        // Events entering a shard: its own publishes, plus one forwarded
-        // copy of every *other* shard's event if a subscriber lives here.
+        // Events entering a shard: its own, plus one forwarded copy of
+        // every *other* shard's event if a subscriber lives here.
         let forwarded_in = if homes.contains(&shard) {
             TOTAL - owned[shard]
         } else {
@@ -120,11 +182,17 @@ fn four_shard_soak_has_exact_counters() {
     );
     assert_eq!(metrics.total(|s| s.deliveries.get()), TOTAL * 2);
     assert!(metrics.total(|s| s.batch_size.count()) > 0);
+}
 
-    // ---- Both subscribers drain exactly TOTAL events, in per-source
-    // order (each publisher uses one topic, so source order is topic
-    // order).
-    for (name, sub) in [("a", &sub_a), ("b", &sub_b)] {
+/// Each subscriber drains exactly `total` events from `sources` sources,
+/// in per-source order (each source uses one topic, so source order is
+/// topic order).
+fn assert_every_event_drained_in_order(
+    subscribers: [&ShardedClient; 2],
+    total: u64,
+    sources: usize,
+) {
+    for (name, sub) in ["a", "b"].into_iter().zip(subscribers) {
         let mut last_seq: HashMap<u64, u64> = HashMap::new();
         let mut got = 0u64;
         while let Some(event) = sub.try_recv() {
@@ -138,22 +206,8 @@ fn four_shard_soak_has_exact_counters() {
             last_seq.insert(source, event.seq);
             got += 1;
         }
-        assert_eq!(got, TOTAL, "subscriber {name} delivery count");
-        assert_eq!(last_seq.len(), PUBLISHERS, "subscriber {name} source count");
-    }
-
-    // In debug builds, no broker lock may have been held past the
-    // watchdog threshold either.
-    #[cfg(debug_assertions)]
-    {
-        let broker_holds: Vec<_> = parking_lot::deadlock::long_holds()
-            .into_iter()
-            .filter(|h| h.site.contains("crates/broker"))
-            .collect();
-        assert!(
-            broker_holds.is_empty(),
-            "broker locks held past the watchdog threshold: {broker_holds:?}"
-        );
+        assert_eq!(got, total, "subscriber {name} delivery count");
+        assert_eq!(last_seq.len(), sources, "subscriber {name} source count");
     }
 }
 
