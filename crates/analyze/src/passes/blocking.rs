@@ -31,9 +31,10 @@ pub const ROOTS: &[(&str, &str, &str)] = &[
 pub const PARK_POINTS: &[(&str, &str, &str)] = &[
     // The shard worker asleep on its empty ingress queue.
     ("crates/broker/src/sharded.rs", "Ingress", "take_all"),
-    // A producer held at the ingress bound. The federation worker gets
-    // here through `inject`: backpressure from a full shard is what the
-    // bound is for, and `shutdown` releases it.
+    // A producer held at the ingress bound: a client publish, or a
+    // federation data plane's `inject` on a socket reader or publishing
+    // thread. Backpressure from a full shard is what the bound is for,
+    // and `shutdown` releases it.
     ("crates/broker/src/sharded.rs", "Ingress", "push_bounded"),
 ];
 

@@ -33,12 +33,14 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("crates/broker/src/node.rs", "handle_into"),
     ("crates/broker/src/sharded.rs", "run"),
     ("crates/broker/src/cluster/worker.rs", "run"),
+    ("crates/broker/src/cluster/worker.rs", "publish"),
+    ("crates/broker/src/cluster/worker.rs", "receive"),
+    ("crates/broker/src/cluster/worker.rs", "on_frame"),
     ("crates/broker/src/cluster/tcp.rs", "run_link"),
     ("crates/broker/src/cluster/tcp.rs", "run_reader"),
     ("crates/broker/src/cluster/tcp.rs", "next_record"),
     ("crates/broker/src/cluster/tcp.rs", "record"),
     ("crates/broker/src/cluster/tcp.rs", "release"),
-    ("crates/broker/src/cluster/worker.rs", "answer_flush"),
     ("crates/broker/src/sharded.rs", "process_batch"),
     ("crates/broker/src/wire.rs", "encode"),
     ("crates/broker/src/wire.rs", "encode_into"),

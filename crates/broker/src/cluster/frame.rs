@@ -51,11 +51,12 @@ pub enum FrameKind {
     /// by the TCP transport's socket readers — it never enters a node
     /// worker.
     Ack = 3,
-    /// A TCP link flush: a sequenced record the peer answers with a
-    /// [`FrameKind::FlushAck`] once its worker has processed everything
-    /// the link released before it. The generation field holds the
-    /// sender's flush token and the body is empty. Link control like
-    /// `Ack`: built by the link sender, consumed by the socket reader.
+    /// A TCP link flush: a sequenced record the peer's socket reader
+    /// answers with a [`FrameKind::FlushAck`] once it has injected or
+    /// relayed everything the link released before it. The generation
+    /// field holds the sender's flush token and the body is empty. Link
+    /// control like `Ack`: built by the link sender, consumed by the
+    /// socket reader.
     Flush = 4,
     /// The answer to a [`FrameKind::Flush`], echoing its token; sent
     /// sequenced on the reverse link.
@@ -162,6 +163,16 @@ impl<'a> ClusterFrame<'a> {
             FrameKind::GossipDigest | FrameKind::GossipEntries => {}
         }
         Ok(frame)
+    }
+
+    /// Views a frame that has already passed [`parse`] — a sequenced
+    /// record the TCP reader held back for reordering — without walking
+    /// it again; `None` if its kind byte is not a kind at all.
+    ///
+    /// [`parse`]: ClusterFrame::parse
+    pub(super) fn trusted(raw: &'a [u8]) -> Option<ClusterFrame<'a>> {
+        let kind = FrameKind::from_byte(read_u8(raw, OFF_KIND))?;
+        Some(ClusterFrame { raw, kind })
     }
 
     /// The frame kind.

@@ -13,24 +13,34 @@
 //!
 //! # Data path
 //!
-//! A publish enters the client's home node, is injected into that
-//! node's own sharded broker ([`ShardedBroker::inject`]: local
-//! deliveries plus the intra-node ring hop), and is then forwarded
-//! once per *interested* node — the gossip view answers "who needs
-//! this topic" from a generation-stamped cache — as an `Event` frame
-//! routed hop-by-hop along the latency-weighted path. Intermediate
-//! nodes relay with the hop count bumped; the destination injects the
-//! embedded wire frame into its broker. Each (publish, destination)
-//! pair produces exactly one frame, and every node delivers only to
-//! its local subscribers, so cluster-wide delivery is exactly-once.
+//! Each node is split into a **data plane**, which any thread calls,
+//! and a **control loop** (one `mmcs-cluster<i>` thread) that keeps the
+//! gossip exchange, barriers and snapshots. Events never enter the
+//! control loop — the split between call control and the media path.
+//!
+//! A publish runs on the publishing client's own thread. It enters the
+//! home node's sharded broker as that client's publish (local
+//! deliveries plus the intra-node ring hop), and is then forwarded once
+//! per *interested* node — the gossip view answers "who needs this
+//! topic" from a generation-stamped cache — as an `Event` frame routed
+//! hop-by-hop along the latency-weighted path. Whoever receives a frame
+//! — a socket reader, or the sending thread itself in process — hands
+//! it to the receiving node's data plane: an intermediate node relays
+//! it with the hop count bumped, the destination injects the embedded
+//! wire frame into its broker ([`ShardedBroker::inject`]). Each
+//! (publish, destination) pair produces exactly one frame, and every
+//! node delivers only to its local subscribers, so cluster-wide
+//! delivery is exactly-once. Subscribes, unsubscribes and restarts
+//! update the node's interest on the caller's thread too, so a frame
+//! caused by a later publish always finds them.
 //!
 //! # Transports
 //!
-//! The same worker runs over two link fabrics:
+//! Both link fabrics feed the same data plane:
 //!
-//! * **in-process** — `std::sync::mpsc` channels between node workers,
-//!   with a fault plane (down links, gossip loss) the chaos harness
-//!   toggles deterministically; and
+//! * **in-process** — a link is a handle on the peer's data plane, with
+//!   a fault plane (down links, gossip loss) the chaos harness toggles
+//!   deterministically; and
 //! * **loopback TCP** ([`ClusterBuilder::tcp`]) — length-prefixed
 //!   records over real sockets; event frames ride [`crate::reliable`]
 //!   (sequence numbers, cumulative acks, RTO retransmit, dedup) and
@@ -41,8 +51,9 @@
 //!
 //! Malformed frames at either edge are rejected by typed decode
 //! errors ([`DecodeClusterError`]) and counted in telemetry — never
-//! panicked on: the worker loop, the link sender and the socket reader
-//! are in the analyzer's panic-reachability root set.
+//! panicked on: the data plane's publish and frame entries, the control
+//! loop, the link sender and the socket reader are in the analyzer's
+//! panic-reachability root set.
 
 mod frame;
 mod route;
@@ -52,7 +63,7 @@ mod worker;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -75,7 +86,7 @@ pub use frame::{
 pub use route::{LatencyMap, RouteTable};
 
 use tcp::TcpFabric;
-use worker::{ClusterWorker, FaultPlane, Link, NodeCmd};
+use worker::{ClusterWorker, DataPlane, FaultPlane, Link, NodeCmd};
 
 /// Configures a [`Cluster`] before spawning it.
 pub struct ClusterBuilder {
@@ -117,7 +128,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Spawns the node workers (and, for TCP, listeners and links).
+    /// Spawns each node's broker and control loop (and, for TCP,
+    /// listeners and links).
     ///
     /// # Panics
     ///
@@ -133,58 +145,63 @@ impl ClusterBuilder {
         );
         let faults = Arc::new(FaultPlane::new(n));
         let routes = Arc::new(RouteTable::new(&self.latency));
-        let brokers: Vec<Arc<ShardedBroker>> = (0..n)
-            .map(|_| Arc::new(ShardedBroker::spawn(self.shards)))
-            .collect();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::<NodeCmd>();
-            senders.push(tx);
-            receivers.push(rx);
+        let mut planes = Vec::with_capacity(n);
+        let mut controls = Vec::with_capacity(n);
+        for me in 0..n {
+            let (control, ingress) = channel::<NodeCmd>();
+            planes.push(Arc::new(DataPlane::new(
+                me as NodeId,
+                n,
+                Arc::new(ShardedBroker::spawn(self.shards)),
+                Arc::clone(&routes),
+                Arc::clone(&faults),
+                Arc::clone(metrics.node(me)),
+                control,
+            )));
+            controls.push(ingress);
         }
         let tcp = self
             .tcp
-            .then(|| TcpFabric::spawn(&self.latency, &senders, &metrics));
-        let mut workers = Vec::with_capacity(n);
-        for (me, ingress) in receivers.into_iter().enumerate() {
-            let links = match &tcp {
-                Some(fabric) => fabric.links(me),
-                None => (0..n)
+            .then(|| TcpFabric::spawn(&self.latency, &planes));
+        if tcp.is_none() {
+            for (me, plane) in planes.iter().enumerate() {
+                let links = (0..n)
                     .map(|peer| {
                         self.latency.link(me as NodeId, peer as NodeId)?;
-                        let ingress = senders[peer].clone();
+                        // Weak: the planes would otherwise own each other.
+                        let peer = Arc::downgrade(&planes[peer]);
                         Some(Box::new(move |frame| {
-                            let _ = ingress.send(NodeCmd::Frame(frame));
+                            if let Some(peer) = peer.upgrade() {
+                                peer.receive(frame);
+                            }
                         }) as Link)
                     })
-                    .collect(),
-            };
-            let worker = ClusterWorker {
-                me: me as NodeId,
-                ingress,
-                links,
-                routes: Arc::clone(&routes),
-                faults: Arc::clone(&faults),
-                gossip: GossipState::new(me as NodeId, n),
-                broker: Arc::clone(&brokers[me]),
-                metrics: Arc::clone(metrics.node(me)),
-                digest_scratch: Vec::new(),
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("mmcs-cluster{me}"))
-                .spawn(move || worker.run())
-                .expect("spawn cluster node worker");
-            workers.push(handle);
+                    .collect();
+                plane.set_links(links);
+            }
         }
+        let workers = controls
+            .into_iter()
+            .zip(&planes)
+            .map(|(ingress, plane)| {
+                let worker = ClusterWorker {
+                    plane: Arc::clone(plane),
+                    ingress,
+                    digest_scratch: Vec::new(),
+                };
+                std::thread::Builder::new()
+                    .name(format!("mmcs-cluster{}", plane.me))
+                    .spawn(move || worker.run())
+                    .expect("spawn cluster node worker")
+            })
+            .collect();
         Cluster {
             shared: Arc::new(ClusterShared {
                 latency: self.latency,
                 routes,
                 metrics,
                 faults,
-                nodes: senders,
-                brokers,
+                planes,
                 next_client: AtomicU64::new(1),
             }),
             workers,
@@ -193,9 +210,9 @@ impl ClusterBuilder {
     }
 }
 
-/// One federation cluster: `n` node workers, each owning a
-/// [`ShardedBroker`], joined by gossip and the routed event plane. See
-/// the [module docs](self).
+/// One federation cluster: `n` nodes, each a [`ShardedBroker`] behind a
+/// data plane plus a control loop, joined by gossip and the routed
+/// event plane. See the [module docs](self).
 pub struct Cluster {
     shared: Arc<ClusterShared>,
     workers: Vec<JoinHandle<()>>,
@@ -208,22 +225,35 @@ struct ClusterShared {
     routes: Arc<RouteTable>,
     metrics: Arc<ClusterMetrics>,
     faults: Arc<FaultPlane>,
-    nodes: Vec<Sender<NodeCmd>>,
-    brokers: Vec<Arc<ShardedBroker>>,
+    planes: Vec<Arc<DataPlane>>,
     next_client: AtomicU64,
 }
 
 impl ClusterShared {
-    /// Attaches client `id` to `node`'s broker.
-    fn attach_at(&self, node: NodeId, id: ClientId) -> ShardedClient {
-        let broker = self.brokers.get(node as usize);
-        broker.expect("home node in range").attach_as(id)
+    /// Node `node`'s data plane (`None` only for an id out of range).
+    fn plane(&self, node: NodeId) -> Option<&DataPlane> {
+        self.planes.get(node as usize).map(Arc::as_ref)
     }
 
-    /// Enqueues `cmd` on `node`'s worker (a no-op once it has exited).
-    fn tell(&self, node: NodeId, cmd: NodeCmd) {
-        if let Some(ingress) = self.nodes.get(node as usize) {
-            let _ = ingress.send(cmd);
+    /// Attaches client `id` to `node`'s broker.
+    fn attach_at(&self, node: NodeId, id: ClientId) -> ShardedClient {
+        let plane = self.plane(node).expect("home node in range");
+        plane.broker.attach_as(id)
+    }
+
+    /// Runs `change` on `node`'s gossip state (see
+    /// [`DataPlane::change_interest`]).
+    fn change_interest(&self, node: NodeId, change: impl FnOnce(&mut GossipState)) {
+        if let Some(plane) = self.plane(node) {
+            plane.change_interest(change);
+        }
+    }
+
+    /// Enqueues `cmd` on every node's control loop (a no-op for one
+    /// that has exited).
+    fn tell_all(&self, mut cmd: impl FnMut() -> NodeCmd) {
+        for plane in &self.planes {
+            let _ = plane.control.send(cmd());
         }
     }
 }
@@ -242,7 +272,7 @@ impl Cluster {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.shared.nodes.len()
+        self.shared.planes.len()
     }
 
     /// The per-node telemetry bundles.
@@ -266,7 +296,7 @@ impl Cluster {
     ///
     /// Panics if `index` is out of range.
     pub fn broker(&self, index: usize) -> &Arc<ShardedBroker> {
-        &self.shared.brokers[index]
+        &self.shared.planes[index].broker
     }
 
     /// Attaches a client homed to `zone`'s nearest gateway node. Client
@@ -290,29 +320,31 @@ impl Cluster {
         }
     }
 
-    /// Waits until every command enqueued before this call — including
-    /// multi-hop relays and intra-node ring forwards it generates —
-    /// has been processed. A round is the same on both transports:
-    /// barrier every node worker, flush every link, quiesce every node
-    /// broker. One round carries a frame one link hop, so `max(n,2)+2`
-    /// rounds cover the longest relay chain plus the gossip push-pull
-    /// depth.
+    /// Waits until everything published, subscribed or gossiped before
+    /// this call — including multi-hop relays and intra-node ring
+    /// forwards it generates — has been processed. A round is the same
+    /// on both transports: barrier every control loop, flush every link,
+    /// quiesce every node broker. One round carries a frame one link
+    /// hop, so `max(n,2)+2` rounds cover the longest relay chain plus
+    /// the gossip push-pull depth.
     ///
-    /// In-process a link *is* the peer's ingress queue, so the barrier
-    /// is the flush. Over TCP the flush is a protocol exchange on every
-    /// directed link (see `cluster/tcp.rs`): it returns because the
-    /// peer's worker has processed what the link carried, not because
-    /// time has passed. A link with nothing connected — a dropped
-    /// listener at either end — is not waited for, so the call stays
-    /// bounded and frames parked behind that link stay in flight until
-    /// it reconnects.
+    /// In process a link *is* a call into the peer's data plane: an
+    /// event has been injected (or relayed) by the time the send
+    /// returns, and gossip is in the peer's control queue, so the
+    /// barrier is the flush. Over TCP the flush is a protocol exchange
+    /// on every directed link (see `cluster/tcp.rs`): it returns because
+    /// the peer's socket reader has injected into its broker, or handed
+    /// to its next link, every frame the link carried before it — not
+    /// because time has passed — and the same round's broker quiesce
+    /// drains what was injected. A link with nothing connected — a
+    /// dropped listener at either end — is not waited for, so the call
+    /// stays bounded and frames parked behind that link stay in flight
+    /// until it reconnects.
     pub fn quiesce(&self) {
         let rounds = self.node_count().max(2) + 2;
         for _ in 0..rounds {
             let (tx, rx) = channel();
-            for node in &self.shared.nodes {
-                let _ = node.send(NodeCmd::Barrier(tx.clone()));
-            }
+            self.shared.tell_all(|| NodeCmd::Barrier(tx.clone()));
             drop(tx);
             let mut alive = 0;
             while rx.recv().is_ok() {
@@ -326,8 +358,8 @@ impl Cluster {
             if let Some(fabric) = &self.tcp {
                 fabric.flush_links();
             }
-            for broker in &self.shared.brokers {
-                broker.quiesce();
+            for plane in &self.shared.planes {
+                plane.broker.quiesce();
             }
         }
     }
@@ -335,9 +367,7 @@ impl Cluster {
     /// Runs one gossip round (every node digests to its direct peers)
     /// and settles it.
     pub fn gossip_round(&self) {
-        for node in &self.shared.nodes {
-            let _ = node.send(NodeCmd::GossipTick);
-        }
+        self.shared.tell_all(|| NodeCmd::GossipTick);
         self.quiesce();
     }
 
@@ -345,7 +375,9 @@ impl Cluster {
     /// node, entry `index` being its local truth.
     pub fn snapshot(&self, index: usize) -> Vec<InterestEntry> {
         let (tx, rx) = channel();
-        self.shared.tell(index as NodeId, NodeCmd::Inspect(tx));
+        if let Some(plane) = self.shared.planes.get(index) {
+            let _ = plane.control.send(NodeCmd::Inspect(tx));
+        }
         rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default()
     }
 
@@ -411,7 +443,12 @@ impl Cluster {
         for peer in (0..self.node_count() as u16).filter(|peer| *peer != index) {
             self.set_link_down(index, peer, false);
         }
-        self.shared.tell(index, NodeCmd::Restart { lose_interest });
+        self.shared.change_interest(index, |gossip| {
+            gossip.restart();
+            if lose_interest {
+                gossip.wipe_local();
+            }
+        });
     }
 
     /// The loopback address node `index`'s listener is bound on, or
@@ -442,13 +479,12 @@ impl Cluster {
         }
     }
 
-    /// Stops every node worker and broker (idempotent).
+    /// Stops every control loop and broker (idempotent). A socket reader
+    /// blocked on a full shard ingress is released by the broker's.
     pub fn shutdown(&self) {
-        for node in &self.shared.nodes {
-            let _ = node.send(NodeCmd::Shutdown);
-        }
-        for broker in &self.shared.brokers {
-            broker.shutdown();
+        self.shared.tell_all(|| NodeCmd::Shutdown);
+        for plane in &self.shared.planes {
+            plane.broker.shutdown();
         }
     }
 }
@@ -512,27 +548,35 @@ impl ClusterClient {
     /// cluster-wide via the gossip interest plane. Duplicate
     /// subscriptions are a no-op, mirroring [`crate::node::BrokerNode`].
     pub fn subscribe(&self, filter: TopicFilter) {
-        let mut state = self.state.lock();
-        if state.filters.contains(&filter) {
-            return;
-        }
-        state.inner.subscribe(filter.clone());
-        self.shared
-            .tell(state.node, NodeCmd::Subscribe(filter.clone()));
-        state.filters.push(filter);
+        let node = {
+            let mut state = self.state.lock();
+            if state.filters.contains(&filter) {
+                return;
+            }
+            state.inner.subscribe(filter.clone());
+            state.filters.push(filter.clone());
+            state.node
+        };
+        self.shared.change_interest(node, |gossip| {
+            gossip.subscribe(&filter);
+        });
     }
 
     /// Removes one subscription; a filter this client does not hold is
     /// a no-op.
     pub fn unsubscribe(&self, filter: &TopicFilter) {
-        let mut state = self.state.lock();
-        let Some(pos) = state.filters.iter().position(|f| f == filter) else {
-            return;
+        let node = {
+            let mut state = self.state.lock();
+            let Some(pos) = state.filters.iter().position(|f| f == filter) else {
+                return;
+            };
+            state.filters.remove(pos);
+            state.inner.unsubscribe(filter.clone());
+            state.node
         };
-        state.filters.remove(pos);
-        state.inner.unsubscribe(filter.clone());
-        self.shared
-            .tell(state.node, NodeCmd::Unsubscribe(filter.clone()));
+        self.shared.change_interest(node, |gossip| {
+            gossip.unsubscribe(filter);
+        });
     }
 
     /// Publishes a data event through the home gateway.
@@ -540,13 +584,21 @@ impl ClusterClient {
         self.publish_class(topic, EventClass::Data, payload);
     }
 
-    /// Publishes with an explicit class. The sequence counter lives in
-    /// this handle, so per-source ordering survives zone moves.
+    /// Publishes with an explicit class, on the calling thread: into the
+    /// home node's broker as this client's publish, then one frame per
+    /// interested remote node. The sequence counter lives in this
+    /// handle, so per-source ordering survives zone moves.
     pub fn publish_class(&self, topic: Topic, class: EventClass, payload: Bytes) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let event = Event::new(topic, self.id, seq, class, payload).into_shared();
-        let node = self.state.lock().node;
-        self.shared.tell(node, NodeCmd::Publish(event));
+        let node = {
+            let state = self.state.lock();
+            state.inner.publish_shared(Arc::clone(&event));
+            state.node
+        };
+        if let Some(plane) = self.shared.plane(node) {
+            plane.publish(&event);
+        }
     }
 
     /// Rehomes this client to `zone`'s nearest gateway. Pending
@@ -554,27 +606,37 @@ impl ClusterClient {
     /// quiesced a move loses and reorders nothing; subscriptions are
     /// re-established on the new node and withdrawn from the old one.
     pub fn move_to_zone(&self, zone: usize) {
-        let mut state = self.state.lock();
-        state.zone = zone;
-        let new_node = self.shared.latency.home_node(zone);
-        if new_node == state.node {
-            return;
-        }
-        let mut pending = Vec::new();
-        state.inner.drain_into(&mut pending);
-        state.stash.extend(pending);
-        let old_node = state.node;
-        for filter in state.filters.clone() {
-            state.inner.unsubscribe(filter.clone());
-            self.shared.tell(old_node, NodeCmd::Unsubscribe(filter));
-        }
-        // Replacing the handle detaches the old attachment on drop.
-        state.inner = self.shared.attach_at(new_node, self.id);
-        for filter in state.filters.clone() {
-            state.inner.subscribe(filter.clone());
-            self.shared.tell(new_node, NodeCmd::Subscribe(filter));
-        }
-        state.node = new_node;
+        let (old_node, new_node, filters) = {
+            let mut state = self.state.lock();
+            state.zone = zone;
+            let new_node = self.shared.latency.home_node(zone);
+            if new_node == state.node {
+                return;
+            }
+            let mut pending = Vec::new();
+            state.inner.drain_into(&mut pending);
+            state.stash.extend(pending);
+            for filter in state.filters.clone() {
+                state.inner.unsubscribe(filter);
+            }
+            // Replacing the handle detaches the old attachment on drop.
+            state.inner = self.shared.attach_at(new_node, self.id);
+            for filter in state.filters.clone() {
+                state.inner.subscribe(filter);
+            }
+            let old_node = std::mem::replace(&mut state.node, new_node);
+            (old_node, new_node, state.filters.clone())
+        };
+        self.shared.change_interest(old_node, |gossip| {
+            for filter in &filters {
+                gossip.unsubscribe(filter);
+            }
+        });
+        self.shared.change_interest(new_node, |gossip| {
+            for filter in &filters {
+                gossip.subscribe(filter);
+            }
+        });
     }
 
     /// Receives the next delivered event, waiting up to `timeout`. The
@@ -635,10 +697,10 @@ mod tests {
     }
 
     #[test]
-    fn a_stray_link_ack_is_counted_and_dropped_by_the_worker() {
+    fn a_stray_link_ack_is_counted_and_dropped_by_the_data_plane() {
         let cluster = Cluster::spawn(LatencyMap::full_mesh(2, 5));
         let ack = encode_frame(FrameKind::Ack, 1, 0, 0, 7, &[]).freeze();
-        assert!(cluster.shared.nodes[0].send(NodeCmd::Frame(ack)).is_ok());
+        cluster.shared.planes[0].receive(ack);
         cluster.quiesce();
         assert_eq!(cluster.metrics().node(0).decode_errors.get(), 1);
         assert_eq!(cluster.metrics().node(0).frames_in.get(), 1);
@@ -647,14 +709,16 @@ mod tests {
     #[test]
     fn malformed_frames_are_counted_not_crashed_on() {
         let cluster = Cluster::spawn(LatencyMap::full_mesh(2, 5));
-        // Reach into node 0's ingress the way a link would.
-        let sent = cluster.shared.nodes[0]
-            .send(NodeCmd::Frame(Bytes::from_static(b"garbage")))
-            .is_ok();
-        assert!(sent, "worker alive");
+        // Hand node 0 garbage the way a link would.
+        for garbage in [
+            &b"garbage"[..],
+            &encode_frame(FrameKind::GossipDigest, 1, 0, 0, 0, b"x"),
+        ] {
+            cluster.shared.planes[0].receive(Bytes::copy_from_slice(garbage));
+        }
         cluster.quiesce();
-        assert_eq!(cluster.metrics().node(0).decode_errors.get(), 1);
-        // Worker survived: a real publish still flows.
+        assert_eq!(cluster.metrics().node(0).decode_errors.get(), 2);
+        // Node survived: a real publish still flows.
         let client = cluster.attach(0);
         client.subscribe(filter("t/#"));
         cluster.converge(8);

@@ -13,19 +13,30 @@
 //! * **unsequenced** (`seq` 0) — gossip, which tolerates loss, and
 //!   `Ack`, which the next ack supersedes.
 //!
-//! Link control stops at the socket edge: the reader hands an `Ack` or
-//! a `FlushAck` to the local link sender for that peer, and turns a
-//! released `Flush` into a [`NodeCmd::Flush`] behind the frames released
-//! before it; none of the three reaches a node worker as a frame.
+//! The reader validates each frame once and hands every data frame
+//! straight to its node's [`DataPlane`] on its own thread: an event for
+//! this node is injected into the node's broker, one for another node
+//! is relayed onto the next link, and gossip is queued for the node's
+//! control loop. Link control stops at the socket edge: the reader hands
+//! an `Ack` or a `FlushAck` to the local link sender for that peer, and
+//! answers a released `Flush` itself; none of the three reaches the data
+//! plane.
 //!
-//! **Flush.** [`TcpFabric::flush_links`] returns once every frame handed to a
-//! connected link before the call has been processed by the peer's
-//! worker: the `Flush` record is sequenced, so it cannot overtake
-//! backlogged or retransmitted events, and the peer's worker answers it
-//! from its FIFO ingress. A link with nothing connected — its socket is
-//! down and inside the reconnect backoff, or goes down with the flush
-//! unanswered — completes at once instead: what is parked behind a dead
-//! connection stays in flight until the link reconnects by itself.
+//! **Flush.** [`TcpFabric::flush_links`] returns once every frame handed
+//! to a connected link before the call has been injected into the
+//! peer's broker or handed to the peer's next link: the `Flush` record
+//! is sequenced, so it cannot overtake backlogged or retransmitted
+//! events, and the peer's reader answers it only after releasing, in
+//! order, everything ahead of it. A link with nothing connected — its
+//! socket is down and inside the reconnect backoff, or goes down with
+//! the flush unanswered — completes at once instead: what is parked
+//! behind a dead connection stays in flight until the link reconnects by
+//! itself.
+//!
+//! **Backpressure.** A reader can block in the inject while the peer
+//! shard's ingress is at capacity; the socket then stops being read,
+//! which is TCP's own backpressure. Shutting the broker down closes the
+//! ingress and releases it.
 //!
 //! The sender gathers what is queued into one socket write and the
 //! reader takes records out of one buffered read, answering a read's
@@ -45,11 +56,11 @@ use bytes::Bytes;
 use mmcs_util::time::{monotonic_now, SimDuration, SimTime};
 use parking_lot::Mutex;
 
-use super::frame::{encode_frame, read_u64, ClusterFrame, FrameKind, OFF_GENERATION, OFF_KIND};
+use super::frame::{encode_frame, read_u64, ClusterFrame, FrameKind, OFF_KIND};
 use super::route::LatencyMap;
-use super::worker::{Link, NodeCmd};
+use super::worker::{DataPlane, Link};
 use crate::gossip::NodeId;
-use crate::metrics::{ClusterMetrics, ClusterNodeMetrics};
+use crate::metrics::ClusterNodeMetrics;
 use crate::reliable::{Ack, ReliableFrame, ReliableReceiver, ReliableSender};
 
 /// Sequenced frames one link keeps in flight before backlogging.
@@ -285,8 +296,8 @@ type Conn = (TcpStream, JoinHandle<()>);
 /// node's connections, across listener restarts.
 #[derive(Clone)]
 struct ReaderCtx {
-    me: NodeId,
-    ingress: Sender<NodeCmd>,
+    /// The node these connections arrive at.
+    plane: Arc<DataPlane>,
     /// This node's outbound links: acks for a peer's frames go out on
     /// them, and a peer's acks for ours are handed in to them.
     links: Arc<[Option<TcpLink>]>,
@@ -295,7 +306,6 @@ struct ReaderCtx {
     /// exactly-once.
     receivers: Arc<Mutex<HashMap<NodeId, ReliableReceiver<Bytes>>>>,
     conns: Arc<Mutex<Vec<Conn>>>,
-    metrics: Arc<ClusterNodeMetrics>,
 }
 
 impl ReaderCtx {
@@ -307,10 +317,10 @@ impl ReaderCtx {
     /// cumulative ack its sequenced records are owed. A malformed frame
     /// is counted and skipped — the framing around it is still intact.
     fn record(&self, peer: NodeId, seq: u64, raw: &[u8], ack: &mut Option<Ack>) {
-        // Validate at the socket edge so garbage is charged to the
-        // connection that sent it, then once more (free) in the worker.
+        // The one validation, at the socket edge, so garbage is charged
+        // to the connection that sent it.
         let Ok(parsed) = ClusterFrame::parse(raw) else {
-            self.metrics.decode_errors.inc();
+            self.plane.metrics.decode_errors.inc();
             return;
         };
         let kind = parsed.kind();
@@ -326,15 +336,15 @@ impl ReaderCtx {
         if matches!(kind, FrameKind::Flush | FrameKind::FlushAck)
             && (seq == 0
                 || parsed.origin() != peer
-                || parsed.dest() != self.me
+                || parsed.dest() != self.plane.me
                 || self.link(peer).is_none())
         {
-            self.metrics.decode_errors.inc();
+            self.plane.metrics.decode_errors.inc();
             return;
         }
         let frame = Bytes::copy_from_slice(raw);
         if seq == 0 {
-            let _ = self.ingress.send(NodeCmd::Frame(frame));
+            self.plane.on_frame(&frame, &parsed);
             return;
         }
         // Held across the hand-off so an old and a new connection of
@@ -347,29 +357,37 @@ impl ReaderCtx {
             event: frame,
         });
         if receiver.duplicates() > duplicates {
-            self.metrics.duplicate_frames.inc();
+            self.plane.metrics.duplicate_frames.inc();
         }
         *ack = Some(owed);
         for frame in released {
-            self.release(peer, frame);
+            self.release(peer, &frame);
         }
     }
 
-    /// Hands on one sequenced frame, in its turn.
-    fn release(&self, peer: NodeId, frame: Bytes) {
-        let token = read_u64(&frame, OFF_GENERATION);
-        match frame.get(OFF_KIND) {
-            Some(&kind) if kind == FrameKind::Flush as u8 => {
-                let _ = self.ingress.send(NodeCmd::Flush { peer, token });
+    /// Hands on one sequenced frame, in its turn. A flush is answered
+    /// here: everything `peer`'s link released before it has been
+    /// injected or relayed by now. The answer is control, not data, so
+    /// the fault plane does not apply.
+    fn release(&self, peer: NodeId, frame: &Bytes) {
+        let Some(parsed) = ClusterFrame::trusted(frame) else {
+            return;
+        };
+        let token = parsed.generation();
+        match parsed.kind() {
+            FrameKind::Flush => {
+                if let Some(link) = self.link(peer) {
+                    let answer =
+                        encode_frame(FrameKind::FlushAck, self.plane.me, peer, 0, token, &[]);
+                    let _ = link.send(LinkOp::Send(answer.freeze()));
+                }
             }
-            Some(&kind) if kind == FrameKind::FlushAck as u8 => {
+            FrameKind::FlushAck => {
                 if let Some(link) = self.link(peer) {
                     let _ = link.send(LinkOp::FlushAck(token));
                 }
             }
-            _ => {
-                let _ = self.ingress.send(NodeCmd::Frame(frame));
-            }
+            _ => self.plane.on_frame(frame, &parsed),
         }
     }
 }
@@ -446,13 +464,13 @@ fn run_reader(mut stream: TcpStream, ctx: &ReaderCtx) {
                 Ok(Some((seq, raw))) => ctx.record(peer, seq, raw, &mut ack),
                 Ok(None) => break,
                 Err(BadLength) => {
-                    ctx.metrics.decode_errors.inc();
+                    ctx.plane.metrics.decode_errors.inc();
                     return;
                 }
             }
         }
         if let (Some(Ack { next_expected }), Some(link)) = (ack, ctx.link(peer)) {
-            let ack = encode_frame(FrameKind::Ack, ctx.me, peer, 0, next_expected, &[]);
+            let ack = encode_frame(FrameKind::Ack, ctx.plane.me, peer, 0, next_expected, &[]);
             let _ = link.send(LinkOp::Send(ack.freeze()));
         }
         if buf.fill(&mut stream).is_err() {
@@ -476,7 +494,7 @@ fn run_accept(socket: &TcpListener, accepting: &AtomicBool, ctx: &ReaderCtx) {
         };
         let reader_ctx = ctx.clone();
         let reader = std::thread::Builder::new()
-            .name(format!("mmcs-accept{}", ctx.me))
+            .name(format!("mmcs-accept{}", ctx.plane.me))
             .spawn(move || run_reader(stream, &reader_ctx));
         if let Ok(reader) = reader {
             ctx.conns.lock().push((waker, reader));
@@ -498,7 +516,7 @@ impl TcpNode {
         let accepting = Arc::new(AtomicBool::new(true));
         let (flag, ctx) = (Arc::clone(&accepting), self.ctx.clone());
         let thread = std::thread::Builder::new()
-            .name(format!("mmcs-listen{}", ctx.me))
+            .name(format!("mmcs-listen{}", ctx.plane.me))
             .spawn(move || run_accept(&socket, &flag, &ctx))
             .expect("spawn cluster listener thread");
         self.accept = Some((accepting, thread));
@@ -544,14 +562,11 @@ pub(super) struct TcpFabric {
 
 impl TcpFabric {
     /// Binds one listener per node on 127.0.0.1, spawns a link sender
-    /// per direct link of `latency`, and starts accepting. Panics if a
-    /// listener cannot bind or a thread cannot spawn.
-    pub(super) fn spawn(
-        latency: &LatencyMap,
-        ingress: &[Sender<NodeCmd>],
-        metrics: &ClusterMetrics,
-    ) -> TcpFabric {
-        let n = ingress.len();
+    /// per direct link of `latency`, installs each node's links in its
+    /// data plane, and starts accepting. Panics if a listener cannot
+    /// bind or a thread cannot spawn.
+    pub(super) fn spawn(latency: &LatencyMap, planes: &[Arc<DataPlane>]) -> TcpFabric {
+        let n = planes.len();
         let sockets: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind cluster listener"))
             .collect();
@@ -561,11 +576,10 @@ impl TcpFabric {
             .collect();
         let mut link_threads = Vec::new();
         let mut nodes = Vec::with_capacity(n);
-        for (me, socket) in sockets.into_iter().enumerate() {
-            let node_metrics = metrics.node(me);
+        for ((me, socket), plane) in sockets.into_iter().enumerate().zip(planes) {
             let mut spawn_link = |peer: usize| {
                 let (ops, rx) = channel();
-                let (addr, metrics) = (addrs[peer], Arc::clone(node_metrics));
+                let (addr, metrics) = (addrs[peer], Arc::clone(&plane.metrics));
                 let thread = std::thread::Builder::new()
                     .name(format!("mmcs-link{me}"))
                     .spawn(move || run_link(me as NodeId, peer as NodeId, addr, &rx, &metrics))
@@ -573,22 +587,31 @@ impl TcpFabric {
                 link_threads.push(thread);
                 ops
             };
-            let links = (0..n)
+            let links: Arc<[Option<TcpLink>]> = (0..n)
                 .map(|peer| {
                     latency
                         .link(me as NodeId, peer as NodeId)
                         .map(|_| spawn_link(peer))
                 })
                 .collect();
+            plane.set_links(
+                links
+                    .iter()
+                    .map(|link| {
+                        let ops = link.clone()?;
+                        Some(Box::new(move |frame| {
+                            let _ = ops.send(LinkOp::Send(frame));
+                        }) as Link)
+                    })
+                    .collect(),
+            );
             let mut node = TcpNode {
                 addr: addrs[me],
                 ctx: ReaderCtx {
-                    me: me as NodeId,
-                    ingress: ingress[me].clone(),
+                    plane: Arc::clone(plane),
                     links,
                     receivers: Arc::default(),
                     conns: Arc::default(),
-                    metrics: Arc::clone(node_metrics),
                 },
                 accept: None,
             };
@@ -615,19 +638,6 @@ impl TcpFabric {
         // Ends when the last link has dropped its handle.
         while answered.recv().is_ok() {}
     }
-
-    /// Node `me`'s outbound links, as its worker sends on them.
-    pub(super) fn links(&self, me: usize) -> Vec<Option<Link>> {
-        let links = self.nodes[me].ctx.links.iter();
-        links
-            .map(|link| {
-                let ops = link.clone()?;
-                Some(Box::new(move |frame| {
-                    let _ = ops.send(LinkOp::Send(frame));
-                }) as Link)
-            })
-            .collect()
-    }
 }
 
 impl Drop for TcpFabric {
@@ -635,7 +645,7 @@ impl Drop for TcpFabric {
         for node in &mut self.nodes {
             node.stop();
         }
-        // Closed explicitly: workers and readers hold clones of a link's
+        // Closed explicitly: data planes and readers hold clones of a link's
         // queue, so waiting for it to disconnect would make these joins
         // depend on their drop order.
         for link in self
@@ -654,7 +664,7 @@ impl Drop for TcpFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::encode_event_frame;
+    use crate::cluster::{encode_event_frame, OFF_GENERATION};
     use crate::event::{Event, EventClass};
     use crate::topic::Topic;
     use mmcs_util::id::ClientId;

@@ -1,15 +1,20 @@
-//! One node's cluster-layer worker: the command set it drains
-//! ([`NodeCmd`]), the directed links it sends on ([`Link`]), the
-//! in-process fault switches ([`FaultPlane`]) and the event loop itself
-//! ([`ClusterWorker`]). Transport-blind: link-level reliability
-//! (sequencing, acks, retransmit) never reaches this file.
+//! One federation node, split in two. The **data plane**
+//! ([`DataPlane`]) is what any thread calls: a publishing client fans
+//! its event out through it, and a link hands it every frame it
+//! receives. The **control loop** ([`ClusterWorker`]) keeps what must be
+//! serialised per node — the gossip exchange, barriers and snapshots —
+//! and never sees an event. Also here: the directed links both send on
+//! ([`Link`]) and the in-process fault switches ([`FaultPlane`]).
+//! Transport-blind: link-level reliability (sequencing, acks,
+//! retransmit) never reaches this file.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use mmcs_util::pool;
+use parking_lot::Mutex;
 
 use super::frame::{
     encode_event_frame, encode_frame, ClusterFrame, FrameKind, CLUSTER_HEADER_LEN, MAX_HOPS,
@@ -19,8 +24,6 @@ use crate::event::Event;
 use crate::gossip::{self, GossipState, InterestEntry, NodeId};
 use crate::metrics::ClusterNodeMetrics;
 use crate::sharded::ShardedBroker;
-use crate::topic::TopicFilter;
-use crate::wire;
 
 /// Per-link fault switches for the in-process transport; the chaos
 /// harness flips them at deterministic schedule points. A fault on
@@ -69,162 +72,154 @@ impl FaultPlane {
     }
 }
 
-/// Commands into one node's cluster worker.
+/// Commands into one node's control loop.
 pub(super) enum NodeCmd {
-    /// A frame off a link (either transport).
-    Frame(Bytes),
-    /// A publish from a locally-homed client.
-    Publish(Arc<Event>),
-    /// Interest bookkeeping for a locally-homed client subscription.
-    Subscribe(TopicFilter),
-    /// Reverse of `Subscribe`.
-    Unsubscribe(TopicFilter),
+    /// A peer's gossip digest, decoded off a link by the data plane.
+    Digest {
+        peer: NodeId,
+        digest: Vec<(NodeId, u64)>,
+    },
+    /// Gossip entries, decoded off a link by the data plane.
+    Entries(Vec<(NodeId, InterestEntry)>),
     /// Start one gossip round: digest to every direct peer.
     GossipTick,
-    /// Gateway restart: forget the learned view (and, with
-    /// `lose_interest`, the local truth — the chaos bug hook).
-    Restart { lose_interest: bool },
     /// Snapshot the gossip view (one entry per node).
     Inspect(Sender<Vec<InterestEntry>>),
-    /// Flush everything ahead of this command, then ack.
+    /// Ack once everything queued ahead of this command is handled.
     Barrier(Sender<()>),
-    /// `peer`'s link flush, queued by the socket reader behind every
-    /// frame that link released before it: answer with a `FlushAck`.
-    Flush { peer: NodeId, token: u64 },
     Shutdown,
 }
 
-/// A directed link to one peer: hands a frame to the peer worker's
-/// ingress (in-process) or to a TCP link sender's queue.
-pub(super) type Link = Box<dyn Fn(Bytes) + Send>;
+/// A directed link to one peer: hands a frame to the peer's data plane
+/// (in-process) or to a TCP link sender's queue. Any thread may send.
+pub(super) type Link = Box<dyn Fn(Bytes) + Send + Sync>;
 
-/// One node's cluster-layer event loop: drains the ingress queue and
-/// reacts to frames, publishes, interest changes and gossip ticks.
-/// This is the federation ingress loop in the analyzer's
-/// panic-reachability and blocking-call root sets: everything reachable
-/// from [`ClusterWorker::run`] must be panic-free and non-blocking
-/// (the sanctioned ingress `recv` aside).
-pub(super) struct ClusterWorker {
+/// One node's data plane: its broker, its gossip state and its links,
+/// called on whatever thread has an event to move — the publishing
+/// client's, a socket reader's, an in-process peer's. The gossip lock
+/// is taken briefly and never held across a link send or an inject, so
+/// a chain of in-process hops never nests two nodes' locks.
+pub(super) struct DataPlane {
     pub(super) me: NodeId,
-    pub(super) ingress: Receiver<NodeCmd>,
-    /// The directed link to each peer (`None` where the latency map has
-    /// no direct link, and for `me`).
-    pub(super) links: Vec<Option<Link>>,
-    pub(super) routes: Arc<RouteTable>,
-    pub(super) faults: Arc<FaultPlane>,
-    pub(super) gossip: GossipState,
     pub(super) broker: Arc<ShardedBroker>,
+    /// The local interest truth and the learned view of every peer.
+    gossip: Mutex<GossipState>,
+    /// The directed link to each peer (`None` where the latency map has
+    /// no direct link, and for `me`). Set once, when every node's plane
+    /// exists: in process a link is a handle on the peer's plane.
+    links: OnceLock<Vec<Option<Link>>>,
+    routes: Arc<RouteTable>,
+    faults: Arc<FaultPlane>,
     pub(super) metrics: Arc<ClusterNodeMetrics>,
-    pub(super) digest_scratch: Vec<(NodeId, u64)>,
+    /// This node's control loop: gossip off a link is queued here.
+    pub(super) control: Sender<NodeCmd>,
 }
 
-impl ClusterWorker {
-    pub(super) fn run(mut self) {
-        while let Ok(cmd) = self.ingress.recv() {
-            match cmd {
-                NodeCmd::Frame(bytes) => self.frame(bytes),
-                NodeCmd::Publish(event) => self.publish(&event),
-                NodeCmd::Subscribe(filter) => {
-                    self.gossip.subscribe(&filter);
-                    self.interest_changed();
-                }
-                NodeCmd::Unsubscribe(filter) => {
-                    self.gossip.unsubscribe(&filter);
-                    self.interest_changed();
-                }
-                NodeCmd::GossipTick => self.tick(),
-                NodeCmd::Restart { lose_interest } => {
-                    self.gossip.restart();
-                    if lose_interest {
-                        self.gossip.wipe_local();
-                    }
-                    self.interest_changed();
-                }
-                NodeCmd::Inspect(tx) => {
-                    let view: Vec<InterestEntry> = (0..self.gossip.node_count())
-                        .map(|n| self.gossip.entry(n as NodeId).clone())
-                        .collect();
-                    let _ = tx.send(view);
-                }
-                NodeCmd::Barrier(ack) => {
-                    let _ = ack.send(());
-                }
-                NodeCmd::Flush { peer, token } => self.answer_flush(peer, token),
-                NodeCmd::Shutdown => break,
-            }
+impl DataPlane {
+    pub(super) fn new(
+        me: NodeId,
+        nodes: usize,
+        broker: Arc<ShardedBroker>,
+        routes: Arc<RouteTable>,
+        faults: Arc<FaultPlane>,
+        metrics: Arc<ClusterNodeMetrics>,
+        control: Sender<NodeCmd>,
+    ) -> Self {
+        Self {
+            me,
+            broker,
+            gossip: Mutex::new(GossipState::new(me, nodes)),
+            links: OnceLock::new(),
+            routes,
+            faults,
+            metrics,
+            control,
         }
     }
 
-    fn interest_changed(&self) {
-        self.metrics
-            .interest_entries
-            .set(self.gossip.interest_entries() as i64);
+    /// Installs the links (the first call wins).
+    pub(super) fn set_links(&self, links: Vec<Option<Link>>) {
+        let _ = self.links.set(links);
     }
 
-    /// Fan a locally-published event out: inject into the local broker
-    /// (which owns intra-node delivery) and forward one frame per
-    /// remote node with matching interest along its shortest path.
-    fn publish(&mut self, event: &Arc<Event>) {
-        let frame = wire::encode(event).freeze();
-        if self.broker.inject(frame).is_err() {
-            self.metrics.decode_errors.inc();
-            return;
-        }
-        let targets = self.gossip.targets_for(&event.topic);
-        for &target in targets.iter() {
-            if target == self.me {
-                continue;
-            }
-            let generation = self.gossip.entry(target).generation;
+    fn links(&self) -> &[Option<Link>] {
+        self.links.get().map_or(&[], Vec::as_slice)
+    }
+
+    /// The remote half of a local client's publish (the local half went
+    /// into this node's broker as that client's publish): one frame per
+    /// remote node with matching interest, along its shortest path.
+    pub(super) fn publish(&self, event: &Event) {
+        let targets = self.gossip.lock().targets_for(&event.topic);
+        for &target in targets.iter().filter(|&&target| target != self.me) {
+            let generation = self.gossip.lock().entry(target).generation;
             let frame = encode_event_frame(self.me, target, 0, generation, event).freeze();
             self.metrics.inter_node_forwards.inc();
             self.send_routed(target, frame);
         }
     }
 
-    /// Validates and dispatches a frame off a link.
-    fn frame(&mut self, bytes: Bytes) {
+    /// A frame off an in-process link: validated here, then handled as
+    /// [`DataPlane::on_frame`] does.
+    pub(super) fn receive(&self, frame: Bytes) {
+        match ClusterFrame::parse(&frame) {
+            Ok(parsed) => self.on_frame(&frame, &parsed),
+            Err(_) => {
+                self.metrics.frames_in.inc();
+                self.metrics.decode_errors.inc();
+            }
+        }
+    }
+
+    /// A validated frame off a link (`parsed` views `frame`'s bytes): an
+    /// event for this node is injected into its broker, one for another
+    /// node is relayed toward it, gossip goes to the control loop. Link
+    /// control belongs to the TCP socket reader; a frame of it that gets
+    /// here is stray input.
+    pub(super) fn on_frame(&self, frame: &Bytes, parsed: &ClusterFrame<'_>) {
         self.metrics.frames_in.inc();
-        let Ok(parsed) = ClusterFrame::parse(&bytes) else {
-            self.metrics.decode_errors.inc();
-            return;
-        };
         match parsed.kind() {
-            FrameKind::Event => self.event_frame(&bytes, &parsed),
-            FrameKind::GossipDigest => self.digest_frame(&parsed),
-            FrameKind::GossipEntries => self.entries_frame(&parsed),
-            // Link control is consumed by the TCP socket reader; a
-            // frame of it that reaches a worker is stray input.
+            FrameKind::Event if parsed.dest() == self.me => self.arrive(frame, parsed),
+            FrameKind::Event => self.relay(parsed),
+            FrameKind::GossipDigest => match gossip::decode_digest(parsed.body()) {
+                Ok(digest) => {
+                    let peer = parsed.origin();
+                    let _ = self.control.send(NodeCmd::Digest { peer, digest });
+                }
+                Err(_) => self.metrics.decode_errors.inc(),
+            },
+            FrameKind::GossipEntries => match gossip::decode_entries(parsed.body()) {
+                Ok(entries) => {
+                    let _ = self.control.send(NodeCmd::Entries(entries));
+                }
+                Err(_) => self.metrics.decode_errors.inc(),
+            },
             FrameKind::Ack | FrameKind::Flush | FrameKind::FlushAck => {
                 self.metrics.decode_errors.inc();
             }
         }
     }
 
-    /// Everything `peer`'s link released ahead of its flush has been
-    /// processed by now (one FIFO ingress), so the answer goes out. It
-    /// is control, not data: the fault plane does not apply.
-    fn answer_flush(&self, peer: NodeId, token: u64) {
-        if let Some(Some(link)) = self.links.get(peer as usize) {
-            link(encode_frame(FrameKind::FlushAck, self.me, peer, 0, token, &[]).freeze());
+    fn arrive(&self, frame: &Bytes, parsed: &ClusterFrame<'_>) {
+        self.metrics
+            .hop_histogram
+            .record(u64::from(parsed.hops()) + 1);
+        let local = self.gossip.lock().local_generation();
+        if parsed.generation() < local {
+            self.metrics.stale_generation.inc();
+        }
+        // Zero-copy: the injected event frame is a subslice of the
+        // cluster frame's own storage.
+        if self
+            .broker
+            .inject(frame.slice(CLUSTER_HEADER_LEN..))
+            .is_err()
+        {
+            self.metrics.decode_errors.inc();
         }
     }
 
-    fn event_frame(&mut self, bytes: &Bytes, parsed: &ClusterFrame<'_>) {
-        if parsed.dest() == self.me {
-            self.metrics
-                .hop_histogram
-                .record(u64::from(parsed.hops()) + 1);
-            if parsed.generation() < self.gossip.local_generation() {
-                self.metrics.stale_generation.inc();
-            }
-            // Zero-copy: the injected event frame is a subslice of the
-            // cluster frame's own storage.
-            if self.broker.inject(bytes.slice(CLUSTER_HEADER_LEN..)).is_err() {
-                self.metrics.decode_errors.inc();
-            }
-            return;
-        }
+    fn relay(&self, parsed: &ClusterFrame<'_>) {
         let hops = parsed.hops().saturating_add(1);
         if hops >= MAX_HOPS {
             self.metrics.hop_limit_drops.inc();
@@ -243,65 +238,20 @@ impl ClusterWorker {
         self.send_routed(parsed.dest(), relay);
     }
 
-    fn digest_frame(&mut self, parsed: &ClusterFrame<'_>) {
-        let Ok(digest) = gossip::decode_digest(parsed.body()) else {
-            self.metrics.decode_errors.inc();
-            return;
+    /// Runs `change` on the gossip state, then refreshes the
+    /// `interest_entries` gauge.
+    pub(super) fn change_interest<R>(&self, change: impl FnOnce(&mut GossipState) -> R) -> R {
+        let (out, entries) = {
+            let mut gossip = self.gossip.lock();
+            let out = change(&mut gossip);
+            (out, gossip.interest_entries())
         };
-        let peer = parsed.origin();
-        let entries = self.gossip.entries_newer_than(&digest);
-        if !entries.is_empty() {
-            let mut body = pool::acquire(256);
-            gossip::encode_entries_into(&entries, &mut body);
-            self.send_gossip(peer, FrameKind::GossipEntries, &body);
-        }
-        // Pull half: answer with our own digest only while strictly
-        // behind, so the exchange terminates.
-        if self.gossip.behind(&digest) {
-            self.send_digest(peer);
-        }
-    }
-
-    fn entries_frame(&mut self, parsed: &ClusterFrame<'_>) {
-        let Ok(entries) = gossip::decode_entries(parsed.body()) else {
-            self.metrics.decode_errors.inc();
-            return;
-        };
-        let applied = self.gossip.apply(&entries);
-        if applied > 0 {
-            self.metrics.gossip_entries_applied.add(applied as u64);
-            self.interest_changed();
-        }
-    }
-
-    fn tick(&mut self) {
-        self.metrics.gossip_rounds.inc();
-        for peer in 0..self.links.len() {
-            if self
-                .links
-                .get(peer)
-                .is_some_and(|link| link.is_some())
-            {
-                self.send_digest(peer as NodeId);
-            }
-        }
-    }
-
-    fn send_digest(&mut self, peer: NodeId) {
-        self.gossip.digest_into(&mut self.digest_scratch);
-        let mut body = pool::acquire(64);
-        gossip::encode_digest_into(&self.digest_scratch, &mut body);
-        self.send_gossip(peer, FrameKind::GossipDigest, &body);
-    }
-
-    fn send_gossip(&mut self, peer: NodeId, kind: FrameKind, body: &[u8]) {
-        let generation = self.gossip.local_generation();
-        let frame = encode_frame(kind, self.me, peer, 0, generation, body).freeze();
-        self.send_direct(peer, frame, true);
+        self.metrics.interest_entries.set(entries as i64);
+        out
     }
 
     /// Hands `frame` to the next hop along the shortest path to `dest`.
-    fn send_routed(&mut self, dest: NodeId, frame: Bytes) {
+    fn send_routed(&self, dest: NodeId, frame: Bytes) {
         let Some(next) = self.routes.next_hop(self.me, dest) else {
             self.metrics.no_route_drops.inc();
             return;
@@ -310,7 +260,7 @@ impl ClusterWorker {
     }
 
     /// Sends on the direct link to `peer`, honouring the fault plane.
-    fn send_direct(&mut self, peer: NodeId, frame: Bytes, is_gossip: bool) {
+    fn send_direct(&self, peer: NodeId, frame: Bytes, is_gossip: bool) {
         if self.faults.is_down(self.me, peer) {
             self.metrics.link_drops.inc();
             return;
@@ -319,9 +269,97 @@ impl ClusterWorker {
             self.metrics.gossip_drops.inc();
             return;
         }
-        match self.links.get(peer as usize) {
+        match self.links().get(peer as usize) {
             Some(Some(link)) => link(frame),
             _ => self.metrics.no_route_drops.inc(),
         }
+    }
+}
+
+/// One node's control loop: drains its queue and runs the gossip
+/// exchange. This is the federation loop in the analyzer's
+/// panic-reachability and blocking-call root sets: everything reachable
+/// from [`ClusterWorker::run`] must be panic-free and non-blocking (the
+/// sanctioned ingress `recv` aside).
+pub(super) struct ClusterWorker {
+    pub(super) plane: Arc<DataPlane>,
+    pub(super) ingress: Receiver<NodeCmd>,
+    pub(super) digest_scratch: Vec<(NodeId, u64)>,
+}
+
+impl ClusterWorker {
+    pub(super) fn run(mut self) {
+        while let Ok(cmd) = self.ingress.recv() {
+            match cmd {
+                NodeCmd::Digest { peer, digest } => self.digest(peer, &digest),
+                NodeCmd::Entries(entries) => {
+                    let applied = self.plane.change_interest(|gossip| gossip.apply(&entries));
+                    if applied > 0 {
+                        self.plane
+                            .metrics
+                            .gossip_entries_applied
+                            .add(applied as u64);
+                    }
+                }
+                NodeCmd::GossipTick => self.tick(),
+                NodeCmd::Inspect(tx) => {
+                    let view: Vec<InterestEntry> = {
+                        let gossip = self.plane.gossip.lock();
+                        (0..gossip.node_count())
+                            .map(|n| gossip.entry(n as NodeId).clone())
+                            .collect()
+                    };
+                    let _ = tx.send(view);
+                }
+                NodeCmd::Barrier(ack) => {
+                    let _ = ack.send(());
+                }
+                NodeCmd::Shutdown => break,
+            }
+        }
+    }
+
+    /// Push half: send `peer` the entries it is missing. Pull half:
+    /// answer with our own digest only while strictly behind, so the
+    /// exchange terminates.
+    fn digest(&mut self, peer: NodeId, digest: &[(NodeId, u64)]) {
+        let (entries, behind) = {
+            let gossip = self.plane.gossip.lock();
+            (gossip.entries_newer_than(digest), gossip.behind(digest))
+        };
+        if !entries.is_empty() {
+            let mut body = pool::acquire(256);
+            gossip::encode_entries_into(&entries, &mut body);
+            self.send_gossip(peer, FrameKind::GossipEntries, &body);
+        }
+        if behind {
+            self.send_digest(peer);
+        }
+    }
+
+    fn tick(&mut self) {
+        let plane = Arc::clone(&self.plane);
+        plane.metrics.gossip_rounds.inc();
+        for (peer, link) in plane.links().iter().enumerate() {
+            if link.is_some() {
+                self.send_digest(peer as NodeId);
+            }
+        }
+    }
+
+    fn send_digest(&mut self, peer: NodeId) {
+        self.plane
+            .gossip
+            .lock()
+            .digest_into(&mut self.digest_scratch);
+        let mut body = pool::acquire(64);
+        gossip::encode_digest_into(&self.digest_scratch, &mut body);
+        self.send_gossip(peer, FrameKind::GossipDigest, &body);
+    }
+
+    fn send_gossip(&self, peer: NodeId, kind: FrameKind, body: &[u8]) {
+        let generation = self.plane.gossip.lock().local_generation();
+        let frame = encode_frame(kind, self.plane.me, peer, 0, generation, body).freeze();
+        self.plane.send_direct(peer, frame, true);
     }
 }

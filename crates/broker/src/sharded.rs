@@ -821,6 +821,16 @@ impl ShardedClient {
             .publish_to(shard, ShardCmd::Event(Inbound::Publish(self.id, event)));
     }
 
+    /// Publishes an event built by the caller as this client's publish
+    /// (its `source` should be this client). The federation layer
+    /// numbers a client's events across zone moves itself, and shares
+    /// the one `Arc` with the frames it sends to other nodes.
+    pub(crate) fn publish_shared(&self, event: Arc<Event>) {
+        let shard = owner_shard_of_topic(&event.topic, self.router.shard_count());
+        self.router
+            .publish_to(shard, ShardCmd::Event(Inbound::Publish(self.id, event)));
+    }
+
     /// Receives the next delivered event, waiting up to `timeout` for
     /// one. Once the home worker has let go of this client (detach,
     /// shutdown) what was already delivered is still handed out, then

@@ -15,9 +15,11 @@
 //! cross threads, the acquiring thread's list never refills, so every
 //! acquisition there misses and allocates. Meanwhile, the dropping
 //! thread's list fills to [`PER_CLASS_CAP`] and frees the rest. The
-//! federation path works this way: a node worker encodes frames, and
-//! its link and shard threads drop them. A traced `federation_tcp` run
-//! of the wall-clock benchmark reports a `pool.hit_ratio` of 0 there.
+//! federation path works this way: the publishing thread encodes the
+//! event frames, and the link threads (over TCP, once the peer has
+//! acked) or the receiving node's shard threads (in process) drop them.
+//! A traced `federation_tcp` run of the wall-clock benchmark reports a
+//! `pool.hit_ratio` of 0 there.
 //!
 //! Four size classes cover the workspace's traffic shapes: control
 //! events and audio RTP (≤ 256 B), video RTP and typical events (≤ 2 KiB),
