@@ -7,10 +7,8 @@
 //! as tail latency in the Figure-3 curves. The only sanctioned blocking
 //! points are the ingress queues' own ([`PARK_POINTS`], named by
 //! `(self type, fn)` like the roots): where a worker sleeps on its
-//! empty queue, and where a producer is held at a full one. A federation
-//! worker's ingress is still a channel, so the `.recv()` in its loop is
-//! sanctioned too. Everything else reachable from a loop body is a
-//! finding.
+//! empty queue, and where a producer is held at a full one. Everything
+//! else reachable from a loop body is a finding.
 
 use crate::lexer::TokKind;
 use crate::lints::Violation;
@@ -23,7 +21,6 @@ pub const LINT: &str = "blocking-in-shard-worker";
 /// The worker-loop roots: `(path suffix, self type, fn name)`.
 pub const ROOTS: &[(&str, &str, &str)] = &[
     ("crates/broker/src/sharded.rs", "ShardWorker", "run"),
-    ("crates/broker/src/cluster/worker.rs", "ClusterWorker", "run"),
 ];
 
 /// The sanctioned park points, `(path suffix, self type, fn name)`: a
@@ -59,7 +56,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
         let node = &ws.graph.nodes[id];
         let file = &ws.files[node.file];
         let def = &file.fns[node.def];
-        let is_root = roots.contains(&id);
         let is_park_point = named_in(id, PARK_POINTS);
         let toks = &file.toks;
         for i in def.body.clone() {
@@ -72,16 +68,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
             let next_open = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
             let empty_args = next_open && toks.get(i + 2).is_some_and(|n| n.is_punct(")"));
             let what: Option<&str> = match t.text.as_str() {
-                // A channel ingress: `self.ingress.recv()` inside the
-                // worker loop itself parks the worker when the node is
-                // idle — that is the design, not a stall.
-                "recv" if prev_dot && empty_args => {
-                    if is_root {
-                        None
-                    } else {
-                        Some("a blocking channel `.recv()`")
-                    }
-                }
+                "recv" if prev_dot && empty_args => Some("a blocking channel `.recv()`"),
                 "recv_timeout" if prev_dot && next_open => {
                     Some("a blocking `.recv_timeout(..)`")
                 }
@@ -132,15 +119,6 @@ mod tests {
         let mut out = Vec::new();
         check(&ws, &mut out);
         out.into_iter().map(|v| v.line).collect()
-    }
-
-    #[test]
-    fn ingress_recv_in_the_loop_is_sanctioned() {
-        let hits = run(&[(
-            "crates/broker/src/cluster/worker.rs",
-            "struct ClusterWorker;\nimpl ClusterWorker {\n    fn run(&self) {\n        self.ingress.recv();\n        self.ingress.try_recv();\n    }\n}\n",
-        )]);
-        assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!
 //! # Data path
 //!
-//! Each node is split into a **data plane**, which any thread calls,
-//! and a **control loop** (one `mmcs-cluster<i>` thread) that keeps the
-//! gossip exchange, barriers and snapshots. Events never enter the
-//! control loop — the split between call control and the media path.
+//! Each node is one **data plane**, which any thread calls; no node
+//! owns a thread. Every frame — event or gossip — is handled on the
+//! thread that receives it, and a gossip round runs on the thread that
+//! calls [`Cluster::gossip_round`].
 //!
 //! A publish runs on the publishing client's own thread. It enters the
 //! home node's sharded broker as that client's publish (local
@@ -32,7 +32,10 @@
 //! node delivers only to its local subscribers, so cluster-wide
 //! delivery is exactly-once. Subscribes, unsubscribes and restarts
 //! update the node's interest on the caller's thread too, so a frame
-//! caused by a later publish always finds them.
+//! caused by a later publish always finds them. A gossip digest is
+//! answered, and gossip entries applied, where the frame lands; in
+//! process a round's whole push/pull exchange therefore runs on the
+//! caller's thread, in node order, and is deterministic.
 //!
 //! # Transports
 //!
@@ -51,21 +54,19 @@
 //!
 //! Malformed frames at either edge are rejected by typed decode
 //! errors ([`DecodeClusterError`]) and counted in telemetry — never
-//! panicked on: the data plane's publish and frame entries, the control
-//! loop, the link sender and the socket reader are in the analyzer's
+//! panicked on: the data plane's publish and frame entries, the link
+//! sender and the socket reader are in the analyzer's
 //! panic-reachability root set.
 
 mod frame;
+mod plane;
 mod route;
 mod tcp;
-mod worker;
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -85,8 +86,8 @@ pub use frame::{
 };
 pub use route::{LatencyMap, RouteTable};
 
+use plane::{DataPlane, FaultPlane, Link};
 use tcp::TcpFabric;
-use worker::{ClusterWorker, DataPlane, FaultPlane, Link, NodeCmd};
 
 /// Configures a [`Cluster`] before spawning it.
 pub struct ClusterBuilder {
@@ -128,8 +129,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Spawns each node's broker and control loop (and, for TCP,
-    /// listeners and links).
+    /// Spawns each node's broker (and, for TCP, listeners and links).
     ///
     /// # Panics
     ///
@@ -145,21 +145,18 @@ impl ClusterBuilder {
         );
         let faults = Arc::new(FaultPlane::new(n));
         let routes = Arc::new(RouteTable::new(&self.latency));
-        let mut planes = Vec::with_capacity(n);
-        let mut controls = Vec::with_capacity(n);
-        for me in 0..n {
-            let (control, ingress) = channel::<NodeCmd>();
-            planes.push(Arc::new(DataPlane::new(
-                me as NodeId,
-                n,
-                Arc::new(ShardedBroker::spawn(self.shards)),
-                Arc::clone(&routes),
-                Arc::clone(&faults),
-                Arc::clone(metrics.node(me)),
-                control,
-            )));
-            controls.push(ingress);
-        }
+        let planes: Vec<Arc<DataPlane>> = (0..n)
+            .map(|me| {
+                Arc::new(DataPlane::new(
+                    me as NodeId,
+                    n,
+                    Arc::new(ShardedBroker::spawn(self.shards)),
+                    Arc::clone(&routes),
+                    Arc::clone(&faults),
+                    Arc::clone(metrics.node(me)),
+                ))
+            })
+            .collect();
         let tcp = self
             .tcp
             .then(|| TcpFabric::spawn(&self.latency, &planes));
@@ -180,21 +177,6 @@ impl ClusterBuilder {
                 plane.set_links(links);
             }
         }
-        let workers = controls
-            .into_iter()
-            .zip(&planes)
-            .map(|(ingress, plane)| {
-                let worker = ClusterWorker {
-                    plane: Arc::clone(plane),
-                    ingress,
-                    digest_scratch: Vec::new(),
-                };
-                std::thread::Builder::new()
-                    .name(format!("mmcs-cluster{}", plane.me))
-                    .spawn(move || worker.run())
-                    .expect("spawn cluster node worker")
-            })
-            .collect();
         Cluster {
             shared: Arc::new(ClusterShared {
                 latency: self.latency,
@@ -204,18 +186,16 @@ impl ClusterBuilder {
                 planes,
                 next_client: AtomicU64::new(1),
             }),
-            workers,
             tcp,
         }
     }
 }
 
 /// One federation cluster: `n` nodes, each a [`ShardedBroker`] behind a
-/// data plane plus a control loop, joined by gossip and the routed
-/// event plane. See the [module docs](self).
+/// data plane, joined by gossip and the routed event plane. See the
+/// [module docs](self).
 pub struct Cluster {
     shared: Arc<ClusterShared>,
-    workers: Vec<JoinHandle<()>>,
     /// The socket fabric; `Some` on the loopback-TCP transport.
     tcp: Option<TcpFabric>,
 }
@@ -246,14 +226,6 @@ impl ClusterShared {
     fn change_interest(&self, node: NodeId, change: impl FnOnce(&mut GossipState)) {
         if let Some(plane) = self.plane(node) {
             plane.change_interest(change);
-        }
-    }
-
-    /// Enqueues `cmd` on every node's control loop (a no-op for one
-    /// that has exited).
-    fn tell_all(&self, mut cmd: impl FnMut() -> NodeCmd) {
-        for plane in &self.planes {
-            let _ = plane.control.send(cmd());
         }
     }
 }
@@ -323,38 +295,27 @@ impl Cluster {
     /// Waits until everything published, subscribed or gossiped before
     /// this call — including multi-hop relays and intra-node ring
     /// forwards it generates — has been processed. A round is the same
-    /// on both transports: barrier every control loop, flush every link,
-    /// quiesce every node broker. One round carries a frame one link
-    /// hop, so `max(n,2)+2` rounds cover the longest relay chain plus
-    /// the gossip push-pull depth.
+    /// on both transports: flush every link, quiesce every node broker.
+    /// One round carries a frame one link hop, so `max(n,2)+2` rounds
+    /// cover the longest relay chain plus the gossip push-pull depth.
     ///
     /// In process a link *is* a call into the peer's data plane: an
-    /// event has been injected (or relayed) by the time the send
-    /// returns, and gossip is in the peer's control queue, so the
-    /// barrier is the flush. Over TCP the flush is a protocol exchange
-    /// on every directed link (see `cluster/tcp.rs`): it returns because
-    /// the peer's socket reader has injected into its broker, or handed
-    /// to its next link, every frame the link carried before it — not
-    /// because time has passed — and the same round's broker quiesce
-    /// drains what was injected. A link with nothing connected — a
-    /// dropped listener at either end — is not waited for, so the call
-    /// stays bounded and frames parked behind that link stay in flight
-    /// until it reconnects.
+    /// event has been injected (or relayed), and gossip answered or
+    /// applied, by the time the send returns, so there is nothing to
+    /// flush. Over TCP the flush is a protocol exchange on every
+    /// directed link (see `cluster/tcp.rs`): it returns because the
+    /// peer's socket reader has handled every frame the link carried
+    /// before it — injected into its broker, handed to its next link, or
+    /// gossip answered or applied — not because time has passed, and the
+    /// same round's broker quiesce drains what was injected. A link with
+    /// nothing connected — a dropped listener at either end — is not
+    /// waited for, so the call stays bounded and frames parked behind
+    /// that link stay in flight until it reconnects. After
+    /// [`Cluster::shutdown`] the readers still answer flushes and the
+    /// closed brokers quiesce at once, so the call still returns.
     pub fn quiesce(&self) {
         let rounds = self.node_count().max(2) + 2;
         for _ in 0..rounds {
-            let (tx, rx) = channel();
-            self.shared.tell_all(|| NodeCmd::Barrier(tx.clone()));
-            drop(tx);
-            let mut alive = 0;
-            while rx.recv().is_ok() {
-                alive += 1;
-            }
-            if alive < self.node_count() {
-                // A worker has exited (`shutdown`): nothing is left to
-                // settle, and nobody would answer a flush.
-                return;
-            }
             if let Some(fabric) = &self.tcp {
                 fabric.flush_links();
             }
@@ -364,21 +325,23 @@ impl Cluster {
         }
     }
 
-    /// Runs one gossip round (every node digests to its direct peers)
-    /// and settles it.
+    /// Runs one gossip round (every node, in order, digests to its
+    /// direct peers) and settles it.
     pub fn gossip_round(&self) {
-        self.shared.tell_all(|| NodeCmd::GossipTick);
+        for plane in &self.shared.planes {
+            plane.tick();
+        }
         self.quiesce();
     }
 
     /// Snapshots node `index`'s gossip view: one [`InterestEntry`] per
-    /// node, entry `index` being its local truth.
+    /// node, entry `index` being its local truth (empty for an index out
+    /// of range).
     pub fn snapshot(&self, index: usize) -> Vec<InterestEntry> {
-        let (tx, rx) = channel();
-        if let Some(plane) = self.shared.planes.get(index) {
-            let _ = plane.control.send(NodeCmd::Inspect(tx));
-        }
-        rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default()
+        self.shared
+            .planes
+            .get(index)
+            .map_or_else(Vec::new, |plane| plane.view())
     }
 
     /// Whether every node's view of every other node matches that
@@ -479,10 +442,9 @@ impl Cluster {
         }
     }
 
-    /// Stops every control loop and broker (idempotent). A socket reader
-    /// blocked on a full shard ingress is released by the broker's.
+    /// Stops every node broker (idempotent). A socket reader blocked on
+    /// a full shard ingress is released by the broker's shutdown.
     pub fn shutdown(&self) {
-        self.shared.tell_all(|| NodeCmd::Shutdown);
         for plane in &self.shared.planes {
             plane.broker.shutdown();
         }
@@ -492,9 +454,6 @@ impl Cluster {
 impl Drop for Cluster {
     fn drop(&mut self) {
         self.shutdown();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
         // The TCP fabric, if any, tears itself down as the field drops.
     }
 }

@@ -1,15 +1,13 @@
-//! One federation node, split in two. The **data plane**
-//! ([`DataPlane`]) is what any thread calls: a publishing client fans
-//! its event out through it, and a link hands it every frame it
-//! receives. The **control loop** ([`ClusterWorker`]) keeps what must be
-//! serialised per node — the gossip exchange, barriers and snapshots —
-//! and never sees an event. Also here: the directed links both send on
-//! ([`Link`]) and the in-process fault switches ([`FaultPlane`]).
+//! One federation node's **data plane** ([`DataPlane`]): what any thread
+//! calls. A publishing client fans its event out through it, a link
+//! hands it every frame it receives — events and gossip alike — and
+//! `Cluster::gossip_round` starts a gossip exchange through it. No node
+//! owns a thread. Also here: the directed links it sends on ([`Link`])
+//! and the in-process fault switches ([`FaultPlane`]).
 //! Transport-blind: link-level reliability (sequencing, acks,
 //! retransmit) never reaches this file.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -72,33 +70,16 @@ impl FaultPlane {
     }
 }
 
-/// Commands into one node's control loop.
-pub(super) enum NodeCmd {
-    /// A peer's gossip digest, decoded off a link by the data plane.
-    Digest {
-        peer: NodeId,
-        digest: Vec<(NodeId, u64)>,
-    },
-    /// Gossip entries, decoded off a link by the data plane.
-    Entries(Vec<(NodeId, InterestEntry)>),
-    /// Start one gossip round: digest to every direct peer.
-    GossipTick,
-    /// Snapshot the gossip view (one entry per node).
-    Inspect(Sender<Vec<InterestEntry>>),
-    /// Ack once everything queued ahead of this command is handled.
-    Barrier(Sender<()>),
-    Shutdown,
-}
-
 /// A directed link to one peer: hands a frame to the peer's data plane
 /// (in-process) or to a TCP link sender's queue. Any thread may send.
 pub(super) type Link = Box<dyn Fn(Bytes) + Send + Sync>;
 
 /// One node's data plane: its broker, its gossip state and its links,
-/// called on whatever thread has an event to move — the publishing
-/// client's, a socket reader's, an in-process peer's. The gossip lock
-/// is taken briefly and never held across a link send or an inject, so
-/// a chain of in-process hops never nests two nodes' locks.
+/// called on whatever thread has a frame to move — the publishing
+/// client's, a socket reader's, an in-process peer's, the one running a
+/// gossip round. The gossip lock is taken briefly and never held across
+/// a link send or an inject, so a chain of in-process hops — a relay, or
+/// a push/pull gossip reply — never nests two nodes' locks.
 pub(super) struct DataPlane {
     pub(super) me: NodeId,
     pub(super) broker: Arc<ShardedBroker>,
@@ -111,8 +92,6 @@ pub(super) struct DataPlane {
     routes: Arc<RouteTable>,
     faults: Arc<FaultPlane>,
     pub(super) metrics: Arc<ClusterNodeMetrics>,
-    /// This node's control loop: gossip off a link is queued here.
-    pub(super) control: Sender<NodeCmd>,
 }
 
 impl DataPlane {
@@ -123,7 +102,6 @@ impl DataPlane {
         routes: Arc<RouteTable>,
         faults: Arc<FaultPlane>,
         metrics: Arc<ClusterNodeMetrics>,
-        control: Sender<NodeCmd>,
     ) -> Self {
         Self {
             me,
@@ -133,7 +111,6 @@ impl DataPlane {
             routes,
             faults,
             metrics,
-            control,
         }
     }
 
@@ -173,24 +150,24 @@ impl DataPlane {
 
     /// A validated frame off a link (`parsed` views `frame`'s bytes): an
     /// event for this node is injected into its broker, one for another
-    /// node is relayed toward it, gossip goes to the control loop. Link
-    /// control belongs to the TCP socket reader; a frame of it that gets
-    /// here is stray input.
+    /// node is relayed toward it, a gossip digest is answered and gossip
+    /// entries are applied. Link control belongs to the TCP socket
+    /// reader; a frame of it that gets here is stray input.
     pub(super) fn on_frame(&self, frame: &Bytes, parsed: &ClusterFrame<'_>) {
         self.metrics.frames_in.inc();
         match parsed.kind() {
             FrameKind::Event if parsed.dest() == self.me => self.arrive(frame, parsed),
             FrameKind::Event => self.relay(parsed),
             FrameKind::GossipDigest => match gossip::decode_digest(parsed.body()) {
-                Ok(digest) => {
-                    let peer = parsed.origin();
-                    let _ = self.control.send(NodeCmd::Digest { peer, digest });
-                }
+                Ok(digest) => self.answer_digest(parsed.origin(), &digest),
                 Err(_) => self.metrics.decode_errors.inc(),
             },
             FrameKind::GossipEntries => match gossip::decode_entries(parsed.body()) {
                 Ok(entries) => {
-                    let _ = self.control.send(NodeCmd::Entries(entries));
+                    let applied = self.change_interest(|gossip| gossip.apply(&entries));
+                    if applied > 0 {
+                        self.metrics.gossip_entries_applied.add(applied as u64);
+                    }
                 }
                 Err(_) => self.metrics.decode_errors.inc(),
             },
@@ -250,6 +227,57 @@ impl DataPlane {
         out
     }
 
+    /// This node's gossip view: one entry per node, entry `me` being its
+    /// local truth.
+    pub(super) fn view(&self) -> Vec<InterestEntry> {
+        let gossip = self.gossip.lock();
+        (0..gossip.node_count())
+            .map(|n| gossip.entry(n as NodeId).clone())
+            .collect()
+    }
+
+    /// Starts one gossip round: a digest to every direct peer.
+    pub(super) fn tick(&self) {
+        self.metrics.gossip_rounds.inc();
+        for (peer, link) in self.links().iter().enumerate() {
+            if link.is_some() {
+                self.send_digest(peer as NodeId);
+            }
+        }
+    }
+
+    /// Push half: send `peer` the entries it is missing. Pull half:
+    /// answer with our own digest only while strictly behind, so the
+    /// exchange terminates.
+    fn answer_digest(&self, peer: NodeId, digest: &[(NodeId, u64)]) {
+        let (entries, behind) = {
+            let gossip = self.gossip.lock();
+            (gossip.entries_newer_than(digest), gossip.behind(digest))
+        };
+        if !entries.is_empty() {
+            let mut body = pool::acquire(256);
+            gossip::encode_entries_into(&entries, &mut body);
+            self.send_gossip(peer, FrameKind::GossipEntries, &body);
+        }
+        if behind {
+            self.send_digest(peer);
+        }
+    }
+
+    fn send_digest(&self, peer: NodeId) {
+        let mut digest = Vec::new();
+        self.gossip.lock().digest_into(&mut digest);
+        let mut body = pool::acquire(64);
+        gossip::encode_digest_into(&digest, &mut body);
+        self.send_gossip(peer, FrameKind::GossipDigest, &body);
+    }
+
+    fn send_gossip(&self, peer: NodeId, kind: FrameKind, body: &[u8]) {
+        let generation = self.gossip.lock().local_generation();
+        let frame = encode_frame(kind, self.me, peer, 0, generation, body).freeze();
+        self.send_direct(peer, frame, true);
+    }
+
     /// Hands `frame` to the next hop along the shortest path to `dest`.
     fn send_routed(&self, dest: NodeId, frame: Bytes) {
         let Some(next) = self.routes.next_hop(self.me, dest) else {
@@ -273,93 +301,5 @@ impl DataPlane {
             Some(Some(link)) => link(frame),
             _ => self.metrics.no_route_drops.inc(),
         }
-    }
-}
-
-/// One node's control loop: drains its queue and runs the gossip
-/// exchange. This is the federation loop in the analyzer's
-/// panic-reachability and blocking-call root sets: everything reachable
-/// from [`ClusterWorker::run`] must be panic-free and non-blocking (the
-/// sanctioned ingress `recv` aside).
-pub(super) struct ClusterWorker {
-    pub(super) plane: Arc<DataPlane>,
-    pub(super) ingress: Receiver<NodeCmd>,
-    pub(super) digest_scratch: Vec<(NodeId, u64)>,
-}
-
-impl ClusterWorker {
-    pub(super) fn run(mut self) {
-        while let Ok(cmd) = self.ingress.recv() {
-            match cmd {
-                NodeCmd::Digest { peer, digest } => self.digest(peer, &digest),
-                NodeCmd::Entries(entries) => {
-                    let applied = self.plane.change_interest(|gossip| gossip.apply(&entries));
-                    if applied > 0 {
-                        self.plane
-                            .metrics
-                            .gossip_entries_applied
-                            .add(applied as u64);
-                    }
-                }
-                NodeCmd::GossipTick => self.tick(),
-                NodeCmd::Inspect(tx) => {
-                    let view: Vec<InterestEntry> = {
-                        let gossip = self.plane.gossip.lock();
-                        (0..gossip.node_count())
-                            .map(|n| gossip.entry(n as NodeId).clone())
-                            .collect()
-                    };
-                    let _ = tx.send(view);
-                }
-                NodeCmd::Barrier(ack) => {
-                    let _ = ack.send(());
-                }
-                NodeCmd::Shutdown => break,
-            }
-        }
-    }
-
-    /// Push half: send `peer` the entries it is missing. Pull half:
-    /// answer with our own digest only while strictly behind, so the
-    /// exchange terminates.
-    fn digest(&mut self, peer: NodeId, digest: &[(NodeId, u64)]) {
-        let (entries, behind) = {
-            let gossip = self.plane.gossip.lock();
-            (gossip.entries_newer_than(digest), gossip.behind(digest))
-        };
-        if !entries.is_empty() {
-            let mut body = pool::acquire(256);
-            gossip::encode_entries_into(&entries, &mut body);
-            self.send_gossip(peer, FrameKind::GossipEntries, &body);
-        }
-        if behind {
-            self.send_digest(peer);
-        }
-    }
-
-    fn tick(&mut self) {
-        let plane = Arc::clone(&self.plane);
-        plane.metrics.gossip_rounds.inc();
-        for (peer, link) in plane.links().iter().enumerate() {
-            if link.is_some() {
-                self.send_digest(peer as NodeId);
-            }
-        }
-    }
-
-    fn send_digest(&mut self, peer: NodeId) {
-        self.plane
-            .gossip
-            .lock()
-            .digest_into(&mut self.digest_scratch);
-        let mut body = pool::acquire(64);
-        gossip::encode_digest_into(&self.digest_scratch, &mut body);
-        self.send_gossip(peer, FrameKind::GossipDigest, &body);
-    }
-
-    fn send_gossip(&self, peer: NodeId, kind: FrameKind, body: &[u8]) {
-        let generation = self.plane.gossip.lock().local_generation();
-        let frame = encode_frame(kind, self.plane.me, peer, 0, generation, body).freeze();
-        self.plane.send_direct(peer, frame, true);
     }
 }

@@ -16,15 +16,17 @@
 //! The reader validates each frame once and hands every data frame
 //! straight to its node's [`DataPlane`] on its own thread: an event for
 //! this node is injected into the node's broker, one for another node
-//! is relayed onto the next link, and gossip is queued for the node's
-//! control loop. Link control stops at the socket edge: the reader hands
+//! is relayed onto the next link, a gossip digest is answered onto the
+//! reverse link and gossip entries are applied. Link control stops at
+//! the socket edge: the reader hands
 //! an `Ack` or a `FlushAck` to the local link sender for that peer, and
 //! answers a released `Flush` itself; none of the three reaches the data
 //! plane.
 //!
 //! **Flush.** [`TcpFabric::flush_links`] returns once every frame handed
-//! to a connected link before the call has been injected into the
-//! peer's broker or handed to the peer's next link: the `Flush` record
+//! to a connected link before the call has been handled by the peer's
+//! reader — injected into its broker, handed to its next link, or gossip
+//! answered or applied: the `Flush` record
 //! is sequenced, so it cannot overtake backlogged or retransmitted
 //! events, and the peer's reader answers it only after releasing, in
 //! order, everything ahead of it. A link with nothing connected — its
@@ -58,7 +60,7 @@ use parking_lot::Mutex;
 
 use super::frame::{encode_frame, read_u64, ClusterFrame, FrameKind, OFF_KIND};
 use super::route::LatencyMap;
-use super::worker::{DataPlane, Link};
+use super::plane::{DataPlane, Link};
 use crate::gossip::NodeId;
 use crate::metrics::ClusterNodeMetrics;
 use crate::reliable::{Ack, ReliableFrame, ReliableReceiver, ReliableSender};
@@ -316,7 +318,7 @@ impl ReaderCtx {
     /// Handles one record off `peer`'s connection; `ack` collects the
     /// cumulative ack its sequenced records are owed. A malformed frame
     /// is counted and skipped — the framing around it is still intact.
-    fn record(&self, peer: NodeId, seq: u64, raw: &[u8], ack: &mut Option<Ack>) {
+    fn on_record(&self, peer: NodeId, seq: u64, raw: &[u8], ack: &mut Option<Ack>) {
         // The one validation, at the socket edge, so garbage is charged
         // to the connection that sent it.
         let Ok(parsed) = ClusterFrame::parse(raw) else {
@@ -461,7 +463,7 @@ fn run_reader(mut stream: TcpStream, ctx: &ReaderCtx) {
         let mut ack = None;
         loop {
             match buf.next_record() {
-                Ok(Some((seq, raw))) => ctx.record(peer, seq, raw, &mut ack),
+                Ok(Some((seq, raw))) => ctx.on_record(peer, seq, raw, &mut ack),
                 Ok(None) => break,
                 Err(BadLength) => {
                     ctx.plane.metrics.decode_errors.inc();

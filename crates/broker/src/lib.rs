@@ -29,9 +29,6 @@
 //!   TCP links; and [`ordering`] — per-source in-order release.
 //! * [`liveness`] — heartbeat failure detection for broker links, and
 //!   [`rtpproxy`] — the raw-RTP ⇄ event bridge for legacy endpoints.
-//! * [`p2p`] — the JXTA-like peer-to-peer delivery mode; combined with
-//!   the client-server mode it reproduces the paper's
-//!   performance-functionality trade-off knob.
 //! * [`simdrv`] — drives a [`node::BrokerNode`] inside the deterministic
 //!   simulator with a CPU cost model; used by every experiment.
 //! * [`simtopo`] — rebuilds the live shard mesh or a federation's
@@ -44,8 +41,9 @@
 //! * [`cluster`] — the federation: sharded brokers joined over
 //!   in-process or loopback-TCP links, with [`gossip`] interest
 //!   exchange; under `cluster/`: `frame` (codec), `route` (latency map,
-//!   shortest paths), `worker` (node event loop), `tcp` (link senders
-//!   and socket readers over [`reliable`]), `mod` (public surface).
+//!   shortest paths), `plane` (the per-node data plane, gossip
+//!   included), `tcp` (link senders and socket readers over
+//!   [`reliable`]), `mod` (public surface).
 //!
 //! # Examples
 //!
@@ -91,8 +89,6 @@ pub mod network;
 pub mod node;
 /// Per-publisher sequence tracking and in-order delivery guards.
 pub mod ordering;
-/// Peer-to-peer delivery mode, bypassing the broker overlay.
-pub mod p2p;
 /// Transport profiles (UDP/TCP/tunnelled) attached to clients.
 pub mod profile;
 /// Reliable-delivery layer: acknowledgements, retransmit and dedup.

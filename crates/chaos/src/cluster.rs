@@ -1,14 +1,15 @@
 //! Seeded chaos for the federation runtime.
 //!
-//! Drives a **real** [`Cluster`] — live node workers, gossip interest
-//! exchange, multi-hop frame routing — with a deterministic,
+//! Drives a **real** [`Cluster`] — live sharded node brokers, gossip
+//! interest exchange, multi-hop frame routing — with a deterministic,
 //! seed-derived schedule of subscription flapping, client zone moves,
 //! publish bursts, and federation faults: node crashes, zone
 //! partitions (severed links), and gossip loss (interest frames
 //! dropped while events still flow). Every fault toggle is preceded by
-//! a cluster quiesce, so even though node workers are real threads the
-//! delivery outcome of a seed is deterministic and its FNV fingerprint
-//! is bit-identical across runs.
+//! a cluster quiesce, and a gossip round runs on the calling thread, so
+//! even though the shard workers are real threads the delivery outcome
+//! of a seed is deterministic and its FNV fingerprint is bit-identical
+//! across runs.
 //!
 //! The schedule ends with a **heal**: every partition lifted, every
 //! crashed node restarted, gossip run to convergence. Then a probe
@@ -310,14 +311,12 @@ pub fn run_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterRun
                 }
             }
             ClusterOp::GossipRound => {
-                // A single tick's reach is a worker-interleaving race:
-                // whether a relay node applies one peer's entries
-                // before answering another's digest decides if
-                // knowledge moves one hop or two. The *fixpoint* of
-                // repeated rounds is unique (apply is a newer-
-                // generation-wins join), so run the round to the
-                // fixpoint of the current fault graph — every run then
-                // sees the same interest tables at the next publish.
+                // Run the round to the fixpoint of the current fault
+                // graph: it is unique (apply is a newer-generation-wins
+                // join), so the interest tables at the next publish do
+                // not depend on how far one round carries knowledge.
+                // One round is deterministic in process, but the op
+                // stays n+2 rounds so recorded fingerprints still hold.
                 for _ in 0..(n + 2) {
                     cluster.gossip_round();
                 }

@@ -22,7 +22,7 @@
 //! runtime (live OS threads) with seeded churn/stall schedules and
 //! checks each run against the single-loop oracle plus the per-shard
 //! metric identities. `cluster` drives the live federation runtime
-//! (node workers, gossip, multi-hop routing) with seeded
+//! (sharded node brokers, gossip, multi-hop routing) with seeded
 //! crash/partition/gossip-loss schedules, checks post-heal convergence
 //! and oracle-exact probe delivery, verifies each run's fingerprint is
 //! bit-identical across two executions, and ddmin-shrinks the first

@@ -1,7 +1,8 @@
 //! The federation through its public surface: one test per behaviour
 //! of the routed event plane and the gossip interest plane (cross-node
 //! delivery, multi-hop relay, interest-driven forwarding, crash/restart
-//! re-convergence, client zone moves, stale generations). The four
+//! re-convergence, client zone moves, stale generations, deterministic
+//! in-process gossip). The four
 //! event-plane tests run on both transports and pin every node's
 //! counters exactly, since both feed the same data plane. The
 //! oracle-equivalence properties live in `cluster_equivalence.rs`, the
@@ -270,6 +271,37 @@ fn stale_generation_is_counted_but_still_delivered() {
             vec![origin(1), destination(1, 1)],
             "{transport:?}"
         );
+    }
+}
+
+/// In process a gossip round runs on the caller's thread, node by node,
+/// so how far knowledge moves in one round is fixed, not a race between
+/// node threads: the round count and what each node applied on the way
+/// to convergence are the same on every run.
+#[test]
+fn in_process_gossip_converges_the_same_way_every_run() {
+    let run = || {
+        let cluster = Cluster::spawn(LatencyMap::chain(5, 5));
+        let clients: Vec<_> = (0..5).map(|zone| cluster.attach(zone)).collect();
+        for (zone, client) in clients.iter().enumerate() {
+            client.subscribe(filter(&format!("zone/{zone}/#")));
+        }
+        let mut rounds = 0;
+        while !cluster.converged() {
+            assert!(rounds < 16, "no convergence in {rounds} rounds");
+            cluster.gossip_round();
+            rounds += 1;
+        }
+        let applied: Vec<u64> = cluster
+            .metrics()
+            .nodes()
+            .map(|m| m.gossip_entries_applied.get())
+            .collect();
+        (rounds, applied)
+    };
+    let first = run();
+    for attempt in 1..50 {
+        assert_eq!(run(), first, "run {attempt} differs from the first");
     }
 }
 

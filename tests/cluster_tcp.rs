@@ -1,6 +1,6 @@
 //! The federation over real loopback TCP sockets.
 //!
-//! Three node workers linked by `TcpLink` senders (length-prefixed
+//! Three node data planes linked by `TcpLink` senders (length-prefixed
 //! frames, pooled buffers, capped exponential backoff) and per-node
 //! listener/reader threads. Properties the simulator cannot prove:
 //!
@@ -303,8 +303,9 @@ fn quiesce_with_a_dropped_listener_is_bounded() {
     );
 }
 
-/// After `shutdown()` no worker is left to answer a flush; `quiesce()`
-/// notices at its barrier and returns instead of waiting for one.
+/// After `shutdown()` the brokers are closed but the links are not:
+/// the socket readers still answer every flush and a closed broker
+/// quiesces at once, so `quiesce()` returns instead of waiting.
 #[test]
 fn quiesce_after_shutdown_returns() {
     let cluster = Cluster::builder(LatencyMap::full_mesh(3, 2)).tcp().spawn();
