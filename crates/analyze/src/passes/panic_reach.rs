@@ -43,7 +43,6 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("crates/broker/src/sharded.rs", "process_batch"),
     ("crates/broker/src/wire.rs", "encode"),
     ("crates/broker/src/wire.rs", "encode_into"),
-    ("crates/broker/src/wire.rs", "decode"),
     ("crates/broker/src/wire.rs", "decode_shared"),
     ("crates/broker/src/wire.rs", "parse"),
     ("crates/util/src/pool.rs", "acquire"),

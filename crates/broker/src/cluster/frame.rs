@@ -4,7 +4,7 @@
 //! malformed input with a typed [`DecodeClusterError`]; nothing here
 //! panics on bytes off a socket.
 
-use bytes::BufMut;
+use bytes::{BufMut, Bytes};
 use mmcs_util::pool::{self, PooledBuf};
 
 use crate::event::Event;
@@ -274,12 +274,18 @@ pub fn encode_event_frame(
     buf
 }
 
+/// Decodes the event an [`FrameKind::Event`] frame carries (one that
+/// passed [`ClusterFrame::parse`] always decodes); the payload is a
+/// zero-copy slice of `frame`'s storage.
+pub(super) fn decode_event_frame(frame: &Bytes) -> Result<Event, wire::DecodeEventError> {
+    wire::decode_shared(&frame.slice(CLUSTER_HEADER_LEN..))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventClass;
     use crate::topic::Topic;
-    use bytes::Bytes;
     use mmcs_util::id::ClientId;
 
     fn sample_event() -> Event {
@@ -305,6 +311,8 @@ mod tests {
         let wire = wire::WireEvent::parse(parsed.body()).expect("valid body");
         assert_eq!(wire.topic_str(), "session/7/video");
         assert_eq!(wire.seq(), 3);
+        let decoded = decode_event_frame(&buf.freeze()).expect("valid body");
+        assert_eq!(decoded, event);
     }
 
     #[test]

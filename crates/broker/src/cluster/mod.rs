@@ -26,9 +26,10 @@
 //! hop-by-hop along the latency-weighted path. Whoever receives a frame
 //! — a socket reader, or the sending thread itself in process — hands
 //! it to the receiving node's data plane: an intermediate node relays
-//! it with the hop count bumped, the destination injects the embedded
-//! wire frame into its broker ([`ShardedBroker::inject`]). Each
-//! (publish, destination) pair produces exactly one frame, and every
+//! it with the hop count bumped, the destination decodes the embedded
+//! wire event once and injects the `Arc<Event>` into its broker
+//! ([`ShardedBroker::inject`]). Each (publish, destination) pair
+//! produces exactly one frame, and every
 //! node delivers only to its local subscribers, so cluster-wide
 //! delivery is exactly-once. Subscribes, unsubscribes and restarts
 //! update the node's interest on the caller's thread too, so a frame

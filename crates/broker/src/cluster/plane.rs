@@ -15,7 +15,7 @@ use mmcs_util::pool;
 use parking_lot::Mutex;
 
 use super::frame::{
-    encode_event_frame, encode_frame, ClusterFrame, FrameKind, CLUSTER_HEADER_LEN, MAX_HOPS,
+    decode_event_frame, encode_event_frame, encode_frame, ClusterFrame, FrameKind, MAX_HOPS,
 };
 use super::route::RouteTable;
 use crate::event::Event;
@@ -149,10 +149,10 @@ impl DataPlane {
     }
 
     /// A validated frame off a link (`parsed` views `frame`'s bytes): an
-    /// event for this node is injected into its broker, one for another
-    /// node is relayed toward it, a gossip digest is answered and gossip
-    /// entries are applied. Link control belongs to the TCP socket
-    /// reader; a frame of it that gets here is stray input.
+    /// event for this node is decoded and injected into its broker, one
+    /// for another node is relayed toward it, a gossip digest is answered
+    /// and gossip entries are applied. Link control belongs to the TCP
+    /// socket reader; a frame of it that gets here is stray input.
     pub(super) fn on_frame(&self, frame: &Bytes, parsed: &ClusterFrame<'_>) {
         self.metrics.frames_in.inc();
         match parsed.kind() {
@@ -185,14 +185,11 @@ impl DataPlane {
         if parsed.generation() < local {
             self.metrics.stale_generation.inc();
         }
-        // Zero-copy: the injected event frame is a subslice of the
-        // cluster frame's own storage.
-        if self
-            .broker
-            .inject(frame.slice(CLUSTER_HEADER_LEN..))
-            .is_err()
-        {
-            self.metrics.decode_errors.inc();
+        // The one decode on the way in: from here on the event is an
+        // `Arc`, and its payload a slice of the cluster frame's storage.
+        match decode_event_frame(frame) {
+            Ok(event) => self.broker.inject(event.into_shared()),
+            Err(_) => self.metrics.decode_errors.inc(),
         }
     }
 

@@ -18,7 +18,6 @@ use crate::event::{Event, EventClass};
 use crate::node::{Action, BrokerError, BrokerNode, Input, Origin};
 use crate::profile::TransportProfile;
 use crate::topic::{Topic, TopicFilter};
-use crate::wire;
 
 /// A delivery produced by [`BrokerNetwork::publish`].
 #[derive(Debug, Clone)]
@@ -334,15 +333,6 @@ impl BrokerNetwork {
                     event,
                 }),
                 Action::Forward { peer, event } => {
-                    // Broker-to-broker hops travel as pooled wire frames,
-                    // exactly like the sharded runtime's ring: encode once
-                    // into a pool buffer, decode zero-copy on the peer.
-                    // Routing every multi-hop test through the codec keeps
-                    // the oracle honest about the wire format.
-                    let frame = wire::encode(&event).freeze();
-                    let event = wire::decode_shared(&frame)
-                        .expect("frames encoded by the sending broker are well-formed")
-                        .into_shared();
                     self.dispatch(peer, Input::Publish {
                         origin: Origin::Broker(from),
                         event,

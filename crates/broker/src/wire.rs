@@ -1,12 +1,15 @@
 //! The flat event wire format.
 //!
-//! Every event crossing a real boundary — the sharded broker's
-//! cross-shard forwarding ring, a broker-to-broker link, a reliable
-//! control channel — travels as one contiguous frame: a fixed-offset
-//! binary header followed by the topic string and the raw payload. The
-//! layout (DESIGN.md §11) is chosen so the receiving side never walks a
-//! field-by-field decoder on the hot path: [`WireEvent::parse`] validates
-//! the frame once, and every accessor afterwards is an infallible
+//! Every event that goes onto a link — between federation nodes (over
+//! TCP, or the in-process transport that stands in for it), or over a
+//! reliable control channel — travels as one contiguous frame: a
+//! fixed-offset binary header followed by the topic string and the raw
+//! payload. Between the brokers of one process (the sharded runtime's
+//! ring, the in-process oracle) an event stays an `Arc<Event>` and is
+//! never encoded. The layout (DESIGN.md §11) is chosen so the receiving
+//! side never walks a field-by-field decoder on the hot path:
+//! [`WireEvent::parse`] validates the frame once, and every accessor
+//! afterwards is an infallible
 //! fixed-offset read borrowing from the frame. The payload is returned
 //! as a `&[u8]` sub-slice — or, via [`decode_shared`], as a zero-copy
 //! [`Bytes`] slice that keeps the (pooled) frame storage alive.
@@ -289,24 +292,6 @@ fn read_u64(buf: &[u8], offset: usize) -> u64 {
     u64::from_be_bytes(bytes)
 }
 
-/// Decodes a frame into an owned [`Event`], copying the payload. Use
-/// [`decode_shared`] on hot paths to keep the payload zero-copy.
-///
-/// # Errors
-///
-/// Same matrix as [`WireEvent::parse`].
-pub fn decode(frame: &[u8]) -> Result<Event, DecodeEventError> {
-    let view = WireEvent::parse(frame)?;
-    Ok(Event {
-        topic: view.topic()?,
-        source: view.source(),
-        seq: view.seq(),
-        class: view.class(),
-        payload: Bytes::copy_from_slice(view.payload()),
-        published_at: view.published_at(),
-    })
-}
-
 /// Decodes a frame living in a shared [`Bytes`]; the payload is a
 /// zero-copy slice keeping the frame storage (e.g. a pooled buffer)
 /// alive until the last reference drops.
@@ -417,10 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn decode_round_trips_owned_and_shared() {
+    fn decode_round_trips_zero_copy() {
         let event = sample(b"abc");
         let frame = encode(&event).freeze();
-        assert_eq!(decode(&frame).unwrap(), event);
         let shared = decode_shared(&frame).unwrap();
         assert_eq!(shared, event);
         // Shared decode borrows the frame's storage.
@@ -468,21 +452,19 @@ mod tests {
     #[test]
     fn bad_version_class_and_topic_are_rejected() {
         let frame = encode(&sample(b"x")).freeze();
-        let mut bad = frame.to_vec();
-        bad[OFF_VERSION] = 9;
-        assert_eq!(decode(&bad), Err(DecodeEventError::BadVersion(9)));
-        let mut bad = frame.to_vec();
-        bad[OFF_CLASS] = 3;
-        assert_eq!(decode(&bad), Err(DecodeEventError::BadClass(3)));
-        let mut bad = frame.to_vec();
-        bad[WIRE_HEADER_LEN + 5] = b'*'; // "conf/*/video": wildcard segment
-        assert_eq!(decode(&bad), Err(DecodeEventError::BadTopic));
-        let mut bad = frame.to_vec();
-        bad[WIRE_HEADER_LEN + 4] = 0xFF; // invalid UTF-8
-        assert_eq!(decode(&bad), Err(DecodeEventError::BadTopic));
-        let mut bad = frame.to_vec();
-        bad[WIRE_HEADER_LEN + 5] = b'/'; // "conf///video": empty segment
-        assert_eq!(decode(&bad), Err(DecodeEventError::BadTopic));
+        let corrupt = |at: usize, byte: u8| {
+            let mut bad = frame.to_vec();
+            bad[at] = byte;
+            decode_shared(&Bytes::from(bad))
+        };
+        assert_eq!(corrupt(OFF_VERSION, 9), Err(DecodeEventError::BadVersion(9)));
+        assert_eq!(corrupt(OFF_CLASS, 3), Err(DecodeEventError::BadClass(3)));
+        // "conf/*/video": wildcard segment
+        assert_eq!(corrupt(WIRE_HEADER_LEN + 5, b'*'), Err(DecodeEventError::BadTopic));
+        // invalid UTF-8
+        assert_eq!(corrupt(WIRE_HEADER_LEN + 4, 0xFF), Err(DecodeEventError::BadTopic));
+        // "conf///video": empty segment
+        assert_eq!(corrupt(WIRE_HEADER_LEN + 5, b'/'), Err(DecodeEventError::BadTopic));
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //! happens where one thread both acquires and drops. When buffers
 //! cross threads, the acquiring thread's list never refills, so every
 //! acquisition there misses and allocates. Meanwhile, the dropping
-//! thread's list fills to [`PER_CLASS_CAP`] and frees the rest. The
-//! federation path works this way: the publishing thread encodes the
-//! event frames, and the link threads (over TCP, once the peer has
+//! thread's list fills to [`PER_CLASS_CAP`] and frees the rest.
+//!
+//! On the live broker runtime the sharded broker acquires nothing: its
+//! cross-shard ring hands `Arc<Event>`s between shard threads. Cluster
+//! frames and gossip bodies are the only live users, and the federation
+//! path is the cross-thread case above: the publishing thread encodes
+//! the event frames, and the link threads (over TCP, once the peer has
 //! acked) or the receiving node's shard threads (in process) drop them.
 //! A traced `federation_tcp` run of the wall-clock benchmark reports a
 //! `pool.hit_ratio` of 0 there.

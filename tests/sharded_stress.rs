@@ -23,7 +23,6 @@ use mmcs::broker::event::{Event, EventClass};
 use mmcs::broker::metrics::ShardedBrokerMetrics;
 use mmcs::broker::sharded::{ShardedBroker, ShardedClient};
 use mmcs::broker::topic::{Topic, TopicFilter};
-use mmcs::broker::wire;
 use mmcs_util::id::ClientId;
 
 const SHARDS: usize = 4;
@@ -117,7 +116,7 @@ fn four_shard_inject_has_exact_counters() {
         let source = ClientId::from_raw(1_000_000 + f as u64);
         for seq in 0..EACH {
             let event = Event::new(topic.clone(), source, seq, EventClass::Data, Bytes::new());
-            broker.inject(wire::encode(&event).freeze()).unwrap();
+            broker.inject(event.into_shared());
         }
     }
     broker.quiesce();

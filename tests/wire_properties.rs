@@ -2,20 +2,21 @@
 //!
 //! Three families:
 //!
-//! 1. **Round-trip**: `encode → WireEvent view → decode` reproduces the
-//!    original event exactly — for arbitrary topics, classes, header
-//!    fields and payload sizes including 0 and > 64 KiB — and the
-//!    zero-copy `decode_shared` agrees with the owned `decode`. Same
-//!    for RTP: the `WireRtp` slice-view parser and the owned parser
-//!    agree on every well-formed packet.
+//! 1. **Round-trip**: `encode → WireEvent view → decode_shared`
+//!    reproduces the original event exactly — for arbitrary topics,
+//!    classes, header fields and payload sizes including 0 and > 64 KiB
+//!    — with the payload a zero-copy slice of the frame. Same for RTP:
+//!    the `WireRtp` slice-view parser and the owned parser agree on
+//!    every well-formed packet.
 //! 2. **Malformed frames**: every strict prefix of a valid frame is
 //!    rejected with an error (never a panic), for events and for RTP —
 //!    including CSRC-bearing RTP headers whose CSRC area is cut short.
 //! 3. **Forward-path equivalence**: publishing arbitrary events through
 //!    a `ShardedBroker` at 1, 2 and 4 shards — where every cross-shard
-//!    hop travels as an encoded pooled frame — delivers the identical
-//!    multiset of (topic, class, source, seq, payload), and at > 1
-//!    shard the ring actually carried frames (`cross_shard_forwards`).
+//!    hop hands the owner shard's `Arc<Event>` over, with no codec —
+//!    delivers the identical multiset of (topic, class, source, seq,
+//!    payload), and at > 1 shard the ring actually carried events
+//!    (`cross_shard_forwards`).
 //! 4. **Cluster envelope**: the 16-byte federation `ClusterFrame` —
 //!    round-trip of every header field (any origin/dest/hops-in-range/
 //!    generation, including generations that are stale relative to a
@@ -96,8 +97,7 @@ fn rtp_strategy() -> impl Strategy<Value = RtpPacket> {
 }
 
 proptest! {
-    /// encode → view → decode is the identity, and the shared decode
-    /// (zero-copy payload) agrees with the owned one.
+    /// encode → view → decode is the identity, with a zero-copy payload.
     #[test]
     fn event_round_trips_through_the_wire(event in event_strategy()) {
         let frame = wire::encode(&event).freeze();
@@ -111,8 +111,6 @@ proptest! {
         prop_assert_eq!(view.topic_str(), event.topic.to_string());
         prop_assert_eq!(view.payload(), &event.payload[..]);
 
-        let owned = wire::decode(&frame).expect("own encoding decodes");
-        prop_assert_eq!(&owned, &event);
         let shared = wire::decode_shared(&frame).expect("own encoding decodes shared");
         prop_assert_eq!(&shared, &event);
         // The shared payload borrows the frame, not a copy.
@@ -192,9 +190,9 @@ type DeliveredMultiset = BTreeMap<(String, u8, u64, u64, Vec<u8>), usize>;
 /// Publishes `events` through a sharded broker with one wildcard
 /// subscriber and returns (delivered multiset, ring forwards, expected
 /// forwards). An event crosses the ring iff its topic's owner shard
-/// differs from the subscriber's home shard — and then it travels as an
-/// encoded pooled wire frame — so the expected forward count is exactly
-/// the number of publishes owned by a foreign shard.
+/// differs from the subscriber's home shard — and then the owner
+/// shard's `Arc<Event>` hops once — so the expected forward count is
+/// exactly the number of publishes owned by a foreign shard.
 fn sharded_deliveries(
     events: &[(Topic, EventClass, Bytes)],
     shards: usize,
@@ -278,10 +276,10 @@ fn a_foreign_topic_crosses_the_ring_exactly_once() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
-    /// The cross-shard forward path — encode to a pooled frame, hop the
-    /// ring, decode zero-copy — is invisible to subscribers: at 1, 2
-    /// and 4 shards the delivered multiset is exactly the published
-    /// one, and at > 1 shard the ring demonstrably carried frames.
+    /// The cross-shard forward path — the owner shard's `Arc` handed to
+    /// the subscriber's home shard — is invisible to subscribers: at 1,
+    /// 2 and 4 shards the delivered multiset is exactly the published
+    /// one, and at > 1 shard the ring demonstrably carried events.
     #[test]
     fn forward_path_is_transparent_at_every_shard_count(
         published in prop::collection::vec(
@@ -308,8 +306,8 @@ proptest! {
                 ),
             }
             // Every publish whose owner shard is not the subscriber's
-            // home shard crossed the ring as a wire frame — no more, no
-            // fewer. At one shard there is no ring at all.
+            // home shard crossed the ring once — no more, no fewer. At
+            // one shard there is no ring at all.
             prop_assert_eq!(forwards, expected_forwards);
             if shards == 1 {
                 prop_assert_eq!(forwards, 0, "a single shard has no ring");
@@ -444,7 +442,8 @@ proptest! {
         prop_assert_eq!(view.dest(), dest);
         prop_assert_eq!(view.hops(), hops);
         prop_assert_eq!(view.generation(), generation);
-        let embedded = wire::decode(view.body()).expect("embedded event decodes");
+        let embedded = wire::decode_shared(&frame.slice(CLUSTER_HEADER_LEN..))
+            .expect("embedded event decodes");
         prop_assert_eq!(&embedded, &event);
     }
 }
