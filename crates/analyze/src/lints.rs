@@ -42,7 +42,6 @@ pub const DOC_COVERED_CRATES: &[&str] = &["broker", "telemetry", "xgsp"];
 /// whole crates, so cold control-plane modules keep their freedom.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/broker/src/event.rs",
-    "crates/broker/src/network.rs",
     "crates/broker/src/node.rs",
     "crates/broker/src/reliable.rs",
     "crates/broker/src/rtpproxy.rs",

@@ -28,14 +28,15 @@
 //! The publish hot path asks [`GossipState::targets_for`] which nodes
 //! hold matching interest. Matches are answered from a
 //! generation-stamped per-topic cache (mirroring the
-//! [`crate::node::BrokerNode`] route cache), so a warm publish costs a
-//! hash lookup plus an `Arc` clone — no allocation.
+//! [`crate::node::BrokerNode`] route cache, bounded the same way), so a
+//! warm publish costs a hash lookup plus an `Arc` clone — no allocation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::BufMut;
 
+use crate::node::PLAN_CACHE_MAX;
 use crate::topic::{SubscriptionTable, Topic, TopicFilter};
 
 /// Index of a node inside one federation cluster. Node ids are dense
@@ -282,6 +283,15 @@ impl GossipState {
         self.scratch.sort_unstable();
         self.scratch.dedup();
         let targets = Arc::new(self.scratch.clone());
+        if self.cache.len() >= PLAN_CACHE_MAX {
+            // Drop stale entries first; if the cache is full of live
+            // answers, start over rather than grow without bound.
+            let stamp = self.table_stamp;
+            self.cache.retain(|_, cached| cached.stamp == stamp);
+            if self.cache.len() >= PLAN_CACHE_MAX {
+                self.cache.clear();
+            }
+        }
         self.cache.insert(
             topic.clone(),
             CachedTargets {
@@ -574,6 +584,27 @@ mod tests {
             },
         )]);
         assert_eq!(a.targets_for(&t).as_slice(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn target_cache_stays_bounded_and_right() {
+        let mut a = GossipState::new(0, 3);
+        a.subscribe(&filter("media/#"));
+        // Even topics match the local filter, odd ones match nothing.
+        let name = |i: usize| {
+            let head = if i.is_multiple_of(2) { "media" } else { "quiet" };
+            topic(&format!("{head}/{i}"))
+        };
+        let expected = |i: usize| -> &'static [NodeId] { if i.is_multiple_of(2) { &[0] } else { &[] } };
+        for i in 0..PLAN_CACHE_MAX + 100 {
+            assert_eq!(a.targets_for(&name(i)).as_slice(), expected(i), "topic {i}");
+            assert!(a.cache.len() <= PLAN_CACHE_MAX);
+        }
+        // Evicted and surviving topics alike still answer right.
+        for i in 0..PLAN_CACHE_MAX + 100 {
+            assert_eq!(a.targets_for(&name(i)).as_slice(), expected(i), "topic {i}");
+        }
+        assert!(a.cache.len() <= PLAN_CACHE_MAX);
     }
 
     #[test]

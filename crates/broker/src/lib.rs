@@ -14,8 +14,6 @@
 //! * [`node`] — [`node::BrokerNode`], the pure broker state machine:
 //!   client attach/detach, subscribe/unsubscribe, publish routing,
 //!   broker-to-broker subscription propagation over a tree of links.
-//! * [`network`] — [`network::BrokerNetwork`], an in-memory assembly of
-//!   several nodes for direct (driver-less) use and unit tests.
 //! * [`profile`] — transport profiles (TCP/UDP/Multicast/SSL/raw-RTP)
 //!   with per-packet overheads, mirroring NaradaBrokering's pluggable
 //!   transports.
@@ -50,23 +48,20 @@
 //! # Examples
 //!
 //! ```
-//! use mmcs_broker::network::BrokerNetwork;
+//! use mmcs_broker::sharded::ShardedBroker;
 //! use mmcs_broker::topic::{Topic, TopicFilter};
 //! use bytes::Bytes;
 //!
-//! let mut net = BrokerNetwork::new();
-//! let a = net.add_broker();
-//! let b = net.add_broker();
-//! net.link(a, b)?;
+//! let broker = ShardedBroker::spawn(1);
+//! let alice = broker.attach();
+//! let bob = broker.attach();
+//! bob.subscribe(TopicFilter::parse("session/7/*")?);
 //!
-//! let alice = net.attach_client(a);
-//! let bob = net.attach_client(b);
-//! net.subscribe(bob, TopicFilter::parse("session/7/*")?)?;
-//!
-//! net.publish(alice, Topic::parse("session/7/video")?, Bytes::from_static(b"frame"));
-//! let delivered = net.drain_deliveries();
-//! assert_eq!(delivered.len(), 1);
-//! assert_eq!(delivered[0].client, bob);
+//! alice.publish(Topic::parse("session/7/video")?, Bytes::from_static(b"frame"));
+//! broker.quiesce();
+//! let delivered = bob.try_recv().expect("one delivery");
+//! assert_eq!(delivered.source, alice.id());
+//! assert!(bob.try_recv().is_none());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -76,7 +71,6 @@ pub mod event;
 pub mod gossip;
 pub mod liveness;
 pub mod metrics;
-pub mod network;
 pub mod node;
 pub mod profile;
 pub mod reliable;

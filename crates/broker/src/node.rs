@@ -3,15 +3,17 @@
 //! [`BrokerNode`] owns one broker's entire state — attached clients,
 //! local subscriptions, links to peer brokers, and the aggregated remote
 //! interest table — and advances purely through
-//! [`BrokerNode::handle`]: `(Input) -> Vec<Action>`. Drivers (the
-//! in-memory [`crate::network::BrokerNetwork`], the simulator
-//! [`crate::simdrv`], the threaded [`crate::sharded`] runtime) own
-//! transport and time.
+//! [`BrokerNode::handle`]: `(Input) -> Vec<Action>`. Two drivers own
+//! transport and time: the simulator [`crate::simdrv`] and the threaded
+//! [`crate::sharded`] runtime, with the [`crate::cluster`] federation
+//! on top of it.
 //!
 //! ## Routing protocol
 //!
 //! Broker networks are **trees** (NaradaBrokering's cluster hierarchy);
-//! [`crate::network::BrokerNetwork::link`] enforces acyclicity. Interest
+//! the node does not check this, its driver does: [`crate::simtopo`]
+//! rejects a cyclic link graph unless it is a full mesh run one hop
+//! deep ([`BrokerNode::set_local_adverts_only`]). Interest
 //! propagation is therefore simple and loop-free:
 //!
 //! * Every filter has an interest record: local subscriber count plus the
@@ -52,7 +54,7 @@ use crate::topic::{SubscriptionTable, Topic, TopicFilter};
 /// Most cached route plans a broker keeps before evicting stale ones.
 /// Real deployments publish to a bounded set of session topics; the cap
 /// only guards against unbounded one-shot topic churn.
-const PLAN_CACHE_MAX: usize = 4096;
+pub(crate) const PLAN_CACHE_MAX: usize = 4096;
 
 /// A resolved delivery plan for one concrete topic: where a publish to
 /// that topic goes, with dedup and profile lookup already done.

@@ -9,15 +9,19 @@
 //! * XGSP effects: broker topic commands create Helix streams and
 //!   RealProducers, notifications are translated per endpoint protocol
 //!   and returned as [`Egress`] items;
-//! * media plane: [`GlobalMmcs::publish_rtp`] publishes into the broker
-//!   network; deliveries to subscribed endpoints come back, and the
-//!   media service taps every session topic to feed streaming/archive.
+//! * media plane: [`GlobalMmcs::publish_rtp`] publishes into a live
+//!   [`ShardedBroker`] with one shard (every topic here starts with
+//!   `globalmmcs/`, so one shard owns them all and a second would only
+//!   add a ring hop); deliveries to subscribed endpoints come back, and
+//!   the media service taps every session topic to feed
+//!   streaming/archive.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-use mmcs_broker::event::EventClass;
-use mmcs_broker::network::{BrokerNetwork, NetworkError};
-use mmcs_broker::topic::{Topic, TopicFilter};
+use mmcs_broker::event::{Event, EventClass};
+use mmcs_broker::sharded::{ShardedBroker, ShardedClient};
+use mmcs_broker::topic::{ParseTopicError, Topic, TopicFilter};
 use mmcs_directory::communities::CommunityDirectory;
 use mmcs_directory::users::UserDirectory;
 use mmcs_h323::gatekeeper::Gatekeeper;
@@ -34,7 +38,7 @@ use mmcs_sip::registrar::Registrar;
 use mmcs_streaming::archive::Archive;
 use mmcs_streaming::helix::HelixServer;
 use mmcs_streaming::producer::RealProducer;
-use mmcs_util::id::{BrokerId, ClientId, SessionId};
+use mmcs_util::id::{ClientId, SessionId};
 use mmcs_util::time::SimTime;
 use mmcs_util::xml::Element;
 use mmcs_xgsp::calendar::Calendar;
@@ -84,12 +88,15 @@ pub enum Egress {
 /// The assembled Global-MMCS. See the [module docs](self).
 pub struct GlobalMmcs {
     session_server: SessionServer,
-    broker_node: BrokerId,
     users: UserDirectory,
     communities: CommunityDirectory,
     calendar: Calendar,
-    broker: BrokerNetwork,
-    media_service: ClientId,
+    /// The media service's tap on `globalmmcs/#`.
+    media_service: ShardedClient,
+    /// Media clients by id; iteration order is the drain order.
+    media_clients: BTreeMap<ClientId, ShardedClient>,
+    /// Declared after every client, so they detach before it shuts down.
+    broker: ShardedBroker,
     sip_gateway: SipGateway,
     sip_proxy: Proxy,
     registrar: Registrar,
@@ -103,27 +110,23 @@ pub struct GlobalMmcs {
     quality: QualityMonitor,
     endpoints: HashMap<String, EndpointKind>,
     producers: HashMap<String, RealProducer>,
-    media_clients: HashMap<ClientId, String>,
     now: SimTime,
 }
 
 impl GlobalMmcs {
     /// Assembles a system with one broker and default server settings.
     pub fn new() -> Self {
-        let mut broker = BrokerNetwork::new();
-        let node = broker.add_broker();
-        let media_service = broker.attach_client(node);
-        broker
-            .subscribe(media_service, TopicFilter::parse("globalmmcs/#").expect("static filter"))
-            .expect("fresh client");
+        let broker = ShardedBroker::spawn(1);
+        let media_service = broker.attach();
+        media_service.subscribe(TopicFilter::parse("globalmmcs/#").expect("static filter"));
         Self {
             session_server: SessionServer::new(),
-            broker_node: node,
             users: UserDirectory::new(),
             communities: CommunityDirectory::new(),
             calendar: Calendar::new(),
-            broker,
             media_service,
+            media_clients: BTreeMap::new(),
+            broker,
             sip_gateway: SipGateway::new("mmcs.example", "rtp-proxy.mmcs.example"),
             sip_proxy: Proxy::new("proxy.mmcs.example"),
             registrar: Registrar::new(),
@@ -137,7 +140,6 @@ impl GlobalMmcs {
             quality: QualityMonitor::new(),
             endpoints: HashMap::new(),
             producers: HashMap::new(),
-            media_clients: HashMap::new(),
             now: SimTime::ZERO,
         }
     }
@@ -282,57 +284,65 @@ impl GlobalMmcs {
     ///
     /// # Errors
     ///
-    /// Propagates broker subscription errors.
-    pub fn attach_media_client(
-        &mut self,
-        user: impl Into<String>,
-        topic: &str,
-    ) -> Result<ClientId, NetworkError> {
-        let filter = TopicFilter::parse(topic).expect("caller passes topics from JoinAck");
-        let client = self.broker.attach_client(self.broker_node);
-        self.broker.subscribe(client, filter)?;
-        self.media_clients.insert(client, user.into());
-        Ok(client)
+    /// Returns the parse error if `topic` is not a valid topic filter.
+    pub fn attach_media_client(&mut self, topic: &str) -> Result<ClientId, ParseTopicError> {
+        let filter = TopicFilter::parse(topic)?;
+        let client = self.broker.attach();
+        client.subscribe(filter);
+        let id = client.id();
+        self.media_clients.insert(id, client);
+        Ok(id)
     }
 
     /// Publishes an RTP packet from a media client onto a session topic;
-    /// returns every egress the publish caused (deliveries to other
-    /// media clients; streaming/archiving happen internally).
+    /// returns every egress the publish caused (deliveries to media
+    /// clients, in id order; streaming/archiving happen internally).
     ///
     /// # Panics
     ///
     /// Panics if `client` was not attached through this system.
     pub fn publish_rtp(&mut self, client: ClientId, topic: &str, rtp: &RtpPacket) -> Vec<Egress> {
         let parsed = Topic::parse(topic).expect("caller passes topics from JoinAck");
-        self.broker
-            .publish_class(client, parsed, EventClass::Rtp, rtp.encode());
+        self.media_clients
+            .get(&client)
+            .expect("publish_rtp requires an attached media client")
+            .publish_class(parsed, EventClass::Rtp, rtp.encode());
+        self.broker.quiesce();
         self.drain_media()
     }
 
-    /// Drains broker deliveries into egress + streaming side effects.
+    /// Drains broker deliveries — the media-service tap first, then each
+    /// media client in id order — into egress + streaming side effects.
     fn drain_media(&mut self) -> Vec<Egress> {
-        let mut egress = Vec::new();
-        for delivery in self.broker.drain_deliveries() {
-            let topic = delivery.event.topic.to_string();
-            let Ok(rtp) = RtpPacket::decode(&delivery.event.payload) else {
+        let mut events: Vec<Arc<Event>> = Vec::new();
+        self.media_service.drain_into(&mut events);
+        for event in events.drain(..) {
+            let Ok(rtp) = RtpPacket::decode(&event.payload) else {
                 continue;
             };
-            if delivery.client == self.media_service {
-                // The media service taps every topic: feed the producer
-                // for this stream, the Helix server and the archive.
-                let producer = self
-                    .producers
-                    .entry(topic.clone())
-                    .or_insert_with(|| RealProducer::new(topic.clone()));
-                producer.ingest(&rtp, self.now);
-                for chunk in producer.drain() {
-                    self.archive.observe(&chunk);
-                    self.helix.feed(chunk);
-                }
-            } else {
+            // The media service taps every topic: feed the producer for
+            // this stream, the Helix server and the archive.
+            let topic = event.topic.to_string();
+            let producer = self
+                .producers
+                .entry(topic.clone())
+                .or_insert_with(|| RealProducer::new(topic));
+            producer.ingest(&rtp, self.now);
+            for chunk in producer.drain() {
+                self.archive.observe(&chunk);
+                self.helix.feed(chunk);
+            }
+        }
+        let mut egress = Vec::new();
+        for (&id, client) in &self.media_clients {
+            client.drain_into(&mut events);
+            for event in events.drain(..) {
+                let Ok(rtp) = RtpPacket::decode(&event.payload) else {
+                    continue;
+                };
                 egress.push(Egress::Media {
-                    client: delivery.client,
-                    topic,
+                    client: id,
+                    topic: event.topic.to_string(),
                     rtp,
                 });
             }

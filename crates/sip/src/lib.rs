@@ -9,8 +9,6 @@
 //! * [`message`] — the SIP text codec: requests, responses, the headers
 //!   the system needs (Via/From/To/Call-ID/CSeq/Contact/Expires/…).
 //! * [`sdp`] — a small SDP codec for offer/answer bodies.
-//! * [`transaction`] — simplified client/server transaction state
-//!   machines (invite and non-invite).
 //! * [`registrar`] — location service binding AoRs to contacts with
 //!   expiry.
 //! * [`proxy`] — a stateless forwarding proxy using the registrar.
@@ -24,6 +22,5 @@ pub mod presence;
 pub mod proxy;
 pub mod registrar;
 pub mod sdp;
-pub mod transaction;
 
 pub use message::{SipMessage, SipMethod};

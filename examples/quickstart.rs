@@ -65,8 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("audio topic: {audio_topic}");
 
     // 4. Attach media clients: alice publishes, bob subscribes.
-    let alice_media = mmcs.attach_media_client("alice", &audio_topic)?;
-    let bob_media = mmcs.attach_media_client("bob", &audio_topic)?;
+    let alice_media = mmcs.attach_media_client(&audio_topic)?;
+    let bob_media = mmcs.attach_media_client(&audio_topic)?;
 
     // 5. Alice talks for one second (50 PCMU packets).
     let mut source = AudioSource::new(AudioCodec::Pcmu, 0xA11CE);

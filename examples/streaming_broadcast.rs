@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("RTSP player {rtsp_session} is PLAYING");
 
     // The lecturer publishes 2 seconds of 600 Kbps video.
-    let publisher = mmcs.attach_media_client("lecturer", &topic)?;
+    let publisher = mmcs.attach_media_client(&topic)?;
     let mut source = VideoSource::new(VideoSourceConfig::default(), 0x1EC, DetRng::new(42));
     let mut clock = SimTime::ZERO;
     for _ in 0..50 {

@@ -1,8 +1,10 @@
 //! Property tests on the broker network's core invariant: on any tree of
 //! brokers with any placement of subscribers, a published event is
 //! delivered exactly once to every matching subscriber and to no one
-//! else — plus invariants for the trie and the interest protocol.
+//! else — plus invariants for the trie and the interest protocol. The
+//! trees are [`Cascade`]s of [`BrokerNode`]s joined by synchronous links.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -10,8 +12,7 @@ use proptest::prelude::*;
 
 use mmcs::broker::event::{Event, EventClass};
 use mmcs::broker::metrics::BrokerMetrics;
-use mmcs::broker::network::BrokerNetwork;
-use mmcs::broker::node::{Action, BrokerCounters, BrokerNode, Input, Origin};
+use mmcs::broker::node::{Action, BrokerCounters, BrokerError, BrokerNode, Input, Origin};
 use mmcs::broker::topic::{SubscriptionTable, Topic, TopicFilter};
 use mmcs::telemetry::Registry;
 use mmcs_util::id::{BrokerId, ClientId};
@@ -36,6 +37,66 @@ fn filter_strategy() -> impl Strategy<Value = TopicFilter> {
         })
 }
 
+/// A tree of [`BrokerNode`]s joined by synchronous links: every action a
+/// node emits is executed at once, forwards and adverts cascading into
+/// the peer. Broker `i` has id `i + 1`; the test numbers its clients.
+struct Cascade {
+    nodes: Vec<BrokerNode>,
+    home: HashMap<ClientId, usize>,
+    delivered: Vec<(ClientId, Arc<Event>)>,
+}
+
+impl Cascade {
+    fn new(brokers: usize) -> Self {
+        let nodes = (0..brokers).map(|i| BrokerNode::new(Self::id(i))).collect();
+        Self { nodes, home: HashMap::new(), delivered: Vec::new() }
+    }
+
+    fn id(index: usize) -> BrokerId { BrokerId::from_raw(index as u64 + 1) }
+
+    fn feed(&mut self, at: usize, input: Input) -> Result<(), BrokerError> {
+        let from = Self::id(at);
+        for action in self.nodes[at].handle(input)? {
+            let (peer, input) = match action {
+                Action::Deliver { client, event, .. } => { self.delivered.push((client, event)); continue; }
+                Action::Forward { peer, event } => (peer, Input::Publish { origin: Origin::Broker(from), event }),
+                Action::AdvertiseAdd { peer, filter } => (peer, Input::RemoteSubscribe { peer: from, filter }),
+                Action::AdvertiseRemove { peer, filter } => (peer, Input::RemoteUnsubscribe { peer: from, filter }),
+            };
+            self.feed(peer.value() as usize - 1, input).expect("a linked peer accepts what its neighbour sends");
+        }
+        Ok(())
+    }
+
+    fn link(&mut self, a: usize, b: usize, up: bool) {
+        let input = |peer| if up { Input::LinkUp { peer } } else { Input::LinkDown { peer } };
+        self.feed(a, input(Self::id(b))).expect("link a");
+        self.feed(b, input(Self::id(a))).expect("link b");
+    }
+
+    fn attach(&mut self, at: usize, raw: u64) -> ClientId {
+        let client = ClientId::from_raw(raw);
+        self.home.insert(client, at);
+        self.feed(at, Input::AttachClient { client, profile: Default::default() }).expect("fresh client");
+        client
+    }
+
+    fn subscribe(&mut self, client: ClientId, filter: TopicFilter) {
+        self.feed(self.home[&client], Input::Subscribe { client, filter }).expect("attached client");
+    }
+
+    fn detach(&mut self, client: ClientId) -> Result<(), BrokerError> {
+        self.feed(self.home[&client], Input::DetachClient { client })
+    }
+
+    /// Publishes from `client`; returns who received it, in routing order.
+    fn publish(&mut self, client: ClientId, topic: &Topic, payload: &'static [u8]) -> Vec<(ClientId, Arc<Event>)> {
+        let event = Event::new(topic.clone(), client, 0, EventClass::Data, Bytes::from_static(payload)).into_shared();
+        self.feed(self.home[&client], Input::Publish { origin: Origin::Client(client), event }).expect("attached publisher");
+        std::mem::take(&mut self.delivered)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -47,29 +108,26 @@ proptest! {
         subscriptions in prop::collection::vec((0usize..8, filter_strategy()), 0..12),
         publishes in prop::collection::vec(topic_strategy(), 1..6),
     ) {
-        let mut net = BrokerNetwork::new();
-        let brokers: Vec<_> = (0..broker_count).map(|_| net.add_broker()).collect();
+        let mut net = Cascade::new(broker_count);
         // Random tree: each broker i>0 links to a random earlier broker.
         for i in 1..broker_count {
-            let parent = brokers[parents[i - 1] as usize % i];
-            net.link(brokers[i], parent).expect("tree link");
+            net.link(i, parents[i - 1] as usize % i, true);
         }
         // 8 clients spread round-robin across brokers.
         let clients: Vec<ClientId> = (0..8)
-            .map(|i| net.attach_client(brokers[i % broker_count]))
+            .map(|i| net.attach(i % broker_count, i as u64 + 1))
             .collect();
         let mut expected: Vec<(ClientId, TopicFilter)> = Vec::new();
         for (client_index, filter) in &subscriptions {
             let client = clients[*client_index];
-            net.subscribe(client, filter.clone()).expect("subscribe");
+            net.subscribe(client, filter.clone());
             expected.push((client, filter.clone()));
         }
         let publisher = clients[0];
 
         for topic in &publishes {
-            net.publish(publisher, topic.clone(), Bytes::from_static(b"x"));
             let mut delivered: Vec<ClientId> =
-                net.drain_deliveries().into_iter().map(|d| d.client).collect();
+                net.publish(publisher, topic, b"x").into_iter().map(|(c, _)| c).collect();
             delivered.sort_unstable();
             let mut should: Vec<ClientId> = expected
                 .iter()
@@ -140,29 +198,25 @@ proptest! {
         topic in topic_strategy(),
     ) {
         // World A: subscribe a victim client, then detach it.
-        let mut a = BrokerNetwork::new();
-        let broker_a = a.add_broker();
-        let publisher_a = a.attach_client(broker_a);
-        let keeper_a = a.attach_client(broker_a);
-        a.subscribe(keeper_a, TopicFilter::parse("#").unwrap()).unwrap();
-        let victim = a.attach_client(broker_a);
+        let mut a = Cascade::new(1);
+        let publisher_a = a.attach(0, 1);
+        let keeper_a = a.attach(0, 2);
+        a.subscribe(keeper_a, TopicFilter::parse("#").unwrap());
+        let victim = a.attach(0, 3);
         for filter in &filters {
-            a.subscribe(victim, filter.clone()).unwrap();
+            a.subscribe(victim, filter.clone());
         }
-        a.detach_client(victim).unwrap();
-        a.publish(publisher_a, topic.clone(), Bytes::new());
-        let deliveries_a = a.drain_deliveries().len();
+        a.detach(victim).unwrap();
+        let deliveries_a = a.publish(publisher_a, &topic, b"");
 
         // World B: the victim never existed.
-        let mut b = BrokerNetwork::new();
-        let broker_b = b.add_broker();
-        let publisher_b = b.attach_client(broker_b);
-        let keeper_b = b.attach_client(broker_b);
-        b.subscribe(keeper_b, TopicFilter::parse("#").unwrap()).unwrap();
-        b.publish(publisher_b, topic, Bytes::new());
-        let deliveries_b = b.drain_deliveries().len();
+        let mut b = Cascade::new(1);
+        let publisher_b = b.attach(0, 1);
+        let keeper_b = b.attach(0, 2);
+        b.subscribe(keeper_b, TopicFilter::parse("#").unwrap());
+        let deliveries_b = b.publish(publisher_b, &topic, b"");
 
-        prop_assert_eq!(deliveries_a, deliveries_b);
+        prop_assert_eq!(deliveries_a.len(), deliveries_b.len());
     }
 }
 
@@ -415,17 +469,50 @@ proptest! {
 /// exactly once end to end.
 #[test]
 fn five_hop_chain_delivers_once() {
-    let mut net = BrokerNetwork::new();
-    let brokers: Vec<_> = (0..5).map(|_| net.add_broker()).collect();
-    for pair in brokers.windows(2) {
-        net.link(pair[0], pair[1]).unwrap();
+    let mut net = Cascade::new(5);
+    for i in 1..5 {
+        net.link(i - 1, i, true);
     }
-    let publisher = net.attach_client(brokers[0]);
-    let subscriber = net.attach_client(brokers[4]);
-    net.subscribe(subscriber, TopicFilter::parse("deep/#").unwrap())
-        .unwrap();
-    net.publish(publisher, Topic::parse("deep/chain").unwrap(), Bytes::new());
-    let deliveries = net.drain_deliveries();
+    let publisher = net.attach(0, 1);
+    let subscriber = net.attach(4, 2);
+    net.subscribe(subscriber, TopicFilter::parse("deep/#").unwrap());
+    let deliveries = net.publish(publisher, &Topic::parse("deep/chain").unwrap(), b"");
     assert_eq!(deliveries.len(), 1);
-    assert_eq!(deliveries[0].client, subscriber);
+    assert_eq!(deliveries[0].0, subscriber);
+}
+
+/// A broker link flaps mid-conference: delivery stops during the
+/// partition and resumes after healing, with interest re-advertised.
+#[test]
+fn broker_partition_heals() {
+    let mut net = Cascade::new(2);
+    net.link(0, 1, true);
+    let publisher = net.attach(0, 1);
+    let subscriber = net.attach(1, 2);
+    net.subscribe(subscriber, TopicFilter::parse("conf/#").unwrap());
+
+    let topic = Topic::parse("conf/av").unwrap();
+    assert_eq!(net.publish(publisher, &topic, b"1").len(), 1);
+
+    net.link(0, 1, false);
+    assert!(net.publish(publisher, &topic, b"2").is_empty(), "partitioned");
+
+    net.link(0, 1, true);
+    let after = net.publish(publisher, &topic, b"3");
+    assert_eq!(after.len(), 1);
+    assert_eq!(&after[0].1.payload[..], b"3");
+}
+
+/// Detaching twice is an error, not corruption: the node still routes
+/// for new clients afterwards.
+#[test]
+fn broker_detach_abuse() {
+    let mut net = Cascade::new(1);
+    let client = net.attach(0, 1);
+    assert!(net.detach(client).is_ok());
+    assert_eq!(net.detach(client), Err(BrokerError::UnknownClient(client)));
+    let publisher = net.attach(0, 2);
+    let subscriber = net.attach(0, 3);
+    net.subscribe(subscriber, TopicFilter::parse("t").unwrap());
+    assert_eq!(net.publish(publisher, &Topic::parse("t").unwrap(), b"").len(), 1);
 }

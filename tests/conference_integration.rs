@@ -15,7 +15,7 @@ use mmcs::sip::message::{SipMessage, SipMethod};
 use mmcs::soap::service::SoapClient;
 use mmcs::xgsp::message::XgspMessage;
 use mmcs::xgsp::wsdl_ci::{CiError, CollaborationServer};
-use mmcs_util::id::{SessionId, TerminalId};
+use mmcs_util::id::{ClientId, SessionId, TerminalId};
 use mmcs_util::time::{SimDuration, SimTime};
 
 fn sip_invite(uri: &str, from: &str, call_id: &str) -> SipMessage {
@@ -64,8 +64,8 @@ fn sip_and_h323_share_a_conference_with_media() {
     // Media: alice publishes audio on the session topic; a subscriber
     // bound to bob's side receives it.
     let topic = format!("globalmmcs/session-{}/audio", session.value());
-    let alice_media = mmcs.attach_media_client("alice", &topic).unwrap();
-    let bob_media = mmcs.attach_media_client("bob", &topic).unwrap();
+    let alice_media = mmcs.attach_media_client(&topic).unwrap();
+    let bob_media = mmcs.attach_media_client(&topic).unwrap();
     let mut source = AudioSource::new(AudioCodec::Pcmu, 0xA);
     let mut bob_received = 0;
     for i in 0..25u64 {
@@ -385,8 +385,20 @@ fn directory_listing_reflects_state() {
     assert_eq!(sessions.children_named("session").count(), 1);
 }
 
-/// Publishing to a topic nobody (but the media tap) subscribes to still
-/// feeds streaming, and returns no client egress.
+/// The media clients an egress batch reached, in order.
+fn media_receivers(egress: &[Egress]) -> Vec<ClientId> {
+    egress
+        .iter()
+        .filter_map(|e| match e {
+            Egress::Media { client, .. } => Some(*client),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Publishing to a topic nobody (but the media tap and the publisher)
+/// subscribes to still feeds streaming, and returns only the
+/// publisher's own loopback.
 #[test]
 fn media_tap_alone_consumes_unwatched_streams() {
     let mut mmcs = GlobalMmcs::new();
@@ -397,15 +409,64 @@ fn media_tap_alone_consumes_unwatched_streams() {
     ));
     let session = mmcs.session_server().session_ids().next().unwrap();
     let topic = format!("globalmmcs/session-{}/audio", session.value());
-    let publisher = mmcs.attach_media_client("alice", &topic).unwrap();
+    let publisher = mmcs.attach_media_client(&topic).unwrap();
     let mut source = AudioSource::new(AudioCodec::Pcmu, 1);
     let egress = mmcs.publish_rtp(publisher, &topic, &source.next_packet());
     // Publisher is itself subscribed (it attached to the topic), so the
     // only egress is its own loopback.
-    assert!(egress
-        .iter()
-        .all(|e| matches!(e, Egress::Media { client, .. } if *client == publisher)));
+    assert_eq!(media_receivers(&egress), vec![publisher]);
     assert_eq!(mmcs.helix().fed_count(&topic), 1);
+}
+
+/// The media-plane contract: every `publish_rtp` returns its deliveries
+/// before it returns, to exactly the clients on the topic, in `ClientId`
+/// order; a client on another session's topic hears nothing; the
+/// streaming tap sees every packet; a malformed topic is an error.
+#[test]
+fn publish_rtp_reaches_exactly_the_topic_in_client_order() {
+    let mut mmcs = GlobalMmcs::new();
+    for call_id in ["cid-one", "cid-two"] {
+        mmcs.handle_sip(&sip_invite(
+            "sip:new-conf@mmcs.example",
+            "sip:alice@example.org",
+            call_id,
+        ));
+    }
+    let mut sessions: Vec<SessionId> = mmcs.session_server().session_ids().collect();
+    sessions.sort();
+    assert_eq!(sessions.len(), 2);
+    let audio = format!("globalmmcs/session-{}/audio", sessions[0].value());
+    let elsewhere = format!("globalmmcs/session-{}/audio", sessions[1].value());
+    // Alice speaks on the audio topic and listens on the session's video
+    // topic: a client on the topic it publishes to gets its own packet
+    // back (see `media_tap_alone_consumes_unwatched_streams`).
+    let video = format!("globalmmcs/session-{}/video", sessions[0].value());
+    let alice = mmcs.attach_media_client(&video).unwrap();
+    let bob = mmcs.attach_media_client(&audio).unwrap();
+    let carol = mmcs.attach_media_client(&audio).unwrap();
+    // Dave listens on the other session; no publish below may reach him.
+    mmcs.attach_media_client(&elsewhere).unwrap();
+    assert!(bob < carol);
+
+    let mut source = AudioSource::new(AudioCodec::Pcmu, 0xC0);
+    for i in 0..50u64 {
+        mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
+        let packet = source.next_packet();
+        let egress = mmcs.publish_rtp(alice, &audio, &packet);
+        assert_eq!(media_receivers(&egress), vec![bob, carol], "publish {i}");
+        for item in &egress {
+            let Egress::Media { topic, rtp, .. } = item else {
+                unreachable!("media_receivers saw only media");
+            };
+            assert_eq!(topic, &audio);
+            assert_eq!(rtp, &packet);
+        }
+    }
+    assert_eq!(mmcs.helix().fed_count(&audio), 50);
+    assert_eq!(mmcs.helix().fed_count(&elsewhere), 0);
+
+    assert!(mmcs.attach_media_client("globalmmcs//audio").is_err());
+    assert!(mmcs.attach_media_client("").is_err());
 }
 
 /// Video switching follows audio activity and respects chair pins,

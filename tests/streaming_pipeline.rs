@@ -39,7 +39,7 @@ fn video_pipeline_transcodes_frames_not_packets() {
         vec![MediaDescription::new(MediaKind::Video, "H263")],
     );
     let topic = format!("globalmmcs/session-{session}/video");
-    let publisher = mmcs.attach_media_client("host", &topic).unwrap();
+    let publisher = mmcs.attach_media_client(&topic).unwrap();
 
     // One RTSP player.
     let setup = RtspRequest::new(RtspMethod::Setup, format!("rtsp://h/{topic}"), 1);
@@ -89,7 +89,7 @@ fn pause_stops_chunks_and_archive_replays_with_pacing() {
         vec![MediaDescription::new(MediaKind::Audio, "PCMU")],
     );
     let topic = format!("globalmmcs/session-{session}/audio");
-    let publisher = mmcs.attach_media_client("host", &topic).unwrap();
+    let publisher = mmcs.attach_media_client(&topic).unwrap();
     mmcs.archive_mut().start(&topic);
 
     let setup = RtspRequest::new(RtspMethod::Setup, format!("rtsp://h/{topic}"), 1);
@@ -141,7 +141,7 @@ fn multiple_players_independent_state() {
         vec![MediaDescription::new(MediaKind::Audio, "PCMU")],
     );
     let topic = format!("globalmmcs/session-{session}/audio");
-    let publisher = mmcs.attach_media_client("host", &topic).unwrap();
+    let publisher = mmcs.attach_media_client(&topic).unwrap();
 
     let mut sessions = Vec::new();
     for cseq in 0..3 {
