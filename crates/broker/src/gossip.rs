@@ -26,10 +26,14 @@
 //! diameter *d* converges in at most *d* rounds.
 //!
 //! The publish hot path asks [`GossipState::targets_for`] which nodes
-//! hold matching interest. Matches are answered from a
-//! generation-stamped per-topic cache (mirroring the
-//! [`crate::node::BrokerNode`] route cache, bounded the same way), so a
-//! warm publish costs a hash lookup plus an `Arc` clone — no allocation.
+//! hold matching interest. Matches are answered from a per-topic cache
+//! stamped with the table version, so a warm publish costs a hash
+//! lookup plus an `Arc` clone — no allocation. Unlike the
+//! [`crate::node::BrokerNode`] route cache, which evicts only the plans
+//! a changed filter matches, this one is invalidated whole: a gossip
+//! apply replaces a node's entire filter list, so there is no single
+//! filter to evict by, and no workload churns the view. It is bounded
+//! at the same size as the route cache.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -31,10 +31,10 @@
 //! Publishing is the hot loop, so [`BrokerNode`] memoizes the resolved
 //! delivery plan per concrete topic as a shared [`RoutePlan`]: the
 //! deduplicated local `(client, profile)` pairs plus the matching remote
-//! peers. Cache entries are stamped with a **generation counter** that
-//! bumps on every subscribe/unsubscribe/detach/link change; a stale
-//! stamp lazily invalidates the entry on next lookup, so mutation never
-//! walks the cache. On a warm hit, [`BrokerNode::handle_into`] appends
+//! peers. A subscription change evicts exactly the plans whose topic
+//! the changed filter matches, so a join in one session leaves every
+//! other session's plans warm; a lost link, which is rare, clears the
+//! cache. On a warm hit, [`BrokerNode::handle_into`] appends
 //! actions into a caller-owned scratch buffer without allocating:
 //! one hash lookup, one `Arc` clone per plan, one `Arc<Event>` clone per
 //! destination. [`BrokerNode::publish_plan`] counts the publish the
@@ -51,7 +51,7 @@ use crate::metrics::BrokerMetrics;
 use crate::profile::TransportProfile;
 use crate::topic::{SubscriptionTable, Topic, TopicFilter};
 
-/// Most cached route plans a broker keeps before evicting stale ones.
+/// Most cached route plans a broker keeps; a full cache is cleared.
 /// Real deployments publish to a bounded set of session topics; the cap
 /// only guards against unbounded one-shot topic churn.
 pub(crate) const PLAN_CACHE_MAX: usize = 4096;
@@ -77,13 +77,6 @@ impl RoutePlan {
     pub fn is_empty(&self) -> bool {
         self.local.is_empty() && self.remote.is_empty()
     }
-}
-
-/// A cached plan stamped with the generation it was computed under.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    generation: u64,
-    plan: Arc<RoutePlan>,
 }
 
 /// Where an input event entered this broker.
@@ -263,11 +256,10 @@ pub struct BrokerNode {
     /// Filters currently advertised to each peer.
     advertised: HashMap<BrokerId, HashSet<TopicFilter>>,
     counters: BrokerCounters,
-    /// Bumped on any change that can alter a delivery plan; cached plans
-    /// stamped with an older value are lazily discarded on lookup.
-    generation: u64,
-    /// Memoized delivery plans keyed by concrete topic.
-    plans: HashMap<Topic, CachedPlan>,
+    /// Memoized delivery plans keyed by concrete topic; a subscription
+    /// change evicts the entries its filter matches, so every entry is
+    /// current.
+    plans: HashMap<Topic, Arc<RoutePlan>>,
     /// Optional telemetry instruments; `None` costs one branch per
     /// publish, `Some` costs a handful of relaxed atomic adds.
     metrics: Option<Arc<BrokerMetrics>>,
@@ -290,7 +282,6 @@ impl BrokerNode {
             interest: HashMap::new(),
             advertised: HashMap::new(),
             counters: BrokerCounters::default(),
-            generation: 0,
             plans: HashMap::new(),
             metrics: None,
             local_adverts_only: false,
@@ -368,15 +359,8 @@ impl BrokerNode {
         filters
     }
 
-    /// The current route-cache generation. Bumps whenever subscriptions,
-    /// clients, or links change; equal generations guarantee identical
-    /// routing.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of memoized route plans (stale entries included until
-    /// their next lookup).
+    /// Number of memoized route plans. Every one is current: a
+    /// subscription change evicts the plans its filter matches.
     pub fn plan_cache_len(&self) -> usize {
         self.plans.len()
     }
@@ -384,13 +368,11 @@ impl BrokerNode {
     /// The delivery plan a publish to `topic` would use right now,
     /// memoizing it for subsequent publishes.
     pub fn plan_for(&mut self, topic: &Topic) -> Arc<RoutePlan> {
-        if let Some(cached) = self.plans.get(topic) {
-            if cached.generation == self.generation {
-                if let Some(m) = &self.metrics {
-                    m.route_cache_hits.inc();
-                }
-                return Arc::clone(&cached.plan);
+        if let Some(plan) = self.plans.get(topic) {
+            if let Some(m) = &self.metrics {
+                m.route_cache_hits.inc();
             }
+            return Arc::clone(plan);
         }
         if let Some(m) = &self.metrics {
             m.route_cache_misses.inc();
@@ -413,28 +395,18 @@ impl BrokerNode {
         self.remote_subs.matches_into(topic, &mut remote);
         let plan = Arc::new(RoutePlan { local, remote });
         if self.plans.len() >= PLAN_CACHE_MAX {
-            // Drop stale entries first; if the cache is full of live
-            // plans, start over rather than grow without bound.
-            let generation = self.generation;
-            self.plans.retain(|_, p| p.generation == generation);
-            if self.plans.len() >= PLAN_CACHE_MAX {
-                self.plans.clear();
-            }
+            // Start over rather than grow without bound.
+            self.plans.clear();
         }
-        self.plans.insert(
-            topic.clone(),
-            CachedPlan {
-                generation: self.generation,
-                plan: Arc::clone(&plan),
-            },
-        );
+        self.plans.insert(topic.clone(), Arc::clone(&plan));
         plan
     }
 
-    /// Invalidates every memoized plan (lazily, via the generation
-    /// stamp).
-    fn touch(&mut self) {
-        self.generation += 1;
+    /// Evicts every memoized plan whose topic `filter` matches: exactly
+    /// the plans a (un)subscription to `filter` can change. Costs one
+    /// filter match per cached plan.
+    fn invalidate(&mut self, filter: &TopicFilter) {
+        self.plans.retain(|topic, _| !filter.matches(topic));
     }
 
     /// Advances the state machine by one input.
@@ -476,11 +448,10 @@ impl BrokerNode {
                 if self.clients.remove(&client).is_none() {
                     return Err(BrokerError::UnknownClient(client));
                 }
-                if self.local_subs.unsubscribe_all(&client) > 0 {
-                    self.touch();
-                }
-                let filters = self.client_filters.remove(&client).unwrap_or_default();
-                for filter in filters {
+                for filter in self.client_filters.remove(&client).unwrap_or_default() {
+                    if self.local_subs.unsubscribe(&filter, &client) {
+                        self.invalidate(&filter);
+                    }
                     self.release_local_interest(&filter, out);
                 }
                 Ok(())
@@ -492,7 +463,7 @@ impl BrokerNode {
                 if !self.local_subs.subscribe(&filter, client) {
                     return Ok(()); // duplicate
                 }
-                self.touch();
+                self.invalidate(&filter);
                 self.client_filters
                     .entry(client)
                     .or_default()
@@ -511,7 +482,7 @@ impl BrokerNode {
                 if !self.local_subs.unsubscribe(&filter, &client) {
                     return Ok(());
                 }
-                self.touch();
+                self.invalidate(&filter);
                 if let Some(filters) = self.client_filters.get_mut(&client) {
                     if let Some(pos) = filters.iter().position(|f| *f == filter) {
                         filters.remove(pos);
@@ -544,7 +515,7 @@ impl BrokerNode {
                 }
                 self.advertised.remove(&peer);
                 if self.remote_subs.unsubscribe_all(&peer) > 0 {
-                    self.touch();
+                    self.plans.clear();
                 }
                 let mut affected: Vec<TopicFilter> = self
                     .interest
@@ -571,7 +542,7 @@ impl BrokerNode {
                     return Err(BrokerError::UnknownPeer(peer));
                 }
                 if self.remote_subs.subscribe(&filter, peer) {
-                    self.touch();
+                    self.invalidate(&filter);
                 }
                 let entry = self.interest.entry(filter.clone()).or_default();
                 let newly = entry.peers.insert(peer);
@@ -585,7 +556,7 @@ impl BrokerNode {
                     return Err(BrokerError::UnknownPeer(peer));
                 }
                 if self.remote_subs.unsubscribe(&filter, &peer) {
-                    self.touch();
+                    self.invalidate(&filter);
                 }
                 if let Some(entry) = self.interest.get_mut(&filter) {
                     if entry.peers.remove(&peer) {
@@ -1098,5 +1069,60 @@ mod tests {
             })
             .unwrap();
         assert_eq!(actions.len(), 1);
+    }
+
+    #[test]
+    fn subscription_change_evicts_only_the_plans_its_filter_matches() {
+        let mut n = node();
+        for raw in 1..=3 {
+            n.handle(Input::AttachClient {
+                client: client(raw),
+                profile: TransportProfile::Udp,
+            })
+            .unwrap();
+        }
+        n.handle(Input::Subscribe {
+            client: client(1),
+            filter: filter("#"),
+        })
+        .unwrap();
+        let topics = ["conf7/audio", "conf7/video", "conf8/audio"].map(|t| Topic::parse(t).unwrap());
+        let warm = |n: &mut BrokerNode| topics.each_ref().map(|t| n.plan_for(t));
+        let before = warm(&mut n);
+        assert_eq!(n.plan_cache_len(), 3);
+
+        // A join in conf7 rebuilds conf7's plans and leaves conf8's alone.
+        n.handle(Input::Subscribe {
+            client: client(2),
+            filter: filter("conf7/#"),
+        })
+        .unwrap();
+        let joined = warm(&mut n);
+        assert!(!Arc::ptr_eq(&before[0], &joined[0]));
+        assert!(!Arc::ptr_eq(&before[1], &joined[1]));
+        assert!(Arc::ptr_eq(&before[2], &joined[2]));
+        assert!(joined[0].local.iter().any(|&(c, _)| c == client(2)));
+        assert!(!joined[2].local.iter().any(|&(c, _)| c == client(2)));
+
+        // Detaching the joiner rebuilds only conf7's plans again.
+        n.handle(Input::DetachClient { client: client(2) }).unwrap();
+        let left = warm(&mut n);
+        assert!(!Arc::ptr_eq(&joined[0], &left[0]));
+        assert!(!Arc::ptr_eq(&joined[1], &left[1]));
+        assert!(Arc::ptr_eq(&joined[2], &left[2]));
+        assert_eq!(*left[0], *before[0]);
+
+        // A subscription to everything rebuilds every plan.
+        n.handle(Input::Subscribe {
+            client: client(3),
+            filter: filter("#"),
+        })
+        .unwrap();
+        let all = warm(&mut n);
+        for (old, new) in left.iter().zip(&all) {
+            assert!(!Arc::ptr_eq(old, new));
+            assert!(new.local.iter().any(|&(c, _)| c == client(3)));
+        }
+        assert_eq!(n.plan_cache_len(), 3);
     }
 }

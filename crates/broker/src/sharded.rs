@@ -2,10 +2,11 @@
 //!
 //! [`ShardedBroker`] partitions the topic space across N worker shards.
 //! Each shard runs its own [`BrokerNode`] slice on a dedicated OS
-//! thread — with its own generation-stamped route cache. Both ends of
-//! the hand-off are a buffer behind one short lock, moved whole: a
-//! publish is a push onto the owner shard's bounded ingress queue, the
-//! worker takes everything queued in one swap, and each client's
+//! thread — with its own route cache, from which a subscription change
+//! evicts only the plans its filter matches. Both ends of the hand-off
+//! are a buffer behind one short lock, moved whole: a publish is a push
+//! onto the owner shard's bounded ingress queue, the worker takes
+//! everything queued in one swap, and each client's
 //! deliveries are appended to its mailbox once per processed batch.
 //! A peer is woken only when it is actually asleep, and a worker that
 //! runs out of commands watches its queue for a millisecond before it

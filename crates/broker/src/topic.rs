@@ -302,6 +302,20 @@ struct TrieNode<S> {
     tail: Vec<S>,
 }
 
+impl<S> TrieNode<S> {
+    /// Whether the node holds no subscriber and leads to none.
+    fn is_empty(&self) -> bool {
+        self.children.is_empty() && self.single.is_none() && self.here.is_empty() && self.tail.is_empty()
+    }
+
+    /// Nodes in this subtree, this one included.
+    #[cfg(test)]
+    fn count(&self) -> usize {
+        1 + self.children.values().map(TrieNode::count).sum::<usize>()
+            + self.single.as_ref().map_or(0, |single| single.count())
+    }
+}
+
 impl<S> Default for TrieNode<S> {
     fn default() -> Self {
         Self {
@@ -354,17 +368,51 @@ impl<S: Clone + PartialEq> SubscriptionTable<S> {
         true
     }
 
-    /// Removes a subscription; returns whether it existed.
+    /// Removes a subscription; returns whether it existed. Creates no
+    /// node, and prunes the nodes the removal leaves empty, so the trie
+    /// holds only the filters currently subscribed.
     pub fn unsubscribe(&mut self, filter: &TopicFilter, subscriber: &S) -> bool {
-        let node = Self::descend(&mut self.root, &filter.segments);
-        let bucket = if filter.tail { &mut node.tail } else { &mut node.here };
-        if let Some(pos) = bucket.iter().position(|s| s == subscriber) {
-            bucket.swap_remove(pos);
+        let removed = Self::remove(&mut self.root, &filter.segments, filter.tail, subscriber);
+        if removed {
             self.len -= 1;
-            true
-        } else {
-            false
         }
+        removed
+    }
+
+    fn remove(node: &mut TrieNode<S>, segments: &[FilterSegment], tail: bool, subscriber: &S) -> bool {
+        let Some((head, rest)) = segments.split_first() else {
+            let bucket = if tail { &mut node.tail } else { &mut node.here };
+            let Some(pos) = bucket.iter().position(|s| s == subscriber) else {
+                return false;
+            };
+            bucket.swap_remove(pos);
+            return true;
+        };
+        match head {
+            FilterSegment::Literal(lit) => {
+                let Some(child) = node.children.get_mut(&**lit) else {
+                    return false;
+                };
+                if !Self::remove(child, rest, tail, subscriber) {
+                    return false;
+                }
+                if child.is_empty() {
+                    node.children.remove(&**lit);
+                }
+            }
+            FilterSegment::Single => {
+                let Some(single) = node.single.as_deref_mut() else {
+                    return false;
+                };
+                if !Self::remove(single, rest, tail, subscriber) {
+                    return false;
+                }
+                if single.is_empty() {
+                    node.single = None;
+                }
+            }
+        }
+        true
     }
 
     fn descend<'a>(mut node: &'a mut TrieNode<S>, segments: &[FilterSegment]) -> &'a mut TrieNode<S> {
@@ -399,8 +447,12 @@ impl<S: Clone + PartialEq> SubscriptionTable<S> {
             for child in node.children.values_mut() {
                 removed += prune(child, subscriber);
             }
+            node.children.retain(|_, child| !child.is_empty());
             if let Some(single) = &mut node.single {
                 removed += prune(single, subscriber);
+                if single.is_empty() {
+                    node.single = None;
+                }
             }
             removed
         }
@@ -611,6 +663,28 @@ mod tests {
         assert_eq!(table.unsubscribe_all(&1), 3);
         assert_eq!(table.len(), 1);
         assert_eq!(table.matches(&topic("a/b")), vec![2]);
+        // Root, `a` and `a/b` stay; `x` and its `*` child are pruned.
+        assert_eq!(table.root.count(), 3);
+    }
+
+    #[test]
+    fn unsubscribe_leaves_no_trace() {
+        let mut table: SubscriptionTable<u32> = SubscriptionTable::new();
+        table.subscribe(&filter("keep/*/x"), 7);
+        let kept = table.root.count();
+        for i in 0..10_000 {
+            let f = filter(&format!("s/{}/*/{}/#", i % 97, i));
+            assert!(table.subscribe(&f, i));
+            assert!(table.unsubscribe(&f, &i));
+        }
+        for i in 0..1_000 {
+            assert!(!table.unsubscribe(&filter(&format!("never/{i}/*")), &i));
+        }
+        assert_eq!(table.root.count(), kept);
+        assert!(table.unsubscribe(&filter("keep/*/x"), &7));
+        assert_eq!(table.root.count(), 1, "only the root is left");
+        assert!(table.is_empty());
+        assert!(table.matches(&topic("keep/a/x")).is_empty());
     }
 
     /// Oracle check: trie matching agrees with direct filter matching.

@@ -227,6 +227,13 @@ enum ChurnOp {
     Unsubscribe(usize, TopicFilter),
     RemoteSubscribe(usize, TopicFilter),
     RemoteUnsubscribe(usize, TopicFilter),
+    /// Drop the n-th live subscription (modulo their count), local ones
+    /// first: random unsubscribes rarely name a live one.
+    DropLive(usize),
+    /// Detach a client, then attach the same id again.
+    Detach(usize),
+    /// Take a peer link down, then bring it up again.
+    LinkDown(usize),
     Publish(Topic),
 }
 
@@ -236,6 +243,9 @@ fn churn_op_strategy() -> impl Strategy<Value = ChurnOp> {
         2 => (0usize..6, filter_strategy()).prop_map(|(c, f)| ChurnOp::Unsubscribe(c, f)),
         2 => (0usize..2, filter_strategy()).prop_map(|(p, f)| ChurnOp::RemoteSubscribe(p, f)),
         1 => (0usize..2, filter_strategy()).prop_map(|(p, f)| ChurnOp::RemoteUnsubscribe(p, f)),
+        2 => any::<usize>().prop_map(ChurnOp::DropLive),
+        1 => (0usize..6).prop_map(ChurnOp::Detach),
+        1 => (0usize..2).prop_map(ChurnOp::LinkDown),
         4 => topic_strategy().prop_map(ChurnOp::Publish),
     ]
 }
@@ -244,9 +254,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The memoized route cache never changes what a publish delivers:
-    /// under arbitrary subscribe/unsubscribe/publish interleavings
-    /// (local and remote), the cached plan's delivery and forward sets
-    /// equal a naive re-walk oracle over the tracked subscriptions.
+    /// under arbitrary interleavings of every input that evicts plans —
+    /// (remote) subscribe and unsubscribe, detach, link down — with
+    /// publishes, the cached plan's delivery and forward sets equal a
+    /// naive re-walk oracle over the tracked subscriptions.
     #[test]
     fn route_cache_agrees_with_oracle_under_churn(
         ops in prop::collection::vec(churn_op_strategy(), 1..50),
@@ -265,6 +276,7 @@ proptest! {
         let mut local_subs: Vec<(ClientId, TopicFilter)> = Vec::new();
         let mut remote_subs: Vec<(BrokerId, TopicFilter)> = Vec::new();
         let mut actions: Vec<Action> = Vec::new();
+        let mut published: Vec<Topic> = Vec::new();
         let mut seq = 0u64;
 
         for op in ops {
@@ -293,59 +305,90 @@ proptest! {
                     node.handle(Input::RemoteUnsubscribe { peer, filter: filter.clone() }).unwrap();
                     remote_subs.retain(|entry| *entry != (peer, filter.clone()));
                 }
+                ChurnOp::DropLive(_) if local_subs.is_empty() && remote_subs.is_empty() => {}
+                ChurnOp::DropLive(pick) => {
+                    let pick = pick % (local_subs.len() + remote_subs.len());
+                    if let Some((client, filter)) = local_subs.get(pick).cloned() {
+                        node.handle(Input::Unsubscribe { client, filter }).unwrap();
+                        local_subs.remove(pick);
+                    } else {
+                        let (peer, filter) = remote_subs.remove(pick - local_subs.len());
+                        node.handle(Input::RemoteUnsubscribe { peer, filter }).unwrap();
+                    }
+                }
+                ChurnOp::Detach(index) => {
+                    let client = clients[index];
+                    node.handle(Input::DetachClient { client }).unwrap();
+                    node.handle(Input::AttachClient { client, profile: Default::default() }).unwrap();
+                    local_subs.retain(|(c, _)| *c != client);
+                }
+                ChurnOp::LinkDown(index) => {
+                    let peer = peers[index];
+                    node.handle(Input::LinkDown { peer }).unwrap();
+                    node.handle(Input::LinkUp { peer }).unwrap();
+                    remote_subs.retain(|(p, _)| *p != peer);
+                }
                 ChurnOp::Publish(topic) => {
-                    let event = Event::new(
-                        topic.clone(),
-                        clients[0],
-                        seq,
-                        EventClass::Data,
-                        Bytes::new(),
-                    )
-                    .into_shared();
-                    seq += 1;
-                    actions.clear();
-                    node.handle_into(
-                        Input::Publish {
-                            origin: Origin::Client(clients[0]),
-                            event: Arc::clone(&event),
-                        },
-                        &mut actions,
-                    )
-                    .unwrap();
-                    let mut delivered: Vec<ClientId> = actions
-                        .iter()
-                        .filter_map(|a| match a {
-                            Action::Deliver { client, .. } => Some(*client),
-                            _ => None,
-                        })
-                        .collect();
-                    delivered.sort_unstable();
-                    let mut forwarded: Vec<BrokerId> = actions
-                        .iter()
-                        .filter_map(|a| match a {
-                            Action::Forward { peer, .. } => Some(*peer),
-                            _ => None,
-                        })
-                        .collect();
-                    forwarded.sort_unstable();
+                    if !published.contains(&topic) {
+                        published.push(topic);
+                    }
+                    // Every topic published so far has a cached plan, so
+                    // re-publishing them all checks each plan the control
+                    // ops since then evicted or kept.
+                    for topic in &published {
+                        let event = Event::new(
+                            topic.clone(),
+                            clients[0],
+                            seq,
+                            EventClass::Data,
+                            Bytes::new(),
+                        )
+                        .into_shared();
+                        seq += 1;
+                        actions.clear();
+                        node.handle_into(
+                            Input::Publish {
+                                origin: Origin::Client(clients[0]),
+                                event: Arc::clone(&event),
+                            },
+                            &mut actions,
+                        )
+                        .unwrap();
+                        let mut delivered: Vec<ClientId> = actions
+                            .iter()
+                            .filter_map(|a| match a {
+                                Action::Deliver { client, .. } => Some(*client),
+                                _ => None,
+                            })
+                            .collect();
+                        delivered.sort_unstable();
+                        let mut forwarded: Vec<BrokerId> = actions
+                            .iter()
+                            .filter_map(|a| match a {
+                                Action::Forward { peer, .. } => Some(*peer),
+                                _ => None,
+                            })
+                            .collect();
+                        forwarded.sort_unstable();
 
-                    let mut expected_clients: Vec<ClientId> = local_subs
-                        .iter()
-                        .filter(|(_, f)| f.matches(&topic))
-                        .map(|(c, _)| *c)
-                        .collect();
-                    expected_clients.sort_unstable();
-                    expected_clients.dedup();
-                    let mut expected_peers: Vec<BrokerId> = remote_subs
-                        .iter()
-                        .filter(|(_, f)| f.matches(&topic))
-                        .map(|(p, _)| *p)
-                        .collect();
-                    expected_peers.sort_unstable();
-                    expected_peers.dedup();
+                        let mut expected_clients: Vec<ClientId> = local_subs
+                            .iter()
+                            .filter(|(_, f)| f.matches(topic))
+                            .map(|(c, _)| *c)
+                            .collect();
+                        expected_clients.sort_unstable();
+                        expected_clients.dedup();
+                        let mut expected_peers: Vec<BrokerId> = remote_subs
+                            .iter()
+                            .filter(|(_, f)| f.matches(topic))
+                            .map(|(p, _)| *p)
+                            .collect();
+                        expected_peers.sort_unstable();
+                        expected_peers.dedup();
 
-                    prop_assert_eq!(delivered, expected_clients, "deliveries for {}", &topic);
-                    prop_assert_eq!(forwarded, expected_peers, "forwards for {}", &topic);
+                        prop_assert_eq!(delivered, expected_clients, "deliveries for {}", topic);
+                        prop_assert_eq!(forwarded, expected_peers, "forwards for {}", topic);
+                    }
                 }
             }
         }

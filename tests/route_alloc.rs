@@ -4,7 +4,9 @@
 //! telemetry installed (counters and the fan-out histogram are relaxed
 //! atomic increments into preallocated storage), whether the publish
 //! builds actions (`handle_into`) or only counts and returns its plan
-//! (`publish_plan`, the shard workers' entry), and including the wire
+//! (`publish_plan`, the shard workers' entry), whether or not an
+//! unrelated filter was just subscribed and dropped (the change evicts
+//! no plan it cannot match), and including the wire
 //! encode of every routed event when the frame buffer comes from a warm
 //! buffer pool. An unpooled control phase re-encodes the same events
 //! into fresh `BytesMut` buffers and shows the allocations come back,
@@ -116,7 +118,6 @@ fn warm_publish_allocates_nothing() {
     )
     .unwrap();
     assert_eq!(actions.len(), FANOUT);
-    let generation = node.generation();
 
     let before = thread_allocs();
     for _ in 0..PUBLISHES {
@@ -142,7 +143,6 @@ fn warm_publish_allocates_nothing() {
     );
     // The plan was served from cache the whole time, and telemetry saw
     // every one of those warm publishes without costing an allocation.
-    assert_eq!(node.generation(), generation);
     assert_eq!(node.plan_cache_len(), 1);
     // The warm-up publish built the plan (one miss); every timed
     // publish hit the cache.
@@ -176,6 +176,52 @@ fn warm_publish_allocates_nothing() {
         (2 * PUBLISHES + 1) * FANOUT as u64
     );
     assert_eq!(metrics.fanout.snapshot().count(), 2 * PUBLISHES + 1);
+
+    // Phase 1c — churn beside the warm topic. Before each publish a
+    // spare client subscribes to and drops an unrelated filter; the
+    // change evicts only plans that filter matches, so every publish is
+    // still a hit and still allocation-free. Only the publishes are
+    // counted: the control inputs build their own state.
+    let spare = ClientId::from_raw(10_000);
+    node.handle(Input::AttachClient {
+        client: spare,
+        profile: Default::default(),
+    })
+    .unwrap();
+    let other = TopicFilter::parse("other/#").unwrap();
+    let (hits, misses) = (metrics.route_cache_hits.get(), metrics.route_cache_misses.get());
+    let mut allocs = 0;
+    for _ in 0..PUBLISHES {
+        node.handle(Input::Subscribe {
+            client: spare,
+            filter: other.clone(),
+        })
+        .unwrap();
+        node.handle(Input::Unsubscribe {
+            client: spare,
+            filter: other.clone(),
+        })
+        .unwrap();
+        actions.clear();
+        let before = thread_allocs();
+        node.handle_into(
+            Input::Publish {
+                origin: Origin::Client(publisher),
+                event: Arc::clone(&event),
+            },
+            &mut actions,
+        )
+        .unwrap();
+        allocs += thread_allocs() - before;
+        assert_eq!(actions.len(), FANOUT);
+    }
+    assert_eq!(
+        allocs, 0,
+        "a publish after unrelated churn must not allocate ({allocs} allocations across {PUBLISHES} publishes)",
+    );
+    assert_eq!(metrics.route_cache_hits.get(), hits + PUBLISHES);
+    assert_eq!(metrics.route_cache_misses.get(), misses);
+    assert_eq!(node.plan_cache_len(), 1);
 
     // Phase 2 — publish → deliver → wire-encode, pooled. One warm-up
     // encode charges the pool's one-time class allocation; after that,
