@@ -20,7 +20,6 @@
 //! `#`-prefixed lines and blank lines are comments.
 
 use crate::lints::Violation;
-use crate::scan::normalize_ws;
 
 /// One parsed allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,6 +129,12 @@ pub fn apply(
     (kept, suppressed, stale)
 }
 
+/// Collapses runs of whitespace to single spaces and trims: the canonical
+/// form of a snippet, tolerant of re-indentation.
+pub fn normalize_ws(line: &str) -> String {
+    line.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
 /// Renders a violation as a ready-to-paste allowlist line (with a
 /// placeholder justification the author must replace).
 pub fn render_entry(v: &Violation) -> String {
@@ -195,6 +200,11 @@ mod tests {
         assert_eq!(errors.len(), 2);
         assert_eq!(errors[0].line, 1);
         assert!(errors[1].message.contains("justification"));
+    }
+
+    #[test]
+    fn normalize_collapses_whitespace() {
+        assert_eq!(normalize_ws("  a\t b   c "), "a b c");
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl CallGraph {
         let mut methods_by_name: HashMap<String, Vec<NodeId>> = HashMap::new();
         for (fi, file) in files.iter().enumerate() {
             for (di, def) in file.fns.iter().enumerate() {
-                if !include(&file.src.path, def.is_test) {
+                if !include(&file.path, def.is_test) {
                     continue;
                 }
                 let id = nodes.len();
@@ -96,7 +96,7 @@ impl CallGraph {
             let file = &files[fi];
             let def = &file.fns[di];
             let toks = &file.toks;
-            let file_stem = stem(&file.src.path);
+            let file_stem = stem(&file.path);
             let mut calls = Vec::new();
             let body = def.body.clone();
             for i in body.clone() {
@@ -156,7 +156,7 @@ impl CallGraph {
                                     let matching: Vec<NodeId> = fs
                                         .iter()
                                         .copied()
-                                        .filter(|&c| stem(&files[graph.nodes[c].file].src.path) == *q)
+                                        .filter(|&c| stem(&files[graph.nodes[c].file].path) == *q)
                                         .collect();
                                     if matching.is_empty() {
                                         targets.extend(fs.iter().copied());
@@ -207,7 +207,7 @@ impl CallGraph {
     pub fn find_fn(&self, files: &[ParsedFile], path_suffix: &str, name: &str) -> Option<NodeId> {
         self.nodes.iter().position(|n| {
             let f = &files[n.file];
-            f.src.path.ends_with(path_suffix) && f.fns[n.def].name == name
+            f.path.ends_with(path_suffix) && f.fns[n.def].name == name
         })
     }
 
@@ -217,7 +217,7 @@ impl CallGraph {
             .filter(|&id| {
                 let n = &self.nodes[id];
                 let f = &files[n.file];
-                f.src.path.ends_with(path_suffix) && f.fns[n.def].name == name
+                f.path.ends_with(path_suffix) && f.fns[n.def].name == name
             })
             .collect()
     }
@@ -315,12 +315,11 @@ fn stem(path: &str) -> String {
 mod tests {
     use super::*;
     use crate::parse::parse_file;
-    use crate::scan::SourceFile;
 
     fn graph(srcs: &[(&str, &str)]) -> (Vec<ParsedFile>, CallGraph) {
         let files: Vec<ParsedFile> = srcs
             .iter()
-            .map(|(p, s)| parse_file(SourceFile::parse(p, s)))
+            .map(|(p, s)| parse_file(p, s))
             .collect();
         let g = CallGraph::build(&files, |_, is_test| !is_test);
         (files, g)

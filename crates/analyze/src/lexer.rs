@@ -1,10 +1,9 @@
-//! A hand-rolled Rust lexer for the token-level passes.
+//! A hand-rolled Rust lexer: the analyzer's only reader of source text.
 //!
-//! The masking scanner ([`crate::scan`]) answers "is this byte inside a
-//! comment or literal?" per line; the call-graph passes need more — real
-//! token boundaries, so `Foo::bar(` or `.unwrap()` can be matched
-//! structurally instead of by substring. This lexer produces exactly the
-//! token stream those passes need and nothing more:
+//! Every lint and pass matches tokens, never raw text, so `Foo::bar(` or
+//! `.unwrap()` is matched structurally and nothing inside a comment or
+//! a literal can match. The lexer produces exactly the token stream the
+//! parser ([`crate::parse`]) and the lints need and nothing more:
 //!
 //! * Comments (line, doc, and *nested* block comments) are skipped.
 //! * String-ish literals — plain, raw (`r#".."#`), byte, byte-raw — are
@@ -115,21 +114,7 @@ pub fn lex(source: &str) -> Vec<Tok> {
             }
             '"' => {
                 let start_line = line;
-                i += 1;
-                while i < chars.len() {
-                    match chars[i] {
-                        '\\' => i += 2,
-                        '"' => {
-                            i += 1;
-                            break;
-                        }
-                        '\n' => {
-                            line += 1;
-                            i += 1;
-                        }
-                        _ => i += 1,
-                    }
-                }
+                i = skip_escaped_str(&chars, i + 1, &mut line);
                 toks.push(Tok {
                     kind: TokKind::Str,
                     text: "\"".to_owned(),
@@ -161,20 +146,7 @@ pub fn lex(source: &str) -> Vec<Tok> {
                         if hashes == 0 && chars.get(quote_at) == Some(&'"') && lit_is_escaped(&chars, i - 1)
                         {
                             // b"..": plain escapes apply.
-                            while i < chars.len() {
-                                match chars[i] {
-                                    '\\' => i += 2,
-                                    '"' => {
-                                        i += 1;
-                                        break;
-                                    }
-                                    '\n' => {
-                                        line += 1;
-                                        i += 1;
-                                    }
-                                    _ => i += 1,
-                                }
-                            }
+                            i = skip_escaped_str(&chars, i, &mut line);
                         } else {
                             // Raw: ends at `"` followed by `hashes` hashes.
                             while i < chars.len() {
@@ -249,7 +221,9 @@ pub fn lex(source: &str) -> Vec<Tok> {
                         }
                         chars.get(j) == Some(&'\'')
                     }
-                    Some(n) if !n.is_whitespace() && n != '\'' => true, // '(' etc.
+                    // `' '`: no lifetime starts with whitespace.
+                    Some(n) if n.is_whitespace() => chars.get(i + 2) == Some(&'\''),
+                    Some(n) if n != '\'' => true, // '(' etc.
                     _ => false,
                 };
                 if is_char {
@@ -313,6 +287,29 @@ pub fn lex(source: &str) -> Vec<Tok> {
         }
     }
     toks
+}
+
+/// From just past the opening `"` of an escape-processing string, returns
+/// the index just past its closing `"`, counting every newline it spans
+/// into `line` — including one an escape skips (`\` at a line end).
+fn skip_escaped_str(chars: &[char], mut i: usize, line: &mut u32) -> usize {
+    while i < chars.len() {
+        match chars[i] {
+            '\\' => {
+                if chars.get(i + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
+            '"' => return i + 1,
+            '\n' => {
+                *line += 1;
+                i += 1;
+            }
+            _ => i += 1,
+        }
+    }
+    i
 }
 
 #[derive(Clone, Copy)]
@@ -386,11 +383,11 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let toks = kinds_and_texts("fn f<'a>(x: &'a str) { let c = 'a'; let n = '\\n'; }");
+        let toks = kinds_and_texts("fn f<'a>(x: &'a str) { let c = 'a'; let n = '\\n'; let s = ' '; }");
         assert!(toks.contains(&(TokKind::Lifetime, "'a".to_owned())));
         assert_eq!(
             toks.iter().filter(|(k, _)| *k == TokKind::Char).count(),
-            2,
+            3,
             "{toks:?}"
         );
         assert_eq!(
@@ -437,6 +434,12 @@ mod tests {
                 (TokKind::Ident, "b".to_owned())
             ]
         );
+    }
+
+    #[test]
+    fn escaped_newlines_count_as_lines() {
+        let toks = lex("let s = \"a \\\n b\";\nx");
+        assert_eq!(toks.last().map(|t| (t.text.as_str(), t.line)), Some(("x", 3)));
     }
 
     #[test]

@@ -17,14 +17,13 @@
 //! | `pub-item-doc-coverage` | `broker` and `xgsp` public items are documented |
 //! | `shim-api-drift` | vendored shims export nothing the workspace does not use |
 //!
-//! The engine is deliberately dependency-free and has two layers. The
-//! line layer is a masking scanner ([`scan`]) that blanks
-//! comments/strings and computes `#[cfg(test)]` and `macro_rules!`
-//! regions; each line lint ([`lints`]) is a scoped substring scan over
-//! that clean view. The token layer is a hand-rolled Rust lexer
-//! ([`lexer`]), a function-level parser ([`parse`]), and an
-//! intra-workspace call graph ([`callgraph`]); the call-graph passes
-//! ([`passes`]) judge *reachability* over that IR instead of lines in
+//! The engine is deliberately dependency-free and reads Rust once: a
+//! hand-rolled lexer ([`lexer`]) and an item parser ([`parse`]) turn
+//! each file into one [`ParsedFile`] — tokens, functions, consts, and
+//! the `#[cfg(test)]` and `macro_rules!` spans. The line lints
+//! ([`lints`]) match token sequences in it; the call-graph passes
+//! ([`passes`]) build an intra-workspace call graph ([`callgraph`]) over
+//! the same files and judge *reachability* instead of lines in
 //! isolation. Deliberate violations live in a checked-in [`allowlist`]
 //! (`analyze.allow`) whose entries require a justification and go stale
 //! (error) the moment the code they cover changes.
@@ -39,7 +38,6 @@ pub mod lexer;
 pub mod lints;
 pub mod parse;
 pub mod passes;
-pub mod scan;
 
 use std::fs;
 use std::io;
@@ -47,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 use allowlist::Entry;
 use lints::Violation;
-use scan::SourceFile;
+use parse::{parse_file, ParsedFile};
 
 /// Default allowlist file name, resolved against the workspace root.
 pub const ALLOWLIST_FILE: &str = "analyze.allow";
@@ -78,16 +76,16 @@ impl Report {
 /// `check_workspace` runs on disk files. Used by the fixture tests and
 /// usable by other tooling.
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Violation> {
-    let files: Vec<SourceFile> = sources
+    let files: Vec<ParsedFile> = sources
         .iter()
-        .map(|(path, content)| SourceFile::parse(path, content))
+        .map(|(path, content)| parse_file(path, content))
         .collect();
     run_lints_and_passes(&files)
 }
 
 /// Runs the line lints and the call-graph passes over one file set,
 /// merged and sorted by path, line, lint.
-fn run_lints_and_passes(files: &[SourceFile]) -> Vec<Violation> {
+fn run_lints_and_passes(files: &[ParsedFile]) -> Vec<Violation> {
     let mut violations = lints::run_all(files);
     violations.extend(passes::run_all(files));
     violations.sort_by(|a, b| {
@@ -141,9 +139,9 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
     })
 }
 
-/// Reads every workspace `.rs` file under `root` into [`SourceFile`]s,
-/// in sorted path order (the same file set `check_workspace` lints).
-pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
+/// Reads and parses every workspace `.rs` file under `root`, in sorted
+/// path order (the same file set `check_workspace` lints).
+pub fn load_workspace(root: &Path) -> io::Result<Vec<ParsedFile>> {
     let mut paths = Vec::new();
     for top in ["crates", "src", "tests", "examples"] {
         let dir = root.join(top);
@@ -156,7 +154,7 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     for path in &paths {
         let content = fs::read_to_string(path)?;
         let rel = relative_slash(root, path);
-        files.push(SourceFile::parse(&rel, &content));
+        files.push(parse_file(&rel, &content));
     }
     Ok(files)
 }
@@ -169,10 +167,10 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
 ///
 /// Returns any I/O error encountered while walking or reading sources.
 pub fn graph_dot(root: &Path) -> io::Result<(String, String)> {
-    let sources = load_workspace(root)?;
-    let ws = passes::Workspace::build(&sources);
-    let lock = passes::lock_order::build(&ws.files, &ws.graph);
-    Ok((ws.graph.to_dot(&ws.files), lock.to_dot(&ws.files)))
+    let files = load_workspace(root)?;
+    let ws = passes::Workspace::build(&files);
+    let lock = passes::lock_order::build(&files, &ws.graph);
+    Ok((ws.graph.to_dot(&files), lock.to_dot(&files)))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

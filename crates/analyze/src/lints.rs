@@ -1,10 +1,17 @@
-//! The project-specific lints.
+//! The project-specific line lints.
 //!
-//! Every lint is a pure function from the parsed [`SourceFile`] set to a
-//! list of [`Violation`]s. Scoping rules (which crates a lint covers) live
-//! here, next to the lint logic, so the engine stays generic.
+//! Every lint is a pure function from the [`ParsedFile`] set to a list
+//! of [`Violation`]s. A lint matches token sequences, so text in
+//! comments and literals never matches, and it skips `#[cfg(test)]` and
+//! `macro_rules!` spans by token index. Scoping rules (which crates a
+//! lint covers) live here, next to the lint logic, so the engine stays
+//! generic.
 
-use crate::scan::{contains_word, normalize_ws, SourceFile};
+use std::collections::{BTreeSet, HashSet};
+
+use crate::allowlist::normalize_ws;
+use crate::lexer::{Tok, TokKind};
+use crate::parse::{skip_balanced, ParsedFile};
 
 /// One diagnostic produced by a lint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,13 +29,14 @@ pub struct Violation {
 }
 
 impl Violation {
-    pub(crate) fn new(lint: &'static str, file: &SourceFile, idx: usize, message: String) -> Violation {
+    pub(crate) fn new(lint: &'static str, file: &ParsedFile, line: u32, message: String) -> Violation {
+        let line = line as usize;
         Violation {
             lint,
             path: file.path.clone(),
-            line: idx + 1,
+            line,
             message,
-            snippet: normalize_ws(&file.raw[idx]),
+            snippet: normalize_ws(file.raw.get(line - 1).map_or("", String::as_str)),
         }
     }
 }
@@ -85,7 +93,7 @@ fn is_first_party_lib(path: &str) -> bool {
 
 /// Runs every lint over the parsed files, returning diagnostics sorted by
 /// path, line, lint.
-pub fn run_all(files: &[SourceFile]) -> Vec<Violation> {
+pub fn run_all(files: &[ParsedFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     for file in files {
         no_std_sync_locks(file, &mut out);
@@ -103,57 +111,85 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Violation> {
     out
 }
 
+/// Whether the token texts from `i` on are exactly `pattern`.
+fn at(toks: &[Tok], i: usize, pattern: &[&str]) -> bool {
+    pattern
+        .iter()
+        .enumerate()
+        .all(|(k, p)| toks.get(i + k).is_some_and(|t| t.text == *p))
+}
+
+/// Whether token `i` is the first on its line.
+fn starts_line(toks: &[Tok], i: usize) -> bool {
+    i == 0 || toks[i - 1].line < toks[i].line
+}
+
+const LOCK_PRIMITIVES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
+
 /// `no-std-sync-locks`: first-party code must use the instrumented
 /// `parking_lot` shim, never `std::sync` locks — otherwise the deadlock
-/// detector is blind to the acquisition.
-fn no_std_sync_locks(file: &SourceFile, out: &mut Vec<Violation>) {
+/// detector is blind to the acquisition. A `std::sync::` path is
+/// followed into its whole `{..}` use tree, over as many lines as it
+/// spans.
+fn no_std_sync_locks(file: &ParsedFile, out: &mut Vec<Violation>) {
     if !is_first_party_lib(&file.path) {
         return;
     }
-    for (i, line) in file.masked.iter().enumerate() {
-        if !line.contains("std::sync::") {
+    let toks = &file.toks;
+    let mut hits = BTreeSet::new();
+    for i in 0..toks.len() {
+        if !at(toks, i, &["std", "::", "sync", "::"]) {
             continue;
         }
-        for primitive in ["Mutex", "RwLock", "Condvar"] {
-            if contains_word(line, primitive) {
-                out.push(Violation::new(
-                    "no-std-sync-locks",
-                    file,
-                    i,
-                    format!(
-                        "std::sync::{primitive} bypasses the instrumented parking_lot \
-                         shim (lock-order deadlock detection); use parking_lot::{primitive}"
-                    ),
-                ));
+        let tail = i + 4;
+        let end = if at(toks, tail, &["{"]) { skip_balanced(toks, tail, "{", "}") } else { tail + 1 };
+        for t in toks.get(tail..end).unwrap_or_default() {
+            if let Some(p) = LOCK_PRIMITIVES.iter().position(|p| t.is_ident(p)) {
+                hits.insert((t.line, p));
             }
         }
+    }
+    for (line, p) in hits {
+        let primitive = LOCK_PRIMITIVES[p];
+        out.push(Violation::new(
+            "no-std-sync-locks",
+            file,
+            line,
+            format!(
+                "std::sync::{primitive} bypasses the instrumented parking_lot \
+                 shim (lock-order deadlock detection); use parking_lot::{primitive}"
+            ),
+        ));
     }
 }
 
 /// `no-direct-instant-now`: wall-clock reads outside `util::time` break
 /// the deterministic-simulation contract; only the virtual clock (and the
 /// vendored shims) may consult the OS.
-fn no_direct_instant_now(file: &SourceFile, out: &mut Vec<Violation>) {
+fn no_direct_instant_now(file: &ParsedFile, out: &mut Vec<Violation>) {
     if !is_first_party_lib(&file.path) || file.path == "crates/util/src/time.rs" {
         return;
     }
-    for (i, line) in file.masked.iter().enumerate() {
-        if file.in_test[i] {
-            continue;
-        }
-        for clock in ["Instant::now", "SystemTime::now"] {
-            if line.contains(clock) {
-                out.push(Violation::new(
-                    "no-direct-instant-now",
-                    file,
-                    i,
-                    format!(
-                        "{clock}() in library code; simulation determinism requires \
-                         mmcs_util::time (allowlist only for real-time drivers)"
-                    ),
-                ));
+    const CLOCKS: [[&str; 3]; 2] = [["Instant", "::", "now"], ["SystemTime", "::", "now"]];
+    let mut hits = BTreeSet::new();
+    for (i, t) in file.toks.iter().enumerate() {
+        if let Some(c) = CLOCKS.iter().position(|c| at(&file.toks, i, c)) {
+            if !file.in_test(i) {
+                hits.insert((t.line, c));
             }
         }
+    }
+    for (line, c) in hits {
+        let clock = CLOCKS[c].concat();
+        out.push(Violation::new(
+            "no-direct-instant-now",
+            file,
+            line,
+            format!(
+                "{clock}() in library code; simulation determinism requires \
+                 mmcs_util::time (allowlist only for real-time drivers)"
+            ),
+        ));
     }
 }
 
@@ -163,36 +199,34 @@ fn no_direct_instant_now(file: &SourceFile, out: &mut Vec<Violation>) {
 /// per-packet cost path. Use pooled buffers (`mmcs_util::pool`) or
 /// `Bytes::slice` views instead; a deliberate copy needs an allowlist
 /// entry with a justification.
-fn no_hot_path_payload_copy(file: &SourceFile, out: &mut Vec<Violation>) {
+fn no_hot_path_payload_copy(file: &ParsedFile, out: &mut Vec<Violation>) {
     if !HOT_PATH_MODULES.contains(&file.path.as_str()) {
         return;
     }
-    for (i, line) in file.masked.iter().enumerate() {
-        if file.in_test[i] || file.in_macro[i] {
-            continue;
+    const COPIES: [(&[&str], &str); 2] = [
+        (
+            &[".", "to_vec", "(", ")"],
+            "`.to_vec()` copies the payload on a per-packet hot path; use a \
+             pooled buffer or a `Bytes::slice` view (or allowlist with a \
+             justification)",
+        ),
+        (
+            &["Vec", "<", "Vec", "<", "u8", ">", ">"],
+            "`Vec<Vec<u8>>` allocates per fragment on a per-packet hot path; \
+             use a single pooled frame or `Vec<Bytes>` slices (or allowlist \
+             with a justification)",
+        ),
+    ];
+    let mut hits = BTreeSet::new();
+    for (i, t) in file.toks.iter().enumerate() {
+        if let Some(c) = COPIES.iter().position(|(pattern, _)| at(&file.toks, i, pattern)) {
+            if !file.in_test(i) && !file.in_macro(i) {
+                hits.insert((t.line, c));
+            }
         }
-        if line.contains(".to_vec()") {
-            out.push(Violation::new(
-                "no-hot-path-payload-copy",
-                file,
-                i,
-                "`.to_vec()` copies the payload on a per-packet hot path; use a \
-                 pooled buffer or a `Bytes::slice` view (or allowlist with a \
-                 justification)"
-                    .to_owned(),
-            ));
-        }
-        if line.replace(' ', "").contains("Vec<Vec<u8>>") {
-            out.push(Violation::new(
-                "no-hot-path-payload-copy",
-                file,
-                i,
-                "`Vec<Vec<u8>>` allocates per fragment on a per-packet hot path; \
-                 use a single pooled frame or `Vec<Bytes>` slices (or allowlist \
-                 with a justification)"
-                    .to_owned(),
-            ));
-        }
+    }
+    for (line, c) in hits {
+        out.push(Violation::new("no-hot-path-payload-copy", file, line, COPIES[c].1.to_owned()));
     }
 }
 
@@ -200,94 +234,95 @@ const ITEM_KEYWORDS: &[&str] = &[
     "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
 ];
 
-/// If the masked line declares a `pub` item, returns the item keyword.
-/// `pub use` and restricted visibility (`pub(crate)` etc.) are skipped.
-fn pub_item_keyword(trimmed: &str) -> Option<&'static str> {
-    let rest = trimmed.strip_prefix("pub ")?;
-    let mut tokens = rest.split_whitespace().peekable();
+/// If token `i` is a `pub` that opens its line and declares an item,
+/// returns the index of the item keyword. `pub use` and restricted
+/// visibility (`pub(crate)` etc.) are skipped.
+fn pub_item(toks: &[Tok], i: usize) -> Option<usize> {
+    if !toks[i].is_ident("pub") || !starts_line(toks, i) {
+        return None;
+    }
+    let is_keyword = |k: usize| {
+        toks.get(k)
+            .is_some_and(|t| t.kind == TokKind::Ident && ITEM_KEYWORDS.contains(&t.text.as_str()))
+    };
     // Skip modifiers: `pub const fn`, `pub unsafe fn`, `pub async fn`,
     // `pub extern "C" fn`. A modifier keyword followed by a non-keyword
     // token is itself the item (`pub const MAX: usize`).
-    let mut current = tokens.next()?;
+    let mut k = i + 1;
     loop {
-        match current {
-            "use" => return None,
+        let t = toks.get(k).filter(|t| t.kind == TokKind::Ident)?;
+        match t.text.as_str() {
             "const" | "static" | "unsafe" | "async" | "extern" => {
-                let next = tokens.next()?;
-                if ITEM_KEYWORDS.contains(&next) {
-                    current = next;
-                } else if current == "extern" {
-                    // `pub extern "C" fn name` — the ABI string was masked
-                    // to `" "`; keep scanning.
-                    current = next;
-                    continue;
-                } else {
-                    return ITEM_KEYWORDS
-                        .iter()
-                        .find(|k| **k == current)
-                        .copied();
+                let mut next = k + 1;
+                if t.text == "extern" && toks.get(next).is_some_and(|n| n.kind == TokKind::Str) {
+                    next += 1;
                 }
+                if !is_keyword(next) {
+                    return is_keyword(k).then_some(k);
+                }
+                k = next;
             }
-            kw if ITEM_KEYWORDS.contains(&kw) => {
-                return ITEM_KEYWORDS.iter().find(|k| **k == kw).copied()
-            }
-            _ => return None,
+            _ => return is_keyword(k).then_some(k),
         }
     }
 }
 
-/// Extracts the identifier following the item keyword on a declaration
-/// line, e.g. `fn` in `pub fn name<T>(..)` yields `name`.
-fn item_name<'a>(trimmed: &'a str, keyword: &str) -> Option<&'a str> {
-    let kw_pos = trimmed.find(&format!("{keyword} "))?;
-    let after = &trimmed[kw_pos + keyword.len() + 1..];
-    let name: &str = after
-        .trim_start()
-        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .next()?;
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
+/// The item keyword at `k` as a static string, and the item's name.
+fn keyword_and_name(toks: &[Tok], k: usize) -> (&'static str, Option<&str>) {
+    let keyword = ITEM_KEYWORDS
+        .iter()
+        .find(|kw| toks[k].text == **kw)
+        .copied()
+        .unwrap_or("item");
+    let name = toks
+        .get(k + 1)
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str());
+    (keyword, name)
+}
+
+/// Whether the tokens on 1-based `line` end in `)]`: the close of a
+/// multi-line attribute.
+fn closes_attribute(toks: &[Tok], line: u32) -> bool {
+    let end = toks.partition_point(|t| t.line <= line);
+    end >= 2
+        && toks[end - 2].line == line
+        && toks[end - 2].is_punct(")")
+        && toks[end - 1].is_punct("]")
 }
 
 /// `pub-item-doc-coverage`: every public item in the broker and XGSP
 /// crates carries a `///` doc comment (these are the paper's two core
 /// protocol surfaces; their rustdoc is the reference for integrators).
-fn pub_item_doc_coverage(file: &SourceFile, out: &mut Vec<Violation>) {
+fn pub_item_doc_coverage(file: &ParsedFile, out: &mut Vec<Violation>) {
     if !in_crate_src(&file.path, DOC_COVERED_CRATES) {
         return;
     }
-    for (i, line) in file.masked.iter().enumerate() {
-        if file.in_test[i] || file.in_macro[i] {
-            continue;
-        }
-        let trimmed = line.trim_start();
-        let Some(keyword) = pub_item_keyword(trimmed) else {
+    let toks = &file.toks;
+    for i in 0..toks.len() {
+        let Some(k) = pub_item(toks, i) else {
             continue;
         };
+        if file.in_test(i) || file.in_macro(i) {
+            continue;
+        }
+        let (keyword, name) = keyword_and_name(toks, k);
         // A file module is documented by its own `//!` header. rustdoc
         // resolves a `///` line on `pub mod name;` in the parent's scope
         // and then the header's links there too, which breaks them.
-        if keyword == "mod" && trimmed.trim_end().ends_with(';') {
+        if keyword == "mod" && toks.get(k + 2).is_some_and(|t| t.is_punct(";")) {
             continue;
         }
         // Walk up over attribute lines to the line that should be a doc
         // comment.
-        let mut j = i;
+        let mut j = toks[i].line as usize - 1;
         let documented = loop {
             if j == 0 {
                 break false;
             }
             j -= 1;
             let above = file.raw[j].trim_start();
-            if above.starts_with("#[") || above.starts_with("#!") {
-                continue;
-            }
-            // Multi-line attributes: a masked line that closes an
-            // attribute bracket, e.g. `)]`.
-            if file.masked[j].trim_end().ends_with(")]") {
+            if above.starts_with("#[") || above.starts_with("#!") || closes_attribute(toks, j as u32 + 1) {
                 continue;
             }
             break above.starts_with("///")
@@ -296,12 +331,11 @@ fn pub_item_doc_coverage(file: &SourceFile, out: &mut Vec<Violation>) {
                 || above.ends_with("*/");
         };
         if !documented {
-            let name = item_name(trimmed, keyword).unwrap_or("<unnamed>");
             out.push(Violation::new(
                 "pub-item-doc-coverage",
                 file,
-                i,
-                format!("public {keyword} `{name}` has no doc comment"),
+                toks[i].line,
+                format!("public {keyword} `{}` has no doc comment", name.unwrap_or("<unnamed>")),
             ));
         }
     }
@@ -309,66 +343,58 @@ fn pub_item_doc_coverage(file: &SourceFile, out: &mut Vec<Violation>) {
 
 /// `shim-api-drift`: the vendored shims under `crates/shims/` exist only
 /// to satisfy the workspace's use of the real crates' APIs. Any `pub`
-/// name a shim exports that nothing outside the shim uses is drift —
-/// untested surface pretending to be the real crate.
-fn shim_api_drift(files: &[SourceFile], out: &mut Vec<Violation>) {
-    // Collect exports per shim crate.
-    struct Export {
+/// name a shim exports that no code outside the shim names is drift —
+/// untested surface pretending to be the real crate. A use is an
+/// identifier token, so a mention in a comment or a string does not
+/// count; the shim's own `#[macro_export]` macro bodies do count, since
+/// they expand in the caller's crate.
+fn shim_api_drift(files: &[ParsedFile], out: &mut Vec<Violation>) {
+    struct Export<'a> {
         shim_prefix: String, // "crates/shims/<name>/"
-        file_idx: usize,
-        line_idx: usize,
+        file: &'a ParsedFile,
+        line: u32,
         name: String,
         keyword: &'static str,
     }
     let mut exports: Vec<Export> = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        if !is_shim(&file.path) {
-            continue;
-        }
+    for file in files {
         let Some(shim_prefix) = shim_prefix(&file.path) else {
             continue;
         };
-        for (i, line) in file.masked.iter().enumerate() {
-            if file.in_test[i] {
+        let toks = &file.toks;
+        for i in 0..toks.len() {
+            if !starts_line(toks, i) || file.in_test(i) {
                 continue;
             }
-            let trimmed = line.trim_start();
-            // The `macro_rules!` trigger line is itself inside the macro
-            // region, so handle it before the region skip.
-            if trimmed.starts_with("macro_rules!") && was_macro_exported(file, i) {
-                if let Some(name) = item_name(trimmed, "macro_rules!") {
-                    exports.push(Export {
-                        shim_prefix: shim_prefix.clone(),
-                        file_idx: fi,
-                        line_idx: i,
-                        name: name.to_owned(),
-                        keyword: "macro",
-                    });
+            let mut export = |name: &str, keyword| {
+                exports.push(Export {
+                    shim_prefix: shim_prefix.clone(),
+                    file,
+                    line: toks[i].line,
+                    name: name.to_owned(),
+                    keyword,
+                })
+            };
+            // The `macro_rules` token opens its own macro span, so handle
+            // it before the span skip.
+            if at(toks, i, &["macro_rules", "!"]) {
+                if let Some(name) = toks.get(i + 2).filter(|t| t.kind == TokKind::Ident) {
+                    if is_macro_exported(toks, i) {
+                        export(&name.text, "macro");
+                    }
                 }
                 continue;
             }
-            if file.in_macro[i] {
+            if file.in_macro(i) {
                 continue;
             }
-            if let Some(keyword) = pub_item_keyword(trimmed) {
-                if let Some(name) = item_name(trimmed, keyword) {
-                    exports.push(Export {
-                        shim_prefix: shim_prefix.clone(),
-                        file_idx: fi,
-                        line_idx: i,
-                        name: name.to_owned(),
-                        keyword,
-                    });
+            if let Some(k) = pub_item(toks, i) {
+                if let (keyword, Some(name)) = keyword_and_name(toks, k) {
+                    export(name, keyword);
                 }
-            } else if trimmed.starts_with("pub use ") {
-                for name in reexported_names(trimmed) {
-                    exports.push(Export {
-                        shim_prefix: shim_prefix.clone(),
-                        file_idx: fi,
-                        line_idx: i,
-                        name,
-                        keyword: "use",
-                    });
+            } else if at(toks, i, &["pub", "use"]) {
+                for name in use_leaves(toks, i + 2) {
+                    export(name, "use");
                 }
             }
         }
@@ -377,21 +403,46 @@ fn shim_api_drift(files: &[SourceFile], out: &mut Vec<Violation>) {
     exports.sort_by(|a, b| {
         (&a.shim_prefix, &a.name)
             .cmp(&(&b.shim_prefix, &b.name))
-            .then(a.line_idx.cmp(&b.line_idx))
+            .then(a.line.cmp(&b.line))
     });
     exports.dedup_by(|a, b| a.shim_prefix == b.shim_prefix && a.name == b.name);
 
+    // Where each file names an export in code: anywhere outside its own
+    // shim, or inside the shim's `#[macro_export]` macro bodies, which
+    // expand in the caller's crate.
+    let wanted: HashSet<&str> = exports.iter().map(|e| e.name.as_str()).collect();
+    let named: Vec<(HashSet<&str>, HashSet<&str>)> = files
+        .iter()
+        .map(|f| {
+            let bodies: Vec<_> = f
+                .macro_spans
+                .iter()
+                .filter(|s| is_macro_exported(&f.toks, s.start))
+                .map(|s| s.start + 3..s.end)
+                .collect();
+            let mut anywhere = HashSet::new();
+            let mut expanded = HashSet::new();
+            for (i, t) in f.toks.iter().enumerate() {
+                if t.kind == TokKind::Ident && wanted.contains(t.text.as_str()) {
+                    anywhere.insert(t.text.as_str());
+                    if bodies.iter().any(|b| b.contains(&i)) {
+                        expanded.insert(t.text.as_str());
+                    }
+                }
+            }
+            (anywhere, expanded)
+        })
+        .collect();
     for export in &exports {
-        let used = files.iter().any(|f| {
-            !f.path.starts_with(&export.shim_prefix)
-                && f.raw.iter().any(|l| contains_word(l, &export.name))
+        let used = files.iter().zip(&named).any(|(f, (anywhere, expanded))| {
+            let names = if f.path.starts_with(&export.shim_prefix) { expanded } else { anywhere };
+            names.contains(export.name.as_str())
         });
         if !used {
-            let file = &files[export.file_idx];
             out.push(Violation::new(
                 "shim-api-drift",
-                file,
-                export.line_idx,
+                export.file,
+                export.line,
                 format!(
                     "shim export `{}` ({}) is used nowhere outside {}; \
                      shims may only mirror API the workspace exercises",
@@ -404,20 +455,31 @@ fn shim_api_drift(files: &[SourceFile], out: &mut Vec<Violation>) {
     }
 }
 
-/// `macro_rules!` at line `i` is exported if the preceding attribute
-/// lines include `#[macro_export]`.
-fn was_macro_exported(file: &SourceFile, i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let above = file.raw[j].trim_start();
-        if above.starts_with("#[") {
-            if above.contains("macro_export") {
-                return true;
+/// Whether the `macro_rules` at `i` carries `#[macro_export]` among the
+/// attributes right before it.
+fn is_macro_exported(toks: &[Tok], mut i: usize) -> bool {
+    while i >= 2 && toks[i - 1].is_punct("]") {
+        // Walk back to the `[` that opens this attribute.
+        let mut depth = 0i64;
+        let mut open = i - 1;
+        loop {
+            if toks[open].is_punct("]") {
+                depth += 1;
+            } else if toks[open].is_punct("[") {
+                depth -= 1;
             }
-            continue;
+            if depth == 0 || open == 0 {
+                break;
+            }
+            open -= 1;
         }
-        break;
+        if open == 0 || !toks[open - 1].is_punct("#") {
+            return false;
+        }
+        if toks[open..i].iter().any(|t| t.is_ident("macro_export")) {
+            return true;
+        }
+        i = open - 1;
     }
     false
 }
@@ -429,32 +491,23 @@ fn shim_prefix(path: &str) -> Option<String> {
     Some(format!("crates/shims/{name}/"))
 }
 
-/// Names introduced by a `pub use` line: last path segment of each leaf,
-/// honoring `as` renames; glob re-exports contribute nothing.
-fn reexported_names(trimmed: &str) -> Vec<String> {
-    let Some(rest) = trimmed.strip_prefix("pub use ") else {
-        return Vec::new();
-    };
-    let rest = rest.trim_end().trim_end_matches(';');
+/// Names a `use` tree starting at `toks[i]` binds: the last segment of
+/// each leaf, honoring `as` renames; globs and `self` bind nothing.
+fn use_leaves(toks: &[Tok], i: usize) -> Vec<&str> {
     let mut names = Vec::new();
-    let leaves: Vec<&str> = if let Some(open) = rest.find('{') {
-        let inner = rest[open + 1..].trim_end_matches('}');
-        inner.split(',').collect()
-    } else {
-        vec![rest]
-    };
-    for leaf in leaves {
-        let leaf = leaf.trim();
-        if leaf.is_empty() || leaf.ends_with('*') {
-            continue;
-        }
-        let name = if let Some((_, renamed)) = leaf.split_once(" as ") {
-            renamed.trim()
-        } else {
-            leaf.rsplit("::").next().unwrap_or(leaf).trim()
-        };
-        if !name.is_empty() && name != "self" {
-            names.push(name.to_owned());
+    let mut leaf = None;
+    for t in toks.iter().skip(i) {
+        match t.text.as_str() {
+            "{" | "*" => leaf = None,
+            "," | "}" | ";" => {
+                names.extend(leaf.take().filter(|n| *n != "self"));
+                if t.text == ";" {
+                    break;
+                }
+            }
+            "as" => {}
+            name if t.kind == TokKind::Ident => leaf = Some(name),
+            _ => {}
         }
     }
     names
@@ -464,9 +517,7 @@ fn reexported_names(trimmed: &str) -> Vec<String> {
 mod tests {
     use super::*;
 
-    fn parse(path: &str, src: &str) -> SourceFile {
-        SourceFile::parse(path, src)
-    }
+    use crate::parse::parse_file as parse;
 
     fn lints_of(v: &[Violation]) -> Vec<(&'static str, usize)> {
         v.iter().map(|x| (x.lint, x.line)).collect()
@@ -484,6 +535,10 @@ mod tests {
             lints_of(&out),
             vec![("no-std-sync-locks", 1), ("no-std-sync-locks", 3)]
         );
+        let multi_line = parse("crates/util/src/x.rs", "use std::sync::{\n    Arc,\n    Mutex,\n};\n");
+        out.clear();
+        no_std_sync_locks(&multi_line, &mut out);
+        assert_eq!(lints_of(&out), vec![("no-std-sync-locks", 3)]);
     }
 
     #[test]
@@ -612,6 +667,11 @@ mod tests {
         let mut out = Vec::new();
         no_hot_path_payload_copy(&f, &mut out);
         assert!(out.is_empty(), "{out:#?}");
+    }
+
+    fn pub_item_keyword(line: &str) -> Option<&'static str> {
+        let f = parse("x.rs", line);
+        pub_item(&f.toks, 0).map(|k| keyword_and_name(&f.toks, k).0)
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! A lightweight item parser over the lexed token stream.
+//! The analyzer's one reader of Rust source: an item parser over the
+//! lexed token stream.
 //!
-//! This is not an AST: the passes only need to know **which functions
-//! exist, what type they belong to, and which token range is their
-//! body** — enough to build an intra-workspace call graph. The parser
-//! walks the token stream once, tracking brace depth, the enclosing
-//! `impl` type, and `macro_rules!` bodies (skipped entirely: macro
-//! matchers are not Rust expressions), and records a [`FnDef`] per
-//! function with a brace-matched body range.
+//! This is not an AST. [`parse_file`] lexes a file once and walks the
+//! tokens once, tracking brace depth, the enclosing `impl` type, and
+//! `macro_rules!` bodies (skipped entirely: macro matchers are not Rust
+//! expressions). It records a [`FnDef`] per function with a
+//! brace-matched body range, the `const`/`static` item names, and the
+//! token spans of `#[cfg(test)]` items and `macro_rules!` definitions —
+//! all that the line lints and the call-graph passes read.
 //!
 //! Resolution subtleties handled here:
 //!
@@ -18,11 +19,15 @@
 //! * `const`/`static` item names are collected per file; the panic pass
 //!   uses the workspace-wide set to tell constant-offset indexing
 //!   (`frame[OFF_SEQ]`) from dynamic indexing (`links[target]`).
+//! * A `#[cfg(..)]` whose group names `test` outside every `not(..)`
+//!   starts a test span (`any(test, ..)` and `all(test, ..)` do;
+//!   `not(test)` and `#[cfg_attr(test, ..)]` do not). The span runs from
+//!   the `#` to the end of the item it gates: the brace-matched body, or
+//!   the `;` of a body-less item (`#[cfg(test)] use x;`).
 
 use std::ops::Range;
 
 use crate::lexer::{lex, Tok, TokKind};
-use crate::scan::SourceFile;
 
 /// One function (or method) found in a file.
 #[derive(Debug, Clone)]
@@ -46,26 +51,45 @@ pub struct FnDef {
     pub is_test: bool,
 }
 
-/// A file parsed to the function level: source model, token stream,
-/// functions, and `const`/`static` item names.
+/// One source file as every lint and pass sees it.
 #[derive(Debug, Clone)]
 pub struct ParsedFile {
-    /// The line-level source model (path, raw lines, regions).
-    pub src: SourceFile,
+    /// Workspace-relative path, `/`-separated.
+    pub path: String,
+    /// Source lines, for diagnostic snippets and the doc-comment lookup.
+    pub raw: Vec<String>,
     /// The full token stream.
     pub toks: Vec<Tok>,
     /// Every function found, in source order.
     pub fns: Vec<FnDef>,
     /// Names of `const` and `static` items declared in this file.
     pub consts: Vec<String>,
+    /// Token ranges of `#[cfg(test)]` items, attribute included.
+    pub test_spans: Vec<Range<usize>>,
+    /// Token ranges of `macro_rules!` definitions, from `macro_rules`
+    /// through the body's closing brace.
+    pub macro_spans: Vec<Range<usize>>,
 }
 
-/// Parses one file to the function level.
-pub fn parse_file(src: SourceFile) -> ParsedFile {
-    let source = src.raw.join("\n");
-    let toks = lex(&source);
+impl ParsedFile {
+    /// Whether token `i` sits in a `#[cfg(test)]` item.
+    pub fn in_test(&self, i: usize) -> bool {
+        self.test_spans.iter().any(|s| s.contains(&i))
+    }
+
+    /// Whether token `i` sits in a `macro_rules!` definition.
+    pub fn in_macro(&self, i: usize) -> bool {
+        self.macro_spans.iter().any(|s| s.contains(&i))
+    }
+}
+
+/// Lexes and parses one file.
+pub fn parse_file(path: &str, content: &str) -> ParsedFile {
+    let toks = lex(content);
     let mut fns = Vec::new();
     let mut consts = Vec::new();
+    let mut test_spans: Vec<Range<usize>> = Vec::new();
+    let mut macro_spans = Vec::new();
 
     // Stack of (brace depth *inside* the impl block, self type, trait).
     let mut impl_stack: Vec<(i64, Option<String>, Option<String>)> = Vec::new();
@@ -85,14 +109,23 @@ pub fn parse_file(src: SourceFile) -> ParsedFile {
                 }
                 i += 1;
             }
+            TokKind::Punct if t.text == "#" && toks.get(i + 1).is_some_and(|n| n.is_punct("[")) => {
+                let close = skip_balanced(&toks, i + 1, "[", "]");
+                if cfg_names_test(toks.get(i + 2..close.saturating_sub(1)).unwrap_or_default()) {
+                    test_spans.push(i..item_end(&toks, close));
+                }
+                i += 1;
+            }
             TokKind::Ident if t.text == "macro_rules" && toks.get(i + 1).is_some_and(|n| n.is_punct("!")) => {
                 // Skip the whole definition: name, then the balanced
                 // braces of the body.
+                let start = i;
                 i += 2;
                 while i < toks.len() && !toks[i].is_punct("{") {
                     i += 1;
                 }
                 i = skip_balanced(&toks, i, "{", "}");
+                macro_spans.push(start..i);
             }
             TokKind::Ident if t.text == "impl" => {
                 let (trait_name, self_type, at_brace) = parse_impl_header(&toks, i + 1);
@@ -104,7 +137,6 @@ pub fn parse_file(src: SourceFile) -> ParsedFile {
                 }
             }
             TokKind::Ident if t.text == "fn" => {
-                let prev_is_ident = i > 0 && toks[i - 1].kind == TokKind::Ident;
                 // `fn` as a type (`Fn`/`fn(u32)`) still reads as `fn` +
                 // punct; a real item has an identifier name next.
                 let Some(name_tok) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
@@ -112,16 +144,11 @@ pub fn parse_file(src: SourceFile) -> ParsedFile {
                     continue;
                 };
                 // `pub const fn`, `unsafe fn` etc. all end with `fn name`.
-                let _ = prev_is_ident;
                 let name = name_tok.text.clone();
                 let line = toks[i].line;
                 let (has_self, after_params) = parse_params(&toks, i + 2);
                 let body = fn_body_range(&toks, after_params);
-                let is_test = src
-                    .in_test
-                    .get(line as usize - 1)
-                    .copied()
-                    .unwrap_or(false);
+                let is_test = test_spans.iter().any(|s| s.contains(&i));
                 fns.push(FnDef {
                     name,
                     self_type: impl_stack.last().and_then(|(_, t, _)| t.clone()),
@@ -155,11 +182,57 @@ pub fn parse_file(src: SourceFile) -> ParsedFile {
         }
     }
     ParsedFile {
-        src,
+        path: path.to_owned(),
+        raw: content.lines().map(str::to_owned).collect(),
         toks,
         fns,
         consts,
+        test_spans,
+        macro_spans,
     }
+}
+
+/// Whether the tokens inside `#[..]` are a `cfg(..)` that names `test`
+/// outside every `not(..)` group.
+fn cfg_names_test(attr: &[Tok]) -> bool {
+    if !(attr.first().is_some_and(|t| t.is_ident("cfg")) && attr.get(1).is_some_and(|t| t.is_punct("("))) {
+        return false;
+    }
+    let mut i = 2;
+    while i < attr.len() {
+        if attr[i].is_ident("not") && attr.get(i + 1).is_some_and(|t| t.is_punct("(")) {
+            i = skip_balanced(attr, i + 1, "(", ")");
+        } else if attr[i].is_ident("test") {
+            return true;
+        } else {
+            i += 1;
+        }
+    }
+    false
+}
+
+/// The end of the item an attribute closing just before `i` gates: just
+/// past its brace-matched body or its `;`, whichever comes first outside
+/// `(..)` and `[..]`; or the close of the enclosing group.
+fn item_end(toks: &[Tok], mut i: usize) -> usize {
+    let mut depth = 0i64;
+    while i < toks.len() {
+        let t = &toks[i];
+        if t.is_punct("(") || t.is_punct("[") {
+            depth += 1;
+        } else if t.is_punct(")") || t.is_punct("]") {
+            depth -= 1;
+        } else if depth == 0 && t.is_punct("{") {
+            return skip_balanced(toks, i, "{", "}");
+        } else if depth == 0 && t.is_punct(";") {
+            return i + 1;
+        }
+        if depth < 0 || (depth == 0 && t.is_punct("}")) {
+            return i;
+        }
+        i += 1;
+    }
+    toks.len()
 }
 
 /// Parses tokens after `impl`: skips generics, then finds the self type
@@ -251,7 +324,7 @@ fn fn_body_range(toks: &[Tok], mut i: usize) -> Range<usize> {
 
 /// Given `toks[open]` is `open_text`, returns the index just past the
 /// matching close token.
-fn skip_balanced(toks: &[Tok], open: usize, open_text: &str, close_text: &str) -> usize {
+pub(crate) fn skip_balanced(toks: &[Tok], open: usize, open_text: &str, close_text: &str) -> usize {
     let mut depth = 0i64;
     let mut i = open;
     while i < toks.len() {
@@ -274,7 +347,15 @@ mod tests {
     use super::*;
 
     fn parse(path: &str, src: &str) -> ParsedFile {
-        parse_file(SourceFile::parse(path, src))
+        parse_file(path, src)
+    }
+
+    /// The 1-based lines holding a token of a test span.
+    fn test_lines(src: &str) -> Vec<u32> {
+        let f = parse("x.rs", src);
+        let mut lines: Vec<u32> = (0..f.toks.len()).filter(|&i| f.in_test(i)).map(|i| f.toks[i].line).collect();
+        lines.dedup();
+        lines
     }
 
     #[test]
@@ -362,5 +443,31 @@ mod tests {
         );
         assert!(!f.fns[0].is_test);
         assert!(f.fns[1].is_test);
+    }
+
+    #[test]
+    fn test_spans_follow_the_gated_item() {
+        assert_eq!(test_lines("pub fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\npub fn c() {}\n"), vec![2, 3, 4, 5]);
+        assert_eq!(test_lines("#[cfg(test)]\nuse foo::bar;\nfn real() {}\n"), vec![1, 2]);
+        assert_eq!(test_lines("#[allow(dead_code)] #[cfg(test)]\nmod tests {\n}\nfn real() {}\n"), vec![1, 2, 3]);
+        assert_eq!(test_lines("#[cfg(any(test, feature = \"x\"))]\nmod t {\n}\n"), vec![1, 2, 3]);
+        assert_eq!(test_lines("#[cfg(all(test, unix))]\nmod t {\n}\n"), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn negated_and_cfg_attr_test_start_no_span() {
+        assert!(test_lines("#[cfg(not(test))]\nmod prod {\n    fn a() {}\n}\n").is_empty());
+        assert!(test_lines("#[cfg(all(not(test), unix))]\nmod t {\n}\n").is_empty());
+        assert!(test_lines("#[cfg_attr(test, derive(Debug))]\npub struct S;\n").is_empty());
+        assert!(test_lines("// #[cfg(test)]\nconst S: &str = \"#[cfg(test)]\";\n").is_empty());
+    }
+
+    #[test]
+    fn macro_spans_end_at_the_body_close() {
+        let f = parse("x.rs", "macro_rules! m {\n    () => { r##\"quote \" }\"## };\n}\nfn real() {}\n");
+        assert_eq!(f.macro_spans.len(), 1);
+        let last = f.macro_spans[0].end - 1;
+        assert!(f.toks[last].is_punct("}") && f.toks[last].line == 3);
+        assert!(!f.in_macro(last + 1));
     }
 }

@@ -43,7 +43,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
         let f = &ws.files[n.file];
         let d = &f.fns[n.def];
         table.iter().any(|&(path, ty, name)| {
-            f.src.path.ends_with(path) && d.name == name && d.self_type.as_deref() == Some(ty)
+            f.path.ends_with(path) && d.name == name && d.self_type.as_deref() == Some(ty)
         })
     };
     let roots: Vec<usize> = (0..ws.graph.nodes.len())
@@ -94,13 +94,13 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
             if let Some(what) = what {
                 out.push(Violation::new(
                     LINT,
-                    &file.src,
-                    t.line as usize - 1,
+                    file,
+                    t.line,
                     format!(
                         "{} reachable from the shard-worker loop: {} — a stalled \
                          worker stalls every topic on its shard",
                         what,
-                        ws.graph.chain(&ws.files, &parent, id)
+                        ws.graph.chain(ws.files, &parent, id)
                     ),
                 ));
             }
@@ -111,10 +111,10 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::SourceFile;
+    use crate::parse::parse_file;
 
     fn run(srcs: &[(&str, &str)]) -> Vec<usize> {
-        let files: Vec<SourceFile> = srcs.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
+        let files: Vec<_> = srcs.iter().map(|(p, s)| parse_file(p, s)).collect();
         let ws = Workspace::build(&files);
         let mut out = Vec::new();
         check(&ws, &mut out);

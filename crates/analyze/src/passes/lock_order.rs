@@ -72,8 +72,8 @@ impl LockGraph {
             for &fl in &f.ctor_lines {
                 for &tl in &t.ctor_lines {
                     out.insert((
-                        format!("{}:{}", files[f.file].src.path, fl),
-                        format!("{}:{}", files[t.file].src.path, tl),
+                        format!("{}:{}", files[f.file].path, fl),
+                        format!("{}:{}", files[t.file].path, tl),
                     ));
                 }
             }
@@ -137,7 +137,7 @@ impl LockGraph {
 
     /// Graphviz DOT rendering of the class graph.
     pub fn to_dot(&self, files: &[ParsedFile]) -> String {
-        let label = |c: &LockClass| format!("{} ({})", c.name, files[c.file].src.path);
+        let label = |c: &LockClass| format!("{} ({})", c.name, files[c.file].path);
         let mut out =
             String::from("digraph lock_order {\n  rankdir=LR;\n  node [shape=ellipse, fontsize=10];\n");
         for c in &self.classes {
@@ -250,14 +250,14 @@ pub fn build(files: &[ParsedFile], graph: &CallGraph) -> LockGraph {
 /// The check pass: build the graph over the workspace and report every
 /// acquisition-order cycle.
 pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
-    let lg = build(&ws.files, &ws.graph);
+    let lg = build(ws.files, &ws.graph);
     for cyc in lg.cycles() {
         let names: Vec<String> = cyc
             .iter()
             .map(|&c| {
                 format!(
                     "{} ({})",
-                    lg.classes[c].name, ws.files[lg.classes[c].file].src.path
+                    lg.classes[c].name, ws.files[lg.classes[c].file].path
                 )
             })
             .collect();
@@ -268,8 +268,8 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
         };
         out.push(Violation::new(
             LINT,
-            &ws.files[file].src,
-            line as usize - 1,
+            &ws.files[file],
+            line,
             format!(
                 "static lock-order cycle: {} — a thread interleaving exists that \
                  deadlocks; acquire these locks in one global order",
@@ -650,12 +650,11 @@ fn clone_source(toks: &[Tok], i: usize) -> Option<String> {
 mod tests {
     use super::*;
     use crate::parse::parse_file;
-    use crate::scan::SourceFile;
 
     fn lock_graph(srcs: &[(&str, &str)]) -> (Vec<ParsedFile>, LockGraph) {
         let files: Vec<ParsedFile> = srcs
             .iter()
-            .map(|(p, s)| parse_file(SourceFile::parse(p, s)))
+            .map(|(p, s)| parse_file(p, s))
             .collect();
         let graph = CallGraph::build(&files, |_, _| true);
         let lg = build(&files, &graph);

@@ -20,8 +20,7 @@ pub mod panic_reach;
 
 use crate::callgraph::CallGraph;
 use crate::lints::Violation;
-use crate::parse::{parse_file, ParsedFile};
-use crate::scan::SourceFile;
+use crate::parse::ParsedFile;
 
 /// Whether a path is in scope for the call-graph passes: first-party
 /// library code, excluding the vendored shims.
@@ -32,26 +31,25 @@ pub fn pass_scope(path: &str) -> bool {
 
 /// The parsed workspace plus its call graph — the shared input of every
 /// pass, built once per `check`.
-pub struct Workspace {
-    /// Every scanned file, parsed to the function level.
-    pub files: Vec<ParsedFile>,
+pub struct Workspace<'a> {
+    /// Every scanned file.
+    pub files: &'a [ParsedFile],
     /// Call graph over the in-scope, non-test functions.
     pub graph: CallGraph,
 }
 
-impl Workspace {
-    /// Parses `sources` and builds the pass-scoped call graph.
-    pub fn build(sources: &[SourceFile]) -> Workspace {
-        let files: Vec<ParsedFile> = sources.iter().cloned().map(parse_file).collect();
-        let graph = CallGraph::build(&files, |path, is_test| pass_scope(path) && !is_test);
+impl<'a> Workspace<'a> {
+    /// Builds the pass-scoped call graph over `files`.
+    pub fn build(files: &'a [ParsedFile]) -> Workspace<'a> {
+        let graph = CallGraph::build(files, |path, is_test| pass_scope(path) && !is_test);
         Workspace { files, graph }
     }
 }
 
 /// Runs the three call-graph passes and returns their findings
 /// (unsorted; the caller merges them with the line lints and sorts).
-pub fn run_all(sources: &[SourceFile]) -> Vec<Violation> {
-    let ws = Workspace::build(sources);
+pub fn run_all(files: &[ParsedFile]) -> Vec<Violation> {
+    let ws = Workspace::build(files);
     let mut out = Vec::new();
     lock_order::check(&ws, &mut out);
     panic_reach::check(&ws, &mut out);

@@ -62,10 +62,10 @@ pub(crate) struct PanicSite {
 /// reachable body for panicking constructs. Diagnostics carry the call
 /// chain from the nearest root so the reader can judge the path.
 pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
-    let consts = workspace_consts(&ws.files);
+    let consts = workspace_consts(ws.files);
     let mut roots = Vec::new();
     for &(path, name) in ROOTS {
-        roots.extend(ws.graph.find_all(&ws.files, path, name));
+        roots.extend(ws.graph.find_all(ws.files, path, name));
     }
     let parent = ws.graph.reach(&roots);
     let mut ids: Vec<_> = parent.keys().copied().collect();
@@ -76,12 +76,12 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
         for site in panic_sites(file, file.fns[node.def].body.clone(), &consts) {
             out.push(Violation::new(
                 LINT,
-                &file.src,
-                site.line as usize - 1,
+                file,
+                site.line,
                 format!(
                     "{} reachable from a hot-path root: {}",
                     site.what,
-                    ws.graph.chain(&ws.files, &parent, id)
+                    ws.graph.chain(ws.files, &parent, id)
                 ),
             ));
         }
@@ -170,10 +170,10 @@ fn subscript_is_dynamic(file: &ParsedFile, open: usize, consts: &BTreeSet<String
 mod tests {
     use super::*;
     use crate::passes;
-    use crate::scan::SourceFile;
+    use crate::parse::parse_file;
 
     fn run(srcs: &[(&str, &str)]) -> Vec<(String, usize)> {
-        let files: Vec<SourceFile> = srcs.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
+        let files: Vec<_> = srcs.iter().map(|(p, s)| parse_file(p, s)).collect();
         let ws = Workspace::build(&files);
         let mut out = Vec::new();
         check(&ws, &mut out);

@@ -1,16 +1,14 @@
 //! Fixture tests for the lint engine: exact diagnostics over known-bad
-//! and known-clean inputs, the allowlist round trip, and a self-check
-//! that the real workspace is clean under its checked-in allowlist.
+//! and known-clean inputs, and the allowlist round trip. The self-check
+//! of the real workspace lives in the root `tests/analyze_workspace.rs`.
 //!
 //! The fixtures live under `fixtures/` as plain `.rs` files (cargo does
 //! not compile them; the workspace walker skips `fixtures` directories).
 //! They are fed to the engine under scoped fake paths, because every
 //! lint's coverage is keyed off the workspace-relative path.
 
-use std::path::Path;
-
 use mmcs_analyze::allowlist::render_entry;
-use mmcs_analyze::{apply_allowlist, check_workspace, lint_sources};
+use mmcs_analyze::{apply_allowlist, lint_sources};
 
 const KNOWN_BAD: &str = include_str!("fixtures/known_bad.rs");
 const KNOWN_CLEAN: &str = include_str!("fixtures/known_clean.rs");
@@ -87,6 +85,21 @@ fn shim_drift_depends_on_workspace_usage() {
         ("crates/shims/fake/src/extra.rs", "fn g() { crate::used(); crate::orphan(); }\n"),
     ]);
     assert_eq!(violations.len(), 2, "self-use is not workspace use");
+    // A mention in a comment or a string is not a use.
+    let violations = lint_sources(&[
+        shim,
+        ("crates/broker/src/user.rs", "// fake::orphan()\nfn f() { fake::used(\"orphan\"); }\n"),
+    ]);
+    let got: Vec<(&str, usize)> = violations.iter().map(|v| (v.lint, v.line)).collect();
+    assert_eq!(got, vec![("shim-api-drift", 6)]);
+    // The body of the shim's own exported macro expands in the caller's
+    // crate, so a name used only there is in use.
+    let violations = lint_sources(&[
+        shim,
+        ("crates/shims/fake/src/mac.rs", "#[macro_export]\nmacro_rules! call {\n    () => { $crate::orphan() };\n}\n"),
+        ("crates/broker/src/user.rs", "fn f() { fake::used(); fake::call!(); }\n"),
+    ]);
+    assert!(violations.is_empty(), "{violations:#?}");
 }
 
 #[test]
@@ -148,21 +161,4 @@ fn allowlist_requires_a_justification() {
                  panic-reachable-hot-path :: p.rs :: y.unwrap(); ::   \n";
     let (_, _, _, errors) = apply_allowlist(allow, Vec::new());
     assert_eq!(errors.len(), 2, "missing and blank justifications are errors");
-}
-
-#[test]
-fn real_workspace_is_clean_under_checked_in_allowlist() {
-    // `cargo test` itself enforces the lints: the repository must stay
-    // clean with analyze.allow, and analyze.allow must carry no stale
-    // entries or parse errors.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = check_workspace(&root).expect("workspace scan");
-    assert!(report.files_scanned > 100, "walker must see the workspace");
-    assert!(
-        report.is_clean(),
-        "violations: {:#?}\nstale: {:#?}\nerrors: {:#?}",
-        report.violations,
-        report.stale,
-        report.allowlist_errors
-    );
 }

@@ -5,7 +5,7 @@
 use mmcs_analyze::callgraph::CallGraph;
 use mmcs_analyze::lint_sources;
 use mmcs_analyze::passes::lock_order;
-use mmcs_analyze::scan::SourceFile;
+use mmcs_analyze::parse::parse_file;
 
 const LOCK_CYCLE: &str = include_str!("fixtures/lock_cycle.rs");
 const PANIC_ROOTS: &str = include_str!("fixtures/panic_roots.rs");
@@ -96,8 +96,7 @@ fn blocking_calls_in_worker_exact_lines() {
 
 #[test]
 fn lock_graph_dot_renders_classes_and_edges() {
-    let src = SourceFile::parse("crates/broker/src/fixture.rs", LOCK_CYCLE);
-    let files = vec![mmcs_analyze::parse::parse_file(src)];
+    let files = vec![parse_file("crates/broker/src/fixture.rs", LOCK_CYCLE)];
     let graph = CallGraph::build(&files, |_, _| true);
     let lg = lock_order::build(&files, &graph);
     let dot = lg.to_dot(&files);

@@ -25,19 +25,6 @@ pub trait Strategy {
         Map { source: self, f }
     }
 
-    /// Discards values failing `predicate` (bounded retries).
-    fn prop_filter<F>(self, reason: &'static str, predicate: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter {
-            source: self,
-            reason,
-            predicate,
-        }
-    }
-
     /// Type-erases the strategy.
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -90,31 +77,6 @@ where
     type Value = O;
     fn generate(&self, rng: &mut TestRng) -> O {
         (self.f)(self.source.generate(rng))
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-#[derive(Debug, Clone)]
-pub struct Filter<S, F> {
-    source: S,
-    reason: &'static str,
-    predicate: F,
-}
-
-impl<S, F> Strategy for Filter<S, F>
-where
-    S: Strategy,
-    F: Fn(&S::Value) -> bool,
-{
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let value = self.source.generate(rng);
-            if (self.predicate)(&value) {
-                return value;
-            }
-        }
-        panic!("prop_filter '{}' rejected 1000 candidates", self.reason);
     }
 }
 

@@ -143,8 +143,7 @@ fn try_lock_records_no_order_edge() {
 fn runtime_edges_are_subset_of_static_graph() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/lock_order_inversion.rs");
     let content = std::fs::read_to_string(path).expect("read own source");
-    let src = mmcs_analyze::scan::SourceFile::parse("tests/lock_order_inversion.rs", &content);
-    let files = vec![mmcs_analyze::parse::parse_file(src)];
+    let files = vec![mmcs_analyze::parse::parse_file("tests/lock_order_inversion.rs", &content)];
     let call_graph = mmcs_analyze::callgraph::CallGraph::build(&files, |_, _| true);
     let lock_graph = mmcs_analyze::passes::lock_order::build(&files, &call_graph);
 
