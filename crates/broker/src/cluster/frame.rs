@@ -3,9 +3,15 @@
 //! frame). [`ClusterFrame::parse`] validates once and rejects
 //! malformed input with a typed [`DecodeClusterError`]; nothing here
 //! panics on bytes off a socket.
+//!
+//! [`encode_event_frame_into`] is the one event-frame encoder: the TCP
+//! link writes a [`LinkFrame::Event`] with it straight into its socket
+//! buffer, the in-process link into a frame of its own, and
+//! [`encode_event_frame`] into an exact-size buffer.
 
-use bytes::{BufMut, Bytes};
-use mmcs_util::pool::{self, PooledBuf};
+use std::sync::Arc;
+
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::event::Event;
 use crate::gossip::NodeId;
@@ -244,7 +250,7 @@ pub fn encode_header_into(
     buf.put_slice(&header);
 }
 
-/// Encodes a frame with an opaque body into a pooled buffer.
+/// Encodes a frame with an opaque body into an exact-size buffer.
 pub fn encode_frame(
     kind: FrameKind,
     origin: NodeId,
@@ -252,26 +258,106 @@ pub fn encode_frame(
     hops: u8,
     generation: u64,
     body: &[u8],
-) -> PooledBuf {
-    let mut buf = pool::acquire(CLUSTER_HEADER_LEN + body.len());
+) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(CLUSTER_HEADER_LEN + body.len());
     encode_header_into(kind, origin, dest, hops, generation, &mut buf);
     buf.put_slice(body);
     buf
 }
 
-/// Encodes an [`FrameKind::Event`] frame: envelope plus the zero-copy
-/// wire encoding of `event`, in one pooled buffer.
+/// The length of the [`FrameKind::Event`] frame carrying `event`.
+fn event_frame_len(event: &Event) -> usize {
+    CLUSTER_HEADER_LEN + wire::encoded_len(event)
+}
+
+/// Writes an [`FrameKind::Event`] frame into `buf`: the envelope, then
+/// the wire encoding of `event` — [`CLUSTER_HEADER_LEN`] plus
+/// [`wire::encoded_len`] bytes. Every event frame is written here.
+pub fn encode_event_frame_into(
+    origin: NodeId,
+    dest: NodeId,
+    hops: u8,
+    generation: u64,
+    event: &Event,
+    buf: &mut impl BufMut,
+) {
+    encode_header_into(FrameKind::Event, origin, dest, hops, generation, buf);
+    wire::encode_into(event, buf);
+}
+
+/// Encodes an [`FrameKind::Event`] frame into an exact-size buffer.
 pub fn encode_event_frame(
     origin: NodeId,
     dest: NodeId,
     hops: u8,
     generation: u64,
     event: &Event,
-) -> PooledBuf {
-    let mut buf = pool::acquire(CLUSTER_HEADER_LEN + wire::encoded_len(event));
-    encode_header_into(FrameKind::Event, origin, dest, hops, generation, &mut buf);
-    wire::encode_into(event, &mut buf);
+) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(event_frame_len(event));
+    encode_event_frame_into(origin, dest, hops, generation, event, &mut buf);
     buf
+}
+
+/// What a link is handed to send: a frame already encoded (a relay,
+/// gossip, link control), or a local publish's event, which the link
+/// encodes itself — over TCP straight into its socket buffer, and again
+/// on a retransmit. An `Event` frame always leaves with hop count 0.
+#[derive(Debug, Clone)]
+pub(super) enum LinkFrame {
+    /// A whole encoded cluster frame.
+    Encoded(Bytes),
+    /// A local publish's event, addressed `origin → dest`.
+    Event {
+        origin: NodeId,
+        dest: NodeId,
+        generation: u64,
+        event: Arc<Event>,
+    },
+}
+
+impl LinkFrame {
+    /// The encoded frame's length.
+    pub(super) fn len(&self) -> usize {
+        match self {
+            Self::Encoded(frame) => frame.len(),
+            Self::Event { event, .. } => event_frame_len(event),
+        }
+    }
+
+    /// The frame's kind (`None` for encoded bytes too short to carry
+    /// one, or an unknown kind byte).
+    pub(super) fn kind(&self) -> Option<FrameKind> {
+        match self {
+            Self::Encoded(frame) => frame.get(OFF_KIND).copied().and_then(FrameKind::from_byte),
+            Self::Event { .. } => Some(FrameKind::Event),
+        }
+    }
+
+    /// Writes the encoded frame into `buf`.
+    pub(super) fn encode_into(&self, buf: &mut impl BufMut) {
+        match self {
+            Self::Encoded(frame) => buf.put_slice(frame),
+            Self::Event {
+                origin,
+                dest,
+                generation,
+                event,
+            } => encode_event_frame_into(*origin, *dest, 0, *generation, event, buf),
+        }
+    }
+
+    /// The encoded frame as shared bytes (an `Event` is encoded here).
+    pub(super) fn into_bytes(self) -> Bytes {
+        match self {
+            Self::Encoded(frame) => frame,
+            Self::Event {
+                origin,
+                dest,
+                generation,
+                event,
+            } => encode_event_frame(origin, dest, 0, generation, &event).freeze(),
+        }
+    }
 }
 
 /// Decodes the event an [`FrameKind::Event`] frame carries (one that

@@ -23,9 +23,12 @@
 //! deliveries plus the intra-node ring hop), and is then forwarded once
 //! per *interested* node — the gossip view answers "who needs this
 //! topic" from a generation-stamped cache — as an `Event` frame routed
-//! hop-by-hop along the latency-weighted path. Whoever receives a frame
-//! — a socket reader, or the sending thread itself in process — hands
-//! it to the receiving node's data plane: an intermediate node relays
+//! hop-by-hop along the latency-weighted path. The publishing thread
+//! encodes nothing: it hands the event's `Arc` to the next-hop link,
+//! and the link encodes the frame — over TCP on the link thread,
+//! straight into its socket buffer. Whoever receives a frame — a socket
+//! reader, or the sending thread itself in process — hands it to the
+//! receiving node's data plane: an intermediate node relays
 //! it with the hop count bumped, the destination decodes the embedded
 //! wire event once and injects the `Arc<Event>` into its broker
 //! ([`ShardedBroker::inject`]). Each (publish, destination) pair
@@ -81,12 +84,13 @@ use crate::sharded::{ShardedBroker, ShardedClient};
 use crate::topic::{Topic, TopicFilter};
 
 pub use frame::{
-    encode_event_frame, encode_frame, encode_header_into, ClusterFrame, DecodeClusterError,
-    FrameKind, CLUSTER_HEADER_LEN, CLUSTER_VERSION, MAX_HOPS, OFF_DEST, OFF_GENERATION, OFF_HOPS,
-    OFF_KIND, OFF_ORIGIN, OFF_RESERVED, OFF_VERSION,
+    encode_event_frame, encode_event_frame_into, encode_frame, encode_header_into, ClusterFrame,
+    DecodeClusterError, FrameKind, CLUSTER_HEADER_LEN, CLUSTER_VERSION, MAX_HOPS, OFF_DEST,
+    OFF_GENERATION, OFF_HOPS, OFF_KIND, OFF_ORIGIN, OFF_RESERVED, OFF_VERSION,
 };
 pub use route::{LatencyMap, RouteTable};
 
+use frame::LinkFrame;
 use plane::{DataPlane, FaultPlane, Link};
 use tcp::TcpFabric;
 
@@ -168,9 +172,9 @@ impl ClusterBuilder {
                         self.latency.link(me as NodeId, peer as NodeId)?;
                         // Weak: the planes would otherwise own each other.
                         let peer = Arc::downgrade(&planes[peer]);
-                        Some(Box::new(move |frame| {
+                        Some(Box::new(move |frame: LinkFrame| {
                             if let Some(peer) = peer.upgrade() {
-                                peer.receive(frame);
+                                peer.receive(frame.into_bytes());
                             }
                         }) as Link)
                     })

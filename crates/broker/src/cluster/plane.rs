@@ -11,11 +11,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
-use mmcs_util::pool;
 use parking_lot::Mutex;
 
 use super::frame::{
-    decode_event_frame, encode_event_frame, encode_frame, ClusterFrame, FrameKind, MAX_HOPS,
+    decode_event_frame, encode_frame, ClusterFrame, FrameKind, LinkFrame, MAX_HOPS,
 };
 use super::route::RouteTable;
 use crate::event::Event;
@@ -70,9 +69,12 @@ impl FaultPlane {
     }
 }
 
-/// A directed link to one peer: hands a frame to the peer's data plane
-/// (in-process) or to a TCP link sender's queue. Any thread may send.
-pub(super) type Link = Box<dyn Fn(Bytes) + Send + Sync>;
+/// A directed link to one peer, which any thread may send on. The link
+/// encodes a [`LinkFrame::Event`] itself: in process into a frame it
+/// hands to the peer's data plane, over TCP on the link sender's thread,
+/// straight into the socket buffer. Either way the publishing thread
+/// hands over an `Arc` and encodes nothing.
+pub(super) type Link = Box<dyn Fn(LinkFrame) + Send + Sync>;
 
 /// One node's data plane: its broker, its gossip state and its links,
 /// called on whatever thread has a frame to move — the publishing
@@ -125,13 +127,19 @@ impl DataPlane {
 
     /// The remote half of a local client's publish (the local half went
     /// into this node's broker as that client's publish): one frame per
-    /// remote node with matching interest, along its shortest path.
-    pub(super) fn publish(&self, event: &Event) {
+    /// remote node with matching interest, along its shortest path. The
+    /// next-hop link gets the event's `Arc` and encodes the frame itself.
+    pub(super) fn publish(&self, event: &Arc<Event>) {
         let targets = self.gossip.lock().targets_for(&event.topic);
         for &target in targets.iter().filter(|&&target| target != self.me) {
             let generation = self.gossip.lock().entry(target).generation;
-            let frame = encode_event_frame(self.me, target, 0, generation, event).freeze();
             self.metrics.inter_node_forwards.inc();
+            let frame = LinkFrame::Event {
+                origin: self.me,
+                dest: target,
+                generation,
+                event: Arc::clone(event),
+            };
             self.send_routed(target, frame);
         }
     }
@@ -206,10 +214,9 @@ impl DataPlane {
             hops,
             parsed.generation(),
             parsed.body(),
-        )
-        .freeze();
+        );
         self.metrics.relays.inc();
-        self.send_routed(parsed.dest(), relay);
+        self.send_routed(parsed.dest(), LinkFrame::Encoded(relay.freeze()));
     }
 
     /// Runs `change` on the gossip state, then refreshes the
@@ -252,7 +259,7 @@ impl DataPlane {
             (gossip.entries_newer_than(digest), gossip.behind(digest))
         };
         if !entries.is_empty() {
-            let mut body = pool::acquire(256);
+            let mut body = Vec::new();
             gossip::encode_entries_into(&entries, &mut body);
             self.send_gossip(peer, FrameKind::GossipEntries, &body);
         }
@@ -264,19 +271,19 @@ impl DataPlane {
     fn send_digest(&self, peer: NodeId) {
         let mut digest = Vec::new();
         self.gossip.lock().digest_into(&mut digest);
-        let mut body = pool::acquire(64);
+        let mut body = Vec::new();
         gossip::encode_digest_into(&digest, &mut body);
         self.send_gossip(peer, FrameKind::GossipDigest, &body);
     }
 
     fn send_gossip(&self, peer: NodeId, kind: FrameKind, body: &[u8]) {
         let generation = self.gossip.lock().local_generation();
-        let frame = encode_frame(kind, self.me, peer, 0, generation, body).freeze();
-        self.send_direct(peer, frame, true);
+        let frame = encode_frame(kind, self.me, peer, 0, generation, body);
+        self.send_direct(peer, LinkFrame::Encoded(frame.freeze()), true);
     }
 
     /// Hands `frame` to the next hop along the shortest path to `dest`.
-    fn send_routed(&self, dest: NodeId, frame: Bytes) {
+    fn send_routed(&self, dest: NodeId, frame: LinkFrame) {
         let Some(next) = self.routes.next_hop(self.me, dest) else {
             self.metrics.no_route_drops.inc();
             return;
@@ -285,7 +292,7 @@ impl DataPlane {
     }
 
     /// Sends on the direct link to `peer`, honouring the fault plane.
-    fn send_direct(&self, peer: NodeId, frame: Bytes, is_gossip: bool) {
+    fn send_direct(&self, peer: NodeId, frame: LinkFrame, is_gossip: bool) {
         if self.faults.is_down(self.me, peer) {
             self.metrics.link_drops.inc();
             return;

@@ -6,12 +6,20 @@
 //!
 //! * **sequenced** (`seq` = reliable sequence + 1) — `Event`, `Flush`
 //!   and `FlushAck` frames ride [`crate::reliable`]: the link sender is
-//!   a thin IO shell around a [`ReliableSender<Bytes>`], the readers
-//!   keep one [`ReliableReceiver<Bytes>`] per claimed peer, and a dead
-//!   connection is a lossy channel — the RTO re-offers what was written
-//!   into it, and the next write reconnects;
+//!   a thin IO shell around a [`ReliableSender`] of [`LinkFrame`]s, the
+//!   readers keep one [`ReliableReceiver<Bytes>`] per claimed peer, and
+//!   a dead connection is a lossy channel — the RTO re-offers what was
+//!   written into it, and the next write reconnects;
 //! * **unsequenced** (`seq` 0) — gossip, which tolerates loss, and
-//!   `Ack`, which the next ack supersedes.
+//!   `Ack`, which the next ack supersedes. These three kinds only: a
+//!   reader counts any other unsequenced frame in `decode_errors` and
+//!   drops it — an `Event` would skip the per-peer receiver's dedup,
+//!   and a flush could overtake what it flushes.
+//!
+//! The link thread encodes every record into the buffer of its next
+//! socket write. A local publish reaches it as a [`LinkFrame::Event`],
+//! the event's `Arc`: the window keeps the `Arc`, and a retransmit
+//! encodes it again, into the same bytes.
 //!
 //! The reader validates each frame once and hands every data frame
 //! straight to its node's [`DataPlane`] on its own thread: an event for
@@ -42,8 +50,11 @@
 //!
 //! The sender gathers what is queued into one socket write and the
 //! reader takes records out of one buffered read, answering a read's
-//! worth of sequenced records with a single cumulative ack. Both loops
-//! are panic-reachability roots of the analyzer.
+//! worth of sequenced records with a single cumulative ack. The reader
+//! copies a read once; every record it hands on is a `Bytes` slice of
+//! that copy, so a decoded event's payload keeps the copy alive until
+//! its last subscriber drops it. Both loops are panic-reachability
+//! roots of the analyzer.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -54,11 +65,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use mmcs_util::time::{monotonic_now, SimDuration, SimTime};
 use parking_lot::Mutex;
 
-use super::frame::{encode_frame, read_u64, ClusterFrame, FrameKind, OFF_KIND};
+use super::frame::{encode_frame, read_u64, ClusterFrame, FrameKind, LinkFrame};
 use super::route::LatencyMap;
 use super::plane::{DataPlane, Link};
 use crate::gossip::NodeId;
@@ -85,7 +96,7 @@ const IO_BATCH: usize = 64 * 1024;
 enum LinkOp {
     /// Put a frame on the wire (sequenced if it is an event frame or a
     /// flush answer).
-    Send(Bytes),
+    Send(LinkFrame),
     /// The peer's cumulative ack for this link, off a socket reader.
     Ack(Ack),
     /// Put a `Flush` record behind everything sent so far. The handle is
@@ -113,7 +124,7 @@ fn run_link(
     ops: &Receiver<LinkOp>,
     metrics: &ClusterNodeMetrics,
 ) {
-    let mut reliable = ReliableSender::<Bytes>::new(LINK_WINDOW, LINK_RTO);
+    let mut reliable = ReliableSender::<LinkFrame>::new(LINK_WINDOW, LINK_RTO);
     let mut socket = LinkSocket {
         me,
         addr,
@@ -148,9 +159,9 @@ fn run_link(
                     metrics.link_drops.inc();
                     Vec::new()
                 }
-                LinkOp::Send(frame) => match frame.get(OFF_KIND) {
-                    Some(&kind) if kind == FrameKind::Event as u8 => reliable.send(frame, now),
-                    Some(&kind) if kind == FrameKind::FlushAck as u8 => {
+                LinkOp::Send(frame) => match frame.kind() {
+                    Some(FrameKind::Event) => reliable.send(frame, now),
+                    Some(FrameKind::FlushAck) => {
                         // The peer is waiting on this one: notice a
                         // closed connection now, not an RTO from now.
                         socket.connected(now);
@@ -166,7 +177,7 @@ fn run_link(
                     let flush = encode_frame(FrameKind::Flush, me, peer, 0, next_token, &[]);
                     flushes.push((next_token, done));
                     next_token += 1;
-                    reliable.send(flush.freeze(), now)
+                    reliable.send(LinkFrame::Encoded(flush.freeze()), now)
                 }
                 // Nothing connected: dropping the handle completes it.
                 LinkOp::Flush(_) => Vec::new(),
@@ -219,12 +230,11 @@ struct LinkSocket<'a> {
 }
 
 impl LinkSocket<'_> {
-    /// Adds one record to the next write.
-    fn queue(&mut self, seq: u64, frame: &[u8]) {
-        self.out
-            .extend_from_slice(&((frame.len() + 8) as u32).to_be_bytes());
-        self.out.extend_from_slice(&seq.to_be_bytes());
-        self.out.extend_from_slice(frame);
+    /// Adds one record to the next write, encoding the frame into it.
+    fn queue(&mut self, seq: u64, frame: &LinkFrame) {
+        self.out.put_u32((frame.len() + 8) as u32);
+        self.out.put_u64(seq);
+        frame.encode_into(&mut self.out);
     }
 
     /// Writes the gathered records in one call, connecting first if
@@ -318,10 +328,10 @@ impl ReaderCtx {
     /// Handles one record off `peer`'s connection; `ack` collects the
     /// cumulative ack its sequenced records are owed. A malformed frame
     /// is counted and skipped — the framing around it is still intact.
-    fn on_record(&self, peer: NodeId, seq: u64, raw: &[u8], ack: &mut Option<Ack>) {
+    fn on_record(&self, peer: NodeId, seq: u64, frame: Bytes, ack: &mut Option<Ack>) {
         // The one validation, at the socket edge, so garbage is charged
         // to the connection that sent it.
-        let Ok(parsed) = ClusterFrame::parse(raw) else {
+        let Ok(parsed) = ClusterFrame::parse(&frame) else {
             self.plane.metrics.decode_errors.inc();
             return;
         };
@@ -333,18 +343,18 @@ impl ReaderCtx {
             }
             return;
         }
-        // A flush (or its answer) is one only on the link it names, and
-        // only sequenced: unsequenced it could overtake what it flushes.
-        if matches!(kind, FrameKind::Flush | FrameKind::FlushAck)
-            && (seq == 0
-                || parsed.origin() != peer
+        // Only gossip may travel unsequenced: an event would skip the
+        // per-peer dedup, and a flush (or its answer) could overtake what
+        // it flushes. A flush is one only on the link it names.
+        let gossip = matches!(kind, FrameKind::GossipDigest | FrameKind::GossipEntries);
+        let stray_flush = matches!(kind, FrameKind::Flush | FrameKind::FlushAck)
+            && (parsed.origin() != peer
                 || parsed.dest() != self.plane.me
-                || self.link(peer).is_none())
-        {
+                || self.link(peer).is_none());
+        if (seq == 0 && !gossip) || stray_flush {
             self.plane.metrics.decode_errors.inc();
             return;
         }
-        let frame = Bytes::copy_from_slice(raw);
         if seq == 0 {
             self.plane.on_frame(&frame, &parsed);
             return;
@@ -354,17 +364,17 @@ impl ReaderCtx {
         let mut receivers = self.receivers.lock();
         let receiver = receivers.entry(peer).or_default();
         let duplicates = receiver.duplicates();
-        let (released, owed) = receiver.on_frame(ReliableFrame {
-            seq: seq - 1,
-            event: frame,
-        });
+        let owed = receiver.on_frame_with(
+            ReliableFrame {
+                seq: seq - 1,
+                event: frame,
+            },
+            |frame| self.release(peer, &frame),
+        );
         if receiver.duplicates() > duplicates {
             self.plane.metrics.duplicate_frames.inc();
         }
         *ack = Some(owed);
-        for frame in released {
-            self.release(peer, &frame);
-        }
     }
 
     /// Hands on one sequenced frame, in its turn. A flush is answered
@@ -381,7 +391,7 @@ impl ReaderCtx {
                 if let Some(link) = self.link(peer) {
                     let answer =
                         encode_frame(FrameKind::FlushAck, self.plane.me, peer, 0, token, &[]);
-                    let _ = link.send(LinkOp::Send(answer.freeze()));
+                    let _ = link.send(LinkOp::Send(LinkFrame::Encoded(answer.freeze())));
                 }
             }
             FrameKind::FlushAck => {
@@ -398,43 +408,76 @@ impl ReaderCtx {
 struct BadLength;
 
 /// A socket reader's buffer: `bytes[start..end]` is read and not yet
-/// handed on.
+/// handed on. Each read is copied once, into `read`, when its first whole
+/// record is handed on, and every record of that read is a slice of the
+/// copy; a read that completes no record (part of a long one) is not
+/// copied, so a long record costs one copy however many reads it takes.
 struct RecordBuf {
     bytes: Vec<u8>,
     start: usize,
     end: usize,
+    /// The shared copy of `bytes[..end]`, once a record of the latest
+    /// read has been handed on.
+    read: Option<Bytes>,
 }
 
 impl RecordBuf {
+    fn new() -> Self {
+        Self {
+            bytes: vec![0u8; IO_BATCH],
+            start: 0,
+            end: 0,
+            read: None,
+        }
+    }
+
+    /// The `len` field of the record at `start`, once its header is in.
+    fn front_len(&self) -> Option<usize> {
+        let unread = self.bytes.get(self.start..self.end)?;
+        let header = unread.get(..RECORD_HEADER)?;
+        Some(u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize)
+    }
+
     /// The next whole record as `(seq, frame)`, or `None` if it has not
     /// all been read yet.
-    fn next_record(&mut self) -> Result<Option<(u64, &[u8])>, BadLength> {
-        let unread = self.bytes.get(self.start..self.end);
-        let Some(header) = unread.and_then(|unread| unread.get(..RECORD_HEADER)) else {
+    fn next_record(&mut self) -> Result<Option<(u64, Bytes)>, BadLength> {
+        let Some(total) = self.front_len() else {
             return Ok(None);
         };
-        let total = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
         if !(8..=MAX_TCP_FRAME).contains(&total) {
             return Err(BadLength);
         }
-        let seq = read_u64(header, 4);
         let (body, next) = (self.start + RECORD_HEADER, self.start + 4 + total);
         if next > self.end {
-            // Room for the rest, once `fill` has moved it to the front.
-            if self.bytes.len() < 4 + total {
-                self.bytes.resize(4 + total, 0);
-            }
             return Ok(None);
         }
+        let seq = read_u64(&self.bytes, self.start + 4);
+        let (bytes, end) = (&self.bytes, self.end);
+        let read = self
+            .read
+            .get_or_insert_with(|| Bytes::copy_from_slice(bytes.get(..end).unwrap_or_default()));
         self.start = next;
-        Ok(self.bytes.get(body..next).map(|frame| (seq, frame)))
+        Ok(Some((seq, read.slice(body..next))))
     }
 
-    /// Moves the unread bytes to the front and reads more behind them.
-    fn fill(&mut self, stream: &mut TcpStream) -> io::Result<()> {
-        self.bytes.copy_within(self.start..self.end, 0);
-        self.end -= self.start;
-        self.start = 0;
+    /// Moves the unread bytes to the front, sizes the buffer for the
+    /// record they begin — `IO_BATCH`, or that record's length if it is
+    /// longer, so a long record's memory is given back once it has been
+    /// handed on — and reads more behind them.
+    fn fill(&mut self, stream: &mut impl Read) -> io::Result<()> {
+        if self.start > 0 {
+            self.bytes.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let need = (self.front_len())
+            .filter(|&total| total <= MAX_TCP_FRAME)
+            .map_or(IO_BATCH, |total| (4 + total).max(IO_BATCH));
+        if self.bytes.len() != need {
+            self.bytes.resize(need, 0);
+            self.bytes.shrink_to_fit();
+        }
+        self.read = None;
         let read = stream.read(self.bytes.get_mut(self.end..).unwrap_or_default())?;
         if read == 0 {
             return Err(io::ErrorKind::UnexpectedEof.into());
@@ -454,16 +497,12 @@ fn run_reader(mut stream: TcpStream, ctx: &ReaderCtx) {
         return;
     }
     let peer = NodeId::from_be_bytes(peer_bytes);
-    let mut buf = RecordBuf {
-        bytes: vec![0u8; IO_BATCH],
-        start: 0,
-        end: 0,
-    };
+    let mut buf = RecordBuf::new();
     loop {
         let mut ack = None;
         loop {
             match buf.next_record() {
-                Ok(Some((seq, raw))) => ctx.on_record(peer, seq, raw, &mut ack),
+                Ok(Some((seq, frame))) => ctx.on_record(peer, seq, frame, &mut ack),
                 Ok(None) => break,
                 Err(BadLength) => {
                     ctx.plane.metrics.decode_errors.inc();
@@ -473,7 +512,7 @@ fn run_reader(mut stream: TcpStream, ctx: &ReaderCtx) {
         }
         if let (Some(Ack { next_expected }), Some(link)) = (ack, ctx.link(peer)) {
             let ack = encode_frame(FrameKind::Ack, ctx.plane.me, peer, 0, next_expected, &[]);
-            let _ = link.send(LinkOp::Send(ack.freeze()));
+            let _ = link.send(LinkOp::Send(LinkFrame::Encoded(ack.freeze())));
         }
         if buf.fill(&mut stream).is_err() {
             return;
@@ -672,15 +711,19 @@ mod tests {
     use mmcs_util::id::ClientId;
     use std::time::Instant;
 
-    fn event_frame(n: u64) -> Bytes {
-        let event = Event::new(
+    fn event(n: u64) -> Arc<Event> {
+        Event::new(
             Topic::parse("link/test").expect("topic"),
             ClientId::from_raw(1),
             n,
             EventClass::Data,
-            Bytes::new(),
-        );
-        encode_event_frame(7, 9, 0, 0, &event).freeze()
+            Bytes::from_static(b"payload"),
+        )
+        .into_shared()
+    }
+
+    fn event_frame(n: u64) -> LinkFrame {
+        LinkFrame::Encoded(encode_event_frame(7, 9, 0, 0, &event(n)).freeze())
     }
 
     /// The test plays the peer of one link sender and never acks, so
@@ -744,6 +787,149 @@ mod tests {
         assert!(seen.iter().all(|r| r.0 == 1 || r.0 == 2), "{seen:?}");
     }
 
+    /// The test plays a silent peer of one link sender, which is offered
+    /// a local publish's event. The record it writes, and the one it
+    /// rewrites once the RTO lapses, are both the frame
+    /// `encode_event_frame` builds: the link encodes with the one encoder,
+    /// on every transmission.
+    #[test]
+    fn a_retransmitted_event_record_matches_the_first_byte_for_byte() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (link, ops) = channel();
+        let metrics = ClusterNodeMetrics::detached();
+        let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
+        let event = event(3);
+        let frame = LinkFrame::Event {
+            origin: 7,
+            dest: 9,
+            generation: 5,
+            event: Arc::clone(&event),
+        };
+        assert!(link.send(LinkOp::Send(frame)).is_ok());
+
+        let (mut stream, _) = listener.accept().expect("link connects");
+        let mut preamble = [0u8; 2];
+        stream.read_exact(&mut preamble).expect("preamble");
+        let first = read_record(&mut stream);
+        let again = read_record(&mut stream);
+        assert!(link.send(LinkOp::Close).is_ok());
+        thread.join().expect("link thread exits on close");
+
+        assert_eq!(first, again, "the retransmit is the same record");
+        assert_eq!(first.0, 1, "an event record is sequenced");
+        assert_eq!(first.1, encode_event_frame(7, 9, 0, 5, &event).to_vec());
+    }
+
+    /// A reader that hands out `data` in pieces: `cuts` are the offsets
+    /// at which one read ends, and a read never crosses one.
+    struct ShortReads {
+        data: Vec<u8>,
+        at: usize,
+        cuts: Vec<usize>,
+    }
+
+    impl Read for ShortReads {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let stop = (self.cuts.iter().copied())
+                .find(|&cut| cut > self.at)
+                .unwrap_or(self.data.len());
+            let n = (stop - self.at).min(out.len());
+            out[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// One record of `body_len` bytes as it goes on the wire.
+    fn record(seq: u64, body_len: usize) -> (Vec<u8>, Vec<u8>) {
+        let body: Vec<u8> = (0..body_len).map(|i| (i * 7 + seq as usize) as u8).collect();
+        let mut wire = ((body.len() + 8) as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(&seq.to_be_bytes());
+        wire.extend_from_slice(&body);
+        (wire, body)
+    }
+
+    /// Reads `input` to its end; returns every record handed out.
+    fn read_all(buf: &mut RecordBuf, input: &mut ShortReads) -> Vec<(u64, Bytes)> {
+        let mut out = Vec::new();
+        while buf.fill(input).is_ok() {
+            while let Ok(Some(record)) = buf.next_record() {
+                out.push(record);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_record_split_anywhere_in_its_header_or_body_comes_out_whole() {
+        let (first, body) = record(1, 40);
+        let (second, next_body) = record(2, 3);
+        let stream = [first.clone(), second].concat();
+        for cut in 1..first.len() {
+            let mut input = ShortReads {
+                data: stream.clone(),
+                at: 0,
+                cuts: vec![cut],
+            };
+            let got = read_all(&mut RecordBuf::new(), &mut input);
+            assert_eq!(got.len(), 2, "cut at {cut}");
+            assert_eq!((got[0].0, &got[0].1[..]), (1, &body[..]), "cut at {cut}");
+            assert_eq!((got[1].0, &got[1].1[..]), (2, &next_body[..]), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_record_longer_than_a_read_buffer_comes_out_whole_and_gives_its_memory_back() {
+        let (long, body) = record(1, 3 * IO_BATCH + 5);
+        let (short, short_body) = record(2, 10);
+        let mut input = ShortReads {
+            cuts: (1..long.len() / 1000).map(|k| k * 1000).collect(),
+            data: [long, short].concat(),
+            at: 0,
+        };
+        let mut buf = RecordBuf::new();
+        let got = read_all(&mut buf, &mut input);
+        assert_eq!(got.len(), 2);
+        assert_eq!((got[0].0, &got[0].1[..]), (1, &body[..]));
+        assert_eq!((got[1].0, &got[1].1[..]), (2, &short_body[..]));
+        assert_eq!(buf.bytes.len(), IO_BATCH);
+        assert_eq!(buf.bytes.capacity(), IO_BATCH, "the long record's memory is freed");
+    }
+
+    #[test]
+    fn records_of_one_read_share_its_copy_and_an_unread_tail_is_never_handed_out() {
+        let (first, _) = record(1, 20);
+        let (second, _) = record(2, 30);
+        let (third, _) = record(3, 50);
+        let mut input = ShortReads {
+            data: [first.clone(), second, third[..30].to_vec()].concat(),
+            at: 0,
+            cuts: Vec::new(),
+        };
+        let mut buf = RecordBuf::new();
+        assert!(buf.fill(&mut input).is_ok());
+        let (_, a) = buf.next_record().ok().flatten().expect("first record");
+        let (_, b) = buf.next_record().ok().flatten().expect("second record");
+        let a_end = a.as_ptr() as usize + a.len();
+        assert_eq!(a_end + RECORD_HEADER, b.as_ptr() as usize, "one allocation");
+        assert!(buf.next_record().ok().flatten().is_none(), "the tail is held back");
+        assert!(buf.fill(&mut input).is_err(), "the stream ends mid-record");
+        assert!(buf.next_record().ok().flatten().is_none());
+        // Down to a header's worth, and then less.
+        for cut in [RECORD_HEADER, RECORD_HEADER - 1] {
+            let mut input = ShortReads {
+                data: [first.clone(), third[..cut].to_vec()].concat(),
+                at: 0,
+                cuts: Vec::new(),
+            };
+            let mut buf = RecordBuf::new();
+            assert!(buf.fill(&mut input).is_ok());
+            assert!(buf.next_record().ok().flatten().is_some());
+            assert!(buf.next_record().ok().flatten().is_none(), "{cut} bytes of a header");
+        }
+    }
+
     /// A port nothing listens on.
     fn closed_port() -> SocketAddr {
         let reserved = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
@@ -758,7 +944,8 @@ mod tests {
         let addr = closed_port();
         let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
         for len in [MAX_TCP_FRAME - 7, MAX_TCP_FRAME - 8] {
-            assert!(link.send(LinkOp::Send(Bytes::from(vec![0u8; len]))).is_ok());
+            let frame = LinkFrame::Encoded(Bytes::from(vec![0u8; len]));
+            assert!(link.send(LinkOp::Send(frame)).is_ok());
         }
         assert!(link.send(LinkOp::Close).is_ok());
         thread.join().expect("link thread exits on close");

@@ -11,8 +11,11 @@
 //!
 //! Both halves are generic over their payload: `Arc<Event>` (the
 //! default) is the control-plane channel above, and the federation's
-//! TCP links ([`crate::cluster`]) run the same state machines over
-//! `Bytes` frames — this file is the workspace's one reliability layer.
+//! TCP links ([`crate::cluster`]) run the same state machines — the
+//! sender over the link's frames (encoded bytes, or an event's `Arc`
+//! that the link encodes on every transmission), the receiver over
+//! `Bytes` records — so this file is the workspace's one reliability
+//! layer.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -221,22 +224,31 @@ impl<P> ReliableReceiver<P> {
 
     /// Processes a frame; returns `(deliverable events in order, ack)`.
     pub fn on_frame(&mut self, frame: ReliableFrame<P>) -> (Vec<P>, Ack) {
-        if frame.seq < self.next_expected || self.pending.contains_key(&frame.seq) {
+        let mut out = Vec::new();
+        let ack = self.on_frame_with(frame, |event| out.push(event));
+        (out, ack)
+    }
+
+    /// Processes a frame, handing each payload it makes deliverable to
+    /// `deliver`, in order; returns the ack. The in-order frame of a
+    /// receiver with nothing pending — the common case — is handed on
+    /// directly, and allocates nothing.
+    pub fn on_frame_with(&mut self, frame: ReliableFrame<P>, mut deliver: impl FnMut(P)) -> Ack {
+        if frame.seq == self.next_expected && self.pending.is_empty() {
+            self.next_expected += 1;
+            deliver(frame.event);
+        } else if frame.seq < self.next_expected || self.pending.contains_key(&frame.seq) {
             self.duplicates += 1;
         } else {
             self.pending.insert(frame.seq, frame.event);
+            while let Some(event) = self.pending.remove(&self.next_expected) {
+                self.next_expected += 1;
+                deliver(event);
+            }
         }
-        let mut out = Vec::new();
-        while let Some(event) = self.pending.remove(&self.next_expected) {
-            self.next_expected += 1;
-            out.push(event);
+        Ack {
+            next_expected: self.next_expected,
         }
-        (
-            out,
-            Ack {
-                next_expected: self.next_expected,
-            },
-        )
     }
 
     /// Duplicate frames suppressed so far.

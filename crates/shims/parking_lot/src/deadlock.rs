@@ -146,16 +146,20 @@ mod imp {
     /// currently held site and panics if any edge closes a cycle.
     pub(crate) fn on_blocking_acquire(site: &'static Location<'static>) {
         let new = SiteKey::of(site);
-        let held: Vec<SiteKey> = HELD.with(|h| h.borrow().clone());
-        if !held.is_empty() {
-            let mut g = lock_ignore_poison(graph());
-            for &from in &held {
-                if from == new {
-                    continue; // sibling locks from one construction site
+        // Borrowed, not cloned: a nested acquisition on a warm path must
+        // not allocate just because the detector looked at it.
+        HELD.with(|h| {
+            let held = h.borrow();
+            if !held.is_empty() {
+                let mut g = lock_ignore_poison(graph());
+                for &from in held.iter() {
+                    if from == new {
+                        continue; // sibling locks from one construction site
+                    }
+                    record_edge(&mut g, from, new, &held);
                 }
-                record_edge(&mut g, from, new, &held);
             }
-        }
+        });
         HELD.with(|h| h.borrow_mut().push(new));
     }
 

@@ -16,14 +16,13 @@
 //! acquisition there misses and allocates. Meanwhile, the dropping
 //! thread's list fills to [`PER_CLASS_CAP`] and frees the rest.
 //!
-//! On the live broker runtime the sharded broker acquires nothing: its
-//! cross-shard ring hands `Arc<Event>`s between shard threads. Cluster
-//! frames and gossip bodies are the only live users, and the federation
-//! path is the cross-thread case above: the publishing thread encodes
-//! the event frames, and the link threads (over TCP, once the peer has
-//! acked) or the receiving node's shard threads (in process) drop them.
-//! A traced `federation_tcp` run of the wall-clock benchmark reports a
-//! `pool.hit_ratio` of 0 there.
+//! The live runtime acquires nothing. The sharded broker's cross-shard
+//! ring hands `Arc<Event>`s between shard threads, and the federation —
+//! the cross-thread case above, where a pool never hits — encodes each
+//! frame into an exact-size buffer or straight into a link's socket
+//! buffer; a traced `federation_tcp` run of the wall-clock benchmark
+//! reports 0 `pool.acquisitions`. The users are `ReliableFrame::encode`,
+//! `RtpPacket::encode`, the streaming producer and `wire::encode`.
 //!
 //! Four size classes cover the workspace's traffic shapes: control
 //! events and audio RTP (≤ 256 B), video RTP and typical events (≤ 2 KiB),

@@ -1,8 +1,8 @@
 //! The federation over real loopback TCP sockets.
 //!
 //! Three node data planes linked by `TcpLink` senders (length-prefixed
-//! frames, pooled buffers, capped exponential backoff) and per-node
-//! listener/reader threads. Properties the simulator cannot prove:
+//! records, each frame encoded into the sender's socket buffer, capped
+//! exponential backoff) and per-node listener/reader threads. Properties the simulator cannot prove:
 //!
 //! * **the barrier is a barrier** — `quiesce()` returns because every
 //!   hop has carried and processed what was published before it, so one
@@ -19,8 +19,9 @@
 //! * **garbage at the socket edge** — a malformed `ClusterFrame` body
 //!   on an otherwise intact framing layer is rejected with a typed
 //!   decode error, counted in telemetry, and the connection keeps
-//!   working; an unframeable length prefix is counted and ends only
-//!   that connection, never the node;
+//!   working; so is a valid event frame sent unsequenced, which would
+//!   skip the dedup; an unframeable length prefix is counted and ends
+//!   only that connection, never the node;
 //! * **prompt shutdown** — dropping a cluster joins every thread it
 //!   spawned within a bound that does not depend on how much traffic
 //!   is still queued toward peers that are already gone.
@@ -122,10 +123,11 @@ fn malformed_frames_are_counted_and_do_not_poison_the_node() {
     let node0 = || cluster.metrics().node(0).decode_errors.get();
     let baseline = node0();
 
-    // One connection, three records: a frame body with a bogus version
-    // (BadVersion), a truncated envelope (Truncated), then a valid
-    // event frame — framing stays intact across the rejects, so the
-    // valid frame must still be delivered.
+    // One connection, three records at link seq 0: a frame body with a
+    // bogus version (BadVersion), a truncated envelope (Truncated), and a
+    // valid event frame, which is refused too — an event travels
+    // sequenced only, or a replay of it would skip the per-peer dedup.
+    // Framing stays intact across the rejects.
     let mut stream = TcpStream::connect(addr).expect("connect to node 0");
     stream.write_all(&1u16.to_be_bytes()).expect("peer preamble");
     let mut bad_version = encode_frame(FrameKind::Ack, 1, 0, 0, 0, &[]).freeze().to_vec();
@@ -146,14 +148,24 @@ fn malformed_frames_are_counted_and_do_not_poison_the_node() {
         stream.write_all(frame).expect("frame body");
     }
     stream.flush().expect("flush");
+    await_count("all three refused", baseline + 3, node0);
 
+    // The same event frame sequenced still lands. It claims a peer id no
+    // node uses, so its receiver starts at the first sequence number:
+    // node 0's receiver for peer 1 has used some on the quiesce flushes.
+    let _sequenced = inject(addr, 7, 1, &valid);
     let delivered = collect(&subscriber, 1, Duration::from_secs(10));
     assert_eq!(delivered.len(), 1, "valid frame after garbage still lands");
     assert_eq!(delivered[0].topic.to_string(), "edge/ok");
+    cluster.quiesce();
+    assert!(
+        subscriber.try_recv().is_none(),
+        "the unsequenced copy is never delivered"
+    );
     assert_eq!(
         node0() - baseline,
-        2,
-        "both malformed frames counted as decode errors"
+        3,
+        "both malformed frames and the unsequenced event counted once each"
     );
 
     // A garbage length prefix cannot be resynced: it is counted and

@@ -4,11 +4,13 @@
 //! deliver exactly the offered events, in order, without duplicates,
 //! while never exceeding the in-flight window.
 //!
-//! The channel is generic over its payload and the federation's TCP
-//! links run it over `Bytes` cluster frames, so the emission-discipline
-//! property at the bottom is instantiated for both payload types: it is
-//! what rules out writing a frame twice when the send that queued it
-//! is also the one that reconnects.
+//! The channel is generic over its payload. The federation's TCP link
+//! sender runs it over its link frames — encoded `Bytes`, or an
+//! `Arc<Event>` the link encodes on every transmission — and the reader
+//! over `Bytes` records, so the emission-discipline property at the
+//! bottom is instantiated for both of those payload types: it is what
+//! rules out writing a frame twice when the send that queued it is also
+//! the one that reconnects.
 
 use std::sync::Arc;
 
@@ -248,7 +250,8 @@ proptest! {
         check_emission_discipline(seed, total, window, loss, event, |e: &Arc<Event>| e.seq)?;
     }
 
-    /// The same over `Bytes`, as the federation's TCP links run it.
+    /// The same over `Bytes`, the other payload shape a federation TCP
+    /// link carries.
     #[test]
     fn every_seq_is_emitted_once_then_only_by_the_rto_bytes(
         seed in any::<u64>(),

@@ -10,11 +10,14 @@
 //! encode of every routed event when the frame buffer comes from a warm
 //! buffer pool. An unpooled control phase re-encodes the same events
 //! into fresh `BytesMut` buffers and shows the allocations come back,
-//! so the zero reading measures the pool, not a blind spot. A final
-//! phase stacks the federation layer on top: resolving gossip interest
-//! targets (`targets_for`, memoized per table stamp) and wrapping the
-//! event in the 16-byte `ClusterFrame` envelope must also be free once
-//! warm.
+//! so the zero reading measures the pool, not a blind spot. Resolving
+//! gossip interest targets (`targets_for`, memoized per table stamp)
+//! must also be free once warm.
+//!
+//! A final phase pins what a whole federation publish costs the
+//! publishing thread: over loopback TCP to two remote nodes, at most 1.1
+//! allocations per publish — the event's `Arc` plus the queues'
+//! amortized blocks. The links encode the frames on their own threads.
 //!
 //! This file holds exactly one test so the counting allocator sees no
 //! traffic from sibling tests in the same binary.
@@ -24,7 +27,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use mmcs::broker::cluster::{encode_event_frame, CLUSTER_HEADER_LEN};
+use mmcs::broker::cluster::{Cluster, LatencyMap};
 use mmcs::broker::event::{Event, EventClass};
 use mmcs::broker::gossip::GossipState;
 use mmcs::broker::metrics::BrokerMetrics;
@@ -287,13 +290,11 @@ fn warm_publish_allocates_nothing() {
         PUBLISHES,
     );
 
-    // Phase 4 — the federation layer on top of the same event. One
+    // Phase 4 — the federation layer's interest lookup. One
     // anti-entropy exchange teaches node 0 that node 1 subscribed a
-    // filter covering the topic; from then on the cluster publish hot
-    // path is `targets_for` (an `Arc` clone out of the stamp-keyed
-    // route cache) plus the 16-byte envelope encode into a pooled
-    // frame. The warm-up block charges the one-time costs: the target
-    // cache entry and any new pool class for the envelope-sized frame.
+    // filter covering the topic; from then on `targets_for` is an `Arc`
+    // clone out of the stamp-keyed target cache. The warm-up call charges
+    // the one-time cache entry.
     let filter = TopicFilter::parse("conf/1/#").unwrap();
     let mut remote = GossipState::new(1, 2);
     assert!(remote.subscribe(&filter));
@@ -302,40 +303,61 @@ fn warm_publish_allocates_nothing() {
     local.digest_into(&mut digest);
     let fresh = remote.entries_newer_than(&digest);
     assert_eq!(local.apply(&fresh), 1);
-    {
-        let targets = local.targets_for(&event.topic);
-        assert_eq!(&targets[..], &[1]);
-        let generation = local.entry(1).generation;
-        let frame = encode_event_frame(0, 1, 0, generation, &event);
-        assert_eq!(frame.len(), CLUSTER_HEADER_LEN + wire::encoded_len(&event));
-        drop(frame);
-    }
-    let pool_before = pool::stats();
+    assert_eq!(&local.targets_for(&event.topic)[..], &[1]);
     let before = thread_allocs();
     for _ in 0..PUBLISHES {
         let targets = local.targets_for(&event.topic);
         assert_eq!(targets.len(), 1);
-        for &target in targets.iter() {
-            let generation = local.entry(target).generation;
-            let frame = encode_event_frame(0, target, 0, generation, &event);
-            assert_eq!(frame.len(), CLUSTER_HEADER_LEN + wire::encoded_len(&event));
-            drop(frame);
-        }
     }
     let after = thread_allocs();
     assert_eq!(
         after - before,
         0,
-        "warm federation target-resolve + envelope-encode path must not \
-         allocate ({} allocations across {} publishes)",
+        "warm federation target resolve must not allocate \
+         ({} allocations across {} publishes)",
         after - before,
         PUBLISHES,
     );
-    let pool_after = pool::stats();
-    assert_eq!(
-        pool_after.hits - pool_before.hits,
-        PUBLISHES,
-        "every envelope frame was served from the warm free list"
+
+    // Phase 5 — a whole federation publish over loopback TCP, to a home
+    // subscriber and two remote nodes. The publishing thread builds the
+    // event's `Arc`, hands it to its home broker's ingress and to each
+    // next-hop link, and encodes nothing: the link threads write the
+    // frames. What it allocates is that `Arc` plus its share of the
+    // queues' amortized blocks. Topics and payloads are built before the
+    // counted window; the warm-up publishes grow every queue first.
+    let cluster = Cluster::builder(LatencyMap::full_mesh(3, 1)).tcp().spawn();
+    let subscribers: Vec<_> = (0..3).map(|zone| cluster.attach(zone)).collect();
+    for subscriber in &subscribers {
+        subscriber.subscribe(filter.clone());
+    }
+    assert!(cluster.converge(8), "interest gossip converged");
+    let publisher = cluster.attach(0);
+    let warm = 100;
+    let topics = vec![event.topic.clone(); warm + PUBLISHES as usize];
+    let payloads = vec![Bytes::from_static(&[0u8; 172]); warm + PUBLISHES as usize];
+    let mut sends = topics.into_iter().zip(payloads);
+    for (topic, payload) in sends.by_ref().take(warm) {
+        publisher.publish_class(topic, EventClass::Rtp, payload);
+    }
+    cluster.quiesce();
+    let forwards = || cluster.metrics().node(0).inter_node_forwards.get();
+    let forwarded = forwards();
+    let before = thread_allocs();
+    for (topic, payload) in sends {
+        publisher.publish_class(topic, EventClass::Rtp, payload);
+    }
+    let allocs = thread_allocs() - before;
+    assert_eq!(forwards() - forwarded, 2 * PUBLISHES, "two remote nodes each");
+    assert!(
+        allocs * 10 <= PUBLISHES * 11,
+        "a federation publish allocates at most 1.1 times on the publishing \
+         thread ({allocs} allocations across {PUBLISHES} publishes)",
     );
-    assert_eq!(pool_after.misses, pool_before.misses);
+    cluster.quiesce();
+    for subscriber in &subscribers {
+        let mut got = Vec::new();
+        subscriber.drain_into(&mut got);
+        assert_eq!(got.len(), warm + PUBLISHES as usize, "every publish delivered");
+    }
 }
