@@ -8,12 +8,13 @@
 //!
 //! * [`system`] — [`system::GlobalMmcs`]: owns every server (XGSP
 //!   session server, directories, calendar, gatekeeper, gateways, IM,
-//!   presence, Helix, archive, the broker network) and routes each
-//!   protocol's messages to its gateway and the resulting notifications
-//!   back out to the right endpoints.
-//! * [`web`] — the XGSP web server: the SOAP facade (`createSession`,
-//!   `join`, `schedule`, …) and the calendar-driven opening of
-//!   scheduled meetings.
+//!   presence, Helix, archive, the broker) and routes each protocol's
+//!   messages through its gateway into the one door of the session
+//!   server, which applies every output once and returns the resulting
+//!   notifications as egress toward the right endpoints.
+//! * [`web`] — the XGSP web server on the same system: the SOAP facade
+//!   (`createSession`, `join`, `schedule`, …) and the calendar-driven
+//!   opening of scheduled meetings.
 //! * [`avs`] — the A/V service: active-speaker selection and video
 //!   switching over the session's media streams.
 //! * [`bridge`] — community bridging: mirror a session into a WSDL-CI
@@ -28,12 +29,12 @@
 //! # Examples
 //!
 //! ```
-//! use global_mmcs::system::GlobalMmcs;
+//! use global_mmcs::system::{Egress, GlobalMmcs};
 //! use mmcs_xgsp::media::{MediaDescription, MediaKind};
 //! use mmcs_xgsp::message::{SessionMode, XgspMessage};
 //!
 //! let mut mmcs = GlobalMmcs::new();
-//! let outputs = mmcs.handle_xgsp(
+//! let egress = mmcs.handle_xgsp(
 //!     Some("alice"),
 //!     XgspMessage::CreateSession {
 //!         name: "quickstart".into(),
@@ -41,7 +42,10 @@
 //!         media: vec![MediaDescription::new(MediaKind::Audio, "PCMU")],
 //!     },
 //! );
-//! assert!(!outputs.is_empty());
+//! // The requester's reply comes first; the session's audio topic now
+//! // feeds a streaming tap.
+//! assert!(matches!(&egress[0], Egress::Xgsp(XgspMessage::SessionCreated { .. })));
+//! assert_eq!(mmcs.helix().stream_names().len(), 1);
 //! ```
 
 pub mod accessgrid;

@@ -5,10 +5,18 @@
 //!
 //! * protocol ingress: [`GlobalMmcs::handle_sip`],
 //!   [`GlobalMmcs::handle_h323`], [`GlobalMmcs::handle_stanza`],
-//!   [`GlobalMmcs::handle_xgsp`];
-//! * XGSP effects: broker topic commands create Helix streams and
-//!   RealProducers, notifications are translated per endpoint protocol
-//!   and returned as [`Egress`] items;
+//!   [`GlobalMmcs::handle_xgsp`] and the web facade's
+//!   [`GlobalMmcs::handle_soap`]; each returns the reply to its
+//!   requester and every other delivery it caused as [`Egress`];
+//! * one door into the XGSP session server: the SIP and H.323 gateways,
+//!   IM escalation and the SOAP facade only translate, and every XGSP
+//!   message they make goes through the same door. There each output is
+//!   applied once, whichever ingress it came from: topic commands add
+//!   and drop streaming taps (Helix streams and RealProducers),
+//!   membership and video selection move the A/V switch, and
+//!   notifications and invites are translated for the recipient's
+//!   [`EndpointKind`] (a user a gateway admits is bound to that
+//!   gateway's kind);
 //! * media plane: [`GlobalMmcs::publish_rtp`] publishes into a live
 //!   [`ShardedBroker`] with one shard (every topic here starts with
 //!   `globalmmcs/`, so one shard owns them all and a second would only
@@ -16,7 +24,7 @@
 //!   the media service taps every session topic to feed
 //!   streaming/archive.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use mmcs_broker::event::{Event, EventClass};
@@ -27,6 +35,7 @@ use mmcs_directory::users::UserDirectory;
 use mmcs_h323::gatekeeper::Gatekeeper;
 use mmcs_h323::gateway::H323Gateway;
 use mmcs_h323::msg::H323Message;
+use mmcs_im::adhoc::EscalateError;
 use mmcs_im::server::{ImServer, Outgoing};
 use mmcs_im::stanza::Stanza;
 use mmcs_rtp::packet::RtpPacket;
@@ -38,11 +47,11 @@ use mmcs_sip::registrar::Registrar;
 use mmcs_streaming::archive::Archive;
 use mmcs_streaming::helix::HelixServer;
 use mmcs_streaming::producer::RealProducer;
-use mmcs_util::id::{ClientId, SessionId};
+use mmcs_util::id::{ClientId, ReservationId, SessionId, TerminalId};
 use mmcs_util::time::SimTime;
 use mmcs_util::xml::Element;
 use mmcs_xgsp::calendar::Calendar;
-use mmcs_xgsp::message::XgspMessage;
+use mmcs_xgsp::message::{MediaOp, XgspMessage};
 use mmcs_xgsp::server::{BrokerCommand, ServerOutput, SessionServer};
 
 use crate::avs::MediaSwitch;
@@ -60,9 +69,15 @@ pub enum EndpointKind {
     H323,
 }
 
-/// An outbound item produced while handling ingress.
+/// An outbound item produced while handling ingress: the reply to the
+/// requester in its own protocol, or a delivery to another endpoint.
 #[derive(Debug, Clone)]
 pub enum Egress {
+    /// An XGSP reply toward the requester of [`GlobalMmcs::handle_xgsp`].
+    Xgsp(XgspMessage),
+    /// A SOAP response document toward the requester of
+    /// [`GlobalMmcs::handle_soap`].
+    Soap(String),
     /// A SIP message toward a UA.
     Sip(SipMessage),
     /// An IM stanza toward a JID.
@@ -85,31 +100,146 @@ pub enum Egress {
     },
 }
 
+/// Why [`GlobalMmcs::publish_rtp`] refused a packet.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PublishError {
+    /// The topic does not parse.
+    Topic(ParseTopicError),
+    /// No media client with this id was attached through this system.
+    UnknownClient(ClientId),
+}
+
+impl std::fmt::Display for PublishError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PublishError::Topic(err) => write!(f, "bad media topic: {err}"),
+            PublishError::UnknownClient(id) => write!(f, "no media client {id:?}"),
+        }
+    }
+}
+
+impl std::error::Error for PublishError {}
+
+/// The XGSP session server and every piece of state its outputs drive.
+/// [`Xgsp::handle`] is the one door into the session server.
+struct Xgsp {
+    server: SessionServer,
+    /// How each user's endpoint is reached.
+    endpoints: HashMap<String, EndpointKind>,
+    switch: MediaSwitch,
+    helix: HelixServer,
+    /// The streaming tap of each session topic.
+    producers: HashMap<String, RealProducer>,
+}
+
+impl Xgsp {
+    /// The door: hands `message` to the session server and applies each
+    /// output once. Topic commands add and drop streaming taps, a leave,
+    /// a termination or a video selection moves the A/V switch, and every
+    /// notification and invite is translated for its recipient's endpoint
+    /// into `egress`. A gateway passes `admit`, the kind it binds each user
+    /// it admits to. Returns the session server's outputs, whose replies
+    /// are the caller's to read.
+    fn handle(
+        &mut self,
+        from: Option<&str>,
+        message: XgspMessage,
+        admit: Option<fn(String) -> EndpointKind>,
+        egress: &mut Vec<Egress>,
+    ) -> Vec<ServerOutput> {
+        match &message {
+            XgspMessage::MediaControl {
+                session,
+                user,
+                op: MediaOp::Select,
+                kind,
+            } if kind == "video" => self.switch.pin(*session, Some(user)),
+            XgspMessage::Leave { session, user } => self.switch.remove_member(*session, user),
+            XgspMessage::TerminateSession { session } => self.switch.remove_session(*session),
+            _ => {}
+        }
+        let mut joining = match (&message, admit) {
+            (XgspMessage::Join { user, .. }, Some(kind)) => Some((user.clone(), kind)),
+            _ => None,
+        };
+        let outputs = self.server.handle(from, message);
+        for output in &outputs {
+            match output {
+                ServerOutput::Broker(BrokerCommand::CreateTopic(topic)) => {
+                    self.helix.add_stream(topic.clone());
+                    self.producers
+                        .entry(topic.clone())
+                        .or_insert_with(|| RealProducer::new(topic.clone()));
+                }
+                ServerOutput::Broker(BrokerCommand::RemoveTopic(topic)) => {
+                    self.producers.remove(topic);
+                }
+                ServerOutput::Reply(XgspMessage::JoinAck { .. }) => {
+                    if let Some((user, kind)) = joining.take() {
+                        self.endpoints.insert(user.clone(), kind(user));
+                    }
+                }
+                ServerOutput::Reply(_) => {}
+                ServerOutput::Notify { user, message }
+                | ServerOutput::Invite { to: user, message } => {
+                    egress.extend(self.translate(user, message));
+                }
+            }
+        }
+        outputs
+    }
+
+    /// Translates one notification or invite for the recipient's
+    /// endpoint: a NOTIFY toward a SIP UA, a message stanza toward an IM
+    /// client. An H.323 terminal or an unbound user has no notification
+    /// channel.
+    fn translate(&self, user: &str, message: &XgspMessage) -> Option<Egress> {
+        match self.endpoints.get(user) {
+            Some(EndpointKind::Sip(uri)) => Some(Egress::Sip(
+                SipMessage::request(SipMethod::Notify, uri.clone())
+                    .with_header("Via", "SIP/2.0/UDP mmcs.example;branch=z9hG4bK-core")
+                    .with_header("From", "<sip:mmcs@mmcs.example>")
+                    .with_header("To", format!("<{uri}>"))
+                    .with_header("Event", "conference")
+                    .with_body("application/xgsp+xml", message.to_xml()),
+            )),
+            Some(EndpointKind::Im(jid)) => Some(Egress::Stanza {
+                to: jid.clone(),
+                stanza: Stanza::Message {
+                    from: "mmcs".into(),
+                    to: jid.clone(),
+                    body: message.to_xml(),
+                },
+            }),
+            Some(EndpointKind::H323) | None => None,
+        }
+    }
+}
+
 /// The assembled Global-MMCS. See the [module docs](self).
 pub struct GlobalMmcs {
-    session_server: SessionServer,
+    xgsp: Xgsp,
+    // The ingress translators, beside the door they call into.
+    sip_gateway: SipGateway,
+    h323_gateway: H323Gateway,
+    im: ImServer,
+    sip_proxy: Proxy,
+    registrar: Registrar,
+    presence: PresenceServer,
+    gatekeeper: Gatekeeper,
     users: UserDirectory,
     communities: CommunityDirectory,
     calendar: Calendar,
+    /// Reservations already opened as sessions (see [`crate::web`]).
+    pub(crate) opened: HashSet<ReservationId>,
+    archive: Archive,
+    quality: QualityMonitor,
     /// The media service's tap on `globalmmcs/#`.
     media_service: ShardedClient,
     /// Media clients by id; iteration order is the drain order.
     media_clients: BTreeMap<ClientId, ShardedClient>,
     /// Declared after every client, so they detach before it shuts down.
     broker: ShardedBroker,
-    sip_gateway: SipGateway,
-    sip_proxy: Proxy,
-    registrar: Registrar,
-    presence: PresenceServer,
-    gatekeeper: Gatekeeper,
-    h323_gateway: H323Gateway,
-    im: ImServer,
-    helix: HelixServer,
-    archive: Archive,
-    switch: MediaSwitch,
-    quality: QualityMonitor,
-    endpoints: HashMap<String, EndpointKind>,
-    producers: HashMap<String, RealProducer>,
     now: SimTime,
 }
 
@@ -120,26 +250,29 @@ impl GlobalMmcs {
         let media_service = broker.attach();
         media_service.subscribe(TopicFilter::parse("globalmmcs/#").expect("static filter"));
         Self {
-            session_server: SessionServer::new(),
-            users: UserDirectory::new(),
-            communities: CommunityDirectory::new(),
-            calendar: Calendar::new(),
-            media_service,
-            media_clients: BTreeMap::new(),
-            broker,
+            xgsp: Xgsp {
+                server: SessionServer::new(),
+                endpoints: HashMap::new(),
+                switch: MediaSwitch::new(),
+                helix: HelixServer::new(),
+                producers: HashMap::new(),
+            },
             sip_gateway: SipGateway::new("mmcs.example", "rtp-proxy.mmcs.example"),
+            h323_gateway: H323Gateway::new("gw.mmcs.example:2720", "rtp-proxy.mmcs.example:5004"),
+            im: ImServer::new(),
             sip_proxy: Proxy::new("proxy.mmcs.example"),
             registrar: Registrar::new(),
             presence: PresenceServer::new(),
             gatekeeper: Gatekeeper::new("gk.mmcs.example", "gw.mmcs.example:1720", 1_000_000),
-            h323_gateway: H323Gateway::new("gw.mmcs.example:2720", "rtp-proxy.mmcs.example:5004"),
-            im: ImServer::new(),
-            helix: HelixServer::new(),
+            users: UserDirectory::new(),
+            communities: CommunityDirectory::new(),
+            calendar: Calendar::new(),
+            opened: HashSet::new(),
             archive: Archive::new(),
-            switch: MediaSwitch::new(),
             quality: QualityMonitor::new(),
-            endpoints: HashMap::new(),
-            producers: HashMap::new(),
+            media_service,
+            media_clients: BTreeMap::new(),
+            broker,
             now: SimTime::ZERO,
         }
     }
@@ -156,7 +289,7 @@ impl GlobalMmcs {
 
     /// The XGSP session server (read access).
     pub fn session_server(&self) -> &SessionServer {
-        &self.session_server
+        &self.xgsp.server
     }
 
     /// The user/terminal directory.
@@ -181,12 +314,12 @@ impl GlobalMmcs {
 
     /// The streaming server.
     pub fn helix(&self) -> &HelixServer {
-        &self.helix
+        &self.xgsp.helix
     }
 
     /// Mutable streaming server (RTSP control path).
     pub fn helix_mut(&mut self) -> &mut HelixServer {
-        &mut self.helix
+        &mut self.xgsp.helix
     }
 
     /// The archive.
@@ -196,7 +329,7 @@ impl GlobalMmcs {
 
     /// The A/V switch.
     pub fn switch_mut(&mut self) -> &mut MediaSwitch {
-        &mut self.switch
+        &mut self.xgsp.switch
     }
 
     /// The RTCP-driven quality monitor.
@@ -226,13 +359,13 @@ impl GlobalMmcs {
     ///
     /// Returns the directory error as a string for bad credentials or a
     /// missing active terminal; XGSP-level failures come back in the
-    /// returned outputs like any other join.
+    /// returned egress like any other join.
     pub fn join_authenticated(
         &mut self,
         name: &str,
         password: &str,
         session: SessionId,
-    ) -> Result<Vec<ServerOutput>, String> {
+    ) -> Result<Vec<Egress>, String> {
         let user = self
             .users
             .authenticate(name, password)
@@ -275,7 +408,7 @@ impl GlobalMmcs {
     /// Declares how a user's endpoint is reached, for notification
     /// translation.
     pub fn bind_endpoint(&mut self, user: impl Into<String>, kind: EndpointKind) {
-        self.endpoints.insert(user.into(), kind);
+        self.xgsp.endpoints.insert(user.into(), kind);
     }
 
     /// Attaches a media-plane client subscribed to a session's media
@@ -298,17 +431,24 @@ impl GlobalMmcs {
     /// returns every egress the publish caused (deliveries to media
     /// clients, in id order; streaming/archiving happen internally).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `client` was not attached through this system.
-    pub fn publish_rtp(&mut self, client: ClientId, topic: &str, rtp: &RtpPacket) -> Vec<Egress> {
-        let parsed = Topic::parse(topic).expect("caller passes topics from JoinAck");
+    /// [`PublishError::Topic`] if `topic` does not parse, and
+    /// [`PublishError::UnknownClient`] if `client` was not attached
+    /// through this system; nothing is published then.
+    pub fn publish_rtp(
+        &mut self,
+        client: ClientId,
+        topic: &str,
+        rtp: &RtpPacket,
+    ) -> Result<Vec<Egress>, PublishError> {
+        let topic = Topic::parse(topic).map_err(PublishError::Topic)?;
         self.media_clients
             .get(&client)
-            .expect("publish_rtp requires an attached media client")
-            .publish_class(parsed, EventClass::Rtp, rtp.encode());
+            .ok_or(PublishError::UnknownClient(client))?
+            .publish_class(topic, EventClass::Rtp, rtp.encode());
         self.broker.quiesce();
-        self.drain_media()
+        Ok(self.drain_media())
     }
 
     /// Drains broker deliveries — the media-service tap first, then each
@@ -324,13 +464,14 @@ impl GlobalMmcs {
             // this stream, the Helix server and the archive.
             let topic = event.topic.to_string();
             let producer = self
+                .xgsp
                 .producers
                 .entry(topic.clone())
                 .or_insert_with(|| RealProducer::new(topic));
             producer.ingest(&rtp, self.now);
             for chunk in producer.drain() {
                 self.archive.observe(&chunk);
-                self.helix.feed(chunk);
+                self.xgsp.helix.feed(chunk);
             }
         }
         let mut egress = Vec::new();
@@ -350,150 +491,74 @@ impl GlobalMmcs {
         egress
     }
 
-    /// Handles an XGSP message directly (the web-services path), routing
-    /// notifications to bound endpoints. Returns protocol egress; the
-    /// raw XGSP replies are available via the returned outputs of
-    /// [`SessionServer`] semantics — callers needing them should use
-    /// [`GlobalMmcs::handle_xgsp`].
-    pub fn handle_xgsp(&mut self, from: Option<&str>, message: XgspMessage) -> Vec<ServerOutput> {
-        // Keep the A/V switch in step with selection and membership.
-        match &message {
-            XgspMessage::MediaControl {
-                session,
-                user,
-                op: mmcs_xgsp::message::MediaOp::Select,
-                kind,
-            } if kind == "video" => {
-                self.switch.pin(*session, Some(user));
-            }
-            XgspMessage::Leave { session, user } => {
-                self.switch.remove_member(*session, user);
-            }
-            XgspMessage::TerminateSession { session } => {
-                self.switch.remove_session(*session);
-            }
-            _ => {}
-        }
-        let outputs = self.session_server.handle(from, message);
-        self.apply_outputs(&outputs);
-        outputs
+    /// The XGSP ingress (the path web services and XGSP-native clients
+    /// take): sends `message` through the door into the session server.
+    /// Returns the requester's reply as [`Egress::Xgsp`], then the egress
+    /// of every notification and invite it caused.
+    pub fn handle_xgsp(&mut self, from: Option<&str>, message: XgspMessage) -> Vec<Egress> {
+        let mut egress = Vec::new();
+        let outputs = self.xgsp.handle(from, message, None, &mut egress);
+        let replies = outputs.into_iter().filter_map(|output| match output {
+            ServerOutput::Reply(reply) => Some(Egress::Xgsp(reply)),
+            _ => None,
+        });
+        replies.chain(egress).collect()
     }
 
     /// The currently selected (broadcast) video source for a session,
     /// driven by audio activity reports and chair pins.
     pub fn selected_video(&self, session: SessionId) -> Option<&str> {
-        self.switch.selected(session)
+        self.xgsp.switch.selected(session)
     }
 
     /// Reports a member's audio energy to the A/V switch (the RTP
     /// proxies do this from RTCP in the full deployment).
     pub fn report_audio_level(&mut self, session: SessionId, user: &str, level: f64) {
         let now = self.now;
-        self.switch.report_audio(session, user, level, now);
-    }
-
-    /// Applies XGSP server outputs: broker commands create/remove
-    /// streaming taps; notifications/invites become egress.
-    fn apply_outputs(&mut self, outputs: &[ServerOutput]) -> Vec<Egress> {
-        let mut egress = Vec::new();
-        for output in outputs {
-            match output {
-                ServerOutput::Broker(BrokerCommand::CreateTopic(topic)) => {
-                    self.helix.add_stream(topic.clone());
-                    self.producers
-                        .entry(topic.clone())
-                        .or_insert_with(|| RealProducer::new(topic.clone()));
-                }
-                ServerOutput::Broker(BrokerCommand::RemoveTopic(topic)) => {
-                    self.producers.remove(topic);
-                }
-                ServerOutput::Notify { user, message } => {
-                    if let Some(item) = self.notification_egress(user, message) {
-                        egress.push(item);
-                    }
-                }
-                ServerOutput::Invite { to, message } => {
-                    if let Some(item) = self.notification_egress(to, message) {
-                        egress.push(item);
-                    }
-                }
-                ServerOutput::Reply(_) => {}
-            }
-        }
-        egress
-    }
-
-    /// Translates one XGSP notification for a user's endpoint (public
-    /// so operators/tests can preview the mapping).
-    pub fn egress_for_notification(&self, user: &str, message: &XgspMessage) -> Option<Egress> {
-        self.notification_egress(user, message)
-    }
-
-    /// Translates one XGSP notification for a user's endpoint.
-    fn notification_egress(&self, user: &str, message: &XgspMessage) -> Option<Egress> {
-        match self.endpoints.get(user) {
-            Some(EndpointKind::Sip(uri)) => Some(Egress::Sip(
-                SipMessage::request(SipMethod::Notify, uri.clone())
-                    .with_header("Via", "SIP/2.0/UDP mmcs.example;branch=z9hG4bK-core")
-                    .with_header("From", "<sip:mmcs@mmcs.example>")
-                    .with_header("To", format!("<{uri}>"))
-                    .with_header("Event", "conference")
-                    .with_body("application/xgsp+xml", message.to_xml()),
-            )),
-            Some(EndpointKind::Im(jid)) => Some(Egress::Stanza {
-                to: jid.clone(),
-                stanza: Stanza::Message {
-                    from: "mmcs".into(),
-                    to: jid.clone(),
-                    body: message.to_xml(),
-                },
-            }),
-            Some(EndpointKind::H323) | None => None,
-        }
+        self.xgsp.switch.report_audio(session, user, level, now);
     }
 
     /// Handles a SIP request: REGISTER → registrar, SUBSCRIBE →
     /// presence, conference URIs → gateway (XGSP), anything else →
-    /// proxy. Returns the SIP messages to send.
-    pub fn handle_sip(&mut self, request: &SipMessage) -> Vec<SipMessage> {
+    /// proxy. Returns the SIP messages to send, then the egress of the
+    /// notifications an XGSP translation caused; the gateway binds each
+    /// user it admits to a SIP endpoint at their URI.
+    pub fn handle_sip(&mut self, request: &SipMessage) -> Vec<Egress> {
         let StartLine::Request { method, uri } = &request.start else {
             // A response: route through the proxy's Via handling.
-            return match self.sip_proxy.handle_response(request) {
-                ProxyAction::ForwardResponse { response, .. } => vec![response],
-                ProxyAction::Respond(response) => vec![response],
-                ProxyAction::ForwardRequest { request, .. } => vec![request],
-            };
+            return vec![Egress::Sip(proxy_message(self.sip_proxy.handle_response(request)))];
         };
-        match method {
+        let mut egress = Vec::new();
+        let replies = match method {
             SipMethod::Register => vec![self.registrar.handle_register(request, self.now)],
             SipMethod::Subscribe => self.presence.handle_subscribe(request, self.now),
             _ if self.sip_gateway.is_conference_uri(uri) => {
-                let replies = self
-                    .sip_gateway
-                    .handle_request(request, &mut self.session_server);
-                // The gateway's session mutations may have created topics.
-                self.sync_streams();
-                replies
+                let xgsp = &mut self.xgsp;
+                self.sip_gateway.handle_request(request, |from, message| {
+                    xgsp.handle(from, message, Some(EndpointKind::Sip), &mut egress)
+                })
             }
-            _ => match self.sip_proxy.handle_request(request, &self.registrar, self.now) {
-                ProxyAction::ForwardRequest { request, .. } => vec![request],
-                ProxyAction::ForwardResponse { response, .. } => vec![response],
-                ProxyAction::Respond(response) => vec![response],
-            },
-        }
+            _ => vec![proxy_message(
+                self.sip_proxy.handle_request(request, &self.registrar, self.now),
+            )],
+        };
+        replies.into_iter().map(Egress::Sip).chain(egress).collect()
     }
 
     /// Handles an H.323 message: RAS → gatekeeper, Q.931/H.245 →
-    /// gateway (XGSP).
-    pub fn handle_h323(&mut self, message: &H323Message) -> Vec<H323Message> {
-        match message {
-            H323Message::Ras(ras) => vec![H323Message::Ras(self.gatekeeper.handle(ras))],
-            other => {
-                let replies = self.h323_gateway.handle(other, &mut self.session_server);
-                self.sync_streams();
-                replies
-            }
+    /// gateway (XGSP). Returns the H.323 messages to send back, then the
+    /// egress of the notifications an XGSP translation caused; the
+    /// gateway binds each user it admits to an H.323 endpoint.
+    pub fn handle_h323(&mut self, message: &H323Message) -> Vec<Egress> {
+        if let H323Message::Ras(ras) = message {
+            return vec![Egress::H323(H323Message::Ras(self.gatekeeper.handle(ras)))];
         }
+        let mut egress = Vec::new();
+        let xgsp = &mut self.xgsp;
+        let replies = self.h323_gateway.handle(message, |from, message| {
+            xgsp.handle(from, message, Some(|_| EndpointKind::H323), &mut egress)
+        });
+        replies.into_iter().map(Egress::H323).chain(egress).collect()
     }
 
     /// Handles an IM stanza.
@@ -501,42 +566,35 @@ impl GlobalMmcs {
         self.im.handle(stanza)
     }
 
-    /// Escalates an IM room into an ad-hoc session, delivering invites.
+    /// Escalates an IM room into an ad-hoc session, binding the initiator
+    /// to an IM endpoint. Returns the session and the egress: whatever
+    /// the XGSP messages caused, then the chat invitations to the other
+    /// occupants.
     ///
     /// # Errors
     ///
-    /// Propagates [`mmcs_im::adhoc::EscalateError`].
+    /// Propagates [`EscalateError`].
     pub fn escalate_room(
         &mut self,
         room: &str,
         initiator: &str,
-    ) -> Result<mmcs_im::adhoc::Escalation, mmcs_im::adhoc::EscalateError> {
-        let terminal = mmcs_util::id::TerminalId::from_raw(1);
+    ) -> Result<(SessionId, Vec<Egress>), EscalateError> {
+        let mut egress = Vec::new();
+        let xgsp = &mut self.xgsp;
         let escalation = mmcs_im::adhoc::escalate_room(
             &self.im,
-            &mut self.session_server,
+            |from, message| xgsp.handle(from, message, Some(EndpointKind::Im), &mut egress),
             room,
             initiator,
-            terminal,
+            TerminalId::from_raw(1),
         )?;
-        self.sync_streams();
-        Ok(escalation)
-    }
-
-    /// Ensures every live session's media topics have streaming taps.
-    fn sync_streams(&mut self) {
-        let topics: Vec<String> = self
-            .session_server
-            .session_ids()
-            .filter_map(|id| self.session_server.session(id))
-            .flat_map(|session| session.streams().iter().map(|s| s.topic.clone()))
-            .collect();
-        for topic in topics {
-            self.helix.add_stream(topic.clone());
-            self.producers
-                .entry(topic.clone())
-                .or_insert_with(|| RealProducer::new(topic));
-        }
+        egress.extend(
+            escalation
+                .invites
+                .into_iter()
+                .map(|Outgoing { to, stanza }| Egress::Stanza { to, stanza }),
+        );
+        Ok((escalation.session, egress))
     }
 
     /// Renders the system's WSDL-CI directory as a web page-ish XML
@@ -556,10 +614,10 @@ impl GlobalMmcs {
             root.push_child(community_el);
         }
         let mut sessions_el = Element::new("sessions");
-        let mut ids: Vec<SessionId> = self.session_server.session_ids().collect();
+        let mut ids: Vec<SessionId> = self.xgsp.server.session_ids().collect();
         ids.sort();
         for id in ids {
-            if let Some(session) = self.session_server.session(id) {
+            if let Some(session) = self.xgsp.server.session(id) {
                 sessions_el.push_child(
                     Element::new("session")
                         .with_attr("id", id.value().to_string())
@@ -579,10 +637,18 @@ impl Default for GlobalMmcs {
     }
 }
 
+/// The one message a proxy action sends.
+fn proxy_message(action: ProxyAction) -> SipMessage {
+    match action {
+        ProxyAction::ForwardRequest { request, .. } => request,
+        ProxyAction::ForwardResponse { response, .. } | ProxyAction::Respond(response) => response,
+    }
+}
+
 impl std::fmt::Debug for GlobalMmcs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GlobalMmcs")
-            .field("sessions", &self.session_server.session_count())
+            .field("sessions", &self.xgsp.server.session_count())
             .field("users", &self.users.user_count())
             .field("now", &self.now)
             .finish()

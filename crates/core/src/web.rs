@@ -2,276 +2,206 @@
 //!
 //! "The XGSP Web Server … can invoke web-services provided by other
 //! communities" and users "log into some web site … to make reservation
-//! of some virtual meeting room" (§2.1, §3.2). [`XgspWebServer`]
-//! publishes the session operations over SOAP (`createSession`, `join`,
-//! `leave`, `terminate`, `schedule`, `listSessions`) and turns due
-//! calendar reservations into live scheduled sessions.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! of some virtual meeting room" (§2.1, §3.2).
+//! [`GlobalMmcs::handle_soap`] publishes the session operations over SOAP
+//! (`createSession`, `join`, `leave`, `terminate`, `schedule`,
+//! `listSessions`), and [`GlobalMmcs::open_due_meetings`] turns due
+//! calendar reservations into live scheduled sessions. Both run on the
+//! system's own calendar and only translate: every session operation
+//! goes through [`GlobalMmcs::handle_xgsp`], the one door into the
+//! system's session server, so a session made over the web gets its
+//! streaming taps and its members hear about it like any other.
 
 use mmcs_soap::envelope::SoapFault;
-use mmcs_soap::service::SoapServer;
+use mmcs_soap::rpc::RpcCall;
+use mmcs_soap::service::respond;
 use mmcs_util::id::{SessionId, TerminalId};
 use mmcs_util::time::{SimDuration, SimTime};
-use mmcs_xgsp::calendar::Calendar;
 use mmcs_xgsp::media::{MediaDescription, MediaKind};
 use mmcs_xgsp::message::{SessionMode, XgspMessage};
-use mmcs_xgsp::server::{ServerOutput, SessionServer};
 
-/// Which reservations have already been opened.
-#[derive(Debug, Default)]
-struct OpenedLog {
-    opened: Vec<u64>,
+use crate::system::{Egress, GlobalMmcs};
+
+/// The media of every session created or joined over the web.
+fn web_media() -> Vec<MediaDescription> {
+    vec![
+        MediaDescription::new(MediaKind::Audio, "PCMU"),
+        MediaDescription::new(MediaKind::Video, "H263"),
+    ]
 }
 
-/// The shared state behind the SOAP handlers.
-pub struct WebState {
-    /// The XGSP session server.
-    pub sessions: SessionServer,
-    /// The meeting calendar.
-    pub calendar: Calendar,
-    opened: OpenedLog,
+fn fault(code: &str, reason: impl Into<String>) -> SoapFault {
+    SoapFault {
+        code: code.into(),
+        reason: reason.into(),
+    }
 }
 
-/// The XGSP web server. See the [module docs](self).
-pub struct XgspWebServer {
-    state: Rc<RefCell<WebState>>,
+/// A part the call must carry.
+fn part<'a>(call: &'a RpcCall, name: &str) -> Result<&'a str, SoapFault> {
+    call.part(name)
+        .ok_or_else(|| fault("Client", format!("missing part {name:?}")))
 }
 
-/// A handle for direct (non-SOAP) access to the shared state.
-pub type SharedWebState = Rc<RefCell<WebState>>;
+/// A part the call must carry as a number.
+fn number(call: &RpcCall, name: &str) -> Result<u64, SoapFault> {
+    part(call, name)?
+        .parse()
+        .map_err(|_| fault("Client", format!("bad {name}")))
+}
 
-impl XgspWebServer {
-    /// Creates a web server around fresh state.
-    pub fn new() -> Self {
-        Self {
-            state: Rc::new(RefCell::new(WebState {
-                sessions: SessionServer::new(),
-                calendar: Calendar::new(),
-                opened: OpenedLog::default(),
-            })),
-        }
+impl GlobalMmcs {
+    /// Serves one SOAP request document. Returns the response document
+    /// (a fault included) as [`Egress::Soap`], then the egress of every
+    /// notification the operation caused.
+    pub fn handle_soap(&mut self, request_xml: &str) -> Vec<Egress> {
+        let mut egress = Vec::new();
+        let response = respond(request_xml, |call| self.soap_call(call, &mut egress));
+        egress.insert(0, Egress::Soap(response));
+        egress
     }
 
-    /// The shared state handle (session server + calendar).
-    pub fn state(&self) -> SharedWebState {
-        Rc::clone(&self.state)
-    }
-
-    /// Opens every due, not-yet-opened reservation as a scheduled
-    /// session (chaired by the organizer); returns the new session ids.
-    pub fn open_due_meetings(&self, now: SimTime) -> Vec<SessionId> {
-        let mut state = self.state.borrow_mut();
-        let due: Vec<(u64, String, String, Vec<String>)> = state
-            .calendar
-            .due(now)
-            .into_iter()
-            .filter(|r| !state.opened.opened.contains(&r.id.value()))
-            .map(|r| {
-                (
-                    r.id.value(),
-                    r.title.clone(),
-                    r.organizer.clone(),
-                    r.invitees.clone(),
-                )
-            })
-            .collect();
-        let mut created = Vec::new();
-        for (reservation, title, organizer, invitees) in due {
-            let outputs = state.sessions.handle(
-                Some(&organizer),
-                XgspMessage::CreateSession {
-                    name: title,
-                    mode: SessionMode::Scheduled,
-                    media: vec![
-                        MediaDescription::new(MediaKind::Audio, "PCMU"),
-                        MediaDescription::new(MediaKind::Video, "H263"),
-                    ],
-                },
-            );
-            let Some(session) = outputs.iter().find_map(|o| match o {
-                ServerOutput::Reply(XgspMessage::SessionCreated { session, .. }) => Some(*session),
-                _ => None,
-            }) else {
+    /// Opens every reservation due at the system clock that is not open
+    /// yet as a scheduled session: the organizer creates it, joins it
+    /// (and so chairs it) and invites each invitee. Returns the new
+    /// session ids and the invites' egress, each translated for the
+    /// invitee's endpoint kind.
+    pub fn open_due_meetings(&mut self) -> (Vec<SessionId>, Vec<Egress>) {
+        let now = self.now();
+        let due: Vec<_> = self.calendar_mut().due(now).into_iter().cloned().collect();
+        let mut opened = Vec::new();
+        let mut egress = Vec::new();
+        for meeting in due {
+            if !self.opened.insert(meeting.id) {
+                continue;
+            }
+            let organizer = meeting.organizer.as_str();
+            let create = XgspMessage::CreateSession {
+                name: meeting.title.clone(),
+                mode: SessionMode::Scheduled,
+                media: web_media(),
+            };
+            let Ok(Some(XgspMessage::SessionCreated { session, .. })) =
+                self.web_xgsp(organizer, create, &mut egress)
+            else {
                 continue;
             };
-            // The organizer joins (and chairs); invitees get invites via
-            // the session server's normal invite path once they join.
-            let _ = state.sessions.handle(
-                Some(&organizer),
-                XgspMessage::Join {
-                    session,
-                    user: organizer.clone(),
-                    terminal: TerminalId::from_raw(1),
-                    media: vec![],
-                },
-            );
-            let _ = invitees;
-            state.opened.opened.push(reservation);
-            created.push(session);
+            let join = XgspMessage::Join {
+                session,
+                user: meeting.organizer.clone(),
+                terminal: TerminalId::from_raw(1),
+                media: vec![],
+            };
+            let invites = meeting.invitees.iter().map(|invitee| XgspMessage::Invite {
+                session,
+                from: meeting.organizer.clone(),
+                to: invitee.clone(),
+            });
+            for message in std::iter::once(join).chain(invites) {
+                // The organizer joins a fresh session and then invites as
+                // its only member: none of these can be refused.
+                let _ = self.web_xgsp(organizer, message, &mut egress);
+            }
+            opened.push(session);
         }
-        created
+        (opened, egress)
     }
 
-    /// Builds the SOAP endpoint exposing the session/calendar operations.
-    pub fn soap_server(&self) -> SoapServer {
-        let mut soap = SoapServer::new();
-        let part = |parts: &[(String, String)], name: &str| -> Result<String, SoapFault> {
-            parts
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| SoapFault {
-                    code: "Client".into(),
-                    reason: format!("missing part {name:?}"),
-                })
-        };
-        let session_id = move |parts: &[(String, String)]| -> Result<SessionId, SoapFault> {
-            part(parts, "sessionId")?
-                .parse::<u64>()
-                .map(SessionId::from_raw)
-                .map_err(|_| SoapFault {
-                    code: "Client".into(),
-                    reason: "bad sessionId".into(),
-                })
-        };
-        let xgsp_fault = |outputs: &[ServerOutput]| -> Option<SoapFault> {
-            outputs.iter().find_map(|o| match o {
-                ServerOutput::Reply(XgspMessage::Error { code, detail }) => Some(SoapFault {
-                    code: "Server".into(),
-                    reason: format!("{code}: {detail}"),
-                }),
-                _ => None,
-            })
-        };
+    /// Sends one message through the XGSP door for a web requester. The
+    /// egress it caused joins `egress`; an error reply becomes a
+    /// `Server` fault, and any other reply is returned.
+    fn web_xgsp(
+        &mut self,
+        from: &str,
+        message: XgspMessage,
+        egress: &mut Vec<Egress>,
+    ) -> Result<Option<XgspMessage>, SoapFault> {
+        let mut reply = None;
+        for item in self.handle_xgsp(Some(from), message) {
+            match item {
+                Egress::Xgsp(message) => reply = Some(message),
+                other => egress.push(other),
+            }
+        }
+        match reply {
+            Some(XgspMessage::Error { code, detail }) => {
+                Err(fault("Server", format!("{code}: {detail}")))
+            }
+            reply => Ok(reply),
+        }
+    }
 
-        {
-            let state = self.state();
-            soap.register("createSession", move |parts| {
-                let name = part(parts, "name")?;
-                let mode = match part(parts, "mode")?.as_str() {
+    /// Runs one SOAP operation.
+    fn soap_call(
+        &mut self,
+        call: &RpcCall,
+        egress: &mut Vec<Egress>,
+    ) -> Result<Vec<(String, String)>, SoapFault> {
+        let status_ok = || vec![("status".to_owned(), "ok".to_owned())];
+        match call.operation.as_str() {
+            "createSession" => {
+                let name = part(call, "name")?.to_owned();
+                let mode = match part(call, "mode")? {
                     "adhoc" => SessionMode::AdHoc,
                     "scheduled" => SessionMode::Scheduled,
-                    other => {
-                        return Err(SoapFault {
-                            code: "Client".into(),
-                            reason: format!("bad mode {other:?}"),
-                        })
-                    }
+                    other => return Err(fault("Client", format!("bad mode {other:?}"))),
                 };
-                let organizer = part(parts, "organizer")?;
-                let outputs = state.borrow_mut().sessions.handle(
-                    Some(&organizer),
-                    XgspMessage::CreateSession {
-                        name,
-                        mode,
-                        media: vec![
-                            MediaDescription::new(MediaKind::Audio, "PCMU"),
-                            MediaDescription::new(MediaKind::Video, "H263"),
-                        ],
-                    },
-                );
-                let session = outputs
-                    .iter()
-                    .find_map(|o| match o {
-                        ServerOutput::Reply(XgspMessage::SessionCreated { session, .. }) => {
-                            Some(*session)
-                        }
-                        _ => None,
-                    })
-                    .ok_or_else(|| SoapFault {
-                        code: "Server".into(),
-                        reason: "creation failed".into(),
-                    })?;
-                Ok(vec![("sessionId".into(), session.value().to_string())])
-            });
-        }
-        {
-            let state = self.state();
-            soap.register("join", move |parts| {
-                let session = session_id(parts)?;
-                let user = part(parts, "user")?;
-                let terminal: u64 = part(parts, "terminal")?.parse().unwrap_or(1);
-                let outputs = state.borrow_mut().sessions.handle(
-                    Some(&user),
-                    XgspMessage::Join {
-                        session,
-                        user: user.clone(),
-                        terminal: TerminalId::from_raw(terminal),
-                        media: vec![
-                            MediaDescription::new(MediaKind::Audio, "PCMU"),
-                            MediaDescription::new(MediaKind::Video, "H263"),
-                        ],
-                    },
-                );
-                if let Some(fault) = xgsp_fault(&outputs) {
-                    return Err(fault);
+                let organizer = part(call, "organizer")?;
+                let create = XgspMessage::CreateSession {
+                    name,
+                    mode,
+                    media: web_media(),
+                };
+                match self.web_xgsp(organizer, create, egress)? {
+                    Some(XgspMessage::SessionCreated { session, .. }) => {
+                        Ok(vec![("sessionId".into(), session.value().to_string())])
+                    }
+                    _ => Err(fault("Server", "creation failed")),
                 }
-                let topics: Vec<(String, String)> = outputs
-                    .iter()
-                    .find_map(|o| match o {
-                        ServerOutput::Reply(XgspMessage::JoinAck { topics, .. }) => {
-                            Some(topics.clone())
-                        }
-                        _ => None,
-                    })
-                    .unwrap_or_default();
+            }
+            "join" => {
+                let session = SessionId::from_raw(number(call, "sessionId")?);
+                let user = part(call, "user")?;
+                let terminal = TerminalId::from_raw(number(call, "terminal")?);
+                let join = XgspMessage::Join {
+                    session,
+                    user: user.to_owned(),
+                    terminal,
+                    media: web_media(),
+                };
+                let topics = match self.web_xgsp(user, join, egress)? {
+                    Some(XgspMessage::JoinAck { topics, .. }) => topics,
+                    _ => Vec::new(),
+                };
                 Ok(topics
                     .into_iter()
                     .map(|(kind, topic)| (format!("topic-{kind}"), topic))
                     .collect())
-            });
-        }
-        {
-            let state = self.state();
-            soap.register("leave", move |parts| {
-                let session = session_id(parts)?;
-                let user = part(parts, "user")?;
-                let outputs = state.borrow_mut().sessions.handle(
-                    Some(&user),
-                    XgspMessage::Leave {
-                        session,
-                        user: user.clone(),
-                    },
-                );
-                if let Some(fault) = xgsp_fault(&outputs) {
-                    return Err(fault);
-                }
-                Ok(vec![("status".into(), "ok".into())])
-            });
-        }
-        {
-            let state = self.state();
-            soap.register("terminate", move |parts| {
-                let session = session_id(parts)?;
-                let user = part(parts, "user")?;
-                let outputs = state
-                    .borrow_mut()
-                    .sessions
-                    .handle(Some(&user), XgspMessage::TerminateSession { session });
-                if let Some(fault) = xgsp_fault(&outputs) {
-                    return Err(fault);
-                }
-                Ok(vec![("status".into(), "ok".into())])
-            });
-        }
-        {
-            let state = self.state();
-            soap.register("schedule", move |parts| {
-                let room = part(parts, "room")?;
-                let organizer = part(parts, "organizer")?;
-                let title = part(parts, "title")?;
-                let start_secs: u64 = part(parts, "startSecs")?.parse().map_err(|_| SoapFault {
-                    code: "Client".into(),
-                    reason: "bad startSecs".into(),
-                })?;
-                let duration_secs: u64 =
-                    part(parts, "durationSecs")?.parse().map_err(|_| SoapFault {
-                        code: "Client".into(),
-                        reason: "bad durationSecs".into(),
-                    })?;
-                let invitees: Vec<String> = part(parts, "invitees")
+            }
+            "leave" => {
+                let session = SessionId::from_raw(number(call, "sessionId")?);
+                let user = part(call, "user")?;
+                let leave = XgspMessage::Leave {
+                    session,
+                    user: user.to_owned(),
+                };
+                self.web_xgsp(user, leave, egress)?;
+                Ok(status_ok())
+            }
+            "terminate" => {
+                let session = SessionId::from_raw(number(call, "sessionId")?);
+                let user = part(call, "user")?;
+                self.web_xgsp(user, XgspMessage::TerminateSession { session }, egress)?;
+                Ok(status_ok())
+            }
+            "schedule" => {
+                let room = part(call, "room")?;
+                let organizer = part(call, "organizer")?;
+                let title = part(call, "title")?;
+                let start = SimTime::from_secs(number(call, "startSecs")?);
+                let duration = SimDuration::from_secs(number(call, "durationSecs")?);
+                let invitees = call
+                    .part("invitees")
                     .map(|list| {
                         list.split(',')
                             .filter(|invitee| !invitee.is_empty())
@@ -279,55 +209,21 @@ impl XgspWebServer {
                             .collect()
                     })
                     .unwrap_or_default();
-                let reservation = state
-                    .borrow_mut()
-                    .calendar
-                    .book(
-                        room,
-                        organizer,
-                        invitees,
-                        SimTime::from_secs(start_secs),
-                        SimDuration::from_secs(duration_secs),
-                        title,
-                    )
-                    .map_err(|e| SoapFault {
-                        code: "Server".into(),
-                        reason: e.to_string(),
-                    })?;
+                let reservation = self
+                    .calendar_mut()
+                    .book(room, organizer, invitees, start, duration, title)
+                    .map_err(|e| fault("Server", e.to_string()))?;
                 Ok(vec![("reservationId".into(), reservation.value().to_string())])
-            });
-        }
-        {
-            let state = self.state();
-            soap.register("listSessions", move |_parts| {
-                let state = state.borrow();
-                let mut ids: Vec<u64> = state
-                    .sessions
-                    .session_ids()
-                    .map(|id| id.value())
-                    .collect();
+            }
+            "listSessions" => {
+                let mut ids: Vec<u64> =
+                    self.session_server().session_ids().map(|id| id.value()).collect();
                 ids.sort_unstable();
-                let list = ids
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",");
+                let list = ids.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
                 Ok(vec![("sessions".into(), list)])
-            });
+            }
+            other => Err(fault("Client", format!("unknown operation {other:?}"))),
         }
-        soap
-    }
-}
-
-impl Default for XgspWebServer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for XgspWebServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("XgspWebServer").finish_non_exhaustive()
     }
 }
 
@@ -336,55 +232,91 @@ mod tests {
     use super::*;
     use mmcs_soap::service::SoapClient;
 
+    /// Calls one SOAP operation on `mmcs` and decodes its response.
+    fn soap(
+        mmcs: &mut GlobalMmcs,
+        operation: &str,
+        parts: &[(&str, &str)],
+    ) -> Result<Vec<(String, String)>, SoapFault> {
+        let egress = mmcs.handle_soap(&SoapClient::request(operation, parts));
+        let Some(Egress::Soap(response)) = egress.first() else {
+            panic!("a SOAP request is answered first, got {egress:?}");
+        };
+        SoapClient::decode_response(operation, response)
+    }
+
     #[test]
     fn soap_create_join_list_terminate_cycle() {
-        let web = XgspWebServer::new();
-        let mut soap = web.soap_server();
+        let mut mmcs = GlobalMmcs::new();
 
-        let response = soap.handle(&SoapClient::request(
+        let parts = soap(
+            &mut mmcs,
             "createSession",
             &[("name", "demo"), ("mode", "adhoc"), ("organizer", "alice")],
-        ));
-        let parts = SoapClient::decode_response("createSession", &response).unwrap();
+        )
+        .unwrap();
         let session_id = parts[0].1.clone();
 
-        let response = soap.handle(&SoapClient::request(
+        let topics = soap(
+            &mut mmcs,
             "join",
             &[("sessionId", &session_id), ("user", "alice"), ("terminal", "1")],
-        ));
-        let topics = SoapClient::decode_response("join", &response).unwrap();
+        )
+        .unwrap();
         assert!(topics.iter().any(|(k, _)| k == "topic-audio"));
         assert!(topics.iter().any(|(k, v)| k == "topic-video" && v.contains("/video")));
 
-        let response = soap.handle(&SoapClient::request("listSessions", &[]));
-        let sessions = SoapClient::decode_response("listSessions", &response).unwrap();
+        let sessions = soap(&mut mmcs, "listSessions", &[]).unwrap();
         assert_eq!(sessions[0].1, session_id);
 
-        let response = soap.handle(&SoapClient::request(
+        soap(
+            &mut mmcs,
             "terminate",
             &[("sessionId", &session_id), ("user", "alice")],
-        ));
-        SoapClient::decode_response("terminate", &response).unwrap();
-        assert_eq!(web.state().borrow().sessions.session_count(), 0);
+        )
+        .unwrap();
+        assert_eq!(mmcs.session_server().session_count(), 0);
     }
 
     #[test]
     fn join_unknown_session_faults() {
-        let web = XgspWebServer::new();
-        let mut soap = web.soap_server();
-        let response = soap.handle(&SoapClient::request(
+        let mut mmcs = GlobalMmcs::new();
+        let fault = soap(
+            &mut mmcs,
             "join",
             &[("sessionId", "99"), ("user", "alice"), ("terminal", "1")],
-        ));
-        let fault = SoapClient::decode_response("join", &response).unwrap_err();
+        )
+        .unwrap_err();
         assert!(fault.reason.contains("unknown-session"));
     }
 
     #[test]
+    fn malformed_terminal_is_a_client_fault() {
+        let mut mmcs = GlobalMmcs::new();
+        let parts = soap(
+            &mut mmcs,
+            "createSession",
+            &[("name", "demo"), ("mode", "adhoc"), ("organizer", "alice")],
+        )
+        .unwrap();
+        let session_id = parts[0].1.clone();
+        let fault = soap(
+            &mut mmcs,
+            "join",
+            &[("sessionId", &session_id), ("user", "bob"), ("terminal", "one")],
+        )
+        .unwrap_err();
+        assert_eq!((fault.code.as_str(), fault.reason.as_str()), ("Client", "bad terminal"));
+        let session = SessionId::from_raw(session_id.parse().unwrap());
+        let session = mmcs.session_server().session(session).unwrap();
+        assert!(session.member("bob").is_none());
+    }
+
+    #[test]
     fn schedule_then_open_due_meetings() {
-        let web = XgspWebServer::new();
-        let mut soap = web.soap_server();
-        let response = soap.handle(&SoapClient::request(
+        let mut mmcs = GlobalMmcs::new();
+        soap(
+            &mut mmcs,
             "schedule",
             &[
                 ("room", "room-a"),
@@ -394,31 +326,78 @@ mod tests {
                 ("durationSecs", "3600"),
                 ("invitees", "wu,uyar,bulut"),
             ],
-        ));
-        SoapClient::decode_response("schedule", &response).unwrap();
+        )
+        .unwrap();
 
         // Before start: nothing opens.
-        assert!(web.open_due_meetings(SimTime::from_secs(599)).is_empty());
+        mmcs.set_now(SimTime::from_secs(599));
+        assert!(mmcs.open_due_meetings().0.is_empty());
         // At start: the session opens, chaired by the organizer.
-        let opened = web.open_due_meetings(SimTime::from_secs(600));
+        mmcs.set_now(SimTime::from_secs(600));
+        let (opened, _) = mmcs.open_due_meetings();
         assert_eq!(opened.len(), 1);
-        {
-            let state = web.state();
-            let state = state.borrow();
-            let session = state.sessions.session(opened[0]).unwrap();
-            assert_eq!(session.name(), "grid seminar");
-            assert_eq!(session.chair(), Some("prof-fox"));
-        }
+        let session = mmcs.session_server().session(opened[0]).unwrap();
+        assert_eq!(session.name(), "grid seminar");
+        assert_eq!(session.chair(), Some("prof-fox"));
         // Idempotent: the same reservation does not reopen.
-        assert!(web.open_due_meetings(SimTime::from_secs(700)).is_empty());
+        mmcs.set_now(SimTime::from_secs(700));
+        assert!(mmcs.open_due_meetings().0.is_empty());
+    }
+
+    #[test]
+    fn opened_meetings_invite_each_invitee_by_endpoint_kind() {
+        use crate::system::EndpointKind;
+        use mmcs_im::stanza::Stanza;
+        use mmcs_sip::message::SipMethod;
+
+        let mut mmcs = GlobalMmcs::new();
+        mmcs.bind_endpoint("wu", EndpointKind::Im("wu@im.example".into()));
+        mmcs.bind_endpoint("uyar", EndpointKind::Sip("sip:uyar@ua.example".into()));
+        mmcs.bind_endpoint("bulut", EndpointKind::H323);
+        soap(
+            &mut mmcs,
+            "schedule",
+            &[
+                ("room", "room-a"),
+                ("organizer", "prof-fox"),
+                ("title", "grid seminar"),
+                ("startSecs", "0"),
+                ("durationSecs", "3600"),
+                ("invitees", "wu,uyar,bulut,pallickara"),
+            ],
+        )
+        .unwrap();
+
+        let (opened, egress) = mmcs.open_due_meetings();
+        assert_eq!(opened.len(), 1);
+        // One invite per invitee with a notification channel: the IM
+        // client gets a stanza, the SIP UA a NOTIFY; the H.323 terminal
+        // and the unbound user have none.
+        assert_eq!(egress.len(), 2, "{egress:?}");
+        let invite = XgspMessage::Invite {
+            session: opened[0],
+            from: "prof-fox".into(),
+            to: "wu".into(),
+        };
+        assert!(matches!(
+            &egress[0],
+            Egress::Stanza { to, stanza: Stanza::Message { body, .. } }
+                if to == "wu@im.example" && *body == invite.to_xml()
+        ));
+        let Egress::Sip(notify) = &egress[1] else {
+            panic!("a SIP invitee gets SIP egress, got {:?}", egress[1]);
+        };
+        assert_eq!(notify.method(), Some(SipMethod::Notify));
+        assert_eq!(notify.header("To"), Some("<sip:uyar@ua.example>"));
+        assert!(notify.body.contains("<to>uyar</to>"));
     }
 
     #[test]
     fn conflicting_schedule_faults() {
-        let web = XgspWebServer::new();
-        let mut soap = web.soap_server();
-        let book = |soap: &mut mmcs_soap::service::SoapServer, start: &str| {
-            soap.handle(&SoapClient::request(
+        let mut mmcs = GlobalMmcs::new();
+        let mut book = |start: &str| {
+            soap(
+                &mut mmcs,
                 "schedule",
                 &[
                     ("room", "room-a"),
@@ -427,22 +406,21 @@ mod tests {
                     ("startSecs", start),
                     ("durationSecs", "3600"),
                 ],
-            ))
+            )
         };
-        SoapClient::decode_response("schedule", &book(&mut soap, "0")).unwrap();
-        let fault =
-            SoapClient::decode_response("schedule", &book(&mut soap, "1800")).unwrap_err();
+        book("0").unwrap();
+        let fault = book("1800").unwrap_err();
         assert!(fault.reason.contains("reserved"));
     }
 
     #[test]
     fn bad_mode_faults() {
-        let web = XgspWebServer::new();
-        let mut soap = web.soap_server();
-        let response = soap.handle(&SoapClient::request(
+        let mut mmcs = GlobalMmcs::new();
+        let response = soap(
+            &mut mmcs,
             "createSession",
             &[("name", "x"), ("mode", "hybrid"), ("organizer", "a")],
-        ));
-        assert!(SoapClient::decode_response("createSession", &response).is_err());
+        );
+        assert!(response.is_err());
     }
 }

@@ -255,7 +255,7 @@ mod tests {
         while let Some(message) = queue.pop() {
             let replies = match &message {
                 H323Message::Ras(ras) => vec![H323Message::Ras(gk.handle(ras))],
-                other => gw.handle(other, server),
+                other => gw.handle(other, |from, m| server.handle(from, m)),
             };
             for reply in replies {
                 queue.extend(endpoint.on_message(&reply));

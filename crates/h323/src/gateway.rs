@@ -5,7 +5,9 @@
 //! conference alias (`conf-<id>` or `new-conf`) becomes a session
 //! `Join`, Release Complete becomes `Leave`, and OpenLogicalChannel is
 //! answered with the broker RTP proxy address so the endpoint's media
-//! "RTP channels are redirected to the NaradaBrokering servers".
+//! "RTP channels are redirected to the NaradaBrokering servers". It only
+//! translates: each XGSP message goes through the door its caller hands
+//! in, and the notifications it causes stay with that caller.
 
 use std::collections::HashMap;
 
@@ -13,7 +15,7 @@ use mmcs_telemetry::CallSetupMetrics;
 use mmcs_util::id::{SessionId, TerminalId};
 use mmcs_xgsp::media::{MediaDescription, MediaKind};
 use mmcs_xgsp::message::{SessionMode, XgspMessage};
-use mmcs_xgsp::server::{ServerOutput, SessionServer};
+use mmcs_xgsp::server::ServerOutput;
 
 use crate::msg::{H245Message, H323Message, Q931Message};
 
@@ -70,15 +72,16 @@ impl H323Gateway {
         self.calls.get(&call_reference).map(|c| c.session)
     }
 
-    /// Handles a signaling message from an endpoint; returns the
-    /// messages to send back on the same connection.
+    /// Handles a signaling message from an endpoint, sending its XGSP
+    /// translation through `xgsp` (the door into the session server);
+    /// returns the messages to send back on the same connection.
     pub fn handle(
         &mut self,
         message: &H323Message,
-        server: &mut SessionServer,
+        xgsp: impl FnMut(Option<&str>, XgspMessage) -> Vec<ServerOutput>,
     ) -> Vec<H323Message> {
         match message {
-            H323Message::Q931(q931) => self.handle_q931(q931, server),
+            H323Message::Q931(q931) => self.handle_q931(q931, xgsp),
             H323Message::H245(h245) => self.handle_h245(h245),
             H323Message::Ras(_) => Vec::new(), // RAS belongs to the gatekeeper
         }
@@ -87,7 +90,7 @@ impl H323Gateway {
     fn handle_q931(
         &mut self,
         message: &Q931Message,
-        server: &mut SessionServer,
+        mut xgsp: impl FnMut(Option<&str>, XgspMessage) -> Vec<ServerOutput>,
     ) -> Vec<H323Message> {
         match message {
             Q931Message::Setup {
@@ -102,7 +105,7 @@ impl H323Gateway {
                     m.attempts.inc();
                     m.setup_span()
                 });
-                let replies = self.handle_setup(*call_reference, caller, callee, server);
+                let replies = self.handle_setup(*call_reference, caller, callee, xgsp);
                 if let Some(m) = &timing {
                     if let Some(span) = span {
                         span.finish();
@@ -120,7 +123,7 @@ impl H323Gateway {
             }
             Q931Message::ReleaseComplete { call_reference, .. } => {
                 if let Some(call) = self.calls.remove(call_reference) {
-                    let _ = server.handle(
+                    xgsp(
                         Some(&call.user),
                         XgspMessage::Leave {
                             session: call.session,
@@ -145,14 +148,14 @@ impl H323Gateway {
         call_reference: u16,
         caller: &str,
         callee: &str,
-        server: &mut SessionServer,
+        mut xgsp: impl FnMut(Option<&str>, XgspMessage) -> Vec<ServerOutput>,
     ) -> Vec<H323Message> {
         let media = vec![
             MediaDescription::new(MediaKind::Audio, "G.711"),
             MediaDescription::new(MediaKind::Video, "H.263"),
         ];
         let session = if callee == "new-conf" {
-            let outputs = server.handle(
+            let outputs = xgsp(
                 Some(caller),
                 XgspMessage::CreateSession {
                     name: format!("h323 ad-hoc by {caller}"),
@@ -183,7 +186,7 @@ impl H323Gateway {
 
         let terminal = TerminalId::from_raw(self.next_terminal);
         self.next_terminal += 1;
-        let outputs = server.handle(
+        let outputs = xgsp(
             Some(caller),
             XgspMessage::Join {
                 session,
@@ -262,6 +265,7 @@ fn release(call_reference: u16, cause: u8) -> H323Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmcs_xgsp::server::SessionServer;
 
     fn setup(cr: u16, caller: &str, callee: &str) -> H323Message {
         H323Message::Q931(Q931Message::Setup {
@@ -275,7 +279,9 @@ mod tests {
     fn setup_to_new_conf_walks_the_q931_ladder() {
         let mut gw = H323Gateway::new("gw:2720", "rtp-proxy:5004");
         let mut server = SessionServer::new();
-        let replies = gw.handle(&setup(1, "alice-h323", "new-conf"), &mut server);
+        let replies = gw.handle(&setup(1, "alice-h323", "new-conf"), |from, m| {
+            server.handle(from, m)
+        });
         assert!(matches!(
             replies[0],
             H323Message::Q931(Q931Message::CallProceeding { call_reference: 1 })
@@ -297,7 +303,9 @@ mod tests {
     fn setup_to_unknown_conference_releases_with_unallocated() {
         let mut gw = H323Gateway::new("gw:2720", "rtp:1");
         let mut server = SessionServer::new();
-        let replies = gw.handle(&setup(2, "alice-h323", "conf-99"), &mut server);
+        let replies = gw.handle(&setup(2, "alice-h323", "conf-99"), |from, m| {
+            server.handle(from, m)
+        });
         assert_eq!(
             replies,
             vec![H323Message::Q931(Q931Message::ReleaseComplete {
@@ -305,7 +313,9 @@ mod tests {
                 cause: CAUSE_UNALLOCATED,
             })]
         );
-        let replies = gw.handle(&setup(3, "alice-h323", "not-a-conf"), &mut server);
+        let replies = gw.handle(&setup(3, "alice-h323", "not-a-conf"), |from, m| {
+            server.handle(from, m)
+        });
         assert!(matches!(
             replies[0],
             H323Message::Q931(Q931Message::ReleaseComplete { cause: CAUSE_UNALLOCATED, .. })
@@ -349,7 +359,7 @@ mod tests {
     fn release_complete_leaves_the_session() {
         let mut gw = H323Gateway::new("gw:2720", "rtp:1");
         let mut server = SessionServer::new();
-        gw.handle(&setup(1, "alice-h323", "new-conf"), &mut server);
+        gw.handle(&setup(1, "alice-h323", "new-conf"), |from, m| server.handle(from, m));
         let session = server.session_ids().next().unwrap();
         assert_eq!(gw.session_of(1), Some(session));
         gw.handle(
@@ -357,7 +367,7 @@ mod tests {
                 call_reference: 1,
                 cause: CAUSE_NORMAL,
             }),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
         assert_eq!(gw.call_count(), 0);
         // Ad-hoc session evaporated when the only member left.
@@ -378,14 +388,14 @@ mod tests {
         gw.set_metrics(metrics.clone());
         let mut server = SessionServer::new();
 
-        gw.handle(&setup(1, "alice-h323", "new-conf"), &mut server);
-        gw.handle(&setup(2, "bob-h323", "conf-99"), &mut server);
+        gw.handle(&setup(1, "alice-h323", "new-conf"), |from, m| server.handle(from, m));
+        gw.handle(&setup(2, "bob-h323", "conf-99"), |from, m| server.handle(from, m));
         gw.handle(
             &H323Message::Q931(Q931Message::ReleaseComplete {
                 call_reference: 1,
                 cause: CAUSE_NORMAL,
             }),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
 
         assert_eq!(metrics.attempts.get(), 2);
@@ -403,10 +413,10 @@ mod tests {
     fn two_endpoints_share_one_conference() {
         let mut gw = H323Gateway::new("gw:2720", "rtp:1");
         let mut server = SessionServer::new();
-        gw.handle(&setup(1, "alice-h323", "new-conf"), &mut server);
+        gw.handle(&setup(1, "alice-h323", "new-conf"), |from, m| server.handle(from, m));
         let session = server.session_ids().next().unwrap();
         let callee = format!("conf-{}", session.value());
-        gw.handle(&setup(2, "bob-h323", &callee), &mut server);
+        gw.handle(&setup(2, "bob-h323", &callee), |from, m| server.handle(from, m));
         assert_eq!(server.session(session).unwrap().member_count(), 2);
         assert_eq!(gw.session_of(1), gw.session_of(2));
     }

@@ -2,15 +2,16 @@
 //!
 //! "Ad-hoc needs Instant Messenger to provide chat and remote presence
 //! services" (§2.1). The bootstrap takes a room's occupants, creates an
-//! ad-hoc XGSP session named after the room, joins the initiator, and
-//! produces invites for everyone else.
+//! ad-hoc XGSP session named after the room through the door its caller
+//! hands in, joins the initiator, and produces chat invitations for
+//! everyone else.
 
 use mmcs_util::id::{SessionId, TerminalId};
 use mmcs_xgsp::media::{MediaDescription, MediaKind};
 use mmcs_xgsp::message::{SessionMode, XgspMessage};
-use mmcs_xgsp::server::{ServerOutput, SessionServer};
+use mmcs_xgsp::server::ServerOutput;
 
-use crate::server::ImServer;
+use crate::server::{ImServer, Outgoing};
 use crate::stanza::Stanza;
 
 /// The result of escalating a room to a meeting.
@@ -19,7 +20,7 @@ pub struct Escalation {
     /// The new session.
     pub session: SessionId,
     /// Chat invitations to deliver to the other occupants.
-    pub invites: Vec<Stanza>,
+    pub invites: Vec<Outgoing>,
 }
 
 /// Errors from the bootstrap.
@@ -42,8 +43,10 @@ impl std::fmt::Display for EscalateError {
 
 impl std::error::Error for EscalateError {}
 
-/// Escalates `room` into an ad-hoc A/V session on `server`, initiated by
-/// `initiator` (who is joined immediately with `terminal`).
+/// Escalates `room` into an ad-hoc A/V session, sending the XGSP
+/// messages through `xgsp` (the door into the session server); the
+/// session is initiated by `initiator`, who is joined immediately with
+/// `terminal`.
 ///
 /// # Errors
 ///
@@ -51,7 +54,7 @@ impl std::error::Error for EscalateError {}
 /// [`EscalateError::CreateFailed`] if the XGSP server refuses.
 pub fn escalate_room(
     im: &ImServer,
-    xgsp: &mut SessionServer,
+    mut xgsp: impl FnMut(Option<&str>, XgspMessage) -> Vec<ServerOutput>,
     room: &str,
     initiator: &str,
     terminal: TerminalId,
@@ -64,7 +67,7 @@ pub fn escalate_room(
         MediaDescription::new(MediaKind::Audio, "PCMU"),
         MediaDescription::new(MediaKind::Video, "H263"),
     ];
-    let outputs = xgsp.handle(
+    let outputs = xgsp(
         Some(initiator),
         XgspMessage::CreateSession {
             name: format!("ad-hoc: {room}"),
@@ -79,7 +82,7 @@ pub fn escalate_room(
             _ => None,
         })
         .ok_or(EscalateError::CreateFailed)?;
-    let join_outputs = xgsp.handle(
+    let join_outputs = xgsp(
         Some(initiator),
         XgspMessage::Join {
             session,
@@ -97,13 +100,16 @@ pub fn escalate_room(
     let invites = occupants
         .iter()
         .filter(|occupant| *occupant != initiator)
-        .map(|occupant| Stanza::Message {
-            from: initiator.to_owned(),
+        .map(|occupant| Outgoing {
             to: occupant.clone(),
-            body: format!(
-                "join me in conference session-{} (from {room})",
-                session.value()
-            ),
+            stanza: Stanza::Message {
+                from: initiator.to_owned(),
+                to: occupant.clone(),
+                body: format!(
+                    "join me in conference session-{} (from {room})",
+                    session.value()
+                ),
+            },
         })
         .collect();
     Ok(Escalation { session, invites })
@@ -113,6 +119,7 @@ pub fn escalate_room(
 mod tests {
     use super::*;
     use crate::stanza::Stanza;
+    use mmcs_xgsp::server::SessionServer;
 
     fn room_with(server: &mut ImServer, room: &str, users: &[&str]) {
         for user in users {
@@ -132,16 +139,17 @@ mod tests {
         room_with(&mut im, "planning", &["alice", "bob", "carol"]);
         let escalation = escalate_room(
             &im,
-            &mut xgsp,
+            |from, m| xgsp.handle(from, m),
             "planning",
             "alice",
             TerminalId::from_raw(1),
         )
         .unwrap();
         assert_eq!(escalation.invites.len(), 2);
-        assert!(escalation.invites.iter().all(|stanza| matches!(
-            stanza,
-            Stanza::Message { body, .. } if body.contains("join me in conference")
+        assert!(escalation.invites.iter().all(|invite| matches!(
+            &invite.stanza,
+            Stanza::Message { to, body, .. }
+                if *to == invite.to && body.contains("join me in conference")
         )));
         let session = xgsp.session(escalation.session).unwrap();
         assert_eq!(session.member_count(), 1);
@@ -157,7 +165,7 @@ mod tests {
         room_with(&mut im, "planning", &["bob"]);
         let result = escalate_room(
             &im,
-            &mut xgsp,
+            |from, m| xgsp.handle(from, m),
             "planning",
             "alice",
             TerminalId::from_raw(1),
@@ -171,8 +179,9 @@ mod tests {
         let mut im = ImServer::new();
         let mut xgsp = SessionServer::new();
         room_with(&mut im, "solo", &["alice"]);
+        let door = |from: Option<&str>, m| xgsp.handle(from, m);
         let escalation =
-            escalate_room(&im, &mut xgsp, "solo", "alice", TerminalId::from_raw(1)).unwrap();
+            escalate_room(&im, door, "solo", "alice", TerminalId::from_raw(1)).unwrap();
         assert!(escalation.invites.is_empty());
         assert_eq!(xgsp.session_count(), 1);
     }

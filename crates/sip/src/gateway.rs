@@ -4,8 +4,11 @@
 //! create a … SIP domain for SIP terminals and perform SIP translation"
 //! (§3.2). This gateway is that translator: INVITE to a conference URI
 //! becomes an XGSP `Join` (creating an ad-hoc session on demand), BYE
-//! becomes `Leave`, MESSAGE becomes `AppData` (chat), and XGSP
-//! notifications travel back to SIP members as NOTIFY requests.
+//! becomes `Leave`, MESSAGE becomes `AppData` (chat). It only
+//! translates: each XGSP message goes through the door its caller hands
+//! in, and the gateway reads only the replies. The notifications a
+//! request causes stay with that caller, which delivers them to every
+//! member in the member's own protocol.
 //!
 //! Conference URI convention: `sip:conf-<sessionid>@<domain>` joins an
 //! existing session; `sip:new-conf@<domain>` creates an ad-hoc session
@@ -17,7 +20,7 @@ use mmcs_telemetry::CallSetupMetrics;
 use mmcs_util::id::{SessionId, TerminalId};
 use mmcs_xgsp::media::{MediaDescription, MediaKind};
 use mmcs_xgsp::message::{SessionMode, XgspMessage};
-use mmcs_xgsp::server::{ServerOutput, SessionServer};
+use mmcs_xgsp::server::ServerOutput;
 
 use crate::message::{extract_uri, SipMessage, SipMethod, StartLine};
 use crate::sdp::{Sdp, SdpMedia};
@@ -79,12 +82,13 @@ impl SipGateway {
             && (user == "new-conf" || user.starts_with("conf-"))
     }
 
-    /// Handles a SIP request against the session server, returning the
-    /// SIP messages to send (the response, plus NOTIFYs for members).
+    /// Handles a SIP request, sending its XGSP translation through
+    /// `xgsp` (the door into the session server); returns the response
+    /// to the requester.
     pub fn handle_request(
         &mut self,
         request: &SipMessage,
-        server: &mut SessionServer,
+        mut xgsp: impl FnMut(Option<&str>, XgspMessage) -> Vec<ServerOutput>,
     ) -> Vec<SipMessage> {
         let StartLine::Request { method, uri } = &request.start else {
             return vec![SipMessage::response_to(request, 400, "Not a request")];
@@ -98,7 +102,7 @@ impl SipGateway {
                     m.attempts.inc();
                     m.setup_span()
                 });
-                let replies = self.handle_invite(request, uri.clone(), server);
+                let replies = self.handle_invite(request, uri.clone(), &mut xgsp);
                 if let Some(m) = &timing {
                     if let Some(span) = span {
                         span.finish();
@@ -113,7 +117,7 @@ impl SipGateway {
             }
             SipMethod::Ack => Vec::new(),
             SipMethod::Bye => {
-                let replies = self.handle_bye(request, server);
+                let replies = self.handle_bye(request, xgsp);
                 if let Some(m) = &self.metrics {
                     if replies.first().and_then(|r| r.status()) == Some(200) {
                         m.teardowns.inc();
@@ -121,7 +125,7 @@ impl SipGateway {
                 }
                 replies
             }
-            SipMethod::Message => self.handle_message(request, server),
+            SipMethod::Message => self.handle_message(request, xgsp),
             SipMethod::Options => {
                 vec![SipMessage::response_to(request, 200, "OK")
                     .with_header("Allow", "INVITE, ACK, BYE, MESSAGE, OPTIONS")]
@@ -134,7 +138,7 @@ impl SipGateway {
         &mut self,
         request: &SipMessage,
         uri: String,
-        server: &mut SessionServer,
+        mut xgsp: impl FnMut(Option<&str>, XgspMessage) -> Vec<ServerOutput>,
     ) -> Vec<SipMessage> {
         if !self.is_conference_uri(&uri) {
             return vec![SipMessage::response_to(request, 404, "Unknown conference")];
@@ -171,7 +175,7 @@ impl SipGateway {
             .and_then(|r| r.split('@').next())
             .unwrap_or_default();
         let session = if conf_user == "new-conf" {
-            let outputs = server.handle(
+            let outputs = xgsp(
                 Some(&user),
                 XgspMessage::CreateSession {
                     name: format!("sip ad-hoc by {user}"),
@@ -198,7 +202,7 @@ impl SipGateway {
 
         let terminal = TerminalId::from_raw(self.next_terminal);
         self.next_terminal += 1;
-        let outputs = server.handle(
+        let outputs = xgsp(
             Some(&user),
             XgspMessage::Join {
                 session,
@@ -208,7 +212,6 @@ impl SipGateway {
             },
         );
 
-        let mut replies = Vec::new();
         let mut joined = false;
         for output in &outputs {
             match output {
@@ -216,9 +219,6 @@ impl SipGateway {
                 ServerOutput::Reply(XgspMessage::Error { code, detail }) => {
                     let status = if code == "unknown-session" { 404 } else { 486 };
                     return vec![SipMessage::response_to(request, status, detail.clone())];
-                }
-                ServerOutput::Notify { user, message } => {
-                    replies.push(self.notify_for(user, message));
                 }
                 _ => {}
             }
@@ -238,14 +238,16 @@ impl SipGateway {
         let answer = Sdp::new("globalmmcs", self.rtp_proxy_address.clone())
             .with_media(SdpMedia::new("audio", 40000, vec![0]).with_rtpmap(0, "PCMU", 8000))
             .with_media(SdpMedia::new("video", 40002, vec![34]).with_rtpmap(34, "H263", 90000));
-        let ok = SipMessage::response_to(request, 200, "OK")
+        vec![SipMessage::response_to(request, 200, "OK")
             .with_header("Contact", format!("<sip:conf-{}@{}>", session.value(), self.domain))
-            .with_body("application/sdp", answer.to_wire());
-        replies.insert(0, ok);
-        replies
+            .with_body("application/sdp", answer.to_wire())]
     }
 
-    fn handle_bye(&mut self, request: &SipMessage, server: &mut SessionServer) -> Vec<SipMessage> {
+    fn handle_bye(
+        &mut self,
+        request: &SipMessage,
+        mut xgsp: impl FnMut(Option<&str>, XgspMessage) -> Vec<ServerOutput>,
+    ) -> Vec<SipMessage> {
         let Some(call_id) = request.header("Call-ID") else {
             return vec![SipMessage::response_to(request, 400, "Missing Call-ID")];
         };
@@ -256,26 +258,20 @@ impl SipGateway {
                 "Call/Transaction Does Not Exist",
             )];
         };
-        let outputs = server.handle(
+        xgsp(
             Some(&dialog.user),
             XgspMessage::Leave {
                 session: dialog.session,
                 user: dialog.user.clone(),
             },
         );
-        let mut replies = vec![SipMessage::response_to(request, 200, "OK")];
-        for output in outputs {
-            if let ServerOutput::Notify { user, message } = output {
-                replies.push(self.notify_for(&user, &message));
-            }
-        }
-        replies
+        vec![SipMessage::response_to(request, 200, "OK")]
     }
 
     fn handle_message(
         &mut self,
         request: &SipMessage,
-        server: &mut SessionServer,
+        mut xgsp: impl FnMut(Option<&str>, XgspMessage) -> Vec<ServerOutput>,
     ) -> Vec<SipMessage> {
         let Some(dialog) = request
             .header("Call-ID")
@@ -284,7 +280,7 @@ impl SipGateway {
         else {
             return vec![SipMessage::response_to(request, 481, "No conference dialog")];
         };
-        let outputs = server.handle(
+        xgsp(
             Some(&dialog.user),
             XgspMessage::AppData {
                 session: dialog.session,
@@ -292,29 +288,14 @@ impl SipGateway {
                 body: request.body.clone(),
             },
         );
-        let mut replies = vec![SipMessage::response_to(request, 200, "OK")];
-        for output in outputs {
-            if let ServerOutput::Notify { user, message } = output {
-                replies.push(self.notify_for(&user, &message));
-            }
-        }
-        replies
-    }
-
-    /// Wraps an XGSP notification as a SIP NOTIFY toward a member.
-    fn notify_for(&self, user: &str, message: &XgspMessage) -> SipMessage {
-        SipMessage::request(SipMethod::Notify, user.to_owned())
-            .with_header("Via", format!("SIP/2.0/UDP {};branch=z9hG4bK-gw", self.domain))
-            .with_header("From", format!("<sip:gateway@{}>", self.domain))
-            .with_header("To", format!("<{user}>"))
-            .with_header("Event", "conference")
-            .with_body("application/xgsp+xml", message.to_xml())
+        vec![SipMessage::response_to(request, 200, "OK")]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmcs_xgsp::server::SessionServer;
 
     fn invite(uri: &str, from: &str, call_id: &str) -> SipMessage {
         SipMessage::request(SipMethod::Invite, uri)
@@ -323,6 +304,14 @@ mod tests {
             .with_header("To", format!("<{uri}>"))
             .with_header("Call-ID", call_id)
             .with_header("CSeq", "1 INVITE")
+    }
+
+    /// The member and message of a `Notify` output.
+    fn notification(output: &ServerOutput) -> Option<(String, XgspMessage)> {
+        match output {
+            ServerOutput::Notify { user, message } => Some((user.clone(), message.clone())),
+            _ => None,
+        }
     }
 
     fn bye(call_id: &str) -> SipMessage {
@@ -348,7 +337,7 @@ mod tests {
         let mut server = SessionServer::new();
         let replies = gw.handle_request(
             &invite("sip:new-conf@mmcs.example", "sip:alice@ua.example", "cid-1"),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
         assert_eq!(replies[0].status(), Some(200));
         assert!(replies[0].body.contains("m=audio"));
@@ -367,18 +356,25 @@ mod tests {
         let mut server = SessionServer::new();
         gw.handle_request(
             &invite("sip:new-conf@mmcs.example", "sip:alice@ua", "cid-1"),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
         let session = server.session_ids().next().unwrap();
         let uri = format!("sip:conf-{}@mmcs.example", session.value());
-        let replies = gw.handle_request(&invite(&uri, "sip:bob@ua", "cid-2"), &mut server);
+        let mut notified = Vec::new();
+        let replies = gw.handle_request(&invite(&uri, "sip:bob@ua", "cid-2"), |from, m| {
+            let outputs = server.handle(from, m);
+            notified.extend(outputs.iter().filter_map(notification));
+            outputs
+        });
+        // The gateway answers the INVITE and makes no NOTIFY of its own:
+        // alice's notification reaches the door's caller.
+        assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].status(), Some(200));
-        // A NOTIFY toward alice rides along.
-        let notify = replies
-            .iter()
-            .find(|m| m.method() == Some(SipMethod::Notify))
-            .expect("notify for alice");
-        assert!(notify.body.contains("joined"));
+        let [(user, message)] = notified.as_slice() else {
+            panic!("one notification for alice, got {notified:?}");
+        };
+        assert_eq!(user, "sip:alice@ua");
+        assert!(message.to_xml().contains("joined"));
         assert_eq!(server.session(session).unwrap().member_count(), 2);
     }
 
@@ -388,7 +384,7 @@ mod tests {
         let mut server = SessionServer::new();
         let replies = gw.handle_request(
             &invite("sip:conf-99@mmcs.example", "sip:alice@ua", "cid-9"),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
         assert_eq!(replies[0].status(), Some(404));
         assert_eq!(gw.dialog_count(), 0);
@@ -400,15 +396,15 @@ mod tests {
         let mut server = SessionServer::new();
         gw.handle_request(
             &invite("sip:new-conf@mmcs.example", "sip:alice@ua", "cid-1"),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
-        let replies = gw.handle_request(&bye("cid-1"), &mut server);
+        let replies = gw.handle_request(&bye("cid-1"), |from, m| server.handle(from, m));
         assert_eq!(replies[0].status(), Some(200));
         // Last member left an ad-hoc session: it evaporated.
         assert_eq!(server.session_count(), 0);
         assert_eq!(gw.dialog_count(), 0);
         // A second BYE has no dialog.
-        let replies = gw.handle_request(&bye("cid-1"), &mut server);
+        let replies = gw.handle_request(&bye("cid-1"), |from, m| server.handle(from, m));
         assert_eq!(replies[0].status(), Some(481));
     }
 
@@ -418,25 +414,30 @@ mod tests {
         let mut server = SessionServer::new();
         gw.handle_request(
             &invite("sip:new-conf@mmcs.example", "sip:alice@ua", "cid-1"),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
         let session = server.session_ids().next().unwrap();
         let uri = format!("sip:conf-{}@mmcs.example", session.value());
-        gw.handle_request(&invite(&uri, "sip:bob@ua", "cid-2"), &mut server);
+        gw.handle_request(&invite(&uri, "sip:bob@ua", "cid-2"), |from, m| server.handle(from, m));
 
         let chat = SipMessage::request(SipMethod::Message, uri)
             .with_header("Via", "SIP/2.0/UDP ua;branch=z9hG4bK3")
             .with_header("Call-ID", "cid-1")
             .with_header("CSeq", "2 MESSAGE")
             .with_body("text/plain", "hello everyone");
-        let replies = gw.handle_request(&chat, &mut server);
+        let mut notified = Vec::new();
+        let replies = gw.handle_request(&chat, |from, m| {
+            let outputs = server.handle(from, m);
+            notified.extend(outputs.iter().filter_map(notification));
+            outputs
+        });
+        assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].status(), Some(200));
-        let notify = replies
-            .iter()
-            .find(|m| m.method() == Some(SipMethod::Notify))
-            .expect("notify toward bob");
-        assert!(notify.body.contains("hello everyone"));
-        assert_eq!(notify.header("To"), Some("<sip:bob@ua>"));
+        let [(user, message)] = notified.as_slice() else {
+            panic!("one notification for bob, got {notified:?}");
+        };
+        assert_eq!(user, "sip:bob@ua");
+        assert!(message.to_xml().contains("hello everyone"));
     }
 
     #[test]
@@ -454,13 +455,13 @@ mod tests {
 
         gw.handle_request(
             &invite("sip:new-conf@mmcs.example", "sip:alice@ua", "cid-1"),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
         gw.handle_request(
             &invite("sip:conf-99@mmcs.example", "sip:alice@ua", "cid-2"),
-            &mut server,
+            |from, m| server.handle(from, m),
         );
-        gw.handle_request(&bye("cid-1"), &mut server);
+        gw.handle_request(&bye("cid-1"), |from, m| server.handle(from, m));
 
         assert_eq!(metrics.attempts.get(), 2);
         assert_eq!(metrics.setups.get(), 1);
@@ -481,7 +482,7 @@ mod tests {
         let mut server = SessionServer::new();
         let register = SipMessage::request(SipMethod::Register, "sip:conf-1@mmcs.example")
             .with_header("Via", "SIP/2.0/UDP ua;branch=z9hG4bK4");
-        let replies = gw.handle_request(&register, &mut server);
+        let replies = gw.handle_request(&register, |from, m| server.handle(from, m));
         assert_eq!(replies[0].status(), Some(405));
     }
 }

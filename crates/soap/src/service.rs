@@ -1,8 +1,9 @@
 //! SOAP service dispatch.
 //!
-//! [`SoapServer`] holds named operation handlers; feeding it a request
-//! document returns a response document (a `...Response` payload or a
-//! fault). [`SoapClient`] builds matching request documents and decodes
+//! [`respond`] answers one request document with one handler's result;
+//! [`SoapServer`] holds named operation handlers and dispatches each
+//! request to its own. Either way the reply is a response document (a
+//! `...Response` payload or a fault). [`SoapClient`] builds matching request documents and decodes
 //! responses. Both ends speak strings — the simulated HTTP POST body —
 //! so any transport (in-process, the simulator, the broker) can carry
 //! them.
@@ -43,28 +44,38 @@ impl SoapServer {
     /// Handles one request document; always returns a response document
     /// (faults included).
     pub fn handle(&mut self, request_xml: &str) -> String {
-        let envelope = match Envelope::parse(request_xml) {
-            Ok(envelope) => envelope,
-            Err(err) => return Envelope::fault("Client", err.to_string()).to_xml(),
-        };
-        let Some(call) = RpcCall::from_envelope(&envelope) else {
-            return Envelope::fault("Client", "request is a fault envelope").to_xml();
-        };
-        let Some(handler) = self.handlers.get_mut(&call.operation) else {
-            return Envelope::fault(
-                "Client",
-                format!("unknown operation {:?}", call.operation),
-            )
-            .to_xml();
-        };
-        match handler(&call.parts) {
-            Ok(parts) => {
-                let mut response = RpcCall::new(call.response_name());
-                response.parts = parts;
-                response.to_envelope().to_xml()
-            }
-            Err(fault) => Envelope::fault(fault.code, fault.reason).to_xml(),
+        respond(request_xml, |call| match self.handlers.get_mut(&call.operation) {
+            Some(handler) => handler(&call.parts),
+            None => Err(SoapFault {
+                code: "Client".into(),
+                reason: format!("unknown operation {:?}", call.operation),
+            }),
+        })
+    }
+}
+
+/// Answers one request document with `handler`'s result for its call:
+/// the parts as a `...Response` payload, or the fault. An unparseable
+/// request or a fault envelope is answered with a `Client` fault without
+/// calling `handler`.
+pub fn respond(
+    request_xml: &str,
+    handler: impl FnOnce(&RpcCall) -> Result<Vec<(String, String)>, SoapFault>,
+) -> String {
+    let envelope = match Envelope::parse(request_xml) {
+        Ok(envelope) => envelope,
+        Err(err) => return Envelope::fault("Client", err.to_string()).to_xml(),
+    };
+    let Some(call) = RpcCall::from_envelope(&envelope) else {
+        return Envelope::fault("Client", "request is a fault envelope").to_xml();
+    };
+    match handler(&call) {
+        Ok(parts) => {
+            let mut response = RpcCall::new(call.response_name());
+            response.parts = parts;
+            response.to_envelope().to_xml()
         }
+        Err(fault) => Envelope::fault(fault.code, fault.reason).to_xml(),
     }
 }
 

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example adhoc_meeting`
 
 use mmcs::im::stanza::{Show, Stanza};
-use mmcs::global_mmcs::system::GlobalMmcs;
+use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mmcs = GlobalMmcs::new();
@@ -35,28 +35,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("chat relayed to {} occupants", relayed.len());
 
     // Escalate: the room becomes an ad-hoc XGSP session.
-    let escalation = mmcs.escalate_room("project-x", "alice")?;
-    println!(
-        "escalated to {} with {} invitations:",
-        escalation.session,
-        escalation.invites.len()
-    );
-    for invite in &escalation.invites {
-        if let Stanza::Message { to, body, .. } = invite {
+    let (escalated, invites) = mmcs.escalate_room("project-x", "alice")?;
+    println!("escalated to {escalated} with {} invitations:", invites.len());
+    for invite in &invites {
+        if let Egress::Stanza { to, stanza: Stanza::Message { body, .. } } = invite {
             println!("  -> {to}: {body}");
         }
     }
 
     let session = mmcs
         .session_server()
-        .session(escalation.session)
+        .session(escalated)
         .expect("session exists");
     assert_eq!(session.chair(), Some("alice"));
     assert_eq!(session.member_count(), 1);
-    assert_eq!(escalation.invites.len(), 2);
+    assert_eq!(invites.len(), 2);
     println!(
-        "session {} carries {} media streams; ad-hoc meeting OK",
-        escalation.session,
+        "session {escalated} carries {} media streams; ad-hoc meeting OK",
         session.streams().len()
     );
     Ok(())

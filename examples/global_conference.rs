@@ -7,12 +7,21 @@
 
 use mmcs::admire::service::AdmireService;
 use mmcs::global_mmcs::bridge::CommunityBridge;
-use mmcs::global_mmcs::system::GlobalMmcs;
+use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 use mmcs::h323::endpoint::{EndpointState, H323Endpoint};
 use mmcs::h323::msg::H323Message;
 use mmcs::sip::message::{SipMessage, SipMethod};
 use mmcs::xgsp::message::{FloorOp, XgspMessage};
 use mmcs_util::id::TerminalId;
+
+/// One line naming where an egress item goes.
+fn describe(egress: &Egress) -> String {
+    match egress {
+        Egress::Sip(message) => format!("SIP {}", message.header("To").unwrap_or("?")),
+        Egress::Stanza { to, .. } => format!("IM {to}"),
+        other => format!("{other:?}"),
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mmcs = GlobalMmcs::new();
@@ -24,8 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_header("To", "<sip:new-conf@mmcs.example>")
         .with_header("Call-ID", "call-alice")
         .with_header("CSeq", "1 INVITE");
-    let replies = mmcs.handle_sip(&invite);
-    assert_eq!(replies[0].status(), Some(200));
+    let Some(Egress::Sip(ok)) = mmcs.handle_sip(&invite).into_iter().next() else {
+        panic!("a SIP INVITE is answered first");
+    };
+    assert_eq!(ok.status(), Some(200));
     let session = mmcs
         .session_server()
         .session_ids()
@@ -33,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("conference exists");
     println!(
         "SIP: alice created and joined {session} (SDP answer targets {})",
-        replies[0].body.lines().nth(3).unwrap_or("")
+        ok.body.lines().nth(3).unwrap_or("")
     );
 
     // --- An H.323 terminal walks the full RAS/Q.931/H.245 ladder. ---
@@ -41,8 +52,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut queue = vec![h323.start()];
     let mut admitted = false;
     while let Some(message) = queue.pop() {
-        for reply in mmcs.handle_h323(&message) {
-            queue.extend(h323.on_message(&reply));
+        for egress in mmcs.handle_h323(&message) {
+            match egress {
+                Egress::H323(reply) => queue.extend(h323.on_message(&reply)),
+                // alice, admitted over SIP, hears that bob joined.
+                other => println!("H.323 join announced: {}", describe(&other)),
+            }
         }
         if h323.state() == EndpointState::Registered && !admitted {
             admitted = true;
@@ -70,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Admire: bridged; RTP agents at rdv.mmcs.example:8000 <-> {remote}");
 
     // --- Floor control across the federation. ------------------------
-    let outputs = mmcs.handle_xgsp(
+    let egress = mmcs.handle_xgsp(
         Some("sip:alice@example.org"),
         XgspMessage::Floor {
             session,
@@ -78,9 +93,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             user: "sip:alice@example.org".into(),
         },
     );
+    for item in &egress {
+        println!("XGSP: floor grant announced: {}", describe(item));
+    }
     println!(
         "XGSP: floor request produced {} notifications; holder = {:?}",
-        outputs.len(),
+        egress.len(),
         mmcs.session_server()
             .session(session)
             .unwrap()

@@ -6,7 +6,6 @@
 use mmcs::rtp::source::{AudioCodec, AudioSource};
 use mmcs::xgsp::media::{MediaDescription, MediaKind};
 use mmcs::xgsp::message::{SessionMode, XgspMessage};
-use mmcs::xgsp::server::ServerOutput;
 use mmcs_util::time::{SimDuration, SimTime};
 
 use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
@@ -26,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("registered {} users", mmcs.users_mut().user_count());
 
     // 2. Create an ad-hoc session over the XGSP session server.
-    let outputs = mmcs.handle_xgsp(
+    let egress = mmcs.handle_xgsp(
         Some("alice"),
         XgspMessage::CreateSession {
             name: "quickstart".into(),
@@ -34,10 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             media: vec![MediaDescription::new(MediaKind::Audio, "PCMU")],
         },
     );
-    let session = outputs
+    let session = egress
         .iter()
-        .find_map(|o| match o {
-            ServerOutput::Reply(XgspMessage::SessionCreated { session, .. }) => Some(*session),
+        .find_map(|item| match item {
+            Egress::Xgsp(XgspMessage::SessionCreated { session, .. }) => Some(*session),
             _ => None,
         })
         .expect("session created");
@@ -46,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Both users join; the JoinAck carries the broker topic.
     let mut audio_topic = String::new();
     for (user, terminal) in [("alice", alice_terminal), ("bob", bob_terminal)] {
-        let outputs = mmcs.handle_xgsp(
+        let egress = mmcs.handle_xgsp(
             Some(user),
             XgspMessage::Join {
                 session,
@@ -55,8 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 media: vec![MediaDescription::new(MediaKind::Audio, "PCMU")],
             },
         );
-        for output in &outputs {
-            if let ServerOutput::Reply(XgspMessage::JoinAck { topics, .. }) = output {
+        for item in &egress {
+            if let Egress::Xgsp(XgspMessage::JoinAck { topics, .. }) = item {
                 audio_topic = topics[0].1.clone();
             }
         }
@@ -74,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..50u64 {
         mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
         let packet = source.next_packet();
-        for egress in mmcs.publish_rtp(alice_media, &audio_topic, &packet) {
+        for egress in mmcs.publish_rtp(alice_media, &audio_topic, &packet)? {
             if let Egress::Media { client, .. } = egress {
                 if client == bob_media {
                     received_by_bob += 1;

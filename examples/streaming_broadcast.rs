@@ -8,17 +8,16 @@ use mmcs::rtp::source::{VideoSource, VideoSourceConfig};
 use mmcs::streaming::rtsp::{RtspMethod, RtspRequest};
 use mmcs::xgsp::media::{MediaDescription, MediaKind};
 use mmcs::xgsp::message::{SessionMode, XgspMessage};
-use mmcs::xgsp::server::ServerOutput;
 use mmcs_util::rng::DetRng;
 use mmcs_util::time::SimTime;
 
-use mmcs::global_mmcs::system::GlobalMmcs;
+use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mmcs = GlobalMmcs::new();
 
     // A lecture session carrying video.
-    let outputs = mmcs.handle_xgsp(
+    let egress = mmcs.handle_xgsp(
         Some("lecturer"),
         XgspMessage::CreateSession {
             name: "streamed lecture".into(),
@@ -26,10 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             media: vec![MediaDescription::new(MediaKind::Video, "H263")],
         },
     );
-    let session = outputs
+    let session = egress
         .iter()
-        .find_map(|o| match o {
-            ServerOutput::Reply(XgspMessage::SessionCreated { session, .. }) => Some(*session),
+        .find_map(|item| match item {
+            Egress::Xgsp(XgspMessage::SessionCreated { session, .. }) => Some(*session),
             _ => None,
         })
         .expect("created");
@@ -58,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..50 {
         for packet in source.next_frame() {
             mmcs.set_now(clock);
-            mmcs.publish_rtp(publisher, &topic, &packet);
+            mmcs.publish_rtp(publisher, &topic, &packet)?;
         }
         clock += source.frame_interval();
     }

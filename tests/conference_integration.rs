@@ -6,12 +6,12 @@ use mmcs::admire::service::AdmireService;
 use mmcs::global_mmcs::accessgrid::AccessGridService;
 use mmcs::global_mmcs::bridge::CommunityBridge;
 use mmcs::global_mmcs::hearme::HearMeService;
-use mmcs::global_mmcs::system::{Egress, EndpointKind, GlobalMmcs};
-use mmcs::global_mmcs::web::XgspWebServer;
+use mmcs::global_mmcs::system::{Egress, EndpointKind, GlobalMmcs, PublishError};
 use mmcs::h323::endpoint::{EndpointState, H323Endpoint};
 use mmcs::im::stanza::Stanza;
 use mmcs::rtp::source::{AudioCodec, AudioSource};
-use mmcs::sip::message::{SipMessage, SipMethod};
+use mmcs::sip::message::{SipMessage, SipMethod, StartLine};
+use mmcs::soap::envelope::SoapFault;
 use mmcs::soap::service::SoapClient;
 use mmcs::xgsp::message::XgspMessage;
 use mmcs::xgsp::wsdl_ci::{CiError, CollaborationServer};
@@ -27,6 +27,88 @@ fn sip_invite(uri: &str, from: &str, call_id: &str) -> SipMessage {
         .with_header("CSeq", "1 INVITE")
 }
 
+fn sip_bye(uri: &str, call_id: &str) -> SipMessage {
+    SipMessage::request(SipMethod::Bye, uri)
+        .with_header("Via", "SIP/2.0/UDP ua;branch=z9hG4bK2")
+        .with_header("Call-ID", call_id)
+        .with_header("CSeq", "2 BYE")
+}
+
+/// The status of the SIP response a request was answered with (the
+/// first egress item).
+fn sip_status(egress: &[Egress]) -> Option<u16> {
+    match egress.first() {
+        Some(Egress::Sip(response)) => response.status(),
+        _ => None,
+    }
+}
+
+/// Where each notification in an egress batch goes, in order: a SIP
+/// NOTIFY's request URI or a stanza's recipient.
+fn notified(egress: &[Egress]) -> Vec<&str> {
+    egress
+        .iter()
+        .filter_map(|item| match item {
+            Egress::Sip(SipMessage {
+                start: StartLine::Request { method: SipMethod::Notify, uri },
+                ..
+            }) => Some(uri.as_str()),
+            Egress::Stanza { to, .. } => Some(to.as_str()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Drives an H.323 terminal through RAS, Q.931 and H.245 into the
+/// session; returns the egress that was not for the terminal.
+fn h323_call_in(
+    mmcs: &mut GlobalMmcs,
+    endpoint: &mut H323Endpoint,
+    session: SessionId,
+) -> Vec<Egress> {
+    let mut others = Vec::new();
+    let mut queue = vec![endpoint.start()];
+    let mut placed = false;
+    while let Some(message) = queue.pop() {
+        for egress in mmcs.handle_h323(&message) {
+            match egress {
+                Egress::H323(reply) => queue.extend(endpoint.on_message(&reply)),
+                other => others.push(other),
+            }
+        }
+        if endpoint.state() == EndpointState::Registered && !placed {
+            placed = true;
+            queue.push(endpoint.place_call(format!("conf-{}", session.value()), 6400));
+        }
+    }
+    assert_eq!(endpoint.state(), EndpointState::InCall);
+    others
+}
+
+/// Calls one SOAP operation on `mmcs` and decodes its response.
+fn soap(
+    mmcs: &mut GlobalMmcs,
+    operation: &str,
+    parts: &[(&str, &str)],
+) -> Result<Vec<(String, String)>, SoapFault> {
+    let egress = mmcs.handle_soap(&SoapClient::request(operation, parts));
+    let Some(Egress::Soap(response)) = egress.first() else {
+        panic!("a SOAP request is answered first, got {egress:?}");
+    };
+    SoapClient::decode_response(operation, response)
+}
+
+/// The session an XGSP `CreateSession` reply names.
+fn created_session(egress: &[Egress]) -> SessionId {
+    egress
+        .iter()
+        .find_map(|item| match item {
+            Egress::Xgsp(XgspMessage::SessionCreated { session, .. }) => Some(*session),
+            _ => None,
+        })
+        .expect("session created")
+}
+
 /// A SIP UA and an H.323 terminal meet in one session; media published
 /// by the SIP side reaches a subscriber; chat relays through XGSP.
 #[test]
@@ -39,23 +121,12 @@ fn sip_and_h323_share_a_conference_with_media() {
         "sip:alice@example.org",
         "cid-1",
     ));
-    assert_eq!(replies[0].status(), Some(200));
+    assert_eq!(sip_status(&replies), Some(200));
     let session = mmcs.session_server().session_ids().next().unwrap();
 
     // H.323 side joins the same conference.
     let mut endpoint = H323Endpoint::new("bob-h323");
-    let mut queue = vec![endpoint.start()];
-    let mut placed = false;
-    while let Some(message) = queue.pop() {
-        for reply in mmcs.handle_h323(&message) {
-            queue.extend(endpoint.on_message(&reply));
-        }
-        if endpoint.state() == EndpointState::Registered && !placed {
-            placed = true;
-            queue.push(endpoint.place_call(format!("conf-{}", session.value()), 6400));
-        }
-    }
-    assert_eq!(endpoint.state(), EndpointState::InCall);
+    h323_call_in(&mut mmcs, &mut endpoint, session);
     let conference = mmcs.session_server().session(session).unwrap();
     assert_eq!(conference.member_count(), 2);
     assert!(conference.member("sip:alice@example.org").is_some());
@@ -71,7 +142,7 @@ fn sip_and_h323_share_a_conference_with_media() {
     for i in 0..25u64 {
         mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
         let packet = source.next_packet();
-        for egress in mmcs.publish_rtp(alice_media, &topic, &packet) {
+        for egress in mmcs.publish_rtp(alice_media, &topic, &packet).unwrap() {
             if matches!(egress, Egress::Media { client, .. } if client == bob_media) {
                 bob_received += 1;
             }
@@ -83,7 +154,7 @@ fn sip_and_h323_share_a_conference_with_media() {
 
     // Chat (XGSP app-data) relays from alice to bob only.
     mmcs.bind_endpoint("bob-h323", EndpointKind::Im("bob@mmcs".into()));
-    let outputs = mmcs.handle_xgsp(
+    let egress = mmcs.handle_xgsp(
         Some("sip:alice@example.org"),
         XgspMessage::AppData {
             session,
@@ -91,24 +162,17 @@ fn sip_and_h323_share_a_conference_with_media() {
             body: "hello from SIP land".into(),
         },
     );
-    let notified: Vec<&str> = outputs
-        .iter()
-        .filter_map(|o| match o {
-            mmcs::xgsp::server::ServerOutput::Notify { user, .. } => Some(user.as_str()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(notified, vec!["bob-h323"]);
+    assert_eq!(notified(&egress), vec!["bob@mmcs"]);
 }
 
 /// The scheduled-mode flow: book via SOAP, open at the due time, join
 /// by web service, terminate.
 #[test]
 fn scheduled_meeting_via_web_services() {
-    let web = XgspWebServer::new();
-    let mut soap = web.soap_server();
+    let mut mmcs = GlobalMmcs::new();
 
-    let response = soap.handle(&SoapClient::request(
+    soap(
+        &mut mmcs,
         "schedule",
         &[
             ("room", "auditorium"),
@@ -118,38 +182,38 @@ fn scheduled_meeting_via_web_services() {
             ("durationSecs", "1800"),
             ("invitees", "wu,uyar"),
         ],
-    ));
-    SoapClient::decode_response("schedule", &response).unwrap();
+    )
+    .unwrap();
 
-    assert!(web.open_due_meetings(SimTime::from_secs(99)).is_empty());
-    let opened = web.open_due_meetings(SimTime::from_secs(100));
+    mmcs.set_now(SimTime::from_secs(99));
+    assert!(mmcs.open_due_meetings().0.is_empty());
+    mmcs.set_now(SimTime::from_secs(100));
+    let (opened, _) = mmcs.open_due_meetings();
     assert_eq!(opened.len(), 1);
     let session_id = opened[0].value().to_string();
 
     // Two invitees join over SOAP.
     for user in ["wu", "uyar"] {
-        let response = soap.handle(&SoapClient::request(
+        let topics = soap(
+            &mut mmcs,
             "join",
             &[("sessionId", &session_id), ("user", user), ("terminal", "2")],
-        ));
-        let topics = SoapClient::decode_response("join", &response).unwrap();
+        )
+        .unwrap();
         assert!(topics.iter().any(|(k, _)| k == "topic-audio"));
     }
-    {
-        let state = web.state();
-        let state = state.borrow();
-        let session = state.sessions.session(opened[0]).unwrap();
-        assert_eq!(session.member_count(), 3);
-        assert_eq!(session.chair(), Some("gcf"));
-    }
+    let session = mmcs.session_server().session(opened[0]).unwrap();
+    assert_eq!(session.member_count(), 3);
+    assert_eq!(session.chair(), Some("gcf"));
 
     // Organizer terminates.
-    let response = soap.handle(&SoapClient::request(
+    soap(
+        &mut mmcs,
         "terminate",
         &[("sessionId", &session_id), ("user", "gcf")],
-    ));
-    SoapClient::decode_response("terminate", &response).unwrap();
-    assert_eq!(web.state().borrow().sessions.session_count(), 0);
+    )
+    .unwrap();
+    assert_eq!(mmcs.session_server().session_count(), 0);
 }
 
 /// IM room escalation wires presence, chat, escalation and invitation
@@ -165,30 +229,27 @@ fn im_room_escalates_to_meeting_with_invites() {
             arg: "war-room".into(),
         });
     }
-    let escalation = mmcs.escalate_room("war-room", "carol").unwrap();
-    assert_eq!(escalation.invites.len(), 3);
-    let session = mmcs.session_server().session(escalation.session).unwrap();
+    let (escalated, invites) = mmcs.escalate_room("war-room", "carol").unwrap();
+    assert_eq!(notified(&invites), vec!["alice", "bob", "dave"]);
+    let session = mmcs.session_server().session(escalated).unwrap();
     assert_eq!(session.chair(), Some("carol"));
 
     // Invitees join through plain XGSP.
     for (i, user) in ["alice", "bob"].iter().enumerate() {
-        let outputs = mmcs.handle_xgsp(
+        let egress = mmcs.handle_xgsp(
             Some(user),
             XgspMessage::Join {
-                session: escalation.session,
+                session: escalated,
                 user: (*user).into(),
                 terminal: TerminalId::from_raw(10 + i as u64),
                 media: vec![],
             },
         );
-        assert!(outputs.iter().any(|o| matches!(
-            o,
-            mmcs::xgsp::server::ServerOutput::Reply(XgspMessage::JoinAck { .. })
-        )));
+        assert!(matches!(&egress[0], Egress::Xgsp(XgspMessage::JoinAck { .. })));
     }
     assert_eq!(
         mmcs.session_server()
-            .session(escalation.session)
+            .session(escalated)
             .unwrap()
             .member_count(),
         3
@@ -206,7 +267,7 @@ fn admire_bridge_end_to_end() {
         "sip:alice@example.org",
         "cid-b",
     ));
-    assert_eq!(replies[0].status(), Some(200));
+    assert_eq!(sip_status(&replies), Some(200));
     let session = mmcs.session_server().session_ids().next().unwrap();
 
     let mut bridge = CommunityBridge::new(
@@ -241,7 +302,7 @@ fn one_session_bridges_to_admire_access_grid_and_hearme() {
     let mut mmcs = GlobalMmcs::new();
     let alice = "sip:alice@example.org";
     let replies = mmcs.handle_sip(&sip_invite("sip:new-conf@mmcs.example", alice, "cid-c"));
-    assert_eq!(replies[0].status(), Some(200));
+    assert_eq!(sip_status(&replies), Some(200));
     let session = mmcs.session_server().session_ids().next().unwrap();
 
     let mut admire = CommunityBridge::new(
@@ -411,7 +472,7 @@ fn media_tap_alone_consumes_unwatched_streams() {
     let topic = format!("globalmmcs/session-{}/audio", session.value());
     let publisher = mmcs.attach_media_client(&topic).unwrap();
     let mut source = AudioSource::new(AudioCodec::Pcmu, 1);
-    let egress = mmcs.publish_rtp(publisher, &topic, &source.next_packet());
+    let egress = mmcs.publish_rtp(publisher, &topic, &source.next_packet()).unwrap();
     // Publisher is itself subscribed (it attached to the topic), so the
     // only egress is its own loopback.
     assert_eq!(media_receivers(&egress), vec![publisher]);
@@ -452,7 +513,7 @@ fn publish_rtp_reaches_exactly_the_topic_in_client_order() {
     for i in 0..50u64 {
         mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
         let packet = source.next_packet();
-        let egress = mmcs.publish_rtp(alice, &audio, &packet);
+        let egress = mmcs.publish_rtp(alice, &audio, &packet).unwrap();
         assert_eq!(media_receivers(&egress), vec![bob, carol], "publish {i}");
         for item in &egress {
             let Egress::Media { topic, rtp, .. } = item else {
@@ -467,6 +528,20 @@ fn publish_rtp_reaches_exactly_the_topic_in_client_order() {
 
     assert!(mmcs.attach_media_client("globalmmcs//audio").is_err());
     assert!(mmcs.attach_media_client("").is_err());
+
+    // Publishing on a malformed topic or from a client this system never
+    // attached is refused, and reaches no one.
+    let packet = source.next_packet();
+    assert!(matches!(
+        mmcs.publish_rtp(alice, "globalmmcs//audio", &packet),
+        Err(PublishError::Topic(_))
+    ));
+    let stranger = ClientId::from_raw(u64::MAX);
+    assert!(matches!(
+        mmcs.publish_rtp(stranger, &audio, &packet),
+        Err(PublishError::UnknownClient(id)) if id == stranger
+    ));
+    assert_eq!(mmcs.helix().fed_count(&audio), 50);
 }
 
 /// Video switching follows audio activity and respects chair pins,
@@ -479,7 +554,7 @@ fn video_switching_follows_activity_and_pins() {
         "sip:alice@example.org",
         "cid-v",
     ));
-    assert_eq!(replies[0].status(), Some(200));
+    assert_eq!(sip_status(&replies), Some(200));
     let session = mmcs.session_server().session_ids().next().unwrap();
     mmcs.handle_xgsp(
         Some("bob"),
@@ -533,7 +608,7 @@ fn authenticated_join_uses_directory_binding() {
         "sip:host@example.org",
         "cid-auth",
     ));
-    assert_eq!(replies[0].status(), Some(200));
+    assert_eq!(sip_status(&replies), Some(200));
     let session = mmcs.session_server().session_ids().next().unwrap();
 
     let alice = mmcs
@@ -565,15 +640,13 @@ fn authenticated_join_uses_directory_binding() {
         .contains("bad credentials"));
 
     // Correct credentials: joined with the terminal's media.
-    let outputs = mmcs
+    let egress = mmcs
         .join_authenticated("alice", "secret", session)
         .unwrap();
-    let topics = outputs
+    let topics = egress
         .iter()
-        .find_map(|o| match o {
-            mmcs::xgsp::server::ServerOutput::Reply(XgspMessage::JoinAck { topics, .. }) => {
-                Some(topics.clone())
-            }
+        .find_map(|item| match item {
+            Egress::Xgsp(XgspMessage::JoinAck { topics, .. }) => Some(topics.clone()),
             _ => None,
         })
         .expect("join ack");
@@ -626,7 +699,6 @@ fn rtcp_reports_drive_quality_monitoring() {
 /// state rides the call signaling).
 #[test]
 fn notifications_translate_per_endpoint_kind() {
-    use mmcs::global_mmcs::system::{Egress, EndpointKind};
     let mut mmcs = GlobalMmcs::new();
     mmcs.handle_sip(&sip_invite(
         "sip:new-conf@mmcs.example",
@@ -653,14 +725,15 @@ fn notifications_translate_per_endpoint_kind() {
             },
         );
     }
-    // alice (the SIP creator, unbound) plus the four above are members.
+    // alice (the SIP creator, bound to her URI by the gateway) plus the
+    // four above are members.
     assert_eq!(
         mmcs.session_server().session(session).unwrap().member_count(),
         5
     );
-    // A floor grant notifies every member; check the translations via a
-    // fresh event that fans out.
-    let outputs = mmcs.handle_xgsp(
+    // A floor grant notifies every member; the returned egress carries
+    // the translation for each member who has a notification channel.
+    let egress = mmcs.handle_xgsp(
         Some("sip-user"),
         XgspMessage::Floor {
             session,
@@ -668,51 +741,137 @@ fn notifications_translate_per_endpoint_kind() {
             user: "sip-user".into(),
         },
     );
-    // Count raw notifications: all five members.
-    let notify_count = outputs
-        .iter()
-        .filter(|o| matches!(o, mmcs::xgsp::server::ServerOutput::Notify { .. }))
-        .count();
-    assert_eq!(notify_count, 5);
-    // The SIP-bound member's NOTIFY egress shape:
-    if let Some(Egress::Sip(notify)) =
-        test_support::egress_for(&mut mmcs, session, "sip-user")
-    {
-        assert_eq!(notify.method(), Some(mmcs::sip::message::SipMethod::Notify));
-        assert_eq!(notify.header("Event"), Some("conference"));
-    } else {
-        panic!("sip-bound member must yield SIP egress");
+    let mut recipients = notified(&egress);
+    recipients.sort_unstable();
+    assert_eq!(
+        recipients,
+        vec!["im-user@mmcs", "sip:alice@example.org", "sip:su@ua.example"]
+    );
+    assert_eq!(egress.len(), 3, "no reply, no egress for the H.323 or unbound member");
+    for item in &egress {
+        match item {
+            Egress::Sip(notify) => {
+                assert_eq!(notify.method(), Some(SipMethod::Notify));
+                assert_eq!(notify.header("Event"), Some("conference"));
+                assert!(notify.body.contains("floor-granted"));
+            }
+            Egress::Stanza { stanza: Stanza::Message { body, .. }, .. } => {
+                assert!(body.contains("floor-granted"));
+            }
+            other => panic!("unexpected egress {other:?}"),
+        }
     }
-    if let Some(Egress::Stanza { to, .. }) =
-        test_support::egress_for(&mut mmcs, session, "im-user")
-    {
-        assert_eq!(to, "im-user@mmcs");
-    } else {
-        panic!("im-bound member must yield stanza egress");
-    }
-    assert!(test_support::egress_for(&mut mmcs, session, "h323-user").is_none());
-    assert!(test_support::egress_for(&mut mmcs, session, "unbound-user").is_none());
 }
 
-mod test_support {
-    use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
-    use mmcs::xgsp::message::XgspMessage;
-    use mmcs_util::id::SessionId;
+/// A SIP join is announced to each member in the member's own protocol:
+/// an IM-bound member gets one stanza and no SIP NOTIFY.
+#[test]
+fn sip_join_notifies_an_im_member_by_stanza() {
+    let mut mmcs = GlobalMmcs::new();
+    let created = mmcs.handle_xgsp(
+        Some("carol"),
+        XgspMessage::CreateSession {
+            name: "mixed".into(),
+            mode: mmcs::xgsp::message::SessionMode::AdHoc,
+            media: vec![],
+        },
+    );
+    let session = created_session(&created);
+    mmcs.bind_endpoint("carol", EndpointKind::Im("carol@im.example".into()));
+    mmcs.handle_xgsp(
+        Some("carol"),
+        XgspMessage::Join {
+            session,
+            user: "carol".into(),
+            terminal: TerminalId::from_raw(3),
+            media: vec![],
+        },
+    );
 
-    /// Produces one notification toward `user` and returns its egress
-    /// translation, if any.
-    pub fn egress_for(
-        mmcs: &mut GlobalMmcs,
-        session: SessionId,
-        user: &str,
-    ) -> Option<Egress> {
-        mmcs.egress_for_notification(
-            user,
-            &XgspMessage::Notify {
-                session,
-                what: "probe".into(),
-                user: user.into(),
-            },
-        )
-    }
+    let uri = format!("sip:conf-{}@mmcs.example", session.value());
+    let egress = mmcs.handle_sip(&sip_invite(&uri, "sip:bob@example.org", "cid-im"));
+    assert_eq!(sip_status(&egress), Some(200));
+    let notifies = egress
+        .iter()
+        .filter(|item| matches!(item, Egress::Sip(m) if m.method() == Some(SipMethod::Notify)))
+        .count();
+    assert_eq!(notifies, 0, "{egress:?}");
+    assert_eq!(notified(&egress), vec!["carol@im.example"]);
+    let Some(Egress::Stanza { stanza: Stanza::Message { body, .. }, .. }) = egress.last() else {
+        panic!("carol's stanza comes last, got {egress:?}");
+    };
+    assert!(body.contains("joined") && body.contains("sip:bob@example.org"));
+}
+
+/// A member who leaves by SIP BYE is no longer the selected video.
+#[test]
+fn sip_bye_clears_the_departed_member_from_video_selection() {
+    let mut mmcs = GlobalMmcs::new();
+    mmcs.handle_sip(&sip_invite(
+        "sip:new-conf@mmcs.example",
+        "sip:alice@example.org",
+        "cid-host",
+    ));
+    let session = mmcs.session_server().session_ids().next().unwrap();
+    let uri = format!("sip:conf-{}@mmcs.example", session.value());
+    let bob = "sip:bob@example.org";
+    assert_eq!(sip_status(&mmcs.handle_sip(&sip_invite(&uri, bob, "cid-bob"))), Some(200));
+    mmcs.report_audio_level(session, bob, 0.9);
+    assert_eq!(mmcs.selected_video(session), Some(bob));
+
+    assert_eq!(sip_status(&mmcs.handle_sip(&sip_bye(&uri, "cid-bob"))), Some(200));
+    assert!(mmcs.session_server().session(session).unwrap().member(bob).is_none());
+    assert_eq!(mmcs.selected_video(session), None);
+}
+
+/// An H.323 join is announced to the SIP-bound and the IM-bound members.
+#[test]
+fn h323_join_notifies_sip_and_im_members() {
+    let mut mmcs = GlobalMmcs::new();
+    mmcs.handle_sip(&sip_invite(
+        "sip:new-conf@mmcs.example",
+        "sip:alice@example.org",
+        "cid-alice",
+    ));
+    let session = mmcs.session_server().session_ids().next().unwrap();
+    mmcs.bind_endpoint("carol", EndpointKind::Im("carol@im.example".into()));
+    mmcs.handle_xgsp(
+        Some("carol"),
+        XgspMessage::Join {
+            session,
+            user: "carol".into(),
+            terminal: TerminalId::from_raw(3),
+            media: vec![],
+        },
+    );
+
+    let mut endpoint = H323Endpoint::new("bob-h323");
+    let others = h323_call_in(&mut mmcs, &mut endpoint, session);
+    let mut recipients = notified(&others);
+    recipients.sort_unstable();
+    assert_eq!(recipients, vec!["carol@im.example", "sip:alice@example.org"]);
+    assert_eq!(others.len(), 2, "{others:?}");
+}
+
+/// A session created over SOAP is the same session the SIP gateway
+/// sees, and it streams like any other.
+#[test]
+fn soap_session_accepts_sip_invite_and_streams() {
+    let mut mmcs = GlobalMmcs::new();
+    let parts = soap(
+        &mut mmcs,
+        "createSession",
+        &[("name", "web seminar"), ("mode", "scheduled"), ("organizer", "gcf")],
+    )
+    .unwrap();
+    let id = &parts[0].1;
+
+    let uri = format!("sip:conf-{id}@mmcs.example");
+    let egress = mmcs.handle_sip(&sip_invite(&uri, "sip:alice@example.org", "cid-web"));
+    assert_eq!(sip_status(&egress), Some(200));
+    let session = SessionId::from_raw(id.parse().unwrap());
+    assert_eq!(mmcs.session_server().session(session).unwrap().member_count(), 1);
+    let audio = format!("globalmmcs/session-{id}/audio");
+    let video = format!("globalmmcs/session-{id}/video");
+    assert_eq!(mmcs.helix().stream_names(), vec![audio.as_str(), video.as_str()]);
 }

@@ -17,7 +17,7 @@ use bytes::Bytes;
 use mmcs::broker::event::EventClass;
 use mmcs::broker::sharded::{ShardedBroker, ShardedClient};
 use mmcs::broker::topic::{Topic, TopicFilter};
-use mmcs::global_mmcs::system::GlobalMmcs;
+use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 use mmcs::h323::endpoint::{EndpointState, H323Endpoint};
 use mmcs::sip::message::{SipMessage, SipMethod};
 use mmcs::xgsp::message::XgspMessage;
@@ -57,7 +57,10 @@ fn run_matrix(shards: usize) {
         "sip:alice@example.org",
         "cid-matrix",
     ));
-    assert_eq!(replies[0].status(), Some(200), "{shards} shards: SIP invite");
+    assert!(
+        matches!(&replies[0], Egress::Sip(ok) if ok.status() == Some(200)),
+        "{shards} shards: SIP invite"
+    );
     let session = mmcs.session_server().session_ids().next().unwrap();
 
     // --- H.323 party registers and calls into the same conference.
@@ -65,8 +68,10 @@ fn run_matrix(shards: usize) {
     let mut queue = vec![endpoint.start()];
     let mut placed = false;
     while let Some(message) = queue.pop() {
-        for reply in mmcs.handle_h323(&message) {
-            queue.extend(endpoint.on_message(&reply));
+        for egress in mmcs.handle_h323(&message) {
+            if let Egress::H323(reply) = egress {
+                queue.extend(endpoint.on_message(&reply));
+            }
         }
         if endpoint.state() == EndpointState::Registered && !placed {
             placed = true;
@@ -76,7 +81,7 @@ fn run_matrix(shards: usize) {
     assert_eq!(endpoint.state(), EndpointState::InCall);
 
     // --- Streaming subscriber joins over plain XGSP.
-    let outputs = mmcs.handle_xgsp(
+    let egress = mmcs.handle_xgsp(
         Some("carol-stream"),
         XgspMessage::Join {
             session,
@@ -85,10 +90,7 @@ fn run_matrix(shards: usize) {
             media: vec![],
         },
     );
-    assert!(outputs.iter().any(|o| matches!(
-        o,
-        mmcs::xgsp::server::ServerOutput::Reply(XgspMessage::JoinAck { .. })
-    )));
+    assert!(matches!(&egress[0], Egress::Xgsp(XgspMessage::JoinAck { .. })));
 
     let conference = mmcs.session_server().session(session).unwrap();
     assert_eq!(conference.member_count(), 3, "{shards} shards: roster size");

@@ -1,18 +1,17 @@
 //! End-to-end streaming: conference RTP -> RealProducer -> Helix ->
 //! RTSP players, plus archiving and replay.
 
-use mmcs::global_mmcs::system::GlobalMmcs;
+use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 use mmcs::rtp::source::{AudioCodec, AudioSource, VideoSource, VideoSourceConfig};
 use mmcs::streaming::producer::ChunkKind;
 use mmcs::streaming::rtsp::{RtspMethod, RtspRequest};
 use mmcs::xgsp::media::{MediaDescription, MediaKind};
 use mmcs::xgsp::message::{SessionMode, XgspMessage};
-use mmcs::xgsp::server::ServerOutput;
 use mmcs_util::rng::DetRng;
 use mmcs_util::time::{SimDuration, SimTime};
 
 fn session_with_media(mmcs: &mut GlobalMmcs, media: Vec<MediaDescription>) -> u64 {
-    let outputs = mmcs.handle_xgsp(
+    let egress = mmcs.handle_xgsp(
         Some("host"),
         XgspMessage::CreateSession {
             name: "pipeline".into(),
@@ -20,10 +19,10 @@ fn session_with_media(mmcs: &mut GlobalMmcs, media: Vec<MediaDescription>) -> u6
             media,
         },
     );
-    outputs
+    egress
         .iter()
-        .find_map(|o| match o {
-            ServerOutput::Reply(XgspMessage::SessionCreated { session, .. }) => {
+        .find_map(|item| match item {
+            Egress::Xgsp(XgspMessage::SessionCreated { session, .. }) => {
                 Some(session.value())
             }
             _ => None,
@@ -60,7 +59,7 @@ fn video_pipeline_transcodes_frames_not_packets() {
     for _ in 0..25 {
         for packet in source.next_frame() {
             mmcs.set_now(clock);
-            mmcs.publish_rtp(publisher, &topic, &packet);
+            mmcs.publish_rtp(publisher, &topic, &packet).unwrap();
             rtp_packets += 1;
         }
         clock += source.frame_interval();
@@ -107,7 +106,7 @@ fn pause_stops_chunks_and_archive_replays_with_pacing() {
     for i in 0..10u64 {
         mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
         let packet = source.next_packet();
-        mmcs.publish_rtp(publisher, &topic, &packet);
+        mmcs.publish_rtp(publisher, &topic, &packet).unwrap();
     }
     assert_eq!(mmcs.helix_mut().take_deliveries().len(), 10);
 
@@ -118,7 +117,7 @@ fn pause_stops_chunks_and_archive_replays_with_pacing() {
     for i in 10..20u64 {
         mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
         let packet = source.next_packet();
-        mmcs.publish_rtp(publisher, &topic, &packet);
+        mmcs.publish_rtp(publisher, &topic, &packet).unwrap();
     }
     assert!(mmcs.helix_mut().take_deliveries().is_empty());
 
@@ -162,7 +161,7 @@ fn multiple_players_independent_state() {
         assert_eq!(mmcs.helix_mut().handle_rtsp(&play).code, 200);
     }
     let mut source = AudioSource::new(AudioCodec::Pcmu, 1);
-    mmcs.publish_rtp(publisher, &topic, &source.next_packet());
+    mmcs.publish_rtp(publisher, &topic, &source.next_packet()).unwrap();
     let deliveries = mmcs.helix_mut().take_deliveries();
     let recipients: Vec<&str> = deliveries.iter().map(|d| d.session_id.as_str()).collect();
     assert!(recipients.contains(&sessions[0].as_str()));
