@@ -40,6 +40,7 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("crates/broker/src/cluster/tcp.rs", "next_record"),
     ("crates/broker/src/cluster/tcp.rs", "on_record"),
     ("crates/broker/src/cluster/tcp.rs", "release"),
+    ("crates/broker/src/cluster/liveness.rs", "round"),
     ("crates/broker/src/sharded.rs", "process_batch"),
     ("crates/broker/src/wire.rs", "encode"),
     ("crates/broker/src/wire.rs", "encode_into"),

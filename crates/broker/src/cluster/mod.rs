@@ -8,8 +8,9 @@
 //! zero-copy [`crate::wire`] event frame. Clients are homed to the
 //! nearest **zone gateway** by a static [`LatencyMap`], and inter-node
 //! routing follows latency-weighted shortest paths ([`RouteTable`],
-//! Floyd–Warshall over the same map) with a hard hop bound
-//! ([`MAX_HOPS`]) so no forwarding loop can survive.
+//! Floyd–Warshall over the same map, minus the links a failure detector
+//! suspects) with a hard hop bound ([`MAX_HOPS`]) so no forwarding loop
+//! can survive.
 //!
 //! # Data path
 //!
@@ -53,16 +54,36 @@
 //!   (sequence numbers, cumulative acks, RTO retransmit, dedup) and
 //!   links reconnect with capped exponential backoff, so a node kill
 //!   mid-stream still yields exactly-once delivery after the listener
-//!   returns. [`Cluster::quiesce`] settles it with a link-level flush
+//!   returns — unless the outage outlasts the failure detector, which
+//!   sheds what the link held. [`Cluster::quiesce`] settles it with a link-level flush
 //!   that rides the same sequence, never with a pause.
+//!
+//! # Failure detection
+//!
+//! Each node watches its direct peers with a failure detector clocked
+//! in gossip rounds (`liveness.rs`). Every frame a peer sends — a record,
+//! an `Ack`, a gossip digest — marks it heard, with one relaxed store on
+//! the receive path; a round sends every peer a digest, so an idle link
+//! still beats. [`Cluster::gossip_round`] settles the round's digests and
+//! then asks each node's detector: a peer unheard for [`SUSPECT_AFTER`]
+//! rounds is suspected, a suspected one heard again rejoins. A verdict
+//! rewrites the shared [`RouteTable`] in place around every suspected
+//! link, so traffic takes a detour where one exists, and a publish
+//! toward a node no trusted path reaches is shed at its source. A
+//! suspicion also sheds the TCP link's unacked window instead of
+//! retransmitting it into a dead peer, and a rejoin restarts gossip with
+//! the peer and flushes the links before traffic resumes on the old
+//! path. In process the verdicts are a pure function of the operation
+//! sequence.
 //!
 //! Malformed frames at either edge are rejected by typed decode
 //! errors ([`DecodeClusterError`]) and counted in telemetry — never
-//! panicked on: the data plane's publish and frame entries, the link
-//! sender and the socket reader are in the analyzer's
-//! panic-reachability root set.
+//! panicked on: the data plane's publish and frame entries, the
+//! detector's round, the link sender and the socket reader are in the
+//! analyzer's panic-reachability root set.
 
 mod frame;
+mod liveness;
 mod plane;
 mod route;
 mod tcp;
@@ -88,9 +109,11 @@ pub use frame::{
     DecodeClusterError, FrameKind, CLUSTER_HEADER_LEN, CLUSTER_VERSION, MAX_HOPS, OFF_DEST,
     OFF_GENERATION, OFF_HOPS, OFF_KIND, OFF_ORIGIN, OFF_RESERVED, OFF_VERSION,
 };
+pub use liveness::SUSPECT_AFTER;
 pub use route::{LatencyMap, RouteTable};
 
 use frame::LinkFrame;
+use liveness::Verdict;
 use plane::{DataPlane, FaultPlane, Link};
 use tcp::TcpFabric;
 
@@ -152,13 +175,16 @@ impl ClusterBuilder {
         let routes = Arc::new(RouteTable::new(&self.latency));
         let planes: Vec<Arc<DataPlane>> = (0..n)
             .map(|me| {
+                let me = me as NodeId;
+                let neighbours = (0..n as NodeId).filter(|&peer| self.latency.link(me, peer).is_some());
                 Arc::new(DataPlane::new(
-                    me as NodeId,
+                    me,
                     n,
+                    neighbours,
                     Arc::new(ShardedBroker::spawn(self.shards)),
                     Arc::clone(&routes),
                     Arc::clone(&faults),
-                    Arc::clone(metrics.node(me)),
+                    Arc::clone(metrics.node(me as usize)),
                 ))
             })
             .collect();
@@ -169,12 +195,13 @@ impl ClusterBuilder {
             for (me, plane) in planes.iter().enumerate() {
                 let links = (0..n)
                     .map(|peer| {
-                        self.latency.link(me as NodeId, peer as NodeId)?;
+                        let me = me as NodeId;
+                        self.latency.link(me, peer as NodeId)?;
                         // Weak: the planes would otherwise own each other.
                         let peer = Arc::downgrade(&planes[peer]);
                         Some(Box::new(move |frame: LinkFrame| {
                             if let Some(peer) = peer.upgrade() {
-                                peer.receive(frame.into_bytes());
+                                peer.receive(me, frame.into_bytes());
                             }
                         }) as Link)
                     })
@@ -257,7 +284,8 @@ impl Cluster {
         &self.shared.metrics
     }
 
-    /// The static route table.
+    /// The route table: shortest paths over the links no failure
+    /// detector suspects.
     pub fn routes(&self) -> &RouteTable {
         &self.shared.routes
     }
@@ -330,13 +358,52 @@ impl Cluster {
         }
     }
 
-    /// Runs one gossip round (every node, in order, digests to its
-    /// direct peers) and settles it.
+    /// Runs one gossip round — every node, in order, sends a digest to
+    /// each direct peer — and settles it; then every node's failure
+    /// detector judges which peers it heard since the last round, and
+    /// the cluster acts on the verdicts. A live peer's digest of this
+    /// very round has landed by then, so a peer that is back is trusted
+    /// again after one round.
     pub fn gossip_round(&self) {
         for plane in &self.shared.planes {
             plane.tick();
         }
         self.quiesce();
+        let mut changes = Vec::new();
+        for plane in &self.shared.planes {
+            changes.extend(plane.detect().into_iter().map(|verdict| match verdict {
+                Verdict::Suspected(peer) => (plane.me, peer, true),
+                Verdict::Rejoined(peer) => (plane.me, peer, false),
+            }));
+        }
+        if !changes.is_empty() {
+            self.reroute(&changes);
+        }
+    }
+
+    /// Acts on one round's verdicts, `(node, peer, suspected)`. A rejoin
+    /// restarts gossip with the peer and flushes every link, so what the
+    /// detours still carry lands before traffic resumes on the old path.
+    /// Then every plane's routes are rewritten around the links still
+    /// suspected, and a newly suspected link sheds its unacked window
+    /// instead of retransmitting it into the dead peer.
+    fn reroute(&self, changes: &[(NodeId, NodeId, bool)]) {
+        let mut rejoined = false;
+        for &(node, peer, suspected) in changes {
+            if let (false, Some(plane)) = (suspected, self.shared.plane(node)) {
+                plane.send_digest(peer);
+                rejoined = true;
+            }
+        }
+        if let (true, Some(fabric)) = (rejoined, &self.tcp) {
+            fabric.flush_links();
+        }
+        self.shared.routes.set_suspected(changes);
+        for &(node, peer, suspected) in changes {
+            if let (true, Some(fabric)) = (suspected, &self.tcp) {
+                fabric.shed_link(node, peer);
+            }
+        }
     }
 
     /// Snapshots node `index`'s gossip view: one [`InterestEntry`] per
@@ -349,9 +416,14 @@ impl Cluster {
             .map_or_else(Vec::new, |plane| plane.view())
     }
 
-    /// Whether every node's view of every other node matches that
-    /// node's local truth — the gossip convergence invariant.
+    /// Whether the cluster has healed: every failure detector trusts
+    /// all of its direct peers, and every node's view of every other
+    /// node matches that node's local truth — the gossip convergence
+    /// invariant.
     pub fn converged(&self) -> bool {
+        if !self.shared.planes.iter().all(|plane| plane.trusts_all()) {
+            return false;
+        }
         let n = self.node_count();
         let snapshots: Vec<Vec<InterestEntry>> = (0..n).map(|i| self.snapshot(i)).collect();
         for (holder, view) in snapshots.iter().enumerate() {
@@ -664,7 +736,7 @@ mod tests {
     fn a_stray_link_ack_is_counted_and_dropped_by_the_data_plane() {
         let cluster = Cluster::spawn(LatencyMap::full_mesh(2, 5));
         let ack = encode_frame(FrameKind::Ack, 1, 0, 0, 7, &[]).freeze();
-        cluster.shared.planes[0].receive(ack);
+        cluster.shared.planes[0].receive(1, ack);
         cluster.quiesce();
         assert_eq!(cluster.metrics().node(0).decode_errors.get(), 1);
         assert_eq!(cluster.metrics().node(0).frames_in.get(), 1);
@@ -678,7 +750,7 @@ mod tests {
             &b"garbage"[..],
             &encode_frame(FrameKind::GossipDigest, 1, 0, 0, 0, b"x"),
         ] {
-            cluster.shared.planes[0].receive(Bytes::copy_from_slice(garbage));
+            cluster.shared.planes[0].receive(1, Bytes::copy_from_slice(garbage));
         }
         cluster.quiesce();
         assert_eq!(cluster.metrics().node(0).decode_errors.get(), 2);

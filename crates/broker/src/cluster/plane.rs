@@ -1,9 +1,10 @@
 //! One federation node's **data plane** ([`DataPlane`]): what any thread
 //! calls. A publishing client fans its event out through it, a link
 //! hands it every frame it receives — events and gossip alike — and
-//! `Cluster::gossip_round` starts a gossip exchange through it. No node
-//! owns a thread. Also here: the directed links it sends on ([`Link`])
-//! and the in-process fault switches ([`FaultPlane`]).
+//! `Cluster::gossip_round` starts a gossip exchange and a failure
+//! detector round through it. No node owns a thread. Also here: the
+//! directed links it sends on ([`Link`]) and the in-process fault
+//! switches ([`FaultPlane`]).
 //! Transport-blind: link-level reliability (sequencing, acks,
 //! retransmit) never reaches this file.
 
@@ -16,6 +17,7 @@ use parking_lot::Mutex;
 use super::frame::{
     decode_event_frame, encode_frame, ClusterFrame, FrameKind, LinkFrame, MAX_HOPS,
 };
+use super::liveness::{FailureDetector, Verdict};
 use super::route::RouteTable;
 use crate::event::Event;
 use crate::gossip::{self, GossipState, InterestEntry, NodeId};
@@ -93,13 +95,20 @@ pub(super) struct DataPlane {
     links: OnceLock<Vec<Option<Link>>>,
     routes: Arc<RouteTable>,
     faults: Arc<FaultPlane>,
+    /// `heard[peer]`: something arrived from direct peer `peer` since
+    /// the last detector round. Set with one relaxed store per frame
+    /// received; the publish path never touches it.
+    heard: Vec<AtomicBool>,
+    detector: Mutex<FailureDetector>,
     pub(super) metrics: Arc<ClusterNodeMetrics>,
 }
 
 impl DataPlane {
+    /// A plane for node `me` whose direct peers are `neighbours`.
     pub(super) fn new(
         me: NodeId,
         nodes: usize,
+        neighbours: impl IntoIterator<Item = NodeId>,
         broker: Arc<ShardedBroker>,
         routes: Arc<RouteTable>,
         faults: Arc<FaultPlane>,
@@ -112,6 +121,8 @@ impl DataPlane {
             links: OnceLock::new(),
             routes,
             faults,
+            heard: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
+            detector: Mutex::new(FailureDetector::new(neighbours)),
             metrics,
         }
     }
@@ -129,9 +140,14 @@ impl DataPlane {
     /// into this node's broker as that client's publish): one frame per
     /// remote node with matching interest, along its shortest path. The
     /// next-hop link gets the event's `Arc` and encodes the frame itself.
+    /// A node no trusted path reaches is not sent to: its frame is shed.
     pub(super) fn publish(&self, event: &Arc<Event>) {
         let targets = self.gossip.lock().targets_for(&event.topic);
         for &target in targets.iter().filter(|&&target| target != self.me) {
+            let Some(next) = self.routes.next_hop(self.me, target) else {
+                self.metrics.frames_shed.inc();
+                continue;
+            };
             let generation = self.gossip.lock().entry(target).generation;
             self.metrics.inter_node_forwards.inc();
             let frame = LinkFrame::Event {
@@ -140,13 +156,21 @@ impl DataPlane {
                 generation,
                 event: Arc::clone(event),
             };
-            self.send_routed(target, frame);
+            self.send_direct(next, frame, false);
         }
     }
 
-    /// A frame off an in-process link: validated here, then handled as
-    /// [`DataPlane::on_frame`] does.
-    pub(super) fn receive(&self, frame: Bytes) {
+    /// Notes that something arrived from direct peer `peer`.
+    pub(super) fn heard(&self, peer: NodeId) {
+        if let Some(heard) = self.heard.get(peer as usize) {
+            heard.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// A frame off the in-process link from `peer`: validated here, then
+    /// handled as [`DataPlane::on_frame`] does.
+    pub(super) fn receive(&self, peer: NodeId, frame: Bytes) {
+        self.heard(peer);
         match ClusterFrame::parse(&frame) {
             Ok(parsed) => self.on_frame(&frame, &parsed),
             Err(_) => {
@@ -215,8 +239,12 @@ impl DataPlane {
             parsed.generation(),
             parsed.body(),
         );
+        let Some(next) = self.routes.next_hop(self.me, parsed.dest()) else {
+            self.metrics.no_route_drops.inc();
+            return;
+        };
         self.metrics.relays.inc();
-        self.send_routed(parsed.dest(), LinkFrame::Encoded(relay.freeze()));
+        self.send_direct(next, LinkFrame::Encoded(relay.freeze()), false);
     }
 
     /// Runs `change` on the gossip state, then refreshes the
@@ -240,7 +268,9 @@ impl DataPlane {
             .collect()
     }
 
-    /// Starts one gossip round: a digest to every direct peer.
+    /// Starts one gossip round: a digest to every direct peer —
+    /// suspected ones included, so a peer that comes back hears us and
+    /// answers.
     pub(super) fn tick(&self) {
         self.metrics.gossip_rounds.inc();
         for (peer, link) in self.links().iter().enumerate() {
@@ -248,6 +278,29 @@ impl DataPlane {
                 self.send_digest(peer as NodeId);
             }
         }
+    }
+
+    /// Ends a round once its digests have landed: hands the failure
+    /// detector which direct peers were heard since the last round and
+    /// returns its verdicts for the caller to act on.
+    pub(super) fn detect(&self) -> Vec<Verdict> {
+        let heard = |peer: NodeId| {
+            let flag = self.heard.get(peer as usize);
+            flag.is_some_and(|heard| heard.swap(false, Ordering::Relaxed))
+        };
+        let verdicts = self.detector.lock().round(heard);
+        for verdict in &verdicts {
+            match verdict {
+                Verdict::Suspected(_) => self.metrics.peers_suspected.inc(),
+                Verdict::Rejoined(_) => self.metrics.peers_rejoined.inc(),
+            }
+        }
+        verdicts
+    }
+
+    /// Whether the failure detector trusts every direct peer.
+    pub(super) fn trusts_all(&self) -> bool {
+        self.detector.lock().suspects_none()
     }
 
     /// Push half: send `peer` the entries it is missing. Pull half:
@@ -268,7 +321,9 @@ impl DataPlane {
         }
     }
 
-    fn send_digest(&self, peer: NodeId) {
+    /// Sends `peer` this node's digest, which starts a push/pull
+    /// exchange with it.
+    pub(super) fn send_digest(&self, peer: NodeId) {
         let mut digest = Vec::new();
         self.gossip.lock().digest_into(&mut digest);
         let mut body = Vec::new();
@@ -280,15 +335,6 @@ impl DataPlane {
         let generation = self.gossip.lock().local_generation();
         let frame = encode_frame(kind, self.me, peer, 0, generation, body);
         self.send_direct(peer, LinkFrame::Encoded(frame.freeze()), true);
-    }
-
-    /// Hands `frame` to the next hop along the shortest path to `dest`.
-    fn send_routed(&self, dest: NodeId, frame: LinkFrame) {
-        let Some(next) = self.routes.next_hop(self.me, dest) else {
-            self.metrics.no_route_drops.inc();
-            return;
-        };
-        self.send_direct(next, frame, false);
     }
 
     /// Sends on the direct link to `peer`, honouring the fault plane.

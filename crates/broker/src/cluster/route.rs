@@ -1,6 +1,11 @@
 //! The static geography of a cluster: which node pairs are directly
 //! linked and at what latency ([`LatencyMap`]), and the all-pairs
-//! shortest paths over it ([`RouteTable`]).
+//! shortest paths over the links no failure detector suspects
+//! ([`RouteTable`]).
+
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
+
+use parking_lot::Mutex;
 
 use crate::gossip::NodeId;
 
@@ -119,67 +124,74 @@ impl LatencyMap {
 }
 
 const ROUTE_INF: u64 = u64::MAX / 4;
+/// The `next` entry of a pair with no next hop.
+const NO_HOP: u16 = u16::MAX;
 
 /// All-pairs latency-weighted shortest paths over a [`LatencyMap`]
 /// (Floyd–Warshall), answering "which direct neighbour do I hand a
-/// frame for `dest` to". Routes are static: runtime faults drop frames
-/// on the affected links instead of recomputing paths, which keeps
-/// chaos runs deterministic.
+/// frame for `dest` to". A link either end's failure detector suspects
+/// is left out: a verdict recomputes the paths and rewrites the table in
+/// place, entry by entry, so a frame's [`RouteTable::next_hop`] read
+/// stays one relaxed load and takes no lock.
 #[derive(Debug)]
 pub struct RouteTable {
-    nodes: usize,
-    dist: Vec<u64>,
-    next: Vec<Option<NodeId>>,
+    map: LatencyMap,
+    dist: Vec<AtomicU64>,
+    /// `next[from * nodes + to]`, [`NO_HOP`] for none.
+    next: Vec<AtomicU16>,
+    /// `suspects[a * nodes + b]`: `a`'s detector suspects `b`. Held
+    /// across a rewrite, so rewrites apply one at a time.
+    suspects: Mutex<Vec<bool>>,
 }
 
 impl RouteTable {
     /// Builds the table from the map's direct links.
     pub fn new(map: &LatencyMap) -> Self {
         let n = map.node_count();
-        let mut dist = vec![ROUTE_INF; n * n];
-        let mut next: Vec<Option<NodeId>> = vec![None; n * n];
-        for a in 0..n {
-            dist[a * n + a] = 0;
-            for b in 0..n {
-                if let Some(ms) = map.link(a as NodeId, b as NodeId) {
-                    dist[a * n + b] = u64::from(ms);
-                    next[a * n + b] = Some(b as NodeId);
-                }
+        let (dist, next) = shortest_paths(map, |_, _| true);
+        Self {
+            map: map.clone(),
+            dist: dist.into_iter().map(AtomicU64::new).collect(),
+            next: next.into_iter().map(AtomicU16::new).collect(),
+            suspects: Mutex::new(vec![false; n * n]),
+        }
+    }
+
+    /// Records that `from`'s detector suspects (or no longer suspects)
+    /// its direct peer `peer`, for each entry of `changes`, then
+    /// recomputes every path over the links neither end suspects.
+    pub(super) fn set_suspected(&self, changes: &[(NodeId, NodeId, bool)]) {
+        let n = self.map.node_count();
+        let mut suspects = self.suspects.lock();
+        for &(from, peer, suspected) in changes {
+            if let Some(flag) = suspects.get_mut(from as usize * n + peer as usize) {
+                *flag = suspected;
             }
         }
-        for c in 0..n {
-            for a in 0..n {
-                for b in 0..n {
-                    let via = dist[a * n + c].saturating_add(dist[c * n + b]);
-                    if via < dist[a * n + b] {
-                        dist[a * n + b] = via;
-                        next[a * n + b] = next[a * n + c];
-                    }
-                }
-            }
+        let (dist, next) = shortest_paths(&self.map, |a, b| {
+            !suspects[a * n + b] && !suspects[b * n + a]
+        });
+        for (slot, d) in self.dist.iter().zip(dist) {
+            slot.store(d, Ordering::Relaxed);
         }
-        Self { nodes: n, dist, next }
+        for (slot, hop) in self.next.iter().zip(next) {
+            slot.store(hop, Ordering::Relaxed);
+        }
     }
 
     /// The direct neighbour on the shortest path from `from` to `to`
     /// (`None` for self or unreachable destinations).
     pub fn next_hop(&self, from: NodeId, to: NodeId) -> Option<NodeId> {
-        if from == to {
-            return None;
-        }
-        self.next
-            .get(from as usize * self.nodes + to as usize)
-            .copied()
-            .flatten()
+        let n = self.map.node_count();
+        let hop = self.next.get(from as usize * n + to as usize)?;
+        Some(hop.load(Ordering::Relaxed)).filter(|&hop| hop != NO_HOP && from != to)
     }
 
     /// Total path latency, if reachable.
     pub fn distance(&self, from: NodeId, to: NodeId) -> Option<u64> {
-        let d = self
-            .dist
-            .get(from as usize * self.nodes + to as usize)
-            .copied()?;
-        (d < ROUTE_INF).then_some(d)
+        let n = self.map.node_count();
+        let d = self.dist.get(from as usize * n + to as usize)?;
+        Some(d.load(Ordering::Relaxed)).filter(|&d| d < ROUTE_INF)
     }
 
     /// Links on the shortest path, if reachable (0 for self).
@@ -188,7 +200,7 @@ impl RouteTable {
             return Some(0);
         }
         let mut at = from;
-        for hop in 1..=self.nodes {
+        for hop in 1..=self.map.node_count() {
             at = self.next_hop(at, to)?;
             if at == to {
                 return Some(hop);
@@ -196,6 +208,35 @@ impl RouteTable {
         }
         None
     }
+}
+
+/// Floyd–Warshall over the map's links that `usable` admits: the
+/// all-pairs distances and next hops, row-major.
+fn shortest_paths(map: &LatencyMap, usable: impl Fn(usize, usize) -> bool) -> (Vec<u64>, Vec<u16>) {
+    let n = map.node_count();
+    let mut dist = vec![ROUTE_INF; n * n];
+    let mut next = vec![NO_HOP; n * n];
+    for a in 0..n {
+        dist[a * n + a] = 0;
+        for b in 0..n {
+            if let Some(ms) = map.link(a as NodeId, b as NodeId).filter(|_| usable(a, b)) {
+                dist[a * n + b] = u64::from(ms);
+                next[a * n + b] = b as NodeId;
+            }
+        }
+    }
+    for c in 0..n {
+        for a in 0..n {
+            for b in 0..n {
+                let via = dist[a * n + c].saturating_add(dist[c * n + b]);
+                if via < dist[a * n + b] {
+                    dist[a * n + b] = via;
+                    next[a * n + b] = next[a * n + c];
+                }
+            }
+        }
+    }
+    (dist, next)
 }
 
 #[cfg(test)]
@@ -238,5 +279,26 @@ mod tests {
         let routes = RouteTable::new(&map);
         assert_eq!(routes.next_hop(0, 2), Some(1));
         assert_eq!(routes.distance(0, 2), Some(20));
+    }
+
+    /// Chain `0–1–2–3` at 5 ms with a 20 ms chord `1–3`: the shortest
+    /// path to 3 runs through 2 until a detector suspects a link of it,
+    /// and comes back once nobody does.
+    #[test]
+    fn a_suspected_link_is_routed_around_until_both_ends_trust_it() {
+        let mut map = LatencyMap::chain(4, 5);
+        map.set_link(1, 3, 20);
+        let routes = RouteTable::new(&map);
+        assert_eq!((routes.next_hop(0, 3), routes.next_hop(1, 3)), (Some(1), Some(2)));
+        routes.set_suspected(&[(1, 2, true), (2, 1, true)]);
+        assert_eq!(routes.next_hop(1, 3), Some(3));
+        assert_eq!((routes.hops(0, 3), routes.distance(0, 3)), (Some(2), Some(25)));
+        assert_eq!(routes.next_hop(3, 2), Some(2), "2–3 is still trusted");
+        routes.set_suspected(&[(1, 2, false)]);
+        assert_eq!(routes.next_hop(1, 3), Some(3), "2 still suspects 1");
+        routes.set_suspected(&[(2, 1, false)]);
+        assert_eq!(routes.next_hop(1, 3), Some(2));
+        routes.set_suspected(&[(1, 0, true)]);
+        assert_eq!((routes.next_hop(0, 3), routes.distance(3, 0)), (None, None));
     }
 }

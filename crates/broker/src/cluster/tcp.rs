@@ -89,6 +89,8 @@ const BACKOFF_MAX: SimDuration = SimDuration::from_millis(250);
 const MAX_TCP_FRAME: usize = 8 * 1024 * 1024;
 /// The `[u32 len][u64 seq]` in front of every frame.
 const RECORD_HEADER: usize = 12;
+/// The `[u16 node][u64 resume seq]` a link opens each connection with.
+const PREAMBLE: usize = 10;
 /// Bytes a link sender gathers before it writes, and a reader's buffer.
 const IO_BATCH: usize = 64 * 1024;
 
@@ -105,6 +107,10 @@ enum LinkOp {
     Flush(Sender<()>),
     /// The peer's answer to the flush with this token, off a reader.
     FlushAck(u64),
+    /// The peer is suspected dead: shed every unacked or queued frame,
+    /// drop the connection and what was gathered for it, so the next one
+    /// announces where the sequence resumes.
+    Shed,
     /// Exit, whoever else still holds the queue.
     Close,
 }
@@ -164,7 +170,7 @@ fn run_link(
                     Some(FrameKind::FlushAck) => {
                         // The peer is waiting on this one: notice a
                         // closed connection now, not an RTO from now.
-                        socket.connected(now);
+                        socket.connected(now, reliable.resume_seq());
                         reliable.send(frame, now)
                     }
                     _ => {
@@ -173,7 +179,7 @@ fn run_link(
                     }
                 },
                 LinkOp::Ack(ack) => reliable.on_ack(ack, now),
-                LinkOp::Flush(done) if socket.connected(now) => {
+                LinkOp::Flush(done) if socket.connected(now, reliable.resume_seq()) => {
                     let flush = encode_frame(FrameKind::Flush, me, peer, 0, next_token, &[]);
                     flushes.push((next_token, done));
                     next_token += 1;
@@ -187,6 +193,12 @@ fn run_link(
                 }
                 LinkOp::FlushAck(_) => {
                     metrics.decode_errors.inc();
+                    Vec::new()
+                }
+                LinkOp::Shed => {
+                    metrics.frames_shed.add(reliable.shed() as u64);
+                    socket.stream = None;
+                    socket.out.clear();
                     Vec::new()
                 }
                 LinkOp::Close => return,
@@ -206,17 +218,20 @@ fn run_link(
             }
             next_tick = now + LINK_TICK;
         }
-        socket.write(now);
+        socket.write(now, reliable.resume_seq());
         if socket.stream.is_none() {
             flushes.clear();
         }
     }
 }
 
-/// The socket under one link sender. Connects lazily, announces `me`
-/// in a two-byte preamble (the accept side keys its per-peer receiver
-/// on it), and after a failed attempt does not try again until the
-/// backoff has elapsed. Records written while it is down are dropped.
+/// The socket under one link sender. Connects lazily, and after a
+/// failed attempt does not try again until the backoff has elapsed.
+/// Records written while it is down are dropped. A connection opens with
+/// a [`PREAMBLE`]-byte preamble: `me` (the accept side keys its per-peer
+/// receiver on it) and the sequence number the link resumes at, below
+/// which the receiver is owed nothing — everything lower was acked, or
+/// shed when the peer was suspected.
 struct LinkSocket<'a> {
     me: NodeId,
     addr: SocketAddr,
@@ -240,11 +255,11 @@ impl LinkSocket<'_> {
     /// Writes the gathered records in one call, connecting first if
     /// need be (what is offered while down is dropped); any IO error
     /// tears the connection down.
-    fn write(&mut self, now: SimTime) {
+    fn write(&mut self, now: SimTime, resume: u64) {
         if self.out.is_empty() {
             return;
         }
-        self.connect(now);
+        self.connect(now, resume);
         if let Some(stream) = self.stream.as_mut() {
             if stream.write_all(&self.out).is_err() {
                 self.stream = None;
@@ -258,7 +273,7 @@ impl LinkSocket<'_> {
     /// from a non-blocking read means it has closed its end; such a
     /// stream is dropped, and a missing one is connected unless the
     /// backoff forbids.
-    fn connected(&mut self, now: SimTime) -> bool {
+    fn connected(&mut self, now: SimTime, resume: u64) -> bool {
         let live = self.stream.as_ref().is_some_and(|stream| {
             let probe = stream
                 .set_nonblocking(true)
@@ -269,18 +284,22 @@ impl LinkSocket<'_> {
         if !live {
             self.stream = None;
         }
-        self.connect(now);
+        self.connect(now, resume);
         self.stream.is_some()
     }
 
-    /// Connects, unless connected or inside the backoff.
-    fn connect(&mut self, now: SimTime) {
+    /// Connects, unless connected or inside the backoff, announcing
+    /// that the link resumes at `resume`.
+    fn connect(&mut self, now: SimTime, resume: u64) {
         if self.stream.is_some() || now < self.retry_at {
             return;
         }
         let connected = TcpStream::connect(self.addr).and_then(|mut stream| {
             let _ = stream.set_nodelay(true);
-            stream.write_all(&self.me.to_be_bytes())?;
+            let mut preamble = [0u8; PREAMBLE];
+            preamble[..2].copy_from_slice(&self.me.to_be_bytes());
+            preamble[2..].copy_from_slice(&resume.to_be_bytes());
+            stream.write_all(&preamble)?;
             Ok(stream)
         });
         match connected {
@@ -325,10 +344,20 @@ impl ReaderCtx {
         self.links.get(peer as usize)?.as_ref()
     }
 
+    /// Opens a connection from `peer` whose link resumes at `resume`:
+    /// the receiver moves past whatever the link shed below it.
+    fn on_connect(&self, peer: NodeId, resume: u64) {
+        self.plane.heard(peer);
+        let mut receivers = self.receivers.lock();
+        let receiver = receivers.entry(peer).or_default();
+        receiver.skip_to(resume, |frame| self.release(peer, &frame));
+    }
+
     /// Handles one record off `peer`'s connection; `ack` collects the
     /// cumulative ack its sequenced records are owed. A malformed frame
     /// is counted and skipped — the framing around it is still intact.
     fn on_record(&self, peer: NodeId, seq: u64, frame: Bytes, ack: &mut Option<Ack>) {
+        self.plane.heard(peer);
         // The one validation, at the socket edge, so garbage is charged
         // to the connection that sent it.
         let Ok(parsed) = ClusterFrame::parse(&frame) else {
@@ -492,11 +521,12 @@ impl RecordBuf {
 /// cumulative ack. A bad length is counted and ends the connection (the
 /// sender reconnects and retransmits).
 fn run_reader(mut stream: TcpStream, ctx: &ReaderCtx) {
-    let mut peer_bytes = [0u8; 2];
-    if stream.read_exact(&mut peer_bytes).is_err() {
+    let mut preamble = [0u8; PREAMBLE];
+    if stream.read_exact(&mut preamble).is_err() {
         return;
     }
-    let peer = NodeId::from_be_bytes(peer_bytes);
+    let peer = NodeId::from_be_bytes([preamble[0], preamble[1]]);
+    ctx.on_connect(peer, read_u64(&preamble, 2));
     let mut buf = RecordBuf::new();
     loop {
         let mut ack = None;
@@ -665,6 +695,14 @@ impl TcpFabric {
         }
     }
 
+    /// Sheds the window of `node`'s link to `peer` (see [`LinkOp::Shed`]).
+    pub(super) fn shed_link(&self, node: NodeId, peer: NodeId) {
+        let link = self.nodes.get(node as usize).and_then(|n| n.ctx.link(peer));
+        if let Some(link) = link {
+            let _ = link.send(LinkOp::Shed);
+        }
+    }
+
     /// Flushes every directed link (see the module docs) and waits for
     /// the answers. A node that is not listening cannot hear one, so its
     /// outbound links count as not connected.
@@ -747,9 +785,9 @@ mod tests {
         send(event_frame(1)); // this send connects
 
         let (mut stream, _) = listener.accept().expect("link connects");
-        let mut preamble = [0u8; 2];
+        let mut preamble = [0u8; PREAMBLE];
         stream.read_exact(&mut preamble).expect("preamble");
-        assert_eq!(NodeId::from_be_bytes(preamble), 7);
+        assert_eq!(preamble[..2], 7u16.to_be_bytes());
         stream
             .set_read_timeout(Some(Duration::from_millis(25)))
             .expect("read timeout");
@@ -809,7 +847,7 @@ mod tests {
         assert!(link.send(LinkOp::Send(frame)).is_ok());
 
         let (mut stream, _) = listener.accept().expect("link connects");
-        let mut preamble = [0u8; 2];
+        let mut preamble = [0u8; PREAMBLE];
         stream.read_exact(&mut preamble).expect("preamble");
         let first = read_record(&mut stream);
         let again = read_record(&mut stream);
@@ -989,7 +1027,7 @@ mod tests {
 
         let first = flush();
         let (mut stream, _) = listener.accept().expect("the flush connects");
-        let mut preamble = [0u8; 2];
+        let mut preamble = [0u8; PREAMBLE];
         stream.read_exact(&mut preamble).expect("preamble");
         let (seq, frame) = read_record(&mut stream);
         let parsed = ClusterFrame::parse(&frame).expect("a valid frame");

@@ -23,7 +23,6 @@
 //! * [`reliable`] — positive-ack reliable delivery, generic over its
 //!   payload: control-plane events, and the frames on the federation's
 //!   TCP links.
-//! * [`liveness`] — heartbeat failure detection for broker links.
 //! * [`rtpproxy`] — the raw-RTP ⇄ event bridge for legacy endpoints.
 //! * [`wire`] — the flat zero-copy event encoding used on links.
 //! * [`metrics`] — telemetry instruments for the node and its drivers.
@@ -41,9 +40,10 @@
 //! * [`cluster`] — the federation: sharded brokers joined over
 //!   in-process or loopback-TCP links, with [`gossip`] interest
 //!   exchange; under `cluster/`: `frame` (codec), `route` (latency map,
-//!   shortest paths), `plane` (the per-node data plane, gossip
-//!   included), `tcp` (link senders and socket readers over
-//!   [`reliable`]), `mod` (public surface).
+//!   shortest paths around suspected links), `liveness` (the failure
+//!   detector), `plane` (the per-node data plane, gossip included),
+//!   `tcp` (link senders and socket readers over [`reliable`]), `mod`
+//!   (public surface).
 //!
 //! # Examples
 //!
@@ -69,7 +69,6 @@ pub mod batch;
 pub mod cluster;
 pub mod event;
 pub mod gossip;
-pub mod liveness;
 pub mod metrics;
 pub mod node;
 pub mod profile;

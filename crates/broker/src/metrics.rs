@@ -3,8 +3,7 @@
 //! [`BrokerMetrics`] bundles every instrument a broker node and its
 //! driver report into: publish-rate counters, the fan-out width
 //! histogram, route-cache hit/miss (the PR 1 fast path), driver queue
-//! depth, reliable-channel retransmissions, and failure-detector
-//! transitions. All instruments are relaxed atomics from
+//! depth and reliable-channel retransmissions. All instruments are relaxed atomics from
 //! `mmcs-telemetry`, so an instrumented warm publish stays
 //! **zero-allocation and lock-free** — `tests/route_alloc.rs` and the
 //! benchmark's `telemetry.metrics_overhead_ratio` hold that line.
@@ -41,10 +40,6 @@ pub struct BrokerMetrics {
     /// Reliable-channel retransmissions attributed to this broker's
     /// clients.
     pub retransmissions: Arc<Counter>,
-    /// Failure-detector Suspected transitions observed.
-    pub peers_suspected: Arc<Counter>,
-    /// Failure-detector Rejoined transitions observed.
-    pub peers_rejoined: Arc<Counter>,
     /// Commands drained per worker wakeup (sharded runtime ingress
     /// batches; stays empty under the one-command-per-recv drivers).
     pub batch_size: Arc<Histogram>,
@@ -94,14 +89,6 @@ impl BrokerMetrics {
                 &format!("{prefix}_retransmissions_total"),
                 "reliable-channel retransmissions",
             ),
-            peers_suspected: registry.counter(
-                &format!("{prefix}_peers_suspected_total"),
-                "failure-detector Suspected transitions",
-            ),
-            peers_rejoined: registry.counter(
-                &format!("{prefix}_peers_rejoined_total"),
-                "failure-detector Rejoined transitions",
-            ),
             batch_size: registry.histogram(
                 &format!("{prefix}_batch_size"),
                 "commands drained per worker wakeup",
@@ -126,8 +113,6 @@ impl BrokerMetrics {
             fanout: Arc::new(Histogram::new()),
             queue_depth: Arc::new(Gauge::new()),
             retransmissions: Arc::new(Counter::new()),
-            peers_suspected: Arc::new(Counter::new()),
-            peers_rejoined: Arc::new(Counter::new()),
             batch_size: Arc::new(Histogram::new()),
             cross_shard_forwards: Arc::new(Counter::new()),
         })
@@ -226,6 +211,14 @@ pub struct ClusterNodeMetrics {
     pub duplicate_frames: Arc<Counter>,
     /// TCP link re-establishments after a connection failure.
     pub reconnects: Arc<Counter>,
+    /// Direct peers this node's failure detector suspected.
+    pub peers_suspected: Arc<Counter>,
+    /// Suspected direct peers this node heard from again.
+    pub peers_rejoined: Arc<Counter>,
+    /// Event frames given up on because their path is known dead: a
+    /// suspected link's unacked window, and publishes toward a node no
+    /// trusted path reaches.
+    pub frames_shed: Arc<Counter>,
 }
 
 impl ClusterNodeMetrics {
@@ -292,6 +285,18 @@ impl ClusterNodeMetrics {
                 &format!("{prefix}_reconnects_total"),
                 "TCP link re-establishments",
             ),
+            peers_suspected: registry.counter(
+                &format!("{prefix}_peers_suspected_total"),
+                "direct peers the failure detector suspected",
+            ),
+            peers_rejoined: registry.counter(
+                &format!("{prefix}_peers_rejoined_total"),
+                "suspected direct peers heard from again",
+            ),
+            frames_shed: registry.counter(
+                &format!("{prefix}_frames_shed_total"),
+                "event frames given up on because their path is known dead",
+            ),
         })
     }
 
@@ -313,6 +318,9 @@ impl ClusterNodeMetrics {
             no_route_drops: Arc::new(Counter::new()),
             duplicate_frames: Arc::new(Counter::new()),
             reconnects: Arc::new(Counter::new()),
+            peers_suspected: Arc::new(Counter::new()),
+            peers_rejoined: Arc::new(Counter::new()),
+            frames_shed: Arc::new(Counter::new()),
         })
     }
 }

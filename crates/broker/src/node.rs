@@ -130,11 +130,6 @@ pub enum Input {
         /// The peer.
         peer: BrokerId,
     },
-    /// A link to a peer broker went down; the peer's interest is dropped.
-    LinkDown {
-        /// The peer.
-        peer: BrokerId,
-    },
     /// A peer advertised interest in a filter.
     RemoteSubscribe {
         /// The advertising peer.
@@ -506,34 +501,6 @@ impl BrokerNode {
                 filters.sort_unstable();
                 for filter in filters {
                     self.refresh_advert_for_peer(peer, &filter, out);
-                }
-                Ok(())
-            }
-            Input::LinkDown { peer } => {
-                if !self.peers.remove(&peer) {
-                    return Err(BrokerError::UnknownPeer(peer));
-                }
-                self.advertised.remove(&peer);
-                if self.remote_subs.unsubscribe_all(&peer) > 0 {
-                    self.plans.clear();
-                }
-                let mut affected: Vec<TopicFilter> = self
-                    .interest
-                    .iter()
-                    .filter(|(_, i)| i.peers.contains(&peer))
-                    .map(|(f, _)| f.clone())
-                    .collect();
-                // Sorted for cross-run-deterministic advert emission.
-                affected.sort_unstable();
-                for filter in affected {
-                    if let Some(entry) = self.interest.get_mut(&filter) {
-                        entry.peers.remove(&peer);
-                        let gone = entry.is_empty();
-                        if gone {
-                            self.interest.remove(&filter);
-                        }
-                        self.refresh_adverts_for(&filter, out);
-                    }
                 }
                 Ok(())
             }
@@ -1004,41 +971,12 @@ mod tests {
     }
 
     #[test]
-    fn link_down_drops_peer_interest() {
-        let mut n = node();
-        n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
-        n.handle(Input::LinkUp { peer: broker(3) }).unwrap();
-        n.handle(Input::RemoteSubscribe {
-            peer: broker(2),
-            filter: filter("x"),
-        })
-        .unwrap();
-        let actions = n.handle(Input::LinkDown { peer: broker(2) }).unwrap();
-        // Broker 3 had an advert (interest from 2); it must be withdrawn.
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::AdvertiseRemove { peer, .. } if *peer == broker(3))));
-        // No more forwarding to broker 2.
-        let routed = n
-            .handle(Input::Publish {
-                origin: Origin::Client(client(1)),
-                event: event("x", 1),
-            })
-            .unwrap_err();
-        assert_eq!(routed, BrokerError::UnknownClient(client(1)));
-    }
-
-    #[test]
     fn duplicate_link_errors() {
         let mut n = node();
         n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
         assert_eq!(
             n.handle(Input::LinkUp { peer: broker(2) }),
             Err(BrokerError::DuplicateLink(broker(2)))
-        );
-        assert_eq!(
-            n.handle(Input::LinkDown { peer: broker(9) }),
-            Err(BrokerError::UnknownPeer(broker(9)))
         );
     }
 

@@ -132,7 +132,7 @@ impl<P: Clone> ReliableSender<P> {
 
     /// Processes an ack; returns frames newly released by the window.
     pub fn on_ack(&mut self, ack: Ack, now: SimTime) -> Vec<ReliableFrame<P>> {
-        let acked = ack.next_expected.saturating_sub(self.oldest_seq()) as usize;
+        let acked = ack.next_expected.saturating_sub(self.resume_seq()) as usize;
         self.in_flight.drain(..acked.min(self.in_flight.len()));
         self.pump(now)
     }
@@ -140,7 +140,7 @@ impl<P: Clone> ReliableSender<P> {
     /// Timer tick: returns frames due for retransmission.
     pub fn on_tick(&mut self, now: SimTime) -> Vec<ReliableFrame<P>> {
         let mut out = Vec::new();
-        let oldest = self.oldest_seq();
+        let oldest = self.resume_seq();
         for (seq, (event, last_sent)) in (oldest..).zip(self.in_flight.iter_mut()) {
             if now.saturating_duration_since(*last_sent) >= self.retransmit_after {
                 *last_sent = now;
@@ -157,9 +157,22 @@ impl<P: Clone> ReliableSender<P> {
         out
     }
 
-    /// The oldest unacked sequence number (`next_seq` if none).
-    fn oldest_seq(&self) -> u64 {
+    /// The sequence number a receiver needs next from this sender: the
+    /// oldest unacked one, or the next one assigned if none is unacked.
+    /// Every lower sequence number was acked or shed.
+    pub fn resume_seq(&self) -> u64 {
         self.next_seq - self.in_flight.len() as u64
+    }
+
+    /// Gives up on everything unacked or untransmitted — the peer is
+    /// dead — and returns how many payloads that was. Sequence numbers
+    /// carry on where they were: a receiver moves past the gap with
+    /// [`ReliableReceiver::skip_to`] at [`ReliableSender::resume_seq`].
+    pub fn shed(&mut self) -> usize {
+        let shed = self.in_flight.len() + self.backlog.len();
+        self.in_flight.clear();
+        self.backlog.clear();
+        shed
     }
 
     fn pump(&mut self, now: SimTime) -> Vec<ReliableFrame<P>> {
@@ -248,6 +261,22 @@ impl<P> ReliableReceiver<P> {
         }
         Ack {
             next_expected: self.next_expected,
+        }
+    }
+
+    /// Moves past a gap its sender shed: everything below `seq` counts
+    /// as received. Payloads waiting above the gap that are now in order
+    /// go to `deliver`. A `seq` at or below the next expected one changes
+    /// nothing.
+    pub fn skip_to(&mut self, seq: u64, mut deliver: impl FnMut(P)) {
+        if seq <= self.next_expected {
+            return;
+        }
+        self.pending = self.pending.split_off(&seq);
+        self.next_expected = seq;
+        while let Some(event) = self.pending.remove(&self.next_expected) {
+            self.next_expected += 1;
+            deliver(event);
         }
     }
 
@@ -467,5 +496,34 @@ mod tests {
                 "truncation to {len} bytes must not decode"
             );
         }
+    }
+
+    /// A sender that sheds its window keeps numbering where it was; the
+    /// receiver skips the gap at the announced resume point and takes
+    /// what follows exactly once, in order.
+    #[test]
+    fn a_shed_window_is_skipped_not_waited_for() {
+        let mut sender = ReliableSender::new(2, rto());
+        let mut receiver = ReliableReceiver::new();
+        let first = sender.send(event(0), SimTime::ZERO);
+        let (delivered, ack) = receiver.on_frame(first[0].clone());
+        assert_eq!(delivered.len(), 1);
+        assert!(sender.on_ack(ack, SimTime::ZERO).is_empty());
+        for n in 1..5 {
+            sender.send(event(n), SimTime::ZERO); // lost: the peer is dead
+        }
+        assert_eq!(sender.shed(), 4, "two in flight, two backlogged");
+        assert!(sender.is_idle());
+        assert_eq!(sender.resume_seq(), 3);
+        let mut skipped = Vec::new();
+        receiver.skip_to(sender.resume_seq(), |event| skipped.push(event));
+        assert!(skipped.is_empty());
+        receiver.skip_to(1, |_| panic!("a lower resume point changes nothing"));
+        let next = sender.send(event(9), SimTime::ZERO);
+        assert_eq!(next[0].seq, 3);
+        let (delivered, ack) = receiver.on_frame(next[0].clone());
+        assert_eq!(delivered.iter().map(|e| e.seq).collect::<Vec<_>>(), [9]);
+        assert_eq!(ack.next_expected, 4);
+        assert_eq!(receiver.duplicates(), 0);
     }
 }

@@ -21,7 +21,6 @@ use mmcs_util::time::SimDuration;
 
 use crate::batch::CostModel;
 use crate::event::Event;
-use crate::liveness::FailureDetector;
 use crate::metrics::BrokerMetrics;
 use crate::node::{Action, BrokerNode, Input, Origin};
 use crate::profile::TransportProfile;
@@ -66,23 +65,6 @@ pub enum BrokerMsg {
         from: BrokerId,
         /// The event.
         event: Arc<Event>,
-    },
-    /// A peer broker's liveness heartbeat.
-    Heartbeat {
-        /// The beating broker.
-        from: BrokerId,
-        /// The sender's restart count. A jump tells the receiver the
-        /// peer restarted (losing its interest table) even if the
-        /// explicit `Hello` was dropped by a lossy link, so heartbeats
-        /// double as a self-healing resync trigger.
-        incarnation: u64,
-    },
-    /// A peer broker (re)announces itself after a restart. The receiver
-    /// bounces the link (`LinkDown` + `LinkUp`) so every advert is
-    /// re-sent — the restarted peer lost its remote interest table.
-    Hello {
-        /// The announcing broker.
-        from: BrokerId,
     },
     /// A peer broker advertises interest.
     AdvertiseAdd {
@@ -146,8 +128,6 @@ struct BrokerCounters {
     protocol_error: CounterId,
     bad_payload: CounterId,
     client_reattach: CounterId,
-    peer_rejoined: CounterId,
-    peer_resynced: CounterId,
 }
 
 impl BrokerCounters {
@@ -160,8 +140,6 @@ impl BrokerCounters {
             protocol_error: ctx.counter_id("broker.protocol_error"),
             bad_payload: ctx.counter_id("broker.bad_payload"),
             client_reattach: ctx.counter_id("broker.client_reattach"),
-            peer_rejoined: ctx.counter_id("broker.peer_rejoined"),
-            peer_resynced: ctx.counter_id("broker.peer_resynced"),
         }
     }
 }
@@ -176,27 +154,11 @@ pub struct BrokerProcess {
     cost: CostModel,
     /// Looked up once per delivery, so hashed with one multiply.
     clients: IdMap<ClientId, (ProcessId, TransportProfile)>,
-    /// Static configuration: every peer this broker is wired to, whether
-    /// or not the node-level link is currently up. Ordered so heartbeat
-    /// and resync send order is deterministic across process runs.
+    /// Every peer this broker is wired to. Ordered so advert refresh
+    /// send order is deterministic across process runs.
     peers: BTreeMap<BrokerId, ProcessId>,
-    /// Heartbeat-based peer failure detection, when enabled.
-    detector: Option<FailureDetector>,
-    /// Liveness parameters, kept to rebuild the detector after a crash.
-    liveness_cfg: Option<(SimDuration, SimDuration)>,
-    /// This broker's restart count, stamped into heartbeats.
-    incarnation: u64,
-    /// Last incarnation seen per peer; a jump forces an advert resync.
-    peer_incarnations: BTreeMap<BrokerId, u64>,
-    /// Liveness ticks elapsed (drives the periodic advert refresh).
-    ticks: u64,
-    /// Whether this broker emits heartbeats (tests disable it to model
-    /// a hung broker).
-    heartbeats_enabled: bool,
-    /// Interleaved history of peer suspicions and rejoins, in the order
-    /// they happened (chaos-harness probe; survives simulated restarts —
-    /// it belongs to the observer, not the broker state).
-    peer_history: Vec<(BrokerId, PeerLinkEvent)>,
+    /// How often every advert is re-sent to every peer, when enabled.
+    refresh_every: Option<SimDuration>,
     /// Reused action buffer: the per-packet hot path allocates nothing
     /// once it has grown to the peak fan-out.
     scratch: Vec<Action>,
@@ -207,27 +169,10 @@ pub struct BrokerProcess {
     send_costs: Vec<(SendKey, SimDuration)>,
     /// Resolved on the first callback that bumps one.
     counters: Option<BrokerCounters>,
-    /// Telemetry instruments, kept here (durable configuration, like
-    /// `liveness_cfg`) so a restart reinstalls them on the fresh node.
-    metrics: Option<Arc<BrokerMetrics>>,
-    /// Durable copy of [`BrokerNode::set_local_adverts_only`], reapplied
-    /// to the fresh node after a simulated restart.
-    local_adverts_only: bool,
 }
 
-/// Timer token for the liveness tick.
-const LIVENESS_TICK: u64 = 0xBEA7;
-
-/// One entry in a broker's peer-link history (see
-/// [`BrokerProcess::peer_history`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerLinkEvent {
-    /// The failure detector declared the peer dead (one `LinkDown`).
-    Suspected,
-    /// The peer came back (heartbeat/`Hello` after a disconnect, one
-    /// `LinkUp`).
-    Rejoined,
-}
+/// Timer token for the advert refresh.
+const ADVERT_REFRESH: u64 = 0xAD5;
 
 impl BrokerProcess {
     /// Creates a broker process with the given cost model.
@@ -237,76 +182,38 @@ impl BrokerProcess {
             cost,
             clients: IdMap::default(),
             peers: BTreeMap::new(),
-            detector: None,
-            liveness_cfg: None,
-            incarnation: 0,
-            peer_incarnations: BTreeMap::new(),
-            ticks: 0,
-            heartbeats_enabled: true,
-            peer_history: Vec::new(),
+            refresh_every: None,
             scratch: Vec::new(),
             send_costs: Vec::new(),
             counters: None,
-            metrics: None,
-            local_adverts_only: false,
         }
     }
 
     /// One-hop mesh mode, builder style: adverts carry only local
     /// subscriber interest (see [`BrokerNode::set_local_adverts_only`]).
     /// Required whenever the peer graph has cycles — the full meshes of
-    /// [`crate::simtopo`] — and durable across restarts.
+    /// [`crate::simtopo`].
     pub fn with_local_adverts_only(mut self) -> Self {
         self.node.set_local_adverts_only(true);
-        self.local_adverts_only = true;
         self
     }
 
-    /// Installs telemetry instruments on this broker: the node reports
-    /// the hot-path metrics, and the driver reports failure-detector
-    /// Suspected/Rejoined transitions. Survives simulated restarts.
+    /// Installs the node's hot-path telemetry instruments.
     pub fn set_metrics(&mut self, metrics: Arc<BrokerMetrics>) {
-        self.node.set_metrics(Arc::clone(&metrics));
-        self.metrics = Some(metrics);
+        self.node.set_metrics(metrics);
     }
 
-    /// Enables heartbeat liveness detection on broker links: beats every
-    /// `every`, disconnects peers silent for `timeout` (issuing the
-    /// node's `LinkDown`, which withdraws their interest).
-    pub fn with_liveness(mut self, every: SimDuration, timeout: SimDuration) -> Self {
-        self.detector = Some(FailureDetector::new(every, timeout));
-        self.liveness_cfg = Some((every, timeout));
+    /// Re-sends every advert to every peer each `every`, so a lossy link
+    /// that dropped one is repaired. No paper rig enables it.
+    pub fn with_advert_refresh(mut self, every: SimDuration) -> Self {
+        self.refresh_every = Some(every);
         self
-    }
-
-    /// Stops this broker from emitting heartbeats (models a hang; it
-    /// still routes traffic, so only liveness sees the failure).
-    pub fn mute_heartbeats(&mut self) {
-        self.heartbeats_enabled = false;
-    }
-
-    /// Re-enables heartbeats after [`BrokerProcess::mute_heartbeats`]
-    /// (the chaos harness uses the pair to model a transient hang).
-    pub fn unmute_heartbeats(&mut self) {
-        self.heartbeats_enabled = true;
-    }
-
-    /// Interleaved suspicion/rejoin history, oldest first. The chaos
-    /// harness checks that two suspicions of the same peer always have a
-    /// rejoin between them (exactly one `LinkDown` per death).
-    pub fn peer_history(&self) -> &[(BrokerId, PeerLinkEvent)] {
-        &self.peer_history
     }
 
     /// Mutable access to the underlying node (the chaos harness calls
     /// [`BrokerNode::plan_for`], which memoizes, hence `&mut`).
     pub fn node_mut(&mut self) -> &mut BrokerNode {
         &mut self.node
-    }
-
-    /// Whether a peer link is currently up at the node level.
-    pub fn has_peer_link(&self, peer: BrokerId) -> bool {
-        self.node.peers().any(|p| p == peer)
     }
 
     /// Declares a peer broker reachable at `process` (links come up at
@@ -432,33 +339,6 @@ impl BrokerProcess {
         self.scratch = actions;
     }
 
-    /// Brings a configured peer's link (back) up and starts watching it.
-    fn rejoin_peer(&mut self, ctx: &mut Context<'_>, peer: BrokerId) {
-        self.apply(ctx, Input::LinkUp { peer });
-        if let Some(detector) = &mut self.detector {
-            detector.watch(peer, ctx.now());
-        }
-        self.peer_history.push((peer, PeerLinkEvent::Rejoined));
-        let counters = self.counters(ctx);
-        ctx.bump(counters.peer_rejoined, 1);
-        if let Some(m) = &self.metrics {
-            m.peers_rejoined.inc();
-        }
-    }
-
-    /// Bounces an up link so every advert is re-sent to a peer that lost
-    /// its interest table (restart detected via `Hello` or an
-    /// incarnation jump in its heartbeats).
-    fn resync_peer(&mut self, ctx: &mut Context<'_>, peer: BrokerId) {
-        self.apply(ctx, Input::LinkDown { peer });
-        self.apply(ctx, Input::LinkUp { peer });
-        if let Some(detector) = &mut self.detector {
-            detector.watch(peer, ctx.now());
-        }
-        let counters = self.counters(ctx);
-        ctx.bump(counters.peer_resynced, 1);
-    }
-
     /// Re-sends every advert this node believes `peer` holds. Duplicate
     /// `RemoteSubscribe`s are no-ops at the peer, so this repairs advert
     /// packets a lossy link dropped.
@@ -487,99 +367,19 @@ impl BrokerProcess {
 impl Process for BrokerProcess {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let peers: Vec<BrokerId> = self.peers.keys().copied().collect();
-        for peer in &peers {
-            self.apply(ctx, Input::LinkUp { peer: *peer });
+        for peer in peers {
+            self.apply(ctx, Input::LinkUp { peer });
         }
-        if let Some(detector) = &mut self.detector {
-            for peer in &peers {
-                detector.watch(*peer, ctx.now());
-            }
-            ctx.set_timer(SimDuration::from_millis(250), LIVENESS_TICK);
-        }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        // A broker restart loses all volatile state: the routing node
-        // (subscriptions, remote interest, links) and the client table.
-        // Configuration (id, cost model, wired peers, liveness params)
-        // is durable. Suspicion/rejoin histories belong to the harness
-        // observer and deliberately survive.
-        self.node = BrokerNode::new(self.node.id());
-        self.node.set_local_adverts_only(self.local_adverts_only);
-        if let Some(m) = &self.metrics {
-            self.node.set_metrics(Arc::clone(m));
-        }
-        self.clients.clear();
-        self.detector = self
-            .liveness_cfg
-            .map(|(every, timeout)| FailureDetector::new(every, timeout));
-        self.incarnation += 1;
-        self.peer_incarnations.clear();
-        self.ticks = 0;
-        ctx.count("broker.restarted", 1);
-        let peers: Vec<(BrokerId, ProcessId)> =
-            self.peers.iter().map(|(b, p)| (*b, *p)).collect();
-        let hello = BrokerMsg::Hello {
-            from: self.node.id(),
-        };
-        for (peer, process) in &peers {
-            self.apply(ctx, Input::LinkUp { peer: *peer });
-            // Ask each peer to resync: they may still believe the link
-            // is up and would otherwise never re-advertise.
-            ctx.send(*process, hello.clone(), CONTROL_BYTES);
-        }
-        if let Some(detector) = &mut self.detector {
-            for (peer, _) in &peers {
-                detector.watch(*peer, ctx.now());
-            }
-            ctx.set_timer(SimDuration::from_millis(250), LIVENESS_TICK);
+        if let Some(every) = self.refresh_every {
+            ctx.set_timer(every, ADVERT_REFRESH);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token != LIVENESS_TICK {
-            return;
-        }
-        if self.detector.is_none() {
-            return;
-        }
-        let now = ctx.now();
-        if let Some(detector) = &mut self.detector {
-            if self.heartbeats_enabled && detector.should_send_heartbeat(now) {
-                let from = self.node.id();
-                let incarnation = self.incarnation;
-                for process in self.peers.values() {
-                    ctx.send(
-                        *process,
-                        BrokerMsg::Heartbeat { from, incarnation },
-                        CONTROL_BYTES,
-                    );
-                }
-            }
-        }
-        self.ticks += 1;
-        if self.ticks.is_multiple_of(4) {
-            // Periodic advert refresh (~1 s): repairs advert packets a
-            // lossy link dropped. Duplicates are no-ops at the peer.
+        if let (ADVERT_REFRESH, Some(every)) = (token, self.refresh_every) {
             self.refresh_adverts(ctx);
+            ctx.set_timer(every, ADVERT_REFRESH);
         }
-        let suspects = match &mut self.detector {
-            Some(detector) => detector.take_suspects(now),
-            None => Vec::new(),
-        };
-        for peer in suspects {
-            ctx.count("broker.peer_suspected", 1);
-            if let Some(m) = &self.metrics {
-                m.peers_suspected.inc();
-            }
-            self.peer_history.push((peer, PeerLinkEvent::Suspected));
-            // The node link goes down (withdrawing the peer's interest)
-            // but the peer stays in the static `peers` map: if it comes
-            // back — restart or healed partition — its next heartbeat or
-            // `Hello` rejoins it.
-            self.apply(ctx, Input::LinkDown { peer });
-        }
-        ctx.set_timer(SimDuration::from_millis(250), LIVENESS_TICK);
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
@@ -621,59 +421,7 @@ impl Process for BrokerProcess {
                     },
                 );
             }
-            BrokerMsg::Heartbeat { from, incarnation } => {
-                if self.peers.contains_key(&from) {
-                    let linked = self.node.peers().any(|p| p == from);
-                    let prev = self.peer_incarnations.insert(from, incarnation);
-                    if !linked {
-                        // A configured peer we had disconnected is
-                        // talking again: bring the link back and ask it
-                        // to resend its interest (we dropped our copy on
-                        // LinkDown).
-                        self.rejoin_peer(ctx, from);
-                        if let Some(process) = self.peers.get(&from) {
-                            let hello = BrokerMsg::Hello {
-                                from: self.node.id(),
-                            };
-                            ctx.send(*process, hello, CONTROL_BYTES);
-                        }
-                    } else if prev.is_some_and(|p| p < incarnation) {
-                        // The peer restarted (and its Hello may have
-                        // been lost): re-send every advert.
-                        self.resync_peer(ctx, from);
-                    }
-                }
-                if let Some(detector) = &mut self.detector {
-                    detector.on_heartbeat(from, ctx.now());
-                }
-            }
-            BrokerMsg::Hello { from } => {
-                if self.peers.contains_key(&from) {
-                    if self.node.peers().any(|p| p == from) {
-                        // Link never dropped on our side: bounce it so
-                        // every advert is re-sent to the resynced peer.
-                        self.resync_peer(ctx, from);
-                    } else {
-                        self.rejoin_peer(ctx, from);
-                    }
-                }
-            }
             BrokerMsg::Forward { from, event } => {
-                if self.peers.contains_key(&from) && !self.node.peers().any(|p| p == from) {
-                    // Data from a peer we had disconnected: rejoin first
-                    // so the event routes instead of erroring.
-                    self.rejoin_peer(ctx, from);
-                    if let Some(process) = self.peers.get(&from) {
-                        let hello = BrokerMsg::Hello {
-                            from: self.node.id(),
-                        };
-                        ctx.send(*process, hello, CONTROL_BYTES);
-                    }
-                }
-                if let Some(detector) = &mut self.detector {
-                    // Data traffic proves liveness too.
-                    detector.on_heartbeat(from, ctx.now());
-                }
                 ctx.spend_cpu(self.cost.routing);
                 self.apply(
                     ctx,
@@ -830,42 +578,5 @@ mod tests {
                 assert_eq!(sent_at, at, "event {seq} send {i} ({profile:?}, {wire} B)");
             }
         }
-    }
-
-    /// A hung peer (no heartbeats) is detected and its link torn down;
-    /// a healthy peer stays linked.
-    #[test]
-    fn hung_broker_is_disconnected() {
-        let mut sim = Simulation::new(6);
-        let h1 = sim.add_host("a", NicConfig::default());
-        let h2 = sim.add_host("b", NicConfig::default());
-        let every = SimDuration::from_millis(500);
-        let timeout = SimDuration::from_millis(1600);
-        let b1 = sim.add_typed_process(
-            h1,
-            BrokerProcess::new(BrokerId::from_raw(1), CostModel::narada())
-                .with_liveness(every, timeout),
-        );
-        let b2 = sim.add_typed_process(
-            h2,
-            BrokerProcess::new(BrokerId::from_raw(2), CostModel::narada())
-                .with_liveness(every, timeout),
-        );
-        sim.process_mut::<BrokerProcess>(b1)
-            .unwrap()
-            .add_peer(BrokerId::from_raw(2), b2);
-        sim.process_mut::<BrokerProcess>(b2)
-            .unwrap()
-            .add_peer(BrokerId::from_raw(1), b1);
-        // Broker 2 is hung from the start.
-        sim.process_mut::<BrokerProcess>(b2).unwrap().mute_heartbeats();
-
-        sim.run_until(SimTime::from_secs(5));
-        let b1_state = sim.process_ref::<BrokerProcess>(b1).unwrap();
-        assert!(
-            !b1_state.has_peer_link(BrokerId::from_raw(2)),
-            "broker 1 must have dropped the hung peer"
-        );
-        assert!(sim.counter("broker.peer_suspected") >= 1);
     }
 }

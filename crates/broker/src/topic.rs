@@ -424,42 +424,6 @@ impl<S: Clone + PartialEq> SubscriptionTable<S> {
         }
         node
     }
-
-    /// Removes every subscription held by `subscriber`; returns how many
-    /// were removed.
-    pub fn unsubscribe_all(&mut self, subscriber: &S) -> usize {
-        fn prune<S: PartialEq>(node: &mut TrieNode<S>, subscriber: &S) -> usize {
-            let mut removed = 0;
-            node.here.retain(|s| {
-                let keep = s != subscriber;
-                if !keep {
-                    removed += 1;
-                }
-                keep
-            });
-            node.tail.retain(|s| {
-                let keep = s != subscriber;
-                if !keep {
-                    removed += 1;
-                }
-                keep
-            });
-            for child in node.children.values_mut() {
-                removed += prune(child, subscriber);
-            }
-            node.children.retain(|_, child| !child.is_empty());
-            if let Some(single) = &mut node.single {
-                removed += prune(single, subscriber);
-                if single.is_empty() {
-                    node.single = None;
-                }
-            }
-            removed
-        }
-        let removed = prune(&mut self.root, subscriber);
-        self.len -= removed;
-        removed
-    }
 }
 
 impl<S: Clone + Ord> SubscriptionTable<S> {
@@ -651,20 +615,6 @@ mod tests {
         assert!(!table.unsubscribe(&filter("a/*"), &1));
         assert!(table.matches(&topic("a/b")).is_empty());
         assert!(table.is_empty());
-    }
-
-    #[test]
-    fn unsubscribe_all_prunes_everywhere() {
-        let mut table: SubscriptionTable<u32> = SubscriptionTable::new();
-        table.subscribe(&filter("a/b"), 1);
-        table.subscribe(&filter("a/#"), 1);
-        table.subscribe(&filter("x/*"), 1);
-        table.subscribe(&filter("a/b"), 2);
-        assert_eq!(table.unsubscribe_all(&1), 3);
-        assert_eq!(table.len(), 1);
-        assert_eq!(table.matches(&topic("a/b")), vec![2]);
-        // Root, `a` and `a/b` stay; `x` and its `*` child are pruned.
-        assert_eq!(table.root.count(), 3);
     }
 
     #[test]

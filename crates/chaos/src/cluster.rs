@@ -12,13 +12,19 @@
 //! across runs.
 //!
 //! The schedule ends with a **heal**: every partition lifted, every
-//! crashed node restarted, gossip run to convergence. Then a probe
-//! batch publishes from every client, and the probe delivery multiset
-//! is compared against the single-loop [`BrokerNode`] oracle fed the
-//! final subscription state. Invariants checked per seed:
+//! crashed node restarted, gossip run to convergence. On the
+//! chain-plus-chord map ([`Topology::ChainChord`]) node 2 may be left
+//! crashed: the heal then runs its full round budget, so the failure
+//! detectors suspect node 2 and the routes take the chord around it.
+//! Then a probe batch publishes from every client, and the probe
+//! delivery multiset is compared against the single-loop [`BrokerNode`]
+//! oracle fed the final subscription state — with a node left crashed,
+//! only the deliveries whose publisher and subscriber are on the same
+//! side of it. Invariants checked per seed:
 //!
-//! 1. post-heal gossip convergence (every node's view of every other
-//!    node matches that node's local truth),
+//! 1. post-heal convergence (every failure detector trusts its peers,
+//!    and every node's view of every other node matches that node's
+//!    local truth; with a node left crashed, among the others),
 //! 2. probe deliveries exactly equal the oracle multiset — exactly-once
 //!    across the inter-node hop, nothing lost after heal,
 //! 3. no duplicate delivery anywhere in the run (chaos window
@@ -51,15 +57,32 @@ use crate::shrink::ddmin;
 /// One delivery in sortable form: (receiver, topic, source, seq).
 pub type ClusterDelivery = (u64, String, u64, u64);
 
+/// The link map of a cluster chaos run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    /// Every pair of nodes directly linked.
+    Mesh,
+    /// Nodes in a line: multi-hop relays, no detours.
+    Chain,
+    /// The four-node chain `0–1–2–3` at 5 ms plus a 20 ms chord `1–3`:
+    /// paths to 3 run through 2 until node 2 is suspected, then over
+    /// the chord. A schedule that ends with [`CHORD_BYPASSED`] crashed
+    /// leaves it crashed through the heal and the probe.
+    ChainChord,
+}
+
+/// The node the chain-plus-chord map can route around.
+pub const CHORD_BYPASSED: usize = 2;
+
 /// Parameters of one cluster chaos run, all derived from the seed.
 #[derive(Debug, Clone)]
 pub struct ClusterChaosConfig {
     /// The seed everything derives from.
     pub seed: u64,
-    /// Federation size (2–4 by default).
+    /// Federation size (2–4 by default, 4 on the chain-plus-chord map).
     pub nodes: usize,
-    /// Chain topology (multi-hop relays) instead of a full mesh.
-    pub chain: bool,
+    /// The link map.
+    pub topology: Topology,
     /// Operations in the schedule.
     pub ops: usize,
     /// Clients attached before the schedule starts.
@@ -72,14 +95,20 @@ pub struct ClusterChaosConfig {
 }
 
 impl ClusterChaosConfig {
-    /// The canonical configuration for a seed: node count cycles 2–4,
-    /// odd seeds run the chain topology (real multi-hop relays), even
-    /// seeds the full mesh.
+    /// The canonical configuration for a seed: seeds `5k + 3` run the
+    /// chain-plus-chord map and may leave node 2 crashed; of the rest,
+    /// the node count cycles 2–4, odd seeds run the chain topology (real
+    /// multi-hop relays) and even seeds the full mesh.
     pub fn for_seed(seed: u64) -> Self {
+        let chord = seed % 5 == 3;
         Self {
             seed,
-            nodes: 2 + (seed % 3) as usize,
-            chain: seed % 2 == 1,
+            nodes: if chord { 4 } else { 2 + (seed % 3) as usize },
+            topology: match (chord, seed % 2) {
+                (true, _) => Topology::ChainChord,
+                (false, 1) => Topology::Chain,
+                (false, _) => Topology::Mesh,
+            },
             ops: 80,
             clients: 4,
             probes: 2,
@@ -89,11 +118,27 @@ impl ClusterChaosConfig {
 
     /// The latency map this configuration builds.
     pub fn latency(&self) -> LatencyMap {
-        if self.chain {
-            LatencyMap::chain(self.nodes, 5)
-        } else {
-            LatencyMap::full_mesh(self.nodes, 5)
+        match self.topology {
+            Topology::Mesh => LatencyMap::full_mesh(self.nodes, 5),
+            Topology::Chain => LatencyMap::chain(self.nodes, 5),
+            Topology::ChainChord => {
+                let mut map = LatencyMap::chain(self.nodes, 5);
+                map.set_link(1, 3, 20);
+                map
+            }
         }
+    }
+
+    /// The node the heal leaves crashed: [`CHORD_BYPASSED`] on the
+    /// chain-plus-chord map, if `ops` ends with it down.
+    pub fn left_crashed(&self, ops: &[ClusterOp]) -> Option<usize> {
+        if self.topology != Topology::ChainChord {
+            return None;
+        }
+        let last = ops.iter().rev().find(|op| {
+            matches!(op, ClusterOp::Crash(n) | ClusterOp::Restore(n) if *n == CHORD_BYPASSED)
+        });
+        matches!(last, Some(ClusterOp::Crash(_))).then_some(CHORD_BYPASSED)
     }
 }
 
@@ -324,7 +369,8 @@ pub fn run_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterRun
         }
     }
 
-    // Heal everything: links up, gossip flowing, crashed nodes back.
+    // Heal everything: links up, gossip flowing, crashed nodes back
+    // but the one left crashed.
     cluster.quiesce();
     for (a, b) in partitioned {
         cluster.set_link_down(a as u16, b as u16, false);
@@ -332,10 +378,22 @@ pub fn run_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterRun
     for (a, b) in gossip_lost {
         cluster.set_gossip_loss(a as u16, b as u16, false);
     }
-    for node in crashed {
+    let down = config.left_crashed(ops);
+    for node in crashed.into_iter().filter(|node| Some(*node) != down) {
         cluster.restart(node as u16, config.lose_interest_on_restart);
     }
-    let converged = cluster.converge(2 * n + 6);
+    let converged = match down {
+        None => cluster.converge(2 * n + 6),
+        Some(down) => {
+            // A crash and a partition share the link switches: crash
+            // again what lifting a partition of the node revived.
+            cluster.crash(down as u16);
+            for _ in 0..2 * n + 6 {
+                cluster.gossip_round();
+            }
+            converged_around(&cluster, down)
+        }
+    };
     cluster.quiesce();
 
     let mut last_seq: HashMap<(u64, u64, String), u64> = HashMap::new();
@@ -383,14 +441,33 @@ pub fn run_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterRun
     }
 }
 
+/// Whether every node but `down` holds a view of every other node but
+/// `down` that matches that node's local truth.
+fn converged_around(cluster: &Cluster, down: usize) -> bool {
+    let views: Vec<Vec<_>> = (0..cluster.node_count()).map(|i| cluster.snapshot(i)).collect();
+    let live = |node: &usize| *node != down;
+    (0..views.len()).filter(live).all(|holder| {
+        (0..views.len())
+            .filter(live)
+            .all(|subject| views[holder].get(subject) == views[subject].get(subject))
+    })
+}
+
 /// Replays the schedule's *final subscription state* through the
 /// single-loop oracle and publishes the probe batch: the expected
-/// probe delivery multiset of a healed, converged federation.
+/// probe delivery multiset of a healed, converged federation. With a
+/// node left crashed, a probe reaches only the subscribers on its
+/// publisher's side of that node.
 pub fn oracle_probes(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> Vec<ClusterDelivery> {
     let mut filters: Vec<BTreeSet<String>> = vec![BTreeSet::new(); config.clients];
     let mut published: Vec<u64> = vec![0; config.clients];
+    let latency = config.latency();
+    let mut homes: Vec<usize> = (0..config.clients)
+        .map(|i| latency.home_node(i % (2 * config.nodes)) as usize)
+        .collect();
     for op in ops {
         match op {
+            ClusterOp::Move(index, zone) => homes[*index] = latency.home_node(*zone) as usize,
             ClusterOp::Subscribe(index, pattern) if TopicFilter::parse(pattern).is_ok() => {
                 filters[*index].insert(pattern.clone());
             }
@@ -454,6 +531,10 @@ pub fn oracle_probes(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> Vec<Clus
                 }
             }
         }
+    }
+    if let Some(down) = config.left_crashed(ops) {
+        let cut_off = |client: u64| homes[client as usize - 1] == down;
+        deliveries.retain(|(receiver, _, source, _)| cut_off(*receiver) == cut_off(*source));
     }
     deliveries.sort_unstable();
     deliveries
@@ -544,10 +625,10 @@ pub fn render_cluster_test(config: &ClusterChaosConfig, shrunk: &ClusterShrink) 
     ));
     out.push_str("    use mmcs_chaos::cluster::*;\n");
     out.push_str(&format!(
-        "    let config = ClusterChaosConfig {{ seed: {}, nodes: {}, chain: {}, ops: {}, clients: {}, probes: {}, lose_interest_on_restart: {} }};\n",
+        "    let config = ClusterChaosConfig {{ seed: {}, nodes: {}, topology: Topology::{:?}, ops: {}, clients: {}, probes: {}, lose_interest_on_restart: {} }};\n",
         config.seed,
         config.nodes,
-        config.chain,
+        config.topology,
         config.ops,
         config.clients,
         config.probes,
@@ -579,9 +660,9 @@ mod tests {
             let (report, violations) = check_cluster(&config, &ops);
             assert!(
                 violations.is_empty(),
-                "seed {seed} ({} nodes, chain={}): {violations:?}",
+                "seed {seed} ({} nodes, {:?}): {violations:?}",
                 report.config.nodes,
-                report.config.chain
+                report.config.topology
             );
         }
     }

@@ -6,7 +6,6 @@
 //! disorder while faults are live, but must converge afterwards.
 
 use crate::scenario::RunReport;
-use mmcs_broker::simdrv::PeerLinkEvent;
 
 /// One invariant violation, carrying enough context to diagnose the run
 /// without re-executing it.
@@ -40,24 +39,6 @@ pub enum Violation {
         /// What diverged, human-readable.
         detail: String,
     },
-    /// A broker did not re-establish all configured peer links after
-    /// healing.
-    LinksNotRestored {
-        /// Broker chain index.
-        broker: usize,
-        /// Raw peer ids currently linked.
-        linked: Vec<u64>,
-        /// Raw peer ids that should be linked.
-        configured: Vec<u64>,
-    },
-    /// The failure detector reported the same peer death twice without
-    /// an intervening rejoin, or a rejoin with no prior suspicion.
-    DetectorDoubleReport {
-        /// Broker chain index whose history is malformed.
-        broker: usize,
-        /// What the interleaving violated, human-readable.
-        detail: String,
-    },
     /// The live XGSP roster diverged from a fresh model replaying the
     /// delivered command trace, or the live applier rejected commands.
     XgspInconsistent {
@@ -88,17 +69,6 @@ impl std::fmt::Display for Violation {
                 f,
                 "route plan diverged from oracle at broker {broker} for {topic}: {detail}"
             ),
-            Violation::LinksNotRestored {
-                broker,
-                linked,
-                configured,
-            } => write!(
-                f,
-                "broker {broker} links not restored after heal: linked {linked:?}, configured {configured:?}"
-            ),
-            Violation::DetectorDoubleReport { broker, detail } => {
-                write!(f, "failure detector misreported at broker {broker}: {detail}")
-            }
             Violation::XgspInconsistent { detail } => {
                 write!(f, "XGSP membership inconsistent: {detail}")
             }
@@ -112,7 +82,6 @@ pub fn check(report: &RunReport) -> Vec<Violation> {
     check_reliable(report, &mut violations);
     check_quiescence(report, &mut violations);
     check_routes(report, &mut violations);
-    check_detector(report, &mut violations);
     check_xgsp(report, &mut violations);
     violations
 }
@@ -152,7 +121,7 @@ fn check_reliable(report: &RunReport, out: &mut Vec<Violation>) {
     }
 }
 
-/// (e) Quiescence: every sender drained its window and backlog within
+/// (d) Quiescence: every sender drained its window and backlog within
 /// the post-heal settle window.
 fn check_quiescence(report: &RunReport, out: &mut Vec<Violation>) {
     for (pair, p) in report.pairs.iter().enumerate() {
@@ -167,18 +136,8 @@ fn check_quiescence(report: &RunReport, out: &mut Vec<Violation>) {
 }
 
 /// (b) Route convergence: after healing, every broker's plan for every
-/// scenario topic must match the naive re-walk oracle, and every
-/// configured peer link must be back up.
+/// scenario topic must match the naive re-walk oracle.
 fn check_routes(report: &RunReport, out: &mut Vec<Violation>) {
-    for (broker, b) in report.brokers.iter().enumerate() {
-        if b.linked != b.configured {
-            out.push(Violation::LinksNotRestored {
-                broker,
-                linked: b.linked.clone(),
-                configured: b.configured.clone(),
-            });
-        }
-    }
     for plan in &report.plans {
         let mut detail = String::new();
         if plan.actual_local != plan.expected_local {
@@ -206,46 +165,7 @@ fn check_routes(report: &RunReport, out: &mut Vec<Violation>) {
     }
 }
 
-/// (c) Exactly one suspicion per death: a broker's per-peer history
-/// must strictly alternate Suspected / Rejoined, starting with
-/// Suspected.
-fn check_detector(report: &RunReport, out: &mut Vec<Violation>) {
-    for (broker, b) in report.brokers.iter().enumerate() {
-        let mut suspected: std::collections::BTreeMap<u64, bool> =
-            std::collections::BTreeMap::new();
-        for (peer, event) in &b.history {
-            let flag = suspected.entry(peer.value()).or_insert(false);
-            match event {
-                PeerLinkEvent::Suspected => {
-                    if *flag {
-                        out.push(Violation::DetectorDoubleReport {
-                            broker,
-                            detail: format!(
-                                "peer {} suspected twice without an intervening rejoin",
-                                peer.value()
-                            ),
-                        });
-                    }
-                    *flag = true;
-                }
-                PeerLinkEvent::Rejoined => {
-                    if !*flag {
-                        out.push(Violation::DetectorDoubleReport {
-                            broker,
-                            detail: format!(
-                                "peer {} rejoined with no prior suspicion",
-                                peer.value()
-                            ),
-                        });
-                    }
-                    *flag = false;
-                }
-            }
-        }
-    }
-}
-
-/// (d) XGSP membership: the live roster reached by applying delivered
+/// (c) XGSP membership: the live roster reached by applying delivered
 /// commands must equal the roster a fresh model reaches replaying the
 /// same delivered trace, and no command may have been rejected.
 fn check_xgsp(report: &RunReport, out: &mut Vec<Violation>) {
@@ -270,8 +190,7 @@ fn check_xgsp(report: &RunReport, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{BrokerReport, PairReport, PlanCheck};
-    use mmcs_util::id::BrokerId;
+    use crate::scenario::{PairReport, PlanCheck};
 
     fn clean_report() -> RunReport {
         RunReport {
@@ -286,11 +205,6 @@ mod tests {
                 backlogged: 0,
                 retransmissions: 0,
                 duplicates: 0,
-            }],
-            brokers: vec![BrokerReport {
-                configured: vec![1],
-                linked: vec![1],
-                history: Vec::new(),
             }],
             plans: Vec::new(),
             xgsp_digest: 7,
@@ -342,16 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn unrestored_link_is_flagged() {
-        let mut r = clean_report();
-        r.brokers[0].linked = Vec::new();
-        let v = check(&r);
-        assert!(v
-            .iter()
-            .any(|v| matches!(v, Violation::LinksNotRestored { broker: 0, .. })));
-    }
-
-    #[test]
     fn plan_divergence_is_flagged() {
         let mut r = clean_report();
         r.plans.push(PlanCheck {
@@ -370,33 +274,6 @@ mod tests {
             .to_string();
         assert!(msg.contains("local"));
         assert!(msg.contains("remote"));
-    }
-
-    #[test]
-    fn detector_interleaving_is_enforced() {
-        let mut r = clean_report();
-        let p = BrokerId::from_raw(1);
-        // Suspected twice with no rejoin between.
-        r.brokers[0].history = vec![
-            (p, PeerLinkEvent::Suspected),
-            (p, PeerLinkEvent::Suspected),
-        ];
-        assert!(check(&r)
-            .iter()
-            .any(|v| v.to_string().contains("suspected twice")));
-        // Rejoin with no prior suspicion.
-        r.brokers[0].history = vec![(p, PeerLinkEvent::Rejoined)];
-        assert!(check(&r)
-            .iter()
-            .any(|v| v.to_string().contains("no prior suspicion")));
-        // Proper alternation passes.
-        r.brokers[0].history = vec![
-            (p, PeerLinkEvent::Suspected),
-            (p, PeerLinkEvent::Rejoined),
-            (p, PeerLinkEvent::Suspected),
-            (p, PeerLinkEvent::Rejoined),
-        ];
-        assert!(check(&r).is_empty());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Deterministic chaos harness for the broker network.
 //!
 //! FoundationDB-style simulation testing: a seeded [`schedule`] of faults
-//! (partitions, loss, jitter/duplication, broker crash+restart, heartbeat
-//! suppression, client churn) drives a multi-broker, multi-client
-//! [`scenario`] inside the deterministic simulator, and a library of
-//! [`invariants`] checks the outcome — exactly-once reliable delivery,
-//! route-table convergence against a naive re-walk oracle, one
-//! `LinkDown` per death, XGSP membership consistency, and post-heal
+//! (partitions, loss, jitter/duplication, client churn) drives a
+//! multi-broker, multi-client [`scenario`] inside the deterministic
+//! simulator, and a library of [`invariants`] checks the outcome —
+//! exactly-once reliable delivery, route-table convergence against a
+//! naive re-walk oracle, XGSP membership consistency, and post-heal
 //! quiescence. On a violation, [`shrink`] bisects the fault schedule to
 //! a minimal reproducer and renders it as a copy-pasteable `#[test]`.
 //!
@@ -22,10 +21,12 @@
 //! (`mmcs-chaos sharded --seeds N`).
 //!
 //! The [`cluster`] variant targets the live federation runtime
-//! (`Cluster`): seeded node-crash/zone-partition/gossip-loss schedules
-//! interleave with subscription churn, client zone moves and publish
-//! bursts, then the healed cluster must re-converge and deliver a probe
-//! batch exactly as the single-loop oracle predicts
+//! (`Cluster`), failure detection included: seeded
+//! node-crash/zone-partition/gossip-loss schedules interleave with
+//! subscription churn, client zone moves and publish bursts, then the
+//! healed cluster — on the chain-plus-chord map possibly with one node
+//! left crashed and routed around — must re-converge and deliver a
+//! probe batch exactly as the single-loop oracle predicts
 //! (`mmcs-chaos cluster --seeds N`).
 
 pub mod cluster;

@@ -22,15 +22,15 @@
 //! runtime (live OS threads) with seeded churn/stall schedules and
 //! checks each run against the single-loop oracle plus the per-shard
 //! metric identities. `cluster` drives the live federation runtime
-//! (sharded node brokers, gossip, multi-hop routing) with seeded
-//! crash/partition/gossip-loss schedules, checks post-heal convergence
-//! and oracle-exact probe delivery, verifies each run's fingerprint is
+//! (sharded node brokers, gossip, multi-hop routing, failure detection)
+//! with seeded crash/partition/gossip-loss schedules, checks post-heal
+//! convergence and oracle-exact probe delivery, verifies each run's fingerprint is
 //! bit-identical across two executions, and ddmin-shrinks the first
 //! failing schedule to a minimal reproducer.
 
 use std::process::ExitCode;
 
-use mmcs_chaos::scenario::{self, ScenarioConfig, CHURN_CLIENTS, BROKERS, EDGES};
+use mmcs_chaos::scenario::{self, ScenarioConfig, CHURN_CLIENTS, EDGES};
 use mmcs_chaos::{check, generate, shrink};
 
 fn usage() -> ExitCode {
@@ -48,7 +48,7 @@ fn config_for(seed: u64, inject_bug: bool) -> ScenarioConfig {
 }
 
 fn schedule_for(config: &ScenarioConfig) -> Vec<mmcs_chaos::Fault> {
-    generate(config.seed, config.horizon_ms, EDGES, BROKERS, CHURN_CLIENTS)
+    generate(config.seed, config.horizon_ms, EDGES, CHURN_CLIENTS)
 }
 
 fn fuzz(
@@ -208,9 +208,13 @@ fn cluster(seeds: u64, base: u64, inject_bug: bool, artifact: Option<&str>) -> E
         if violations.is_empty() {
             clean += 1;
             println!(
-                "seed {seed}: ok ({} nodes, {}, {} deliveries, max hop {}, fingerprint {:#018x} bit-identical on replay)",
+                "seed {seed}: ok ({} nodes, {}{}, {} deliveries, max hop {}, fingerprint {:#018x} bit-identical on replay)",
                 config.nodes,
-                if config.chain { "chain" } else { "mesh" },
+                format!("{:?}", config.topology).to_lowercase(),
+                match config.left_crashed(&ops) {
+                    Some(node) => format!(", node {node} left crashed"),
+                    None => String::new(),
+                },
                 report.deliveries.len(),
                 report.max_hop,
                 report.fingerprint

@@ -1,10 +1,11 @@
 //! The chaos scenario: topology, traffic, fault application, and the
 //! post-run report.
 //!
-//! One scenario is a chain of four brokers (each on its own host, with
-//! heartbeat liveness), three reliable client pairs spanning the chain,
-//! two churn clients, and an XGSP membership applier fed by pair 0's
-//! delivered stream. [`run`] executes the scenario under a fault
+//! One scenario is a chain of four brokers (each on its own host,
+//! re-sending its adverts every second so a lossy link cannot strand
+//! one), three reliable client pairs spanning the chain, two churn
+//! clients, and an XGSP membership applier fed by pair 0's delivered
+//! stream. [`run`] executes the scenario under a fault
 //! [`crate::schedule`] and returns a [`RunReport`] with everything the
 //! [`crate::invariants`] checkers need — plus a fingerprint that is
 //! bit-identical across replays of the same seed and schedule.
@@ -17,7 +18,7 @@ use mmcs_broker::event::{Event, EventClass};
 use mmcs_broker::metrics::BrokerMetrics;
 use mmcs_broker::profile::TransportProfile;
 use mmcs_broker::reliable::{Ack, ReliableFrame, ReliableReceiver, ReliableSender};
-use mmcs_broker::simdrv::{join, BrokerMsg, BrokerProcess, ClientMsg, PeerLinkEvent};
+use mmcs_broker::simdrv::{join, BrokerMsg, BrokerProcess, ClientMsg};
 use mmcs_broker::topic::{Topic, TopicFilter};
 use mmcs_sim::{Context, CounterId, LinkConfig, NicConfig, Packet, Process, ProcessId, Simulation};
 use mmcs_telemetry::Registry;
@@ -39,7 +40,6 @@ pub const PAIRS: [(usize, usize); 3] = [(0, 3), (3, 0), (1, 2)];
 
 const OFFER_TOKEN: u64 = 1;
 const TICK_TOKEN: u64 = 2;
-const REFRESH_TOKEN: u64 = 3;
 
 /// Parameters of one chaos run. Everything else derives from `seed`.
 #[derive(Debug, Clone, Copy)]
@@ -171,7 +171,6 @@ pub fn replay_digest(seed: u64, n: u64, delivered: &[u64]) -> u64 {
 /// retransmitting on a timer until everything is acked.
 struct ChaosSender {
     broker: ProcessId,
-    broker_id: BrokerId,
     client: ClientId,
     topic: Topic,
     ack_filter: TopicFilter,
@@ -185,12 +184,6 @@ struct ChaosSender {
 }
 
 impl ChaosSender {
-    fn attach(&self, ctx: &mut Context<'_>) {
-        let _ = self.broker_id;
-        let profile = TransportProfile::Tcp;
-        join(ctx, self.broker, self.client, profile, Some(&self.ack_filter));
-    }
-
     fn counters(&mut self, ctx: &mut Context<'_>) -> (CounterId, CounterId) {
         *self.counters.get_or_insert_with(|| {
             (
@@ -220,10 +213,10 @@ impl ChaosSender {
 
 impl Process for ChaosSender {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.attach(ctx);
+        let profile = TransportProfile::Tcp;
+        join(ctx, self.broker, self.client, profile, Some(&self.ack_filter));
         ctx.set_timer(SimDuration::from_millis(500), OFFER_TOKEN);
         ctx.set_timer(SimDuration::from_millis(100), TICK_TOKEN);
-        ctx.set_timer(SimDuration::from_millis(1000), REFRESH_TOKEN);
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
@@ -265,12 +258,6 @@ impl Process for ChaosSender {
                 }
                 ctx.set_timer(SimDuration::from_millis(100), TICK_TOKEN);
             }
-            REFRESH_TOKEN => {
-                // Periodic re-attach: heals a broker restart that wiped
-                // this client's attachment and ack subscription.
-                self.attach(ctx);
-                ctx.set_timer(SimDuration::from_millis(1000), REFRESH_TOKEN);
-            }
             _ => {}
         }
     }
@@ -291,17 +278,10 @@ struct ChaosReceiver {
     delivered_counter: Option<CounterId>,
 }
 
-impl ChaosReceiver {
-    fn attach(&self, ctx: &mut Context<'_>) {
-        let profile = TransportProfile::Tcp;
-        join(ctx, self.broker, self.client, profile, Some(&self.data_filter));
-    }
-}
-
 impl Process for ChaosReceiver {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.attach(ctx);
-        ctx.set_timer(SimDuration::from_millis(1000), REFRESH_TOKEN);
+        let profile = TransportProfile::Tcp;
+        join(ctx, self.broker, self.client, profile, Some(&self.data_filter));
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
@@ -344,13 +324,6 @@ impl Process for ChaosReceiver {
             wire,
         );
     }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token == REFRESH_TOKEN {
-            self.attach(ctx);
-            ctx.set_timer(SimDuration::from_millis(1000), REFRESH_TOKEN);
-        }
-    }
 }
 
 /// A churn client: subscribes to pair 0's data topic and gets crashed
@@ -374,12 +347,10 @@ impl ChurnClient {
 impl Process for ChurnClient {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.attach(ctx);
-        ctx.set_timer(SimDuration::from_millis(1000), REFRESH_TOKEN);
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_>) {
         self.attach(ctx);
-        ctx.set_timer(SimDuration::from_millis(1000), REFRESH_TOKEN);
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, _packet: Packet) {
@@ -387,13 +358,6 @@ impl Process for ChurnClient {
             .received_counter
             .get_or_insert_with(|| ctx.counter_id("chaos.churn_received"));
         ctx.bump(received, 1);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token == REFRESH_TOKEN {
-            self.attach(ctx);
-            ctx.set_timer(SimDuration::from_millis(1000), REFRESH_TOKEN);
-        }
     }
 }
 
@@ -414,17 +378,6 @@ pub struct PairReport {
     pub retransmissions: u64,
     /// Duplicate frames the receiver suppressed.
     pub duplicates: u64,
-}
-
-/// Per-broker outcome.
-#[derive(Debug, Clone)]
-pub struct BrokerReport {
-    /// Raw ids of the peers this broker is configured with.
-    pub configured: Vec<u64>,
-    /// Raw ids of the peers the node currently has links to.
-    pub linked: Vec<u64>,
-    /// Interleaved suspicion/rejoin history.
-    pub history: Vec<(BrokerId, PeerLinkEvent)>,
 }
 
 /// One route-plan comparison against the naive re-walk oracle.
@@ -449,15 +402,13 @@ pub struct PlanCheck {
 pub struct RunReport {
     /// The seed the run used.
     pub seed: u64,
-    /// FNV-1a over counters, delivery traces, histories and digests;
+    /// FNV-1a over counters, delivery traces and digests;
     /// bit-identical across replays of the same seed + schedule.
     pub fingerprint: u64,
     /// All simulator counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// One report per reliable pair (indexed like [`PAIRS`]).
     pub pairs: Vec<PairReport>,
-    /// One report per broker (chain order).
-    pub brokers: Vec<BrokerReport>,
     /// Route plans vs the oracle, for every broker × topic.
     pub plans: Vec<PlanCheck>,
     /// The live XGSP roster digest at the end of the run.
@@ -479,8 +430,6 @@ enum Op {
     Link(usize, LinkConfig),
     Crash(ProcessId),
     Restart(ProcessId),
-    Mute(ProcessId),
-    Unmute(ProcessId),
 }
 
 fn data_topic(pair: usize) -> Topic {
@@ -498,14 +447,12 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
     let hosts: Vec<_> = (0..BROKERS)
         .map(|i| sim.add_host(&format!("broker-{i}"), NicConfig::default()))
         .collect();
-    let every = SimDuration::from_millis(500);
-    let timeout = SimDuration::from_millis(1600);
     let broker_pids: Vec<ProcessId> = (0..BROKERS)
         .map(|i| {
             sim.add_typed_process(
                 hosts[i],
                 BrokerProcess::new(BrokerId::from_raw(i as u64), CostModel::narada())
-                    .with_liveness(every, timeout),
+                    .with_advert_refresh(SimDuration::from_secs(1)),
             )
         })
         .collect();
@@ -533,7 +480,6 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
         ));
         let sender = ChaosSender {
             broker: broker_pids[*s],
-            broker_id: BrokerId::from_raw(*s as u64),
             client: ClientId::from_raw(100 + k as u64),
             topic: data_topic(k),
             ack_filter: TopicFilter::exact(&ack_topic(k)),
@@ -613,14 +559,6 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
                 ),
                 Op::Link(e, LinkConfig::default()),
             ),
-            (FaultKind::BrokerCrash, Target::Broker(b)) => (
-                Op::Crash(broker_pids[b % BROKERS]),
-                Op::Restart(broker_pids[b % BROKERS]),
-            ),
-            (FaultKind::HeartbeatMute, Target::Broker(b)) => (
-                Op::Mute(broker_pids[b % BROKERS]),
-                Op::Unmute(broker_pids[b % BROKERS]),
-            ),
             (FaultKind::ClientChurn, Target::Client(c)) => (
                 Op::Crash(churn_pids[c % CHURN_CLIENTS]),
                 Op::Restart(churn_pids[c % CHURN_CLIENTS]),
@@ -640,16 +578,6 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
             Op::Link(e, cfg) => sim.set_link(hosts[e], hosts[e + 1], cfg),
             Op::Crash(pid) => sim.crash_process(pid),
             Op::Restart(pid) => sim.restart_process(pid),
-            Op::Mute(pid) => {
-                if let Some(b) = sim.process_mut::<BrokerProcess>(pid) {
-                    b.mute_heartbeats();
-                }
-            }
-            Op::Unmute(pid) => {
-                if let Some(b) = sim.process_mut::<BrokerProcess>(pid) {
-                    b.unmute_heartbeats();
-                }
-            }
         }
     }
     sim.run_until(SimTime::from_millis(config.horizon_ms));
@@ -658,14 +586,9 @@ pub fn run(config: &ScenarioConfig, schedule: &[Fault]) -> RunReport {
     for e in 0..EDGES {
         sim.set_link(hosts[e], hosts[e + 1], LinkConfig::default());
     }
-    for pid in broker_pids.iter().chain(churn_pids.iter()) {
+    for pid in &churn_pids {
         if sim.is_crashed(*pid) {
             sim.restart_process(*pid);
-        }
-    }
-    for pid in &broker_pids {
-        if let Some(b) = sim.process_mut::<BrokerProcess>(*pid) {
-            b.unmute_heartbeats();
         }
     }
     sim.run_until(SimTime::from_millis(config.horizon_ms + config.settle_ms));
@@ -750,27 +673,6 @@ fn collect(
         });
     }
 
-    let mut brokers = Vec::new();
-    for (i, pid) in broker_pids.iter().enumerate() {
-        let broker = sim
-            .process_ref::<BrokerProcess>(*pid)
-            .expect("broker process");
-        let mut configured: Vec<u64> = Vec::new();
-        if i > 0 {
-            configured.push((i - 1) as u64);
-        }
-        if i + 1 < BROKERS {
-            configured.push(i as u64 + 1);
-        }
-        let mut linked: Vec<u64> = broker.node().peers().map(|p| p.value()).collect();
-        linked.sort_unstable();
-        brokers.push(BrokerReport {
-            configured,
-            linked,
-            history: broker.peer_history().to_vec(),
-        });
-    }
-
     let mut plans = Vec::new();
     for (topic_str, subs) in subscriber_map() {
         let topic = Topic::parse(&topic_str).expect("oracle topic");
@@ -805,13 +707,12 @@ fn collect(
         &pairs[0].delivered,
     );
 
-    let fingerprint = fingerprint(&counters, &pairs, &brokers, xgsp_digest, xgsp_replay_digest);
+    let fingerprint = fingerprint(&counters, &pairs, xgsp_digest, xgsp_replay_digest);
     RunReport {
         seed: config.seed,
         fingerprint,
         counters,
         pairs,
-        brokers,
         plans,
         xgsp_digest,
         xgsp_replay_digest,
@@ -823,7 +724,6 @@ fn collect(
 fn fingerprint(
     counters: &[(String, u64)],
     pairs: &[PairReport],
-    brokers: &[BrokerReport],
     xgsp_digest: u64,
     xgsp_replay_digest: u64,
 ) -> u64 {
@@ -848,18 +748,6 @@ fn fingerprint(
         mix(&[u8::from(pair.sender_idle)]);
         mix(&pair.retransmissions.to_be_bytes());
         mix(&pair.duplicates.to_be_bytes());
-    }
-    for broker in brokers {
-        for (peer, event) in &broker.history {
-            mix(&peer.value().to_be_bytes());
-            mix(&[match event {
-                PeerLinkEvent::Suspected => 1,
-                PeerLinkEvent::Rejoined => 2,
-            }]);
-        }
-        for linked in &broker.linked {
-            mix(&linked.to_be_bytes());
-        }
     }
     mix(&xgsp_digest.to_be_bytes());
     mix(&xgsp_replay_digest.to_be_bytes());

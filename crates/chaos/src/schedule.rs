@@ -23,12 +23,6 @@ pub enum FaultKind {
         /// Probability a surviving packet is delivered twice.
         duplicate: f64,
     },
-    /// The broker process crashes at `start_ms` and restarts (losing all
-    /// volatile state) at `end_ms`.
-    BrokerCrash,
-    /// The broker stops emitting heartbeats (a hang): peers suspect and
-    /// disconnect it even though it still routes.
-    HeartbeatMute,
     /// A churn client process crashes at `start_ms` and restarts at
     /// `end_ms`, re-attaching from scratch.
     ClientChurn,
@@ -39,8 +33,6 @@ pub enum FaultKind {
 pub enum Target {
     /// Edge `i` of the broker chain (between broker `i` and `i + 1`).
     Edge(usize),
-    /// Broker index in the chain.
-    Broker(usize),
     /// Churn-client index.
     Client(usize),
 }
@@ -69,13 +61,10 @@ impl Fault {
                 jitter_ms,
                 duplicate,
             } => format!("FaultKind::Flaky {{ jitter_ms: {jitter_ms}, duplicate: {duplicate:?} }}"),
-            FaultKind::BrokerCrash => "FaultKind::BrokerCrash".to_owned(),
-            FaultKind::HeartbeatMute => "FaultKind::HeartbeatMute".to_owned(),
             FaultKind::ClientChurn => "FaultKind::ClientChurn".to_owned(),
         };
         let target = match self.target {
             Target::Edge(i) => format!("Target::Edge({i})"),
-            Target::Broker(i) => format!("Target::Broker({i})"),
             Target::Client(i) => format!("Target::Client({i})"),
         };
         format!(
@@ -87,12 +76,12 @@ impl Fault {
 
 /// Generates the seeded fault schedule for one run.
 ///
-/// Per resource (edge, broker, churn client) the generator emits zero or
+/// Per resource (edge, churn client) the generator emits zero or
 /// more *non-overlapping* intervals inside `[1000, horizon_ms)`, so
 /// healing an interval never stomps on a later one for the same
 /// resource. Different resources may fault concurrently — that overlap
 /// is where the interesting bugs live.
-pub fn generate(seed: u64, horizon_ms: u64, edges: usize, brokers: usize, clients: usize) -> Vec<Fault> {
+pub fn generate(seed: u64, horizon_ms: u64, edges: usize, clients: usize) -> Vec<Fault> {
     let mut rng = DetRng::new(seed ^ 0xC4A0_5CAB_1E5C_4ED5);
     let mut out = Vec::new();
 
@@ -112,25 +101,6 @@ pub fn generate(seed: u64, horizon_ms: u64, edges: usize, brokers: usize, client
                 start_ms: start,
                 end_ms: end,
             });
-        }
-    }
-    for b in 0..brokers {
-        // At most one process-level fault per broker per run keeps the
-        // schedule small and every interval independent.
-        if rng.chance(0.45) {
-            if let Some((start, end)) = intervals(&mut rng, horizon_ms, 1).first().copied() {
-                let kind = if rng.chance(0.5) {
-                    FaultKind::BrokerCrash
-                } else {
-                    FaultKind::HeartbeatMute
-                };
-                out.push(Fault {
-                    kind,
-                    target: Target::Broker(b),
-                    start_ms: start,
-                    end_ms: end,
-                });
-            }
         }
     }
     for c in 0..clients {
@@ -173,16 +143,16 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = generate(42, 12_000, 3, 4, 2);
-        let b = generate(42, 12_000, 3, 4, 2);
+        let a = generate(42, 12_000, 3, 2);
+        let b = generate(42, 12_000, 3, 2);
         assert_eq!(a, b);
-        assert_ne!(a, generate(43, 12_000, 3, 4, 2));
+        assert_ne!(a, generate(43, 12_000, 3, 2));
     }
 
     #[test]
     fn intervals_are_well_formed_and_disjoint_per_resource() {
         for seed in 0..200 {
-            let faults = generate(seed, 12_000, 3, 4, 2);
+            let faults = generate(seed, 12_000, 3, 2);
             for f in &faults {
                 assert!(f.start_ms < f.end_ms, "{f:?}");
                 assert!(f.start_ms >= 1000);
@@ -205,16 +175,14 @@ mod tests {
 
     #[test]
     fn some_seeds_produce_each_kind() {
-        let mut kinds = [false; 6];
+        let mut kinds = [false; 4];
         for seed in 0..100 {
-            for f in generate(seed, 12_000, 3, 4, 2) {
+            for f in generate(seed, 12_000, 3, 2) {
                 let idx = match f.kind {
                     FaultKind::Partition => 0,
                     FaultKind::Loss(_) => 1,
                     FaultKind::Flaky { .. } => 2,
-                    FaultKind::BrokerCrash => 3,
-                    FaultKind::HeartbeatMute => 4,
-                    FaultKind::ClientChurn => 5,
+                    FaultKind::ClientChurn => 3,
                 };
                 kinds[idx] = true;
             }

@@ -39,17 +39,19 @@ fn filter_strategy() -> impl Strategy<Value = TopicFilter> {
 
 /// A tree of [`BrokerNode`]s joined by synchronous links: every action a
 /// node emits is executed at once, forwards and adverts cascading into
-/// the peer. Broker `i` has id `i + 1`; the test numbers its clients.
+/// the peer — unless the link is cut, which drops them. Broker `i` has
+/// id `i + 1`; the test numbers its clients.
 struct Cascade {
     nodes: Vec<BrokerNode>,
     home: HashMap<ClientId, usize>,
     delivered: Vec<(ClientId, Arc<Event>)>,
+    cut: Vec<(usize, usize)>,
 }
 
 impl Cascade {
     fn new(brokers: usize) -> Self {
         let nodes = (0..brokers).map(|i| BrokerNode::new(Self::id(i))).collect();
-        Self { nodes, home: HashMap::new(), delivered: Vec::new() }
+        Self { nodes, home: HashMap::new(), delivered: Vec::new(), cut: Vec::new() }
     }
 
     fn id(index: usize) -> BrokerId { BrokerId::from_raw(index as u64 + 1) }
@@ -63,15 +65,25 @@ impl Cascade {
                 Action::AdvertiseAdd { peer, filter } => (peer, Input::RemoteSubscribe { peer: from, filter }),
                 Action::AdvertiseRemove { peer, filter } => (peer, Input::RemoteUnsubscribe { peer: from, filter }),
             };
-            self.feed(peer.value() as usize - 1, input).expect("a linked peer accepts what its neighbour sends");
+            let to = peer.value() as usize - 1;
+            if !self.cut.contains(&(at.min(to), at.max(to))) {
+                self.feed(to, input).expect("a linked peer accepts what its neighbour sends");
+            }
         }
         Ok(())
     }
 
-    fn link(&mut self, a: usize, b: usize, up: bool) {
-        let input = |peer| if up { Input::LinkUp { peer } } else { Input::LinkDown { peer } };
-        self.feed(a, input(Self::id(b))).expect("link a");
-        self.feed(b, input(Self::id(a))).expect("link b");
+    fn link(&mut self, a: usize, b: usize) {
+        self.feed(a, Input::LinkUp { peer: Self::id(b) }).expect("link a");
+        self.feed(b, Input::LinkUp { peer: Self::id(a) }).expect("link b");
+    }
+
+    /// Cuts (or heals) the link `a ↔ b`: what crosses it is dropped.
+    fn partition(&mut self, a: usize, b: usize, cut: bool) {
+        self.cut.retain(|&link| link != (a.min(b), a.max(b)));
+        if cut {
+            self.cut.push((a.min(b), a.max(b)));
+        }
     }
 
     fn attach(&mut self, at: usize, raw: u64) -> ClientId {
@@ -111,7 +123,7 @@ proptest! {
         let mut net = Cascade::new(broker_count);
         // Random tree: each broker i>0 links to a random earlier broker.
         for i in 1..broker_count {
-            net.link(i, parents[i - 1] as usize % i, true);
+            net.link(i, parents[i - 1] as usize % i);
         }
         // 8 clients spread round-robin across brokers.
         let clients: Vec<ClientId> = (0..8)
@@ -232,8 +244,6 @@ enum ChurnOp {
     DropLive(usize),
     /// Detach a client, then attach the same id again.
     Detach(usize),
-    /// Take a peer link down, then bring it up again.
-    LinkDown(usize),
     Publish(Topic),
 }
 
@@ -245,7 +255,6 @@ fn churn_op_strategy() -> impl Strategy<Value = ChurnOp> {
         1 => (0usize..2, filter_strategy()).prop_map(|(p, f)| ChurnOp::RemoteUnsubscribe(p, f)),
         2 => any::<usize>().prop_map(ChurnOp::DropLive),
         1 => (0usize..6).prop_map(ChurnOp::Detach),
-        1 => (0usize..2).prop_map(ChurnOp::LinkDown),
         4 => topic_strategy().prop_map(ChurnOp::Publish),
     ]
 }
@@ -255,7 +264,7 @@ proptest! {
 
     /// The memoized route cache never changes what a publish delivers:
     /// under arbitrary interleavings of every input that evicts plans —
-    /// (remote) subscribe and unsubscribe, detach, link down — with
+    /// (remote) subscribe and unsubscribe, detach — with
     /// publishes, the cached plan's delivery and forward sets equal a
     /// naive re-walk oracle over the tracked subscriptions.
     #[test]
@@ -321,12 +330,6 @@ proptest! {
                     node.handle(Input::DetachClient { client }).unwrap();
                     node.handle(Input::AttachClient { client, profile: Default::default() }).unwrap();
                     local_subs.retain(|(c, _)| *c != client);
-                }
-                ChurnOp::LinkDown(index) => {
-                    let peer = peers[index];
-                    node.handle(Input::LinkDown { peer }).unwrap();
-                    node.handle(Input::LinkUp { peer }).unwrap();
-                    remote_subs.retain(|(p, _)| *p != peer);
                 }
                 ChurnOp::Publish(topic) => {
                     if !published.contains(&topic) {
@@ -514,7 +517,7 @@ proptest! {
 fn five_hop_chain_delivers_once() {
     let mut net = Cascade::new(5);
     for i in 1..5 {
-        net.link(i - 1, i, true);
+        net.link(i - 1, i);
     }
     let publisher = net.attach(0, 1);
     let subscriber = net.attach(4, 2);
@@ -529,7 +532,7 @@ fn five_hop_chain_delivers_once() {
 #[test]
 fn broker_partition_heals() {
     let mut net = Cascade::new(2);
-    net.link(0, 1, true);
+    net.link(0, 1);
     let publisher = net.attach(0, 1);
     let subscriber = net.attach(1, 2);
     net.subscribe(subscriber, TopicFilter::parse("conf/#").unwrap());
@@ -537,10 +540,10 @@ fn broker_partition_heals() {
     let topic = Topic::parse("conf/av").unwrap();
     assert_eq!(net.publish(publisher, &topic, b"1").len(), 1);
 
-    net.link(0, 1, false);
+    net.partition(0, 1, true);
     assert!(net.publish(publisher, &topic, b"2").is_empty(), "partitioned");
 
-    net.link(0, 1, true);
+    net.partition(0, 1, false);
     let after = net.publish(publisher, &topic, b"3");
     assert_eq!(after.len(), 1);
     assert_eq!(&after[0].1.payload[..], b"3");

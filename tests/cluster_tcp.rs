@@ -129,7 +129,7 @@ fn malformed_frames_are_counted_and_do_not_poison_the_node() {
     // sequenced only, or a replay of it would skip the per-peer dedup.
     // Framing stays intact across the rejects.
     let mut stream = TcpStream::connect(addr).expect("connect to node 0");
-    stream.write_all(&1u16.to_be_bytes()).expect("peer preamble");
+    stream.write_all(&preamble(1)).expect("peer preamble");
     let mut bad_version = encode_frame(FrameKind::Ack, 1, 0, 0, 0, &[]).freeze().to_vec();
     bad_version[0] = 9;
     let truncated = vec![0u8; CLUSTER_HEADER_LEN - 4];
@@ -172,7 +172,7 @@ fn malformed_frames_are_counted_and_do_not_poison_the_node() {
     // ends that connection only.
     let desync = node0();
     let mut evil = TcpStream::connect(addr).expect("second connection");
-    evil.write_all(&1u16.to_be_bytes()).expect("peer preamble");
+    evil.write_all(&preamble(1)).expect("peer preamble");
     evil.write_all(&3u32.to_be_bytes()).expect("impossible length");
     evil.write_all(&0u64.to_be_bytes()).expect("seq");
     evil.flush().expect("flush");
@@ -326,11 +326,19 @@ fn quiesce_after_shutdown_returns() {
     cluster.quiesce();
 }
 
+/// What a link opens a connection with: the node it claims to be, and
+/// the sequence number it resumes at (0: nothing was ever sent).
+fn preamble(claim: u16) -> [u8; 10] {
+    let mut preamble = [0u8; 10];
+    preamble[..2].copy_from_slice(&claim.to_be_bytes());
+    preamble
+}
+
 /// Writes one raw record on a fresh connection that claims to be node
 /// `claim`, and leaves the connection open.
 fn inject(addr: std::net::SocketAddr, claim: u16, seq: u64, frame: &[u8]) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    let mut record = claim.to_be_bytes().to_vec();
+    let mut record = preamble(claim).to_vec();
     record.extend_from_slice(&((frame.len() + 8) as u32).to_be_bytes());
     record.extend_from_slice(&seq.to_be_bytes());
     record.extend_from_slice(frame);

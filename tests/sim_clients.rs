@@ -232,57 +232,6 @@ fn relay_fans_out_locally_with_one_broker_send() {
     }
 }
 
-// Liveness under traffic.
-
-/// With healthy heartbeats both directions, links stay up and media
-/// keeps flowing across the pair indefinitely.
-#[test]
-fn healthy_brokers_stay_linked_and_forwarding() {
-    let mut sim = Simulation::new(8);
-    let h1 = sim.add_host("a", NicConfig::default());
-    let h2 = sim.add_host("b", NicConfig::default());
-    let every = SimDuration::from_millis(500);
-    let timeout = SimDuration::from_millis(1600);
-    let b1 = sim.add_typed_process(
-        h1,
-        BrokerProcess::new(BrokerId::from_raw(1), CostModel::narada())
-            .with_liveness(every, timeout),
-    );
-    let b2 = sim.add_typed_process(
-        h2,
-        BrokerProcess::new(BrokerId::from_raw(2), CostModel::narada())
-            .with_liveness(every, timeout),
-    );
-    sim.process_mut::<BrokerProcess>(b1)
-        .unwrap()
-        .add_peer(BrokerId::from_raw(2), b2);
-    sim.process_mut::<BrokerProcess>(b2)
-        .unwrap()
-        .add_peer(BrokerId::from_raw(1), b1);
-
-    let topic = Topic::parse("live/audio").unwrap();
-    let receiver = sim.add_typed_process(
-        h2,
-        RtpReceiver::new(
-            b2,
-            ClientId::from_raw(2),
-            TopicFilter::exact(&topic),
-            payload_type::PCMU,
-            SimDuration::from_micros(10),
-        ),
-    );
-    let mut config = PublisherConfig::new(b1, ClientId::from_raw(1), topic);
-    config.max_packets = 200; // 4 seconds of audio
-    sim.add_typed_process(
-        h1,
-        Publisher::new(config, AudioSource::new(AudioCodec::Pcmu, 1)),
-    );
-    sim.run_until(SimTime::from_secs(10));
-    assert_eq!(sim.counter("broker.peer_suspected"), 0);
-    let stats = sim.process_ref::<RtpReceiver>(receiver).unwrap().stats();
-    assert_eq!(stats.received(), 200);
-}
-
 // Client bundles: one delivery, many clients.
 
 #[test]
