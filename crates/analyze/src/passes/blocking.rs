@@ -5,10 +5,11 @@
 //! its thread — a blocking channel receive, `thread::sleep`, a join, a
 //! condvar wait, file IO — stalls every topic on the shard and shows up
 //! as tail latency in the Figure-3 curves. The only sanctioned blocking
-//! points are the ingress queues' own ([`PARK_POINTS`], named by
+//! points are the hand-off queue's own ([`PARK_POINTS`], named by
 //! `(self type, fn)` like the roots): where a worker sleeps on its
-//! empty queue, and where a producer is held at a full one. Everything
-//! else reachable from a loop body is a finding.
+//! empty queue — until woken, or until a deadline — and where a
+//! producer is held at a full one. Everything else reachable from a
+//! loop body is a finding.
 
 use crate::lexer::TokKind;
 use crate::lints::Violation;
@@ -24,15 +25,18 @@ pub const ROOTS: &[(&str, &str, &str)] = &[
 ];
 
 /// The sanctioned park points, `(path suffix, self type, fn name)`: a
-/// condvar `.wait(..)` inside one of these is the design, not a stall.
+/// condvar `.wait(..)` or `.wait_for(..)` inside one of these is the
+/// design, not a stall.
 pub const PARK_POINTS: &[(&str, &str, &str)] = &[
-    // The shard worker asleep on its empty ingress queue.
-    ("crates/broker/src/sharded.rs", "Ingress", "take_all"),
+    // A taker asleep on its empty queue: the shard worker on its
+    // ingress, with no deadline; a TCP link sender, until its next RTO
+    // tick while something is unacked.
+    ("crates/broker/src/handoff.rs", "Handoff", "take_all"),
     // A producer held at the ingress bound: a client publish, or a
     // federation data plane's `inject` on a socket reader or publishing
     // thread. Backpressure from a full shard is what the bound is for,
     // and `shutdown` releases it.
-    ("crates/broker/src/sharded.rs", "Ingress", "push_bounded"),
+    ("crates/broker/src/handoff.rs", "Handoff", "push_bounded"),
 ];
 
 /// The check pass: BFS from the worker loop, scan every reachable body
@@ -85,7 +89,13 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
                         Some("a condvar `.wait(..)`")
                     }
                 }
-                "wait_for" if prev_dot && next_open => Some("a condvar `.wait_for(..)`"),
+                "wait_for" if prev_dot && next_open => {
+                    if is_park_point {
+                        None
+                    } else {
+                        Some("a condvar `.wait_for(..)`")
+                    }
+                }
                 "fs" if toks.get(i + 1).is_some_and(|n| n.is_punct("::")) => {
                     Some("file IO (`fs::..`)")
                 }
@@ -122,14 +132,33 @@ mod tests {
     }
 
     #[test]
-    fn the_ingress_park_is_sanctioned_by_type_and_fn_not_by_token() {
-        // `Ingress::take_all` may wait; the same `.wait(..)` in a
-        // method of another type, or of another name, may not.
-        let hits = run(&[(
-            "crates/broker/src/sharded.rs",
-            "struct ShardWorker;\nimpl ShardWorker {\n    fn run(&self) {\n        self.ingress.take_all();\n        self.egress.flush();\n    }\n}\nstruct Ingress;\nimpl Ingress {\n    fn take_all(&self) {\n        self.work.wait(&mut queue);\n    }\n}\nstruct Egress;\nimpl Egress {\n    fn flush(&self) {\n        self.ready.wait(&mut inbox);\n        self.ready.wait_for(&mut inbox, left);\n    }\n}\n",
-        )]);
-        assert_eq!(hits, vec![17, 18]);
+    fn the_handoff_park_is_sanctioned_by_file_type_and_fn_not_by_token() {
+        // `Handoff::take_all` in `handoff.rs` may wait, with a deadline
+        // or without; the same waits in a method of another type, of
+        // another name, or of a `Handoff` in another file, may not.
+        let hits = run(&[
+            (
+                "crates/broker/src/sharded.rs",
+                "struct ShardWorker;\nimpl ShardWorker {\n    fn run(&self) {\n        self.ingress.take_all();\n        self.egress.flush();\n        self.ingress.drain();\n    }\n}\nstruct Egress;\nimpl Egress {\n    fn flush(&self) {\n        self.ready.wait(&mut inbox);\n        self.ready.wait_for(&mut inbox, left);\n    }\n}\nstruct Handoff;\nimpl Handoff {\n    fn drain(&self) {\n        self.work.wait_for(&mut queue, left);\n    }\n}\n",
+            ),
+            (
+                "crates/broker/src/handoff.rs",
+                "struct Handoff;\nimpl Handoff {\n    fn take_all(&self) {\n        self.work.wait(&mut queue);\n        self.work.wait_for(&mut queue, left);\n    }\n    fn take_one(&self) {\n        self.work.wait(&mut queue);\n    }\n}\n",
+            ),
+        ]);
+        assert_eq!(hits, vec![12, 13, 19]);
+        // Reached, the same wait in another method of the type is found.
+        let hits = run(&[
+            (
+                "crates/broker/src/sharded.rs",
+                "struct ShardWorker;\nimpl ShardWorker {\n    fn run(&self) {\n        self.ingress.take_one();\n    }\n}\n",
+            ),
+            (
+                "crates/broker/src/handoff.rs",
+                "struct Handoff;\nimpl Handoff {\n    fn take_all(&self) {\n        self.work.wait(&mut queue);\n    }\n    fn take_one(&self) {\n        self.work.wait(&mut queue);\n    }\n}\n",
+            ),
+        ]);
+        assert_eq!(hits, vec![7]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Shard-worker blocking fixture: the condvar wait in
-//! `Ingress::take_all` is the sanctioned park point; every other
-//! blocking construct reachable from the loop — a second wait inside
-//! the mailbox append included — is a finding, and blocking code the
-//! loop cannot reach stays silent.
+//! Shard-worker blocking fixture, linted beside `blocking_handoff.rs`:
+//! the waits in `Handoff::take_all` are the sanctioned park point;
+//! every other blocking construct reachable from the loop — a second
+//! wait inside the mailbox append included — is a finding, and blocking
+//! code the loop cannot reach stays silent.
 
 use std::time::Duration;
 
@@ -10,19 +10,6 @@ struct Condvar;
 
 impl Condvar {
     fn wait(&self, _guard: &mut u32) {}
-}
-
-struct Ingress {
-    work: Condvar,
-}
-
-impl Ingress {
-    fn take_all(&self, taken: &mut u32) {
-        self.work.wait(taken);
-    }
-    fn recv_timeout(&self, _wait: Duration) -> Result<u32, ()> {
-        Err(())
-    }
 }
 
 struct Mailbox {
@@ -36,7 +23,7 @@ impl Mailbox {
 }
 
 struct ShardWorker {
-    ingress: Ingress,
+    ingress: Handoff,
     mailbox: Mailbox,
 }
 
@@ -44,7 +31,7 @@ impl ShardWorker {
     fn run(&self) {
         let mut taken = 0;
         loop {
-            self.ingress.take_all(&mut taken);
+            self.ingress.take_all(&mut taken, None);
             self.step(taken);
         }
     }
@@ -58,7 +45,7 @@ impl ShardWorker {
     }
 }
 
-fn drain_side_channel(rx: &Ingress) {
+fn drain_side_channel(rx: &Handoff) {
     while rx.recv_timeout(Duration::from_millis(0)).is_ok() {}
 }
 

@@ -10,6 +10,7 @@ use mmcs_analyze::parse::parse_file;
 const LOCK_CYCLE: &str = include_str!("fixtures/lock_cycle.rs");
 const PANIC_ROOTS: &str = include_str!("fixtures/panic_roots.rs");
 const BLOCKING_WORKER: &str = include_str!("fixtures/blocking_worker.rs");
+const BLOCKING_HANDOFF: &str = include_str!("fixtures/blocking_handoff.rs");
 
 #[test]
 fn seeded_lock_cycle_is_detected_statically() {
@@ -78,20 +79,27 @@ fn unrooted_file_reports_nothing() {
 
 #[test]
 fn blocking_calls_in_worker_exact_lines() {
-    let violations = lint_sources(&[("crates/broker/src/sharded.rs", BLOCKING_WORKER)]);
-    let got: Vec<(&str, usize)> = violations.iter().map(|v| (v.lint, v.line)).collect();
+    let violations = lint_sources(&[
+        ("crates/broker/src/sharded.rs", BLOCKING_WORKER),
+        ("crates/broker/src/handoff.rs", BLOCKING_HANDOFF),
+    ]);
+    let got: Vec<(&str, &str, usize)> = violations
+        .iter()
+        .map(|v| (v.lint, v.path.as_str(), v.line))
+        .collect();
+    let worker = "crates/broker/src/sharded.rs";
     assert_eq!(
         got,
         vec![
-            ("blocking-in-shard-worker", 34), // a second wait, in Mailbox::append
-            ("blocking-in-shard-worker", 54), // thread::sleep in step
-            ("blocking-in-shard-worker", 62), // recv_timeout in helper
+            ("blocking-in-shard-worker", worker, 21), // a second wait, in Mailbox::append
+            ("blocking-in-shard-worker", worker, 41), // thread::sleep in step
+            ("blocking-in-shard-worker", worker, 49), // recv_timeout in helper
         ],
         "{violations:#?}"
     );
-    // The wait in `Ingress::take_all` (line 21) is the sanctioned park
-    // point; `cold_join`'s `.join()` (line 66) is unreachable.
-    assert!(!got.iter().any(|&(_, line)| line == 21 || line == 66));
+    // Both waits in `Handoff::take_all` (handoff lines 14 and 15) are
+    // the sanctioned park point; `cold_join`'s `.join()` (worker line
+    // 53) is unreachable.
 }
 
 #[test]

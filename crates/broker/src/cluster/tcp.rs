@@ -48,9 +48,16 @@
 //! which is TCP's own backpressure. Shutting the broker down closes the
 //! ingress and releases it.
 //!
-//! The sender gathers what is queued into one socket write and the
-//! reader takes records out of one buffered read, answering a read's
-//! worth of sequenced records with a single cumulative ack. The reader
+//! **The link queue** is the crate's one hand-off, the swap-whole queue
+//! a shard worker takes its ingress from: a publisher's `Send`, a
+//! reader's `Ack` and a flush are each a push, and a producer wakes the
+//! link thread only if it is asleep. The thread takes its whole queue per
+//! turn and gathers it into socket writes of at most about [`IO_BATCH`];
+//! with the queue empty it watches it for a millisecond before it parks —
+//! until woken if nothing is unacked, until the next RTO tick otherwise —
+//! so a publisher's bursts do not wake it once each. The reader takes
+//! records out of one buffered read, answering a read's worth of
+//! sequenced records with a single cumulative ack. The reader
 //! copies a read once; every record it hands on is a `Bytes` slice of
 //! that copy, so a decoded event's payload keeps the copy alive until
 //! its last subscriber drops it. Both loops are panic-reachability
@@ -60,7 +67,6 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -73,6 +79,7 @@ use super::frame::{encode_frame, read_u64, ClusterFrame, FrameKind, LinkFrame};
 use super::route::LatencyMap;
 use super::plane::{DataPlane, Link};
 use crate::gossip::NodeId;
+use crate::handoff::{BarrierAck, Handoff, Latch};
 use crate::metrics::ClusterNodeMetrics;
 use crate::reliable::{Ack, ReliableFrame, ReliableReceiver, ReliableSender};
 
@@ -101,10 +108,10 @@ enum LinkOp {
     Send(LinkFrame),
     /// The peer's cumulative ack for this link, off a socket reader.
     Ack(Ack),
-    /// Put a `Flush` record behind everything sent so far. The handle is
+    /// Put a `Flush` record behind everything sent so far. The ack is
     /// dropped when the peer has answered, or at once if nothing is
     /// connected.
-    Flush(Sender<()>),
+    Flush(BarrierAck),
     /// The peer's answer to the flush with this token, off a reader.
     FlushAck(u64),
     /// The peer is suspected dead: shed every unacked or queued frame,
@@ -116,20 +123,34 @@ enum LinkOp {
 }
 
 /// The queue into one directed link's sender thread ([`run_link`]).
-type TcpLink = Sender<LinkOp>;
+type TcpLink = Arc<Handoff<LinkOp>>;
 
-/// The link sender loop: feeds the queue through the reliable sender
-/// and writes whatever that releases, one socket write per drained
-/// queue. It never sleeps, so a queue of any depth drains (and `Close`
-/// is reached) promptly even while the peer is down; with nothing
-/// unacked it parks on the queue.
+/// The link thread's hold on its queue: however the thread ends, the
+/// queue stops accepting and drops what it holds, which completes every
+/// flush in it.
+struct Taker<'a>(&'a Handoff<LinkOp>);
+
+impl Drop for Taker<'_> {
+    fn drop(&mut self) {
+        self.0.abandon();
+    }
+}
+
+/// The link sender loop: takes its whole queue per turn, feeds it
+/// through the reliable sender and writes whatever that releases, in
+/// socket writes of at most about [`IO_BATCH`]. It never sleeps in a
+/// turn, so a queue of any depth drains (and `Close` is reached)
+/// promptly even while the peer is down. With the queue empty it
+/// watches it briefly, as a shard worker does, and then parks: until
+/// woken with nothing unacked, until the next RTO tick otherwise.
 fn run_link(
     me: NodeId,
     peer: NodeId,
     addr: SocketAddr,
-    ops: &Receiver<LinkOp>,
+    ops: &Handoff<LinkOp>,
     metrics: &ClusterNodeMetrics,
 ) {
+    let _taker = Taker(ops);
     let mut reliable = ReliableSender::<LinkFrame>::new(LINK_WINDOW, LINK_RTO);
     let mut socket = LinkSocket {
         me,
@@ -143,22 +164,14 @@ fn run_link(
     };
     // Flushes written and not yet answered. Tokens count up from zero,
     // so an answer to one this link never sent is recognisable.
-    let mut flushes: Vec<(u64, Sender<()>)> = Vec::new();
+    let mut flushes: Vec<(u64, BarrierAck)> = Vec::new();
     let mut next_token = 0u64;
     let mut next_tick = SimTime::ZERO;
+    let mut taken = Vec::new();
     loop {
-        let first = if reliable.is_idle() {
-            ops.recv().map_err(|_| RecvTimeoutError::Disconnected)
-        } else {
-            ops.recv_timeout(Duration::from_nanos(LINK_TICK.as_nanos()))
-        };
-        let now = monotonic_now();
-        let mut next = match first {
-            Ok(op) => Some(op),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        while let Some(op) = next {
+        ops.take_all(&mut taken, (!reliable.is_idle()).then_some(next_tick));
+        let mut now = monotonic_now();
+        for op in taken.drain(..) {
             let due = match op {
                 // Never queue something the peer will reject outright.
                 LinkOp::Send(frame) if frame.len() + 8 > MAX_TCP_FRAME => {
@@ -206,11 +219,10 @@ fn run_link(
             for frame in due {
                 socket.queue(frame.seq + 1, &frame.event);
             }
-            next = if socket.out.len() < IO_BATCH {
-                ops.try_recv().ok()
-            } else {
-                None
-            };
+            if socket.out.len() >= IO_BATCH {
+                write_out(&mut socket, &mut flushes, now, reliable.resume_seq());
+                now = monotonic_now();
+            }
         }
         if now >= next_tick {
             for frame in reliable.on_tick(now) {
@@ -218,10 +230,21 @@ fn run_link(
             }
             next_tick = now + LINK_TICK;
         }
-        socket.write(now, reliable.resume_seq());
-        if socket.stream.is_none() {
-            flushes.clear();
-        }
+        write_out(&mut socket, &mut flushes, now, reliable.resume_seq());
+    }
+}
+
+/// Writes what the link has gathered; a link left with nothing connected
+/// completes every flush it holds.
+fn write_out(
+    socket: &mut LinkSocket<'_>,
+    flushes: &mut Vec<(u64, BarrierAck)>,
+    now: SimTime,
+    resume: u64,
+) {
+    socket.write(now, resume);
+    if socket.stream.is_none() {
+        flushes.clear();
     }
 }
 
@@ -368,7 +391,7 @@ impl ReaderCtx {
         if kind == FrameKind::Ack {
             if let Some(link) = self.link(peer) {
                 let next_expected = parsed.generation();
-                let _ = link.send(LinkOp::Ack(Ack { next_expected }));
+                link.push(LinkOp::Ack(Ack { next_expected }));
             }
             return;
         }
@@ -420,12 +443,12 @@ impl ReaderCtx {
                 if let Some(link) = self.link(peer) {
                     let answer =
                         encode_frame(FrameKind::FlushAck, self.plane.me, peer, 0, token, &[]);
-                    let _ = link.send(LinkOp::Send(LinkFrame::Encoded(answer.freeze())));
+                    link.push(LinkOp::Send(LinkFrame::Encoded(answer.freeze())));
                 }
             }
             FrameKind::FlushAck => {
                 if let Some(link) = self.link(peer) {
-                    let _ = link.send(LinkOp::FlushAck(token));
+                    link.push(LinkOp::FlushAck(token));
                 }
             }
             _ => self.plane.on_frame(frame, &parsed),
@@ -542,7 +565,7 @@ fn run_reader(mut stream: TcpStream, ctx: &ReaderCtx) {
         }
         if let (Some(Ack { next_expected }), Some(link)) = (ack, ctx.link(peer)) {
             let ack = encode_frame(FrameKind::Ack, ctx.plane.me, peer, 0, next_expected, &[]);
-            let _ = link.send(LinkOp::Send(LinkFrame::Encoded(ack.freeze())));
+            link.push(LinkOp::Send(LinkFrame::Encoded(ack.freeze())));
         }
         if buf.fill(&mut stream).is_err() {
             return;
@@ -649,11 +672,12 @@ impl TcpFabric {
         let mut nodes = Vec::with_capacity(n);
         for ((me, socket), plane) in sockets.into_iter().enumerate().zip(planes) {
             let mut spawn_link = |peer: usize| {
-                let (ops, rx) = channel();
+                let ops: TcpLink = Arc::new(Handoff::unbounded());
                 let (addr, metrics) = (addrs[peer], Arc::clone(&plane.metrics));
+                let queue = Arc::clone(&ops);
                 let thread = std::thread::Builder::new()
                     .name(format!("mmcs-link{me}"))
-                    .spawn(move || run_link(me as NodeId, peer as NodeId, addr, &rx, &metrics))
+                    .spawn(move || run_link(me as NodeId, peer as NodeId, addr, &queue, &metrics))
                     .expect("spawn tcp link thread");
                 link_threads.push(thread);
                 ops
@@ -670,9 +694,7 @@ impl TcpFabric {
                     .iter()
                     .map(|link| {
                         let ops = link.clone()?;
-                        Some(Box::new(move |frame| {
-                            let _ = ops.send(LinkOp::Send(frame));
-                        }) as Link)
+                        Some(Box::new(move |frame| ops.push(LinkOp::Send(frame))) as Link)
                     })
                     .collect(),
             );
@@ -699,23 +721,23 @@ impl TcpFabric {
     pub(super) fn shed_link(&self, node: NodeId, peer: NodeId) {
         let link = self.nodes.get(node as usize).and_then(|n| n.ctx.link(peer));
         if let Some(link) = link {
-            let _ = link.send(LinkOp::Shed);
+            link.push(LinkOp::Shed);
         }
     }
 
     /// Flushes every directed link (see the module docs) and waits for
-    /// the answers. A node that is not listening cannot hear one, so its
-    /// outbound links count as not connected.
+    /// the answers, on one latch as a shard barrier does. A node that is
+    /// not listening cannot hear one, so its outbound links count as not
+    /// connected.
     pub(super) fn flush_links(&self) {
-        let (done, answered) = channel();
+        let latch = Latch::new();
         for node in self.nodes.iter().filter(|node| node.accept.is_some()) {
             for link in node.ctx.links.iter().flatten() {
-                let _ = link.send(LinkOp::Flush(done.clone()));
+                link.push(LinkOp::Flush(latch.ack()));
             }
         }
-        drop(done);
-        // Ends when the last link has dropped its handle.
-        while answered.recv().is_ok() {}
+        // Settles when the last link has dropped its ack.
+        latch.wait_settled();
     }
 }
 
@@ -725,14 +747,13 @@ impl Drop for TcpFabric {
             node.stop();
         }
         // Closed explicitly: data planes and readers hold clones of a link's
-        // queue, so waiting for it to disconnect would make these joins
-        // depend on their drop order.
+        // queue, so nothing else ends its thread.
         for link in self
             .nodes
             .iter()
             .flat_map(|node| node.ctx.links.iter().flatten())
         {
-            let _ = link.send(LinkOp::Close);
+            link.close(LinkOp::Close);
         }
         for thread in self.link_threads.drain(..) {
             let _ = thread.join();
@@ -760,6 +781,12 @@ mod tests {
         .into_shared()
     }
 
+    /// A link queue and the link thread's handle on it.
+    fn queue() -> (TcpLink, TcpLink) {
+        let link: TcpLink = Arc::new(Handoff::unbounded());
+        (Arc::clone(&link), link)
+    }
+
     fn event_frame(n: u64) -> LinkFrame {
         LinkFrame::Encoded(encode_event_frame(7, 9, 0, 0, &event(n)).freeze())
     }
@@ -775,10 +802,10 @@ mod tests {
         let reserved = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
         let addr = reserved.local_addr().expect("addr");
         drop(reserved);
-        let (link, ops) = channel();
+        let (link, ops) = queue();
         let metrics = ClusterNodeMetrics::detached();
         let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
-        let send = |frame| assert!(link.send(LinkOp::Send(frame)).is_ok());
+        let send = |frame| link.push(LinkOp::Send(frame));
         send(event_frame(0)); // peer down: lost, stays in flight
         std::thread::sleep(Duration::from_millis(30)); // let the backoff lapse
         let listener = TcpListener::bind(addr).expect("bind the reserved port");
@@ -806,7 +833,7 @@ mod tests {
             stream.read_exact(&mut frame).expect("record body");
             seen.push((u64::from_be_bytes(seq), start.elapsed()));
         }
-        assert!(link.send(LinkOp::Close).is_ok());
+        link.close(LinkOp::Close);
         thread.join().expect("link thread exits on close");
 
         for seq in [1u64, 2] {
@@ -834,7 +861,7 @@ mod tests {
     fn a_retransmitted_event_record_matches_the_first_byte_for_byte() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let (link, ops) = channel();
+        let (link, ops) = queue();
         let metrics = ClusterNodeMetrics::detached();
         let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
         let event = event(3);
@@ -844,14 +871,14 @@ mod tests {
             generation: 5,
             event: Arc::clone(&event),
         };
-        assert!(link.send(LinkOp::Send(frame)).is_ok());
+        link.push(LinkOp::Send(frame));
 
         let (mut stream, _) = listener.accept().expect("link connects");
         let mut preamble = [0u8; PREAMBLE];
         stream.read_exact(&mut preamble).expect("preamble");
         let first = read_record(&mut stream);
         let again = read_record(&mut stream);
-        assert!(link.send(LinkOp::Close).is_ok());
+        link.close(LinkOp::Close);
         thread.join().expect("link thread exits on close");
 
         assert_eq!(first, again, "the retransmit is the same record");
@@ -976,16 +1003,16 @@ mod tests {
 
     #[test]
     fn an_oversize_frame_is_counted_as_a_link_drop() {
-        let (link, ops) = channel();
+        let (link, ops) = queue();
         let metrics = ClusterNodeMetrics::detached();
         let seen = Arc::clone(&metrics);
         let addr = closed_port();
         let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
         for len in [MAX_TCP_FRAME - 7, MAX_TCP_FRAME - 8] {
             let frame = LinkFrame::Encoded(Bytes::from(vec![0u8; len]));
-            assert!(link.send(LinkOp::Send(frame)).is_ok());
+            link.push(LinkOp::Send(frame));
         }
-        assert!(link.send(LinkOp::Close).is_ok());
+        link.close(LinkOp::Close);
         thread.join().expect("link thread exits on close");
         assert_eq!(seen.link_drops.get(), 1, "only the frame over the bound");
     }
@@ -1002,8 +1029,8 @@ mod tests {
 
     /// Whether the link lets go of the flush `answered` waits on within
     /// `wait`.
-    fn completes(answered: &Receiver<()>, wait: Duration) -> bool {
-        answered.recv_timeout(wait) == Err(RecvTimeoutError::Disconnected)
+    fn completes(answered: &Latch, wait: Duration) -> bool {
+        answered.settled_within(wait)
     }
 
     /// The test plays the peer of one link sender. A flush goes out as a
@@ -1015,13 +1042,13 @@ mod tests {
     fn a_flush_completes_on_its_own_answer_or_when_nothing_is_connected() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let (link, ops) = channel();
+        let (link, ops) = queue();
         let metrics = ClusterNodeMetrics::detached();
         let seen = Arc::clone(&metrics);
         let thread = std::thread::spawn(move || run_link(7, 9, addr, &ops, &metrics));
         let flush = || {
-            let (done, answered) = channel();
-            assert!(link.send(LinkOp::Flush(done)).is_ok());
+            let answered = Latch::new();
+            link.push(LinkOp::Flush(answered.ack()));
             answered
         };
 
@@ -1044,7 +1071,7 @@ mod tests {
 
         // An answer to token 5, which was never sent. The second flush
         // is read back only to know the link has got that far.
-        assert!(link.send(LinkOp::FlushAck(5)).is_ok());
+        link.push(LinkOp::FlushAck(5));
         let second = flush();
         let (seq, frame) = read_record(&mut stream);
         assert_eq!((seq, read_u64(&frame, OFF_GENERATION)), (2, 1));
@@ -1052,7 +1079,7 @@ mod tests {
         let (now, soon) = (Duration::ZERO, Duration::from_secs(5));
         assert!(!completes(&first, now) && !completes(&second, now));
 
-        assert!(link.send(LinkOp::FlushAck(0)).is_ok());
+        link.push(LinkOp::FlushAck(0));
         assert!(completes(&first, soon), "its own answer completes it");
         assert!(!completes(&second, now), "and nothing else");
 
@@ -1062,7 +1089,7 @@ mod tests {
         assert!(completes(&third, soon), "peer gone: completes at once");
         assert!(completes(&second, soon), "and so does the pending one");
 
-        assert!(link.send(LinkOp::Close).is_ok());
+        link.close(LinkOp::Close);
         thread.join().expect("link thread exits on close");
         assert_eq!(seen.decode_errors.get(), 1);
     }

@@ -36,7 +36,9 @@
 //! * [`sharded`] — the live runtime on real OS threads: the topic space
 //!   is partitioned across N shards (one is a plain single-loop
 //!   broker), each with its own node slice and batched ingress queue,
-//!   joined by a cross-shard forwarding ring.
+//!   joined by a cross-shard forwarding ring. Its workers and the TCP
+//!   link senders of [`cluster`] wait on one queue type, the private
+//!   `handoff` module's swap-whole `Handoff`.
 //! * [`cluster`] — the federation: sharded brokers joined over
 //!   in-process or loopback-TCP links, with [`gossip`] interest
 //!   exchange; under `cluster/`: `frame` (codec), `route` (latency map,
@@ -69,6 +71,7 @@ pub mod batch;
 pub mod cluster;
 pub mod event;
 pub mod gossip;
+mod handoff;
 pub mod metrics;
 pub mod node;
 pub mod profile;

@@ -11,7 +11,9 @@
 //! A peer is woken only when it is actually asleep, and a worker that
 //! runs out of commands watches its queue for a millisecond before it
 //! sleeps, so a closed publish → deliver → publish loop never pays a
-//! wake-up per turn.
+//! wake-up per turn. The ingress queue and its barrier latch are the
+//! crate's one hand-off (the private `handoff` module), which the
+//! federation's TCP link senders wait on too.
 //!
 //! # Topology
 //!
@@ -95,6 +97,7 @@ use mmcs_util::time::{monotonic_now, SimDuration};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::event::{Event, EventClass};
+use crate::handoff::{BarrierAck, Handoff, Latch};
 use crate::metrics::{BrokerMetrics, ShardedBrokerMetrics};
 use crate::node::{Action, BrokerNode, Input, Origin};
 use crate::profile::TransportProfile;
@@ -106,15 +109,6 @@ const SHARD_BATCH_MAX: usize = 64;
 const SHARD_BATCH_BYTES: usize = 256 * 1024;
 /// Default per-shard ingress capacity (publishes wait past this).
 const DEFAULT_SHARD_CAPACITY: usize = 65_536;
-/// How long a worker that finds its ingress empty keeps watching it
-/// (yielding its core each turn) before it sleeps. A closed loop —
-/// publish, wait for the deliveries, publish again — leaves the worker
-/// idle for 50–500 µs a turn; sleeping through each gap costs a futex
-/// wake plus however long the host takes to put the worker back on a
-/// core, which is a quarter of such a turn on a quiet host and varies
-/// with the neighbours. An idle broker pays this once per burst.
-const IDLE_POLL: SimDuration = SimDuration::from_millis(1);
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -204,160 +198,6 @@ fn cmd_bytes(cmd: &ShardCmd) -> usize {
             Inbound::Publish(_, event) | Inbound::Forward(event) | Inbound::Inject(event),
         ) => event.payload.len(),
         _ => 0,
-    }
-}
-
-/// One shard's ingress: a bounded multi-producer queue the worker takes
-/// whole. `capacity` binds client publishes and injects; everything
-/// else is always accepted.
-struct Ingress {
-    queue: Mutex<IngressQueue>,
-    /// The worker sleeps here while the queue is empty.
-    work: Condvar,
-    /// Bounded producers sleep here while the queue is full.
-    room: Condvar,
-    capacity: usize,
-    /// Mirrors the queue's length: the `queue_depth` instrument.
-    depth: Arc<Gauge>,
-}
-
-#[derive(Default)]
-struct IngressQueue {
-    commands: Vec<ShardCmd>,
-    /// The worker is asleep on `work` and nobody has woken it yet: the
-    /// only state in which a producer issues a wake.
-    parked: bool,
-    /// Producers asleep on `room`.
-    waiting: usize,
-    /// Shutdown was requested or the worker is gone: nothing more is
-    /// accepted, and what is refused is dropped.
-    closed: bool,
-}
-
-impl Ingress {
-    fn new(capacity: usize, depth: Arc<Gauge>) -> Self {
-        Self {
-            queue: Mutex::new(IngressQueue::default()),
-            work: Condvar::new(),
-            room: Condvar::new(),
-            capacity,
-            depth,
-        }
-    }
-
-    /// Enqueues without waiting, whatever the queue's length.
-    fn push(&self, cmd: ShardCmd) {
-        self.enqueue(self.queue.lock(), cmd);
-    }
-
-    /// Enqueues a client publish, sleeping while the queue is at
-    /// capacity. Closing the queue releases the sleeper and drops the
-    /// command, so publishers can never hang on a dead broker — and a
-    /// publish that happens-after [`ShardedBroker::shutdown`] returned
-    /// finds the queue closed under the same lock that closed it.
-    fn push_bounded(&self, cmd: ShardCmd) {
-        let mut queue = self.queue.lock();
-        while queue.commands.len() >= self.capacity && !queue.closed {
-            queue.waiting += 1;
-            self.room.wait(&mut queue);
-            queue.waiting -= 1;
-        }
-        self.enqueue(queue, cmd);
-    }
-
-    fn enqueue(&self, mut queue: MutexGuard<'_, IngressQueue>, cmd: ShardCmd) {
-        if queue.closed {
-            drop(queue);
-            return; // `cmd` is dropped unqueued, outside the lock
-        }
-        queue.commands.push(cmd);
-        self.depth.set(queue.commands.len() as i64);
-        self.unlock_and_wake(queue);
-    }
-
-    /// Unlocks, then wakes the worker if it was asleep and nobody has
-    /// woken it since.
-    fn unlock_and_wake(&self, mut queue: MutexGuard<'_, IngressQueue>) {
-        let wake = std::mem::take(&mut queue.parked);
-        drop(queue);
-        if wake {
-            self.work.notify_one();
-        }
-    }
-
-    /// Moves everything queued into `taken` (which must be empty; its
-    /// capacity becomes the queue's), waiting first if there is
-    /// nothing. This is the worker's one sanctioned park point.
-    fn take_all(&self, taken: &mut Vec<ShardCmd>) {
-        let mut queue = self.queue.lock();
-        if queue.commands.is_empty() {
-            // Gone idle: watch the length for `IDLE_POLL`, offering the
-            // core to any runnable thread each turn, before sleeping.
-            drop(queue);
-            let give_up = monotonic_now().saturating_add(IDLE_POLL);
-            while self.depth.get() == 0 && monotonic_now() < give_up {
-                std::thread::yield_now();
-            }
-            queue = self.queue.lock();
-        }
-        while queue.commands.is_empty() {
-            queue.parked = true;
-            self.work.wait(&mut queue);
-        }
-        std::mem::swap(&mut queue.commands, taken);
-        self.depth.set(0);
-        let waiting = queue.waiting;
-        drop(queue);
-        if waiting > 0 {
-            self.room.notify_all();
-        }
-    }
-
-    /// Shutdown: `last` is the final command this queue accepts, and
-    /// every sleeping producer is released. Idempotent.
-    fn close(&self, last: ShardCmd) {
-        let mut queue = self.queue.lock();
-        if queue.closed {
-            return;
-        }
-        queue.closed = true;
-        queue.commands.push(last);
-        self.depth.set(queue.commands.len() as i64);
-        self.unlock_and_wake(queue);
-        self.room.notify_all();
-    }
-
-    /// The consumer is gone: nothing more is accepted, and what is
-    /// still queued is dropped (which acks any barrier in it).
-    fn abandon(&self) {
-        let mut queue = self.queue.lock();
-        queue.closed = true;
-        let dropped = std::mem::take(&mut queue.commands);
-        self.depth.set(0);
-        drop(queue);
-        self.room.notify_all();
-        drop(dropped);
-    }
-}
-
-/// What [`ShardedBroker::quiesce`] waits on: barrier acks still owed.
-struct Latch {
-    owed: Mutex<usize>,
-    settled: Condvar,
-}
-
-/// One shard's share of a barrier; dropping it is the ack, so a
-/// barrier that a closed ingress refuses, or that dies with its queue,
-/// still counts down.
-struct BarrierAck(Arc<Latch>);
-
-impl Drop for BarrierAck {
-    fn drop(&mut self) {
-        let mut owed = self.0.owed.lock();
-        *owed = owed.saturating_sub(1);
-        if *owed == 0 {
-            self.0.settled.notify_all();
-        }
     }
 }
 
@@ -468,7 +308,7 @@ impl Drop for MailboxWriter {
 /// Shared command-routing state between the broker handle, its clients,
 /// and (read-only) the workers.
 struct Router {
-    shards: Vec<Arc<Ingress>>,
+    shards: Vec<Arc<Handoff<ShardCmd>>>,
     next_client: AtomicU64,
 }
 
@@ -581,13 +421,13 @@ impl ShardedBroker {
         capacity: usize,
         metrics: Option<Arc<ShardedBrokerMetrics>>,
     ) -> Self {
-        let links: Vec<Arc<Ingress>> = (0..shards)
+        let links: Vec<Arc<Handoff<ShardCmd>>> = (0..shards)
             .map(|index| {
                 let depth = match &metrics {
                     Some(m) => Arc::clone(&m.shard(index).queue_depth),
                     None => Arc::new(Gauge::new()),
                 };
-                Arc::new(Ingress::new(capacity, depth))
+                Arc::new(Handoff::new(capacity, depth))
             })
             .collect();
         let mut handles = Vec::with_capacity(shards);
@@ -694,17 +534,11 @@ impl ShardedBroker {
     /// shard that has shut down acks by refusing the barrier.
     pub fn quiesce(&self) {
         for _ in 0..2 {
-            let latch = Arc::new(Latch {
-                owed: Mutex::new(self.shard_count()),
-                settled: Condvar::new(),
-            });
+            let latch = Latch::new();
             for ingress in &self.router.shards {
-                ingress.push(ShardCmd::Barrier(BarrierAck(Arc::clone(&latch))));
+                ingress.push(ShardCmd::Barrier(latch.ack()));
             }
-            let mut owed = latch.owed.lock();
-            while *owed > 0 {
-                latch.settled.wait(&mut owed);
-            }
+            latch.wait_settled();
         }
     }
 
@@ -910,7 +744,7 @@ struct ShardWorker {
     index: usize,
     shards: usize,
     /// Every shard's ingress, this worker's own at `index`.
-    links: Vec<Arc<Ingress>>,
+    links: Vec<Arc<Handoff<ShardCmd>>>,
     metrics: Option<Arc<BrokerMetrics>>,
     node: BrokerNode,
     egress: Egress,
@@ -938,7 +772,7 @@ impl Drop for ShardWorker {
 
 impl ShardWorker {
     /// Worker `index` of the `links.len()` shards reachable over `links`.
-    fn new(index: usize, links: Vec<Arc<Ingress>>, metrics: Option<Arc<BrokerMetrics>>) -> Self {
+    fn new(index: usize, links: Vec<Arc<Handoff<ShardCmd>>>, metrics: Option<Arc<BrokerMetrics>>) -> Self {
         Self {
             index,
             shards: links.len(),
@@ -971,7 +805,7 @@ impl ShardWorker {
         };
         let mut taken = Vec::new();
         loop {
-            ingress.take_all(&mut taken);
+            ingress.take_all(&mut taken, None);
             let mut commands = taken.drain(..);
             while commands.len() > 0 {
                 if !self.process_batch(&mut commands) {
@@ -1539,7 +1373,8 @@ mod tests {
 
     #[test]
     fn worker_stops_at_the_shutdown_command_not_at_end_of_batch() {
-        let links = vec![Arc::new(Ingress::new(4, Arc::new(Gauge::new())))];
+        let depth = Arc::new(Gauge::new());
+        let links = vec![Arc::new(Handoff::new(4, Arc::clone(&depth)))];
         let mut worker = ShardWorker::new(0, links, None);
         let inbox = Mailbox::new();
         let (subscriber, publisher) = (ClientId::from_raw(1), ClientId::from_raw(2));
@@ -1572,6 +1407,6 @@ mod tests {
         drop(worker);
         assert!(inbox.recv_timeout(RECV).is_none());
         ingress.push_bounded(publish(2));
-        assert_eq!(ingress.depth.get(), 0);
+        assert_eq!(depth.get(), 0);
     }
 }

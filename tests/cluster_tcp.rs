@@ -22,6 +22,8 @@
 //!   working; so is a valid event frame sent unsequenced, which would
 //!   skip the dedup; an unframeable length prefix is counted and ends
 //!   only that connection, never the node;
+//! * **an idle link wakes** — a link that has parked with nothing
+//!   unacked sends the next frame as soon as it is handed one;
 //! * **prompt shutdown** — dropping a cluster joins every thread it
 //!   spawned within a bound that does not depend on how much traffic
 //!   is still queued toward peers that are already gone.
@@ -324,6 +326,41 @@ fn quiesce_after_shutdown_returns() {
     assert!(cluster.converge(8), "links connected");
     cluster.shutdown();
     cluster.quiesce();
+}
+
+/// A link with nothing unacked watches its queue for a moment and then
+/// parks with no deadline: only the producer's wake can move the next
+/// frame. Each round settles the mesh, sleeps until every link has
+/// parked, and then publishes one event, which every remote subscriber
+/// must receive promptly — a push that fails to wake a parked link
+/// leaves its subscriber waiting for ever.
+#[test]
+fn an_idle_link_wakes_for_the_next_frame() {
+    let cluster = Cluster::builder(LatencyMap::full_mesh(3, 2)).tcp().spawn();
+    let clients: Vec<_> = (0..3).map(|zone| cluster.attach(zone)).collect();
+    for client in &clients {
+        client.subscribe(TopicFilter::parse("idle/#").expect("filter"));
+    }
+    assert!(cluster.converge(8), "interest gossip converged");
+    let topic = Topic::parse("idle/x").expect("topic");
+    for round in 0..50 {
+        clients[0].publish(topic.clone(), Bytes::new());
+        cluster.quiesce();
+        for client in &clients {
+            assert_eq!(drain(client).len(), 1, "round {round}: {client:?}");
+        }
+        // Long past the idle watch: every link with nothing unacked is
+        // asleep until woken.
+        std::thread::sleep(Duration::from_millis(5));
+        clients[0].publish(topic.clone(), Bytes::new());
+        for client in &clients[1..] {
+            assert!(
+                client.recv_timeout(Duration::from_millis(200)).is_some(),
+                "round {round}: a parked link was not woken for {client:?}"
+            );
+        }
+        assert!(clients[0].recv_timeout(Duration::from_secs(2)).is_some());
+    }
 }
 
 /// What a link opens a connection with: the node it claims to be, and

@@ -15,9 +15,10 @@
 //! must also be free once warm.
 //!
 //! A final phase pins what a whole federation publish costs the
-//! publishing thread: over loopback TCP to two remote nodes, at most 1.1
-//! allocations per publish — the event's `Arc` plus the queues'
-//! amortized blocks. The links encode the frames on their own threads.
+//! publishing thread: over loopback TCP to two remote nodes, at most
+//! 1.01 allocations per publish — the event's `Arc`. The broker ingress
+//! and both link queues are swap-whole buffers that keep their capacity,
+//! and the links encode the frames on their own threads.
 //!
 //! This file holds exactly one test so the counting allocator sees no
 //! traffic from sibling tests in the same binary.
@@ -323,9 +324,15 @@ fn warm_publish_allocates_nothing() {
     // subscriber and two remote nodes. The publishing thread builds the
     // event's `Arc`, hands it to its home broker's ingress and to each
     // next-hop link, and encodes nothing: the link threads write the
-    // frames. What it allocates is that `Arc` plus its share of the
-    // queues' amortized blocks. Topics and payloads are built before the
-    // counted window; the warm-up publishes grow every queue first.
+    // frames. What it allocates is that `Arc`. The three queues it
+    // pushes onto are swap-whole buffer pairs that keep their capacity,
+    // so besides the `Arc` it pays only when a buffer first outgrows the
+    // queue's deepest backlog so far: a doubling, at most a dozen per
+    // buffer whatever the scheduling (30–41 in all over 10,000 publishes
+    // on a 2-core host), where a queue that allocates per send — the std
+    // channel's block per 31 sends — costs 0.06 per publish. Topics and
+    // payloads are built before the counted window.
+    const REMOTE_PUBLISHES: u64 = 10_000;
     let cluster = Cluster::builder(LatencyMap::full_mesh(3, 1)).tcp().spawn();
     let subscribers: Vec<_> = (0..3).map(|zone| cluster.attach(zone)).collect();
     for subscriber in &subscribers {
@@ -334,8 +341,8 @@ fn warm_publish_allocates_nothing() {
     assert!(cluster.converge(8), "interest gossip converged");
     let publisher = cluster.attach(0);
     let warm = 100;
-    let topics = vec![event.topic.clone(); warm + PUBLISHES as usize];
-    let payloads = vec![Bytes::from_static(&[0u8; 172]); warm + PUBLISHES as usize];
+    let topics = vec![event.topic.clone(); warm + REMOTE_PUBLISHES as usize];
+    let payloads = vec![Bytes::from_static(&[0u8; 172]); warm + REMOTE_PUBLISHES as usize];
     let mut sends = topics.into_iter().zip(payloads);
     for (topic, payload) in sends.by_ref().take(warm) {
         publisher.publish_class(topic, EventClass::Rtp, payload);
@@ -348,16 +355,16 @@ fn warm_publish_allocates_nothing() {
         publisher.publish_class(topic, EventClass::Rtp, payload);
     }
     let allocs = thread_allocs() - before;
-    assert_eq!(forwards() - forwarded, 2 * PUBLISHES, "two remote nodes each");
+    assert_eq!(forwards() - forwarded, 2 * REMOTE_PUBLISHES, "two remote nodes each");
     assert!(
-        allocs * 10 <= PUBLISHES * 11,
-        "a federation publish allocates at most 1.1 times on the publishing \
-         thread ({allocs} allocations across {PUBLISHES} publishes)",
+        allocs * 100 <= REMOTE_PUBLISHES * 101,
+        "a federation publish allocates at most 1.01 times on the publishing \
+         thread ({allocs} allocations across {REMOTE_PUBLISHES} publishes)",
     );
     cluster.quiesce();
     for subscriber in &subscribers {
         let mut got = Vec::new();
         subscriber.drain_into(&mut got);
-        assert_eq!(got.len(), warm + PUBLISHES as usize, "every publish delivered");
+        assert_eq!(got.len(), warm + REMOTE_PUBLISHES as usize, "every publish delivered");
     }
 }
