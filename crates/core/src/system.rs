@@ -17,19 +17,20 @@
 //!   notifications and invites are translated for the recipient's
 //!   [`EndpointKind`] (a user a gateway admits is bound to that
 //!   gateway's kind);
-//! * media plane: [`GlobalMmcs::publish_rtp`] publishes into a live
-//!   [`ShardedBroker`] with one shard (every topic here starts with
-//!   `globalmmcs/`, so one shard owns them all and a second would only
-//!   add a ring hop); deliveries to subscribed endpoints come back, and
-//!   the media service taps every session topic to feed
-//!   streaming/archive.
+//! * media plane: the live [`ShardedBroker`] behind
+//!   [`GlobalMmcs::broker`], with one shard (every topic here starts
+//!   with `globalmmcs/`, so one shard owns them all and a second would
+//!   only add a ring hop). A media endpoint is a broker client: it
+//!   subscribes to a session topic, publishes RTP and drains its own
+//!   handle, and no signalling [`Egress`] carries media. The media
+//!   service taps `globalmmcs/#`; [`GlobalMmcs::pump`] feeds what it
+//!   has heard on live session topics to streaming and the archive.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use mmcs_broker::event::{Event, EventClass};
 use mmcs_broker::sharded::{ShardedBroker, ShardedClient};
-use mmcs_broker::topic::{ParseTopicError, Topic, TopicFilter};
+use mmcs_broker::topic::{Topic, TopicFilter};
 use mmcs_directory::communities::CommunityDirectory;
 use mmcs_directory::users::UserDirectory;
 use mmcs_h323::gatekeeper::Gatekeeper;
@@ -47,7 +48,7 @@ use mmcs_sip::registrar::Registrar;
 use mmcs_streaming::archive::Archive;
 use mmcs_streaming::helix::HelixServer;
 use mmcs_streaming::producer::RealProducer;
-use mmcs_util::id::{ClientId, ReservationId, SessionId, TerminalId};
+use mmcs_util::id::{ReservationId, SessionId, TerminalId};
 use mmcs_util::time::SimTime;
 use mmcs_util::xml::Element;
 use mmcs_xgsp::calendar::Calendar;
@@ -69,8 +70,9 @@ pub enum EndpointKind {
     H323,
 }
 
-/// An outbound item produced while handling ingress: the reply to the
-/// requester in its own protocol, or a delivery to another endpoint.
+/// An outbound signalling item produced while handling ingress: the reply
+/// to the requester in its own protocol, or a delivery to another
+/// endpoint. Media never travels here (see [`GlobalMmcs::broker`]).
 #[derive(Debug, Clone)]
 pub enum Egress {
     /// An XGSP reply toward the requester of [`GlobalMmcs::handle_xgsp`].
@@ -89,36 +91,7 @@ pub enum Egress {
     },
     /// An H.323 message toward a terminal.
     H323(H323Message),
-    /// An RTP media delivery to a subscribed media client.
-    Media {
-        /// The broker client that received it.
-        client: ClientId,
-        /// The topic it arrived on.
-        topic: String,
-        /// The decoded RTP packet.
-        rtp: RtpPacket,
-    },
 }
-
-/// Why [`GlobalMmcs::publish_rtp`] refused a packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PublishError {
-    /// The topic does not parse.
-    Topic(ParseTopicError),
-    /// No media client with this id was attached through this system.
-    UnknownClient(ClientId),
-}
-
-impl std::fmt::Display for PublishError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PublishError::Topic(err) => write!(f, "bad media topic: {err}"),
-            PublishError::UnknownClient(id) => write!(f, "no media client {id:?}"),
-        }
-    }
-}
-
-impl std::error::Error for PublishError {}
 
 /// The XGSP session server and every piece of state its outputs drive.
 /// [`Xgsp::handle`] is the one door into the session server.
@@ -128,8 +101,9 @@ struct Xgsp {
     endpoints: HashMap<String, EndpointKind>,
     switch: MediaSwitch,
     helix: HelixServer,
-    /// The streaming tap of each session topic.
-    producers: HashMap<String, RealProducer>,
+    /// The streaming tap of each live session topic, keyed by the topic
+    /// parsed once when the session server created it.
+    producers: HashMap<Topic, RealProducer>,
 }
 
 impl Xgsp {
@@ -165,14 +139,19 @@ impl Xgsp {
         let outputs = self.server.handle(from, message);
         for output in &outputs {
             match output {
-                ServerOutput::Broker(BrokerCommand::CreateTopic(topic)) => {
-                    self.helix.add_stream(topic.clone());
-                    self.producers
-                        .entry(topic.clone())
-                        .or_insert_with(|| RealProducer::new(topic.clone()));
+                ServerOutput::Broker(BrokerCommand::CreateTopic(name)) => {
+                    let stream: Arc<str> = name.as_str().into();
+                    self.helix.add_stream(Arc::clone(&stream));
+                    if let Ok(topic) = Topic::parse(name) {
+                        self.producers
+                            .entry(topic)
+                            .or_insert_with(|| RealProducer::new(stream));
+                    }
                 }
-                ServerOutput::Broker(BrokerCommand::RemoveTopic(topic)) => {
-                    self.producers.remove(topic);
+                ServerOutput::Broker(BrokerCommand::RemoveTopic(name)) => {
+                    if let Ok(topic) = Topic::parse(name) {
+                        self.producers.remove(&topic);
+                    }
                 }
                 ServerOutput::Reply(XgspMessage::JoinAck { .. }) => {
                     if let Some((user, kind)) = joining.take() {
@@ -236,9 +215,8 @@ pub struct GlobalMmcs {
     quality: QualityMonitor,
     /// The media service's tap on `globalmmcs/#`.
     media_service: ShardedClient,
-    /// Media clients by id; iteration order is the drain order.
-    media_clients: BTreeMap<ClientId, ShardedClient>,
-    /// Declared after every client, so they detach before it shuts down.
+    /// Declared after the tap, so it detaches before the broker shuts
+    /// down.
     broker: ShardedBroker,
     now: SimTime,
 }
@@ -271,7 +249,6 @@ impl GlobalMmcs {
             archive: Archive::new(),
             quality: QualityMonitor::new(),
             media_service,
-            media_clients: BTreeMap::new(),
             broker,
             now: SimTime::ZERO,
         }
@@ -325,11 +302,6 @@ impl GlobalMmcs {
     /// The archive.
     pub fn archive_mut(&mut self) -> &mut Archive {
         &mut self.archive
-    }
-
-    /// The A/V switch.
-    pub fn switch_mut(&mut self) -> &mut MediaSwitch {
-        &mut self.xgsp.switch
     }
 
     /// The RTCP-driven quality monitor.
@@ -395,11 +367,6 @@ impl GlobalMmcs {
         ))
     }
 
-    /// The H.323 gatekeeper.
-    pub fn gatekeeper_mut(&mut self) -> &mut Gatekeeper {
-        &mut self.gatekeeper
-    }
-
     /// The SIP registrar.
     pub fn registrar(&self) -> &Registrar {
         &self.registrar
@@ -411,84 +378,37 @@ impl GlobalMmcs {
         self.xgsp.endpoints.insert(user.into(), kind);
     }
 
-    /// Attaches a media-plane client subscribed to a session's media
-    /// topic; RTP published to the topic comes back as [`Egress::Media`]
-    /// for this client.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error if `topic` is not a valid topic filter.
-    pub fn attach_media_client(&mut self, topic: &str) -> Result<ClientId, ParseTopicError> {
-        let filter = TopicFilter::parse(topic)?;
-        let client = self.broker.attach();
-        client.subscribe(filter);
-        let id = client.id();
-        self.media_clients.insert(id, client);
-        Ok(id)
+    /// The broker the media plane runs on. A media endpoint attaches
+    /// here, subscribes to a session topic, publishes its RTP with
+    /// [`EventClass::Rtp`](mmcs_broker::event::EventClass::Rtp) and drains
+    /// its own handle. A publish does not wait for delivery;
+    /// [`ShardedBroker::quiesce`] does.
+    pub fn broker(&self) -> &ShardedBroker {
+        &self.broker
     }
 
-    /// Publishes an RTP packet from a media client onto a session topic;
-    /// returns every egress the publish caused (deliveries to media
-    /// clients, in id order; streaming/archiving happen internally).
-    ///
-    /// # Errors
-    ///
-    /// [`PublishError::Topic`] if `topic` does not parse, and
-    /// [`PublishError::UnknownClient`] if `client` was not attached
-    /// through this system; nothing is published then.
-    pub fn publish_rtp(
-        &mut self,
-        client: ClientId,
-        topic: &str,
-        rtp: &RtpPacket,
-    ) -> Result<Vec<Egress>, PublishError> {
-        let topic = Topic::parse(topic).map_err(PublishError::Topic)?;
-        self.media_clients
-            .get(&client)
-            .ok_or(PublishError::UnknownClient(client))?
-            .publish_class(topic, EventClass::Rtp, rtp.encode());
-        self.broker.quiesce();
-        Ok(self.drain_media())
-    }
-
-    /// Drains broker deliveries — the media-service tap first, then each
-    /// media client in id order — into egress + streaming side effects.
-    fn drain_media(&mut self) -> Vec<Egress> {
-        let mut events: Vec<Arc<Event>> = Vec::new();
+    /// Feeds the media-service tap to streaming without waiting on the
+    /// broker: each RTP packet delivered to the tap so far on a live
+    /// session topic goes to that topic's producer at
+    /// [`now`](Self::now), and its chunks to Helix and the archive. A
+    /// packet on any other topic is dropped. To stream every earlier
+    /// publish, call `broker().quiesce()` first.
+    pub fn pump(&mut self) {
+        let mut events = Vec::new();
         self.media_service.drain_into(&mut events);
-        for event in events.drain(..) {
-            let Ok(rtp) = RtpPacket::decode(&event.payload) else {
+        for event in events {
+            let Some(producer) = self.xgsp.producers.get_mut(&event.topic) else {
                 continue;
             };
-            // The media service taps every topic: feed the producer for
-            // this stream, the Helix server and the archive.
-            let topic = event.topic.to_string();
-            let producer = self
-                .xgsp
-                .producers
-                .entry(topic.clone())
-                .or_insert_with(|| RealProducer::new(topic));
+            let Ok(rtp) = RtpPacket::decode_shared(&event.payload) else {
+                continue;
+            };
             producer.ingest(&rtp, self.now);
             for chunk in producer.drain() {
                 self.archive.observe(&chunk);
                 self.xgsp.helix.feed(chunk);
             }
         }
-        let mut egress = Vec::new();
-        for (&id, client) in &self.media_clients {
-            client.drain_into(&mut events);
-            for event in events.drain(..) {
-                let Ok(rtp) = RtpPacket::decode(&event.payload) else {
-                    continue;
-                };
-                egress.push(Egress::Media {
-                    client: id,
-                    topic: event.topic.to_string(),
-                    rtp,
-                });
-            }
-        }
-        egress
     }
 
     /// The XGSP ingress (the path web services and XGSP-native clients

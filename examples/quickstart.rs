@@ -3,10 +3,11 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use mmcs::broker::event::EventClass;
+use mmcs::broker::topic::{Topic, TopicFilter};
 use mmcs::rtp::source::{AudioCodec, AudioSource};
 use mmcs::xgsp::media::{MediaDescription, MediaKind};
 use mmcs::xgsp::message::{SessionMode, XgspMessage};
-use mmcs_util::time::{SimDuration, SimTime};
 
 use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 
@@ -63,28 +64,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("audio topic: {audio_topic}");
 
-    // 4. Attach media clients: alice publishes, bob subscribes.
-    let alice_media = mmcs.attach_media_client(&audio_topic)?;
-    let bob_media = mmcs.attach_media_client(&audio_topic)?;
+    // 4. Media endpoints are broker clients: alice publishes, bob
+    // subscribes to the session's audio topic.
+    let alice_media = mmcs.broker().attach();
+    let bob_media = mmcs.broker().attach();
+    bob_media.subscribe(TopicFilter::parse(&audio_topic)?);
 
-    // 5. Alice talks for one second (50 PCMU packets).
+    // 5. Alice talks for one second (50 PCMU packets). A publish does
+    // not wait for delivery; one barrier afterwards does.
+    let topic = Topic::parse(&audio_topic)?;
     let mut source = AudioSource::new(AudioCodec::Pcmu, 0xA11CE);
-    let mut received_by_bob = 0;
-    for i in 0..50u64 {
-        mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
+    for _ in 0..50 {
         let packet = source.next_packet();
-        for egress in mmcs.publish_rtp(alice_media, &audio_topic, &packet)? {
-            if let Egress::Media { client, .. } = egress {
-                if client == bob_media {
-                    received_by_bob += 1;
-                }
-                // (alice's own client also receives: she is subscribed.)
-            }
-        }
+        alice_media.publish_class(topic.clone(), EventClass::Rtp, packet.encode());
     }
+    mmcs.broker().quiesce();
+    let mut delivered = Vec::new();
+    let received_by_bob = bob_media.drain_into(&mut delivered);
     println!("bob received {received_by_bob}/50 audio packets");
 
-    // 6. The media service also fed the streaming side automatically.
+    // 6. The media service tapped the topic too; pumping it feeds the
+    // streaming side.
+    mmcs.pump();
     println!(
         "helix ingested {} chunks on {}",
         mmcs.helix().fed_count(&audio_topic),
@@ -92,6 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     assert_eq!(received_by_bob, 50);
+    assert_eq!(mmcs.helix().fed_count(&audio_topic), 50);
     println!("quickstart OK");
     Ok(())
 }

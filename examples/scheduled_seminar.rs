@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --example scheduled_seminar`
 
+use mmcs::broker::event::EventClass;
+use mmcs::broker::topic::Topic;
 use mmcs::global_mmcs::system::{Egress, EndpointKind, GlobalMmcs};
 use mmcs::rtp::source::{AudioCodec, AudioSource};
 use mmcs::soap::envelope::SoapFault;
@@ -112,11 +114,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // taps when the session opened, and gcf speaks for two seconds.
     assert!(mmcs.helix().stream_names().contains(&audio_topic.as_str()));
     mmcs.archive_mut().start(&audio_topic);
-    let speaker = mmcs.attach_media_client(&audio_topic)?;
+    // The clock is virtual, so each 20 ms tick waits for its packet to
+    // reach the media tap before `pump()` stamps it.
+    let speaker = mmcs.broker().attach();
+    let topic = Topic::parse(&audio_topic)?;
     let mut source = AudioSource::new(AudioCodec::Pcmu, 0x5E41);
     for i in 0..100u64 {
         mmcs.set_now(SimTime::from_secs(36_060) + SimDuration::from_millis(20 * i));
-        mmcs.publish_rtp(speaker, &audio_topic, &source.next_packet())?;
+        speaker.publish_class(topic.clone(), EventClass::Rtp, source.next_packet().encode());
+        mmcs.broker().quiesce();
+        mmcs.pump();
     }
     let streamed = mmcs.helix().fed_count(&audio_topic);
     let recorded = mmcs.archive_mut().recording(&audio_topic).expect("archived");

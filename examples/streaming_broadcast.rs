@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --example streaming_broadcast`
 
+use mmcs::broker::event::EventClass;
+use mmcs::broker::topic::Topic;
 use mmcs::rtp::source::{VideoSource, VideoSourceConfig};
 use mmcs::streaming::rtsp::{RtspMethod, RtspRequest};
 use mmcs::xgsp::media::{MediaDescription, MediaKind};
@@ -51,14 +53,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("RTSP player {rtsp_session} is PLAYING");
 
     // The lecturer publishes 2 seconds of 600 Kbps video.
-    let publisher = mmcs.attach_media_client(&topic)?;
+    // Each frame is streamed at its own (virtual) time: one barrier per
+    // frame puts its packets in the media tap before `pump()` stamps them.
+    let publisher = mmcs.broker().attach();
+    let media_topic = Topic::parse(&topic)?;
     let mut source = VideoSource::new(VideoSourceConfig::default(), 0x1EC, DetRng::new(42));
     let mut clock = SimTime::ZERO;
     for _ in 0..50 {
+        mmcs.set_now(clock);
         for packet in source.next_frame() {
-            mmcs.set_now(clock);
-            mmcs.publish_rtp(publisher, &topic, &packet)?;
+            publisher.publish_class(media_topic.clone(), EventClass::Rtp, packet.encode());
         }
+        mmcs.broker().quiesce();
+        mmcs.pump();
         clock += source.frame_interval();
     }
 

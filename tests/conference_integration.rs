@@ -6,16 +6,23 @@ use mmcs::admire::service::AdmireService;
 use mmcs::global_mmcs::accessgrid::AccessGridService;
 use mmcs::global_mmcs::bridge::CommunityBridge;
 use mmcs::global_mmcs::hearme::HearMeService;
-use mmcs::global_mmcs::system::{Egress, EndpointKind, GlobalMmcs, PublishError};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use mmcs::broker::event::{Event, EventClass};
+use mmcs::broker::sharded::ShardedClient;
+use mmcs::broker::topic::{Topic, TopicFilter};
+use mmcs::global_mmcs::system::{Egress, EndpointKind, GlobalMmcs};
 use mmcs::h323::endpoint::{EndpointState, H323Endpoint};
 use mmcs::im::stanza::Stanza;
+use mmcs::rtp::packet::RtpPacket;
 use mmcs::rtp::source::{AudioCodec, AudioSource};
 use mmcs::sip::message::{SipMessage, SipMethod, StartLine};
 use mmcs::soap::envelope::SoapFault;
 use mmcs::soap::service::SoapClient;
 use mmcs::xgsp::message::XgspMessage;
 use mmcs::xgsp::wsdl_ci::{CiError, CollaborationServer};
-use mmcs_util::id::{ClientId, SessionId, TerminalId};
+use mmcs_util::id::{SessionId, TerminalId};
 use mmcs_util::time::{SimDuration, SimTime};
 
 fn sip_invite(uri: &str, from: &str, call_id: &str) -> SipMessage {
@@ -109,6 +116,28 @@ fn created_session(egress: &[Egress]) -> SessionId {
         .expect("session created")
 }
 
+/// A media endpoint on `mmcs`'s broker, subscribed to `filter` when one
+/// is given.
+fn media_endpoint(mmcs: &GlobalMmcs, filter: Option<&str>) -> ShardedClient {
+    let client = mmcs.broker().attach();
+    if let Some(filter) = filter {
+        client.subscribe(TopicFilter::parse(filter).unwrap());
+    }
+    client
+}
+
+/// Publishes one RTP packet from `client` on `topic`.
+fn publish(client: &ShardedClient, topic: &str, packet: &RtpPacket) {
+    client.publish_class(Topic::parse(topic).unwrap(), EventClass::Rtp, packet.encode());
+}
+
+/// Everything delivered to `client` so far, in mailbox order.
+fn drained(client: &ShardedClient) -> Vec<Arc<Event>> {
+    let mut events = Vec::new();
+    client.drain_into(&mut events);
+    events
+}
+
 /// A SIP UA and an H.323 terminal meet in one session; media published
 /// by the SIP side reaches a subscriber; chat relays through XGSP.
 #[test]
@@ -135,20 +164,15 @@ fn sip_and_h323_share_a_conference_with_media() {
     // Media: alice publishes audio on the session topic; a subscriber
     // bound to bob's side receives it.
     let topic = format!("globalmmcs/session-{}/audio", session.value());
-    let alice_media = mmcs.attach_media_client(&topic).unwrap();
-    let bob_media = mmcs.attach_media_client(&topic).unwrap();
+    let alice_media = media_endpoint(&mmcs, None);
+    let bob_media = media_endpoint(&mmcs, Some(&topic));
     let mut source = AudioSource::new(AudioCodec::Pcmu, 0xA);
-    let mut bob_received = 0;
-    for i in 0..25u64 {
-        mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
-        let packet = source.next_packet();
-        for egress in mmcs.publish_rtp(alice_media, &topic, &packet).unwrap() {
-            if matches!(egress, Egress::Media { client, .. } if client == bob_media) {
-                bob_received += 1;
-            }
-        }
+    for _ in 0..25 {
+        publish(&alice_media, &topic, &source.next_packet());
     }
-    assert_eq!(bob_received, 25);
+    mmcs.broker().quiesce();
+    assert_eq!(drained(&bob_media).len(), 25);
+    mmcs.pump();
     // The media service fed the stream tap too.
     assert_eq!(mmcs.helix().fed_count(&topic), 25);
 
@@ -446,19 +470,8 @@ fn directory_listing_reflects_state() {
     assert_eq!(sessions.children_named("session").count(), 1);
 }
 
-/// The media clients an egress batch reached, in order.
-fn media_receivers(egress: &[Egress]) -> Vec<ClientId> {
-    egress
-        .iter()
-        .filter_map(|e| match e {
-            Egress::Media { client, .. } => Some(*client),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Publishing to a topic nobody (but the media tap and the publisher)
-/// subscribes to still feeds streaming, and returns only the
+/// subscribes to still feeds streaming, and reaches only the
 /// publisher's own loopback.
 #[test]
 fn media_tap_alone_consumes_unwatched_streams() {
@@ -470,21 +483,26 @@ fn media_tap_alone_consumes_unwatched_streams() {
     ));
     let session = mmcs.session_server().session_ids().next().unwrap();
     let topic = format!("globalmmcs/session-{}/audio", session.value());
-    let publisher = mmcs.attach_media_client(&topic).unwrap();
+    let publisher = media_endpoint(&mmcs, Some(&topic));
     let mut source = AudioSource::new(AudioCodec::Pcmu, 1);
-    let egress = mmcs.publish_rtp(publisher, &topic, &source.next_packet()).unwrap();
-    // Publisher is itself subscribed (it attached to the topic), so the
-    // only egress is its own loopback.
-    assert_eq!(media_receivers(&egress), vec![publisher]);
+    publish(&publisher, &topic, &source.next_packet());
+    mmcs.broker().quiesce();
+    // Publisher is itself subscribed (it listens on the topic), so the
+    // only delivery is its own loopback.
+    let loopback = drained(&publisher);
+    assert_eq!(loopback.len(), 1);
+    assert_eq!(loopback[0].source, publisher.id());
+    mmcs.pump();
     assert_eq!(mmcs.helix().fed_count(&topic), 1);
 }
 
-/// The media-plane contract: every `publish_rtp` returns its deliveries
-/// before it returns, to exactly the clients on the topic, in `ClientId`
-/// order; a client on another session's topic hears nothing; the
-/// streaming tap sees every packet; a malformed topic is an error.
+/// The media-plane contract: a publish reaches exactly the endpoints on
+/// its topic, each in publish order; an endpoint on another topic hears
+/// nothing; the streaming tap sees every packet, including those a
+/// `pump()` between publishes found already delivered; a malformed topic
+/// does not parse.
 #[test]
-fn publish_rtp_reaches_exactly_the_topic_in_client_order() {
+fn media_reaches_exactly_the_topic_in_publish_order() {
     let mut mmcs = GlobalMmcs::new();
     for call_id in ["cid-one", "cid-two"] {
         mmcs.handle_sip(&sip_invite(
@@ -502,46 +520,121 @@ fn publish_rtp_reaches_exactly_the_topic_in_client_order() {
     // topic: a client on the topic it publishes to gets its own packet
     // back (see `media_tap_alone_consumes_unwatched_streams`).
     let video = format!("globalmmcs/session-{}/video", sessions[0].value());
-    let alice = mmcs.attach_media_client(&video).unwrap();
-    let bob = mmcs.attach_media_client(&audio).unwrap();
-    let carol = mmcs.attach_media_client(&audio).unwrap();
+    let alice = media_endpoint(&mmcs, Some(&video));
+    let bob = media_endpoint(&mmcs, Some(&audio));
+    let carol = media_endpoint(&mmcs, Some(&audio));
     // Dave listens on the other session; no publish below may reach him.
-    mmcs.attach_media_client(&elsewhere).unwrap();
-    assert!(bob < carol);
+    let dave = media_endpoint(&mmcs, Some(&elsewhere));
 
     let mut source = AudioSource::new(AudioCodec::Pcmu, 0xC0);
+    let mut sent = Vec::new();
     for i in 0..50u64 {
         mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
         let packet = source.next_packet();
-        let egress = mmcs.publish_rtp(alice, &audio, &packet).unwrap();
-        assert_eq!(media_receivers(&egress), vec![bob, carol], "publish {i}");
-        for item in &egress {
-            let Egress::Media { topic, rtp, .. } = item else {
-                unreachable!("media_receivers saw only media");
-            };
-            assert_eq!(topic, &audio);
-            assert_eq!(rtp, &packet);
+        publish(&alice, &audio, &packet);
+        sent.push(packet);
+        mmcs.pump();
+    }
+    mmcs.broker().quiesce();
+    for listener in [&bob, &carol] {
+        let events = drained(listener);
+        assert_eq!(events.len(), 50);
+        for (i, (event, packet)) in events.iter().zip(&sent).enumerate() {
+            assert_eq!(event.topic.to_string(), audio, "publish {i}");
+            assert_eq!(event.seq, i as u64);
+            assert_eq!(&RtpPacket::decode(&event.payload).unwrap(), packet);
         }
     }
+    assert!(drained(&alice).is_empty());
+    assert!(drained(&dave).is_empty());
+    mmcs.pump();
     assert_eq!(mmcs.helix().fed_count(&audio), 50);
     assert_eq!(mmcs.helix().fed_count(&elsewhere), 0);
 
-    assert!(mmcs.attach_media_client("globalmmcs//audio").is_err());
-    assert!(mmcs.attach_media_client("").is_err());
+    assert!(TopicFilter::parse("globalmmcs//audio").is_err());
+    assert!(TopicFilter::parse("").is_err());
+    assert!(Topic::parse("globalmmcs//audio").is_err());
+}
 
-    // Publishing on a malformed topic or from a client this system never
-    // attached is refused, and reaches no one.
-    let packet = source.next_packet();
-    assert!(matches!(
-        mmcs.publish_rtp(alice, "globalmmcs//audio", &packet),
-        Err(PublishError::Topic(_))
+/// Media publishes are asynchronous: 1,000 back-to-back publishes need
+/// one barrier before every subscriber holds all of them in order, and
+/// a publish plus `pump()` returns while the broker's shard is stalled.
+#[test]
+fn media_publishes_do_not_wait_on_the_broker() {
+    let mut mmcs = GlobalMmcs::new();
+    mmcs.handle_sip(&sip_invite(
+        "sip:new-conf@mmcs.example",
+        "sip:alice@example.org",
+        "cid-async",
     ));
-    let stranger = ClientId::from_raw(u64::MAX);
-    assert!(matches!(
-        mmcs.publish_rtp(stranger, &audio, &packet),
-        Err(PublishError::UnknownClient(id)) if id == stranger
+    let session = mmcs.session_server().session_ids().next().unwrap();
+    let topic = format!("globalmmcs/session-{}/audio", session.value());
+    let speaker = media_endpoint(&mmcs, None);
+    let listeners: Vec<ShardedClient> =
+        (0..3).map(|_| media_endpoint(&mmcs, Some(&topic))).collect();
+
+    let mut source = AudioSource::new(AudioCodec::Pcmu, 0xA5);
+    for _ in 0..1_000 {
+        publish(&speaker, &topic, &source.next_packet());
+    }
+    mmcs.broker().quiesce();
+    for listener in &listeners {
+        let seqs: Vec<u64> = drained(listener).iter().map(|event| event.seq).collect();
+        assert_eq!(seqs, (0..1_000).collect::<Vec<u64>>());
+    }
+    mmcs.pump();
+    assert_eq!(mmcs.helix().fed_count(&topic), 1_000);
+
+    mmcs.broker().stall_shard(0, Duration::from_secs(2));
+    let started = Instant::now();
+    publish(&speaker, &topic, &source.next_packet());
+    mmcs.pump();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "publish + pump waited {:?} on a stalled shard",
+        started.elapsed()
+    );
+    mmcs.broker().quiesce();
+    mmcs.pump();
+    assert_eq!(mmcs.helix().fed_count(&topic), 1_001);
+}
+
+/// The media tap feeds only the streams of live sessions: a packet on a
+/// topic no session created, or on a terminated session's topic, is
+/// dropped instead of starting (or restarting) a stream.
+#[test]
+fn the_media_tap_feeds_only_live_session_topics() {
+    let mut mmcs = GlobalMmcs::new();
+    let session = created_session(&mmcs.handle_xgsp(
+        Some("alice"),
+        XgspMessage::CreateSession {
+            name: "live".into(),
+            mode: mmcs::xgsp::message::SessionMode::Scheduled,
+            media: vec![mmcs::xgsp::media::MediaDescription::new(
+                mmcs::xgsp::media::MediaKind::Audio,
+                "PCMU",
+            )],
+        },
     ));
-    assert_eq!(mmcs.helix().fed_count(&audio), 50);
+    let topic = format!("globalmmcs/session-{}/audio", session.value());
+    let streams_before: Vec<String> =
+        mmcs.helix().stream_names().into_iter().map(str::to_owned).collect();
+    let speaker = media_endpoint(&mmcs, None);
+    let mut source = AudioSource::new(AudioCodec::Pcmu, 0xD0);
+
+    publish(&speaker, "globalmmcs/no-such-session/audio", &source.next_packet());
+    publish(&speaker, &topic, &source.next_packet());
+    mmcs.broker().quiesce();
+    mmcs.pump();
+    assert_eq!(mmcs.helix().stream_names(), streams_before);
+    assert_eq!(mmcs.helix().fed_count(&topic), 1);
+
+    mmcs.handle_xgsp(None, XgspMessage::TerminateSession { session });
+    assert_eq!(mmcs.session_server().session_count(), 0);
+    publish(&speaker, &topic, &source.next_packet());
+    mmcs.broker().quiesce();
+    mmcs.pump();
+    assert_eq!(mmcs.helix().fed_count(&topic), 1);
 }
 
 /// Video switching follows audio activity and respects chair pins,

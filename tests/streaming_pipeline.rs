@@ -1,7 +1,11 @@
 //! End-to-end streaming: conference RTP -> RealProducer -> Helix ->
 //! RTSP players, plus archiving and replay.
 
+use mmcs::broker::event::EventClass;
+use mmcs::broker::sharded::ShardedClient;
+use mmcs::broker::topic::Topic;
 use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
+use mmcs::rtp::packet::RtpPacket;
 use mmcs::rtp::source::{AudioCodec, AudioSource, VideoSource, VideoSourceConfig};
 use mmcs::streaming::producer::ChunkKind;
 use mmcs::streaming::rtsp::{RtspMethod, RtspRequest};
@@ -30,6 +34,25 @@ fn session_with_media(mmcs: &mut GlobalMmcs, media: Vec<MediaDescription>) -> u6
         .expect("created")
 }
 
+/// Publishes `packets` (one audio packet or one video frame) at `now`
+/// and streams them: the barrier puts them in the media tap, and
+/// `pump()` stamps them at `now`.
+fn stream_at(
+    mmcs: &mut GlobalMmcs,
+    publisher: &ShardedClient,
+    topic: &str,
+    now: SimTime,
+    packets: &[RtpPacket],
+) {
+    mmcs.set_now(now);
+    let topic = Topic::parse(topic).unwrap();
+    for packet in packets {
+        publisher.publish_class(topic.clone(), EventClass::Rtp, packet.encode());
+    }
+    mmcs.broker().quiesce();
+    mmcs.pump();
+}
+
 #[test]
 fn video_pipeline_transcodes_frames_not_packets() {
     let mut mmcs = GlobalMmcs::new();
@@ -38,7 +61,7 @@ fn video_pipeline_transcodes_frames_not_packets() {
         vec![MediaDescription::new(MediaKind::Video, "H263")],
     );
     let topic = format!("globalmmcs/session-{session}/video");
-    let publisher = mmcs.attach_media_client(&topic).unwrap();
+    let publisher = mmcs.broker().attach();
 
     // One RTSP player.
     let setup = RtspRequest::new(RtspMethod::Setup, format!("rtsp://h/{topic}"), 1);
@@ -57,11 +80,9 @@ fn video_pipeline_transcodes_frames_not_packets() {
     let mut clock = SimTime::ZERO;
     let mut rtp_packets = 0;
     for _ in 0..25 {
-        for packet in source.next_frame() {
-            mmcs.set_now(clock);
-            mmcs.publish_rtp(publisher, &topic, &packet).unwrap();
-            rtp_packets += 1;
-        }
+        let frame = source.next_frame();
+        rtp_packets += frame.len();
+        stream_at(&mut mmcs, &publisher, &topic, clock, &frame);
         clock += source.frame_interval();
     }
     assert!(rtp_packets > 25, "frames span multiple packets");
@@ -88,7 +109,7 @@ fn pause_stops_chunks_and_archive_replays_with_pacing() {
         vec![MediaDescription::new(MediaKind::Audio, "PCMU")],
     );
     let topic = format!("globalmmcs/session-{session}/audio");
-    let publisher = mmcs.attach_media_client(&topic).unwrap();
+    let publisher = mmcs.broker().attach();
     mmcs.archive_mut().start(&topic);
 
     let setup = RtspRequest::new(RtspMethod::Setup, format!("rtsp://h/{topic}"), 1);
@@ -104,9 +125,8 @@ fn pause_stops_chunks_and_archive_replays_with_pacing() {
 
     let mut source = AudioSource::new(AudioCodec::Pcmu, 1);
     for i in 0..10u64 {
-        mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
-        let packet = source.next_packet();
-        mmcs.publish_rtp(publisher, &topic, &packet).unwrap();
+        let now = SimTime::ZERO + SimDuration::from_millis(20 * i);
+        stream_at(&mut mmcs, &publisher, &topic, now, &[source.next_packet()]);
     }
     assert_eq!(mmcs.helix_mut().take_deliveries().len(), 10);
 
@@ -115,9 +135,8 @@ fn pause_stops_chunks_and_archive_replays_with_pacing() {
         .with_header("Session", &rtsp_session);
     assert_eq!(mmcs.helix_mut().handle_rtsp(&pause).code, 200);
     for i in 10..20u64 {
-        mmcs.set_now(SimTime::ZERO + SimDuration::from_millis(20 * i));
-        let packet = source.next_packet();
-        mmcs.publish_rtp(publisher, &topic, &packet).unwrap();
+        let now = SimTime::ZERO + SimDuration::from_millis(20 * i);
+        stream_at(&mut mmcs, &publisher, &topic, now, &[source.next_packet()]);
     }
     assert!(mmcs.helix_mut().take_deliveries().is_empty());
 
@@ -140,7 +159,7 @@ fn multiple_players_independent_state() {
         vec![MediaDescription::new(MediaKind::Audio, "PCMU")],
     );
     let topic = format!("globalmmcs/session-{session}/audio");
-    let publisher = mmcs.attach_media_client(&topic).unwrap();
+    let publisher = mmcs.broker().attach();
 
     let mut sessions = Vec::new();
     for cseq in 0..3 {
@@ -161,7 +180,7 @@ fn multiple_players_independent_state() {
         assert_eq!(mmcs.helix_mut().handle_rtsp(&play).code, 200);
     }
     let mut source = AudioSource::new(AudioCodec::Pcmu, 1);
-    mmcs.publish_rtp(publisher, &topic, &source.next_packet()).unwrap();
+    stream_at(&mut mmcs, &publisher, &topic, SimTime::ZERO, &[source.next_packet()]);
     let deliveries = mmcs.helix_mut().take_deliveries();
     let recipients: Vec<&str> = deliveries.iter().map(|d| d.session_id.as_str()).collect();
     assert!(recipients.contains(&sessions[0].as_str()));
