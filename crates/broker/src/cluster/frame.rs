@@ -15,6 +15,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::event::Event;
 use crate::gossip::NodeId;
+use crate::topic::Topic;
 use crate::wire;
 
 /// Cluster frame format version.
@@ -361,17 +362,20 @@ impl LinkFrame {
 }
 
 /// Decodes the event an [`FrameKind::Event`] frame carries (one that
-/// passed [`ClusterFrame::parse`] always decodes); the payload is a
+/// passed [`ClusterFrame::parse`] always decodes), its topic supplied by
+/// `topic_of` as [`wire::decode_shared_with`] does; the payload is a
 /// zero-copy slice of `frame`'s storage.
-pub(super) fn decode_event_frame(frame: &Bytes) -> Result<Event, wire::DecodeEventError> {
-    wire::decode_shared(&frame.slice(CLUSTER_HEADER_LEN..))
+pub(super) fn decode_event_frame<E>(
+    frame: &Bytes,
+    topic_of: impl FnOnce(&str) -> Result<Topic, E>,
+) -> Result<Event, wire::DecodeEventError> {
+    wire::decode_shared_with(&frame.slice(CLUSTER_HEADER_LEN..), topic_of)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventClass;
-    use crate::topic::Topic;
     use mmcs_util::id::ClientId;
 
     fn sample_event() -> Event {
@@ -397,7 +401,7 @@ mod tests {
         let wire = wire::WireEvent::parse(parsed.body()).expect("valid body");
         assert_eq!(wire.topic_str(), "session/7/video");
         assert_eq!(wire.seq(), 3);
-        let decoded = decode_event_frame(&buf.freeze()).expect("valid body");
+        let decoded = decode_event_frame(&buf.freeze(), Topic::parse).expect("valid body");
         assert_eq!(decoded, event);
     }
 

@@ -8,6 +8,7 @@
 //! Transport-blind: link-level reliability (sequencing, acks,
 //! retransmit) never reaches this file.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -22,7 +23,9 @@ use super::route::RouteTable;
 use crate::event::Event;
 use crate::gossip::{self, GossipState, InterestEntry, NodeId};
 use crate::metrics::ClusterNodeMetrics;
+use crate::node::PLAN_CACHE_MAX;
 use crate::sharded::ShardedBroker;
+use crate::topic::{ParseTopicError, Topic};
 
 /// Per-link fault switches for the in-process transport; the chaos
 /// harness flips them at deterministic schedule points. A fault on
@@ -81,14 +84,20 @@ pub(super) type Link = Box<dyn Fn(LinkFrame) + Send + Sync>;
 /// One node's data plane: its broker, its gossip state and its links,
 /// called on whatever thread has a frame to move — the publishing
 /// client's, a socket reader's, an in-process peer's, the one running a
-/// gossip round. The gossip lock is taken briefly and never held across
-/// a link send or an inject, so a chain of in-process hops — a relay, or
-/// a push/pull gossip reply — never nests two nodes' locks.
+/// gossip round. The gossip and topic locks are taken briefly, never
+/// together, and never held across a link send or an inject, so a chain
+/// of in-process hops — a relay, or a push/pull gossip reply — never
+/// nests two nodes' locks.
 pub(super) struct DataPlane {
     pub(super) me: NodeId,
     pub(super) broker: Arc<ShardedBroker>,
     /// The local interest truth and the learned view of every peer.
     gossip: Mutex<GossipState>,
+    /// Every topic an arriving event carried, by its text: a remote event
+    /// on a topic seen before shares that topic instead of parsing it
+    /// again. Cleared when it reaches `PLAN_CACHE_MAX`, like the route
+    /// plans and gossip targets keyed by the same topics.
+    topics: Mutex<HashMap<Box<str>, Topic>>,
     /// The directed link to each peer (`None` where the latency map has
     /// no direct link, and for `me`). Set once, when every node's plane
     /// exists: in process a link is a handle on the peer's plane.
@@ -118,6 +127,7 @@ impl DataPlane {
             me,
             broker,
             gossip: Mutex::new(GossipState::new(me, nodes)),
+            topics: Mutex::new(HashMap::new()),
             links: OnceLock::new(),
             routes,
             faults,
@@ -218,11 +228,28 @@ impl DataPlane {
             self.metrics.stale_generation.inc();
         }
         // The one decode on the way in: from here on the event is an
-        // `Arc`, and its payload a slice of the cluster frame's storage.
-        match decode_event_frame(frame) {
+        // `Arc`, its topic shared with every earlier event on it, and its
+        // payload a slice of the cluster frame's storage. The topic lock
+        // is released before the inject, which may wait on backpressure.
+        match decode_event_frame(frame, |text| self.topic_of(text)) {
             Ok(event) => self.broker.inject(event.into_shared()),
             Err(_) => self.metrics.decode_errors.inc(),
         }
+    }
+
+    /// The shared [`Topic`] for `text`, parsed only the first time this
+    /// node sees it.
+    fn topic_of(&self, text: &str) -> Result<Topic, ParseTopicError> {
+        let mut topics = self.topics.lock();
+        if let Some(topic) = topics.get(text) {
+            return Ok(topic.clone());
+        }
+        let topic = Topic::parse(text)?;
+        if topics.len() >= PLAN_CACHE_MAX {
+            topics.clear();
+        }
+        topics.insert(text.into(), topic.clone());
+        Ok(topic)
     }
 
     fn relay(&self, parsed: &ClusterFrame<'_>) {
@@ -351,5 +378,73 @@ impl DataPlane {
             Some(Some(link)) => link(frame),
             _ => self.metrics.no_route_drops.inc(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::frame::encode_event_frame;
+    use crate::cluster::LatencyMap;
+    use crate::event::EventClass;
+    use crate::metrics::ClusterMetrics;
+    use crate::topic::TopicFilter;
+    use mmcs_util::id::ClientId;
+
+    /// A peer that sends three times `PLAN_CACHE_MAX` distinct topics
+    /// never grows node 1's topic table past the bound, and every event
+    /// still reaches a `#` subscriber under its own topic. Two events on
+    /// one topic arrive sharing one `Topic`.
+    #[test]
+    fn the_topic_table_stays_bounded_and_every_event_keeps_its_topic() {
+        let latency = LatencyMap::full_mesh(2, 1);
+        let plane = DataPlane::new(
+            1,
+            2,
+            [0],
+            Arc::new(ShardedBroker::spawn(1)),
+            Arc::new(RouteTable::new(&latency)),
+            Arc::new(FaultPlane::new(2)),
+            Arc::clone(ClusterMetrics::detached(2).node(1)),
+        );
+        let subscriber = plane.broker.attach();
+        subscriber.subscribe(TopicFilter::parse("#").expect("valid filter"));
+        plane.broker.quiesce();
+
+        let mut got = Vec::new();
+        for round in 0..3 {
+            for i in 0..PLAN_CACHE_MAX {
+                let n = round * PLAN_CACHE_MAX + i;
+                let topic = Topic::parse(&format!("peer/{n}/audio")).expect("valid topic");
+                let payload = Bytes::from(n.to_be_bytes().to_vec());
+                let event = Event::new(topic, ClientId::from_raw(7), n as u64, EventClass::Rtp, payload);
+                plane.receive(0, encode_event_frame(0, 1, 0, 0, &event).freeze());
+                assert!(plane.topics.lock().len() <= PLAN_CACHE_MAX, "after topic {n}");
+            }
+            plane.broker.quiesce();
+            subscriber.drain_into(&mut got);
+        }
+        assert_eq!(got.len(), 3 * PLAN_CACHE_MAX);
+        for event in &got {
+            assert_eq!(event.topic.to_string(), format!("peer/{}/audio", event.seq));
+            assert_eq!(event.payload[..], (event.seq as usize).to_be_bytes());
+        }
+        assert_eq!(plane.topics.lock().len(), PLAN_CACHE_MAX, "full again, not cleared");
+        assert_eq!(plane.metrics.decode_errors.get(), 0);
+
+        let again = Topic::parse("peer/again").expect("valid topic");
+        for seq in 0..2 {
+            let event = Event::new(again.clone(), ClientId::from_raw(7), seq, EventClass::Rtp, Bytes::new());
+            plane.receive(0, encode_event_frame(0, 1, 0, 0, &event).freeze());
+        }
+        plane.broker.quiesce();
+        got.clear();
+        subscriber.drain_into(&mut got);
+        let [first, second] = &got[..] else {
+            panic!("two events arrive, got {}", got.len());
+        };
+        assert_eq!(first.topic, again);
+        assert!(std::ptr::eq(first.topic.segments(), second.topic.segments()));
+        assert!(!std::ptr::eq(first.topic.segments(), again.segments()), "parsed once, on arrival");
     }
 }

@@ -6,17 +6,30 @@
 //! exposed. [`SubscriptionTable`] maps filters to subscribers with a trie
 //! so that matching a publish against thousands of subscriptions is a
 //! single path walk.
+//!
+//! A [`Topic`] is parsed once and then shared: its segments live in one
+//! reference-counted allocation beside a hash computed at parse time, so
+//! cloning a topic, keying a route plan by it or comparing two clones
+//! never walks or copies its text. A receiver that sees the same topic
+//! text again and again (a federation node decoding remote events) keeps
+//! a table from text to `Topic` and parses each text only once.
 
+use core::cmp::Ordering;
 use core::fmt;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// A concrete topic path (no wildcards).
 ///
-/// Segments are interned as [`Arc<str>`], so cloning a topic, deriving
-/// an exact filter from it, or keying a route-cache entry by it shares
-/// the segment storage instead of copying strings.
+/// The segments are one shared `Arc<[Arc<str>]>`, hashed once when the
+/// topic is built with one process-wide keyed hasher. A clone is one
+/// reference-count bump; [`Hash`] writes that one precomputed `u64`;
+/// equality compares pointers first and the segments only when the
+/// pointers differ and the hashes agree. Deriving an exact filter from a
+/// topic shares its segment strings instead of copying them. Ordering is
+/// segment-wise, as for a list of strings.
 ///
 /// # Examples
 ///
@@ -26,28 +39,59 @@ use std::sync::Arc;
 /// let t = Topic::parse("session/42/video")?;
 /// assert_eq!(t.segments().len(), 3);
 /// assert_eq!(t.to_string(), "session/42/video");
+/// assert_eq!(t.clone(), Topic::parse("session/42/video")?);
 /// # Ok::<(), mmcs_broker::topic::ParseTopicError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct Topic {
-    segments: Vec<Arc<str>>,
+    segments: Arc<[Arc<str>]>,
+    /// `segments` hashed by [`topic_hasher`] when the topic was built.
+    hash: u64,
+}
+
+/// The one keyed hasher every topic's hash comes from. Its keys are
+/// random per process, so topic hashes resist chosen-collision floods as
+/// a default `HashMap` key would.
+fn topic_hasher() -> &'static RandomState {
+    static HASHER: OnceLock<RandomState> = OnceLock::new();
+    HASHER.get_or_init(RandomState::new)
 }
 
 impl Topic {
-    /// Parses a slash-separated topic path.
+    fn from_shared(segments: Arc<[Arc<str>]>) -> Topic {
+        let hash = topic_hasher().hash_one(&*segments);
+        Topic { segments, hash }
+    }
+
+    /// Parses a slash-separated topic path. Allocates the segment list
+    /// and each segment, and nothing else.
     ///
     /// # Errors
     ///
     /// Returns [`ParseTopicError`] if the path is empty, has empty
     /// segments, or contains wildcard characters (`*`, `#`).
     pub fn parse(path: &str) -> Result<Topic, ParseTopicError> {
-        let segments = split_segments(path)?;
-        for segment in &segments {
-            if &**segment == "*" || &**segment == "#" {
-                return Err(ParseTopicError::WildcardInTopic);
-            }
+        if path.is_empty() {
+            return Err(ParseTopicError::Empty);
         }
-        Ok(Topic { segments })
+        let mut count = 0;
+        let mut wildcard = false;
+        for segment in path.split('/') {
+            if segment.is_empty() {
+                return Err(ParseTopicError::EmptySegment);
+            }
+            wildcard |= segment == "*" || segment == "#";
+            count += 1;
+        }
+        if wildcard {
+            return Err(ParseTopicError::WildcardInTopic);
+        }
+        // A counted range makes the collect size the shared slice once.
+        let mut parts = path.split('/');
+        let segments = (0..count)
+            .map(|_| Arc::from(parts.next().unwrap_or_default()))
+            .collect();
+        Ok(Topic::from_shared(segments))
     }
 
     /// Builds a topic from pre-validated segments.
@@ -74,7 +118,7 @@ impl Topic {
                 "invalid topic segment {segment:?}"
             );
         }
-        Topic { segments }
+        Topic::from_shared(segments.into())
     }
 
     /// The path segments.
@@ -83,23 +127,62 @@ impl Topic {
     }
 
     /// Appends a segment, returning a child topic. The parent's segment
-    /// storage is shared, not copied.
+    /// strings are shared, not copied.
     pub fn child(&self, segment: impl AsRef<str>) -> Topic {
-        let mut segments = self.segments.clone();
         let segment = segment.as_ref();
         assert!(
             !segment.is_empty() && !segment.contains('/'),
             "invalid topic segment"
         );
-        segments.push(Arc::from(segment));
-        Topic { segments }
+        let segments = self
+            .segments
+            .iter()
+            .cloned()
+            .chain(std::iter::once(Arc::from(segment)))
+            .collect();
+        Topic::from_shared(segments)
+    }
+}
+
+impl PartialEq for Topic {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.segments, &other.segments)
+            || (self.hash == other.hash && self.segments == other.segments)
+    }
+}
+
+impl Eq for Topic {}
+
+impl Hash for Topic {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialOrd for Topic {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Topic {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.segments.cmp(&other.segments)
+    }
+}
+
+impl fmt::Debug for Topic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topic")
+            .field("segments", &self.segments())
+            .finish()
     }
 }
 
 impl fmt::Display for Topic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for segment in &self.segments {
+        for segment in self.segments.iter() {
             if !first {
                 f.write_str("/")?;
             }

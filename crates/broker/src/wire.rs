@@ -249,11 +249,6 @@ impl<'a> WireEvent<'a> {
             .unwrap_or("")
     }
 
-    /// Parses the topic into an owned [`Topic`] (allocates segments).
-    pub fn topic(&self) -> Result<Topic, DecodeEventError> {
-        Topic::parse(self.topic_str()).map_err(|_| DecodeEventError::BadTopic)
-    }
-
     /// The payload: a sub-slice of the frame, nothing copied.
     pub fn payload(&self) -> &'a [u8] {
         // `topic_end <= buf.len()` was established by `parse`.
@@ -294,16 +289,34 @@ fn read_u64(buf: &[u8], offset: usize) -> u64 {
 
 /// Decodes a frame living in a shared [`Bytes`]; the payload is a
 /// zero-copy slice keeping the frame storage (e.g. a pooled buffer)
-/// alive until the last reference drops.
+/// alive until the last reference drops. The topic is parsed afresh:
+/// `decode_shared_with(frame, Topic::parse)`.
 ///
 /// # Errors
 ///
 /// Same matrix as [`WireEvent::parse`].
 pub fn decode_shared(frame: &Bytes) -> Result<Event, DecodeEventError> {
+    decode_shared_with(frame, Topic::parse)
+}
+
+/// [`decode_shared`], with the event's [`Topic`] supplied by `topic_of`
+/// from the frame's validated topic text. A receiver that keeps a table
+/// from topic text to `Topic` passes its lookup here, so a topic it has
+/// seen before costs a clone of the shared one instead of a parse.
+///
+/// # Errors
+///
+/// Same matrix as [`WireEvent::parse`]; a `topic_of` error is
+/// [`DecodeEventError::BadTopic`].
+pub fn decode_shared_with<E>(
+    frame: &Bytes,
+    topic_of: impl FnOnce(&str) -> Result<Topic, E>,
+) -> Result<Event, DecodeEventError> {
     let view = WireEvent::parse(frame)?;
+    let topic = topic_of(view.topic_str()).map_err(|_| DecodeEventError::BadTopic)?;
     let payload = frame.slice(view.payload_range());
     Ok(Event {
-        topic: view.topic()?,
+        topic,
         source: view.source(),
         seq: view.seq(),
         class: view.class(),

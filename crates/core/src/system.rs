@@ -149,6 +149,7 @@ impl Xgsp {
                     }
                 }
                 ServerOutput::Broker(BrokerCommand::RemoveTopic(name)) => {
+                    self.helix.remove_stream(name);
                     if let Ok(topic) = Topic::parse(name) {
                         self.producers.remove(&topic);
                     }

@@ -64,6 +64,14 @@ impl HelixServer {
         self.streams.entry(name.into()).or_default();
     }
 
+    /// Drops a stream and the chunks it retains; returns whether it
+    /// existed. A client session set up on it stays until it is torn
+    /// down, but a PLAY on it is answered 404, as for a stream that never
+    /// existed. A later chunk for the name starts a new stream.
+    pub fn remove_stream(&mut self, name: &str) -> bool {
+        self.streams.remove(name).is_some()
+    }
+
     /// Names of live streams, sorted.
     pub fn stream_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.streams.keys().map(|k| &**k).collect();
@@ -154,6 +162,11 @@ impl HelixServer {
                 let Some(client) = self.clients.get_mut(&session_id) else {
                     return RtspResponse::to_request(request, 454, "Session Not Found");
                 };
+                let live = (client.stream.as_deref())
+                    .is_some_and(|name| self.streams.contains_key(name));
+                if request.method == RtspMethod::Play && !live {
+                    return RtspResponse::to_request(request, 404, "Stream Not Found");
+                }
                 match client.state.apply(request.method) {
                     Ok(()) => {
                         if request.method == RtspMethod::Teardown {
@@ -272,6 +285,33 @@ mod tests {
         server.add_stream("s1");
         let play = RtspRequest::new(RtspMethod::Play, "rtsp://helix/s1", 1);
         assert_eq!(server.handle_rtsp(&play).code, 454); // no session header
+    }
+
+    #[test]
+    fn a_removed_stream_is_gone_and_its_sessions_cannot_play() {
+        let mut server = HelixServer::new();
+        server.add_stream("s1");
+        server.add_stream("s2");
+        let session = setup_playing_client(&mut server, "s1");
+        server.feed(chunk("s1", 0));
+        assert_eq!(server.take_deliveries().len(), 1);
+
+        assert!(server.remove_stream("s1"));
+        assert!(!server.remove_stream("s1"));
+        assert_eq!(server.stream_names(), ["s2"]);
+        assert_eq!(server.fed_count("s1"), 0);
+        let request = |method, cseq| {
+            RtspRequest::new(method, "rtsp://helix/s1", cseq).with_header("Session", &session)
+        };
+        assert_eq!(server.handle_rtsp(&request(RtspMethod::Pause, 3)).code, 200);
+        let play = server.handle_rtsp(&request(RtspMethod::Play, 4));
+        assert_eq!((play.code, play.reason.as_str()), (404, "Stream Not Found"));
+        let describe = RtspRequest::new(RtspMethod::Describe, "rtsp://helix/s1", 5);
+        assert_eq!(server.handle_rtsp(&describe).code, 404);
+        let setup = RtspRequest::new(RtspMethod::Setup, "rtsp://helix/s1", 6);
+        assert_eq!(server.handle_rtsp(&setup).code, 404);
+        assert_eq!(server.handle_rtsp(&request(RtspMethod::Teardown, 7)).code, 200);
+        assert_eq!(server.client_count(), 0);
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! delivered exactly once to every matching subscriber and to no one
 //! else — plus invariants for the trie and the interest protocol. The
 //! trees are [`Cascade`]s of [`BrokerNode`]s joined by synchronous links.
+//! Last, the `Topic` contract the route plans and the federation's topic
+//! tables key on.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -14,6 +17,7 @@ use mmcs::broker::event::{Event, EventClass};
 use mmcs::broker::metrics::BrokerMetrics;
 use mmcs::broker::node::{Action, BrokerCounters, BrokerError, BrokerNode, Input, Origin};
 use mmcs::broker::topic::{SubscriptionTable, Topic, TopicFilter};
+use mmcs::broker::wire;
 use mmcs::telemetry::Registry;
 use mmcs_util::id::{BrokerId, ClientId};
 
@@ -561,4 +565,64 @@ fn broker_detach_abuse() {
     let subscriber = net.attach(0, 3);
     net.subscribe(subscriber, TopicFilter::parse("t").unwrap());
     assert_eq!(net.publish(publisher, &Topic::parse("t").unwrap(), b"").len(), 1);
+}
+
+/// Strategy: a well-formed topic path whose segments overlap in text
+/// (`a/b` and `ab`, `a` and `a-b`), so unequal paths look alike.
+fn topic_text_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(prop::sample::select(vec!["a", "b", "ab", "a-b", "ä", "7"]), 1..=4)
+        .prop_map(|segments| segments.join("/"))
+}
+
+/// Whether two topics share one segment allocation.
+fn shares(a: &Topic, b: &Topic) -> bool {
+    std::ptr::eq(a.segments(), b.segments())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A `Topic` is its text, parsed once: two parses are equal exactly
+    /// when their texts are, equal topics hash equal under any keyed
+    /// hasher, the order is the segment-wise order of the text's
+    /// segments, `Display` gives the text back, and a clone — or a topic
+    /// a decoder takes from a table of earlier parses — shares the
+    /// original's allocation rather than copying it.
+    #[test]
+    fn a_topic_is_its_text_parsed_once(
+        a in topic_text_strategy(),
+        other in topic_text_strategy(),
+        same in any::<bool>(),
+    ) {
+        let b = if same { a.clone() } else { other };
+        let (ta, tb) = (Topic::parse(&a).expect("well-formed"), Topic::parse(&b).expect("well-formed"));
+        prop_assert_eq!(ta == tb, a == b);
+        if a == b {
+            let hasher = RandomState::new();
+            prop_assert_eq!(hasher.hash_one(&ta), hasher.hash_one(&tb));
+            prop_assert!(!shares(&ta, &tb), "two parses are two allocations");
+        }
+        let segments = |text: &str| text.split('/').map(str::to_owned).collect::<Vec<_>>();
+        prop_assert_eq!(ta.cmp(&tb), segments(&a).cmp(&segments(&b)));
+        prop_assert_eq!(ta.to_string(), a.clone());
+
+        let clone = ta.clone();
+        prop_assert!(shares(&clone, &ta));
+        prop_assert_eq!(&clone, &ta);
+        let table = HashMap::from([(a.clone(), ta.clone())]);
+        let event = Event::new(tb.clone(), ClientId::from_raw(1), 0, EventClass::Rtp, Bytes::new());
+        let frame = wire::encode(&event).freeze();
+        let hit = |text: &str| table.get(text).cloned().ok_or(());
+        match wire::decode_shared_with(&frame, hit) {
+            Ok(decoded) => {
+                prop_assert!(a == b, "only the table's own text is a hit");
+                prop_assert!(shares(&decoded.topic, &ta));
+                prop_assert_eq!(decoded.topic, tb.clone());
+            }
+            Err(error) => {
+                prop_assert!(a != b, "a hit decodes");
+                prop_assert_eq!(error, wire::DecodeEventError::BadTopic);
+            }
+        }
+    }
 }

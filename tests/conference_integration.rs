@@ -601,7 +601,8 @@ fn media_publishes_do_not_wait_on_the_broker() {
 
 /// The media tap feeds only the streams of live sessions: a packet on a
 /// topic no session created, or on a terminated session's topic, is
-/// dropped instead of starting (or restarting) a stream.
+/// dropped instead of starting (or restarting) a stream. Terminating a
+/// session removes its streams from Helix.
 #[test]
 fn the_media_tap_feeds_only_live_session_topics() {
     let mut mmcs = GlobalMmcs::new();
@@ -634,7 +635,11 @@ fn the_media_tap_feeds_only_live_session_topics() {
     publish(&speaker, &topic, &source.next_packet());
     mmcs.broker().quiesce();
     mmcs.pump();
-    assert_eq!(mmcs.helix().fed_count(&topic), 1);
+    let streams_after: Vec<&str> =
+        streams_before.iter().map(String::as_str).filter(|s| *s != topic).collect();
+    assert_eq!(streams_after.len() + 1, streams_before.len(), "the session had a stream");
+    assert_eq!(mmcs.helix().stream_names(), streams_after);
+    assert_eq!(mmcs.helix().fed_count(&topic), 0);
 }
 
 /// Video switching follows audio activity and respects chair pins,

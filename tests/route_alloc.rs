@@ -18,7 +18,10 @@
 //! publishing thread: over loopback TCP to two remote nodes, at most
 //! 1.01 allocations per publish — the event's `Arc`. The broker ingress
 //! and both link queues are swap-whole buffers that keep their capacity,
-//! and the links encode the frames on their own threads.
+//! and the links encode the frames on their own threads. Over the
+//! in-process transport the publishing thread also runs both links and
+//! both remote nodes' decode: exactly 7 allocations per publish, the
+//! topic parsed by neither peer once it has seen it.
 //!
 //! This file holds exactly one test so the counting allocator sees no
 //! traffic from sibling tests in the same binary.
@@ -360,6 +363,48 @@ fn warm_publish_allocates_nothing() {
         allocs * 100 <= REMOTE_PUBLISHES * 101,
         "a federation publish allocates at most 1.01 times on the publishing \
          thread ({allocs} allocations across {REMOTE_PUBLISHES} publishes)",
+    );
+    cluster.quiesce();
+    for subscriber in &subscribers {
+        let mut got = Vec::new();
+        subscriber.drain_into(&mut got);
+        assert_eq!(got.len(), warm + REMOTE_PUBLISHES as usize, "every publish delivered");
+    }
+    drop((publisher, subscribers, cluster));
+
+    // Phase 6 — the arriving side. In process a link is a call into the
+    // peer's data plane, so the publishing thread also encodes each
+    // remote node's frame and that node decodes it and injects the
+    // event: the counter sees both ends. Per publish: the event's `Arc`,
+    // and per remote node the frame (`BytesMut` + its shared handle) and
+    // the decoded `Arc<Event>`. The topic is parsed once per node, at
+    // warm-up; every later frame shares that node's `Topic`. The slack
+    // covers the ingress buffers' doublings, as in phase 5.
+    const PER_PUBLISH: u64 = 1 + 2 * 3;
+    let cluster = Cluster::builder(LatencyMap::full_mesh(3, 1)).spawn();
+    let subscribers: Vec<_> = (0..3).map(|zone| cluster.attach(zone)).collect();
+    for subscriber in &subscribers {
+        subscriber.subscribe(filter.clone());
+    }
+    assert!(cluster.converge(8), "interest gossip converged");
+    let publisher = cluster.attach(0);
+    let topics = vec![event.topic.clone(); warm + REMOTE_PUBLISHES as usize];
+    let payloads = vec![Bytes::from_static(&[0u8; 172]); warm + REMOTE_PUBLISHES as usize];
+    let mut sends = topics.into_iter().zip(payloads);
+    for (topic, payload) in sends.by_ref().take(warm) {
+        publisher.publish_class(topic, EventClass::Rtp, payload);
+    }
+    cluster.quiesce();
+    let before = thread_allocs();
+    for (topic, payload) in sends {
+        publisher.publish_class(topic, EventClass::Rtp, payload);
+    }
+    let allocs = thread_allocs() - before;
+    assert!(
+        (PER_PUBLISH * REMOTE_PUBLISHES..=PER_PUBLISH * REMOTE_PUBLISHES + REMOTE_PUBLISHES / 100)
+            .contains(&allocs),
+        "an in-process publish to two remote nodes allocates {PER_PUBLISH} times, plus at \
+         most 0.01 for queue growth ({allocs} allocations across {REMOTE_PUBLISHES} publishes)",
     );
     cluster.quiesce();
     for subscriber in &subscribers {
