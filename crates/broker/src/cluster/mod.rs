@@ -101,7 +101,7 @@ use parking_lot::Mutex;
 use crate::event::{Event, EventClass};
 use crate::gossip::{GossipState, InterestEntry, NodeId};
 use crate::metrics::ClusterMetrics;
-use crate::sharded::{ShardedBroker, ShardedClient};
+use crate::sharded::{quiesce_all, ShardedBroker, ShardedClient};
 use crate::topic::{Topic, TopicFilter};
 
 pub use frame::{
@@ -328,33 +328,45 @@ impl Cluster {
     /// Waits until everything published, subscribed or gossiped before
     /// this call — including multi-hop relays and intra-node ring
     /// forwards it generates — has been processed. A round is the same
-    /// on both transports: flush every link, quiesce every node broker.
-    /// One round carries a frame one link hop, so `max(n,2)+2` rounds
-    /// cover the longest relay chain plus the gossip push-pull depth.
+    /// on both transports: flush every link, then barrier every node's
+    /// broker, all shards of all nodes on one latch per barrier round.
+    /// The call returns after the first round in which no data plane
+    /// handed a link a frame; one round carries a frame one link hop,
+    /// so `max(n,2)+2` rounds — the longest relay chain plus the gossip
+    /// push-pull depth — stay the cap.
     ///
     /// In process a link *is* a call into the peer's data plane: an
     /// event has been injected (or relayed), and gossip answered or
     /// applied, by the time the send returns, so there is nothing to
-    /// flush. Over TCP the flush is a protocol exchange on every
-    /// directed link (see `cluster/tcp.rs`): it returns because the
-    /// peer's socket reader has handled every frame the link carried
-    /// before it — injected into its broker, handed to its next link, or
-    /// gossip answered or applied — not because time has passed, and the
-    /// same round's broker quiesce drains what was injected. A link with
-    /// nothing connected — a dropped listener at either end — is not
-    /// waited for, so the call stays bounded and frames parked behind
-    /// that link stay in flight until it reconnects. After
+    /// flush and the first round is quiet. Over TCP the flush is a
+    /// protocol exchange on every directed link (see `cluster/tcp.rs`):
+    /// it returns because the peer's socket reader has handled every
+    /// frame the link carried before it — injected into its broker,
+    /// handed to its next link, or gossip answered or applied — not
+    /// because time has passed, and the same round's broker barriers
+    /// drain what was injected. A relay or a gossip answer is handed on,
+    /// and counted, before the flush behind the frame that caused it is
+    /// answered, so a round that counts nothing new has left nothing on
+    /// any link for a next round to flush. A link with nothing
+    /// connected — a dropped listener at either end — is not waited
+    /// for, so the call stays bounded and frames parked behind that
+    /// link stay in flight until it reconnects. After
     /// [`Cluster::shutdown`] the readers still answer flushes and the
     /// closed brokers quiesce at once, so the call still returns.
     pub fn quiesce(&self) {
-        let rounds = self.node_count().max(2) + 2;
-        for _ in 0..rounds {
+        let planes = &self.shared.planes;
+        let sent = || planes.iter().map(|plane| plane.frames_sent()).sum::<u64>();
+        let mut before = sent();
+        for _ in 0..self.node_count().max(2) + 2 {
             if let Some(fabric) = &self.tcp {
                 fabric.flush_links();
             }
-            for plane in &self.shared.planes {
-                plane.broker.quiesce();
+            quiesce_all(planes.iter().map(|plane| plane.broker.as_ref()));
+            let after = sent();
+            if after == before {
+                return;
             }
+            before = after;
         }
     }
 
@@ -363,7 +375,10 @@ impl Cluster {
     /// detector judges which peers it heard since the last round, and
     /// the cluster acts on the verdicts. A live peer's digest of this
     /// very round has landed by then, so a peer that is back is trusted
-    /// again after one round.
+    /// again after one round. The settle is [`Cluster::quiesce`], which
+    /// runs only as many flush rounds as the push-pull exchange keeps
+    /// sending: in process one, over TCP one more than the exchange's
+    /// depth.
     pub fn gossip_round(&self) {
         for plane in &self.shared.planes {
             plane.tick();

@@ -9,7 +9,7 @@
 //! retransmit) never reaches this file.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -109,6 +109,9 @@ pub(super) struct DataPlane {
     /// received; the publish path never touches it.
     heard: Vec<AtomicBool>,
     detector: Mutex<FailureDetector>,
+    /// Frames a link has taken from this plane, counted after each
+    /// hand-off; `Cluster::quiesce` stops once a round moves none.
+    sent: AtomicU64,
     pub(super) metrics: Arc<ClusterNodeMetrics>,
 }
 
@@ -133,6 +136,7 @@ impl DataPlane {
             faults,
             heard: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             detector: Mutex::new(FailureDetector::new(neighbours)),
+            sent: AtomicU64::new(0),
             metrics,
         }
     }
@@ -325,6 +329,14 @@ impl DataPlane {
         verdicts
     }
 
+    /// How many frames this plane has handed to a link so far. A reader
+    /// that sees a hand-off counted also sees the frame in the link's
+    /// queue: the count is bumped after the hand-off, with release
+    /// ordering.
+    pub(super) fn frames_sent(&self) -> u64 {
+        self.sent.load(Ordering::Acquire)
+    }
+
     /// Whether the failure detector trusts every direct peer.
     pub(super) fn trusts_all(&self) -> bool {
         self.detector.lock().suspects_none()
@@ -375,7 +387,10 @@ impl DataPlane {
             return;
         }
         match self.links().get(peer as usize) {
-            Some(Some(link)) => link(frame),
+            Some(Some(link)) => {
+                link(frame);
+                self.sent.fetch_add(1, Ordering::Release);
+            }
             _ => self.metrics.no_route_drops.inc(),
         }
     }

@@ -76,7 +76,8 @@ pub struct GossipState {
     /// Refcounts behind the local truth — two clients sharing a filter
     /// keep it advertised until both unsubscribe.
     local_refs: HashMap<TopicFilter, usize>,
-    /// Filter → interested nodes, rebuilt whenever the view changes.
+    /// Filter → interested nodes: updated in place when the local truth
+    /// changes, rebuilt when gossip or a restart replaces other entries.
     table: SubscriptionTable<NodeId>,
     /// Bumped on every view change; stamps `cache` entries.
     table_stamp: u64,
@@ -145,17 +146,16 @@ impl GossipState {
         if *refs > 1 {
             return false;
         }
-        let me = self.me as usize;
-        if let Some(entry) = self.view.get_mut(me) {
-            let key = filter.to_string();
+        if let Some(entry) = self.view.get_mut(self.me as usize) {
             let pos = entry
                 .filters
-                .binary_search_by(|f| f.to_string().cmp(&key))
+                .binary_search_by(|f| f.cmp_text(filter))
                 .unwrap_or_else(|insert_at| insert_at);
             entry.filters.insert(pos, filter.clone());
             entry.generation += 1;
         }
-        self.rebuild();
+        self.table.subscribe(filter, self.me);
+        self.table_stamp += 1;
         true
     }
 
@@ -173,14 +173,14 @@ impl GossipState {
             return false;
         }
         self.local_refs.remove(filter);
-        let me = self.me as usize;
-        if let Some(entry) = self.view.get_mut(me) {
+        if let Some(entry) = self.view.get_mut(self.me as usize) {
             if let Some(pos) = entry.filters.iter().position(|f| f == filter) {
                 entry.filters.remove(pos);
             }
             entry.generation += 1;
         }
-        self.rebuild();
+        self.table.unsubscribe(filter, &self.me);
+        self.table_stamp += 1;
         true
     }
 
@@ -485,6 +485,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn filter(s: &str) -> TopicFilter {
         TopicFilter::parse(s).unwrap()
@@ -626,6 +627,114 @@ mod tests {
         assert_eq!(a.local_generation(), 1);
         assert_eq!(a.entry(1).generation, 0);
         assert!(a.entry(1).filters.is_empty());
+    }
+
+    /// One step of a gossip state's life.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Subscribe(TopicFilter),
+        Unsubscribe(TopicFilter),
+        Apply(NodeId, InterestEntry),
+    }
+
+    /// Filters over segments whose texts overlap (`a` is a prefix of
+    /// `ab`, and `*` and `/` sort below letters), so the text order of
+    /// the local truth is exercised.
+    fn filter_strategy() -> impl Strategy<Value = TopicFilter> {
+        (
+            prop::collection::vec(prop::sample::select(vec!["a", "ab", "b", "*"]), 0..=3),
+            any::<bool>(),
+        )
+            .prop_map(|(mut segments, tail)| {
+                if tail || segments.is_empty() {
+                    segments.push("#");
+                }
+                filter(&segments.join("/"))
+            })
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => filter_strategy().prop_map(Op::Subscribe),
+            2 => filter_strategy().prop_map(Op::Unsubscribe),
+            2 => (0u16..3, 0u64..8, prop::collection::vec(filter_strategy(), 0..3)).prop_map(
+                |(node, generation, filters)| Op::Apply(node, InterestEntry { generation, filters })
+            ),
+        ]
+    }
+
+    /// Every topic of one to three segments over the filters' alphabet.
+    fn probe_topics() -> Vec<Topic> {
+        let mut topics: Vec<Vec<&str>> = vec![vec![]];
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            topics = topics
+                .iter()
+                .flat_map(|prefix| {
+                    ["a", "ab", "b"].map(|segment| [prefix.as_slice(), &[segment]].concat())
+                })
+                .collect();
+            out.extend(topics.iter().map(|segments| topic(&segments.join("/"))));
+        }
+        out
+    }
+
+    proptest! {
+        /// Updating the table in place on a local (un)subscribe answers
+        /// exactly as a table rebuilt from the whole view does, and the
+        /// local truth lists its filters in text order, refcounted.
+        #[test]
+        fn in_place_updates_match_a_rebuilt_state(
+            ops in prop::collection::vec(op_strategy(), 1..40),
+        ) {
+            let mut state = GossipState::new(0, 3);
+            let mut refs: std::collections::BTreeMap<String, usize> = Default::default();
+            let mut generation = 0;
+            let mut peers = vec![InterestEntry::default(); 3];
+            let probes = probe_topics();
+            for op in &ops {
+                match op {
+                    Op::Subscribe(f) => {
+                        let count = refs.entry(f.to_string()).or_insert(0);
+                        *count += 1;
+                        generation += u64::from(*count == 1);
+                        prop_assert_eq!(state.subscribe(f), *count == 1);
+                    }
+                    Op::Unsubscribe(f) => {
+                        let gone = match refs.get_mut(&f.to_string()) {
+                            Some(count) => {
+                                *count -= 1;
+                                *count == 0
+                            }
+                            None => false,
+                        };
+                        if gone {
+                            refs.remove(&f.to_string());
+                            generation += 1;
+                        }
+                        prop_assert_eq!(state.unsubscribe(f), gone);
+                    }
+                    Op::Apply(node, entry) => {
+                        let known = &mut peers[*node as usize];
+                        let newer = *node != 0 && entry.generation > known.generation;
+                        if newer {
+                            *known = entry.clone();
+                        }
+                        prop_assert_eq!(state.apply(&[(*node, entry.clone())]), usize::from(newer));
+                    }
+                }
+                prop_assert_eq!(&state.view[1..], &peers[1..]);
+                let truth: Vec<String> = state.entry(0).filters.iter().map(ToString::to_string).collect();
+                prop_assert_eq!(truth, refs.keys().cloned().collect::<Vec<_>>());
+                prop_assert_eq!(state.local_generation(), generation);
+                let mut rebuilt = GossipState::new(0, 3);
+                rebuilt.view = state.view.clone();
+                rebuilt.rebuild();
+                for probe in &probes {
+                    prop_assert_eq!(state.targets_for(probe), rebuilt.targets_for(probe), "{}", probe);
+                }
+            }
+        }
     }
 
     #[test]

@@ -533,13 +533,7 @@ impl ShardedBroker {
     /// (enqueueing their forwards), round two drains the forwards. A
     /// shard that has shut down acks by refusing the barrier.
     pub fn quiesce(&self) {
-        for _ in 0..2 {
-            let latch = Latch::new();
-            for ingress in &self.router.shards {
-                ingress.push(ShardCmd::Barrier(latch.ack()));
-            }
-            latch.wait_settled();
-        }
+        quiesce_all(std::iter::once(self));
     }
 
     /// Sleeps shard `index`'s worker for `duration` once it reaches
@@ -567,6 +561,20 @@ impl ShardedBroker {
         for ingress in &self.router.shards {
             ingress.close(ShardCmd::Shutdown);
         }
+    }
+}
+
+/// [`ShardedBroker::quiesce`] for several brokers at once: each of the
+/// two barrier rounds puts one barrier on every shard of every broker,
+/// all acking one latch, so the brokers settle side by side instead of
+/// one after another. The federation settles its nodes this way.
+pub(crate) fn quiesce_all<'a>(brokers: impl Iterator<Item = &'a ShardedBroker> + Clone) {
+    for _ in 0..2 {
+        let latch = Latch::new();
+        for ingress in brokers.clone().flat_map(|broker| &broker.router.shards) {
+            ingress.push(ShardCmd::Barrier(latch.ack()));
+        }
+        latch.wait_settled();
     }
 }
 

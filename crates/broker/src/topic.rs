@@ -302,6 +302,25 @@ impl TopicFilter {
             _ => None,
         }
     }
+
+    /// Orders two filters as their [`Display`](fmt::Display) texts
+    /// compare, without writing either text out.
+    pub(crate) fn cmp_text(&self, other: &TopicFilter) -> Ordering {
+        self.text_bytes().cmp(other.text_bytes())
+    }
+
+    /// The bytes of this filter's display text, one at a time.
+    fn text_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        let piece = |i: usize| match self.segments.get(i) {
+            Some(FilterSegment::Literal(lit)) => lit.as_bytes(),
+            Some(FilterSegment::Single) => b"*",
+            None => b"#",
+        };
+        (0..self.segments.len() + usize::from(self.tail)).flat_map(move |i| {
+            let separator: &[u8] = if i == 0 { b"" } else { b"/" };
+            [separator, piece(i)].into_iter().flatten().copied()
+        })
+    }
 }
 
 impl fmt::Display for TopicFilter {

@@ -6,7 +6,9 @@
 //!
 //! * **the barrier is a barrier** — `quiesce()` returns because every
 //!   hop has carried and processed what was published before it, so one
-//!   drain right after it finds everything, with no timeout to tune; a
+//!   drain right after it finds everything, with no timeout to tune,
+//!   though it stops at its first quiet round, even at the far end of a
+//!   four-hop relay chain; a
 //!   dropped listener makes it skip that node's links, not hang; stray
 //!   or malformed flush records are counted and complete nothing;
 //! * **mid-stream kill** — dropping a node's listener (and shutting
@@ -260,6 +262,41 @@ fn quiesce_over_tcp_flushes_every_hop() {
         // The liveness probe a flush makes must never drop a healthy
         // connection.
         assert_eq!(cluster.metrics().total(|m| m.reconnects.get()), 0);
+    }
+}
+
+/// `quiesce()` returns at its first quiet round, so what it must not do
+/// is stop early on a long relay: 20 000 publishes at one end of a
+/// five-node chain cross four links to the subscriber at the other end,
+/// and the one drain right after one `quiesce()` must find every one of
+/// them, in per-source order, five times over — over TCP, where each
+/// hop is a flush exchange, and in process. A settle that stopped after
+/// its first round leaves some of them still on the links.
+#[test]
+fn one_quiesce_settles_a_five_node_relay_chain() {
+    const PUBLISHES: u64 = 20_000;
+    let topic = Topic::parse("chain/x").expect("topic");
+    for tcp in [true, false] {
+        let builder = Cluster::builder(LatencyMap::chain(5, 5));
+        let cluster = if tcp { builder.tcp() } else { builder }.spawn();
+        let publisher = cluster.attach(0);
+        let subscriber = cluster.attach(4);
+        assert_eq!((publisher.node(), subscriber.node()), (0, 4));
+        subscriber.subscribe(TopicFilter::parse("chain/#").expect("filter"));
+        assert!(cluster.converge(8), "tcp {tcp}: interest gossip converged");
+        for iteration in 0..5 {
+            for _ in 0..PUBLISHES {
+                publisher.publish(topic.clone(), Bytes::new());
+            }
+            cluster.quiesce();
+            let seqs: Vec<u64> = drain(&subscriber).iter().map(|e| e.seq).collect();
+            let first = iteration * PUBLISHES;
+            assert!(
+                seqs.iter().copied().eq(first..first + PUBLISHES),
+                "tcp {tcp}, iteration {iteration}: {} of {PUBLISHES} arrived, or out of order",
+                seqs.len()
+            );
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! publisher thread and fails the joins.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -30,13 +30,33 @@ const PUBLISHERS: usize = 8;
 const PER_PUBLISHER: u64 = 12_500;
 const TOTAL: u64 = PUBLISHERS as u64 * PER_PUBLISHER;
 
+/// Held for the whole of each test: cargo runs a file's tests side by
+/// side, and the detector's long-hold record is one per process, so a
+/// check run beside another test would also see that test's holds.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The broker-lock holds past the watchdog threshold recorded after the
+/// first `since` records: those of the running test alone.
+#[cfg(debug_assertions)]
+fn broker_holds_since(since: usize) -> Vec<parking_lot::deadlock::LongHold> {
+    let holds = parking_lot::deadlock::long_holds().into_iter().skip(since);
+    holds.filter(|h| h.site.contains("crates/broker")).collect()
+}
+
 #[test]
 fn four_shard_soak_has_exact_counters() {
+    let _serial = serial();
     #[cfg(debug_assertions)]
     assert!(
         parking_lot::deadlock::is_active(),
         "debug build must carry the deadlock detector"
     );
+    #[cfg(debug_assertions)]
+    let holds_before = parking_lot::deadlock::long_holds().len();
 
     let metrics = ShardedBrokerMetrics::detached(SHARDS);
     let broker = Arc::new(ShardedBroker::spawn_with_metrics(Arc::clone(&metrics)));
@@ -80,10 +100,7 @@ fn four_shard_soak_has_exact_counters() {
     // watchdog threshold either.
     #[cfg(debug_assertions)]
     {
-        let broker_holds: Vec<_> = parking_lot::deadlock::long_holds()
-            .into_iter()
-            .filter(|h| h.site.contains("crates/broker"))
-            .collect();
+        let broker_holds = broker_holds_since(holds_before);
         assert!(
             broker_holds.is_empty(),
             "broker locks held past the watchdog threshold: {broker_holds:?}"
@@ -98,6 +115,7 @@ fn four_shard_soak_has_exact_counters() {
 /// home, where it is counted again as it arrives.
 #[test]
 fn four_shard_inject_has_exact_counters() {
+    let _serial = serial();
     const FAMILIES: usize = 8;
     const EACH: u64 = TOTAL / FAMILIES as u64;
     let metrics = ShardedBrokerMetrics::detached(SHARDS);
@@ -215,6 +233,7 @@ fn assert_every_event_drained_in_order(
 /// nowhere) and no thread may hang or panic.
 #[test]
 fn shutdown_under_load_is_clean() {
+    let _serial = serial();
     for shards in [1, SHARDS] {
         let broker = Arc::new(ShardedBroker::builder(shards).capacity(64).spawn());
         let subscriber = broker.attach();
@@ -243,6 +262,7 @@ fn shutdown_under_load_is_clean() {
 
 #[test]
 fn churn_does_not_lose_stable_subscribers() {
+    let _serial = serial();
     let broker = Arc::new(ShardedBroker::spawn(1));
     let stable = broker.attach();
     stable.subscribe(TopicFilter::parse("load/#").unwrap());
@@ -292,6 +312,7 @@ fn churn_does_not_lose_stable_subscribers() {
 
 #[test]
 fn unsubscribe_race_converges() {
+    let _serial = serial();
     let broker = ShardedBroker::spawn(1);
     let publisher = broker.attach();
     let subscriber = broker.attach();
@@ -317,8 +338,10 @@ fn unsubscribe_race_converges() {
 #[cfg(debug_assertions)]
 #[test]
 fn stress_is_lock_inversion_free_under_detector() {
+    let _serial = serial();
     use parking_lot::deadlock;
     assert!(deadlock::is_active(), "debug build must carry the detector");
+    let holds_before = deadlock::long_holds().len();
     let broker = Arc::new(ShardedBroker::spawn(1));
     let stable = broker.attach();
     stable.subscribe(TopicFilter::parse("det/#").unwrap());
@@ -357,10 +380,7 @@ fn stress_is_lock_inversion_free_under_detector() {
         }
     }
     assert_eq!(received, 600, "delivery must be unaffected by the detector");
-    let broker_holds: Vec<_> = deadlock::long_holds()
-        .into_iter()
-        .filter(|h| h.site.contains("crates/broker"))
-        .collect();
+    let broker_holds = broker_holds_since(holds_before);
     assert!(
         broker_holds.is_empty(),
         "broker locks held past the watchdog threshold: {broker_holds:?}"
@@ -375,6 +395,7 @@ fn stress_is_lock_inversion_free_under_detector() {
 /// steps and the sampler would observe a negative depth.
 #[test]
 fn queue_depth_gauge_never_underflows() {
+    let _serial = serial();
     use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
     let bundle = ShardedBrokerMetrics::detached(1);
@@ -463,6 +484,7 @@ fn filter(s: &str) -> TopicFilter {
 /// over the bound.
 #[test]
 fn ping_pong_loses_no_wake_up() {
+    let _serial = serial();
     const TURNS: u64 = 50_000;
     const SLOW_TURNS: u64 = 300;
     for shards in [1, SHARDS] {
@@ -501,6 +523,7 @@ fn ping_pong_loses_no_wake_up() {
 /// later.
 #[test]
 fn a_closed_mailbox_wakes_and_refuses_receivers() {
+    let _serial = serial();
     let long = Duration::from_secs(5);
     let prompt = Duration::from_millis(100);
 
@@ -575,6 +598,7 @@ fn a_closed_mailbox_wakes_and_refuses_receivers() {
 /// as long as the worker does.
 #[test]
 fn the_ingress_bound_binds_and_shutdown_releases_it() {
+    let _serial = serial();
     const CAPACITY: usize = 4;
     const PRODUCERS: usize = 4;
     const EACH: u64 = 2_000;
@@ -655,6 +679,7 @@ fn the_ingress_bound_binds_and_shutdown_releases_it() {
 /// subscriber finds exactly the expected count. No timeout, no sleep.
 #[test]
 fn quiesce_makes_every_earlier_delivery_drainable() {
+    let _serial = serial();
     const ROUNDS: usize = 20;
     const EACH: usize = 250;
     let broker = ShardedBroker::spawn(SHARDS);

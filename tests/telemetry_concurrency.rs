@@ -3,7 +3,7 @@
 //! tear nothing, and the instrumented live broker runtime keeps the
 //! lock-order deadlock detector silent while metrics are live.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -15,8 +15,18 @@ use mmcs::telemetry::{Counter, Gauge, Histogram};
 const THREADS: u64 = 8;
 const OPS: u64 = 100_000;
 
+/// Held for the whole of each test: cargo runs a file's tests side by
+/// side, and the detector's long-hold record is one per process, so a
+/// check run beside another test would also see that test's holds.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn shared_instruments_survive_eight_threads_of_contention() {
+    let _serial = serial();
     let counter = Arc::new(Counter::new());
     let gauge = Arc::new(Gauge::new());
     let histogram = Arc::new(Histogram::new());
@@ -65,6 +75,9 @@ fn shared_instruments_survive_eight_threads_of_contention() {
 /// detector could object to (instruments are lock-free atomics).
 #[test]
 fn instrumented_live_broker_counts_exactly_and_stays_deadlock_free() {
+    let _serial = serial();
+    #[cfg(debug_assertions)]
+    let holds_before = parking_lot::deadlock::long_holds().len();
     let registry = mmcs::telemetry::Registry::new();
     let bundle = ShardedBrokerMetrics::register(&registry, "broker", 1);
     let metrics = bundle.shard(0);
@@ -118,6 +131,7 @@ fn instrumented_live_broker_counts_exactly_and_stays_deadlock_free() {
         assert!(deadlock::is_active(), "debug build must carry the detector");
         let broker_holds: Vec<_> = deadlock::long_holds()
             .into_iter()
+            .skip(holds_before)
             .filter(|h| h.site.contains("crates/broker"))
             .collect();
         assert!(
