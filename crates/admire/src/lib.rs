@@ -16,13 +16,12 @@
 //!
 //! * [`conference`] — Admire's own conference management (sites,
 //!   conferences, member state) in its native message style.
-//! * [`agent`] — RTP agents: the relay pair both sides stand up at the
-//!   rendezvous to splice their media planes together.
 //! * [`service`] — the SOAP/WSDL-CI facade: implements
-//!   [`mmcs_xgsp::wsdl_ci::CollaborationServer`] and handles the
-//!   `rendezvous` control operation.
+//!   [`mmcs_xgsp::wsdl_ci::CollaborationServer`] and answers the
+//!   `rendezvous` control operation with the address of Admire's side.
+//!   Global-MMCS's side of the rendezvous, the RTP agent on its broker,
+//!   lives in `global-mmcs`.
 
-pub mod agent;
 pub mod conference;
 pub mod service;
 

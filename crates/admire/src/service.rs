@@ -5,9 +5,9 @@
 //! [`AdmireServer`] type, and exposes the
 //! `rendezvous` control operation the paper describes: Global-MMCS
 //! proposes a rendezvous address, Admire answers with its own, and both
-//! sides stand up [`RtpAgent`] pairs there. A
-//! [`AdmireService::soap_server`] binding publishes the same operations
-//! over SOAP for the XGSP web server.
+//! sides stand up RTP agents there. The service keeps the address it
+//! answered per session. A [`AdmireService::soap_server`] binding
+//! publishes the same operations over SOAP for the XGSP web server.
 
 use std::collections::HashMap;
 
@@ -16,7 +16,6 @@ use mmcs_soap::service::SoapServer;
 use mmcs_util::id::{SessionId, TerminalId};
 use mmcs_xgsp::wsdl_ci::{CiError, CollaborationServer, OperationDescriptor, ServiceDescriptor};
 
-use crate::agent::RtpAgent;
 use crate::conference::AdmireServer;
 
 /// The Admire community service. See the [module docs](self).
@@ -27,8 +26,8 @@ pub struct AdmireService {
     server: AdmireServer,
     /// XGSP session -> Admire conference name.
     sessions: HashMap<SessionId, String>,
-    /// XGSP session -> the agent Admire stood up for it.
-    agents: HashMap<SessionId, RtpAgent>,
+    /// XGSP session -> the rendezvous address Admire answered with.
+    rendezvous: HashMap<SessionId, String>,
     /// Base address Admire allocates rendezvous ports from.
     rendezvous_host: String,
     next_port: u16,
@@ -43,7 +42,7 @@ impl AdmireService {
             community,
             server: AdmireServer::new(),
             sessions: HashMap::new(),
-            agents: HashMap::new(),
+            rendezvous: HashMap::new(),
             rendezvous_host: rendezvous_host.into(),
             next_port: 9000,
         }
@@ -59,14 +58,10 @@ impl AdmireService {
         &mut self.server
     }
 
-    /// The RTP agent for a mirrored session, once rendezvous completed.
-    pub fn agent(&self, session: SessionId) -> Option<&RtpAgent> {
-        self.agents.get(&session)
-    }
-
-    /// Mutable agent access (tests relay through it).
-    pub fn agent_mut(&mut self, session: SessionId) -> Option<&mut RtpAgent> {
-        self.agents.get_mut(&session)
+    /// Admire's rendezvous address for a mirrored session, once the
+    /// rendezvous exchange completed.
+    pub fn rendezvous(&self, session: SessionId) -> Option<&str> {
+        self.rendezvous.get(&session).map(String::as_str)
     }
 
     fn conference_name(session: SessionId) -> String {
@@ -228,19 +223,13 @@ impl CollaborationServer for AdmireService {
             return Err(CiError::UnknownSession(session));
         }
         match operation {
-            // The paper's integration flow: propose a rendezvous, get
-            // Admire's back, both sides create RTP agents there.
+            // The paper's integration flow: Global-MMCS proposes a
+            // rendezvous, Admire answers with its own, and both sides
+            // create RTP agents there.
             "rendezvous" => {
-                let _proposed = args
-                    .iter()
-                    .find(|(n, _)| n == "proposedAddress")
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_default();
                 let address = format!("{}:{}", self.rendezvous_host, self.next_port);
                 self.next_port += 2; // RTP + RTCP port pair
-                let mut agent = RtpAgent::new(address.clone());
-                agent.start();
-                self.agents.insert(session, agent);
+                self.rendezvous.insert(session, address.clone());
                 Ok(vec![("admireAddress".into(), address)])
             }
             "archive" => {
@@ -263,9 +252,7 @@ impl CollaborationServer for AdmireService {
             .remove(&session)
             .ok_or(CiError::UnknownSession(session))?;
         self.server.end_conference(&conference);
-        if let Some(mut agent) = self.agents.remove(&session) {
-            agent.stop();
-        }
+        self.rendezvous.remove(&session);
         Ok(())
     }
 }
@@ -304,13 +291,11 @@ mod tests {
             .unwrap();
         assert_eq!(result[0].0, "admireAddress");
         assert!(result[0].1.starts_with("rdv.admire.cn:"));
-        let agent = service.agent(session()).unwrap();
-        assert!(agent.is_started());
-        assert_eq!(agent.rendezvous(), result[0].1);
+        assert_eq!(service.rendezvous(session()), Some(result[0].1.as_str()));
 
         service.remove_member(session(), "alice").unwrap();
         service.teardown_session(session()).unwrap();
-        assert!(service.agent(session()).is_none());
+        assert!(service.rendezvous(session()).is_none());
         assert_eq!(service.server().conference_count(), 0);
     }
 

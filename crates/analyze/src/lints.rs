@@ -52,9 +52,9 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/broker/src/event.rs",
     "crates/broker/src/node.rs",
     "crates/broker/src/reliable.rs",
-    "crates/broker/src/rtpproxy.rs",
     "crates/broker/src/sharded.rs",
     "crates/broker/src/wire.rs",
+    "crates/core/src/rendezvous.rs",
     "crates/rtp/src/packet.rs",
     "crates/streaming/src/helix.rs",
     "crates/streaming/src/producer.rs",

@@ -46,6 +46,7 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("crates/broker/src/wire.rs", "encode_into"),
     ("crates/broker/src/wire.rs", "decode_shared"),
     ("crates/broker/src/wire.rs", "parse"),
+    ("crates/core/src/rendezvous.rs", "inbound"),
     ("crates/util/src/pool.rs", "acquire"),
     ("crates/util/src/pool.rs", "release"),
 ];

@@ -23,7 +23,6 @@
 //! * [`reliable`] — positive-ack reliable delivery, generic over its
 //!   payload: control-plane events, and the frames on the federation's
 //!   TCP links.
-//! * [`rtpproxy`] — the raw-RTP ⇄ event bridge for legacy endpoints.
 //! * [`wire`] — the flat zero-copy event encoding used on links.
 //! * [`metrics`] — telemetry instruments for the node and its drivers.
 //!
@@ -76,7 +75,6 @@ pub mod metrics;
 pub mod node;
 pub mod profile;
 pub mod reliable;
-pub mod rtpproxy;
 pub mod sharded;
 pub mod simdrv;
 pub mod simtopo;

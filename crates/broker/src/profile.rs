@@ -21,7 +21,8 @@ pub enum TransportProfile {
     /// TLS over TCP; highest per-packet CPU cost.
     Ssl,
     /// Raw RTP passthrough for legacy A/V endpoints that cannot speak the
-    /// event protocol; the broker's RTP proxy bridges them.
+    /// event protocol; an RTP proxy (the rendezvous agent of `global-mmcs`)
+    /// bridges them.
     RawRtp,
 }
 

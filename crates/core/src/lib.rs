@@ -17,9 +17,11 @@
 //!   opening of scheduled meetings.
 //! * [`avs`] — the A/V service: active-speaker selection and video
 //!   switching over the session's media streams.
-//! * [`bridge`] — community bridging: mirror a session into a WSDL-CI
-//!   collaboration server and run the paper's SOAP rendezvous exchange
-//!   with Admire.
+//! * [`rendezvous`] — the RTP agent a bridged community gets at each
+//!   session's rendezvous: a raw-RTP broker client that splices the
+//!   community's media into the session topics and back. A community is
+//!   bridged with [`system::GlobalMmcs::bridge`], and the door mirrors
+//!   every session into it.
 //! * [`hearme`] — the HearMe audio-only VoIP community service the
 //!   paper reports having wrapped in web services.
 //! * [`accessgrid`] — the Access Grid community: venues bound to
@@ -50,9 +52,9 @@
 
 pub mod accessgrid;
 pub mod avs;
-pub mod bridge;
 pub mod hearme;
 pub mod quality;
+pub mod rendezvous;
 pub mod system;
 pub mod web;
 

@@ -12,11 +12,11 @@
 //!   IM escalation and the SOAP facade only translate, and every XGSP
 //!   message they make goes through the same door. There each output is
 //!   applied once, whichever ingress it came from: topic commands add
-//!   and drop streaming taps (Helix streams and RealProducers),
-//!   membership and video selection move the A/V switch, and
-//!   notifications and invites are translated for the recipient's
-//!   [`EndpointKind`] (a user a gateway admits is bound to that
-//!   gateway's kind);
+//!   and drop streaming taps (Helix streams and RealProducers), what the
+//!   session server accepted moves the A/V switch and is mirrored into
+//!   every bridged community ([`GlobalMmcs::bridge`]), and notifications
+//!   and invites are translated for the recipient's [`EndpointKind`] (a
+//!   user a gateway admits is bound to that gateway's kind);
 //! * media plane: the live [`ShardedBroker`] behind
 //!   [`GlobalMmcs::broker`], with one shard (every topic here starts
 //!   with `globalmmcs/`, so one shard owns them all and a second would
@@ -24,7 +24,8 @@
 //!   subscribes to a session topic, publishes RTP and drains its own
 //!   handle, and no signalling [`Egress`] carries media. The media
 //!   service taps `globalmmcs/#`; [`GlobalMmcs::pump`] feeds what it
-//!   has heard on live session topics to streaming and the archive.
+//!   has heard on live session topics to streaming and the archive. A
+//!   bridged community's [`RendezvousAgent`] is one more such client.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -54,9 +55,11 @@ use mmcs_util::xml::Element;
 use mmcs_xgsp::calendar::Calendar;
 use mmcs_xgsp::message::{MediaOp, XgspMessage};
 use mmcs_xgsp::server::{BrokerCommand, ServerOutput, SessionServer};
+use mmcs_xgsp::wsdl_ci::{CiError, CollaborationServer};
 
 use crate::avs::MediaSwitch;
 use crate::quality::QualityMonitor;
+use crate::rendezvous::RendezvousAgent;
 
 /// How a user's endpoint is reached (for notification translation).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,6 +94,23 @@ pub enum Egress {
     },
     /// An H.323 message toward a terminal.
     H323(H323Message),
+    /// A bridged community failed or refused to mirror what the session
+    /// server accepted.
+    Community {
+        /// The community's name.
+        community: String,
+        /// What it answered.
+        error: CiError,
+    },
+}
+
+/// A community registered with [`GlobalMmcs::bridge`].
+struct Community {
+    name: String,
+    server: Box<dyn CollaborationServer>,
+    /// The agent at each session's rendezvous, when the community
+    /// answered one.
+    agents: HashMap<SessionId, RendezvousAgent>,
 }
 
 /// The XGSP session server and every piece of state its outputs drive.
@@ -104,38 +124,28 @@ struct Xgsp {
     /// The streaming tap of each live session topic, keyed by the topic
     /// parsed once when the session server created it.
     producers: HashMap<Topic, RealProducer>,
+    communities: Vec<Community>,
 }
 
 impl Xgsp {
     /// The door: hands `message` to the session server and applies each
-    /// output once. Topic commands add and drop streaming taps, a leave,
-    /// a termination or a video selection moves the A/V switch, and every
+    /// output once. Topic commands add and drop streaming taps, a created
+    /// session is established in every bridged community, and every
     /// notification and invite is translated for its recipient's endpoint
-    /// into `egress`. A gateway passes `admit`, the kind it binds each user
-    /// it admits to. Returns the session server's outputs, whose replies
-    /// are the caller's to read.
+    /// into `egress`. Only a request the server accepted moves the A/V
+    /// switch and the communities (see `accepted`). A gateway
+    /// passes `admit`, the kind it binds each user it admits to. Returns
+    /// the session server's outputs, whose replies are the caller's to
+    /// read.
     fn handle(
         &mut self,
+        broker: &ShardedBroker,
         from: Option<&str>,
         message: XgspMessage,
         admit: Option<fn(String) -> EndpointKind>,
         egress: &mut Vec<Egress>,
     ) -> Vec<ServerOutput> {
-        match &message {
-            XgspMessage::MediaControl {
-                session,
-                user,
-                op: MediaOp::Select,
-                kind,
-            } if kind == "video" => self.switch.pin(*session, Some(user)),
-            XgspMessage::Leave { session, user } => self.switch.remove_member(*session, user),
-            XgspMessage::TerminateSession { session } => self.switch.remove_session(*session),
-            _ => {}
-        }
-        let mut joining = match (&message, admit) {
-            (XgspMessage::Join { user, .. }, Some(kind)) => Some((user.clone(), kind)),
-            _ => None,
-        };
+        let request = message.clone();
         let outputs = self.server.handle(from, message);
         for output in &outputs {
             match output {
@@ -154,10 +164,8 @@ impl Xgsp {
                         self.producers.remove(&topic);
                     }
                 }
-                ServerOutput::Reply(XgspMessage::JoinAck { .. }) => {
-                    if let Some((user, kind)) = joining.take() {
-                        self.endpoints.insert(user.clone(), kind(user));
-                    }
+                ServerOutput::Reply(XgspMessage::SessionCreated { session, name }) => {
+                    self.establish(broker, *session, name, egress);
                 }
                 ServerOutput::Reply(_) => {}
                 ServerOutput::Notify { user, message }
@@ -166,7 +174,104 @@ impl Xgsp {
                 }
             }
         }
+        let refused = outputs
+            .iter()
+            .any(|output| matches!(output, ServerOutput::Reply(XgspMessage::Error { .. })));
+        if !refused {
+            self.accepted(request, admit, egress);
+        }
         outputs
+    }
+
+    /// Applies a request the session server accepted: a join binds an
+    /// admitted user's endpoint and adds the member in every community,
+    /// a leave clears the member from the switch and the communities, a
+    /// video selection pins the switch, and a session that is gone (by
+    /// termination, or an ad-hoc room's last leave) is torn down.
+    fn accepted(
+        &mut self,
+        request: XgspMessage,
+        admit: Option<fn(String) -> EndpointKind>,
+        egress: &mut Vec<Egress>,
+    ) {
+        match request {
+            XgspMessage::Join {
+                session,
+                user,
+                terminal,
+                ..
+            } => {
+                self.mirror(egress, |c| c.server.add_member(session, &user, terminal));
+                if let Some(kind) = admit {
+                    self.endpoints.insert(user.clone(), kind(user));
+                }
+            }
+            XgspMessage::Leave { session, user } => {
+                self.switch.remove_member(session, &user);
+                self.mirror(egress, |c| c.server.remove_member(session, &user));
+                if self.server.session(session).is_none() {
+                    self.teardown(session, egress);
+                }
+            }
+            XgspMessage::TerminateSession { session } => self.teardown(session, egress),
+            XgspMessage::MediaControl {
+                session,
+                user,
+                op: MediaOp::Select,
+                kind,
+            } if kind == "video" => self.switch.pin(session, Some(&user)),
+            _ => {}
+        }
+    }
+
+    /// Establishes a new session in every bridged community and trades
+    /// rendezvous addresses with it; a community that answers gets a
+    /// [`RendezvousAgent`] on `broker`.
+    fn establish(
+        &mut self,
+        broker: &ShardedBroker,
+        session: SessionId,
+        name: &str,
+        egress: &mut Vec<Egress>,
+    ) {
+        let proposed = [("proposedAddress".to_owned(), "rtp-proxy.mmcs.example:5004".to_owned())];
+        self.mirror(egress, |community| {
+            community.server.establish_session(session, name)?;
+            let answer = community.server.control(session, "rendezvous", &proposed)?;
+            let (_, remote) = answer
+                .into_iter()
+                .next()
+                .ok_or_else(|| CiError::Refused("no rendezvous in the answer".into()))?;
+            let agent = RendezvousAgent::new(broker, session, remote);
+            community.agents.insert(session, agent);
+            Ok(())
+        });
+    }
+
+    /// Drops a session that is gone from the switch and every community,
+    /// detaching its agents.
+    fn teardown(&mut self, session: SessionId, egress: &mut Vec<Egress>) {
+        self.switch.remove_session(session);
+        self.mirror(egress, |community| {
+            community.agents.remove(&session);
+            community.server.teardown_session(session)
+        });
+    }
+
+    /// Applies `op` to every bridged community, reporting each failure.
+    fn mirror(
+        &mut self,
+        egress: &mut Vec<Egress>,
+        mut op: impl FnMut(&mut Community) -> Result<(), CiError>,
+    ) {
+        for community in &mut self.communities {
+            if let Err(error) = op(community) {
+                egress.push(Egress::Community {
+                    community: community.name.clone(),
+                    error,
+                });
+            }
+        }
     }
 
     /// Translates one notification or invite for the recipient's
@@ -216,8 +321,8 @@ pub struct GlobalMmcs {
     quality: QualityMonitor,
     /// The media service's tap on `globalmmcs/#`.
     media_service: ShardedClient,
-    /// Declared after the tap, so it detaches before the broker shuts
-    /// down.
+    /// Declared after the tap and the rendezvous agents (in `xgsp`), so
+    /// they detach before the broker shuts down.
     broker: ShardedBroker,
     now: SimTime,
 }
@@ -235,6 +340,7 @@ impl GlobalMmcs {
                 switch: MediaSwitch::new(),
                 helix: HelixServer::new(),
                 producers: HashMap::new(),
+                communities: Vec::new(),
             },
             sip_gateway: SipGateway::new("mmcs.example", "rtp-proxy.mmcs.example"),
             h323_gateway: H323Gateway::new("gw.mmcs.example:2720", "rtp-proxy.mmcs.example:5004"),
@@ -379,6 +485,34 @@ impl GlobalMmcs {
         self.xgsp.endpoints.insert(user.into(), kind);
     }
 
+    /// Registers a community: from now on every session created is
+    /// established in it, and each join, leave and teardown the session
+    /// server accepts is mirrored into it. The community is named by its
+    /// descriptor. When it answers the rendezvous exchange, the door stands
+    /// up a [`RendezvousAgent`] for the session; a refusal, like any
+    /// community-side error, comes back as [`Egress::Community`]. Sessions
+    /// already live are not mirrored.
+    pub fn bridge(&mut self, server: Box<dyn CollaborationServer>) {
+        self.xgsp.communities.push(Community {
+            name: server.descriptor().community,
+            server,
+            agents: HashMap::new(),
+        });
+    }
+
+    /// A bridged community's server, for its community-specific
+    /// [`control`](CollaborationServer::control) operations.
+    pub fn community_mut(&mut self, name: &str) -> Option<&mut dyn CollaborationServer> {
+        let community = self.xgsp.communities.iter_mut().find(|c| c.name == name)?;
+        Some(community.server.as_mut())
+    }
+
+    /// The agent at a session's rendezvous with a bridged community.
+    pub fn agent(&self, community: &str, session: SessionId) -> Option<&RendezvousAgent> {
+        let community = self.xgsp.communities.iter().find(|c| c.name == community)?;
+        community.agents.get(&session)
+    }
+
     /// The broker the media plane runs on. A media endpoint attaches
     /// here, subscribes to a session topic, publishes its RTP with
     /// [`EventClass::Rtp`](mmcs_broker::event::EventClass::Rtp) and drains
@@ -418,7 +552,7 @@ impl GlobalMmcs {
     /// of every notification and invite it caused.
     pub fn handle_xgsp(&mut self, from: Option<&str>, message: XgspMessage) -> Vec<Egress> {
         let mut egress = Vec::new();
-        let outputs = self.xgsp.handle(from, message, None, &mut egress);
+        let outputs = self.xgsp.handle(&self.broker, from, message, None, &mut egress);
         let replies = outputs.into_iter().filter_map(|output| match output {
             ServerOutput::Reply(reply) => Some(Egress::Xgsp(reply)),
             _ => None,
@@ -433,10 +567,14 @@ impl GlobalMmcs {
     }
 
     /// Reports a member's audio energy to the A/V switch (the RTP
-    /// proxies do this from RTCP in the full deployment).
+    /// proxies do this from RTCP in the full deployment). A report for
+    /// anyone who is not a member of a live session is dropped.
     pub fn report_audio_level(&mut self, session: SessionId, user: &str, level: f64) {
-        let now = self.now;
-        self.xgsp.switch.report_audio(session, user, level, now);
+        let member = self.xgsp.server.session(session).and_then(|s| s.member(user));
+        if member.is_some() {
+            let now = self.now;
+            self.xgsp.switch.report_audio(session, user, level, now);
+        }
     }
 
     /// Handles a SIP request: REGISTER → registrar, SUBSCRIBE →
@@ -454,9 +592,9 @@ impl GlobalMmcs {
             SipMethod::Register => vec![self.registrar.handle_register(request, self.now)],
             SipMethod::Subscribe => self.presence.handle_subscribe(request, self.now),
             _ if self.sip_gateway.is_conference_uri(uri) => {
-                let xgsp = &mut self.xgsp;
+                let (xgsp, broker) = (&mut self.xgsp, &self.broker);
                 self.sip_gateway.handle_request(request, |from, message| {
-                    xgsp.handle(from, message, Some(EndpointKind::Sip), &mut egress)
+                    xgsp.handle(broker, from, message, Some(EndpointKind::Sip), &mut egress)
                 })
             }
             _ => vec![proxy_message(
@@ -475,9 +613,9 @@ impl GlobalMmcs {
             return vec![Egress::H323(H323Message::Ras(self.gatekeeper.handle(ras)))];
         }
         let mut egress = Vec::new();
-        let xgsp = &mut self.xgsp;
+        let (xgsp, broker) = (&mut self.xgsp, &self.broker);
         let replies = self.h323_gateway.handle(message, |from, message| {
-            xgsp.handle(from, message, Some(|_| EndpointKind::H323), &mut egress)
+            xgsp.handle(broker, from, message, Some(|_| EndpointKind::H323), &mut egress)
         });
         replies.into_iter().map(Egress::H323).chain(egress).collect()
     }
@@ -501,10 +639,10 @@ impl GlobalMmcs {
         initiator: &str,
     ) -> Result<(SessionId, Vec<Egress>), EscalateError> {
         let mut egress = Vec::new();
-        let xgsp = &mut self.xgsp;
+        let (xgsp, broker) = (&mut self.xgsp, &self.broker);
         let escalation = mmcs_im::adhoc::escalate_room(
             &self.im,
-            |from, message| xgsp.handle(from, message, Some(EndpointKind::Im), &mut egress),
+            |from, message| xgsp.handle(broker, from, message, Some(EndpointKind::Im), &mut egress),
             room,
             initiator,
             TerminalId::from_raw(1),

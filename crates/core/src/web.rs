@@ -5,8 +5,10 @@
 //! of some virtual meeting room" (§2.1, §3.2).
 //! [`GlobalMmcs::handle_soap`] publishes the session operations over SOAP
 //! (`createSession`, `join`, `leave`, `terminate`, `schedule`,
-//! `listSessions`), and [`GlobalMmcs::open_due_meetings`] turns due
-//! calendar reservations into live scheduled sessions. Both run on the
+//! `listSessions`) and a bridged community's own operations (`control`,
+//! through [`GlobalMmcs::community_mut`]), and
+//! [`GlobalMmcs::open_due_meetings`] turns due calendar reservations
+//! into live scheduled sessions. Both run on the
 //! system's own calendar and only translate: every session operation
 //! goes through [`GlobalMmcs::handle_xgsp`], the one door into the
 //! system's session server, so a session made over the web gets its
@@ -214,6 +216,23 @@ impl GlobalMmcs {
                     .book(room, organizer, invitees, start, duration, title)
                     .map_err(|e| fault("Server", e.to_string()))?;
                 Ok(vec![("reservationId".into(), reservation.value().to_string())])
+            }
+            "control" => {
+                let name = part(call, "community")?;
+                let session = SessionId::from_raw(number(call, "sessionId")?);
+                let operation = part(call, "operation")?.to_owned();
+                let args: Vec<(String, String)> = call
+                    .parts
+                    .iter()
+                    .filter(|(n, _)| !matches!(n.as_str(), "community" | "sessionId" | "operation"))
+                    .cloned()
+                    .collect();
+                let community = self
+                    .community_mut(name)
+                    .ok_or_else(|| fault("Client", format!("unknown community {name:?}")))?;
+                community
+                    .control(session, &operation, &args)
+                    .map_err(|e| fault("Server", e.to_string()))
             }
             "listSessions" => {
                 let mut ids: Vec<u64> =

@@ -229,7 +229,8 @@ impl<'a> WireRtp<'a> {
         }
         let mut payload_end = wire.len();
         if wire[0] & 0b0010_0000 != 0 {
-            let payload = &wire[header_len..];
+            // `header_len` is within `wire` (checked above).
+            let payload = wire.get(header_len..).unwrap_or_default();
             let Some(&pad_len) = payload.last() else {
                 return Err(DecodeRtpError::BadPadding);
             };

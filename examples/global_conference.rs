@@ -6,13 +6,11 @@
 //! Run with: `cargo run --example global_conference`
 
 use mmcs::admire::service::AdmireService;
-use mmcs::global_mmcs::bridge::CommunityBridge;
 use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 use mmcs::h323::endpoint::{EndpointState, H323Endpoint};
 use mmcs::h323::msg::H323Message;
 use mmcs::sip::message::{SipMessage, SipMethod};
 use mmcs::xgsp::message::{FloorOp, XgspMessage};
-use mmcs_util::id::TerminalId;
 
 /// One line naming where an egress item goes.
 fn describe(egress: &Egress) -> String {
@@ -23,8 +21,11 @@ fn describe(egress: &Egress) -> String {
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     let mut mmcs = GlobalMmcs::new();
+    // The Admire community is bridged before anyone calls: every session
+    // is mirrored into it over its web services.
+    mmcs.bridge(Box::new(AdmireService::new("admire.cn", "rdv.admire.cn")));
 
     // --- A SIP user calls the conference factory URI. ---------------
     let invite = SipMessage::request(SipMethod::Invite, "sip:new-conf@mmcs.example")
@@ -45,6 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "SIP: alice created and joined {session} (SDP answer targets {})",
         ok.body.lines().nth(3).unwrap_or("")
+    );
+    let agent = mmcs.agent("admire.cn", session).expect("Admire answered the rendezvous");
+    println!(
+        "Admire: conference mirrored over SOAP; our RTP agent meets Admire's at {}",
+        agent.remote()
     );
 
     // --- An H.323 terminal walks the full RAS/Q.931/H.245 ladder. ---
@@ -73,16 +79,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mmcs.session_server().session(session).unwrap().member_count(),
         2
     );
-
-    // --- The Admire community bridges in over SOAP. ------------------
-    let mut bridge = CommunityBridge::new(
-        "admire.cn",
-        Box::new(AdmireService::new("admire.cn", "rdv.admire.cn")),
-        "rdv.mmcs.example:8000",
-    );
-    let remote = bridge.bridge_session(session, "US–China joint seminar")?;
-    bridge.mirror_join(session, "prof-li", TerminalId::from_raw(7))?;
-    println!("Admire: bridged; RTP agents at rdv.mmcs.example:8000 <-> {remote}");
 
     // --- Floor control across the federation. ------------------------
     let egress = mmcs.handle_xgsp(
@@ -124,7 +120,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mmcs.session_server().session(session).unwrap().member_count(),
         1
     );
-    bridge.unbridge_session(session)?;
+    // --- The chair ends the conference; Admire's side goes with it. ---
+    let egress = mmcs.handle_xgsp(
+        Some("sip:alice@example.org"),
+        XgspMessage::TerminateSession { session },
+    );
+    assert!(egress.is_empty(), "{egress:?}");
+    assert!(mmcs.agent("admire.cn", session).is_none());
     println!("teardown complete; global conference OK");
-    Ok(())
 }

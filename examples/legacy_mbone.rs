@@ -1,126 +1,84 @@
-//! Legacy endpoints via the RTP proxy: an MBONE-style tool that speaks
-//! only raw RTP joins a broker-carried conference through the proxy —
-//! "any RTP client … can publish its RTP messages through RTP Proxies
-//! in the NaradaBrokering system" (§3.2). Runs on the deterministic
-//! simulator.
+//! Legacy endpoints through a rendezvous agent: an MBONE tool in an
+//! Access Grid venue, which speaks only raw RTP, joins a broker-carried
+//! conference through the RTP agent Global-MMCS stands up at the venue's
+//! rendezvous — "any RTP client … can publish its RTP messages through
+//! RTP Proxies in the NaradaBrokering system" (§3.2). Runs on the live
+//! broker.
 //!
 //! Run with: `cargo run --example legacy_mbone`
 
 use bytes::Bytes;
-use mmcs::broker::batch::CostModel;
-use mmcs::broker::rtpproxy::{LegacyRtp, RtpProxyProcess};
-use mmcs::broker::simdrv::BrokerProcess;
+use mmcs::broker::event::EventClass;
 use mmcs::broker::topic::{Topic, TopicFilter};
+use mmcs::global_mmcs::accessgrid::AccessGridService;
+use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 use mmcs::rtp::packet::{payload_type, RtpHeader, RtpPacket};
 use mmcs::rtp::source::{AudioCodec, AudioSource};
-use mmcs::sim::net::NicConfig;
-use mmcs::sim::{Context, Packet, Process, ProcessId, Simulation};
-use mmcs_bench::load::{Publisher, PublisherConfig, RtpReceiver};
-use mmcs_util::id::{BrokerId, ClientId};
-use mmcs_util::time::{SimDuration, SimTime};
+use mmcs::sip::message::{SipMessage, SipMethod};
 
-/// The legacy MBONE tool: raw RTP out, raw RTP in, nothing else.
-struct MboneTool {
-    proxy: ProcessId,
-    sent: u16,
-    received: u64,
-}
-
-impl Process for MboneTool {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(SimDuration::from_millis(120), 0);
-    }
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.payload::<LegacyRtp>().is_some() {
-            self.received += 1;
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
-        if self.sent >= 100 {
-            return;
-        }
-        let rtp = RtpPacket::new(
-            RtpHeader::new(payload_type::PCMU, self.sent, self.sent as u32 * 160, 0xB0E),
-            Bytes::from(vec![0u8; 160]),
-        );
-        ctx.send(
-            self.proxy,
-            LegacyRtp {
-                bytes: rtp.encode(),
-                sent_at: ctx.now(),
-            },
-            200,
-        );
-        self.sent += 1;
-        ctx.set_timer(SimDuration::from_millis(20), 0);
-    }
+/// A SIP user calls `uri`; returns whether the call was accepted.
+fn sip_call(mmcs: &mut GlobalMmcs, uri: &str, from: &str) -> bool {
+    let invite = SipMessage::request(SipMethod::Invite, uri)
+        .with_header("Via", "SIP/2.0/UDP ua;branch=z9hG4bK1")
+        .with_header("From", format!("<{from}>;tag=1"))
+        .with_header("To", format!("<{uri}>"))
+        .with_header("Call-ID", format!("call-{from}"))
+        .with_header("CSeq", "1 INVITE");
+    matches!(
+        mmcs.handle_sip(&invite).first(),
+        Some(Egress::Sip(ok)) if ok.status() == Some(200)
+    )
 }
 
 fn main() {
-    let mut sim = Simulation::new(1);
-    let mbone_host = sim.add_host("mbone-site", NicConfig::default());
-    let broker_host = sim.add_host("broker", NicConfig::default());
-    let modern_host = sim.add_host("modern-client", NicConfig::default());
+    let mut mmcs = GlobalMmcs::new();
+    mmcs.bridge(Box::new(AccessGridService::new()));
 
-    let broker = sim.add_typed_process(
-        broker_host,
-        BrokerProcess::new(BrokerId::from_raw(1), CostModel::narada()),
-    );
-    let topic = Topic::parse("globalmmcs/session-1/audio").unwrap();
+    // Two SIP users meet; the session is mirrored into an Access Grid
+    // venue, whose video group is the rendezvous.
+    assert!(sip_call(&mut mmcs, "sip:new-conf@mmcs.example", "sip:alice@example.org"));
+    let session = mmcs.session_server().session_ids().next().expect("conference exists");
+    let uri = format!("sip:conf-{}@mmcs.example", session.value());
+    assert!(sip_call(&mut mmcs, &uri, "sip:bob@example.org"));
+    let agent = mmcs.agent("accessgrid.org", session).expect("the venue answered");
+    println!("Access Grid venue bridged; RTP agent at {}", agent.remote());
 
-    // A native broker subscriber (e.g. a Global-MMCS desktop client).
-    let native = sim.add_typed_process(
-        modern_host,
-        RtpReceiver::new(
-            broker,
-            ClientId::from_raw(20),
-            TopicFilter::exact(&topic),
-            payload_type::PCMU,
-            SimDuration::from_micros(10),
-        ),
-    );
+    // Alice talks; bob (a native desktop client) listens on the topic.
+    let topic = Topic::parse(&format!("globalmmcs/session-{}/audio", session.value())).unwrap();
+    let alice = mmcs.broker().attach();
+    let bob = mmcs.broker().attach();
+    bob.subscribe(TopicFilter::exact(&topic));
 
-    // The RTP proxy bridges the MBONE site into the topic.
-    let proxy = sim.add_typed_process(
-        broker_host,
-        RtpProxyProcess::new(broker, ClientId::from_raw(10), topic.clone()),
-    );
-    let mbone = sim.add_typed_process(
-        mbone_host,
-        MboneTool {
-            proxy,
-            sent: 0,
-            received: 0,
-        },
-    );
-    sim.process_mut::<RtpProxyProcess>(proxy)
-        .unwrap()
-        .add_legacy_receiver(mbone);
+    // The MBONE tool's raw RTP arrives at the rendezvous; alice's goes
+    // out through the broker.
+    let mut source = AudioSource::new(AudioCodec::Pcmu, 7);
+    for seq in 0..100u16 {
+        let rtp = RtpPacket::new(
+            RtpHeader::new(payload_type::PCMU, seq, u32::from(seq) * 160, 0xB0E),
+            Bytes::from(vec![0u8; 160]),
+        );
+        agent.inbound(rtp.encode()).expect("valid RTP");
+        if seq < 80 {
+            alice.publish_class(topic.clone(), EventClass::Rtp, source.next_packet().encode());
+        }
+    }
+    mmcs.broker().quiesce();
 
-    // And a native publisher so media flows toward the legacy side too.
-    let mut config = PublisherConfig::new(broker, ClientId::from_raw(30), topic);
-    config.max_packets = 80;
-    sim.add_typed_process(
-        modern_host,
-        Publisher::new(config, AudioSource::new(AudioCodec::Pcmu, 7)),
-    );
-
-    sim.run_until(SimTime::from_secs(5));
-
-    let native_stats = sim.process_ref::<RtpReceiver>(native).unwrap().stats();
-    let mbone_state = sim.process_ref::<MboneTool>(mbone).unwrap();
-    let proxy_state = sim.process_ref::<RtpProxyProcess>(proxy).unwrap();
+    let mut heard = Vec::new();
+    bob.drain_into(&mut heard);
+    let from_alice = heard.iter().filter(|event| event.source == alice.id()).count();
+    let mut back = Vec::new();
+    agent.outbound(&mut back);
     println!(
-        "native client received {} packets ({} legacy + {} native)",
-        native_stats.received(),
-        proxy_state.wrapped(),
-        native_stats.received() - proxy_state.wrapped()
+        "native client received {} packets ({} legacy + {from_alice} native)",
+        heard.len(),
+        heard.len() - from_alice
     );
     println!(
-        "legacy MBONE tool received {} packets back through the proxy",
-        mbone_state.received
+        "legacy MBONE tool received {} packets back through the agent",
+        back.len()
     );
-    assert_eq!(native_stats.received(), 180);
-    assert_eq!(mbone_state.received, 80);
+    assert_eq!(heard.len(), 180);
+    assert_eq!(back.len(), 80);
     println!("legacy interop OK: raw RTP joined the broker conference");
 }

@@ -4,7 +4,6 @@
 
 use mmcs::admire::service::AdmireService;
 use mmcs::global_mmcs::accessgrid::AccessGridService;
-use mmcs::global_mmcs::bridge::CommunityBridge;
 use mmcs::global_mmcs::hearme::HearMeService;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +14,8 @@ use mmcs::broker::topic::{Topic, TopicFilter};
 use mmcs::global_mmcs::system::{Egress, EndpointKind, GlobalMmcs};
 use mmcs::h323::endpoint::{EndpointState, H323Endpoint};
 use mmcs::im::stanza::Stanza;
-use mmcs::rtp::packet::RtpPacket;
+use bytes::Bytes;
+use mmcs::rtp::packet::{payload_type, DecodeRtpError, RtpHeader, RtpPacket};
 use mmcs::rtp::source::{AudioCodec, AudioSource};
 use mmcs::sip::message::{SipMessage, SipMethod, StartLine};
 use mmcs::soap::envelope::SoapFault;
@@ -280,151 +280,142 @@ fn im_room_escalates_to_meeting_with_invites() {
     );
 }
 
-/// The Admire bridge mirrors membership and relays media through the
-/// rendezvous agents.
-#[test]
-fn admire_bridge_end_to_end() {
+const ADMIRE: &str = "admire.cn";
+const GRID: &str = "accessgrid.org";
+const HEARME: &str = "hearme.example";
+
+/// A system with Admire, Access Grid and HearMe bridged.
+fn bridged_mmcs() -> GlobalMmcs {
     let mut mmcs = GlobalMmcs::new();
-    // Create a session with one local member.
-    let replies = mmcs.handle_sip(&sip_invite(
-        "sip:new-conf@mmcs.example",
-        "sip:alice@example.org",
-        "cid-b",
-    ));
-    assert_eq!(sip_status(&replies), Some(200));
-    let session = mmcs.session_server().session_ids().next().unwrap();
-
-    let mut bridge = CommunityBridge::new(
-        "admire.cn",
-        Box::new(AdmireService::new("admire.cn", "rdv.admire.cn")),
-        "rdv.mmcs.example:8000",
-    );
-    let remote = bridge.bridge_session(session, "joint").unwrap();
-    assert!(remote.starts_with("rdv.admire.cn:"));
-    bridge
-        .mirror_join(session, "sip:alice@example.org", TerminalId::from_raw(1))
-        .unwrap();
-
-    // Media relays through our agent at the rendezvous.
-    let bridged = bridge.bridged_mut(session).unwrap();
-    for _ in 0..10 {
-        bridged
-            .agent
-            .relay(mmcs::admire::agent::Direction::Outbound, 1000)
-            .unwrap();
-    }
-    assert_eq!(bridged.agent.outbound_stats(), (10, 10_000));
-    bridge.unbridge_session(session).unwrap();
+    mmcs.bridge(Box::new(AdmireService::new(ADMIRE, "rdv.admire.cn")));
+    mmcs.bridge(Box::new(AccessGridService::new()));
+    mmcs.bridge(Box::new(HearMeService::new()));
+    mmcs
 }
 
-/// One session bridged to three communities at once. Admire answers the
-/// rendezvous, Access Grid answers with its venue's multicast group, and
-/// HearMe is audio-only: it refuses the rendezvous but still mirrors
-/// membership. Teardown frees the venue and the room.
+/// The community errors an egress batch carries, by community.
+fn community_errors(egress: &[Egress]) -> Vec<(&str, &CiError)> {
+    egress
+        .iter()
+        .filter_map(|item| match item {
+            Egress::Community { community, error } => Some((community.as_str(), error)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Whether a bridged community still holds anything (a venue, a
+/// conference, a room) for `session`.
+fn community_holds(mmcs: &mut GlobalMmcs, community: &str, session: SessionId) -> bool {
+    let server = mmcs.community_mut(community).expect("bridged");
+    server.control(session, "rendezvous", &[]) != Err(CiError::UnknownSession(session))
+}
+
+/// One session bridged to three communities through the door. Admire
+/// answers the rendezvous, Access Grid answers with its venue's
+/// multicast group, and HearMe is audio-only: it refuses the rendezvous
+/// and gets no agent, but still mirrors membership. Community-specific
+/// operations go through `community_mut` or the SOAP `control`
+/// operation. Terminating the session, or the last leave of an ad-hoc
+/// room, frees the venue, the conference and the room and detaches the
+/// session's agents; the test never calls a community's session
+/// operations itself.
 #[test]
 fn one_session_bridges_to_admire_access_grid_and_hearme() {
-    let mut mmcs = GlobalMmcs::new();
+    let mut mmcs = bridged_mmcs();
     let alice = "sip:alice@example.org";
     let replies = mmcs.handle_sip(&sip_invite("sip:new-conf@mmcs.example", alice, "cid-c"));
     assert_eq!(sip_status(&replies), Some(200));
+    let refusals = community_errors(&replies);
+    assert!(matches!(refusals[..], [(HEARME, CiError::Refused(_))]), "{refusals:?}");
     let session = mmcs.session_server().session_ids().next().unwrap();
+    let id = session.value().to_string();
 
-    let mut admire = CommunityBridge::new(
-        "admire.cn",
-        Box::new(AdmireService::new("admire.cn", "rdv.admire.cn")),
-        "rdv.mmcs.example:8000",
-    );
-    let mut grid = CommunityBridge::new(
-        "accessgrid.org",
-        Box::new(AccessGridService::new()),
-        "rdv.mmcs.example:8200",
-    );
-    let mut hearme = CommunityBridge::new(
-        "hearme.example",
-        Box::new(HearMeService::new()),
-        "rdv.mmcs.example:8100",
-    );
-    assert!(admire.bridge_session(session, "joint").unwrap().starts_with("rdv.admire.cn:"));
-    let venue = grid.bridge_session(session, "joint").unwrap();
-    assert!(grid.bridged(session).unwrap().agent.is_started());
-    assert!(matches!(hearme.bridge_session(session, "joint"), Err(CiError::Refused(_))));
-    assert!(hearme.bridged(session).is_none());
-    assert!(matches!(
-        hearme.server_mut().control(session, "selectVideo", &[]),
-        Err(CiError::Refused(_))
+    assert!(mmcs.agent(ADMIRE, session).unwrap().remote().starts_with("rdv.admire.cn:"));
+    let venue = mmcs.agent(GRID, session).unwrap().remote().to_owned();
+    assert!(mmcs.agent(HEARME, session).is_none());
+    let hearme = mmcs.community_mut(HEARME).unwrap();
+    assert!(matches!(hearme.control(session, "selectVideo", &[]), Err(CiError::Refused(_))));
+
+    // Access Grid, over the web facade: the rendezvous is the venue's
+    // video group, and every venue gets groups of its own.
+    let groups = |mmcs: &mut GlobalMmcs, id: &str| {
+        let parts = [("community", GRID), ("sessionId", id), ("operation", "venueGroups")];
+        soap(mmcs, "control", &parts)
+    };
+    let ours = groups(&mut mmcs, &id).unwrap();
+    assert_eq!(ours[0].0, "audioGroup");
+    assert!(ours[0].1.starts_with("239.255."));
+    assert_eq!(ours[1], ("videoGroup".to_owned(), venue));
+    assert_ne!(ours[0].1, ours[1].1);
+    let other = created_session(&mmcs.handle_xgsp(
+        Some("carol"),
+        XgspMessage::CreateSession {
+            name: "other venue".into(),
+            mode: mmcs::xgsp::message::SessionMode::AdHoc,
+            media: vec![],
+        },
     ));
+    let theirs = groups(&mut mmcs, &other.value().to_string()).unwrap();
+    assert_ne!(theirs[0].1, ours[0].1);
+    assert!(groups(&mut mmcs, "99999").unwrap_err().reason.contains("unknown session"));
 
-    // Access Grid: the rendezvous is the venue's video group, and every
-    // venue gets groups of its own.
-    let groups = grid.server_mut().control(session, "venueGroups", &[]).unwrap();
-    assert_eq!(groups[0].0, "audioGroup");
-    assert!(groups[0].1.starts_with("239.255."));
-    assert_eq!(groups[1], ("videoGroup".to_owned(), venue));
-    assert_ne!(groups[0].1, groups[1].1);
-    let other = SessionId::from_raw(session.value() + 1);
-    grid.server_mut().establish_session(other, "other venue").unwrap();
-    let other_groups = grid.server_mut().control(other, "venueGroups", &[]).unwrap();
-    assert_ne!(other_groups[0].1, groups[0].1);
-    assert!(matches!(
-        grid.server_mut().control(SessionId::from_raw(99_999), "venueGroups", &[]),
-        Err(CiError::UnknownSession(_))
-    ));
-
-    // Joins and leaves are mirrored into each community.
-    for bridge in [&mut admire, &mut grid, &mut hearme] {
-        bridge.mirror_join(session, alice, TerminalId::from_raw(1)).unwrap();
-        bridge.mirror_join(session, "bob", TerminalId::from_raw(2)).unwrap();
-    }
-    // A venue node may join twice (it stays one node; checked on the
-    // service itself below).
-    grid.mirror_join(session, "bob", TerminalId::from_raw(2)).unwrap();
+    // Joins are mirrored into each community.
+    let join = |session: SessionId, user: &str| XgspMessage::Join {
+        session,
+        user: user.into(),
+        terminal: TerminalId::from_raw(2),
+        media: vec![],
+    };
+    let joined = mmcs.handle_xgsp(Some("bob"), join(session, "bob"));
+    assert!(matches!(&joined[0], Egress::Xgsp(XgspMessage::JoinAck { .. })));
+    assert!(community_errors(&joined).is_empty(), "{joined:?}");
+    // A refused join (bob is already in) is not mirrored again.
+    assert!(community_errors(&mmcs.handle_xgsp(Some("bob"), join(session, "bob"))).is_empty());
 
     // HearMe: mute a member; dial out to a phone, which then is one.
     let mute = |user: &str| vec![("user".to_owned(), user.to_owned())];
-    let muted = hearme.server_mut().control(session, "muteParticipant", &mute("bob"));
+    let hearme = mmcs.community_mut(HEARME).unwrap();
+    let muted = hearme.control(session, "muteParticipant", &mute("bob"));
     assert_eq!(muted.unwrap(), vec![("status".to_owned(), "muted".to_owned())]);
     assert!(matches!(
-        hearme.server_mut().control(session, "muteParticipant", &mute("ghost")),
+        hearme.control(session, "muteParticipant", &mute("ghost")),
         Err(CiError::UnknownMember(_))
     ));
     let dial = [("phoneNumber".to_owned(), "+1-555-0100".to_owned())];
-    let ringing = hearme.server_mut().control(session, "dialOut", &dial).unwrap();
-    assert_eq!(ringing[0].1, "ringing");
-    let pstn = mute("pstn:+1-555-0100");
-    hearme.server_mut().control(session, "muteParticipant", &pstn).unwrap();
+    assert_eq!(hearme.control(session, "dialOut", &dial).unwrap()[0].1, "ringing");
+    hearme.control(session, "muteParticipant", &mute("pstn:+1-555-0100")).unwrap();
 
-    for bridge in [&mut admire, &mut grid, &mut hearme] {
-        bridge.mirror_leave(session, "bob").unwrap();
-        assert!(matches!(
-            bridge.mirror_leave(session, "bob"),
-            Err(CiError::UnknownMember(_))
-        ));
-    }
+    // A leave is mirrored once; a second, refused leave is not.
+    let leave = || XgspMessage::Leave { session, user: "bob".into() };
+    assert!(community_errors(&mmcs.handle_xgsp(Some("bob"), leave())).is_empty());
+    let again = mmcs.handle_xgsp(Some("bob"), leave());
+    assert!(matches!(&again[0], Egress::Xgsp(XgspMessage::Error { .. })));
+    assert!(community_errors(&again).is_empty(), "{again:?}");
     // A member who left cannot be muted.
+    let hearme = mmcs.community_mut(HEARME).unwrap();
     assert!(matches!(
-        hearme.server_mut().control(session, "muteParticipant", &mute("bob")),
+        hearme.control(session, "muteParticipant", &mute("bob")),
         Err(CiError::UnknownMember(_))
     ));
 
-    // Teardown frees the venue and the room.
-    for bridge in [&mut admire, &mut grid, &mut hearme] {
-        bridge.unbridge_session(session).unwrap();
-        assert!(bridge.bridged(session).is_none());
-        assert!(matches!(
-            bridge.unbridge_session(session),
-            Err(CiError::UnknownSession(_))
-        ));
+    // Termination frees the venue, the conference and the room, and
+    // detaches the session's agents.
+    let terminated = mmcs.handle_xgsp(Some(alice), XgspMessage::TerminateSession { session });
+    assert!(community_errors(&terminated).is_empty(), "{terminated:?}");
+    // The ad-hoc room empties on its last member's leave.
+    mmcs.handle_xgsp(Some("carol"), join(other, "carol"));
+    assert!(mmcs.agent(GRID, other).is_some());
+    mmcs.handle_xgsp(Some("carol"), XgspMessage::Leave { session: other, user: "carol".into() });
+    assert_eq!(mmcs.session_server().session_count(), 0);
+    for gone in [session, other] {
+        for community in [ADMIRE, GRID, HEARME] {
+            assert!(!community_holds(&mut mmcs, community, gone), "{community} holds {gone}");
+            assert!(mmcs.agent(community, gone).is_none());
+        }
     }
-    assert!(matches!(
-        grid.server_mut().control(session, "venueGroups", &[]),
-        Err(CiError::UnknownSession(_))
-    ));
-    assert!(matches!(
-        hearme.server_mut().control(session, "muteParticipant", &mute(alice)),
-        Err(CiError::UnknownSession(_))
-    ));
 
-    // What the bridge cannot see, checked on the services themselves: a
+    // What the door cannot see, checked on the services themselves: a
     // venue node joining twice is one node, a dial-out is one more
     // participant, leaving clears a mute, and teardown frees everything.
     let mut venues = AccessGridService::new();
@@ -445,6 +436,118 @@ fn one_session_bridges_to_admire_access_grid_and_hearme() {
         server.teardown_session(session).unwrap();
     }
     assert_eq!((venues.venue_count(), rooms.room_count()), (0, 0));
+}
+
+/// The rendezvous agent is the system's RTP proxy. A packet the Admire
+/// side sends to the rendezvous drains from a SIP member's handle, a SIP
+/// member's packet reaches the agent's outbound side, the agent never
+/// hears its own packets back, a malformed datagram gets a typed error
+/// and is never published, and each source's packets keep their order.
+#[test]
+fn the_rendezvous_agent_carries_rtp_both_ways() {
+    let mut mmcs = GlobalMmcs::new();
+    mmcs.bridge(Box::new(AdmireService::new(ADMIRE, "rdv.admire.cn")));
+    let alice = "sip:alice@example.org";
+    mmcs.handle_sip(&sip_invite("sip:new-conf@mmcs.example", alice, "cid-rtp"));
+    let session = mmcs.session_server().session_ids().next().unwrap();
+    let audio = format!("globalmmcs/session-{}/audio", session.value());
+    let video = format!("globalmmcs/session-{}/video", session.value());
+    let alice_media = media_endpoint(&mmcs, Some(&audio));
+    let watcher = media_endpoint(&mmcs, Some(&video));
+    let agent = mmcs.agent(ADMIRE, session).expect("Admire answered the rendezvous");
+
+    let mut from_admire = AudioSource::new(AudioCodec::Pcmu, 0xAD);
+    let mut from_alice = AudioSource::new(AudioCodec::Pcmu, 0xA1);
+    let (mut admire_sent, mut alice_sent) = (Vec::new(), Vec::new());
+    for _ in 0..20 {
+        let packet = from_admire.next_packet();
+        agent.inbound(packet.encode()).unwrap();
+        admire_sent.push(packet);
+        let packet = from_alice.next_packet();
+        publish(&alice_media, &audio, &packet);
+        alice_sent.push(packet);
+    }
+    // Claims three CSRCs but stops inside the CSRC list.
+    let truncated = Bytes::from_static(&[0x83, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0]);
+    assert!(matches!(agent.inbound(truncated), Err(DecodeRtpError::Truncated { .. })));
+    // A video payload type goes to the session's video topic.
+    let frame = RtpPacket::new(
+        RtpHeader::new(payload_type::H263, 1, 0, 0xAD),
+        Bytes::from_static(&[0; 64]),
+    );
+    agent.inbound(frame.encode()).unwrap();
+    mmcs.broker().quiesce();
+
+    let heard: Vec<RtpPacket> = drained(&alice_media)
+        .iter()
+        .filter(|event| event.source != alice_media.id())
+        .map(|event| RtpPacket::decode(&event.payload).unwrap())
+        .collect();
+    assert_eq!(heard, admire_sent);
+    let seen = drained(&watcher);
+    assert_eq!(seen.len(), 1);
+    assert_eq!(RtpPacket::decode(&seen[0].payload).unwrap(), frame);
+
+    let mut outbound = Vec::new();
+    agent.outbound(&mut outbound);
+    let relayed: Vec<RtpPacket> =
+        outbound.iter().map(|raw| RtpPacket::decode(raw).unwrap()).collect();
+    assert_eq!(relayed, alice_sent, "alice's packets in order, none of the agent's own");
+    // The streaming tap heard both sources and not the malformed frame.
+    mmcs.pump();
+    assert_eq!(mmcs.helix().fed_count(&audio), 40);
+}
+
+/// The A/V switch moves only on what the session server accepted: a
+/// refused video selection of a non-member pins nothing, a non-chair's
+/// refused termination leaves the chair's pin in place, and a selection
+/// on a session that does not exist makes no switch state. Audio
+/// reports count only for members of live sessions.
+#[test]
+fn the_switch_moves_only_on_what_the_server_accepted() {
+    let mut mmcs = GlobalMmcs::new();
+    let alice = "sip:alice@example.org";
+    mmcs.handle_sip(&sip_invite("sip:new-conf@mmcs.example", alice, "cid-sw"));
+    let session = mmcs.session_server().session_ids().next().unwrap();
+    let join = XgspMessage::Join {
+        session,
+        user: "bob".into(),
+        terminal: TerminalId::from_raw(2),
+        media: vec![],
+    };
+    mmcs.handle_xgsp(Some("bob"), join);
+    let select = |session: SessionId, user: &str| XgspMessage::MediaControl {
+        session,
+        user: user.into(),
+        op: mmcs::xgsp::message::MediaOp::Select,
+        kind: "video".into(),
+    };
+    let refused = |egress: &[Egress]| matches!(egress.first(), Some(Egress::Xgsp(XgspMessage::Error { .. })));
+
+    mmcs.handle_xgsp(Some(alice), select(session, "bob"));
+    assert_eq!(mmcs.selected_video(session), Some("bob"));
+
+    // (a) mallory is no member.
+    assert!(refused(&mmcs.handle_xgsp(Some(alice), select(session, "mallory"))));
+    assert_eq!(mmcs.selected_video(session), Some("bob"));
+
+    // (b) bob does not chair the session.
+    let terminate = XgspMessage::TerminateSession { session };
+    assert!(refused(&mmcs.handle_xgsp(Some("bob"), terminate)));
+    assert!(mmcs.session_server().session(session).is_some());
+    assert_eq!(mmcs.selected_video(session), Some("bob"));
+
+    // (c) no such session.
+    let nowhere = SessionId::from_raw(99_999);
+    assert!(refused(&mmcs.handle_xgsp(Some(alice), select(nowhere, "bob"))));
+    assert_eq!(mmcs.selected_video(nowhere), None);
+
+    // Nor does a non-member's or a terminated session's audio.
+    mmcs.report_audio_level(nowhere, "bob", 0.9);
+    assert_eq!(mmcs.selected_video(nowhere), None);
+    mmcs.handle_xgsp(Some(alice), XgspMessage::TerminateSession { session });
+    mmcs.report_audio_level(session, "bob", 0.9);
+    assert_eq!(mmcs.selected_video(session), None);
 }
 
 /// The directory listing renders communities and live sessions.

@@ -1,15 +1,10 @@
 //! Property tests on the RTP bookkeeping: the sequence tracker's loss
-//! arithmetic, the jitter estimator's bounds, and the RTP proxy's
-//! wrap/unwrap identity.
+//! arithmetic and the jitter estimator's bounds.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
-use mmcs::broker::rtpproxy::{unwrap_event, wrap_rtp};
-use mmcs::broker::topic::Topic;
 use mmcs::rtp::jitter::JitterEstimator;
 use mmcs::rtp::seq::SequenceTracker;
-use mmcs_util::id::ClientId;
 use mmcs_util::time::SimTime;
 
 proptest! {
@@ -55,27 +50,5 @@ proptest! {
             estimator.jitter_ms(),
             max_d
         );
-    }
-
-    /// wrap_rtp / unwrap_event is the identity on payload and send time.
-    #[test]
-    fn proxy_wrap_unwrap_identity(
-        payload in prop::collection::vec(any::<u8>(), 0..256),
-        seq: u64,
-        sent_ms in 0u64..1_000_000,
-    ) {
-        let topic = Topic::parse("conf/x/video").unwrap();
-        let sent_at = SimTime::from_millis(sent_ms);
-        let event = wrap_rtp(
-            &topic,
-            ClientId::from_raw(9),
-            seq,
-            Bytes::from(payload.clone()),
-            sent_at,
-        );
-        let raw = unwrap_event(&event).expect("rtp event unwraps");
-        prop_assert_eq!(&raw.bytes[..], &payload[..]);
-        prop_assert_eq!(raw.sent_at, sent_at);
-        prop_assert_eq!(event.seq, seq);
     }
 }

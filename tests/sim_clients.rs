@@ -1,23 +1,21 @@
 //! The simulated A/V clients of `mmcs_bench::load` against the broker's
 //! simulator driver: publishers pace, receivers measure, relays and
-//! bundles stand in for many clients, and the shard mesh, federation
-//! and RTP proxy carry their traffic with exact delivery counts.
+//! bundles stand in for many clients, and the shard mesh and the
+//! federation carry their traffic with exact delivery counts.
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use mmcs::broker::batch::CostModel;
 use mmcs::broker::cluster::LatencyMap;
 use mmcs::broker::profile::TransportProfile;
-use mmcs::broker::rtpproxy::{LegacyRtp, RtpProxyProcess};
 use mmcs::broker::sharded::{home_shard, owner_shard_of_topic};
 use mmcs::broker::simdrv::BrokerProcess;
 use mmcs::broker::simtopo::{add_brokers, Links};
 use mmcs::broker::topic::{Topic, TopicFilter};
-use mmcs::rtp::packet::{payload_type, RtpHeader, RtpPacket};
+use mmcs::rtp::packet::payload_type;
 use mmcs::rtp::source::{AudioCodec, AudioSource, VideoSource, VideoSourceConfig};
 use mmcs::sim::net::NicConfig;
-use mmcs::sim::{Context, Packet, Process, ProcessId, Simulation};
+use mmcs::sim::{ProcessId, Simulation};
 use mmcs::telemetry::Histogram;
 use mmcs_bench::load::{ClientBundle, MulticastRelay, Publisher, PublisherConfig, RtpReceiver};
 use mmcs_util::id::{BrokerId, ClientId};
@@ -456,121 +454,6 @@ fn same_zone_publish_never_crosses_a_link() {
     let (received, forwarded) = run_federation(LatencyMap::full_mesh(3, 5), 1, 1);
     assert_eq!(received, 30);
     assert_eq!(forwarded, 0, "publisher and subscriber share a gateway");
-}
-
-// The RTP proxy between legacy endpoints and native clients.
-
-/// A legacy endpoint: sends raw RTP to the proxy, records raw RTP
-/// it receives back.
-struct LegacyEndpoint {
-    proxy: ProcessId,
-    to_send: u16,
-    sent: u16,
-    received: Vec<u16>,
-}
-
-impl Process for LegacyEndpoint {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(SimDuration::from_millis(50), 0);
-    }
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if let Some(raw) = packet.payload::<LegacyRtp>() {
-            let rtp = RtpPacket::decode(&raw.bytes).expect("valid rtp");
-            self.received.push(rtp.header.sequence_number);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
-        if self.sent >= self.to_send {
-            return;
-        }
-        let rtp = RtpPacket::new(
-            RtpHeader::new(payload_type::PCMU, self.sent, self.sent as u32 * 160, 9),
-            Bytes::from(vec![0u8; 160]),
-        );
-        ctx.send(
-            self.proxy,
-            LegacyRtp {
-                bytes: rtp.encode(),
-                sent_at: ctx.now(),
-            },
-            200,
-        );
-        self.sent += 1;
-        ctx.set_timer(SimDuration::from_millis(20), 0);
-    }
-}
-
-#[test]
-fn legacy_rtp_reaches_broker_subscribers_and_back() {
-    let mut sim = Simulation::new(3);
-    let legacy_host = sim.add_host("legacy", NicConfig::default());
-    let broker_host = sim.add_host("broker", NicConfig::default());
-    let modern_host = sim.add_host("modern", NicConfig::default());
-
-    let broker = sim.add_typed_process(
-        broker_host,
-        BrokerProcess::new(BrokerId::from_raw(1), CostModel::narada()),
-    );
-    let topic = Topic::parse("conf/5/audio").unwrap();
-
-    // A native broker subscriber.
-    let native = sim.add_typed_process(
-        modern_host,
-        RtpReceiver::new(
-            broker,
-            ClientId::from_raw(20),
-            TopicFilter::exact(&topic),
-            payload_type::PCMU,
-            SimDuration::from_micros(10),
-        ),
-    );
-
-    // The proxy + two legacy endpoints behind it (one sender).
-    let proxy = sim.add_typed_process(
-        broker_host,
-        RtpProxyProcess::new(broker, ClientId::from_raw(10), topic.clone()),
-    );
-    let listener = sim.add_typed_process(
-        legacy_host,
-        LegacyEndpoint {
-            proxy,
-            to_send: 0,
-            sent: 0,
-            received: Vec::new(),
-        },
-    );
-    let _talker = sim.add_typed_process(
-        legacy_host,
-        LegacyEndpoint {
-            proxy,
-            to_send: 30,
-            sent: 0,
-            received: Vec::new(),
-        },
-    );
-    sim.process_mut::<RtpProxyProcess>(proxy)
-        .unwrap()
-        .add_legacy_receiver(listener);
-
-    // A native publisher too, so traffic flows both directions.
-    let mut config = PublisherConfig::new(broker, ClientId::from_raw(30), topic.clone());
-    config.max_packets = 20;
-    let source = AudioSource::new(AudioCodec::Pcmu, 7);
-    sim.add_typed_process(modern_host, Publisher::new(config, source));
-
-    sim.run_until(SimTime::from_secs(5));
-
-    // Legacy → topic: the native subscriber got the talker's 30.
-    let native_stats = sim.process_ref::<RtpReceiver>(native).unwrap().stats();
-    assert_eq!(native_stats.received(), 50, "30 legacy + 20 native");
-    // Topic → legacy: the listener got the native publisher's 20
-    // (not the talker's own packets hairpinned back).
-    let listener_state = sim.process_ref::<LegacyEndpoint>(listener).unwrap();
-    assert_eq!(listener_state.received.len(), 20);
-    let proxy_state = sim.process_ref::<RtpProxyProcess>(proxy).unwrap();
-    assert_eq!(proxy_state.wrapped(), 30);
-    assert_eq!(proxy_state.unwrapped(), 20);
-    assert_eq!(sim.counter("rtpproxy.wrapped"), 30);
 }
 
 // Transport profiles as the receiver sees them.
