@@ -46,9 +46,7 @@
 //!
 //! Both link fabrics feed the same data plane:
 //!
-//! * **in-process** — a link is a handle on the peer's data plane, with
-//!   a fault plane (down links, gossip loss) the chaos harness toggles
-//!   deterministically; and
+//! * **in-process** — a link is a handle on the peer's data plane; and
 //! * **loopback TCP** ([`ClusterBuilder::tcp`]) — length-prefixed
 //!   records over real sockets; event frames ride [`crate::reliable`]
 //!   (sequence numbers, cumulative acks, RTO retransmit, dedup) and
@@ -58,13 +56,19 @@
 //!   sheds what the link held. [`Cluster::quiesce`] settles it with a link-level flush
 //!   that rides the same sequence, never with a pause.
 //!
+//! Both honour one fault plane (down links, gossip loss), which the chaos
+//! harness toggles at quiesce points; a seed delivers the same on both.
+//!
 //! # Failure detection
 //!
 //! Each node watches its direct peers with a failure detector clocked
-//! in gossip rounds (`liveness.rs`). Every frame a peer sends — a record,
-//! an `Ack`, a gossip digest — marks it heard, with one relaxed store on
-//! the receive path; a round sends every peer a digest, so an idle link
-//! still beats. [`Cluster::gossip_round`] settles the round's digests and
+//! in gossip rounds (`liveness.rs`). Every data frame a peer sends — an
+//! event or gossip — marks it heard, with one relaxed store on the
+//! receive path; link control (acks, flushes, a connection preamble)
+//! does not. A round sends every peer a digest, so an idle link still
+//! beats, and a down link ([`Cluster::set_link_down`], [`Cluster::crash`])
+//! carries no data frame, so on both transports a peer across it goes
+//! unheard. [`Cluster::gossip_round`] settles the round's digests and
 //! then asks each node's detector: a peer unheard for [`SUSPECT_AFTER`]
 //! rounds is suspected, a suspected one heard again rejoins. A verdict
 //! rewrites the shared [`RouteTable`] in place around every suspected
@@ -469,8 +473,10 @@ impl Cluster {
         self.converged()
     }
 
-    /// Severs or restores the symmetric link `a ↔ b` (in-process
-    /// fault plane; frames on a down link are dropped and counted).
+    /// Severs or restores the symmetric link `a ↔ b`. A down link drops
+    /// (and counts) every data frame sent on it, and over TCP a quiesce
+    /// does not flush it, so neither end's failure detector hears the
+    /// other: the same on both transports.
     pub fn set_link_down(&self, a: NodeId, b: NodeId, down: bool) {
         self.shared.faults.set_down(a, b, down);
     }

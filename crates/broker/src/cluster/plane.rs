@@ -27,7 +27,7 @@ use crate::node::PLAN_CACHE_MAX;
 use crate::sharded::ShardedBroker;
 use crate::topic::{ParseTopicError, Topic};
 
-/// Per-link fault switches for the in-process transport; the chaos
+/// Per-link fault switches, honoured on both transports; the chaos
 /// harness flips them at deterministic schedule points. A fault on
 /// `a ↔ b` is symmetric: one switch, seen from both ends.
 #[derive(Debug)]
@@ -104,7 +104,7 @@ pub(super) struct DataPlane {
     links: OnceLock<Vec<Option<Link>>>,
     routes: Arc<RouteTable>,
     faults: Arc<FaultPlane>,
-    /// `heard[peer]`: something arrived from direct peer `peer` since
+    /// `heard[peer]`: a data frame arrived from direct peer `peer` since
     /// the last detector round. Set with one relaxed store per frame
     /// received; the publish path never touches it.
     heard: Vec<AtomicBool>,
@@ -174,7 +174,14 @@ impl DataPlane {
         }
     }
 
-    /// Notes that something arrived from direct peer `peer`.
+    /// Whether the fault plane has severed the link to `peer`.
+    pub(super) fn link_down(&self, peer: NodeId) -> bool {
+        self.faults.is_down(self.me, peer)
+    }
+
+    /// Notes that a data frame — an event or gossip — arrived from direct
+    /// peer `peer`. Link control (acks, flushes, a connection preamble) is
+    /// not hearing from it: only what a down link would have dropped is.
     pub(super) fn heard(&self, peer: NodeId) {
         if let Some(heard) = self.heard.get(peer as usize) {
             heard.store(true, Ordering::Relaxed);

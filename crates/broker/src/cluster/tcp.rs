@@ -29,7 +29,8 @@
 //! the socket edge: the reader hands
 //! an `Ack` or a `FlushAck` to the local link sender for that peer, and
 //! answers a released `Flush` itself; none of the three reaches the data
-//! plane.
+//! plane, and none marks the peer heard — only a gossip record or a
+//! released event does, as only a data frame does in process.
 //!
 //! **Flush.** [`TcpFabric::flush_links`] returns once every frame handed
 //! to a connected link before the call has been handled by the peer's
@@ -41,7 +42,9 @@
 //! socket is down and inside the reconnect backoff, or goes down with
 //! the flush unanswered — completes at once instead: what is parked
 //! behind a dead connection stays in flight until the link reconnects by
-//! itself.
+//! itself. A link the fault plane has severed is not flushed at all: it
+//! carries no data frame, and a flush answered across it would be the
+//! only traffic on it.
 //!
 //! **Backpressure.** A reader can block in the inject while the peer
 //! shard's ingress is at capacity; the socket then stops being read,
@@ -370,7 +373,6 @@ impl ReaderCtx {
     /// Opens a connection from `peer` whose link resumes at `resume`:
     /// the receiver moves past whatever the link shed below it.
     fn on_connect(&self, peer: NodeId, resume: u64) {
-        self.plane.heard(peer);
         let mut receivers = self.receivers.lock();
         let receiver = receivers.entry(peer).or_default();
         receiver.skip_to(resume, |frame| self.release(peer, &frame));
@@ -380,7 +382,6 @@ impl ReaderCtx {
     /// cumulative ack its sequenced records are owed. A malformed frame
     /// is counted and skipped — the framing around it is still intact.
     fn on_record(&self, peer: NodeId, seq: u64, frame: Bytes, ack: &mut Option<Ack>) {
-        self.plane.heard(peer);
         // The one validation, at the socket edge, so garbage is charged
         // to the connection that sent it.
         let Ok(parsed) = ClusterFrame::parse(&frame) else {
@@ -408,6 +409,7 @@ impl ReaderCtx {
             return;
         }
         if seq == 0 {
+            self.plane.heard(peer);
             self.plane.on_frame(&frame, &parsed);
             return;
         }
@@ -451,7 +453,10 @@ impl ReaderCtx {
                     link.push(LinkOp::FlushAck(token));
                 }
             }
-            _ => self.plane.on_frame(frame, &parsed),
+            _ => {
+                self.plane.heard(peer);
+                self.plane.on_frame(frame, &parsed);
+            }
         }
     }
 }
@@ -728,12 +733,18 @@ impl TcpFabric {
     /// Flushes every directed link (see the module docs) and waits for
     /// the answers, on one latch as a shard barrier does. A node that is
     /// not listening cannot hear one, so its outbound links count as not
-    /// connected.
+    /// connected; a link the fault plane has severed carries nothing, so
+    /// it is not flushed either.
     pub(super) fn flush_links(&self) {
         let latch = Latch::new();
         for node in self.nodes.iter().filter(|node| node.accept.is_some()) {
-            for link in node.ctx.links.iter().flatten() {
-                link.push(LinkOp::Flush(latch.ack()));
+            for (peer, link) in node.ctx.links.iter().enumerate() {
+                if node.ctx.plane.link_down(peer as NodeId) {
+                    continue;
+                }
+                if let Some(link) = link {
+                    link.push(LinkOp::Flush(latch.ack()));
+                }
             }
         }
         // Settles when the last link has dropped its ack.

@@ -323,11 +323,6 @@ impl BrokerNode {
         self.clients.len()
     }
 
-    /// Linked peers.
-    pub fn peers(&self) -> impl Iterator<Item = BrokerId> + '_ {
-        self.peers.iter().copied()
-    }
-
     /// Activity counters.
     pub fn counters(&self) -> BrokerCounters {
         self.counters
@@ -336,22 +331,6 @@ impl BrokerNode {
     /// Whether a client is attached.
     pub fn has_client(&self, client: ClientId) -> bool {
         self.clients.contains_key(&client)
-    }
-
-    /// Filters currently advertised to `peer`, sorted.
-    ///
-    /// Drivers on lossy transports periodically re-send these as
-    /// `AdvertiseAdd` messages: the receiving node treats a duplicate
-    /// `RemoteSubscribe` as a no-op, so the refresh repairs adverts the
-    /// network dropped without disturbing settled state.
-    pub fn advertised_to(&self, peer: BrokerId) -> Vec<TopicFilter> {
-        let mut filters: Vec<TopicFilter> = self
-            .advertised
-            .get(&peer)
-            .map(|set| set.iter().cloned().collect())
-            .unwrap_or_default();
-        filters.sort_unstable();
-        filters
     }
 
     /// Number of memoized route plans. Every one is current: a

@@ -154,11 +154,9 @@ pub struct BrokerProcess {
     cost: CostModel,
     /// Looked up once per delivery, so hashed with one multiply.
     clients: IdMap<ClientId, (ProcessId, TransportProfile)>,
-    /// Every peer this broker is wired to. Ordered so advert refresh
-    /// send order is deterministic across process runs.
+    /// Every peer this broker is wired to. Ordered so the links come
+    /// up in the same order on every run.
     peers: BTreeMap<BrokerId, ProcessId>,
-    /// How often every advert is re-sent to every peer, when enabled.
-    refresh_every: Option<SimDuration>,
     /// Reused action buffer: the per-packet hot path allocates nothing
     /// once it has grown to the peak fan-out.
     scratch: Vec<Action>,
@@ -171,9 +169,6 @@ pub struct BrokerProcess {
     counters: Option<BrokerCounters>,
 }
 
-/// Timer token for the advert refresh.
-const ADVERT_REFRESH: u64 = 0xAD5;
-
 impl BrokerProcess {
     /// Creates a broker process with the given cost model.
     pub fn new(id: BrokerId, cost: CostModel) -> Self {
@@ -182,7 +177,6 @@ impl BrokerProcess {
             cost,
             clients: IdMap::default(),
             peers: BTreeMap::new(),
-            refresh_every: None,
             scratch: Vec::new(),
             send_costs: Vec::new(),
             counters: None,
@@ -201,19 +195,6 @@ impl BrokerProcess {
     /// Installs the node's hot-path telemetry instruments.
     pub fn set_metrics(&mut self, metrics: Arc<BrokerMetrics>) {
         self.node.set_metrics(metrics);
-    }
-
-    /// Re-sends every advert to every peer each `every`, so a lossy link
-    /// that dropped one is repaired. No paper rig enables it.
-    pub fn with_advert_refresh(mut self, every: SimDuration) -> Self {
-        self.refresh_every = Some(every);
-        self
-    }
-
-    /// Mutable access to the underlying node (the chaos harness calls
-    /// [`BrokerNode::plan_for`], which memoizes, hence `&mut`).
-    pub fn node_mut(&mut self) -> &mut BrokerNode {
-        &mut self.node
     }
 
     /// Declares a peer broker reachable at `process` (links come up at
@@ -338,30 +319,6 @@ impl BrokerProcess {
         actions.clear();
         self.scratch = actions;
     }
-
-    /// Re-sends every advert this node believes `peer` holds. Duplicate
-    /// `RemoteSubscribe`s are no-ops at the peer, so this repairs advert
-    /// packets a lossy link dropped.
-    fn refresh_adverts(&mut self, ctx: &mut Context<'_>) {
-        let linked: Vec<BrokerId> = {
-            let mut l: Vec<BrokerId> = self.node.peers().collect();
-            l.sort_unstable();
-            l
-        };
-        let from = self.node.id();
-        for peer in linked {
-            let Some(process) = self.peers.get(&peer).copied() else {
-                continue;
-            };
-            for filter in self.node.advertised_to(peer) {
-                ctx.send(
-                    process,
-                    BrokerMsg::AdvertiseAdd { from, filter },
-                    CONTROL_BYTES,
-                );
-            }
-        }
-    }
 }
 
 impl Process for BrokerProcess {
@@ -369,16 +326,6 @@ impl Process for BrokerProcess {
         let peers: Vec<BrokerId> = self.peers.keys().copied().collect();
         for peer in peers {
             self.apply(ctx, Input::LinkUp { peer });
-        }
-        if let Some(every) = self.refresh_every {
-            ctx.set_timer(every, ADVERT_REFRESH);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let (ADVERT_REFRESH, Some(every)) = (token, self.refresh_every) {
-            self.refresh_adverts(ctx);
-            ctx.set_timer(every, ADVERT_REFRESH);
         }
     }
 

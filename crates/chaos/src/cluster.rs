@@ -1,15 +1,20 @@
 //! Seeded chaos for the federation runtime.
 //!
 //! Drives a **real** [`Cluster`] — live sharded node brokers, gossip
-//! interest exchange, multi-hop frame routing — with a deterministic,
-//! seed-derived schedule of subscription flapping, client zone moves,
-//! publish bursts, and federation faults: node crashes, zone
-//! partitions (severed links), and gossip loss (interest frames
-//! dropped while events still flow). Every fault toggle is preceded by
-//! a cluster quiesce, and a gossip round runs on the calling thread, so
-//! even though the shard workers are real threads the delivery outcome
-//! of a seed is deterministic and its FNV fingerprint is bit-identical
-//! across runs.
+//! interest exchange, multi-hop frame routing, failure detection — with
+//! a deterministic, seed-derived schedule of subscription flapping,
+//! client zone moves, publish bursts, and federation faults: node
+//! crashes, zone partitions (severed links), and gossip loss (interest
+//! frames dropped while events still flow). Every fault toggle is
+//! preceded by a cluster quiesce, and a gossip round runs on the calling
+//! thread, so even though the shard workers, link threads and socket
+//! readers are real threads the delivery outcome of a seed is
+//! deterministic.
+//!
+//! Each seed runs twice: once in process and once over loopback TCP
+//! ([`Transport`]). The TCP run is the determinism check: both runs must
+//! hold every invariant and deliver the same multiset, so their FNV
+//! fingerprints are equal.
 //!
 //! The schedule ends with a **heal**: every partition lifted, every
 //! crashed node restarted, gossip run to convergence. On the
@@ -17,10 +22,9 @@
 //! crashed: the heal then runs its full round budget, so the failure
 //! detectors suspect node 2 and the routes take the chord around it.
 //! Then a probe batch publishes from every client, and the probe
-//! delivery multiset is compared against the single-loop [`BrokerNode`]
-//! oracle fed the final subscription state — with a node left crashed,
-//! only the deliveries whose publisher and subscriber are on the same
-//! side of it. Invariants checked per seed:
+//! delivery multiset is compared against the single-loop [`Oracle`] —
+//! with a node left crashed, only the deliveries whose publisher and
+//! subscriber are on the same side of it. Invariants checked per run:
 //!
 //! 1. post-heal convergence (every failure detector trusts its peers,
 //!    and every node's view of every other node matches that node's
@@ -31,7 +35,8 @@
 //!    included),
 //! 4. per-(receiver, source, topic) sequence monotonicity,
 //! 5. hop counts bounded: zero hop-limit drops and no delivery
-//!    travelling more links than the longest shortest path.
+//!    travelling more links than the longest shortest path,
+//! 6. no frame decode error.
 //!
 //! `--inject-bug` restarts crashed nodes with their local interest
 //! truth wiped ([`lose_interest`]): generations go backwards, peers
@@ -40,22 +45,18 @@
 //!
 //! [`lose_interest`]: Cluster::restart
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use bytes::Bytes;
 use mmcs_broker::cluster::{Cluster, ClusterClient, LatencyMap};
-use mmcs_broker::event::{Event, EventClass};
 use mmcs_broker::metrics::ClusterMetrics;
-use mmcs_broker::node::{Action, BrokerNode, Input, Origin};
 use mmcs_broker::topic::{Topic, TopicFilter};
-use mmcs_util::id::{BrokerId, ClientId};
+use mmcs_telemetry::Registry;
 use mmcs_util::rng::DetRng;
 
-use crate::sharded::{fingerprint, random_filter, random_topic};
+use crate::oracle::{fingerprint, Delivery, Oracle, Recorder};
+use crate::sharded::{random_filter, random_topic};
 use crate::shrink::ddmin;
-
-/// One delivery in sortable form: (receiver, topic, source, seq).
-pub type ClusterDelivery = (u64, String, u64, u64);
 
 /// The link map of a cluster chaos run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,15 +218,49 @@ fn probe_topics(config: &ClusterChaosConfig) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// The link fabric a run federates its nodes over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// A link is a call into the peer's data plane.
+    InProcess,
+    /// Loopback TCP: link sender threads, socket readers, sequenced
+    /// records with acks and retransmits.
+    Tcp,
+}
+
+impl Transport {
+    /// Every seed runs on both, in this order.
+    pub const BOTH: [Transport; 2] = [Transport::InProcess, Transport::Tcp];
+
+    /// A file-name-safe name: `in-process` or `tcp`.
+    pub fn slug(self) -> &'static str {
+        match self {
+            Transport::InProcess => "in-process",
+            Transport::Tcp => "tcp",
+        }
+    }
+}
+
+impl std::fmt::Display for Transport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Transport::InProcess => "in process",
+            Transport::Tcp => "over TCP",
+        })
+    }
+}
+
 /// Outcome of one cluster chaos run.
 #[derive(Debug)]
 pub struct ClusterRunReport {
     /// The configuration that produced this run.
     pub config: ClusterChaosConfig,
+    /// The fabric it ran on.
+    pub transport: Transport,
     /// Sorted delivery multiset of the whole run (chaos + probes).
-    pub deliveries: Vec<ClusterDelivery>,
+    pub deliveries: Vec<Delivery>,
     /// Sorted delivery multiset of the post-heal probe batch alone.
-    pub probe_deliveries: Vec<ClusterDelivery>,
+    pub probe_deliveries: Vec<Delivery>,
     /// Whether the healed cluster's gossip views converged.
     pub converged: bool,
     /// Per-(receiver, source, topic) order violations (must be zero).
@@ -240,48 +275,37 @@ pub struct ClusterRunReport {
     pub decode_errors: u64,
     /// FNV-1a fingerprint over the sorted run deliveries.
     pub fingerprint: u64,
+    /// The run's telemetry registry as JSON: every node's federation
+    /// counters, under `cluster_node{i}_…`.
+    pub metrics_json: String,
 }
 
-fn drain_all(
-    clients: &[ClusterClient],
-    last_seq: &mut HashMap<(u64, u64, String), u64>,
-    order_violations: &mut u64,
-) -> Vec<ClusterDelivery> {
+fn drain_all(clients: &[ClusterClient], recorder: &mut Recorder) -> Vec<Delivery> {
     let mut deliveries = Vec::new();
     for client in clients {
         let mut batch = Vec::new();
         client.drain_into(&mut batch);
-        for event in batch {
-            let key = (
-                client.id().value(),
-                event.source.value(),
-                event.topic.to_string(),
-            );
-            if let Some(prev) = last_seq.get(&key) {
-                if event.seq <= *prev {
-                    *order_violations += 1;
-                }
-            }
-            last_seq.insert(key, event.seq);
-            deliveries.push((
-                client.id().value(),
-                event.topic.to_string(),
-                event.source.value(),
-                event.seq,
-            ));
-        }
+        deliveries.extend(batch.iter().map(|event| recorder.arrival(client.id(), event)));
     }
     deliveries
 }
 
-/// Executes `ops` against a real [`Cluster`] and returns the report.
-/// Fault toggles quiesce first, so the outcome is deterministic.
-pub fn run_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterRunReport {
+/// Executes `ops` against a real [`Cluster`] on `transport` and returns
+/// the report. Fault toggles quiesce first, so the outcome is
+/// deterministic, and the same on both transports.
+pub fn run_cluster(
+    config: &ClusterChaosConfig,
+    ops: &[ClusterOp],
+    transport: Transport,
+) -> ClusterRunReport {
     let n = config.nodes;
-    let metrics = ClusterMetrics::detached(n);
-    let cluster = Cluster::builder(config.latency())
-        .metrics(std::sync::Arc::clone(&metrics))
-        .spawn();
+    let registry = Registry::new();
+    let metrics = ClusterMetrics::register(&registry, "cluster", n);
+    let builder = Cluster::builder(config.latency()).metrics(std::sync::Arc::clone(&metrics));
+    let cluster = match transport {
+        Transport::InProcess => builder.spawn(),
+        Transport::Tcp => builder.tcp().spawn(),
+    };
     let clients: Vec<ClusterClient> = (0..config.clients)
         .map(|i| cluster.attach(i % (2 * n)))
         .collect();
@@ -396,14 +420,12 @@ pub fn run_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterRun
     };
     cluster.quiesce();
 
-    let mut last_seq: HashMap<(u64, u64, String), u64> = HashMap::new();
-    let mut order_violations = 0u64;
-    let mut deliveries = drain_all(&clients, &mut last_seq, &mut order_violations);
+    let mut recorder = Recorder::default();
+    let mut deliveries = drain_all(&clients, &mut recorder);
 
     // Probe batch: every client publishes its deterministic probes
     // into the healed cluster.
-    let probes = probe_topics(config);
-    for (index, topics) in probes.iter().enumerate() {
+    for (index, topics) in probe_topics(config).iter().enumerate() {
         for path in topics {
             if let Ok(topic) = Topic::parse(path) {
                 clients[index].publish(topic, Bytes::new());
@@ -411,23 +433,18 @@ pub fn run_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterRun
         }
     }
     cluster.quiesce();
-    let mut probe_deliveries = drain_all(&clients, &mut last_seq, &mut order_violations);
+    let mut probe_deliveries = drain_all(&clients, &mut recorder);
     probe_deliveries.sort_unstable();
     deliveries.extend(probe_deliveries.iter().cloned());
     deliveries.sort_unstable();
-
-    let mut duplicates = 0u64;
-    for window in deliveries.windows(2) {
-        if window[0] == window[1] {
-            duplicates += 1;
-        }
-    }
+    let duplicates = deliveries.windows(2).filter(|w| w[0] == w[1]).count() as u64;
 
     ClusterRunReport {
         config: config.clone(),
+        transport,
         fingerprint: fingerprint(&deliveries),
         converged,
-        order_violations,
+        order_violations: recorder.order_violations,
         duplicates,
         hop_limit_drops: metrics.total(|m| m.hop_limit_drops.get()),
         max_hop: metrics
@@ -436,6 +453,7 @@ pub fn run_cluster(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> ClusterRun
             .max()
             .unwrap_or(0),
         decode_errors: metrics.total(|m| m.decode_errors.get()),
+        metrics_json: registry.render_json(),
         deliveries,
         probe_deliveries,
     }
@@ -453,101 +471,56 @@ fn converged_around(cluster: &Cluster, down: usize) -> bool {
     })
 }
 
-/// Replays the schedule's *final subscription state* through the
-/// single-loop oracle and publishes the probe batch: the expected
-/// probe delivery multiset of a healed, converged federation. With a
-/// node left crashed, a probe reaches only the subscribers on its
-/// publisher's side of that node.
-pub fn oracle_probes(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> Vec<ClusterDelivery> {
-    let mut filters: Vec<BTreeSet<String>> = vec![BTreeSet::new(); config.clients];
-    let mut published: Vec<u64> = vec![0; config.clients];
+/// The probe delivery multiset of a healed, converged federation: the
+/// [`Oracle`] replays the schedule's subscription changes and publishes,
+/// forgets what the chaos window delivered, and publishes the probe
+/// batch. With a node left crashed, a probe reaches only the subscribers
+/// on its publisher's side of that node.
+pub fn oracle_probes(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> Vec<Delivery> {
     let latency = config.latency();
     let mut homes: Vec<usize> = (0..config.clients)
         .map(|i| latency.home_node(i % (2 * config.nodes)) as usize)
         .collect();
+    let mut oracle = Oracle::new(config.clients);
     for op in ops {
         match op {
             ClusterOp::Move(index, zone) => homes[*index] = latency.home_node(*zone) as usize,
-            ClusterOp::Subscribe(index, pattern) if TopicFilter::parse(pattern).is_ok() => {
-                filters[*index].insert(pattern.clone());
+            ClusterOp::Subscribe(index, pattern) => {
+                if let Ok(filter) = TopicFilter::parse(pattern) {
+                    oracle.add_filter(*index, filter);
+                }
             }
-            ClusterOp::Unsubscribe(index, pattern) if TopicFilter::parse(pattern).is_ok() => {
-                filters[*index].remove(pattern);
+            ClusterOp::Unsubscribe(index, pattern) => {
+                if let Ok(filter) = TopicFilter::parse(pattern) {
+                    oracle.drop_filter(*index, filter);
+                }
             }
-            ClusterOp::Publish(index, path) if Topic::parse(path).is_ok() => {
-                published[*index] += 1;
+            ClusterOp::Publish(index, path) => {
+                if let Ok(topic) = Topic::parse(path) {
+                    oracle.publish_next(*index, topic);
+                }
             }
             _ => {}
         }
     }
-
-    let mut node = BrokerNode::new(BrokerId::from_raw(9999));
-    let client_ids: Vec<ClientId> = (0..config.clients)
-        .map(|i| ClientId::from_raw(1 + i as u64))
-        .collect();
-    for (index, id) in client_ids.iter().enumerate() {
-        let _ = node.handle(Input::AttachClient {
-            client: *id,
-            profile: Default::default(),
-        });
-        for pattern in &filters[index] {
-            if let Ok(filter) = TopicFilter::parse(pattern) {
-                let _ = node.handle(Input::Subscribe {
-                    client: *id,
-                    filter,
-                });
+    oracle.take_deliveries();
+    for (index, topics) in probe_topics(config).iter().enumerate() {
+        for path in topics {
+            if let Ok(topic) = Topic::parse(path) {
+                oracle.publish_next(index, topic);
             }
         }
     }
-
-    let mut deliveries = Vec::new();
-    let probes = probe_topics(config);
-    for (index, topics) in probes.iter().enumerate() {
-        for (k, path) in topics.iter().enumerate() {
-            let Ok(topic) = Topic::parse(path) else {
-                continue;
-            };
-            let event = Event::new(
-                topic,
-                client_ids[index],
-                published[index] + k as u64,
-                EventClass::Data,
-                Bytes::new(),
-            )
-            .into_shared();
-            if let Ok(actions) = node.handle(Input::Publish {
-                origin: Origin::Client(client_ids[index]),
-                event,
-            }) {
-                for action in actions {
-                    if let Action::Deliver { client, event, .. } = action {
-                        deliveries.push((
-                            client.value(),
-                            event.topic.to_string(),
-                            event.source.value(),
-                            event.seq,
-                        ));
-                    }
-                }
-            }
-        }
-    }
+    let mut deliveries = oracle.take_deliveries();
     if let Some(down) = config.left_crashed(ops) {
         let cut_off = |client: u64| homes[client as usize - 1] == down;
         deliveries.retain(|(receiver, _, source, _)| cut_off(*receiver) == cut_off(*source));
     }
-    deliveries.sort_unstable();
     deliveries
 }
 
-/// Runs `ops` and checks every federation invariant; returns the
-/// report and the violations (empty = clean).
-pub fn check_cluster(
-    config: &ClusterChaosConfig,
-    ops: &[ClusterOp],
-) -> (ClusterRunReport, Vec<String>) {
-    let report = run_cluster(config, ops);
-    let expected = oracle_probes(config, ops);
+/// The invariants one run broke, given the oracle's probe multiset.
+fn violations_of(report: &ClusterRunReport, expected: &[Delivery]) -> Vec<String> {
     let mut violations = Vec::new();
     if !report.converged {
         violations.push("gossip views did not re-converge after heal".to_owned());
@@ -577,7 +550,7 @@ pub fn check_cluster(
             report.hop_limit_drops
         ));
     }
-    let hop_bound = config.nodes.saturating_sub(1).max(1) as u64;
+    let hop_bound = report.config.nodes.saturating_sub(1).max(1) as u64;
     if report.max_hop > hop_bound {
         violations.push(format!(
             "delivery traversed {} links, bound is {hop_bound}",
@@ -590,7 +563,39 @@ pub fn check_cluster(
             report.decode_errors
         ));
     }
-    (report, violations)
+    violations
+}
+
+/// Runs `ops` once on each [`Transport`] and checks every federation
+/// invariant on both runs, and that both delivered the same multiset
+/// (equal fingerprints). Returns the two reports, in-process first, and
+/// the violations (empty = clean), each naming its transport.
+pub fn check_cluster(
+    config: &ClusterChaosConfig,
+    ops: &[ClusterOp],
+) -> ([ClusterRunReport; 2], Vec<String>) {
+    let expected = oracle_probes(config, ops);
+    let reports = Transport::BOTH.map(|transport| run_cluster(config, ops, transport));
+    let mut violations: Vec<String> = reports
+        .iter()
+        .flat_map(|report| {
+            let transport = report.transport;
+            violations_of(report, &expected)
+                .into_iter()
+                .map(move |v| format!("{transport}: {v}"))
+        })
+        .collect();
+    let [local, tcp] = &reports;
+    if local.fingerprint != tcp.fingerprint {
+        violations.push(format!(
+            "transports disagree: {} deliveries (fingerprint {:#018x}) in process, {} ({:#018x}) over TCP",
+            local.deliveries.len(),
+            local.fingerprint,
+            tcp.deliveries.len(),
+            tcp.fingerprint
+        ));
+    }
+    (reports, violations)
 }
 
 /// Outcome of shrinking a failing schedule.
@@ -600,7 +605,7 @@ pub struct ClusterShrink {
     pub ops: Vec<ClusterOp>,
     /// Violations the minimal schedule still produces.
     pub violations: Vec<String>,
-    /// Chaos runs the shrink spent.
+    /// Chaos runs the shrink spent (each on both transports).
     pub runs: usize,
 }
 
@@ -651,74 +656,6 @@ pub fn render_cluster_test(config: &ClusterChaosConfig, shrunk: &ClusterShrink) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_seeds_are_clean() {
-        for seed in 0..4 {
-            let config = ClusterChaosConfig::for_seed(seed);
-            let ops = generate_cluster_ops(&config);
-            let (report, violations) = check_cluster(&config, &ops);
-            assert!(
-                violations.is_empty(),
-                "seed {seed} ({} nodes, {:?}): {violations:?}",
-                report.config.nodes,
-                report.config.topology
-            );
-        }
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
-        let config = ClusterChaosConfig::for_seed(7);
-        let ops = generate_cluster_ops(&config);
-        let a = run_cluster(&config, &ops);
-        let b = run_cluster(&config, &ops);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.deliveries, b.deliveries);
-    }
-
-    #[test]
-    fn injected_interest_wipe_is_caught_and_shrinks_to_the_crash() {
-        // Find a seed whose schedule crashes a node; with the resync
-        // bug injected its restart loses local interest truth, which
-        // the convergence invariant must catch and ddmin must reduce.
-        let mut caught = false;
-        for seed in 0..16 {
-            let mut config = ClusterChaosConfig::for_seed(seed);
-            config.lose_interest_on_restart = true;
-            let ops = generate_cluster_ops(&config);
-            let crashes = ops.iter().any(|op| matches!(op, ClusterOp::Crash(_)));
-            if !crashes {
-                continue;
-            }
-            let (_, violations) = check_cluster(&config, &ops);
-            if violations.is_empty() {
-                // A crash whose node held no interest can heal clean;
-                // try the next seed.
-                continue;
-            }
-            let shrunk = minimize_cluster(&config, &ops);
-            assert!(!shrunk.violations.is_empty());
-            assert!(
-                shrunk.ops.len() < ops.len(),
-                "shrink made no progress: {} ops",
-                shrunk.ops.len()
-            );
-            assert!(
-                shrunk
-                    .ops
-                    .iter()
-                    .any(|op| matches!(op, ClusterOp::Crash(_))),
-                "minimal schedule lost the crash: {:?}",
-                shrunk.ops
-            );
-            let rendered = render_cluster_test(&config, &shrunk);
-            assert!(rendered.contains("check_cluster"));
-            caught = true;
-            break;
-        }
-        assert!(caught, "no seed in 0..16 tripped the injected bug");
-    }
 
     #[test]
     fn schedule_generation_is_stable() {

@@ -1,41 +1,28 @@
-//! Deterministic chaos harness for the broker network.
+//! Deterministic chaos harness for the live broker runtimes.
 //!
-//! FoundationDB-style simulation testing: a seeded [`schedule`] of faults
-//! (partitions, loss, jitter/duplication, client churn) drives a
-//! multi-broker, multi-client [`scenario`] inside the deterministic
-//! simulator, and a library of [`invariants`] checks the outcome —
-//! exactly-once reliable delivery, route-table convergence against a
-//! naive re-walk oracle, XGSP membership consistency, and post-heal
-//! quiescence. On a violation, [`shrink`] bisects the fault schedule to
-//! a minimal reproducer and renders it as a copy-pasteable `#[test]`.
+//! Every run derives from one `u64` seed: a seeded schedule of
+//! operations and faults drives a real runtime — live OS threads — and
+//! each control step is settled before the next, so the delivery outcome
+//! of a seed is deterministic and folds into an FNV-1a fingerprint. What
+//! the runtime delivered is checked against the single-loop [`oracle`].
 //!
-//! Everything — topology, traffic, faults, network randomness — derives
-//! from one `u64` seed, so `mmcs-chaos replay <seed>` reproduces a run
-//! bit-identically (same counters, same delivery trace, same
-//! fingerprint).
+//! The [`cluster`] harness targets the live federation (`Cluster`),
+//! failure detection included: seeded node-crash/zone-partition/
+//! gossip-loss schedules interleave with subscription churn, client zone
+//! moves and publish bursts, then the healed cluster — on the
+//! chain-plus-chord map possibly with one node left crashed and routed
+//! around — must re-converge and deliver a probe batch exactly as the
+//! oracle predicts. Each seed runs once in process and once over
+//! loopback TCP, and the two runs must deliver the same multiset. On a
+//! violation, [`shrink`] reduces the schedule to a minimal reproducer,
+//! rendered as a copy-pasteable `#[test]` (`mmcs-chaos cluster --seeds N`).
 //!
-//! The [`sharded`] variant targets the real multi-worker
-//! `ShardedBroker` runtime instead of the simulator: seeded
-//! attach/detach/subscribe/publish/stall schedules run against live
-//! shard threads and are checked against the single-loop oracle
-//! (`mmcs-chaos sharded --seeds N`).
-//!
-//! The [`cluster`] variant targets the live federation runtime
-//! (`Cluster`), failure detection included: seeded
-//! node-crash/zone-partition/gossip-loss schedules interleave with
-//! subscription churn, client zone moves and publish bursts, then the
-//! healed cluster — on the chain-plus-chord map possibly with one node
-//! left crashed and routed around — must re-converge and deliver a
-//! probe batch exactly as the single-loop oracle predicts
-//! (`mmcs-chaos cluster --seeds N`).
+//! The [`sharded`] harness targets one multi-worker `ShardedBroker`:
+//! seeded attach/detach/subscribe/publish/stall schedules against live
+//! shard threads, checked against the oracle and the per-shard metric
+//! identities (`mmcs-chaos sharded --seeds N`).
 
 pub mod cluster;
-pub mod invariants;
-pub mod scenario;
-pub mod schedule;
+pub mod oracle;
 pub mod sharded;
 pub mod shrink;
-
-pub use invariants::{check, Violation};
-pub use scenario::{run, RunReport, ScenarioConfig};
-pub use schedule::{generate, Fault, FaultKind, Target};

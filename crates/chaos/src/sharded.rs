@@ -1,7 +1,6 @@
 //! Seeded chaos for the sharded broker runtime.
 //!
-//! Unlike the simulator-based network scenario, this variant drives a
-//! **real** [`ShardedBroker`] — live OS threads, batched ingress
+//! Drives a **real** [`ShardedBroker`] — live OS threads, batched ingress
 //! queues, the cross-shard forwarding ring — with a deterministic,
 //! seed-derived operation schedule: client attach/detach churn,
 //! subscribe/unsubscribe flapping, publish bursts, worker stalls, and
@@ -10,8 +9,8 @@
 //! [`ShardedBroker::quiesce`], so the delivery outcome is deterministic
 //! even though thread interleavings are not.
 //!
-//! The oracle is the single-loop [`BrokerNode`] state machine fed the
-//! same schedule. Invariants checked per seed:
+//! The oracle is the single-loop [`Oracle`] fed the same schedule.
+//! Invariants checked per seed:
 //!
 //! 1. sorted delivery multisets identical to the oracle's,
 //! 2. per-(receiver, source, topic) sequence monotonicity,
@@ -20,22 +19,17 @@
 //! 4. every shard's queue depth reads zero after the final quiesce.
 //!
 //! The sorted deliveries fold into an FNV-1a fingerprint, so two runs
-//! of one seed are comparable bit-for-bit exactly like the network
-//! scenario's replay.
+//! of one seed are comparable bit-for-bit.
 
 use std::time::Duration;
 
 use bytes::Bytes;
-use mmcs_broker::event::{Event, EventClass};
 use mmcs_broker::metrics::ShardedBrokerMetrics;
-use mmcs_broker::node::{Action, BrokerNode, Input, Origin};
 use mmcs_broker::sharded::{ShardedBroker, ShardedClient};
 use mmcs_broker::topic::{Topic, TopicFilter};
-use mmcs_util::id::{BrokerId, ClientId};
 use mmcs_util::rng::DetRng;
 
-/// One delivery in sortable form: (receiver, topic, source, seq).
-pub type ShardedDelivery = (u64, String, u64, u64);
+use crate::oracle::{fingerprint, Delivery, Oracle, Recorder};
 
 /// Parameters of one sharded chaos run, all derived from the seed.
 #[derive(Debug, Clone)]
@@ -146,7 +140,7 @@ pub struct ShardedRunReport {
     /// The configuration that produced this run.
     pub config: ShardedChaosConfig,
     /// Sorted delivery multiset drained from every client.
-    pub deliveries: Vec<ShardedDelivery>,
+    pub deliveries: Vec<Delivery>,
     /// Per-(receiver, source, topic) order violations seen while
     /// draining (must be zero).
     pub order_violations: u64,
@@ -160,24 +154,6 @@ pub struct ShardedRunReport {
     pub queue_depths: Vec<i64>,
     /// FNV-1a fingerprint over the sorted deliveries.
     pub fingerprint: u64,
-}
-
-/// FNV-1a over the sorted delivery list: the run's fingerprint.
-pub(crate) fn fingerprint(deliveries: &[ShardedDelivery]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (receiver, topic, source, seq) in deliveries {
-        mix(&receiver.to_le_bytes());
-        mix(topic.as_bytes());
-        mix(&source.to_le_bytes());
-        mix(&seq.to_le_bytes());
-    }
-    hash
 }
 
 /// Executes the schedule against a real [`ShardedBroker`].
@@ -225,29 +201,11 @@ pub fn run_sharded(config: &ShardedChaosConfig) -> ShardedRunReport {
     }
     broker.quiesce();
 
-    let mut deliveries: Vec<ShardedDelivery> = Vec::new();
-    let mut order_violations = 0u64;
-    let mut last_seq: std::collections::HashMap<(u64, u64, String), u64> =
-        std::collections::HashMap::new();
+    let mut recorder = Recorder::default();
+    let mut deliveries: Vec<Delivery> = Vec::new();
     for client in &clients {
         while let Some(event) = client.try_recv() {
-            let key = (
-                client.id().value(),
-                event.source.value(),
-                event.topic.to_string(),
-            );
-            if let Some(prev) = last_seq.get(&key) {
-                if event.seq <= *prev {
-                    order_violations += 1;
-                }
-            }
-            last_seq.insert(key, event.seq);
-            deliveries.push((
-                client.id().value(),
-                event.topic.to_string(),
-                event.source.value(),
-                event.seq,
-            ));
+            deliveries.push(recorder.arrival(client.id(), &event));
         }
     }
     deliveries.sort_unstable();
@@ -256,7 +214,7 @@ pub fn run_sharded(config: &ShardedChaosConfig) -> ShardedRunReport {
         config: config.clone(),
         fingerprint: fingerprint(&deliveries),
         deliveries,
-        order_violations,
+        order_violations: recorder.order_violations,
         events_in: metrics.total(|s| s.events_in.get()),
         cross_shard_forwards: metrics.total(|s| s.cross_shard_forwards.get()),
         deliveries_metric: metrics.total(|s| s.deliveries.get()),
@@ -264,89 +222,38 @@ pub fn run_sharded(config: &ShardedChaosConfig) -> ShardedRunReport {
     }
 }
 
-/// Replays the schedule through the single-loop oracle. Returns the
-/// sorted delivery multiset plus the number of publishes the state
-/// machine accepted (publishes from detached clients are rejected on
-/// both sides).
-pub fn oracle_sharded(config: &ShardedChaosConfig) -> (Vec<ShardedDelivery>, u64) {
-    let ops = generate_ops(config);
-    let mut node = BrokerNode::new(BrokerId::from_raw(7777));
-    let mut next_id = 1u64;
-    let mut attach = |node: &mut BrokerNode| {
-        let id = ClientId::from_raw(next_id);
-        next_id += 1;
-        let _ = node.handle(Input::AttachClient {
-            client: id,
-            profile: Default::default(),
-        });
-        id
-    };
-    let mut clients: Vec<ClientId> = (0..config.clients).map(|_| attach(&mut node)).collect();
-    let mut seqs: Vec<u64> = vec![0; config.clients];
+/// Replays the schedule through the [`Oracle`]. Returns the sorted
+/// delivery multiset plus the number of publishes the state machine
+/// accepted (publishes from detached clients are rejected on both
+/// sides).
+pub fn oracle_sharded(config: &ShardedChaosConfig) -> (Vec<Delivery>, u64) {
+    let mut oracle = Oracle::new(config.clients);
     let mut accepted = 0u64;
-    let mut deliveries: Vec<ShardedDelivery> = Vec::new();
-    for op in &ops {
+    for op in &generate_ops(config) {
         match op {
             ShardedOp::Attach => {
-                clients.push(attach(&mut node));
-                seqs.push(0);
+                oracle.attach_next();
             }
-            ShardedOp::Detach(index) => {
-                let _ = node.handle(Input::DetachClient {
-                    client: clients[*index],
-                });
-            }
+            ShardedOp::Detach(index) => oracle.detach_client(*index),
             ShardedOp::Subscribe(index, pattern) => {
                 if let Ok(filter) = TopicFilter::parse(pattern) {
-                    let _ = node.handle(Input::Subscribe {
-                        client: clients[*index],
-                        filter,
-                    });
+                    oracle.add_filter(*index, filter);
                 }
             }
             ShardedOp::Unsubscribe(index, pattern) => {
                 if let Ok(filter) = TopicFilter::parse(pattern) {
-                    let _ = node.handle(Input::Unsubscribe {
-                        client: clients[*index],
-                        filter,
-                    });
+                    oracle.drop_filter(*index, filter);
                 }
             }
             ShardedOp::Publish(index, path) => {
                 if let Ok(topic) = Topic::parse(path) {
-                    let seq = seqs[*index];
-                    seqs[*index] += 1;
-                    let event = Event::new(
-                        topic,
-                        clients[*index],
-                        seq,
-                        EventClass::Data,
-                        Bytes::new(),
-                    )
-                    .into_shared();
-                    if let Ok(actions) = node.handle(Input::Publish {
-                        origin: Origin::Client(clients[*index]),
-                        event,
-                    }) {
-                        accepted += 1;
-                        for action in actions {
-                            if let Action::Deliver { client, event, .. } = action {
-                                deliveries.push((
-                                    client.value(),
-                                    event.topic.to_string(),
-                                    event.source.value(),
-                                    event.seq,
-                                ));
-                            }
-                        }
-                    }
+                    accepted += u64::from(oracle.publish_next(*index, topic));
                 }
             }
             ShardedOp::Stall(..) => {}
         }
     }
-    deliveries.sort_unstable();
-    (deliveries, accepted)
+    (oracle.take_deliveries(), accepted)
 }
 
 /// Runs one seed and checks every invariant; returns the report and the

@@ -1,33 +1,13 @@
-//! Schedule shrinking: one ddmin ([`ddmin`]) for every harness — the
-//! simulator's fault list here, the federation's op list in
-//! [`crate::cluster`].
+//! Schedule shrinking: delta debugging ([`ddmin`]) over a failing
+//! schedule, used by the federation harness in [`crate::cluster`].
 //!
 //! When a seed fails, the full generated schedule usually contains many
-//! faults that are irrelevant to the violation. Because every fault is a
-//! self-contained interval (see [`crate::schedule`]), *any* subset of
-//! the schedule is a well-formed schedule, so delta debugging applies
-//! directly: partition the fault list, try dropping complements, and
-//! keep the smallest subset that still violates an invariant.
-
-use crate::invariants;
-use crate::scenario::{self, ScenarioConfig};
-use crate::schedule::Fault;
-
-/// Outcome of a shrinking pass.
-#[derive(Debug, Clone)]
-pub struct Shrunk {
-    /// The minimal fault subset that still fails.
-    pub faults: Vec<Fault>,
-    /// Violations the minimal schedule produces.
-    pub violations: Vec<invariants::Violation>,
-    /// Scenario executions the search spent.
-    pub runs: usize,
-}
-
-/// True when running `faults` under `config` violates any invariant.
-fn fails(config: &ScenarioConfig, faults: &[Fault]) -> bool {
-    !invariants::check(&scenario::run(config, faults)).is_empty()
-}
+//! operations that are irrelevant to the violation. Every op of a
+//! schedule is a no-op where it does not apply (a restore of a node
+//! that is up, a publish from any client), so *any* subset of a schedule
+//! is a well-formed schedule and delta debugging applies directly:
+//! partition the list, try dropping complements, and keep the smallest
+//! subset that still violates an invariant.
 
 /// ddmin over any list whose every subset is well-formed: partition,
 /// try dropping each chunk, keep the smallest subset on which `fails`
@@ -82,111 +62,26 @@ pub fn ddmin<T: Clone>(items: &[T], mut fails: impl FnMut(&[T]) -> bool) -> (Vec
     (current, runs)
 }
 
-/// Minimizes a failing fault schedule with [`ddmin`].
-///
-/// Precondition: `faults` fails under `config` (the caller observed the
-/// violation).
-pub fn minimize(config: &ScenarioConfig, faults: &[Fault]) -> Shrunk {
-    let (faults, runs) = ddmin(faults, |candidate| fails(config, candidate));
-    let violations = invariants::check(&scenario::run(config, &faults));
-    Shrunk {
-        faults,
-        violations,
-        runs,
-    }
-}
-
-/// Renders a minimal failing schedule as a copy-pasteable `#[test]`.
-pub fn render_test(config: &ScenarioConfig, shrunk: &Shrunk) -> String {
-    let mut out = String::new();
-    out.push_str("// Minimal reproducer found by `mmcs-chaos fuzz`; paste into a test\n");
-    out.push_str("// file with `use mmcs_chaos::{invariants, scenario::ScenarioConfig,\n");
-    out.push_str("// schedule::{Fault, FaultKind, Target}};`\n");
-    out.push_str(&format!("#[test]\nfn chaos_seed_{}_minimal() {{\n", config.seed));
-    out.push_str(&format!(
-        "    let config = ScenarioConfig::for_seed({});\n",
-        config.seed
-    ));
-    if config.disable_retransmit {
-        out.push_str("    let config = ScenarioConfig { disable_retransmit: true, ..config };\n");
-    }
-    out.push_str("    let faults = vec![\n");
-    for fault in &shrunk.faults {
-        out.push_str(&format!("        {},\n", fault.to_literal()));
-    }
-    out.push_str("    ];\n");
-    out.push_str("    let report = mmcs_chaos::scenario::run(&config, &faults);\n");
-    out.push_str("    let violations = invariants::check(&report);\n");
-    out.push_str("    assert!(violations.is_empty(), \"{violations:?}\");\n");
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{FaultKind, Target};
 
     #[test]
-    fn render_mentions_seed_and_faults() {
-        let config = ScenarioConfig::for_seed(77);
-        let shrunk = Shrunk {
-            faults: vec![Fault {
-                kind: FaultKind::Partition,
-                target: Target::Edge(1),
-                start_ms: 2000,
-                end_ms: 3000,
-            }],
-            violations: Vec::new(),
-            runs: 0,
-        };
-        let text = render_test(&config, &shrunk);
-        assert!(text.contains("chaos_seed_77_minimal"));
-        assert!(text.contains("FaultKind::Partition"));
-        assert!(text.contains("assert!(violations.is_empty()"));
+    fn ddmin_finds_the_one_guilty_element_and_counts_its_runs() {
+        let mut calls = 0;
+        let (minimal, runs) = ddmin(&[1, 2, 3, 4, 5, 6, 7], |items| {
+            calls += 1;
+            items.contains(&5)
+        });
+        assert_eq!(minimal, [5]);
+        assert_eq!(runs, calls);
     }
 
     #[test]
-    fn minimize_finds_the_single_guilty_fault() {
-        // With retransmission disabled, only the lossy fault can strand
-        // frames; the partitions on other edges are red herrings that
-        // ddmin must discard. Use a short horizon to keep this fast.
-        let config = ScenarioConfig {
-            horizon_ms: 4000,
-            settle_ms: 4000,
-            events_per_pair: 30,
-            disable_retransmit: true,
-            ..ScenarioConfig::for_seed(5)
-        };
-        let guilty = Fault {
-            kind: FaultKind::Loss(0.4),
-            target: Target::Edge(1),
-            start_ms: 1000,
-            end_ms: 3000,
-        };
-        let herrings = [
-            Fault {
-                kind: FaultKind::ClientChurn,
-                target: Target::Client(0),
-                start_ms: 1200,
-                end_ms: 1600,
-            },
-            Fault {
-                kind: FaultKind::ClientChurn,
-                target: Target::Client(1),
-                start_ms: 2000,
-                end_ms: 2400,
-            },
-        ];
-        let schedule = vec![herrings[0], guilty, herrings[1]];
-        assert!(fails(&config, &schedule), "seeded bug must fail pre-shrink");
-        let shrunk = minimize(&config, &schedule);
-        assert!(!shrunk.violations.is_empty());
-        assert!(shrunk.faults.contains(&guilty));
-        assert!(
-            shrunk.faults.len() < schedule.len(),
-            "shrink must discard red herrings: {:?}",
-            shrunk.faults
-        );
+    fn ddmin_keeps_a_pair_that_fails_only_together() {
+        let (minimal, _) = ddmin(&[1, 2, 3, 4, 5, 6], |items| {
+            items.contains(&2) && items.contains(&6)
+        });
+        assert_eq!(minimal, [2, 6]);
     }
 }

@@ -1,28 +1,14 @@
-//! Pins the chaos fingerprints of four simulator seeds and six cluster
-//! seeds.
-//!
-//! A simulator fingerprint hashes the run's sorted simulator counters,
-//! every pair's delivery trace and the XGSP digests, so a change to the
-//! simulator or its processes that keeps these four values has changed
-//! no counter, no delivery and no fault reaction on these schedules. The
-//! values are what `mmcs-chaos replay <seed>` prints.
+//! Pins the chaos fingerprints of six cluster seeds, on both
+//! transports.
 //!
 //! A cluster fingerprint hashes the sorted delivery multiset of a live
-//! in-process federation run under crashes, partitions and gossip loss,
-//! so a change to the federation that keeps these six values delivered
-//! the same events to the same clients on these schedules. The values
-//! are what `mmcs-chaos cluster` prints for the seed.
+//! federation run under crashes, partitions and gossip loss, so a change
+//! to the federation that keeps these six values delivered the same
+//! events to the same clients on these schedules. The values are what
+//! `mmcs-chaos cluster` prints for the seed, and a seed's run over
+//! loopback TCP must reproduce its in-process value.
 
-use mmcs_chaos::cluster::{generate_cluster_ops, run_cluster, ClusterChaosConfig};
-use mmcs_chaos::scenario::{CHURN_CLIENTS, EDGES};
-use mmcs_chaos::{generate, run, ScenarioConfig};
-
-const PINS: [(u64, u64); 4] = [
-    (3, 0x9c0f_cf9f_adb6_f85f),
-    (7, 0x7ea4_dfda_faad_5d78),
-    (19, 0x0e25_b55c_d1b9_6629),
-    (42, 0x1a41_b9c4_3dea_ad29),
-];
+use mmcs_chaos::cluster::{generate_cluster_ops, run_cluster, ClusterChaosConfig, Transport};
 
 /// Seed 7: 3-node chain (relays of hop 2); 20: 4-node mesh; 24: 2-node
 /// mesh; 29: 4-node chain; 8 and 63: the chain-plus-chord map with node
@@ -36,15 +22,13 @@ const CLUSTER_PINS: [(u64, u64); 6] = [
     (63, 0xd718_cc1a_2e76_5cdf),
 ];
 
-#[test]
-fn chaos_fingerprints_are_pinned() {
-    for (seed, pinned) in PINS {
-        let config = ScenarioConfig::for_seed(seed);
-        let schedule = generate(seed, config.horizon_ms, EDGES, CHURN_CLIENTS);
-        let report = run(&config, &schedule);
+fn pinned_on(transport: Transport) {
+    for (seed, pinned) in CLUSTER_PINS {
+        let config = ClusterChaosConfig::for_seed(seed);
+        let report = run_cluster(&config, &generate_cluster_ops(&config), transport);
         assert_eq!(
             report.fingerprint, pinned,
-            "seed {seed}: fingerprint {:#018x}, pinned {pinned:#018x}",
+            "cluster seed {seed} {transport}: fingerprint {:#018x}, pinned {pinned:#018x}",
             report.fingerprint
         );
     }
@@ -52,13 +36,10 @@ fn chaos_fingerprints_are_pinned() {
 
 #[test]
 fn cluster_chaos_fingerprints_are_pinned() {
-    for (seed, pinned) in CLUSTER_PINS {
-        let config = ClusterChaosConfig::for_seed(seed);
-        let report = run_cluster(&config, &generate_cluster_ops(&config));
-        assert_eq!(
-            report.fingerprint, pinned,
-            "cluster seed {seed}: fingerprint {:#018x}, pinned {pinned:#018x}",
-            report.fingerprint
-        );
-    }
+    pinned_on(Transport::InProcess);
+}
+
+#[test]
+fn cluster_chaos_fingerprints_are_pinned_over_tcp() {
+    pinned_on(Transport::Tcp);
 }

@@ -1,6 +1,7 @@
 //! Oracle equivalence for the federation runtime.
 //!
-//! The single-loop broker state machine (`BrokerNode`) is the oracle: a
+//! The single-loop broker state machine (`BrokerNode`, driven by
+//! `mmcs_chaos::oracle::Oracle`) is the oracle: a
 //! federation of N gossiping nodes must be observationally equivalent
 //! to one broker. Any random sequence of subscribe / unsubscribe /
 //! publish / client-zone-move operations run against a live [`Cluster`]
@@ -25,15 +26,10 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use mmcs::broker::cluster::{Cluster, ClusterClient, LatencyMap};
-use mmcs::broker::event::{Event, EventClass};
-use mmcs::broker::node::{Action, BrokerNode, Input, Origin};
 use mmcs::broker::topic::{Topic, TopicFilter};
-use mmcs_util::id::{BrokerId, ClientId};
+use mmcs_chaos::oracle::{Delivery, Oracle, Recorder};
 
 const CLIENTS: usize = 4;
-
-/// One delivery, in a form that sorts: (receiver, topic, source, seq).
-type Delivery = (u64, String, u64, u64);
 
 /// One step of a random run.
 #[derive(Debug, Clone)]
@@ -71,67 +67,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Runs the sequence against the single-loop state machine. Zone moves
-/// are invisible to the oracle: a move must not lose subscriptions or
-/// pending deliveries.
+/// Runs the sequence against the single-loop [`Oracle`]. Zone moves are
+/// invisible to it: a move must not lose subscriptions or pending
+/// deliveries.
 fn oracle_run(ops: &[Op]) -> Vec<Delivery> {
-    let mut node = BrokerNode::new(BrokerId::from_raw(99));
-    let clients: Vec<ClientId> = (1..=CLIENTS as u64).map(ClientId::from_raw).collect();
-    for &client in &clients {
-        node.handle(Input::AttachClient {
-            client,
-            profile: Default::default(),
-        })
-        .expect("oracle attach");
-    }
-    let mut seqs = [0u64; CLIENTS];
-    let mut deliveries: Vec<Delivery> = Vec::new();
+    let mut oracle = Oracle::new(CLIENTS);
     for op in ops {
         match op {
-            Op::Subscribe(index, filter) => {
-                let _ = node.handle(Input::Subscribe {
-                    client: clients[*index],
-                    filter: filter.clone(),
-                });
-            }
-            Op::Unsubscribe(index, filter) => {
-                let _ = node.handle(Input::Unsubscribe {
-                    client: clients[*index],
-                    filter: filter.clone(),
-                });
-            }
+            Op::Subscribe(index, filter) => oracle.add_filter(*index, filter.clone()),
+            Op::Unsubscribe(index, filter) => oracle.drop_filter(*index, filter.clone()),
             Op::Move(..) => {}
             Op::Publish(index, topic) => {
-                let seq = seqs[*index];
-                seqs[*index] += 1;
-                let event = Event::new(
-                    topic.clone(),
-                    clients[*index],
-                    seq,
-                    EventClass::Data,
-                    Bytes::new(),
-                )
-                .into_shared();
-                if let Ok(actions) = node.handle(Input::Publish {
-                    origin: Origin::Client(clients[*index]),
-                    event,
-                }) {
-                    for action in actions {
-                        if let Action::Deliver { client, event, .. } = action {
-                            deliveries.push((
-                                client.value(),
-                                event.topic.to_string(),
-                                event.source.value(),
-                                event.seq,
-                            ));
-                        }
-                    }
-                }
+                oracle.publish_next(*index, topic.clone());
             }
         }
     }
-    deliveries.sort_unstable();
-    deliveries
+    oracle.take_deliveries()
 }
 
 /// Runs the sequence against a live federation and returns the sorted
@@ -176,34 +127,14 @@ fn run_on(ops: &[Op], cluster: Cluster) -> Vec<Delivery> {
         }
     }
     cluster.quiesce();
+    let mut recorder = Recorder::default();
     let mut deliveries: Vec<Delivery> = Vec::new();
-    let mut last_seq: std::collections::HashMap<(u64, u64, String), u64> =
-        std::collections::HashMap::new();
     for client in &clients {
         let mut batch = Vec::new();
         client.drain_into(&mut batch);
-        for event in batch {
-            let key = (
-                client.id().value(),
-                event.source.value(),
-                event.topic.to_string(),
-            );
-            if let Some(prev) = last_seq.get(&key) {
-                assert!(
-                    event.seq > *prev,
-                    "per-topic order violated for {key:?}: {} after {prev}",
-                    event.seq
-                );
-            }
-            last_seq.insert(key, event.seq);
-            deliveries.push((
-                client.id().value(),
-                event.topic.to_string(),
-                event.source.value(),
-                event.seq,
-            ));
-        }
+        deliveries.extend(batch.iter().map(|event| recorder.arrival(client.id(), event)));
     }
+    assert_eq!(recorder.order_violations, 0, "per-topic order violated");
     deliveries.sort_unstable();
     deliveries
 }

@@ -1,6 +1,7 @@
 //! Oracle equivalence for the sharded broker runtime.
 //!
-//! The single-loop broker state machine (`BrokerNode`) is the oracle:
+//! The single-loop broker state machine (`BrokerNode`, driven by
+//! `mmcs_chaos::oracle::Oracle`) is the oracle:
 //! any random sequence of subscribe / unsubscribe / publish / detach
 //! operations run against a `ShardedBroker` — at 1, 2, and 4 shards —
 //! must produce the **identical sorted delivery multiset** the oracle
@@ -19,16 +20,11 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use mmcs::broker::event::{Event, EventClass};
-use mmcs::broker::node::{Action, BrokerNode, Input, Origin};
 use mmcs::broker::sharded::{ShardedBroker, ShardedClient};
 use mmcs::broker::topic::{Topic, TopicFilter};
-use mmcs_util::id::{BrokerId, ClientId};
+use mmcs_chaos::oracle::{Delivery, Oracle, Recorder};
 
 const CLIENTS: usize = 4;
-
-/// One delivery, in a form that sorts: (receiver, topic, source, seq).
-type Delivery = (u64, String, u64, u64);
 
 /// One step of a random run.
 #[derive(Debug, Clone)]
@@ -68,74 +64,24 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Runs the sequence against the single-loop state machine, returning
-/// the sorted delivery multiset. Ops that the node rejects (e.g. a
-/// publish from a detached client) are silently skipped — the sharded
-/// workers skip them too.
+/// Runs the sequence against the single-loop [`Oracle`], returning the
+/// sorted delivery multiset. Ops that the node rejects (e.g. a publish
+/// from a detached client) are skipped — the sharded workers skip them
+/// too — and still use up the client's sequence number, as
+/// `ShardedClient`'s counter does.
 fn oracle_run(ops: &[Op]) -> Vec<Delivery> {
-    let mut node = BrokerNode::new(BrokerId::from_raw(99));
-    let clients: Vec<ClientId> = (1..=CLIENTS as u64).map(ClientId::from_raw).collect();
-    for &client in &clients {
-        node.handle(Input::AttachClient {
-            client,
-            profile: Default::default(),
-        })
-        .expect("oracle attach");
-    }
-    // Per-client sequence counters advance on every publish *attempt*,
-    // mirroring `ShardedClient`'s internal counter.
-    let mut seqs = [0u64; CLIENTS];
-    let mut deliveries: Vec<Delivery> = Vec::new();
+    let mut oracle = Oracle::new(CLIENTS);
     for op in ops {
         match op {
-            Op::Subscribe(index, filter) => {
-                let _ = node.handle(Input::Subscribe {
-                    client: clients[*index],
-                    filter: filter.clone(),
-                });
-            }
-            Op::Unsubscribe(index, filter) => {
-                let _ = node.handle(Input::Unsubscribe {
-                    client: clients[*index],
-                    filter: filter.clone(),
-                });
-            }
-            Op::Detach(index) => {
-                let _ = node.handle(Input::DetachClient {
-                    client: clients[*index],
-                });
-            }
+            Op::Subscribe(index, filter) => oracle.add_filter(*index, filter.clone()),
+            Op::Unsubscribe(index, filter) => oracle.drop_filter(*index, filter.clone()),
+            Op::Detach(index) => oracle.detach_client(*index),
             Op::Publish(index, topic) => {
-                let seq = seqs[*index];
-                seqs[*index] += 1;
-                let event = Event::new(
-                    topic.clone(),
-                    clients[*index],
-                    seq,
-                    EventClass::Data,
-                    Bytes::new(),
-                )
-                .into_shared();
-                if let Ok(actions) = node.handle(Input::Publish {
-                    origin: Origin::Client(clients[*index]),
-                    event,
-                }) {
-                    for action in actions {
-                        if let Action::Deliver { client, event, .. } = action {
-                            deliveries.push((
-                                client.value(),
-                                event.topic.to_string(),
-                                event.source.value(),
-                                event.seq,
-                            ));
-                        }
-                    }
-                }
+                oracle.publish_next(*index, topic.clone());
             }
         }
     }
-    deliveries.sort_unstable();
-    deliveries
+    oracle.take_deliveries()
 }
 
 /// Runs the sequence against a real `ShardedBroker`, quiescing after
@@ -173,32 +119,14 @@ fn sharded_run(ops: &[Op], shards: usize, capacity: usize, stalls: bool) -> Vec<
         }
     }
     broker.quiesce();
+    let mut recorder = Recorder::default();
     let mut deliveries: Vec<Delivery> = Vec::new();
-    let mut last_seq: std::collections::HashMap<(u64, u64, String), u64> =
-        std::collections::HashMap::new();
     for client in &clients {
         while let Some(event) = client.try_recv() {
-            let key = (
-                client.id().value(),
-                event.source.value(),
-                event.topic.to_string(),
-            );
-            if let Some(prev) = last_seq.get(&key) {
-                assert!(
-                    event.seq > *prev,
-                    "per-topic order violated for {key:?}: {} after {prev}",
-                    event.seq
-                );
-            }
-            last_seq.insert(key, event.seq);
-            deliveries.push((
-                client.id().value(),
-                event.topic.to_string(),
-                event.source.value(),
-                event.seq,
-            ));
+            deliveries.push(recorder.arrival(client.id(), &event));
         }
     }
+    assert_eq!(recorder.order_violations, 0, "per-topic order violated");
     deliveries.sort_unstable();
     deliveries
 }
