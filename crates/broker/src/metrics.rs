@@ -46,6 +46,9 @@ pub struct BrokerMetrics {
     /// Events handed to a peer shard over the sharded runtime's
     /// forwarding ring, counted at the sending (topic-owner) shard.
     pub cross_shard_forwards: Arc<Counter>,
+    /// Local `(client, filter)` subscriptions in the node's table, set
+    /// on every subscribe, unsubscribe and detach that changes it.
+    pub subscriptions: Arc<Gauge>,
 }
 
 impl BrokerMetrics {
@@ -97,6 +100,10 @@ impl BrokerMetrics {
                 &format!("{prefix}_cross_shard_forwards_total"),
                 "events forwarded to peer shards over the ring",
             ),
+            subscriptions: registry.gauge(
+                &format!("{prefix}_subscriptions"),
+                "local (client, filter) subscriptions",
+            ),
         })
     }
 
@@ -115,6 +122,7 @@ impl BrokerMetrics {
             retransmissions: Arc::new(Counter::new()),
             batch_size: Arc::new(Histogram::new()),
             cross_shard_forwards: Arc::new(Counter::new()),
+            subscriptions: Arc::new(Gauge::new()),
         })
     }
 }

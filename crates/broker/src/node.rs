@@ -306,6 +306,7 @@ impl BrokerNode {
     /// stays allocation-free (relaxed atomic increments only).
     pub fn set_metrics(&mut self, metrics: Arc<BrokerMetrics>) {
         self.metrics = Some(metrics);
+        self.report_subscriptions();
     }
 
     /// The installed telemetry instruments, if any.
@@ -428,6 +429,7 @@ impl BrokerNode {
                     }
                     self.release_local_interest(&filter, out);
                 }
+                self.report_subscriptions();
                 Ok(())
             }
             Input::Subscribe { client, filter } => {
@@ -437,6 +439,7 @@ impl BrokerNode {
                 if !self.local_subs.subscribe(&filter, client) {
                     return Ok(()); // duplicate
                 }
+                self.report_subscriptions();
                 self.invalidate(&filter);
                 self.client_filters
                     .entry(client)
@@ -456,6 +459,7 @@ impl BrokerNode {
                 if !self.local_subs.unsubscribe(&filter, &client) {
                     return Ok(());
                 }
+                self.report_subscriptions();
                 self.invalidate(&filter);
                 if let Some(filters) = self.client_filters.get_mut(&client) {
                     if let Some(pos) = filters.iter().position(|f| *f == filter) {
@@ -612,6 +616,13 @@ impl BrokerNode {
                 }),
         );
         Ok(())
+    }
+
+    /// Reports the local table's size to the `subscriptions` gauge.
+    fn report_subscriptions(&self) {
+        if let Some(metrics) = &self.metrics {
+            metrics.subscriptions.set(self.local_subs.len() as i64);
+        }
     }
 
     fn release_local_interest(&mut self, filter: &TopicFilter, actions: &mut Vec<Action>) {

@@ -30,6 +30,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use mmcs_broker::metrics::ShardedBrokerMetrics;
 use mmcs_broker::sharded::{ShardedBroker, ShardedClient};
 use mmcs_broker::topic::{Topic, TopicFilter};
 use mmcs_directory::communities::CommunityDirectory;
@@ -324,13 +325,15 @@ pub struct GlobalMmcs {
     /// Declared after the tap and the rendezvous agents (in `xgsp`), so
     /// they detach before the broker shuts down.
     broker: ShardedBroker,
+    broker_metrics: Arc<ShardedBrokerMetrics>,
     now: SimTime,
 }
 
 impl GlobalMmcs {
     /// Assembles a system with one broker and default server settings.
     pub fn new() -> Self {
-        let broker = ShardedBroker::spawn(1);
+        let broker_metrics = ShardedBrokerMetrics::detached(1);
+        let broker = ShardedBroker::spawn_with_metrics(Arc::clone(&broker_metrics));
         let media_service = broker.attach();
         media_service.subscribe(TopicFilter::parse("globalmmcs/#").expect("static filter"));
         Self {
@@ -357,6 +360,7 @@ impl GlobalMmcs {
             quality: QualityMonitor::new(),
             media_service,
             broker,
+            broker_metrics,
             now: SimTime::ZERO,
         }
     }
@@ -520,6 +524,14 @@ impl GlobalMmcs {
     /// [`ShardedBroker::quiesce`] does.
     pub fn broker(&self) -> &ShardedBroker {
         &self.broker
+    }
+
+    /// The broker's instruments, one bundle per shard. Its
+    /// `subscriptions` gauge counts every live subscription, the media
+    /// tap's and the rendezvous agents' included; read it after
+    /// [`ShardedBroker::quiesce`].
+    pub fn broker_metrics(&self) -> &ShardedBrokerMetrics {
+        &self.broker_metrics
     }
 
     /// Feeds the media-service tap to streaming without waiting on the

@@ -215,7 +215,6 @@ impl Process for ReflectorProcess {
             .max(0.0);
         ctx.spend_cpu(SimDuration::from_secs_f64(pause_secs));
         ctx.count("reflector.gc_pauses", 1);
-        ctx.observe("reflector.gc_pause_ms", pause_secs * 1e3);
         self.schedule_gc(ctx);
     }
 }

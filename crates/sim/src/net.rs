@@ -51,16 +51,6 @@ pub struct LinkConfig {
     pub latency: SimDuration,
     /// Independent per-packet loss probability in `[0, 1]`. Default: 0.
     pub loss: f64,
-    /// Independent probability in `[0, 1]` that a surviving packet is
-    /// delivered twice (network-level duplication). Default: 0.
-    pub duplicate: f64,
-    /// Upper bound on uniformly random extra delay added per packet.
-    /// Any nonzero value reorders back-to-back packets. Default: 0.
-    pub jitter: SimDuration,
-    /// Administratively down (a hard partition): every packet on the
-    /// link is dropped and counted as `net.dropped.linkdown`.
-    /// Default: `false`.
-    pub down: bool,
 }
 
 impl Default for LinkConfig {
@@ -68,9 +58,6 @@ impl Default for LinkConfig {
         Self {
             latency: SimDuration::from_micros(200),
             loss: 0.0,
-            duplicate: 0.0,
-            jitter: SimDuration::ZERO,
-            down: false,
         }
     }
 }
@@ -91,10 +78,10 @@ pub(crate) struct HostState {
     /// Whether a drain event is already scheduled for this host.
     pub drain_scheduled: bool,
     /// Deterministic RNG stream private to this host. Every random draw
-    /// attributable to the host (its processes' `ctx.rng()`, plus
-    /// loss/duplication/jitter on packets it sends) comes from here, so
-    /// the draw sequence depends only on the host's own execution order,
-    /// not on how its events interleave with other hosts'.
+    /// attributable to the host (its processes' `ctx.rng()`, plus the
+    /// loss draw on packets it sends) comes from here, so the draw
+    /// sequence depends only on the host's own execution order, not on
+    /// how its events interleave with other hosts'.
     pub rng: DetRng,
     /// Private counter for event keys minted with this host as origin.
     /// See `engine::EventKey` for the total-order argument.
@@ -190,7 +177,6 @@ mod tests {
         let cfg = LinkConfig {
             latency: SimDuration::from_millis(5),
             loss: 0.25,
-            ..LinkConfig::default()
         };
         net.set_link(b, a, cfg);
         assert_eq!(net.link(a, b).latency, cfg.latency);

@@ -106,18 +106,6 @@ pub trait Process {
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         let _ = (ctx, token);
     }
-
-    /// Called after [`Simulation::restart_process`](crate::Simulation::restart_process)
-    /// revives this process from a crash.
-    ///
-    /// Timers armed before the crash never fire again, so implementations
-    /// must re-arm whatever periodic work they need, and decide which of
-    /// their in-memory state a restart preserves (durable) versus resets
-    /// (volatile). The default does nothing — a restarted process that
-    /// ignores this hook simply stays silent until a packet arrives.
-    fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        let _ = ctx;
-    }
 }
 
 /// The world interface handed to every [`Process`] callback.
@@ -224,8 +212,8 @@ impl<'a> Context<'a> {
     }
 
     /// Resolves the named counter to an id for [`Context::bump`]. The id
-    /// stays valid for the whole run, restarts included. Resolving does
-    /// not create the counter; only a bump does.
+    /// stays valid for the whole run. Resolving does not create the
+    /// counter; only a bump does.
     pub fn counter_id(&mut self, name: &str) -> CounterId {
         self.core.metrics.intern(name)
     }
@@ -234,17 +222,6 @@ impl<'a> Context<'a> {
     /// the same counter [`Context::count`] bumps by name.
     pub fn bump(&mut self, id: CounterId, delta: u64) {
         self.core.metrics.bump(id, delta);
-    }
-
-    /// Records a floating-point observation under `name` (mean/min/max are
-    /// retained; see [`Simulation::stat`](crate::Simulation::stat)).
-    pub fn observe(&mut self, name: &str, value: f64) {
-        self.core.observe(name, value);
-    }
-
-    /// Requests that the simulation stop after the current event.
-    pub fn stop(&mut self) {
-        self.core.request_stop();
     }
 }
 

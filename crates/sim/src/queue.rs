@@ -7,7 +7,7 @@
 //! sifted past all of them in both directions. A delivery whose key
 //! exceeds the last one queued is appended to `run` instead and leaves
 //! from its front; only deliveries that arrive out of order (a second
-//! sender, a jittered link) and the other kinds — timers and drains,
+//! sender, a slower link) and the other kinds — timers and drains,
 //! which are armed for any time — go to the heap, which stays a handful
 //! of entries deep whenever one sender dominates.
 //!
@@ -113,7 +113,7 @@ mod tests {
         });
         queue.push(Event {
             key: key(99, 0, 1),
-            kind: EventKind::Timer(ProcessId(1), 0, 0),
+            kind: EventKind::Timer(ProcessId(1), 0),
         });
         queue.push(deliver(key(50, 1, 50))); // a far timer does not end the run
         assert_eq!((queue.run.len(), queue.heap.len(), queue.len()), (5, 4, 9));

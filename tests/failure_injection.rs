@@ -1,5 +1,5 @@
-//! Failure injection: the system under partial failure — lossy links,
-//! a broker crash mid-stream, crashing clients, overload drops, protocol abuse.
+//! Failure injection: the system under partial failure — a lossy link,
+//! a crashing client, overload drops and protocol abuse.
 
 use mmcs::broker::batch::CostModel;
 use mmcs::broker::simdrv::BrokerProcess;
@@ -32,7 +32,6 @@ fn receivers_measure_injected_loss() {
         LinkConfig {
             latency: SimDuration::from_micros(200),
             loss: 0.10,
-            ..LinkConfig::default()
         },
     );
     let broker = sim.add_typed_process(

@@ -4,14 +4,22 @@
 //!
 //! Determinism is checked on two inputs: a lossy two-sender world, and
 //! a random plan of hosts running timer-driven chatter with CPU costs
-//! under a fault schedule of link degradation (loss, jitter,
-//! duplication, hard partition) and process crash/restart incarnations.
+//! while links change their latency and loss mid-run. One fixed,
+//! fault-free broker world pins its event order and counters outright.
 
 use proptest::prelude::*;
 
+use mmcs::broker::batch::CostModel;
+use mmcs::broker::simdrv::BrokerProcess;
+use mmcs::broker::topic::{Topic, TopicFilter};
+use mmcs::rtp::packet::payload_type;
+use mmcs::rtp::source::{VideoSource, VideoSourceConfig};
 use mmcs::sim::net::{HostId, LinkConfig, NicConfig};
 use mmcs::sim::{Context, Packet, Process, ProcessId, Simulation};
+use mmcs_bench::load::{Publisher, PublisherConfig, RtpReceiver};
+use mmcs_util::id::{BrokerId, ClientId};
 use mmcs_util::rate::Bandwidth;
+use mmcs_util::rng::DetRng;
 use mmcs_util::time::{SimDuration, SimTime};
 
 /// Sends `count` packets of `bytes` to `dst`, `gap` apart.
@@ -92,7 +100,6 @@ fn run_world(
             LinkConfig {
                 latency: SimDuration::from_micros(200),
                 loss,
-                ..LinkConfig::default()
             },
         );
         sim.add_typed_process(
@@ -167,56 +174,34 @@ impl Process for Chatter {
             ctx.count("chatter.replied", 1);
         }
     }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        ctx.count("chatter.restarted", 1);
-        ctx.set_timer(self.period, 0);
-    }
 }
 
-/// One scheduled fault. Times are virtual milliseconds from start.
-#[derive(Debug, Clone)]
-enum FaultOp {
-    /// Replace the link between hosts `a` and `b` (indices).
-    Link(usize, usize, LinkConfig),
-    /// Crash process index `p`, restart it `down_ms` later.
-    CrashRestart(usize, u64),
-}
-
-/// A complete randomized run plan.
+/// A complete randomized run plan. Each link change is `(virtual ms
+/// from start, host a, host b, new link)`.
 #[derive(Debug, Clone)]
 struct Plan {
     seed: u64,
     hosts: usize,
     chatter: Vec<(u64, u32, u64, u32, usize)>,
-    faults: Vec<(u64, FaultOp)>,
+    links: Vec<(u64, usize, usize, LinkConfig)>,
     horizon_ms: u64,
 }
 
 fn link_strategy() -> impl Strategy<Value = LinkConfig> {
     (
         200u64..=2_000,
-        prop_oneof![
-            Just((0.0, 0.0, 0u64, false)),
-            (0.05f64..0.5).prop_map(|loss| (loss, 0.0, 0, false)),
-            (0.1f64..0.9).prop_map(|duplicate| (0.0, duplicate, 0, false)),
-            (1u64..=8).prop_map(|jitter_ms| (0.0, 0.0, jitter_ms, false)),
-            Just((0.0, 0.0, 0, true)),
-        ],
+        prop_oneof![Just(0.0), 0.05f64..0.5],
     )
-        .prop_map(|(latency_us, (loss, duplicate, jitter_ms, down))| LinkConfig {
+        .prop_map(|(latency_us, loss)| LinkConfig {
             latency: SimDuration::from_micros(latency_us),
             loss,
-            duplicate,
-            jitter: SimDuration::from_millis(jitter_ms),
-            down,
         })
 }
 
 fn plan_strategy() -> impl Strategy<Value = Plan> {
-    // Host/process indices inside fault ops are generated over the
-    // maximum host count and reduced modulo the actual one at apply
-    // time (the shimmed proptest has no `prop_flat_map`).
+    // Host indices inside link changes are generated over the maximum
+    // host count and reduced modulo the actual one at apply time (the
+    // shimmed proptest has no `prop_flat_map`).
     let chatter = prop::collection::vec(
         (
             500u64..=5_000,  // timer period (µs)
@@ -227,24 +212,14 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
         ),
         6,
     );
-    let faults = prop::collection::vec(
-        (
-            1u64..40,
-            prop_oneof![
-                (0usize..6, 0usize..6, link_strategy())
-                    .prop_map(|(a, b, link)| FaultOp::Link(a, b, link)),
-                (0usize..6, 1u64..20)
-                    .prop_map(|(p, down_ms)| FaultOp::CrashRestart(p, down_ms)),
-            ],
-        ),
-        0..6,
-    );
-    (2usize..=6, 0u64..1_000_000, chatter, faults).prop_map(|(hosts, seed, chatter, faults)| {
+    let links = prop::collection::vec((1u64..40, 0usize..6, 0usize..6, link_strategy()), 0..6);
+    (2usize..=6, 0u64..1_000_000, chatter, links).prop_map(|(hosts, seed, chatter, mut links)| {
+        links.sort_by_key(|(t_ms, ..)| *t_ms);
         Plan {
             seed,
             hosts,
             chatter,
-            faults,
+            links,
             horizon_ms: 60,
         }
     })
@@ -282,39 +257,11 @@ fn run_plan(plan: &Plan) -> (Vec<Vec<u64>>, u64, Vec<(String, u64)>) {
             .peers = pids.clone();
     }
 
-    // Compile the fault schedule into (time, op) order; restarts are
-    // separate timed entries so they interleave with other faults.
-    let mut ops: Vec<(u64, usize, FaultOp)> = Vec::new();
-    for (i, (t_ms, op)) in plan.faults.iter().enumerate() {
-        match op {
-            FaultOp::CrashRestart(p, down_ms) => {
-                ops.push((*t_ms, i * 2, FaultOp::CrashRestart(*p, 0)));
-                ops.push((t_ms + down_ms, i * 2 + 1, FaultOp::CrashRestart(*p, u64::MAX)));
-            }
-            link => ops.push((*t_ms, i * 2, link.clone())),
-        }
-    }
-    ops.sort_by_key(|(t, tie, _)| (*t, *tie));
-
-    for (t_ms, _, op) in ops {
+    for &(t_ms, a, b, link) in &plan.links {
         sim.run_until(SimTime::from_millis(t_ms));
-        match op {
-            FaultOp::Link(a, b, link) => {
-                let (a, b) = (a % plan.hosts, b % plan.hosts);
-                if a != b {
-                    sim.set_link(hosts[a], hosts[b], link);
-                }
-            }
-            FaultOp::CrashRestart(p, marker) => {
-                let p = p % plan.hosts;
-                if marker == 0 {
-                    if !sim.is_crashed(pids[p]) {
-                        sim.crash_process(pids[p]);
-                    }
-                } else if sim.is_crashed(pids[p]) {
-                    sim.restart_process(pids[p]);
-                }
-            }
+        let (a, b) = (a % plan.hosts, b % plan.hosts);
+        if a != b {
+            sim.set_link(hosts[a], hosts[b], link);
         }
     }
     sim.run_until(SimTime::from_millis(plan.horizon_ms));
@@ -351,7 +298,7 @@ proptest! {
     }
 
     /// The same seed reproduces the identical arrival trace, and the same
-    /// plan — chatter, faulty links and crash/restart incarnations — the
+    /// plan — chatter under mid-run latency and loss changes — the
     /// identical per-host execution traces, fingerprint and counters.
     #[test]
     fn identical_seeds_identical_traces(
@@ -405,4 +352,89 @@ fn tiny_queue_drops_everything() {
     sim.run_until(SimTime::from_secs(2));
     assert_eq!(sim.counter("net.delivered"), 0);
     assert_eq!(sim.counter("net.dropped.queue"), 5);
+}
+
+/// The event order of one fixed, fault-free world is pinned: a broker
+/// process fans a 60-packet video burst out to five receivers, with the
+/// publisher's pacing timers, and the whole run is traced. The broker's
+/// NIC is slow and its queue short, so each fan-out serializes and the
+/// tail of an I-frame is dropped; three receivers share one host and
+/// its CPU, so their handling backs up; one receiver sits behind a link
+/// that turns slow and lossy mid-run. An engine edit that reorders,
+/// adds or drops an event changes the fingerprint; one that moves a
+/// drop or a delivery between buckets changes the counters.
+#[test]
+fn fault_free_broker_world_keeps_its_event_order() {
+    let mut sim = Simulation::new(11);
+    let sender = sim.add_host("sender", NicConfig::default());
+    let broker_host = sim.add_host(
+        "broker",
+        NicConfig {
+            bandwidth: Bandwidth::from_mbps(4),
+            queue_bytes: 16 * 1024,
+            ..NicConfig::default()
+        },
+    );
+    let shared = sim.add_host("shared", NicConfig::default());
+    let far = sim.add_host("far", NicConfig::default());
+    sim.set_trace_enabled(true);
+    let broker = sim.add_typed_process(
+        broker_host,
+        BrokerProcess::new(BrokerId::from_raw(1), CostModel::narada()),
+    );
+    for (i, host) in [sender, shared, shared, shared, far].into_iter().enumerate() {
+        sim.add_typed_process(
+            host,
+            RtpReceiver::new(
+                broker,
+                ClientId::from_raw(10 + i as u64),
+                TopicFilter::parse("conf/1/video").unwrap(),
+                payload_type::H263,
+                SimDuration::from_micros(700),
+            ),
+        );
+    }
+    let mut config = PublisherConfig::new(
+        broker,
+        ClientId::from_raw(1),
+        Topic::parse("conf/1/video").unwrap(),
+    );
+    config.max_packets = 60;
+    let source = VideoSource::new(VideoSourceConfig::default(), 42, DetRng::new(5));
+    sim.add_typed_process(sender, Publisher::new(config, source));
+
+    sim.run_until(SimTime::from_millis(300));
+    let lossy = LinkConfig {
+        loss: 0.25,
+        ..LinkConfig::default()
+    };
+    sim.set_link(
+        broker_host,
+        far,
+        LinkConfig {
+            latency: SimDuration::from_millis(3),
+            ..lossy
+        },
+    );
+    sim.run_until(SimTime::from_secs(2));
+
+    let mut counters: Vec<(String, u64)> = sim
+        .counters()
+        .map(|(name, value)| (name.to_owned(), value))
+        .collect();
+    counters.sort();
+    let expected = [
+        ("broker.delivered", 300),
+        ("net.delivered", 300),
+        ("net.dropped.loss", 8),
+        ("net.dropped.queue", 63),
+        ("publisher.rtp_sent", 60),
+        ("receiver.rtp_received", 229),
+    ];
+    let expected: Vec<(String, u64)> = expected
+        .iter()
+        .map(|&(name, value)| (name.to_owned(), value))
+        .collect();
+    assert_eq!(counters, expected);
+    assert_eq!(sim.trace_fingerprint(), 0x0ae1_7d16_0eed_eded);
 }

@@ -4,10 +4,12 @@
 //! system with Access Grid, Admire and HearMe bridged; then every live
 //! session is terminated. Afterwards nothing a session made through the
 //! door is left: no Helix stream beyond a fresh system's, no A/V switch
-//! selection, no venue, conference or room in any community, and no
-//! rendezvous agent. While the script runs, every live session has an
-//! agent in each community that answers the rendezvous (Admire, Access
-//! Grid) and none in HearMe, which refuses it.
+//! selection, no venue, conference or room in any community, no
+//! rendezvous agent, and — once the script's own media handles are
+//! dropped — no more broker subscriptions than a fresh system holds.
+//! While the script runs, every live session has an agent in each
+//! community that answers the rendezvous (Admire, Access Grid) and none
+//! in HearMe, which refuses it.
 //!
 //! Out of scope, because they are durable by design: the archive, the
 //! user and community directories, the SIP registrar and the H.323
@@ -19,7 +21,8 @@ use proptest::prelude::*;
 
 use mmcs::admire::service::AdmireService;
 use mmcs::broker::event::EventClass;
-use mmcs::broker::topic::Topic;
+use mmcs::broker::sharded::ShardedClient;
+use mmcs::broker::topic::{Topic, TopicFilter};
 use mmcs::global_mmcs::accessgrid::AccessGridService;
 use mmcs::global_mmcs::hearme::HearMeService;
 use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
@@ -52,8 +55,9 @@ enum Op {
     Select(usize, usize),
     /// The k-th member of a slot (or a stranger) reports audio.
     Speak(usize, usize),
-    /// A burst of audio on a slot's topic and from its agents, then a
-    /// barrier and `pump()`.
+    /// A media endpoint subscribes to a slot's topic and sends a burst
+    /// of audio on it, its agents send one packet each, then a barrier
+    /// and `pump()`.
     Publish(usize),
     /// The k-th member of a slot (or nobody in particular) terminates it.
     Terminate(Option<usize>, usize),
@@ -95,6 +99,8 @@ struct Harness {
     calls: Vec<Call>,
     next_call: usize,
     source: AudioSource,
+    /// The media endpoints `Publish` attached, held until the end.
+    media: Vec<ShardedClient>,
 }
 
 fn sip_request(method: SipMethod, uri: &str, from: &str, call_id: &str) -> SipMessage {
@@ -122,6 +128,7 @@ impl Harness {
             calls: Vec::new(),
             next_call: 0,
             source: AudioSource::new(AudioCodec::Pcmu, 0x7E),
+            media: Vec::new(),
         }
     }
 
@@ -273,6 +280,7 @@ impl Harness {
                 let topic = Topic::parse(&format!("globalmmcs/session-{}/audio", session.value()))
                     .expect("session topic");
                 let speaker = self.mmcs.broker().attach();
+                speaker.subscribe(TopicFilter::exact(&topic));
                 for _ in 0..3 {
                     let packet = self.source.next_packet().encode();
                     speaker.publish_class(topic.clone(), EventClass::Rtp, packet);
@@ -289,6 +297,7 @@ impl Harness {
                         agent.outbound(&mut Vec::new());
                     }
                 }
+                self.media.push(speaker);
             }
             Op::Terminate(k, s) => {
                 let Some(session) = slot(self, s) else { return };
@@ -306,6 +315,12 @@ impl Harness {
         let server = self.mmcs.community_mut(community).expect("bridged");
         server.control(session, "rendezvous", &[]) != Err(CiError::UnknownSession(session))
     }
+}
+
+/// Live subscriptions across the broker's shards, after a barrier.
+fn subscriptions(mmcs: &GlobalMmcs) -> i64 {
+    mmcs.broker().quiesce();
+    mmcs.broker_metrics().shards().map(|shard| shard.subscriptions.get()).sum()
 }
 
 proptest! {
@@ -335,6 +350,8 @@ proptest! {
         prop_assert_eq!(h.mmcs.session_server().session_count(), 0);
         let fresh = GlobalMmcs::new();
         prop_assert_eq!(h.mmcs.helix().stream_names(), fresh.helix().stream_names());
+        h.media.clear();
+        prop_assert_eq!(subscriptions(&h.mmcs), subscriptions(&fresh));
         let sessions = h.sessions.clone();
         for session in sessions {
             prop_assert_eq!(h.mmcs.selected_video(session), None);
