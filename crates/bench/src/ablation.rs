@@ -5,9 +5,11 @@
 //!   rerun the Figure 3 broker side with `CostModel::batching = false`
 //!   to show how much of the win that optimization carries.
 //! * **A2 — distributed dissemination.** NaradaBrokering's pitch is a
-//!   *distributed* collection of brokers: with B brokers in a star, each
-//!   broker serves 1/B of the receivers and the fan-out NIC load splits
-//!   B ways. We sweep B ∈ {1, 2, 4} on the 400-receiver video workload.
+//!   *distributed* collection of brokers: with B brokers in a star, the
+//!   publisher at the hub, each broker serves 1/B of the receivers and
+//!   the fan-out NIC load splits B ways. Every packet crosses at most one
+//!   broker link, hub to leaf. We sweep B ∈ {1, 2, 4} on the
+//!   400-receiver video workload.
 
 use mmcs_broker::simdrv::BrokerProcess;
 use mmcs_broker::topic::{Topic, TopicFilter};
@@ -36,7 +38,7 @@ pub fn run_batching_ablation(base: &Fig3Config) -> (SystemResult, SystemResult) 
 /// Result of one broker-count point in ablation A2.
 #[derive(Debug, Clone)]
 pub struct DisseminationPoint {
-    /// Brokers in the dissemination tree.
+    /// Brokers in the star.
     pub brokers: usize,
     /// Mean one-way delay across all receivers (ms).
     pub avg_delay_ms: f64,

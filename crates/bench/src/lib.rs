@@ -11,8 +11,8 @@
 //!   (of 400) video receivers, NaradaBrokering vs the JMF reflector.
 //! * [`capacity`] — the in-text capacity claims: > 1000 audio clients,
 //!   > 400 video clients per broker with good quality.
-//! * [`ablation`] — A1 (send batching on/off) and A2 (1–4 broker
-//!   dissemination trees).
+//! * [`ablation`] — A1 (send batching on/off) and A2 (a star of 1–4
+//!   brokers with the publisher at the hub).
 //! * [`load`] — the simulated A/V clients every experiment drives the
 //!   broker with: paced publishers, measuring receivers, multicast
 //!   relays and weighted client bundles.

@@ -13,7 +13,8 @@
 //!   subscription table.
 //! * [`node`] — [`node::BrokerNode`], the pure broker state machine:
 //!   client attach/detach, subscribe/unsubscribe, publish routing,
-//!   broker-to-broker subscription propagation over a tree of links.
+//!   one-hop routing between brokers (an event crosses at most one
+//!   broker link).
 //! * [`profile`] — transport profiles (TCP/UDP/Multicast/SSL/raw-RTP)
 //!   with per-packet overheads, mirroring NaradaBrokering's pluggable
 //!   transports.
@@ -29,8 +30,8 @@
 //! Three drivers run a [`node::BrokerNode`]:
 //!
 //! * [`simdrv`] — inside the deterministic simulator, with a CPU cost
-//!   model; [`simtopo`] rebuilds the live shard mesh or a federation's
-//!   latency map out of its broker processes. The simulated clients that
+//!   model; [`simtopo`] rebuilds the live shard mesh or a full-mesh
+//!   federation's latency map out of its broker processes. The simulated clients that
 //!   load it live in `mmcs-bench` (`mmcs_bench::load`).
 //! * [`sharded`] — the live runtime on real OS threads: the topic space
 //!   is partitioned across N shards (one is a plain single-loop

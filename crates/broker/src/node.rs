@@ -10,21 +10,21 @@
 //!
 //! ## Routing protocol
 //!
-//! Broker networks are **trees** (NaradaBrokering's cluster hierarchy);
-//! the node does not check this, its driver does: [`crate::simtopo`]
-//! rejects a cyclic link graph unless it is a full mesh run one hop
-//! deep ([`BrokerNode::set_local_adverts_only`]). Interest
-//! propagation is therefore simple and loop-free:
+//! One rule: an event crosses at most one broker link. A node is linked
+//! straight to every peer it trades events with — the shard ring and
+//! the simulator's meshes ([`crate::simtopo`]) are full meshes — so:
 //!
-//! * Every filter has an interest record: local subscriber count plus the
-//!   set of peers that advertised it.
-//! * A broker advertises a filter to peer `p` exactly when some party
-//!   *other than `p`* is interested (split horizon).
-//! * A data event arriving from origin `o` is delivered to matching local
-//!   clients and forwarded to matching peers except `o`.
+//! * A node advertises only its own clients' interest. Every peer hears
+//!   an advert when a filter's local subscriber count goes 0→1 or 1→0,
+//!   and a peer whose link comes up hears every locally held filter.
+//! * An event from a local client is delivered to the matching local
+//!   clients and forwarded to every peer that advertised a match.
+//! * An event from a peer is delivered to matching local clients only.
 //!
-//! On a tree this delivers every event exactly once to every subscriber
-//! — an invariant the property tests in `tests/` exercise.
+//! On a full mesh this delivers every event exactly once to every
+//! subscriber — a property `tests/broker_properties.rs` checks on random
+//! meshes. Relaying over several hops is the federation's job: the
+//! [`crate::cluster`] routes by its next-hop table.
 //!
 //! ## Routing fast path
 //!
@@ -66,9 +66,8 @@ pub struct RoutePlan {
     /// Matching local subscribers with their transport profiles,
     /// sorted by client id and deduplicated.
     pub local: Vec<(ClientId, TransportProfile)>,
-    /// Matching peer brokers, sorted and deduplicated. Split horizon
-    /// (skipping the origin peer) is applied at routing time, not here,
-    /// so one plan serves every origin.
+    /// Matching peer brokers, sorted and deduplicated. Only a client's
+    /// event goes to them: an event from a peer has crossed its one link.
     pub remote: Vec<BrokerId>,
 }
 
@@ -207,24 +206,6 @@ impl std::fmt::Display for BrokerError {
 
 impl std::error::Error for BrokerError {}
 
-/// Aggregated interest in one filter.
-#[derive(Debug, Clone, Default)]
-struct Interest {
-    local: usize,
-    peers: HashSet<BrokerId>,
-}
-
-impl Interest {
-    fn is_empty(&self) -> bool {
-        self.local == 0 && self.peers.is_empty()
-    }
-
-    /// Whether any party other than `peer` is interested.
-    fn interesting_to(&self, peer: BrokerId) -> bool {
-        self.local > 0 || self.peers.iter().any(|p| *p != peer)
-    }
-}
-
 /// Counters a broker keeps about its own activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerCounters {
@@ -247,9 +228,8 @@ pub struct BrokerNode {
     local_subs: SubscriptionTable<ClientId>,
     remote_subs: SubscriptionTable<BrokerId>,
     peers: HashSet<BrokerId>,
-    interest: HashMap<TopicFilter, Interest>,
-    /// Filters currently advertised to each peer.
-    advertised: HashMap<BrokerId, HashSet<TopicFilter>>,
+    /// Local subscriber count per filter: what this node advertises.
+    interest: HashMap<TopicFilter, usize>,
     counters: BrokerCounters,
     /// Memoized delivery plans keyed by concrete topic; a subscription
     /// change evicts the entries its filter matches, so every entry is
@@ -258,10 +238,6 @@ pub struct BrokerNode {
     /// Optional telemetry instruments; `None` costs one branch per
     /// publish, `Some` costs a handful of relaxed atomic adds.
     metrics: Option<Arc<BrokerMetrics>>,
-    /// When set, only *local* subscriber interest is advertised to peers
-    /// (remote interest is never re-propagated). See
-    /// [`BrokerNode::set_local_adverts_only`].
-    local_adverts_only: bool,
 }
 
 impl BrokerNode {
@@ -275,30 +251,10 @@ impl BrokerNode {
             remote_subs: SubscriptionTable::new(),
             peers: HashSet::new(),
             interest: HashMap::new(),
-            advertised: HashMap::new(),
             counters: BrokerCounters::default(),
             plans: HashMap::new(),
             metrics: None,
-            local_adverts_only: false,
         }
-    }
-
-    /// Restricts adverts to this node's *local* subscriber interest:
-    /// remote interest is never re-advertised to other peers.
-    ///
-    /// The default (off) implements NaradaBrokering's tree routing, where
-    /// interest must propagate hop by hop — correct only on acyclic peer
-    /// graphs. Full-mesh topologies (the sharded runtime's one-hop
-    /// forward ring, rebuilt in the simulator by [`crate::simtopo`])
-    /// turn that propagation into an advert/forward loop; with this mode
-    /// on, every node advertises straight to every peer and a data event
-    /// is forwarded at most one hop, exactly the thread runtime's
-    /// semantics.
-    ///
-    /// Set before links come up: the flag only affects adverts emitted
-    /// after the call.
-    pub fn set_local_adverts_only(&mut self, on: bool) {
-        self.local_adverts_only = on;
     }
 
     /// Installs telemetry instruments. Publishes, cache lookups, and
@@ -445,10 +401,10 @@ impl BrokerNode {
                     .entry(client)
                     .or_default()
                     .push(filter.clone());
-                let entry = self.interest.entry(filter.clone()).or_default();
-                entry.local += 1;
-                if entry.local == 1 {
-                    self.refresh_adverts_for(&filter, out);
+                let count = self.interest.entry(filter.clone()).or_default();
+                *count += 1;
+                if *count == 1 {
+                    self.advertise(&filter, true, out);
                 }
                 Ok(())
             }
@@ -474,17 +430,15 @@ impl BrokerNode {
                 if !self.peers.insert(peer) {
                     return Err(BrokerError::DuplicateLink(peer));
                 }
-                self.advertised.insert(peer, HashSet::new());
-                // Advertise everything the rest of the world is
-                // interested in to the new peer. Sorted so the advert
-                // order (and thus driver send order) is independent of
-                // hash-map iteration order — deterministic replay
-                // across process runs depends on it.
-                let mut filters: Vec<TopicFilter> = self.interest.keys().cloned().collect();
+                // Sorted so the advert order (and thus the send order)
+                // does not depend on hash-map iteration order:
+                // deterministic replay across process runs needs it.
+                let mut filters: Vec<&TopicFilter> = self.interest.keys().collect();
                 filters.sort_unstable();
-                for filter in filters {
-                    self.refresh_advert_for_peer(peer, &filter, out);
-                }
+                out.extend(filters.into_iter().map(|filter| Action::AdvertiseAdd {
+                    peer,
+                    filter: filter.clone(),
+                }));
                 Ok(())
             }
             Input::RemoteSubscribe { peer, filter } => {
@@ -493,11 +447,6 @@ impl BrokerNode {
                 }
                 if self.remote_subs.subscribe(&filter, peer) {
                     self.invalidate(&filter);
-                }
-                let entry = self.interest.entry(filter.clone()).or_default();
-                let newly = entry.peers.insert(peer);
-                if newly {
-                    self.refresh_adverts_for(&filter, out);
                 }
                 Ok(())
             }
@@ -508,14 +457,6 @@ impl BrokerNode {
                 if self.remote_subs.unsubscribe(&filter, &peer) {
                     self.invalidate(&filter);
                 }
-                if let Some(entry) = self.interest.get_mut(&filter) {
-                    if entry.peers.remove(&peer) {
-                        if entry.is_empty() {
-                            self.interest.remove(&filter);
-                        }
-                        self.refresh_adverts_for(&filter, out);
-                    }
-                }
                 Ok(())
             }
         }
@@ -525,9 +466,8 @@ impl BrokerNode {
     /// counts the publish — [`counters`](Self::counters) and, when
     /// installed, the [`BrokerMetrics`] publish instruments — and returns
     /// the plan it routes by. The event goes to every `plan.local`
-    /// client and to every `plan.remote` peer except the one it came
-    /// from; an event that crossed a link goes to no peer at all under
-    /// [`set_local_adverts_only`](Self::set_local_adverts_only).
+    /// client, and a client's event also to every `plan.remote` peer; an
+    /// event from a peer goes to no peer at all.
     /// [`handle_into`](Self::handle_into) is this plus one action per
     /// destination. A warm hit allocates nothing.
     ///
@@ -551,7 +491,7 @@ impl BrokerNode {
         }
         let plan = self.plan_for(topic);
         let deliveries = plan.local.len() as u64;
-        let forwards = self.forward_peers(origin, &plan).count() as u64;
+        let forwards = forward_peers(origin, &plan).len() as u64;
         let emitted = deliveries + forwards;
         self.counters.events_in += 1;
         self.counters.deliveries += deliveries;
@@ -571,28 +511,6 @@ impl BrokerNode {
         Ok(plan)
     }
 
-    /// The peers of `plan` an event from `origin` is forwarded to.
-    fn forward_peers<'a>(
-        &self,
-        origin: Origin,
-        plan: &'a RoutePlan,
-    ) -> impl Iterator<Item = BrokerId> + 'a {
-        let from = match origin {
-            Origin::Broker(peer) => Some(peer),
-            Origin::Client(_) => None,
-        };
-        // One-hop mesh mode: an event that already crossed a link is
-        // delivered locally and never re-forwarded — on a full mesh every
-        // interested peer heard it from the origin broker directly, so a
-        // second hop would duplicate (split horizon alone only protects
-        // the link it came in on, not the rest of a cyclic mesh).
-        let forward = !(self.local_adverts_only && from.is_some());
-        plan.remote
-            .iter()
-            .copied()
-            .filter(move |&peer| forward && Some(peer) != from)
-    }
-
     /// [`publish_plan`](Self::publish_plan), then one action per
     /// destination.
     fn route(
@@ -602,19 +520,17 @@ impl BrokerNode {
         out: &mut Vec<Action>,
     ) -> Result<(), BrokerError> {
         let plan = self.publish_plan(origin, &event.topic)?;
-        out.reserve(plan.local.len() + plan.remote.len());
+        let peers = forward_peers(origin, &plan);
+        out.reserve(plan.local.len() + peers.len());
         out.extend(plan.local.iter().map(|&(client, profile)| Action::Deliver {
             client,
             profile,
             event: Arc::clone(&event),
         }));
-        out.extend(
-            self.forward_peers(origin, &plan)
-                .map(|peer| Action::Forward {
-                    peer,
-                    event: Arc::clone(&event),
-                }),
-        );
+        out.extend(peers.iter().map(|&peer| Action::Forward {
+            peer,
+            event: Arc::clone(&event),
+        }));
         Ok(())
     }
 
@@ -625,59 +541,39 @@ impl BrokerNode {
         }
     }
 
-    fn release_local_interest(&mut self, filter: &TopicFilter, actions: &mut Vec<Action>) {
-        if let Some(entry) = self.interest.get_mut(filter) {
-            entry.local = entry.local.saturating_sub(1);
-            if entry.local == 0 {
-                if entry.is_empty() {
-                    self.interest.remove(filter);
-                }
-                self.refresh_adverts_for(filter, actions);
+    fn release_local_interest(&mut self, filter: &TopicFilter, out: &mut Vec<Action>) {
+        if let Some(count) = self.interest.get_mut(filter) {
+            *count -= 1;
+            if *count == 0 {
+                self.interest.remove(filter);
+                self.advertise(filter, false, out);
             }
         }
     }
 
-    /// Re-derives whether each peer should see an advert for `filter` and
-    /// emits the diff.
-    fn refresh_adverts_for(&mut self, filter: &TopicFilter, actions: &mut Vec<Action>) {
-        // Sorted for cross-run-deterministic advert emission.
+    /// Tells every peer, in id order so that replay does not depend on
+    /// hash-map iteration order, that this node's clients took up
+    /// (`add`) or dropped their interest in `filter`.
+    fn advertise(&self, filter: &TopicFilter, add: bool, out: &mut Vec<Action>) {
         let mut peers: Vec<BrokerId> = self.peers.iter().copied().collect();
         peers.sort_unstable();
-        for peer in peers {
-            self.refresh_advert_for_peer(peer, filter, actions);
-        }
-    }
-
-    fn refresh_advert_for_peer(
-        &mut self,
-        peer: BrokerId,
-        filter: &TopicFilter,
-        actions: &mut Vec<Action>,
-    ) {
-        let want = self.interest.get(filter).is_some_and(|i| {
-            if self.local_adverts_only {
-                // One-hop mesh mode: advertise only what *this* node's
-                // clients subscribed to; peer interest never fans back out.
-                i.local > 0
+        out.extend(peers.into_iter().map(|peer| {
+            let filter = filter.clone();
+            if add {
+                Action::AdvertiseAdd { peer, filter }
             } else {
-                i.interesting_to(peer)
+                Action::AdvertiseRemove { peer, filter }
             }
-        });
-        let advertised = self.advertised.entry(peer).or_default();
-        let have = advertised.contains(filter);
-        if want && !have {
-            advertised.insert(filter.clone());
-            actions.push(Action::AdvertiseAdd {
-                peer,
-                filter: filter.clone(),
-            });
-        } else if !want && have {
-            advertised.remove(filter);
-            actions.push(Action::AdvertiseRemove {
-                peer,
-                filter: filter.clone(),
-            });
-        }
+        }));
+    }
+}
+
+/// The peers of `plan` an event from `origin` is forwarded to: all of
+/// them for a client's event, none for a peer's.
+fn forward_peers(origin: Origin, plan: &RoutePlan) -> &[BrokerId] {
+    match origin {
+        Origin::Client(_) => &plan.remote,
+        Origin::Broker(_) => &[],
     }
 }
 
@@ -895,51 +791,41 @@ mod tests {
     }
 
     #[test]
-    fn split_horizon_does_not_echo_to_origin_peer() {
+    fn an_event_from_a_peer_is_delivered_locally_and_forwarded_nowhere() {
         let mut n = node();
         n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
         n.handle(Input::LinkUp { peer: broker(3) }).unwrap();
-        n.handle(Input::RemoteSubscribe {
-            peer: broker(2),
+        n.handle(Input::AttachClient {
+            client: client(1),
+            profile: TransportProfile::Udp,
+        })
+        .unwrap();
+        n.handle(Input::Subscribe {
+            client: client(1),
             filter: filter("t/#"),
         })
         .unwrap();
-        n.handle(Input::RemoteSubscribe {
-            peer: broker(3),
-            filter: filter("t/#"),
-        })
-        .unwrap();
-        // Event arrives from broker 2: forward only to broker 3.
+        for peer in [broker(2), broker(3)] {
+            // Peer interest is never advertised on.
+            let actions = n
+                .handle(Input::RemoteSubscribe {
+                    peer,
+                    filter: filter("t/#"),
+                })
+                .unwrap();
+            assert!(actions.is_empty());
+        }
         let actions = n
             .handle(Input::Publish {
                 origin: Origin::Broker(broker(2)),
                 event: event("t/x", 1),
             })
             .unwrap();
-        assert_eq!(actions.len(), 1);
         assert!(matches!(
-            &actions[0],
-            Action::Forward { peer, .. } if *peer == broker(3)
+            &actions[..],
+            [Action::Deliver { client: c, .. }] if *c == client(1)
         ));
-    }
-
-    #[test]
-    fn remote_interest_propagates_to_other_peers_only() {
-        let mut n = node();
-        n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
-        n.handle(Input::LinkUp { peer: broker(3) }).unwrap();
-        let actions = n
-            .handle(Input::RemoteSubscribe {
-                peer: broker(2),
-                filter: filter("x"),
-            })
-            .unwrap();
-        // Advertise to broker 3 but never back to broker 2.
-        assert_eq!(actions.len(), 1);
-        assert!(matches!(
-            &actions[0],
-            Action::AdvertiseAdd { peer, .. } if *peer == broker(3)
-        ));
+        assert_eq!(n.counters().forwards, 0);
     }
 
     #[test]

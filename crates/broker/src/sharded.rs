@@ -516,9 +516,9 @@ impl ShardedBroker {
     /// been published locally: it is enqueued at its topic's owner shard
     /// (bounded by its capacity like a client publish), delivered to
     /// local subscribers and ring-forwarded to subscriber home shards.
-    /// The event is **not** re-advertised or routed back out — the
-    /// caller (the cluster layer) owns inter-node routing, and decodes
-    /// what arrives off a link before handing it here.
+    /// The event never leaves this broker — the caller (the cluster
+    /// layer) owns inter-node routing, and decodes what arrives off a
+    /// link before handing it here.
     pub fn inject(&self, event: Arc<Event>) {
         let shard = owner_shard_of_topic(&event.topic, self.shard_count());
         self.router

@@ -183,15 +183,6 @@ impl BrokerProcess {
         }
     }
 
-    /// One-hop mesh mode, builder style: adverts carry only local
-    /// subscriber interest (see [`BrokerNode::set_local_adverts_only`]).
-    /// Required whenever the peer graph has cycles — the full meshes of
-    /// [`crate::simtopo`].
-    pub fn with_local_adverts_only(mut self) -> Self {
-        self.node.set_local_adverts_only(true);
-        self
-    }
-
     /// Installs the node's hot-path telemetry instruments.
     pub fn set_metrics(&mut self, metrics: Arc<BrokerMetrics>) {
         self.node.set_metrics(metrics);

@@ -16,21 +16,13 @@
 //! [`crate::sharded::home_shard`] for shards, and
 //! [`LatencyMap::home_node`] for zone gateways.
 //!
-//! Interest exchange differs by the shape of the link graph, mirroring
-//! what the live runtimes converge to:
-//!
-//! * **full mesh** (every shard mesh, [`LatencyMap::full_mesh`]) — the
-//!   mesh has cycles, so nodes run local-adverts-only and events cross
-//!   exactly one link: the shard runtime's one-hop forwarding ring and
-//!   the live cluster's direct-path routing;
-//! * **tree** (e.g. [`LatencyMap::chain`]) — the sans-IO node's native
-//!   broker-to-broker subscription propagation carries interest hop by
-//!   hop, and events relay through intermediate nodes exactly like live
-//!   `ClusterFrame` relaying (on a tree there is only one path, so it
-//!   matches the live [`RouteTable`](crate::cluster::RouteTable)).
-//!
-//! Other cyclic topologies are rejected: the deterministic model has
-//! no gossip rounds to break cycles with.
+//! The link graph is always a full mesh (every shard mesh,
+//! [`LatencyMap::full_mesh`]): each node advertises its own clients'
+//! interest to every peer and an event crosses exactly one link, which
+//! is the shard runtime's one-hop forwarding ring and the live
+//! cluster's direct-path routing. Any other federation map is
+//! rejected: the node relays nothing, and the deterministic model has
+//! no gossip or next-hop table to relay with.
 //!
 //! NIC budget: callers pass the **per-node** NIC bandwidth. The usual
 //! shard model is `total_nic / shards` — aggregate wire capacity
@@ -81,8 +73,8 @@ impl Links<'_> {
 ///
 /// # Panics
 ///
-/// Panics if there are no nodes, or if the link graph is cyclic but
-/// not a full mesh (see the [module docs](self)).
+/// Panics if there are no nodes, or if a federation map is not a full
+/// mesh (see the [module docs](self)).
 pub fn add_brokers(
     sim: &mut Simulation,
     links: Links<'_>,
@@ -90,15 +82,14 @@ pub fn add_brokers(
     node_nic: Bandwidth,
 ) -> Vec<ProcessId> {
     let n = links.node_count();
-    let shape = match links {
-        Links::ShardMesh(_) => Shape::Mesh,
-        Links::Federation(map) => classify(map),
-    };
     assert!(n > 0, "node count must be positive");
-    assert!(
-        shape != Shape::Other,
-        "simulated brokers support tree and full-mesh topologies"
-    );
+    if let Links::Federation(map) = links {
+        let linked = |a: usize, b: usize| map.link(a as u16, b as u16).is_some();
+        assert!(
+            (0..n).all(|a| (a + 1..n).all(|b| linked(a, b))),
+            "simulated brokers must form a full mesh"
+        );
+    }
     let mut hosts = Vec::with_capacity(n);
     let mut nodes = Vec::with_capacity(n);
     for index in 0..n {
@@ -110,28 +101,23 @@ pub fn add_brokers(
                 ..NicConfig::default()
             },
         );
-        let mut broker = BrokerProcess::new(BrokerId::from_raw(index as u64), cost);
-        if shape == Shape::Mesh {
-            // The mesh has cycles: interest must stop after one hop.
-            broker = broker.with_local_adverts_only();
-        }
+        let broker = BrokerProcess::new(BrokerId::from_raw(index as u64), cost);
         hosts.push(host);
         nodes.push(sim.add_typed_process(host, broker));
     }
     for a in 0..n {
         for b in (a + 1)..n {
             if let Links::Federation(map) = links {
-                let Some(ms) = map.link(a as u16, b as u16) else {
-                    continue;
-                };
-                sim.set_link(
-                    hosts[a],
-                    hosts[b],
-                    LinkConfig {
-                        latency: SimDuration::from_micros(u64::from(ms) * 1000),
-                        ..LinkConfig::default()
-                    },
-                );
+                if let Some(ms) = map.link(a as u16, b as u16) {
+                    sim.set_link(
+                        hosts[a],
+                        hosts[b],
+                        LinkConfig {
+                            latency: SimDuration::from_micros(u64::from(ms) * 1000),
+                            ..LinkConfig::default()
+                        },
+                    );
+                }
             }
             for (from, to) in [(a, b), (b, a)] {
                 sim.process_mut::<BrokerProcess>(nodes[from])
@@ -141,54 +127,6 @@ pub fn add_brokers(
         }
     }
     nodes
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    Tree,
-    Mesh,
-    Other,
-}
-
-/// Classifies the link graph: a connected acyclic graph, a complete
-/// graph, or anything else.
-fn classify(map: &LatencyMap) -> Shape {
-    let n = map.node_count();
-    let mut edges = 0usize;
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if map.link(a as u16, b as u16).is_some() {
-                edges += 1;
-            }
-        }
-    }
-    if edges == n * (n - 1) / 2 {
-        // Complete graphs on ≤ 2 nodes are also trees; mesh semantics
-        // (one hop, local adverts) are correct for those too.
-        return Shape::Mesh;
-    }
-    if edges != n.saturating_sub(1) {
-        return Shape::Other;
-    }
-    // n-1 edges: a tree iff connected.
-    let mut seen = vec![false; n];
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    let mut visited = 1;
-    while let Some(at) = stack.pop() {
-        for (next, seen_next) in seen.iter_mut().enumerate() {
-            if !*seen_next && map.link(at as u16, next as u16).is_some() {
-                *seen_next = true;
-                visited += 1;
-                stack.push(next);
-            }
-        }
-    }
-    if visited == n {
-        Shape::Tree
-    } else {
-        Shape::Other
-    }
 }
 
 #[cfg(test)]
@@ -237,15 +175,20 @@ mod tests {
     }
 
     #[test]
-    fn classify_recognizes_shapes() {
-        assert_eq!(classify(&LatencyMap::chain(4, 5)), Shape::Tree);
-        assert_eq!(classify(&LatencyMap::full_mesh(4, 5)), Shape::Mesh);
-        assert_eq!(classify(&LatencyMap::full_mesh(2, 5)), Shape::Mesh);
+    fn only_full_meshes_are_built() {
+        let builds = |map: &LatencyMap| {
+            std::panic::catch_unwind(|| {
+                add_brokers(&mut Simulation::new(1), Links::Federation(map), CostModel::narada(), Bandwidth::from_mbps(310))
+            })
+            .is_ok()
+        };
+        assert!(builds(&LatencyMap::full_mesh(4, 5)));
+        assert!(builds(&LatencyMap::full_mesh(2, 5)));
         let mut ring = LatencyMap::chain(4, 5);
         ring.set_link(0, 3, 5);
-        assert_eq!(classify(&ring), Shape::Other);
-        let disconnected = LatencyMap::new(3).with_zone(vec![1, 1, 1]);
-        assert_eq!(classify(&disconnected), Shape::Other);
+        assert!(!builds(&ring));
+        assert!(!builds(&LatencyMap::chain(3, 5)));
+        assert!(!builds(&LatencyMap::new(3).with_zone(vec![1, 1, 1])));
     }
 
     #[test]

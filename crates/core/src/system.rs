@@ -121,6 +121,8 @@ struct Xgsp {
     /// How each user's endpoint is reached.
     endpoints: HashMap<String, EndpointKind>,
     switch: MediaSwitch,
+    /// RTCP receiver reports of the members of live sessions.
+    quality: QualityMonitor,
     helix: HelixServer,
     /// The streaming tap of each live session topic, keyed by the topic
     /// parsed once when the session server created it.
@@ -186,7 +188,8 @@ impl Xgsp {
 
     /// Applies a request the session server accepted: a join binds an
     /// admitted user's endpoint and adds the member in every community,
-    /// a leave clears the member from the switch and the communities, a
+    /// a leave clears the member from the switch, the quality monitor
+    /// and the communities, a
     /// video selection pins the switch, and a session that is gone (by
     /// termination, or an ad-hoc room's last leave) is torn down.
     fn accepted(
@@ -209,6 +212,7 @@ impl Xgsp {
             }
             XgspMessage::Leave { session, user } => {
                 self.switch.remove_member(session, &user);
+                self.quality.forget_member(session, &user);
                 self.mirror(egress, |c| c.server.remove_member(session, &user));
                 if self.server.session(session).is_none() {
                     self.teardown(session, egress);
@@ -249,10 +253,11 @@ impl Xgsp {
         });
     }
 
-    /// Drops a session that is gone from the switch and every community,
-    /// detaching its agents.
+    /// Drops a session that is gone from the switch, the quality monitor
+    /// and every community, detaching its agents.
     fn teardown(&mut self, session: SessionId, egress: &mut Vec<Egress>) {
         self.switch.remove_session(session);
+        self.quality.forget_session(session);
         self.mirror(egress, |community| {
             community.agents.remove(&session);
             community.server.teardown_session(session)
@@ -319,7 +324,6 @@ pub struct GlobalMmcs {
     /// Reservations already opened as sessions (see [`crate::web`]).
     pub(crate) opened: HashSet<ReservationId>,
     archive: Archive,
-    quality: QualityMonitor,
     /// The media service's tap on `globalmmcs/#`.
     media_service: ShardedClient,
     /// Declared after the tap and the rendezvous agents (in `xgsp`), so
@@ -341,6 +345,7 @@ impl GlobalMmcs {
                 server: SessionServer::new(),
                 endpoints: HashMap::new(),
                 switch: MediaSwitch::new(),
+                quality: QualityMonitor::new(),
                 helix: HelixServer::new(),
                 producers: HashMap::new(),
                 communities: Vec::new(),
@@ -357,7 +362,6 @@ impl GlobalMmcs {
             calendar: Calendar::new(),
             opened: HashSet::new(),
             archive: Archive::new(),
-            quality: QualityMonitor::new(),
             media_service,
             broker,
             broker_metrics,
@@ -417,11 +421,12 @@ impl GlobalMmcs {
 
     /// The RTCP-driven quality monitor.
     pub fn quality(&self) -> &QualityMonitor {
-        &self.quality
+        &self.xgsp.quality
     }
 
     /// Ingests an RTCP receiver report forwarded by a member's RTP
-    /// proxy.
+    /// proxy. A report from anyone who is not a member of a live
+    /// session is dropped.
     pub fn ingest_rtcp(
         &mut self,
         session: SessionId,
@@ -429,8 +434,11 @@ impl GlobalMmcs {
         block: &mmcs_rtp::rtcp::ReportBlock,
         clock_rate: u32,
     ) {
-        let now = self.now;
-        self.quality.ingest(session, member, block, clock_rate, now);
+        let known = self.xgsp.server.session(session).and_then(|s| s.member(member));
+        if known.is_some() {
+            let now = self.now;
+            self.xgsp.quality.ingest(session, member, block, clock_rate, now);
+        }
     }
 
     /// Authenticates a user against the directory and joins them to a

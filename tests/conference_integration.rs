@@ -863,7 +863,7 @@ fn authenticated_join_uses_directory_binding() {
 }
 
 /// RTCP receiver reports flow into the quality monitor and flag
-/// degraded members.
+/// degraded members; a stranger's report is dropped.
 #[test]
 fn rtcp_reports_drive_quality_monitoring() {
     use mmcs::rtp::rtcp::ReportBlock;
@@ -874,6 +874,13 @@ fn rtcp_reports_drive_quality_monitoring() {
         "cid-q",
     ));
     let session = mmcs.session_server().session_ids().next().unwrap();
+    let join = XgspMessage::Join {
+        session,
+        user: "bob-h323".into(),
+        terminal: TerminalId::from_raw(2),
+        media: vec![],
+    };
+    mmcs.handle_xgsp(Some("bob-h323"), join);
 
     let healthy = ReportBlock {
         ssrc: 1,
@@ -889,10 +896,12 @@ fn rtcp_reports_drive_quality_monitoring() {
     };
     mmcs.ingest_rtcp(session, "sip:alice@example.org", &healthy, 8000);
     mmcs.ingest_rtcp(session, "bob-h323", &lossy, 8000);
+    mmcs.ingest_rtcp(session, "mallory", &lossy, 8000);
     assert!(!mmcs.quality().session_is_good(session));
     let degraded = mmcs.quality().degraded(session);
     assert_eq!(degraded.len(), 1);
     assert_eq!(degraded[0].0, "bob-h323");
+    assert!(mmcs.quality().member(session, "mallory").is_none());
 }
 
 /// XGSP notifications translate per the bound endpoint kind: SIP users

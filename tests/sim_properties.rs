@@ -5,7 +5,8 @@
 //! Determinism is checked on two inputs: a lossy two-sender world, and
 //! a random plan of hosts running timer-driven chatter with CPU costs
 //! while links change their latency and loss mid-run. One fixed,
-//! fault-free broker world pins its event order and counters outright.
+//! fault-free broker world pins its event order and counters outright,
+//! and so does a world whose host drains a backlog while its CPU idles.
 
 use proptest::prelude::*;
 
@@ -437,4 +438,92 @@ fn fault_free_broker_world_keeps_its_event_order() {
         .collect();
     assert_eq!(counters, expected);
     assert_eq!(sim.trace_fingerprint(), 0x0ae1_7d16_0eed_eded);
+}
+
+/// Arms `timers` (delay, token) and then spends `busy` of CPU at start;
+/// every later handler spends nothing and logs what it ran: a timer's
+/// token, or a packet's `u64` payload.
+struct Backlog {
+    busy: SimDuration,
+    timers: Vec<(SimDuration, u64)>,
+    ran: Vec<(SimTime, u64)>,
+}
+
+impl Process for Backlog {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for &(delay, token) in &self.timers {
+            ctx.set_timer(delay, token);
+        }
+        ctx.spend_cpu(self.busy);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        self.ran.push((ctx.now(), token));
+    }
+
+    fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+        let id = *packet.payload::<u64>().expect("u64 payload");
+        self.ran.push((ctx.now(), id));
+    }
+}
+
+/// Sends zero-byte packets to `dst`: `(delay, first id, count)` per
+/// timer, so each burst lands in one instant.
+struct Burster {
+    dst: ProcessId,
+    bursts: Vec<(SimDuration, u64, u64)>,
+}
+
+impl Process for Burster {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for (index, &(delay, _, _)) in self.bursts.iter().enumerate() {
+            ctx.set_timer(delay, index as u64);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        let (_, first, count) = self.bursts[token as usize];
+        for id in first..first + count {
+            ctx.send(self.dst, id, 0);
+        }
+    }
+
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _packet: Packet) {}
+}
+
+/// The event order of a host whose backlog drains while its CPU is
+/// idle is pinned. The worker is busy for its first millisecond; three
+/// packets (ids 100–102) and a timer (1) queue behind that. At exactly
+/// 1 ms two more timers (2, 3) fire and two more packets (103, 104)
+/// land, while every queued handler costs no CPU — so the CPU is free
+/// with work still queued. Those arrivals must run behind the backlog,
+/// in arrival order; an engine that gated only on a busy CPU would run
+/// them first.
+#[test]
+fn idle_cpu_backlog_drains_in_arrival_order() {
+    let mut sim = Simulation::new(3);
+    let worker_host = sim.add_host("worker", NicConfig::default());
+    let sender_host = sim.add_host("sender", NicConfig::default());
+    sim.set_trace_enabled(true);
+    let ms = SimDuration::from_millis(1);
+    let worker = sim.add_typed_process(
+        worker_host,
+        Backlog {
+            busy: ms,
+            timers: vec![(SimDuration::from_micros(300), 1), (ms, 2), (ms, 3)],
+            ran: Vec::new(),
+        },
+    );
+    // The default link's 200 µs latency: bursts land at 200 µs and 1 ms.
+    let bursts = vec![(SimDuration::ZERO, 100, 3), (SimDuration::from_micros(800), 103, 2)];
+    sim.add_typed_process(sender_host, Burster { dst: worker, bursts });
+    sim.run_until(SimTime::from_millis(5));
+
+    let ran = &sim.process_ref::<Backlog>(worker).expect("worker").ran;
+    let order: Vec<u64> = ran.iter().map(|&(_, what)| what).collect();
+    assert_eq!(order, [100, 101, 102, 1, 2, 3, 103, 104]);
+    assert!(ran.iter().all(|&(at, _)| at == SimTime::from_millis(1)), "{ran:?}");
+    let counters: Vec<(&str, u64)> = sim.counters().collect();
+    assert_eq!(counters, [("net.delivered", 5)]);
+    assert_eq!(sim.trace_fingerprint(), 0x1162_64b8_813e_60a5);
 }

@@ -1,15 +1,17 @@
 //! Model-based property on `GlobalMmcs`'s teardown: random scripts of
 //! SIP, H.323 and XGSP creates, joins, leaves, video selections, audio
-//! reports, media bursts (with `pump()`) and terminations run against a
-//! system with Access Grid, Admire and HearMe bridged; then every live
-//! session is terminated. Afterwards nothing a session made through the
-//! door is left: no Helix stream beyond a fresh system's, no A/V switch
-//! selection, no venue, conference or room in any community, no
-//! rendezvous agent, and — once the script's own media handles are
-//! dropped — no more broker subscriptions than a fresh system holds.
-//! While the script runs, every live session has an agent in each
-//! community that answers the rendezvous (Admire, Access Grid) and none
-//! in HearMe, which refuses it.
+//! reports, RTCP receiver reports, media bursts (with `pump()`) and
+//! terminations run against a system with Access Grid, Admire and
+//! HearMe bridged; then every live session is terminated. Afterwards
+//! nothing a session made through the door is left: no Helix stream
+//! beyond a fresh system's, no A/V switch selection, no quality record,
+//! no venue, conference or room in any community, no rendezvous agent,
+//! and — once the script's own media handles are dropped — no more
+//! broker subscriptions than a fresh system holds. While the script
+//! runs, every live session has an agent in each community that
+//! answers the rendezvous (Admire, Access Grid) and none in HearMe,
+//! which refuses it, and the quality monitor holds a report only from a
+//! current member of a live session.
 //!
 //! Out of scope, because they are durable by design: the archive, the
 //! user and community directories, the SIP registrar and the H.323
@@ -27,6 +29,7 @@ use mmcs::global_mmcs::accessgrid::AccessGridService;
 use mmcs::global_mmcs::hearme::HearMeService;
 use mmcs::global_mmcs::system::{Egress, GlobalMmcs};
 use mmcs::h323::endpoint::{EndpointState, H323Endpoint};
+use mmcs::rtp::rtcp::ReportBlock;
 use mmcs::rtp::source::{AudioCodec, AudioSource};
 use mmcs::sip::message::{SipMessage, SipMethod};
 use mmcs::xgsp::message::{MediaOp, SessionMode, XgspMessage};
@@ -55,6 +58,9 @@ enum Op {
     Select(usize, usize),
     /// The k-th member of a slot (or a stranger) reports audio.
     Speak(usize, usize),
+    /// The k-th member of a slot (or a stranger) sends an RTCP receiver
+    /// report.
+    Report(usize, usize),
     /// A media endpoint subscribes to a slot's topic and sends a burst
     /// of audio on it, its agents send one packet each, then a barrier
     /// and `pump()`.
@@ -74,6 +80,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0usize..4, 0usize..4).prop_map(|(k, s)| Op::Leave(k, s)),
         2 => (0usize..4, 0usize..4).prop_map(|(k, s)| Op::Select(k, s)),
         2 => (0usize..4, 0usize..4).prop_map(|(k, s)| Op::Speak(k, s)),
+        2 => (0usize..4, 0usize..4).prop_map(|(k, s)| Op::Report(k, s)),
         2 => (0usize..4).prop_map(Op::Publish),
         1 => (prop::option::of(0usize..4), 0usize..4).prop_map(|(k, s)| Op::Terminate(k, s)),
     ]
@@ -101,6 +108,8 @@ struct Harness {
     source: AudioSource,
     /// The media endpoints `Publish` attached, held until the end.
     media: Vec<ShardedClient>,
+    /// Who sent an RTCP report, for which session.
+    reports: Vec<(SessionId, String)>,
 }
 
 fn sip_request(method: SipMethod, uri: &str, from: &str, call_id: &str) -> SipMessage {
@@ -129,6 +138,7 @@ impl Harness {
             next_call: 0,
             source: AudioSource::new(AudioCodec::Pcmu, 0x7E),
             media: Vec::new(),
+            reports: Vec::new(),
         }
     }
 
@@ -275,6 +285,16 @@ impl Harness {
                 let user = self.members(session).get(k).cloned();
                 self.mmcs.report_audio_level(session, user.as_deref().unwrap_or("ghost"), 0.5);
             }
+            Op::Report(k, s) => {
+                let Some(session) = slot(self, s) else { return };
+                let member = self.members(session).get(k).cloned();
+                let user = member.clone().unwrap_or_else(|| "ghost".to_owned());
+                let lossy = ReportBlock { fraction_lost: 80, ..ReportBlock::default() };
+                self.mmcs.ingest_rtcp(session, &user, &lossy, 8000);
+                let kept = self.mmcs.quality().member(session, &user).is_some();
+                assert_eq!(kept, member.is_some(), "{user}'s report for {session}");
+                self.reports.push((session, user));
+            }
             Op::Publish(s) => {
                 let Some(session) = slot(self, s) else { return };
                 let topic = Topic::parse(&format!("globalmmcs/session-{}/audio", session.value()))
@@ -340,6 +360,10 @@ proptest! {
                 prop_assert_eq!(h.mmcs.agent("accessgrid.org", session).is_some(), is_live);
                 prop_assert!(h.mmcs.agent("hearme.example", session).is_none());
             }
+            for (session, user) in &h.reports {
+                let kept = h.mmcs.quality().member(*session, user).is_some();
+                prop_assert!(!kept || h.members(*session).contains(user), "{} keeps {}'s report", session, user);
+            }
         }
         for session in h.live() {
             h.mmcs.handle_xgsp(None, XgspMessage::TerminateSession { session });
@@ -352,6 +376,9 @@ proptest! {
         prop_assert_eq!(h.mmcs.helix().stream_names(), fresh.helix().stream_names());
         h.media.clear();
         prop_assert_eq!(subscriptions(&h.mmcs), subscriptions(&fresh));
+        for (session, user) in &h.reports {
+            prop_assert!(h.mmcs.quality().member(*session, user).is_none(), "{} keeps {}'s report", session, user);
+        }
         let sessions = h.sessions.clone();
         for session in sessions {
             prop_assert_eq!(h.mmcs.selected_video(session), None);
