@@ -53,11 +53,6 @@ impl AdmireService {
         &self.server
     }
 
-    /// Mutable access to the native server (site-side joins).
-    pub fn server_mut(&mut self) -> &mut AdmireServer {
-        &mut self.server
-    }
-
     /// Admire's rendezvous address for a mirrored session, once the
     /// rendezvous exchange completed.
     pub fn rendezvous(&self, session: SessionId) -> Option<&str> {

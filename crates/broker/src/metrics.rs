@@ -107,23 +107,10 @@ impl BrokerMetrics {
         })
     }
 
-    /// Creates a detached bundle (not in any registry) for benches and
-    /// tests that only need the instruments themselves.
+    /// Creates a detached bundle (in a private registry nothing reads)
+    /// for benches and tests that only need the instruments themselves.
     pub fn detached() -> Arc<Self> {
-        Arc::new(Self {
-            events_in: Arc::new(Counter::new()),
-            deliveries: Arc::new(Counter::new()),
-            forwards: Arc::new(Counter::new()),
-            unroutable: Arc::new(Counter::new()),
-            route_cache_hits: Arc::new(Counter::new()),
-            route_cache_misses: Arc::new(Counter::new()),
-            fanout: Arc::new(Histogram::new()),
-            queue_depth: Arc::new(Gauge::new()),
-            retransmissions: Arc::new(Counter::new()),
-            batch_size: Arc::new(Histogram::new()),
-            cross_shard_forwards: Arc::new(Counter::new()),
-            subscriptions: Arc::new(Gauge::new()),
-        })
+        Self::register(&Registry::new(), "detached")
     }
 }
 
@@ -147,8 +134,8 @@ impl ShardedBrokerMetrics {
         })
     }
 
-    /// Creates detached per-shard bundles (not in any registry) for
-    /// tests and benches.
+    /// Creates detached per-shard bundles (see
+    /// [`BrokerMetrics::detached`]) for tests and benches.
     pub fn detached(shards: usize) -> Arc<Self> {
         Arc::new(Self {
             shards: (0..shards).map(|_| BrokerMetrics::detached()).collect(),
@@ -308,28 +295,9 @@ impl ClusterNodeMetrics {
         })
     }
 
-    /// Creates a detached bundle (not in any registry).
+    /// Creates a detached bundle (in a private registry nothing reads).
     pub fn detached() -> Arc<Self> {
-        Arc::new(Self {
-            gossip_rounds: Arc::new(Counter::new()),
-            gossip_entries_applied: Arc::new(Counter::new()),
-            interest_entries: Arc::new(Gauge::new()),
-            inter_node_forwards: Arc::new(Counter::new()),
-            relays: Arc::new(Counter::new()),
-            hop_histogram: Arc::new(Histogram::new()),
-            frames_in: Arc::new(Counter::new()),
-            decode_errors: Arc::new(Counter::new()),
-            stale_generation: Arc::new(Counter::new()),
-            hop_limit_drops: Arc::new(Counter::new()),
-            link_drops: Arc::new(Counter::new()),
-            gossip_drops: Arc::new(Counter::new()),
-            no_route_drops: Arc::new(Counter::new()),
-            duplicate_frames: Arc::new(Counter::new()),
-            reconnects: Arc::new(Counter::new()),
-            peers_suspected: Arc::new(Counter::new()),
-            peers_rejoined: Arc::new(Counter::new()),
-            frames_shed: Arc::new(Counter::new()),
-        })
+        Self::register(&Registry::new(), "detached")
     }
 }
 
@@ -351,7 +319,8 @@ impl ClusterMetrics {
         })
     }
 
-    /// Creates detached per-node bundles (not in any registry).
+    /// Creates detached per-node bundles (see
+    /// [`ClusterNodeMetrics::detached`]).
     pub fn detached(nodes: usize) -> Arc<Self> {
         Arc::new(Self {
             nodes: (0..nodes).map(|_| ClusterNodeMetrics::detached()).collect(),

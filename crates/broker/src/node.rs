@@ -1,30 +1,33 @@
 //! The sans-IO broker state machine.
 //!
 //! [`BrokerNode`] owns one broker's entire state — attached clients,
-//! local subscriptions, links to peer brokers, and the aggregated remote
-//! interest table — and advances purely through
-//! [`BrokerNode::handle`]: `(Input) -> Vec<Action>`. Two drivers own
-//! transport and time: the simulator [`crate::simdrv`] and the threaded
-//! [`crate::sharded`] runtime, with the [`crate::cluster`] federation
-//! on top of it.
+//! local subscriptions and the refcounted interest its peers hold in
+//! it — and advances purely through [`BrokerNode::handle`]:
+//! `(Input) -> Vec<Action>`. Two drivers own transport and time: the
+//! simulator [`crate::simdrv`] and the threaded [`crate::sharded`]
+//! runtime, with the [`crate::cluster`] federation on top of it.
 //!
 //! ## Routing protocol
 //!
-//! One rule: an event crosses at most one broker link. A node is linked
-//! straight to every peer it trades events with — the shard ring and
-//! the simulator's meshes ([`crate::simtopo`]) are full meshes — so:
+//! A node never knows who its peers are; its driver does. One rule: an
+//! event crosses at most one broker link.
 //!
-//! * A node advertises only its own clients' interest. Every peer hears
-//!   an advert when a filter's local subscriber count goes 0→1 or 1→0,
-//!   and a peer whose link comes up hears every locally held filter.
+//! * A node emits one interest action, naming only the filter, when a
+//!   filter's local subscriber count goes 0→1
+//!   ([`Action::AdvertiseAdd`]) or 1→0 ([`Action::AdvertiseRemove`]).
+//!   A driver that keeps peers sends it to every one of them.
+//! * A peer's interest arrives as [`Input::RemoteSubscribe`] /
+//!   [`Input::RemoteUnsubscribe`], counted per (peer, filter): the peer
+//!   is routed to while its count is above zero.
 //! * An event from a local client is delivered to the matching local
-//!   clients and forwarded to every peer that advertised a match.
+//!   clients and forwarded to every peer whose interest matches.
 //! * An event from a peer is delivered to matching local clients only.
 //!
-//! On a full mesh this delivers every event exactly once to every
-//! subscriber — a property `tests/broker_properties.rs` checks on random
-//! meshes. Relaying over several hops is the federation's job: the
-//! [`crate::cluster`] routes by its next-hop table.
+//! On a full mesh — the shard ring and the simulator's meshes
+//! ([`crate::simtopo`]) — this delivers every event exactly once to
+//! every subscriber, a property `tests/broker_properties.rs` checks on
+//! random meshes. Relaying over several hops is the federation's job:
+//! the [`crate::cluster`] routes by its next-hop table.
 //!
 //! ## Routing fast path
 //!
@@ -33,15 +36,15 @@
 //! deduplicated local `(client, profile)` pairs plus the matching remote
 //! peers. A subscription change evicts exactly the plans whose topic
 //! the changed filter matches, so a join in one session leaves every
-//! other session's plans warm; a lost link, which is rare, clears the
-//! cache. On a warm hit, [`BrokerNode::handle_into`] appends
-//! actions into a caller-owned scratch buffer without allocating:
-//! one hash lookup, one `Arc` clone per plan, one `Arc<Event>` clone per
-//! destination. [`BrokerNode::publish_plan`] counts the publish the
-//! same way and hands back the plan itself, for a driver that fans out
-//! without actions.
+//! other session's plans warm. On a warm hit,
+//! [`BrokerNode::handle_into`] appends actions into a caller-owned
+//! scratch buffer without allocating: one hash lookup, one `Arc` clone
+//! per plan, one `Arc<Event>` clone per destination.
+//! [`BrokerNode::publish_plan`] counts the publish the same way and
+//! hands back the plan itself, for a driver that fans out without
+//! actions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mmcs_util::id::{BrokerId, ClientId};
@@ -75,6 +78,15 @@ impl RoutePlan {
     /// Whether the plan delivers to no one.
     pub fn is_empty(&self) -> bool {
         self.local.is_empty() && self.remote.is_empty()
+    }
+
+    /// The peers an event from `origin` is forwarded to: every
+    /// `remote` peer for a client's event, none for a peer's.
+    pub fn forwards(&self, origin: Origin) -> &[BrokerId] {
+        match origin {
+            Origin::Client(_) => &self.remote,
+            Origin::Broker(_) => &[],
+        }
     }
 }
 
@@ -124,19 +136,16 @@ pub enum Input {
         /// The event.
         event: Arc<Event>,
     },
-    /// A link to a peer broker came up.
-    LinkUp {
-        /// The peer.
-        peer: BrokerId,
-    },
-    /// A peer advertised interest in a filter.
+    /// A peer took up one more interest in a filter. Counted per
+    /// (peer, filter): the peer is routed to until as many
+    /// [`RemoteUnsubscribe`](Input::RemoteUnsubscribe)s arrive.
     RemoteSubscribe {
         /// The advertising peer.
         peer: BrokerId,
         /// The filter.
         filter: TopicFilter,
     },
-    /// A peer withdrew interest in a filter.
+    /// A peer dropped one interest in a filter.
     RemoteUnsubscribe {
         /// The withdrawing peer.
         peer: BrokerId,
@@ -164,17 +173,15 @@ pub enum Action {
         /// The event.
         event: Arc<Event>,
     },
-    /// Tell a peer this broker is interested in a filter.
+    /// This broker's clients took up a filter: its local subscriber
+    /// count went 0→1. Tell every peer.
     AdvertiseAdd {
-        /// The peer to inform.
-        peer: BrokerId,
         /// The filter.
         filter: TopicFilter,
     },
-    /// Tell a peer this broker is no longer interested in a filter.
+    /// This broker's clients dropped a filter: its local subscriber
+    /// count went 1→0. Tell every peer.
     AdvertiseRemove {
-        /// The peer to inform.
-        peer: BrokerId,
         /// The filter.
         filter: TopicFilter,
     },
@@ -187,10 +194,6 @@ pub enum BrokerError {
     UnknownClient(ClientId),
     /// Attach for a client id that is already attached.
     DuplicateClient(ClientId),
-    /// Input referenced a peer with no established link.
-    UnknownPeer(BrokerId),
-    /// LinkUp for a peer that is already linked.
-    DuplicateLink(BrokerId),
 }
 
 impl std::fmt::Display for BrokerError {
@@ -198,8 +201,6 @@ impl std::fmt::Display for BrokerError {
         match self {
             BrokerError::UnknownClient(c) => write!(f, "unknown client {c}"),
             BrokerError::DuplicateClient(c) => write!(f, "client {c} already attached"),
-            BrokerError::UnknownPeer(b) => write!(f, "no link to peer {b}"),
-            BrokerError::DuplicateLink(b) => write!(f, "link to peer {b} already up"),
         }
     }
 }
@@ -227,7 +228,9 @@ pub struct BrokerNode {
     client_filters: HashMap<ClientId, Vec<TopicFilter>>,
     local_subs: SubscriptionTable<ClientId>,
     remote_subs: SubscriptionTable<BrokerId>,
-    peers: HashSet<BrokerId>,
+    /// Interest count per (peer, filter); `remote_subs` holds the
+    /// pairs counted above zero.
+    remote_refs: HashMap<(BrokerId, TopicFilter), usize>,
     /// Local subscriber count per filter: what this node advertises.
     interest: HashMap<TopicFilter, usize>,
     counters: BrokerCounters,
@@ -249,7 +252,7 @@ impl BrokerNode {
             client_filters: HashMap::new(),
             local_subs: SubscriptionTable::new(),
             remote_subs: SubscriptionTable::new(),
-            peers: HashSet::new(),
+            remote_refs: HashMap::new(),
             interest: HashMap::new(),
             counters: BrokerCounters::default(),
             plans: HashMap::new(),
@@ -348,8 +351,8 @@ impl BrokerNode {
     ///
     /// # Errors
     ///
-    /// Returns [`BrokerError`] if the input references unknown clients or
-    /// peers, or re-attaches existing ones. State is unchanged on error.
+    /// Returns [`BrokerError`] if the input references an unknown client
+    /// or re-attaches an existing one. State is unchanged on error.
     pub fn handle(&mut self, input: Input) -> Result<Vec<Action>, BrokerError> {
         let mut actions = Vec::new();
         self.handle_into(input, &mut actions)?;
@@ -363,9 +366,9 @@ impl BrokerNode {
     ///
     /// # Errors
     ///
-    /// Returns [`BrokerError`] if the input references unknown clients or
-    /// peers, or re-attaches existing ones. State and `out` are unchanged
-    /// on error.
+    /// Returns [`BrokerError`] if the input references an unknown client
+    /// or re-attaches an existing one. State and `out` are unchanged on
+    /// error.
     pub fn handle_into(&mut self, input: Input, out: &mut Vec<Action>) -> Result<(), BrokerError> {
         match input {
             Input::AttachClient { client, profile } => {
@@ -383,7 +386,7 @@ impl BrokerNode {
                     if self.local_subs.unsubscribe(&filter, &client) {
                         self.invalidate(&filter);
                     }
-                    self.release_local_interest(&filter, out);
+                    self.release_local_interest(filter, out);
                 }
                 self.report_subscriptions();
                 Ok(())
@@ -401,10 +404,12 @@ impl BrokerNode {
                     .entry(client)
                     .or_default()
                     .push(filter.clone());
-                let count = self.interest.entry(filter.clone()).or_default();
-                *count += 1;
-                if *count == 1 {
-                    self.advertise(&filter, true, out);
+                match self.interest.get_mut(&filter) {
+                    Some(count) => *count += 1,
+                    None => {
+                        self.interest.insert(filter.clone(), 1);
+                        out.push(Action::AdvertiseAdd { filter });
+                    }
                 }
                 Ok(())
             }
@@ -422,76 +427,64 @@ impl BrokerNode {
                         filters.remove(pos);
                     }
                 }
-                self.release_local_interest(&filter, out);
+                self.release_local_interest(filter, out);
                 Ok(())
             }
             Input::Publish { origin, event } => self.route(origin, event, out),
-            Input::LinkUp { peer } => {
-                if !self.peers.insert(peer) {
-                    return Err(BrokerError::DuplicateLink(peer));
-                }
-                // Sorted so the advert order (and thus the send order)
-                // does not depend on hash-map iteration order:
-                // deterministic replay across process runs needs it.
-                let mut filters: Vec<&TopicFilter> = self.interest.keys().collect();
-                filters.sort_unstable();
-                out.extend(filters.into_iter().map(|filter| Action::AdvertiseAdd {
-                    peer,
-                    filter: filter.clone(),
-                }));
-                Ok(())
-            }
             Input::RemoteSubscribe { peer, filter } => {
-                if !self.peers.contains(&peer) {
-                    return Err(BrokerError::UnknownPeer(peer));
-                }
-                if self.remote_subs.subscribe(&filter, peer) {
-                    self.invalidate(&filter);
+                let key = (peer, filter);
+                if let Some(refs) = self.remote_refs.get_mut(&key) {
+                    *refs += 1;
+                } else {
+                    self.remote_subs.subscribe(&key.1, peer);
+                    self.invalidate(&key.1);
+                    self.remote_refs.insert(key, 1);
                 }
                 Ok(())
             }
             Input::RemoteUnsubscribe { peer, filter } => {
-                if !self.peers.contains(&peer) {
-                    return Err(BrokerError::UnknownPeer(peer));
-                }
-                if self.remote_subs.unsubscribe(&filter, &peer) {
-                    self.invalidate(&filter);
+                let key = (peer, filter);
+                let Some(refs) = self.remote_refs.get_mut(&key) else {
+                    return Ok(());
+                };
+                *refs -= 1;
+                if *refs == 0 {
+                    self.remote_refs.remove(&key);
+                    self.remote_subs.unsubscribe(&key.1, &peer);
+                    self.invalidate(&key.1);
                 }
                 Ok(())
             }
         }
     }
 
-    /// The publish hot path without the actions: validates `origin`,
-    /// counts the publish — [`counters`](Self::counters) and, when
-    /// installed, the [`BrokerMetrics`] publish instruments — and returns
-    /// the plan it routes by. The event goes to every `plan.local`
-    /// client, and a client's event also to every `plan.remote` peer; an
-    /// event from a peer goes to no peer at all.
+    /// The publish hot path without the actions: validates a client
+    /// `origin`, counts the publish — [`counters`](Self::counters) and,
+    /// when installed, the [`BrokerMetrics`] publish instruments — and
+    /// returns the plan it routes by. The event goes to every
+    /// `plan.local` client and to the peers of
+    /// [`RoutePlan::forwards`]: every `plan.remote` peer for a client's
+    /// event, none for a peer's.
     /// [`handle_into`](Self::handle_into) is this plus one action per
     /// destination. A warm hit allocates nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`BrokerError`] if `origin` is not an attached client or
-    /// a linked peer; nothing is counted then.
+    /// Returns [`BrokerError`] if `origin` is a client that is not
+    /// attached; nothing is counted then.
     pub fn publish_plan(
         &mut self,
         origin: Origin,
         topic: &Topic,
     ) -> Result<Arc<RoutePlan>, BrokerError> {
-        match origin {
-            Origin::Client(client) if !self.clients.contains_key(&client) => {
+        if let Origin::Client(client) = origin {
+            if !self.clients.contains_key(&client) {
                 return Err(BrokerError::UnknownClient(client));
             }
-            Origin::Broker(peer) if !self.peers.contains(&peer) => {
-                return Err(BrokerError::UnknownPeer(peer));
-            }
-            _ => {}
         }
         let plan = self.plan_for(topic);
         let deliveries = plan.local.len() as u64;
-        let forwards = forward_peers(origin, &plan).len() as u64;
+        let forwards = plan.forwards(origin).len() as u64;
         let emitted = deliveries + forwards;
         self.counters.events_in += 1;
         self.counters.deliveries += deliveries;
@@ -520,7 +513,7 @@ impl BrokerNode {
         out: &mut Vec<Action>,
     ) -> Result<(), BrokerError> {
         let plan = self.publish_plan(origin, &event.topic)?;
-        let peers = forward_peers(origin, &plan);
+        let peers = plan.forwards(origin);
         out.reserve(plan.local.len() + peers.len());
         out.extend(plan.local.iter().map(|&(client, profile)| Action::Deliver {
             client,
@@ -541,39 +534,17 @@ impl BrokerNode {
         }
     }
 
-    fn release_local_interest(&mut self, filter: &TopicFilter, out: &mut Vec<Action>) {
-        if let Some(count) = self.interest.get_mut(filter) {
-            *count -= 1;
-            if *count == 0 {
-                self.interest.remove(filter);
-                self.advertise(filter, false, out);
-            }
+    /// Counts one local subscriber of `filter` gone; the last one
+    /// withdraws the filter.
+    fn release_local_interest(&mut self, filter: TopicFilter, out: &mut Vec<Action>) {
+        let Some(count) = self.interest.get_mut(&filter) else {
+            return;
+        };
+        *count -= 1;
+        if *count == 0 {
+            self.interest.remove(&filter);
+            out.push(Action::AdvertiseRemove { filter });
         }
-    }
-
-    /// Tells every peer, in id order so that replay does not depend on
-    /// hash-map iteration order, that this node's clients took up
-    /// (`add`) or dropped their interest in `filter`.
-    fn advertise(&self, filter: &TopicFilter, add: bool, out: &mut Vec<Action>) {
-        let mut peers: Vec<BrokerId> = self.peers.iter().copied().collect();
-        peers.sort_unstable();
-        out.extend(peers.into_iter().map(|peer| {
-            let filter = filter.clone();
-            if add {
-                Action::AdvertiseAdd { peer, filter }
-            } else {
-                Action::AdvertiseRemove { peer, filter }
-            }
-        }));
-    }
-}
-
-/// The peers of `plan` an event from `origin` is forwarded to: all of
-/// them for a client's event, none for a peer's.
-fn forward_peers(origin: Origin, plan: &RoutePlan) -> &[BrokerId] {
-    match origin {
-        Origin::Client(_) => &plan.remote,
-        Origin::Broker(_) => &[],
     }
 }
 
@@ -703,98 +674,77 @@ mod tests {
     }
 
     #[test]
-    fn first_local_subscription_advertises_to_peers() {
+    fn each_zero_one_change_of_a_local_count_emits_one_interest_action() {
         let mut n = node();
-        n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
-        n.handle(Input::AttachClient {
-            client: client(1),
-            profile: TransportProfile::Udp,
-        })
-        .unwrap();
-        let actions = n
-            .handle(Input::Subscribe {
-                client: client(1),
-                filter: filter("a/#"),
+        for raw in [1, 2] {
+            n.handle(Input::AttachClient {
+                client: client(raw),
+                profile: TransportProfile::Udp,
             })
             .unwrap();
-        assert!(matches!(
-            &actions[..],
-            [Action::AdvertiseAdd { peer, filter: f }]
-                if *peer == broker(2) && *f == filter("a/#")
-        ));
-        // Second subscriber to the same filter: no new advert.
-        n.handle(Input::AttachClient {
-            client: client(2),
-            profile: TransportProfile::Udp,
-        })
-        .unwrap();
-        let actions = n
-            .handle(Input::Subscribe {
-                client: client(2),
-                filter: filter("a/#"),
-            })
-            .unwrap();
-        assert!(actions.is_empty());
-    }
-
-    #[test]
-    fn last_unsubscribe_withdraws_advert() {
-        let mut n = node();
-        n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
-        n.handle(Input::AttachClient {
-            client: client(1),
-            profile: TransportProfile::Udp,
-        })
-        .unwrap();
-        n.handle(Input::Subscribe {
-            client: client(1),
-            filter: filter("a"),
-        })
-        .unwrap();
-        let actions = n
-            .handle(Input::Unsubscribe {
-                client: client(1),
-                filter: filter("a"),
-            })
-            .unwrap();
-        assert!(matches!(&actions[..], [Action::AdvertiseRemove { .. }]));
-    }
-
-    #[test]
-    fn detach_withdraws_all_interest() {
-        let mut n = node();
-        n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
-        n.handle(Input::AttachClient {
-            client: client(1),
-            profile: TransportProfile::Udp,
-        })
-        .unwrap();
-        n.handle(Input::Subscribe {
-            client: client(1),
-            filter: filter("a"),
-        })
-        .unwrap();
-        n.handle(Input::Subscribe {
-            client: client(1),
-            filter: filter("b/#"),
-        })
-        .unwrap();
-        let actions = n
-            .handle(Input::DetachClient { client: client(1) })
-            .unwrap();
-        let removes = actions
-            .iter()
-            .filter(|a| matches!(a, Action::AdvertiseRemove { .. }))
-            .count();
-        assert_eq!(removes, 2);
+        }
+        let sub = |raw, f| Input::Subscribe {
+            client: client(raw),
+            filter: filter(f),
+        };
+        let unsub = |raw, f| Input::Unsubscribe {
+            client: client(raw),
+            filter: filter(f),
+        };
+        let add = |f| vec![Action::AdvertiseAdd { filter: filter(f) }];
+        let remove = |f| vec![Action::AdvertiseRemove { filter: filter(f) }];
+        let none: Vec<Action> = Vec::new();
+        // 0→1 advertises; 1→2, a duplicate and a stray unsubscribe do not.
+        assert_eq!(n.handle(sub(1, "a/#")).unwrap(), add("a/#"));
+        assert_eq!(n.handle(sub(2, "a/#")).unwrap(), none);
+        assert_eq!(n.handle(sub(2, "a/#")).unwrap(), none);
+        assert_eq!(n.handle(unsub(1, "b")).unwrap(), none);
+        // 2→1 keeps the filter; 1→0 withdraws it.
+        assert_eq!(n.handle(unsub(1, "a/#")).unwrap(), none);
+        assert_eq!(n.handle(unsub(2, "a/#")).unwrap(), remove("a/#"));
+        // A detach withdraws, once each, the filters it held last.
+        assert_eq!(n.handle(sub(1, "a")).unwrap(), add("a"));
+        assert_eq!(n.handle(sub(1, "b/#")).unwrap(), add("b/#"));
+        assert_eq!(n.handle(sub(2, "b/#")).unwrap(), none);
+        assert_eq!(n.handle(Input::DetachClient { client: client(1) }).unwrap(), remove("a"));
+        assert_eq!(n.handle(Input::DetachClient { client: client(2) }).unwrap(), remove("b/#"));
         assert_eq!(n.client_count(), 0);
+    }
+
+    #[test]
+    fn peer_interest_is_counted_per_peer_and_filter() {
+        let mut n = node();
+        let topic = Topic::parse("t/x").unwrap();
+        let remote = |peer| Input::RemoteSubscribe {
+            peer: broker(peer),
+            filter: filter("t/#"),
+        };
+        let unremote = |peer| Input::RemoteUnsubscribe {
+            peer: broker(peer),
+            filter: filter("t/#"),
+        };
+        for _ in 0..2 {
+            assert!(n.handle(remote(2)).unwrap().is_empty());
+        }
+        n.handle(remote(3)).unwrap();
+        let both = n.plan_for(&topic);
+        assert_eq!(both.remote, [broker(2), broker(3)]);
+
+        // 2→1 leaves the peer in the plan, and the plan warm.
+        assert!(n.handle(unremote(2)).unwrap().is_empty());
+        assert!(Arc::ptr_eq(&both, &n.plan_for(&topic)));
+        // 1→0 removes it; another peer's count is its own.
+        n.handle(unremote(2)).unwrap();
+        assert_eq!(n.plan_for(&topic).remote, [broker(3)]);
+        // With no count left, a withdrawal changes nothing.
+        let kept = n.plan_for(&topic);
+        n.handle(unremote(2)).unwrap();
+        assert!(Arc::ptr_eq(&kept, &n.plan_for(&topic)));
     }
 
     #[test]
     fn an_event_from_a_peer_is_delivered_locally_and_forwarded_nowhere() {
         let mut n = node();
-        n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
-        n.handle(Input::LinkUp { peer: broker(3) }).unwrap();
         n.handle(Input::AttachClient {
             client: client(1),
             profile: TransportProfile::Udp,
@@ -826,34 +776,6 @@ mod tests {
             [Action::Deliver { client: c, .. }] if *c == client(1)
         ));
         assert_eq!(n.counters().forwards, 0);
-    }
-
-    #[test]
-    fn link_up_after_subscriptions_advertises_existing_interest() {
-        let mut n = node();
-        n.handle(Input::AttachClient {
-            client: client(1),
-            profile: TransportProfile::Udp,
-        })
-        .unwrap();
-        n.handle(Input::Subscribe {
-            client: client(1),
-            filter: filter("a"),
-        })
-        .unwrap();
-        let actions = n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
-        assert_eq!(actions.len(), 1);
-        assert!(matches!(&actions[0], Action::AdvertiseAdd { .. }));
-    }
-
-    #[test]
-    fn duplicate_link_errors() {
-        let mut n = node();
-        n.handle(Input::LinkUp { peer: broker(2) }).unwrap();
-        assert_eq!(
-            n.handle(Input::LinkUp { peer: broker(2) }),
-            Err(BrokerError::DuplicateLink(broker(2)))
-        );
     }
 
     #[test]

@@ -27,14 +27,17 @@
 //!   subscriptions only on its home shard's node, so overlapping
 //!   filters dedup in one place and each event is delivered at most
 //!   once.
-//! * **Cross-shard forwarding ring**: shards link to each other as
-//!   peers at startup. When a client's filter can match topics owned by
-//!   another shard, the router registers refcounted *remote* interest
-//!   there (peer id = the client's home shard). A publish then touches
-//!   at most the owner shard plus the subscriber home shards: the owner
-//!   routes, the event's `Arc` hops once over the ring to every
-//!   interested home shard, and the home shard delivers from its own
-//!   route plan without re-forwarding.
+//! * **Cross-shard forwarding ring**: a shard's peers are the other
+//!   shards, each known to its node only as a peer id (the shard index).
+//!   When a client's filter can match topics owned by another shard,
+//!   that shard feeds its node one *remote* subscription for it (peer
+//!   id = the client's home shard), and the node counts them per
+//!   (peer, filter). The node's own interest actions are dropped: the
+//!   subscription broadcast (see the consistency model) already told
+//!   every shard. A publish then touches at most the owner shard plus
+//!   the subscriber home shards: the owner routes, the event's `Arc`
+//!   hops once over the ring to every interested home shard, and the
+//!   home shard delivers from its own route plan without re-forwarding.
 //! * **Fan-out straight from the plan**: a worker asks its node for the
 //!   cached route plan ([`BrokerNode::publish_plan`], which also counts
 //!   the publish) and walks it — a staged delivery per local subscriber,
@@ -624,8 +627,8 @@ impl ShardedClient {
     }
 
     /// Subscribes to a filter. The subscription is broadcast to all
-    /// shards; the home shard records it locally and topic-owning
-    /// shards gain refcounted remote interest pointing home.
+    /// shards; the home shard records it locally and each shard that
+    /// may own a matching topic counts one remote interest pointing home.
     pub fn subscribe(&self, filter: TopicFilter) {
         self.router
             .broadcast(|| ShardCmd::Subscribe(self.id, filter.clone()));
@@ -746,8 +749,7 @@ impl Egress {
     }
 }
 
-/// Per-worker state: one node slice plus the driver-level subscription
-/// ownership map.
+/// Per-worker state: one node slice plus every client's filter list.
 struct ShardWorker {
     index: usize,
     shards: usize,
@@ -759,9 +761,6 @@ struct ShardWorker {
     /// Every client's filter list (all shards track all clients, so
     /// duplicate subscribes dedup identically everywhere).
     filters: HashMap<ClientId, Vec<TopicFilter>>,
-    /// Refcounts for remote interest this shard holds on behalf of
-    /// other shards' clients, keyed by (home shard, filter).
-    remote_refs: HashMap<(usize, TopicFilter), usize>,
     /// Barrier acks owed after the current batch's flush.
     acks: Vec<BarrierAck>,
     /// Scratch buffer for the actions control inputs emit.
@@ -789,7 +788,6 @@ impl ShardWorker {
             node: BrokerNode::new(BrokerId::from_raw(index as u64)),
             egress: Egress::default(),
             filters: HashMap::new(),
-            remote_refs: HashMap::new(),
             acks: Vec::new(),
             actions: Vec::new(),
         }
@@ -798,15 +796,6 @@ impl ShardWorker {
     fn run(mut self) {
         if let Some(m) = &self.metrics {
             self.node.set_metrics(Arc::clone(m));
-        }
-        // Ring setup: every other shard is a peer.
-        for peer in 0..self.shards {
-            if peer == self.index {
-                continue;
-            }
-            self.apply_control(Input::LinkUp {
-                peer: BrokerId::from_raw(peer as u64),
-            });
         }
         let Some(ingress) = self.links.get(self.index).map(Arc::clone) else {
             return;
@@ -873,10 +862,11 @@ impl ShardWorker {
         running
     }
 
-    /// Applies a control input to the node. Its advert actions are
-    /// discarded — interest is driven by the router's explicit
-    /// subscription broadcast, not the node's advert gossip — and so are
-    /// its errors: a rejected input leaves the node unchanged.
+    /// Applies a control input to the node. Its interest actions are
+    /// dropped: every shard hears every client's subscriptions from the
+    /// client's own broadcast, which stays FIFO with that client's
+    /// publishes, so no shard waits on another's advert. So are its
+    /// errors: a rejected input leaves the node unchanged.
     fn apply_control(&mut self, input: Input) {
         let _ = self.node.handle_into(input, &mut self.actions);
         self.actions.clear();
@@ -898,7 +888,10 @@ impl ShardWorker {
         if home == self.index {
             self.apply_control(Input::Subscribe { client, filter });
         } else if shard_may_own(&filter, self.index, self.shards) {
-            self.add_remote_ref(home, filter);
+            self.apply_control(Input::RemoteSubscribe {
+                peer: BrokerId::from_raw(home as u64),
+                filter,
+            });
         }
     }
 
@@ -920,7 +913,10 @@ impl ShardWorker {
         if home == self.index {
             self.apply_control(Input::Unsubscribe { client, filter });
         } else if shard_may_own(&filter, self.index, self.shards) {
-            self.drop_remote_ref(home, filter);
+            self.apply_control(Input::RemoteUnsubscribe {
+                peer: BrokerId::from_raw(home as u64),
+                filter,
+            });
         }
     }
 
@@ -931,41 +927,16 @@ impl ShardWorker {
             if home != self.index {
                 for filter in filters {
                     if shard_may_own(&filter, self.index, self.shards) {
-                        self.drop_remote_ref(home, filter);
+                        self.apply_control(Input::RemoteUnsubscribe {
+                            peer: BrokerId::from_raw(home as u64),
+                            filter,
+                        });
                     }
                 }
             }
             // Home-shard local subscriptions fall with DetachClient.
         }
         self.apply_control(Input::DetachClient { client });
-    }
-
-    fn add_remote_ref(&mut self, home: usize, filter: TopicFilter) {
-        let refs = self.remote_refs.entry((home, filter.clone())).or_insert(0);
-        *refs += 1;
-        if *refs == 1 {
-            self.apply_control(Input::RemoteSubscribe {
-                peer: BrokerId::from_raw(home as u64),
-                filter,
-            });
-        }
-    }
-
-    fn drop_remote_ref(&mut self, home: usize, filter: TopicFilter) {
-        let gone = match self.remote_refs.get_mut(&(home, filter.clone())) {
-            Some(refs) => {
-                *refs = refs.saturating_sub(1);
-                *refs == 0
-            }
-            None => false,
-        };
-        if gone {
-            self.remote_refs.remove(&(home, filter.clone()));
-            self.apply_control(Input::RemoteUnsubscribe {
-                peer: BrokerId::from_raw(home as u64),
-                filter,
-            });
-        }
     }
 
     /// The one data path, for all three ways an event enters a shard:

@@ -6,6 +6,12 @@
 //! serializes through the broker CPU and NIC). It is the broker behind
 //! every experiment in `EXPERIMENTS.md`.
 //!
+//! The process, not the node, knows its peers. It sends each interest
+//! change the node emits to every peer in id order, and routes an event
+//! straight from the node's route plan ([`BrokerNode::publish_plan`]),
+//! the way the live shard worker does: a send per local subscriber,
+//! then, for a client's event, one per interested peer.
+//!
 //! Clients and peer brokers talk to it in [`BrokerMsg`]s; it answers
 //! clients with [`ClientMsg::Deliver`]. A client calls [`join`] at
 //! simulation start: it sends [`BrokerMsg::Attach`] (carrying its
@@ -145,7 +151,7 @@ impl BrokerCounters {
 }
 
 /// What one send's CPU charge depends on: whether it is the first send
-/// of its action run, its wire size and the client's profile.
+/// of its fan-out, its wire size and the client's profile.
 type SendKey = (bool, usize, TransportProfile);
 
 /// A broker running inside the simulator.
@@ -154,13 +160,12 @@ pub struct BrokerProcess {
     cost: CostModel,
     /// Looked up once per delivery, so hashed with one multiply.
     clients: IdMap<ClientId, (ProcessId, TransportProfile)>,
-    /// Every peer this broker is wired to. Ordered so the links come
-    /// up in the same order on every run.
+    /// Every peer this broker is wired to, in id order: the order an
+    /// interest change is sent in.
     peers: BTreeMap<BrokerId, ProcessId>,
-    /// Reused action buffer: the per-packet hot path allocates nothing
-    /// once it has grown to the peak fan-out.
+    /// Reused buffer for the interest actions of control inputs.
     scratch: Vec<Action>,
-    /// The delivery charges computed so far in the current action run.
+    /// The delivery charges computed so far in the current fan-out.
     /// [`CostModel::send_cost`] is pure and reads its index only as
     /// "first send or not", so a 400-way fan-out computes two charges
     /// and reuses them, bit for bit, for the other 398 sends.
@@ -188,8 +193,8 @@ impl BrokerProcess {
         self.node.set_metrics(metrics);
     }
 
-    /// Declares a peer broker reachable at `process` (links come up at
-    /// simulation start; both sides must declare each other).
+    /// Declares a peer broker reachable at `process`; both sides must
+    /// declare each other before the first client subscribes.
     pub fn add_peer(&mut self, peer: BrokerId, process: ProcessId) {
         self.peers.insert(peer, process);
     }
@@ -203,123 +208,94 @@ impl BrokerProcess {
         *self.counters.get_or_insert_with(|| BrokerCounters::resolve(ctx))
     }
 
-    fn execute(&mut self, ctx: &mut Context<'_>, actions: &mut Vec<Action>) {
+    /// Routes an event by the node's plan, the way the live shard
+    /// worker fans out: a send per `plan.local` client, then, for a
+    /// client's event, one per `plan.remote` peer. Routing costs
+    /// `cost.routing`; each send costs what [`CostModel::send_cost`]
+    /// charges at its index in that order.
+    fn route(&mut self, ctx: &mut Context<'_>, origin: Origin, event: Arc<Event>) {
+        ctx.spend_cpu(self.cost.routing);
         let counters = self.counters(ctx);
+        let Ok(plan) = self.node.publish_plan(origin, &event.topic) else {
+            ctx.bump(counters.protocol_error, 1);
+            return;
+        };
         self.send_costs.clear();
         let mut send_index = 0usize;
-        let mut delivered = 0u64;
-        // A fan-out is a run of `Deliver`s carrying the same event: they
-        // share one message, so 400 receivers cost one allocation.
+        // Every delivery shares one message, so 400 receivers cost one
+        // allocation.
         let mut fanout: Option<Arc<ClientMsg>> = None;
-        for action in actions.drain(..) {
-            match action {
-                Action::Deliver {
-                    client,
-                    profile,
-                    event,
-                } => {
-                    let Some(&(process, _)) = self.clients.get(&client) else {
-                        ctx.bump(counters.unknown_client, 1);
-                        continue;
-                    };
-                    let wire = event.wire_len() + profile.overhead_bytes();
-                    let key = (send_index > 0, wire, profile);
-                    let charge = match self.send_costs.iter().find(|(k, _)| *k == key) {
-                        Some(&(_, charge)) => charge,
-                        None => {
-                            let charge = profile.scale_cost(self.cost.send_cost(send_index, wire));
-                            self.send_costs.push((key, charge));
-                            charge
-                        }
-                    };
-                    ctx.spend_cpu(charge);
-                    send_index += 1;
-                    let message = match fanout.take() {
-                        Some(message)
-                            if matches!(&*message, ClientMsg::Deliver(last) if Arc::ptr_eq(last, &event)) =>
-                        {
-                            message
-                        }
-                        _ => Arc::new(ClientMsg::Deliver(event)),
-                    };
-                    ctx.send_shared(process, message.clone(), wire);
-                    fanout = Some(message);
-                    delivered += 1;
+        for &(client, profile) in &plan.local {
+            let Some(&(process, _)) = self.clients.get(&client) else {
+                ctx.bump(counters.unknown_client, 1);
+                continue;
+            };
+            let wire = event.wire_len() + profile.overhead_bytes();
+            let key = (send_index > 0, wire, profile);
+            let charge = match self.send_costs.iter().find(|(k, _)| *k == key) {
+                Some(&(_, charge)) => charge,
+                None => {
+                    let charge = profile.scale_cost(self.cost.send_cost(send_index, wire));
+                    self.send_costs.push((key, charge));
+                    charge
                 }
-                Action::Forward { peer, event } => {
-                    let Some(process) = self.peers.get(&peer) else {
-                        ctx.bump(counters.unknown_peer, 1);
-                        continue;
-                    };
-                    let wire = event.wire_len() + TransportProfile::Tcp.overhead_bytes();
-                    ctx.spend_cpu(self.cost.send_cost(send_index, wire));
-                    send_index += 1;
-                    ctx.send(
-                        *process,
-                        BrokerMsg::Forward {
-                            from: self.node.id(),
-                            event,
-                        },
-                        wire,
-                    );
-                    ctx.bump(counters.forwarded, 1);
-                }
-                Action::AdvertiseAdd { peer, filter } => {
-                    if let Some(process) = self.peers.get(&peer) {
-                        ctx.send(
-                            *process,
-                            BrokerMsg::AdvertiseAdd {
-                                from: self.node.id(),
-                                filter,
-                            },
-                            CONTROL_BYTES,
-                        );
-                    }
-                }
-                Action::AdvertiseRemove { peer, filter } => {
-                    if let Some(process) = self.peers.get(&peer) {
-                        ctx.send(
-                            *process,
-                            BrokerMsg::AdvertiseRemove {
-                                from: self.node.id(),
-                                filter,
-                            },
-                            CONTROL_BYTES,
-                        );
-                    }
-                }
-            }
+            };
+            ctx.spend_cpu(charge);
+            send_index += 1;
+            let message = fanout.get_or_insert_with(|| Arc::new(ClientMsg::Deliver(Arc::clone(&event))));
+            ctx.send_shared(process, message.clone(), wire);
         }
+        let delivered = send_index as u64;
         if delivered > 0 {
             ctx.bump(counters.delivered, delivered);
         }
+        for peer in plan.forwards(origin) {
+            let Some(&process) = self.peers.get(peer) else {
+                ctx.bump(counters.unknown_peer, 1);
+                continue;
+            };
+            let wire = event.wire_len() + TransportProfile::Tcp.overhead_bytes();
+            ctx.spend_cpu(self.cost.send_cost(send_index, wire));
+            send_index += 1;
+            let from = self.node.id();
+            ctx.send(process, BrokerMsg::Forward { from, event: Arc::clone(&event) }, wire);
+            ctx.bump(counters.forwarded, 1);
+        }
     }
 
-    fn apply(&mut self, ctx: &mut Context<'_>, input: Input) {
+    /// Applies a control input and sends each interest action it emits
+    /// to every peer, in id order.
+    fn control(&mut self, ctx: &mut Context<'_>, input: Input) {
         let mut actions = std::mem::take(&mut self.scratch);
-        match self.node.handle_into(input, &mut actions) {
-            Ok(()) => self.execute(ctx, &mut actions),
-            Err(err) => {
-                // Drivers drop protocol violations (e.g. racing a detach);
-                // surface them as a counter for the harness.
-                let _ = err;
-                let counters = self.counters(ctx);
-                ctx.bump(counters.protocol_error, 1);
+        if self.node.handle_into(input, &mut actions).is_err() {
+            // Drivers drop protocol violations (e.g. racing a detach);
+            // surface them as a counter for the harness.
+            let counters = self.counters(ctx);
+            ctx.bump(counters.protocol_error, 1);
+        }
+        let from = self.node.id();
+        for action in actions.drain(..) {
+            let (add, filter) = match action {
+                Action::AdvertiseAdd { filter } => (true, filter),
+                Action::AdvertiseRemove { filter } => (false, filter),
+                // Only a publish delivers or forwards.
+                Action::Deliver { .. } | Action::Forward { .. } => continue,
+            };
+            for &process in self.peers.values() {
+                let filter = filter.clone();
+                let msg = if add {
+                    BrokerMsg::AdvertiseAdd { from, filter }
+                } else {
+                    BrokerMsg::AdvertiseRemove { from, filter }
+                };
+                ctx.send(process, msg, CONTROL_BYTES);
             }
         }
-        actions.clear();
         self.scratch = actions;
     }
 }
 
 impl Process for BrokerProcess {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let peers: Vec<BrokerId> = self.peers.keys().copied().collect();
-        for peer in peers {
-            self.apply(ctx, Input::LinkUp { peer });
-        }
-    }
-
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         let Some(msg) = packet.payload::<BrokerMsg>() else {
             let counters = self.counters(ctx);
@@ -340,40 +316,22 @@ impl Process for BrokerProcess {
                     let counters = self.counters(ctx);
                     ctx.bump(counters.client_reattach, 1);
                 } else {
-                    self.apply(ctx, Input::AttachClient { client, profile });
+                    self.control(ctx, Input::AttachClient { client, profile });
                 }
             }
             BrokerMsg::Subscribe { client, filter } => {
-                self.apply(ctx, Input::Subscribe { client, filter });
+                self.control(ctx, Input::Subscribe { client, filter });
             }
             BrokerMsg::Unsubscribe { client, filter } => {
-                self.apply(ctx, Input::Unsubscribe { client, filter });
+                self.control(ctx, Input::Unsubscribe { client, filter });
             }
-            BrokerMsg::Publish { client, event } => {
-                ctx.spend_cpu(self.cost.routing);
-                self.apply(
-                    ctx,
-                    Input::Publish {
-                        origin: Origin::Client(client),
-                        event,
-                    },
-                );
-            }
-            BrokerMsg::Forward { from, event } => {
-                ctx.spend_cpu(self.cost.routing);
-                self.apply(
-                    ctx,
-                    Input::Publish {
-                        origin: Origin::Broker(from),
-                        event,
-                    },
-                );
-            }
+            BrokerMsg::Publish { client, event } => self.route(ctx, Origin::Client(client), event),
+            BrokerMsg::Forward { from, event } => self.route(ctx, Origin::Broker(from), event),
             BrokerMsg::AdvertiseAdd { from, filter } => {
-                self.apply(ctx, Input::RemoteSubscribe { peer: from, filter });
+                self.control(ctx, Input::RemoteSubscribe { peer: from, filter });
             }
             BrokerMsg::AdvertiseRemove { from, filter } => {
-                self.apply(ctx, Input::RemoteUnsubscribe { peer: from, filter });
+                self.control(ctx, Input::RemoteUnsubscribe { peer: from, filter });
             }
         }
     }

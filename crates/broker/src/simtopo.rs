@@ -17,12 +17,12 @@
 //! [`LatencyMap::home_node`] for zone gateways.
 //!
 //! The link graph is always a full mesh (every shard mesh,
-//! [`LatencyMap::full_mesh`]): each node advertises its own clients'
-//! interest to every peer and an event crosses exactly one link, which
-//! is the shard runtime's one-hop forwarding ring and the live
-//! cluster's direct-path routing. Any other federation map is
-//! rejected: the node relays nothing, and the deterministic model has
-//! no gossip or next-hop table to relay with.
+//! [`LatencyMap::full_mesh`]): each broker process sends its own
+//! clients' interest changes to every peer it was given, and an event
+//! crosses exactly one link, which is the shard runtime's one-hop
+//! forwarding ring and the live cluster's direct-path routing. Any
+//! other federation map is rejected: the node relays nothing, and the
+//! deterministic model has no gossip or next-hop table to relay with.
 //!
 //! NIC budget: callers pass the **per-node** NIC bandwidth. The usual
 //! shard model is `total_nic / shards` — aggregate wire capacity

@@ -118,11 +118,6 @@ impl RealProducer {
         }
     }
 
-    /// Number of chunks produced so far (including drained ones).
-    pub fn produced_count(&self) -> u64 {
-        self.seq
-    }
-
     fn encode(&self, parts: &[Bytes]) -> Bytes {
         let total: usize = parts.iter().map(Bytes::len).sum();
         let out_len = (((total as f64) * self.compression).ceil() as usize).max(4);

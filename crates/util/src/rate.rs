@@ -54,11 +54,6 @@ impl Bandwidth {
         self.0
     }
 
-    /// Megabits per second as a float.
-    pub fn mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Time to serialize `bytes` onto a link of this capacity.
     pub fn transmit_time(self, bytes: usize) -> SimDuration {
         let bits = bytes as u64 * 8;

@@ -42,11 +42,14 @@ fn filter_strategy() -> impl Strategy<Value = TopicFilter> {
 }
 
 /// [`BrokerNode`]s joined by synchronous links: every action a
-/// node emits is executed at once, forwards and adverts cascading into
-/// the peer — unless the link is cut, which drops them. Broker `i` has
-/// id `i + 1`; the test numbers its clients.
+/// node emits is executed at once, forwards cascading into their peer
+/// and interest changes into every node it is linked to — unless the
+/// link is cut, which drops them. Broker `i` has id `i + 1`; the test
+/// numbers its clients.
 struct Cascade {
     nodes: Vec<BrokerNode>,
+    /// Each node's linked peers, by index, in link order.
+    peers: Vec<Vec<usize>>,
     home: HashMap<ClientId, usize>,
     delivered: Vec<(ClientId, Arc<Event>)>,
     cut: Vec<(usize, usize)>,
@@ -55,7 +58,7 @@ struct Cascade {
 impl Cascade {
     fn new(brokers: usize) -> Self {
         let nodes = (0..brokers).map(|i| BrokerNode::new(Self::id(i))).collect();
-        Self { nodes, home: HashMap::new(), delivered: Vec::new(), cut: Vec::new() }
+        Self { nodes, peers: vec![Vec::new(); brokers], home: HashMap::new(), delivered: Vec::new(), cut: Vec::new() }
     }
 
     fn id(index: usize) -> BrokerId { BrokerId::from_raw(index as u64 + 1) }
@@ -63,23 +66,25 @@ impl Cascade {
     fn feed(&mut self, at: usize, input: Input) -> Result<(), BrokerError> {
         let from = Self::id(at);
         for action in self.nodes[at].handle(input)? {
-            let (peer, input) = match action {
+            let sends: Vec<(usize, Input)> = match action {
                 Action::Deliver { client, event, .. } => { self.delivered.push((client, event)); continue; }
-                Action::Forward { peer, event } => (peer, Input::Publish { origin: Origin::Broker(from), event }),
-                Action::AdvertiseAdd { peer, filter } => (peer, Input::RemoteSubscribe { peer: from, filter }),
-                Action::AdvertiseRemove { peer, filter } => (peer, Input::RemoteUnsubscribe { peer: from, filter }),
+                Action::Forward { peer, event } => vec![(peer.value() as usize - 1, Input::Publish { origin: Origin::Broker(from), event })],
+                Action::AdvertiseAdd { filter } => self.peers[at].iter().map(|&to| (to, Input::RemoteSubscribe { peer: from, filter: filter.clone() })).collect(),
+                Action::AdvertiseRemove { filter } => self.peers[at].iter().map(|&to| (to, Input::RemoteUnsubscribe { peer: from, filter: filter.clone() })).collect(),
             };
-            let to = peer.value() as usize - 1;
-            if !self.cut.contains(&(at.min(to), at.max(to))) {
-                self.feed(to, input).expect("a linked peer accepts what its neighbour sends");
+            for (to, input) in sends {
+                if !self.cut.contains(&(at.min(to), at.max(to))) {
+                    self.feed(to, input).expect("a linked peer accepts what its neighbour sends");
+                }
             }
         }
         Ok(())
     }
 
+    /// Links `a ↔ b` before either has a subscriber.
     fn link(&mut self, a: usize, b: usize) {
-        self.feed(a, Input::LinkUp { peer: Self::id(b) }).expect("link a");
-        self.feed(b, Input::LinkUp { peer: Self::id(a) }).expect("link b");
+        self.peers[a].push(b);
+        self.peers[b].push(a);
     }
 
     /// Cuts (or heals) the link `a ↔ b`: what crosses it is dropped.
@@ -282,11 +287,9 @@ proptest! {
             node.handle(Input::AttachClient { client, profile: Default::default() }).unwrap();
         }
         let peers: Vec<BrokerId> = (0..2).map(|i| BrokerId::from_raw(i + 10)).collect();
-        for &peer in &peers {
-            node.handle(Input::LinkUp { peer }).unwrap();
-        }
         // The oracle: flat lists of live subscriptions, re-walked from
-        // scratch on every publish.
+        // scratch on every publish. A peer's list is a multiset: each
+        // remote subscribe counts once more.
         let mut local_subs: Vec<(ClientId, TopicFilter)> = Vec::new();
         let mut remote_subs: Vec<(BrokerId, TopicFilter)> = Vec::new();
         let mut actions: Vec<Action> = Vec::new();
@@ -310,14 +313,14 @@ proptest! {
                 ChurnOp::RemoteSubscribe(index, filter) => {
                     let peer = peers[index];
                     node.handle(Input::RemoteSubscribe { peer, filter: filter.clone() }).unwrap();
-                    if !remote_subs.contains(&(peer, filter.clone())) {
-                        remote_subs.push((peer, filter));
-                    }
+                    remote_subs.push((peer, filter));
                 }
                 ChurnOp::RemoteUnsubscribe(index, filter) => {
                     let peer = peers[index];
                     node.handle(Input::RemoteUnsubscribe { peer, filter: filter.clone() }).unwrap();
-                    remote_subs.retain(|entry| *entry != (peer, filter.clone()));
+                    if let Some(pos) = remote_subs.iter().position(|entry| *entry == (peer, filter.clone())) {
+                        remote_subs.remove(pos);
+                    }
                 }
                 ChurnOp::DropLive(_) if local_subs.is_empty() && remote_subs.is_empty() => {}
                 ChurnOp::DropLive(pick) => {
@@ -408,19 +411,17 @@ proptest! {
 enum CountOp {
     Attach(u64),
     Subscribe(u64, TopicFilter),
-    Link(u64),
     RemoteSubscribe(u64, TopicFilter),
     /// From a client (`false`) or a peer broker (`true`), by index.
     Publish(bool, u64, Topic),
 }
 
 fn count_op_strategy() -> impl Strategy<Value = CountOp> {
-    // Indices run past the attached/linked ones, so unknown origins and
-    // subscribers are exercised too.
+    // Client indices run past the attached ones, so unknown publishers
+    // and subscribers are exercised too.
     prop_oneof![
         2 => (1u64..6).prop_map(CountOp::Attach),
         3 => (1u64..6, filter_strategy()).prop_map(|(c, f)| CountOp::Subscribe(c, f)),
-        1 => (10u64..13).prop_map(CountOp::Link),
         2 => (10u64..13, filter_strategy()).prop_map(|(p, f)| CountOp::RemoteSubscribe(p, f)),
         5 => (any::<bool>(), 0u64..6, topic_strategy())
             .prop_map(|(from_peer, i, t)| CountOp::Publish(from_peer, if from_peer { 10 + i % 3 } else { i }, t)),
@@ -453,7 +454,6 @@ proptest! {
             let input = match op {
                 CountOp::Attach(c) => Input::AttachClient { client: ClientId::from_raw(c), profile: Default::default() },
                 CountOp::Subscribe(c, filter) => Input::Subscribe { client: ClientId::from_raw(c), filter },
-                CountOp::Link(p) => Input::LinkUp { peer: BrokerId::from_raw(p) },
                 CountOp::RemoteSubscribe(p, filter) => Input::RemoteSubscribe { peer: BrokerId::from_raw(p), filter },
                 CountOp::Publish(from_peer, index, topic) => {
                     let origin = if from_peer {
