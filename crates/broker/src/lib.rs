@@ -14,9 +14,10 @@
 //! * [`node`] — [`node::BrokerNode`], the pure broker state machine:
 //!   client attach/detach, subscribe/unsubscribe, publish routing,
 //!   one-hop routing between brokers (an event crosses at most one
-//!   broker link). A node never knows its peers: it counts their
-//!   interest and names each change of its own, and its driver carries
-//!   both.
+//!   broker link). A node never knows its peers and tells them
+//!   nothing: it counts the interest its driver hands it, one remote
+//!   subscription per client subscription on a peer, and only a
+//!   publish emits actions.
 //! * [`profile`] — transport profiles (TCP/UDP/Multicast/SSL/raw-RTP)
 //!   with per-packet overheads, mirroring NaradaBrokering's pluggable
 //!   transports.
@@ -32,8 +33,9 @@
 //! Three drivers run a [`node::BrokerNode`]:
 //!
 //! * [`simdrv`] — inside the deterministic simulator, with a CPU cost
-//!   model: a broker process keeps its peer list, sends the node's
-//!   interest changes to every peer and fans out from the route plan;
+//!   model: a broker process keeps its peer list, sends each client
+//!   subscription its node accepts to every peer and fans out from the
+//!   route plan;
 //!   [`simtopo`] rebuilds the live shard mesh or a full-mesh
 //!   federation's latency map out of its broker processes. The
 //!   simulated clients that load it live in `mmcs-bench`
@@ -42,8 +44,8 @@
 //!   is partitioned across N shards (one is a plain single-loop
 //!   broker), each with its own node slice and batched ingress queue,
 //!   joined by a cross-shard forwarding ring; a shard learns the other
-//!   shards' interest from the client's subscription broadcast, not
-//!   from node adverts. Its workers and the TCP
+//!   shards' interest from the client's subscription broadcast. Its
+//!   workers and the TCP
 //!   link senders of [`cluster`] wait on one queue type, the private
 //!   `handoff` module's swap-whole `Handoff`.
 //! * [`cluster`] — the federation: sharded brokers joined over

@@ -3,22 +3,22 @@
 //! [`BrokerNode`] owns one broker's entire state — attached clients,
 //! local subscriptions and the refcounted interest its peers hold in
 //! it — and advances purely through [`BrokerNode::handle`]:
-//! `(Input) -> Vec<Action>`. Two drivers own transport and time: the
-//! simulator [`crate::simdrv`] and the threaded [`crate::sharded`]
-//! runtime, with the [`crate::cluster`] federation on top of it.
+//! `(Input) -> Vec<Action>`. Only a publish emits actions. Two drivers
+//! own transport and time: the simulator [`crate::simdrv`] and the
+//! threaded [`crate::sharded`] runtime, with the [`crate::cluster`]
+//! federation on top of it.
 //!
 //! ## Routing protocol
 //!
-//! A node never knows who its peers are; its driver does. One rule: an
-//! event crosses at most one broker link.
+//! A node never knows who its peers are, and never tells them anything;
+//! its driver does both. One rule: an event crosses at most one broker
+//! link.
 //!
-//! * A node emits one interest action, naming only the filter, when a
-//!   filter's local subscriber count goes 0→1
-//!   ([`Action::AdvertiseAdd`]) or 1→0 ([`Action::AdvertiseRemove`]).
-//!   A driver that keeps peers sends it to every one of them.
 //! * A peer's interest arrives as [`Input::RemoteSubscribe`] /
-//!   [`Input::RemoteUnsubscribe`], counted per (peer, filter): the peer
-//!   is routed to while its count is above zero.
+//!   [`Input::RemoteUnsubscribe`], one per subscription of a client
+//!   homed on that peer, counted per (peer, filter): the peer is routed
+//!   to while its count is above zero. A driver that keeps peers sends
+//!   each client subscription it accepts to every one of them.
 //! * An event from a local client is delivered to the matching local
 //!   clients and forwarded to every peer whose interest matches.
 //! * An event from a peer is delivered to matching local clients only.
@@ -140,7 +140,7 @@ pub enum Input {
     /// (peer, filter): the peer is routed to until as many
     /// [`RemoteUnsubscribe`](Input::RemoteUnsubscribe)s arrive.
     RemoteSubscribe {
-        /// The advertising peer.
+        /// The interested peer.
         peer: BrokerId,
         /// The filter.
         filter: TopicFilter,
@@ -154,7 +154,7 @@ pub enum Input {
     },
 }
 
-/// An effect the driver must carry out.
+/// An effect the driver must carry out: where a publish goes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Deliver an event to a locally attached client.
@@ -172,18 +172,6 @@ pub enum Action {
         peer: BrokerId,
         /// The event.
         event: Arc<Event>,
-    },
-    /// This broker's clients took up a filter: its local subscriber
-    /// count went 0→1. Tell every peer.
-    AdvertiseAdd {
-        /// The filter.
-        filter: TopicFilter,
-    },
-    /// This broker's clients dropped a filter: its local subscriber
-    /// count went 1→0. Tell every peer.
-    AdvertiseRemove {
-        /// The filter.
-        filter: TopicFilter,
     },
 }
 
@@ -231,8 +219,6 @@ pub struct BrokerNode {
     /// Interest count per (peer, filter); `remote_subs` holds the
     /// pairs counted above zero.
     remote_refs: HashMap<(BrokerId, TopicFilter), usize>,
-    /// Local subscriber count per filter: what this node advertises.
-    interest: HashMap<TopicFilter, usize>,
     counters: BrokerCounters,
     /// Memoized delivery plans keyed by concrete topic; a subscription
     /// change evicts the entries its filter matches, so every entry is
@@ -253,7 +239,6 @@ impl BrokerNode {
             local_subs: SubscriptionTable::new(),
             remote_subs: SubscriptionTable::new(),
             remote_refs: HashMap::new(),
-            interest: HashMap::new(),
             counters: BrokerCounters::default(),
             plans: HashMap::new(),
             metrics: None,
@@ -286,11 +271,6 @@ impl BrokerNode {
     /// Activity counters.
     pub fn counters(&self) -> BrokerCounters {
         self.counters
-    }
-
-    /// Whether a client is attached.
-    pub fn has_client(&self, client: ClientId) -> bool {
-        self.clients.contains_key(&client)
     }
 
     /// Number of memoized route plans. Every one is current: a
@@ -386,7 +366,6 @@ impl BrokerNode {
                     if self.local_subs.unsubscribe(&filter, &client) {
                         self.invalidate(&filter);
                     }
-                    self.release_local_interest(filter, out);
                 }
                 self.report_subscriptions();
                 Ok(())
@@ -400,17 +379,7 @@ impl BrokerNode {
                 }
                 self.report_subscriptions();
                 self.invalidate(&filter);
-                self.client_filters
-                    .entry(client)
-                    .or_default()
-                    .push(filter.clone());
-                match self.interest.get_mut(&filter) {
-                    Some(count) => *count += 1,
-                    None => {
-                        self.interest.insert(filter.clone(), 1);
-                        out.push(Action::AdvertiseAdd { filter });
-                    }
-                }
+                self.client_filters.entry(client).or_default().push(filter);
                 Ok(())
             }
             Input::Unsubscribe { client, filter } => {
@@ -427,7 +396,6 @@ impl BrokerNode {
                         filters.remove(pos);
                     }
                 }
-                self.release_local_interest(filter, out);
                 Ok(())
             }
             Input::Publish { origin, event } => self.route(origin, event, out),
@@ -531,19 +499,6 @@ impl BrokerNode {
     fn report_subscriptions(&self) {
         if let Some(metrics) = &self.metrics {
             metrics.subscriptions.set(self.local_subs.len() as i64);
-        }
-    }
-
-    /// Counts one local subscriber of `filter` gone; the last one
-    /// withdraws the filter.
-    fn release_local_interest(&mut self, filter: TopicFilter, out: &mut Vec<Action>) {
-        let Some(count) = self.interest.get_mut(&filter) else {
-            return;
-        };
-        *count -= 1;
-        if *count == 0 {
-            self.interest.remove(&filter);
-            out.push(Action::AdvertiseRemove { filter });
         }
     }
 }
@@ -674,40 +629,47 @@ mod tests {
     }
 
     #[test]
-    fn each_zero_one_change_of_a_local_count_emits_one_interest_action() {
+    fn no_control_input_emits_an_action() {
         let mut n = node();
-        for raw in [1, 2] {
-            n.handle(Input::AttachClient {
-                client: client(raw),
+        let remote = Input::RemoteSubscribe {
+            peer: broker(2),
+            filter: filter("a/#"),
+        };
+        let unremote = Input::RemoteUnsubscribe {
+            peer: broker(2),
+            filter: filter("a/#"),
+        };
+        let inputs = [
+            Input::AttachClient {
+                client: client(1),
                 profile: TransportProfile::Udp,
-            })
-            .unwrap();
+            },
+            Input::Subscribe {
+                client: client(1),
+                filter: filter("a/#"),
+            },
+            Input::Subscribe {
+                client: client(1),
+                filter: filter("a/#"),
+            },
+            Input::Subscribe {
+                client: client(1),
+                filter: filter("b"),
+            },
+            Input::Unsubscribe {
+                client: client(1),
+                filter: filter("a/#"),
+            },
+            Input::DetachClient { client: client(1) },
+            remote.clone(),
+            remote,
+            unremote.clone(),
+            unremote,
+        ];
+        for input in inputs {
+            let shown = format!("{input:?}");
+            assert_eq!(n.handle(input), Ok(Vec::new()), "{shown}");
         }
-        let sub = |raw, f| Input::Subscribe {
-            client: client(raw),
-            filter: filter(f),
-        };
-        let unsub = |raw, f| Input::Unsubscribe {
-            client: client(raw),
-            filter: filter(f),
-        };
-        let add = |f| vec![Action::AdvertiseAdd { filter: filter(f) }];
-        let remove = |f| vec![Action::AdvertiseRemove { filter: filter(f) }];
-        let none: Vec<Action> = Vec::new();
-        // 0→1 advertises; 1→2, a duplicate and a stray unsubscribe do not.
-        assert_eq!(n.handle(sub(1, "a/#")).unwrap(), add("a/#"));
-        assert_eq!(n.handle(sub(2, "a/#")).unwrap(), none);
-        assert_eq!(n.handle(sub(2, "a/#")).unwrap(), none);
-        assert_eq!(n.handle(unsub(1, "b")).unwrap(), none);
-        // 2→1 keeps the filter; 1→0 withdraws it.
-        assert_eq!(n.handle(unsub(1, "a/#")).unwrap(), none);
-        assert_eq!(n.handle(unsub(2, "a/#")).unwrap(), remove("a/#"));
-        // A detach withdraws, once each, the filters it held last.
-        assert_eq!(n.handle(sub(1, "a")).unwrap(), add("a"));
-        assert_eq!(n.handle(sub(1, "b/#")).unwrap(), add("b/#"));
-        assert_eq!(n.handle(sub(2, "b/#")).unwrap(), none);
-        assert_eq!(n.handle(Input::DetachClient { client: client(1) }).unwrap(), remove("a"));
-        assert_eq!(n.handle(Input::DetachClient { client: client(2) }).unwrap(), remove("b/#"));
         assert_eq!(n.client_count(), 0);
     }
 
@@ -756,14 +718,11 @@ mod tests {
         })
         .unwrap();
         for peer in [broker(2), broker(3)] {
-            // Peer interest is never advertised on.
-            let actions = n
-                .handle(Input::RemoteSubscribe {
-                    peer,
-                    filter: filter("t/#"),
-                })
-                .unwrap();
-            assert!(actions.is_empty());
+            n.handle(Input::RemoteSubscribe {
+                peer,
+                filter: filter("t/#"),
+            })
+            .unwrap();
         }
         let actions = n
             .handle(Input::Publish {

@@ -21,7 +21,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};
-use mmcs_telemetry::Counter;
 use mmcs_util::pool;
 use mmcs_util::time::{SimDuration, SimTime};
 
@@ -93,8 +92,6 @@ pub struct ReliableSender<P = Arc<Event>> {
     /// is O(n) rather than the O(n²) a `Vec::remove(0)` would cost.
     backlog: VecDeque<P>,
     retransmissions: u64,
-    /// Optional telemetry counter mirroring `retransmissions`.
-    retransmit_counter: Option<Arc<Counter>>,
 }
 
 impl<P: Clone> ReliableSender<P> {
@@ -113,14 +110,7 @@ impl<P: Clone> ReliableSender<P> {
             retransmit_after,
             backlog: VecDeque::new(),
             retransmissions: 0,
-            retransmit_counter: None,
         }
-    }
-
-    /// Mirrors every retransmission into a telemetry counter (shared
-    /// with a registry), in addition to the internal total.
-    pub fn set_retransmit_counter(&mut self, counter: Arc<Counter>) {
-        self.retransmit_counter = Some(counter);
     }
 
     /// Offers an event for transmission; returns the frames to put on
@@ -145,9 +135,6 @@ impl<P: Clone> ReliableSender<P> {
             if now.saturating_duration_since(*last_sent) >= self.retransmit_after {
                 *last_sent = now;
                 self.retransmissions += 1;
-                if let Some(counter) = &self.retransmit_counter {
-                    counter.inc();
-                }
                 out.push(ReliableFrame {
                     seq,
                     event: event.clone(),

@@ -32,12 +32,12 @@
 //!   When a client's filter can match topics owned by another shard,
 //!   that shard feeds its node one *remote* subscription for it (peer
 //!   id = the client's home shard), and the node counts them per
-//!   (peer, filter). The node's own interest actions are dropped: the
-//!   subscription broadcast (see the consistency model) already told
-//!   every shard. A publish then touches at most the owner shard plus
-//!   the subscriber home shards: the owner routes, the event's `Arc`
-//!   hops once over the ring to every interested home shard, and the
-//!   home shard delivers from its own route plan without re-forwarding.
+//!   (peer, filter). The subscription broadcast (see the consistency
+//!   model) is what tells every shard; the node tells no one. A publish
+//!   then touches at most the owner shard plus the subscriber home
+//!   shards: the owner routes, the event's `Arc` hops once over the
+//!   ring to every interested home shard, and the home shard delivers
+//!   from its own route plan without re-forwarding.
 //! * **Fan-out straight from the plan**: a worker asks its node for the
 //!   cached route plan ([`BrokerNode::publish_plan`], which also counts
 //!   the publish) and walks it — a staged delivery per local subscriber,
@@ -102,7 +102,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::event::{Event, EventClass};
 use crate::handoff::{BarrierAck, Handoff, Latch};
 use crate::metrics::{BrokerMetrics, ShardedBrokerMetrics};
-use crate::node::{Action, BrokerNode, Input, Origin};
+use crate::node::{BrokerNode, Input, Origin};
 use crate::profile::TransportProfile;
 use crate::topic::{Topic, TopicFilter};
 
@@ -763,8 +763,6 @@ struct ShardWorker {
     filters: HashMap<ClientId, Vec<TopicFilter>>,
     /// Barrier acks owed after the current batch's flush.
     acks: Vec<BarrierAck>,
-    /// Scratch buffer for the actions control inputs emit.
-    actions: Vec<Action>,
 }
 
 impl Drop for ShardWorker {
@@ -789,7 +787,6 @@ impl ShardWorker {
             egress: Egress::default(),
             filters: HashMap::new(),
             acks: Vec::new(),
-            actions: Vec::new(),
         }
     }
 
@@ -862,14 +859,13 @@ impl ShardWorker {
         running
     }
 
-    /// Applies a control input to the node. Its interest actions are
-    /// dropped: every shard hears every client's subscriptions from the
-    /// client's own broadcast, which stays FIFO with that client's
-    /// publishes, so no shard waits on another's advert. So are its
-    /// errors: a rejected input leaves the node unchanged.
+    /// Applies a control input to the node, which emits no action for
+    /// one (so the empty buffer never allocates): every shard hears
+    /// every client's subscriptions from the client's own broadcast,
+    /// which stays FIFO with that client's publishes. Errors are
+    /// dropped: a rejected input leaves the node unchanged.
     fn apply_control(&mut self, input: Input) {
-        let _ = self.node.handle_into(input, &mut self.actions);
-        self.actions.clear();
+        let _ = self.node.handle_into(input, &mut Vec::new());
     }
 
     fn subscribe(&mut self, client: ClientId, filter: TopicFilter) {

@@ -6,17 +6,21 @@
 //! serializes through the broker CPU and NIC). It is the broker behind
 //! every experiment in `EXPERIMENTS.md`.
 //!
-//! The process, not the node, knows its peers. It sends each interest
-//! change the node emits to every peer in id order, and routes an event
-//! straight from the node's route plan ([`BrokerNode::publish_plan`]),
-//! the way the live shard worker does: a send per local subscriber,
-//! then, for a client's event, one per interested peer.
+//! The process, not the node, knows its peers, and peer interest
+//! reaches a node the way it does on the live shard ring: one
+//! [`BrokerMsg::RemoteSubscribe`] per client subscription. Each
+//! subscription its node accepts goes to every peer in id order. An
+//! event is routed straight from the node's route plan
+//! ([`BrokerNode::publish_plan`]), the way the live shard worker does:
+//! a send per local subscriber, then, for a client's event, one per
+//! interested peer.
 //!
 //! Clients and peer brokers talk to it in [`BrokerMsg`]s; it answers
-//! clients with [`ClientMsg::Deliver`]. A client calls [`join`] at
-//! simulation start: it sends [`BrokerMsg::Attach`] (carrying its
-//! process id) and, if it receives, [`BrokerMsg::Subscribe`]. The simulated A/V
-//! clients the experiments use live in `mmcs-bench` (`mmcs_bench::load`).
+//! clients with [`ClientMsg::Deliver`]. A client calls [`join`] once,
+//! at simulation start: it sends [`BrokerMsg::Attach`] (carrying its
+//! process id) and, if it receives, [`BrokerMsg::Subscribe`]. Nothing
+//! unsubscribes or attaches twice. The simulated A/V clients the
+//! experiments use live in `mmcs-bench` (`mmcs_bench::load`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,7 +32,7 @@ use mmcs_util::time::SimDuration;
 use crate::batch::CostModel;
 use crate::event::Event;
 use crate::metrics::BrokerMetrics;
-use crate::node::{Action, BrokerNode, Input, Origin};
+use crate::node::{BrokerNode, Input, Origin};
 use crate::profile::TransportProfile;
 use crate::topic::TopicFilter;
 
@@ -51,13 +55,6 @@ pub enum BrokerMsg {
         /// The filter.
         filter: TopicFilter,
     },
-    /// A client unsubscribes.
-    Unsubscribe {
-        /// The unsubscribing client.
-        client: ClientId,
-        /// The filter.
-        filter: TopicFilter,
-    },
     /// A client publishes an event.
     Publish {
         /// The publishing client.
@@ -72,16 +69,9 @@ pub enum BrokerMsg {
         /// The event.
         event: Arc<Event>,
     },
-    /// A peer broker advertises interest.
-    AdvertiseAdd {
-        /// The advertising broker.
-        from: BrokerId,
-        /// The filter.
-        filter: TopicFilter,
-    },
-    /// A peer broker withdraws interest.
-    AdvertiseRemove {
-        /// The withdrawing broker.
+    /// One of a peer broker's clients subscribed.
+    RemoteSubscribe {
+        /// The subscriber's broker.
         from: BrokerId,
         /// The filter.
         filter: TopicFilter,
@@ -95,7 +85,7 @@ pub enum ClientMsg {
     Deliver(Arc<Event>),
 }
 
-/// Control-plane message size on the wire (attach/subscribe/adverts).
+/// Control-plane message size on the wire (attach and subscriptions).
 const CONTROL_BYTES: usize = 96;
 
 /// Attaches `client` to `broker` and, given a filter, subscribes it: what
@@ -133,7 +123,6 @@ struct BrokerCounters {
     unknown_peer: CounterId,
     protocol_error: CounterId,
     bad_payload: CounterId,
-    client_reattach: CounterId,
 }
 
 impl BrokerCounters {
@@ -145,7 +134,6 @@ impl BrokerCounters {
             unknown_peer: ctx.counter_id("broker.forward.unknown_peer"),
             protocol_error: ctx.counter_id("broker.protocol_error"),
             bad_payload: ctx.counter_id("broker.bad_payload"),
-            client_reattach: ctx.counter_id("broker.client_reattach"),
         }
     }
 }
@@ -160,11 +148,9 @@ pub struct BrokerProcess {
     cost: CostModel,
     /// Looked up once per delivery, so hashed with one multiply.
     clients: IdMap<ClientId, (ProcessId, TransportProfile)>,
-    /// Every peer this broker is wired to, in id order: the order an
-    /// interest change is sent in.
+    /// Every peer this broker is wired to, in id order: the order a
+    /// subscription is sent in.
     peers: BTreeMap<BrokerId, ProcessId>,
-    /// Reused buffer for the interest actions of control inputs.
-    scratch: Vec<Action>,
     /// The delivery charges computed so far in the current fan-out.
     /// [`CostModel::send_cost`] is pure and reads its index only as
     /// "first send or not", so a 400-way fan-out computes two charges
@@ -182,7 +168,6 @@ impl BrokerProcess {
             cost,
             clients: IdMap::default(),
             peers: BTreeMap::new(),
-            scratch: Vec::new(),
             send_costs: Vec::new(),
             counters: None,
         }
@@ -263,35 +248,16 @@ impl BrokerProcess {
         }
     }
 
-    /// Applies a control input and sends each interest action it emits
-    /// to every peer, in id order.
-    fn control(&mut self, ctx: &mut Context<'_>, input: Input) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        if self.node.handle_into(input, &mut actions).is_err() {
-            // Drivers drop protocol violations (e.g. racing a detach);
-            // surface them as a counter for the harness.
+    /// Applies a control input, which emits no action; returns whether
+    /// the node accepted it. A rejected one is counted as
+    /// `broker.protocol_error` for the harness.
+    fn control(&mut self, ctx: &mut Context<'_>, input: Input) -> bool {
+        let accepted = self.node.handle(input).is_ok();
+        if !accepted {
             let counters = self.counters(ctx);
             ctx.bump(counters.protocol_error, 1);
         }
-        let from = self.node.id();
-        for action in actions.drain(..) {
-            let (add, filter) = match action {
-                Action::AdvertiseAdd { filter } => (true, filter),
-                Action::AdvertiseRemove { filter } => (false, filter),
-                // Only a publish delivers or forwards.
-                Action::Deliver { .. } | Action::Forward { .. } => continue,
-            };
-            for &process in self.peers.values() {
-                let filter = filter.clone();
-                let msg = if add {
-                    BrokerMsg::AdvertiseAdd { from, filter }
-                } else {
-                    BrokerMsg::AdvertiseRemove { from, filter }
-                };
-                ctx.send(process, msg, CONTROL_BYTES);
-            }
-        }
-        self.scratch = actions;
+        accepted
     }
 }
 
@@ -309,29 +275,28 @@ impl Process for BrokerProcess {
                 process,
                 profile,
             } => {
-                self.clients.insert(client, (process, profile));
-                if self.node.has_client(client) {
-                    // Periodic client refresh: already attached, nothing
-                    // for the node to do.
-                    let counters = self.counters(ctx);
-                    ctx.bump(counters.client_reattach, 1);
-                } else {
-                    self.control(ctx, Input::AttachClient { client, profile });
+                if self.control(ctx, Input::AttachClient { client, profile }) {
+                    self.clients.insert(client, (process, profile));
                 }
             }
             BrokerMsg::Subscribe { client, filter } => {
-                self.control(ctx, Input::Subscribe { client, filter });
-            }
-            BrokerMsg::Unsubscribe { client, filter } => {
-                self.control(ctx, Input::Unsubscribe { client, filter });
+                let subscribe = Input::Subscribe {
+                    client,
+                    filter: filter.clone(),
+                };
+                if self.control(ctx, subscribe) {
+                    let from = self.node.id();
+                    for &process in self.peers.values() {
+                        let filter = filter.clone();
+                        let msg = BrokerMsg::RemoteSubscribe { from, filter };
+                        ctx.send(process, msg, CONTROL_BYTES);
+                    }
+                }
             }
             BrokerMsg::Publish { client, event } => self.route(ctx, Origin::Client(client), event),
             BrokerMsg::Forward { from, event } => self.route(ctx, Origin::Broker(from), event),
-            BrokerMsg::AdvertiseAdd { from, filter } => {
+            BrokerMsg::RemoteSubscribe { from, filter } => {
                 self.control(ctx, Input::RemoteSubscribe { peer: from, filter });
-            }
-            BrokerMsg::AdvertiseRemove { from, filter } => {
-                self.control(ctx, Input::RemoteUnsubscribe { peer: from, filter });
             }
         }
     }
@@ -341,9 +306,11 @@ impl Process for BrokerProcess {
 mod tests {
     use super::*;
     use crate::event::EventClass;
+    use crate::simtopo::{add_brokers, Links};
     use crate::topic::Topic;
     use mmcs_sim::net::NicConfig;
     use mmcs_sim::Simulation;
+    use mmcs_util::rate::Bandwidth;
     use mmcs_util::time::SimTime;
 
     /// Attaches with `profile`, subscribes to `topic`, and records each
@@ -394,6 +361,70 @@ mod tests {
                 ctx.send(self.broker, BrokerMsg::Publish { client: self.client, event }, wire);
             }
         }
+    }
+
+    /// Subscribes a client that never attached.
+    struct Stray {
+        broker: ProcessId,
+        filter: TopicFilter,
+    }
+
+    impl Process for Stray {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let subscribe = BrokerMsg::Subscribe {
+                client: ClientId::from_raw(99),
+                filter: self.filter.clone(),
+            };
+            ctx.send(self.broker, subscribe, CONTROL_BYTES);
+        }
+
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, _packet: Packet) {}
+    }
+
+    /// Two linked brokers: a subscriber on B gets A's publish exactly
+    /// once, and a subscription A rejects reaches no peer, so B
+    /// forwards its own client's publish nowhere.
+    #[test]
+    fn a_subscription_reaches_every_peer_once_accepted() {
+        let mut sim = Simulation::new(7);
+        let nic = Bandwidth::from_mbps(100);
+        let brokers = add_brokers(&mut sim, Links::ShardMesh(2), CostModel::narada(), nic);
+        let (a, b) = (brokers[0], brokers[1]);
+        let clients = sim.add_host("clients", NicConfig::default());
+        let topic = Topic::parse("conf/1/audio").unwrap();
+        let recorder = Recorder {
+            broker: b,
+            client: ClientId::from_raw(10),
+            profile: TransportProfile::Udp,
+            topic: topic.clone(),
+            got: Vec::new(),
+        };
+        let recorder = sim.add_typed_process(clients, recorder);
+        let stray = Stray {
+            broker: a,
+            filter: TopicFilter::exact(&topic),
+        };
+        sim.add_typed_process(clients, stray);
+        for (broker, raw) in [(a, 1), (b, 2)] {
+            let burst = Burst {
+                broker,
+                client: ClientId::from_raw(raw),
+                topic: topic.clone(),
+                sizes: vec![180],
+            };
+            sim.add_typed_process(clients, burst);
+        }
+        sim.run_until(SimTime::from_secs(1));
+
+        let got = &sim.process_ref::<Recorder>(recorder).unwrap().got;
+        assert_eq!(got.len(), 2, "A's publish and B's, once each");
+        assert_eq!(sim.counter("broker.protocol_error"), 1);
+        let forwards = |at| {
+            let broker = sim.process_ref::<BrokerProcess>(at).unwrap();
+            broker.node().counters().forwards
+        };
+        assert_eq!(forwards(a), 1, "A's publish crossed to B");
+        assert_eq!(forwards(b), 0, "A holds no accepted subscriber");
     }
 
     /// Every delivery of a fan-out leaves at the broker callback's start

@@ -41,16 +41,19 @@ fn filter_strategy() -> impl Strategy<Value = TopicFilter> {
         })
 }
 
-/// [`BrokerNode`]s joined by synchronous links: every action a
-/// node emits is executed at once, forwards cascading into their peer
-/// and interest changes into every node it is linked to — unless the
-/// link is cut, which drops them. Broker `i` has id `i + 1`; the test
-/// numbers its clients.
+/// [`BrokerNode`]s joined by synchronous links, driven the way the
+/// shard ring drives its nodes: every forward a node emits cascades into
+/// its peer at once, and each client subscription taken up or dropped
+/// reaches every node its home is linked to as one `RemoteSubscribe` /
+/// `RemoteUnsubscribe` — unless the link is cut, which drops it. Broker
+/// `i` has id `i + 1`; the test numbers its clients.
 struct Cascade {
     nodes: Vec<BrokerNode>,
     /// Each node's linked peers, by index, in link order.
     peers: Vec<Vec<usize>>,
     home: HashMap<ClientId, usize>,
+    /// Every client's filters, deduplicated as `ShardWorker` does.
+    filters: HashMap<ClientId, Vec<TopicFilter>>,
     delivered: Vec<(ClientId, Arc<Event>)>,
     cut: Vec<(usize, usize)>,
 }
@@ -58,27 +61,53 @@ struct Cascade {
 impl Cascade {
     fn new(brokers: usize) -> Self {
         let nodes = (0..brokers).map(|i| BrokerNode::new(Self::id(i))).collect();
-        Self { nodes, peers: vec![Vec::new(); brokers], home: HashMap::new(), delivered: Vec::new(), cut: Vec::new() }
+        Self {
+            nodes,
+            peers: vec![Vec::new(); brokers],
+            home: HashMap::new(),
+            filters: HashMap::new(),
+            delivered: Vec::new(),
+            cut: Vec::new(),
+        }
     }
 
     fn id(index: usize) -> BrokerId { BrokerId::from_raw(index as u64 + 1) }
 
+    fn linked(&self, a: usize, b: usize) -> bool {
+        !self.cut.contains(&(a.min(b), a.max(b)))
+    }
+
     fn feed(&mut self, at: usize, input: Input) -> Result<(), BrokerError> {
         let from = Self::id(at);
         for action in self.nodes[at].handle(input)? {
-            let sends: Vec<(usize, Input)> = match action {
-                Action::Deliver { client, event, .. } => { self.delivered.push((client, event)); continue; }
-                Action::Forward { peer, event } => vec![(peer.value() as usize - 1, Input::Publish { origin: Origin::Broker(from), event })],
-                Action::AdvertiseAdd { filter } => self.peers[at].iter().map(|&to| (to, Input::RemoteSubscribe { peer: from, filter: filter.clone() })).collect(),
-                Action::AdvertiseRemove { filter } => self.peers[at].iter().map(|&to| (to, Input::RemoteUnsubscribe { peer: from, filter: filter.clone() })).collect(),
-            };
-            for (to, input) in sends {
-                if !self.cut.contains(&(at.min(to), at.max(to))) {
-                    self.feed(to, input).expect("a linked peer accepts what its neighbour sends");
+            match action {
+                Action::Deliver { client, event, .. } => self.delivered.push((client, event)),
+                Action::Forward { peer, event } => {
+                    let to = peer.value() as usize - 1;
+                    if self.linked(at, to) {
+                        self.feed(to, Input::Publish { origin: Origin::Broker(from), event }).expect("a peer accepts what its neighbour forwards");
+                    }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Tells every peer of `at` across an uncut link that one of its
+    /// clients took up (`add`) or dropped `filter`.
+    fn tell_peers(&mut self, at: usize, filter: &TopicFilter, add: bool) {
+        let peer = Self::id(at);
+        for to in self.peers[at].clone() {
+            if self.linked(at, to) {
+                let filter = filter.clone();
+                let input = if add {
+                    Input::RemoteSubscribe { peer, filter }
+                } else {
+                    Input::RemoteUnsubscribe { peer, filter }
+                };
+                self.feed(to, input).expect("peer interest is always accepted");
+            }
+        }
     }
 
     /// Links `a ↔ b` before either has a subscriber.
@@ -103,11 +132,35 @@ impl Cascade {
     }
 
     fn subscribe(&mut self, client: ClientId, filter: TopicFilter) {
-        self.feed(self.home[&client], Input::Subscribe { client, filter }).expect("attached client");
+        let held = self.filters.entry(client).or_default();
+        if held.contains(&filter) {
+            return;
+        }
+        held.push(filter.clone());
+        let at = self.home[&client];
+        self.feed(at, Input::Subscribe { client, filter: filter.clone() }).expect("attached client");
+        self.tell_peers(at, &filter, true);
+    }
+
+    fn unsubscribe(&mut self, client: ClientId, filter: TopicFilter) {
+        let Some(held) = self.filters.get_mut(&client) else {
+            return;
+        };
+        let Some(pos) = held.iter().position(|f| *f == filter) else {
+            return;
+        };
+        held.remove(pos);
+        let at = self.home[&client];
+        self.feed(at, Input::Unsubscribe { client, filter: filter.clone() }).expect("attached client");
+        self.tell_peers(at, &filter, false);
     }
 
     fn detach(&mut self, client: ClientId) -> Result<(), BrokerError> {
-        self.feed(self.home[&client], Input::DetachClient { client })
+        let at = self.home[&client];
+        for filter in self.filters.remove(&client).unwrap_or_default() {
+            self.tell_peers(at, &filter, false);
+        }
+        self.feed(at, Input::DetachClient { client })
     }
 
     /// Publishes from `client`; returns who received it, in routing order.
@@ -533,6 +586,41 @@ fn broker_partition_heals() {
     let after = net.publish(publisher, &topic, b"3");
     assert_eq!(after.len(), 1);
     assert_eq!(&after[0].1.payload[..], b"3");
+}
+
+/// Peer interest is counted per client subscription: a filter two
+/// clients hold stays routed to until both have dropped it, by
+/// unsubscribe or detach, and a duplicate subscribe counts nothing.
+/// Then the publisher's broker forwards nothing.
+#[test]
+fn peer_interest_follows_every_client_subscription() {
+    let mut net = Cascade::new(2);
+    net.link(0, 1);
+    let publisher = net.attach(0, 1);
+    let first = net.attach(1, 2);
+    let second = net.attach(1, 3);
+    let conf = TopicFilter::parse("conf/#").unwrap();
+    let audio = TopicFilter::parse("conf/audio").unwrap();
+    net.subscribe(first, conf.clone());
+    net.subscribe(first, conf.clone());
+    net.subscribe(first, audio.clone());
+    net.subscribe(second, conf.clone());
+    let topic = Topic::parse("conf/audio").unwrap();
+    let receivers = |net: &mut Cascade| {
+        let got = net.publish(publisher, &topic, b"");
+        let mut got: Vec<ClientId> = got.into_iter().map(|(c, _)| c).collect();
+        got.sort_unstable();
+        got
+    };
+    assert_eq!(receivers(&mut net), [first, second]);
+    net.unsubscribe(first, conf);
+    assert_eq!(receivers(&mut net), [first, second]);
+    net.detach(second).unwrap();
+    assert_eq!(receivers(&mut net), [first]);
+    net.unsubscribe(first, audio);
+    let forwards = net.nodes[0].counters().forwards;
+    assert!(receivers(&mut net).is_empty());
+    assert_eq!(net.nodes[0].counters().forwards, forwards, "no peer interest is left");
 }
 
 /// Detaching twice is an error, not corruption: the node still routes

@@ -83,8 +83,9 @@ fn batching_matters_at_reduced_scale() {
 
 /// Ablation A2 shape: more brokers, less delay under load. The numbers
 /// are pinned bit for bit: the star routes every packet one hop from
-/// the hub, and its interest adverts all settle before media starts, so
-/// a change to how brokers advertise interest must not move them.
+/// the hub, and every subscription reaches the peers before media
+/// starts, so a change to how brokers pass interest on must not move
+/// them.
 #[test]
 fn dissemination_scales_at_reduced_scale() {
     let mut config = Fig3Config::reduced();

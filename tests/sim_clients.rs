@@ -401,7 +401,7 @@ fn same_shard_publish_never_hops() {
 #[test]
 fn broadcast_to_all_shards_delivers_exactly_once() {
     // The duplication regression: when *every* shard has local
-    // subscribers on one topic, each advertises interest to each
+    // subscribers on one topic, each passes their interest to each
     // peer — a forwarded event must still stop after one hop, not
     // ricochet around the mesh and deliver copies.
     let shards = 4usize;
