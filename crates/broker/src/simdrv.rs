@@ -146,8 +146,10 @@ type SendKey = (bool, usize, TransportProfile);
 pub struct BrokerProcess {
     node: BrokerNode,
     cost: CostModel,
-    /// Looked up once per delivery, so hashed with one multiply.
-    clients: IdMap<ClientId, (ProcessId, TransportProfile)>,
+    /// Each attached client's process, looked up once per delivery, so
+    /// hashed with one multiply. The profile a send is charged by comes
+    /// from the route plan.
+    clients: IdMap<ClientId, ProcessId>,
     /// Every peer this broker is wired to, in id order: the order a
     /// subscription is sent in.
     peers: BTreeMap<BrokerId, ProcessId>,
@@ -211,7 +213,7 @@ impl BrokerProcess {
         // allocation.
         let mut fanout: Option<Arc<ClientMsg>> = None;
         for &(client, profile) in &plan.local {
-            let Some(&(process, _)) = self.clients.get(&client) else {
+            let Some(&process) = self.clients.get(&client) else {
                 ctx.bump(counters.unknown_client, 1);
                 continue;
             };
@@ -276,7 +278,7 @@ impl Process for BrokerProcess {
                 profile,
             } => {
                 if self.control(ctx, Input::AttachClient { client, profile }) {
-                    self.clients.insert(client, (process, profile));
+                    self.clients.insert(client, process);
                 }
             }
             BrokerMsg::Subscribe { client, filter } => {

@@ -9,6 +9,15 @@
 //! which events of *other* hosts at the same instant were dispatched —
 //! the keys, and therefore the entire run, are a function of the seed
 //! and the registered processes alone.
+//!
+//! A host's CPU serves its work in arrival order, so work that finds
+//! the CPU busy behind an empty backlog starts when the CPU frees,
+//! whatever pops after it. [`Simulation::run_until`] runs such work in
+//! the call that pops it when that start is no later than its
+//! deadline; the rest waits in the host's backlog for a drain event. A
+//! callback reads and writes only its own host (and summed counters),
+//! and every push keeps its key order, so this is the run
+//! [`Simulation::step`] gives one event at a time.
 
 use std::any::Any;
 use std::cmp::Ordering;
@@ -311,7 +320,7 @@ impl<T: Process + Send + 'static> AnyProcess for T {
 /// See the [crate documentation](crate) for the model and an example.
 pub struct Simulation {
     core: EngineCore,
-    processes: Vec<Option<Box<dyn AnyProcess>>>,
+    processes: Vec<Box<dyn AnyProcess>>,
     started: bool,
     /// The buffer lent to each callback's [`Context`] for its sends, so
     /// a 400-way fan-out grows it once per run, not once per publish.
@@ -381,7 +390,7 @@ impl Simulation {
             }
         }
         let id = ProcessId(self.processes.len() as u64 + 1);
-        self.processes.push(Some(Box::new(BoxedProcess(process))));
+        self.processes.push(Box::new(BoxedProcess(process)));
         self.core.proc_hosts.push(host);
         id
     }
@@ -406,7 +415,7 @@ impl Simulation {
             "unknown host {host}"
         );
         let id = ProcessId(self.processes.len() as u64 + 1);
-        self.processes.push(Some(Box::new(process)));
+        self.processes.push(Box::new(process));
         self.core.proc_hosts.push(host);
         id
     }
@@ -497,7 +506,6 @@ impl Simulation {
     pub fn process_ref<T: 'static>(&self, id: ProcessId) -> Option<&T> {
         self.processes
             .get(id.0.checked_sub(1)? as usize)?
-            .as_deref()?
             .as_any()
             .downcast_ref::<T>()
     }
@@ -506,7 +514,6 @@ impl Simulation {
     pub fn process_mut<T: 'static>(&mut self, id: ProcessId) -> Option<&mut T> {
         self.processes
             .get_mut(id.0.checked_sub(1)? as usize)?
-            .as_deref_mut()?
             .as_any_mut()
             .downcast_mut::<T>()
     }
@@ -522,67 +529,73 @@ impl Simulation {
         }
     }
 
-    /// Executes the next event. Returns `false` when the queue is empty.
+    /// Executes the next event, and nothing else: work that finds its
+    /// host's CPU busy joins the host's backlog and runs when the drain
+    /// event armed for it pops, so a delivery to a busy host is two
+    /// calls. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some(event) = self.core.queue.pop() else {
+        let Some(key) = self.core.queue.peek_key() else {
             return false;
+        };
+        self.pop_and_serve(key.at);
+        true
+    }
+
+    /// Pops the next event and runs it, or parks it in its host's
+    /// backlog. Work that finds the CPU busy behind an empty backlog
+    /// runs at once, starting when the CPU frees, if that is no later
+    /// than `horizon`: the CPU serves its host in arrival order, so
+    /// nothing popped later can start before it, and the callback reads
+    /// and writes only its own host. Returns the virtual time the work
+    /// ran at.
+    fn pop_and_serve(&mut self, horizon: SimTime) -> SimTime {
+        let Some(event) = self.core.queue.pop() else {
+            return self.core.now;
         };
         debug_assert!(event.key.at >= self.core.now, "time ran backwards");
         self.core.now = event.key.at;
         let now = event.key.at;
 
-        let kind = match event.kind {
-            EventKind::Drain(host) => {
-                let host_state = self.core.net.host_mut(host);
-                host_state.drain_scheduled = false;
-                let Some(kind) = host_state.pending.pop_front() else {
-                    return true;
-                };
-                self.dispatch(kind, now);
-                self.schedule_drain_for(host, now);
-                return true;
-            }
-            other => other,
-        };
-
-        let pid = match &kind {
-            EventKind::Start(p) => *p,
-            EventKind::Timer(p, _) => *p,
+        let pid = match &event.kind {
+            EventKind::Start(p) | EventKind::Timer(p, _) => *p,
             EventKind::Deliver(pkt) => pkt.dst,
-            EventKind::Drain(_) => {
-                // Consumed by the match above; stated as an assert so
-                // the dispatch path carries no reachable panic.
-                debug_assert!(false, "Drain is handled before pid extraction");
-                return true;
+            EventKind::Drain(host) => {
+                // Run the backlog's head; arm the next drain for the
+                // rest, each one event, so a backlog of K drains in K
+                // events instead of K^2 heap churn.
+                let host = *host;
+                if let Some(kind) = self.core.net.host_mut(host).pending.pop_front() {
+                    self.dispatch(kind, now);
+                    let host_state = self.core.net.host_mut(host);
+                    if !host_state.pending.is_empty() {
+                        let at = host_state.cpu_free_at.max(now);
+                        self.core.push_from(host, at, EventKind::Drain(host));
+                    }
+                }
+                return now;
             }
         };
         let Some(host) = self.core.host_of(pid) else {
             // Destination process never existed; count and move on.
             self.core.metrics.bump(NET_NOROUTE, 1);
-            return true;
+            return now;
         };
 
-        // CPU gating: if the host CPU is busy (or older work is already
-        // queued behind it), the event joins the host's FIFO backlog.
+        // CPU gating: older work already queued, or a CPU busy past the
+        // horizon, puts the event at the back of the host's FIFO backlog.
         let host_state = self.core.net.host_mut(host);
-        if host_state.cpu_free_at > now || !host_state.pending.is_empty() {
-            let resume_at = if host_state.cpu_free_at > now {
-                host_state.cpu_free_at
-            } else {
-                now
-            };
-            host_state.pending.push_back(kind);
-            if !host_state.drain_scheduled {
-                host_state.drain_scheduled = true;
-                self.core.push_from(host, resume_at, EventKind::Drain(host));
+        let start = host_state.cpu_free_at.max(now);
+        let backlog_empty = host_state.pending.is_empty();
+        if !backlog_empty || host_state.cpu_free_at > horizon {
+            host_state.pending.push_back(event.kind);
+            if backlog_empty {
+                self.core.push_from(host, start, EventKind::Drain(host));
             }
-            return true;
+            return now;
         }
-
-        self.dispatch(kind, now);
-        self.schedule_drain_for(host, now);
-        true
+        self.dispatch(event.kind, start);
+        start
     }
 
     /// Runs one event body to completion at `now`.
@@ -613,10 +626,11 @@ impl Simulation {
             };
             self.core.net.host_mut(host).trace.extend_from_slice(&record);
         }
-        let Some(idx) = pid.0.checked_sub(1).map(|i| i as usize) else {
-            return;
-        };
-        let Some(mut process) = self.processes.get_mut(idx).and_then(Option::take) else {
+        let Some(process) = pid
+            .0
+            .checked_sub(1)
+            .and_then(|idx| self.processes.get_mut(idx as usize))
+        else {
             return;
         };
 
@@ -626,7 +640,7 @@ impl Simulation {
             host,
             started_at: now,
             elapsed: SimDuration::ZERO,
-            sends: std::mem::take(&mut self.send_buf),
+            sends: &mut self.send_buf,
         };
         match kind {
             EventKind::Start(_) => process.on_start(&mut ctx),
@@ -638,11 +652,6 @@ impl Simulation {
             EventKind::Drain(_) => {}
         }
         let elapsed = ctx.elapsed;
-        let mut sends = std::mem::take(&mut ctx.sends);
-        drop(ctx);
-        if let Some(slot) = self.processes.get_mut(idx) {
-            *slot = Some(process);
-        }
 
         if is_delivery || elapsed > SimDuration::ZERO {
             let busy_until = now.saturating_add(elapsed);
@@ -651,40 +660,34 @@ impl Simulation {
                 host_state.cpu_free_at = busy_until;
             }
         }
-        for send in sends.drain(..) {
+        for send in self.send_buf.drain(..) {
             self.core.route(send);
-        }
-        self.send_buf = sends;
-    }
-
-    /// After a dispatch on `host`, arms its drain timer if work is still
-    /// pending (each drain event processes exactly one deferred event, so
-    /// a backlog of K drains in K events instead of K^2 heap churn).
-    fn schedule_drain_for(&mut self, host: HostId, now: SimTime) {
-        let host_state = self.core.net.host_mut(host);
-        if !host_state.pending.is_empty() && !host_state.drain_scheduled {
-            host_state.drain_scheduled = true;
-            let at = if host_state.cpu_free_at > now {
-                host_state.cpu_free_at
-            } else {
-                now
-            };
-            self.core.push_from(host, at, EventKind::Drain(host));
         }
     }
 
     /// Runs every event due at or before `deadline` and returns the
-    /// reached time: `deadline` if the queue ran dry, else the time of
-    /// the last executed event — the clock does not move on while an
-    /// event is still pending.
+    /// reached time: `deadline` if the queue ran dry, else the latest
+    /// virtual time at which work ran — the clock does not move on while
+    /// an event is still pending.
+    ///
+    /// Work that finds its host's CPU busy behind an empty backlog runs
+    /// in the call that pops it, at the time the CPU frees, when that is
+    /// no later than `deadline`; only work that cannot start by then
+    /// waits in the backlog for a drain event. Every host runs the same
+    /// callbacks at the same virtual times, in the same order, as under
+    /// [`Simulation::step`]; a [`Simulation::set_link`] between two
+    /// calls reaches every send stamped after the first call's deadline.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.ensure_started();
+        let mut reached = self.core.now;
         while self.core.queue.peek_key().is_some_and(|key| key.at <= deadline) {
-            self.step();
+            reached = reached.max(self.pop_and_serve(deadline));
         }
-        if self.core.queue.is_empty() && self.core.now < deadline {
-            self.core.now = deadline;
-        }
+        self.core.now = if self.core.queue.is_empty() {
+            reached.max(deadline)
+        } else {
+            reached
+        };
         self.core.now
     }
 }

@@ -8,6 +8,10 @@
 //!   costs declared with [`Context::spend_cpu`] queue up behind each
 //!   other, which is how a slow reflector falls behind a 600 Kbps fan-out
 //!   and how 12 co-located receivers perturb the sender machine.
+//!   [`Simulation::run_until`] runs work that finds the CPU busy in the
+//!   call that pops it, at the time the CPU frees, so a delivery to a
+//!   busy host costs one engine event; [`Simulation::step`] parks it
+//!   behind a drain event, and both give the same run.
 //! * **NIC serialization** — every egress packet occupies the NIC for
 //!   `bytes × 8 / bandwidth`; back-to-back fan-out to 400 receivers queues
 //!   behind itself. Queues are drop-tail with a byte limit.

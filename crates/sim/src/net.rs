@@ -73,10 +73,9 @@ pub(crate) struct HostState {
     pub cpu_free_at: SimTime,
     /// Events waiting for the CPU, in arrival order. Kept per host (not
     /// in the global heap) so a long backlog drains in O(1) per event
-    /// instead of re-sorting the whole backlog after every handler.
+    /// instead of re-sorting the whole backlog after every handler. One
+    /// drain event is armed for the host exactly while it is non-empty.
     pub pending: std::collections::VecDeque<crate::engine::DeferredEvent>,
-    /// Whether a drain event is already scheduled for this host.
-    pub drain_scheduled: bool,
     /// Deterministic RNG stream private to this host. Every random draw
     /// attributable to the host (its processes' `ctx.rng()`, plus the
     /// loss draw on packets it sends) comes from here, so the draw
@@ -121,7 +120,6 @@ impl NetworkState {
             nic_free_at: SimTime::ZERO,
             cpu_free_at: SimTime::ZERO,
             pending: std::collections::VecDeque::new(),
-            drain_scheduled: false,
             rng: DetRng::new(host_stream_seed(master_seed, id.0)),
             push_seq: 0,
             trace: Vec::new(),

@@ -122,7 +122,7 @@ pub struct Context<'a> {
     pub(crate) started_at: SimTime,
     /// CPU time consumed so far within this callback.
     pub(crate) elapsed: SimDuration,
-    pub(crate) sends: Vec<PendingSend>,
+    pub(crate) sends: &'a mut Vec<PendingSend>,
 }
 
 impl<'a> Context<'a> {

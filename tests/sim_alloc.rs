@@ -11,10 +11,13 @@
 //! counter-name `String`s, an `Arc<ClientMsg>` and a 1 KiB payload copy
 //! — and a fresh `sends` buffer per dispatch.
 //!
-//! The same run is where the per-event budget of DESIGN.md §2 is read:
-//! the client machine is busy when nearly every packet arrives, so a
-//! delivery is two engine events (its `Deliver`, then the `Drain` that
-//! runs it) and never more.
+//! The same run is where the per-event budget of DESIGN.md §2 is read,
+//! through the public `step()`, which executes one event per call: the
+//! client machine is busy when nearly every packet arrives, so under
+//! `step()` a delivery is two engine events (its `Deliver`, then the
+//! `Drain` that runs it) and never more. `run_until` serves such a
+//! delivery in the call that pops it, one event; `tests/sim_properties.rs`
+//! checks that the two give the same run.
 //!
 //! This file holds exactly one test so the counting allocator sees no
 //! traffic from sibling tests in the same binary.

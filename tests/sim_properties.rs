@@ -7,6 +7,14 @@
 //! while links change their latency and loss mid-run. One fixed,
 //! fault-free broker world pins its event order and counters outright,
 //! and so does a world whose host drains a backlog while its CPU idles.
+//!
+//! `run_until` runs work that finds its host busy in the call that pops
+//! it, when the CPU frees by the deadline. Busy chatter plans must run
+//! the same whatever the `run_until` boundaries and under a `step()`
+//! loop, and a relay whose link slows at a deadline pins that no work
+//! starting after the deadline is served before it.
+
+use std::ops::RangeInclusive;
 
 use proptest::prelude::*;
 
@@ -200,17 +208,29 @@ fn link_strategy() -> impl Strategy<Value = LinkConfig> {
 }
 
 fn plan_strategy() -> impl Strategy<Value = Plan> {
+    plans(500..=5_000, 0..=3, 0..=200, 5..=40)
+}
+
+/// Plans whose hosts keep their CPUs busy: a tick every 100 µs–1 ms
+/// costs up to 400 µs, so arrivals queue behind ticks and a `run_until`
+/// boundary often leaves work parked across it.
+fn busy_plan_strategy() -> impl Strategy<Value = Plan> {
+    plans(100..=1_000, 1..=3, 20..=400, 20..=200)
+}
+
+/// Plans with each host's timer period (µs), sends per tick, per-tick
+/// CPU (µs) and tick budget drawn from the given ranges.
+fn plans(
+    period_us: RangeInclusive<u64>,
+    sends: RangeInclusive<u32>,
+    cpu_us: RangeInclusive<u64>,
+    ticks: RangeInclusive<u32>,
+) -> impl Strategy<Value = Plan> {
     // Host indices inside link changes are generated over the maximum
     // host count and reduced modulo the actual one at apply time (the
     // shimmed proptest has no `prop_flat_map`).
     let chatter = prop::collection::vec(
-        (
-            500u64..=5_000,  // timer period (µs)
-            0u32..=3,        // sends per tick
-            0u64..=200,      // per-tick CPU (µs)
-            5u32..=40,       // tick budget
-            64usize..=1_400, // wire bytes
-        ),
+        (period_us, sends, cpu_us, ticks, 64usize..=1_400), // the last: wire bytes
         6,
     );
     let links = prop::collection::vec((1u64..40, 0usize..6, 0usize..6, link_strategy()), 0..6);
@@ -226,9 +246,11 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
     })
 }
 
-/// Materializes and runs a plan; returns the per-host traces, their
-/// fingerprint and the sorted counters.
-fn run_plan(plan: &Plan) -> (Vec<Vec<u64>>, u64, Vec<(String, u64)>) {
+/// A run's per-host traces, their fingerprint and its sorted counters.
+type Outcome = (Vec<Vec<u64>>, u64, Vec<(String, u64)>);
+
+/// Materializes a plan: its hosts and chatter processes, traced.
+fn build_plan(plan: &Plan) -> (Simulation, Vec<HostId>) {
     let mut sim = Simulation::new(plan.seed);
     let hosts: Vec<HostId> = (0..plan.hosts)
         .map(|h| sim.add_host(&format!("h{h}"), NicConfig::default()))
@@ -257,16 +279,10 @@ fn run_plan(plan: &Plan) -> (Vec<Vec<u64>>, u64, Vec<(String, u64)>) {
             .expect("chatter process")
             .peers = pids.clone();
     }
+    (sim, hosts)
+}
 
-    for &(t_ms, a, b, link) in &plan.links {
-        sim.run_until(SimTime::from_millis(t_ms));
-        let (a, b) = (a % plan.hosts, b % plan.hosts);
-        if a != b {
-            sim.set_link(hosts[a], hosts[b], link);
-        }
-    }
-    sim.run_until(SimTime::from_millis(plan.horizon_ms));
-
+fn outcome(mut sim: Simulation) -> Outcome {
     let fingerprint = sim.trace_fingerprint();
     let mut counters: Vec<(String, u64)> = sim
         .counters()
@@ -274,6 +290,37 @@ fn run_plan(plan: &Plan) -> (Vec<Vec<u64>>, u64, Vec<(String, u64)>) {
         .collect();
     counters.sort();
     (sim.take_traces(), fingerprint, counters)
+}
+
+/// Runs a plan to its horizon with a `run_until` at each link change
+/// and at each of `extra_stops` (µs from start).
+fn run_plan(plan: &Plan, extra_stops: &[u64]) -> Outcome {
+    let (mut sim, hosts) = build_plan(plan);
+    // Each stop is a time and, at a link change, the change's index.
+    let mut stops: Vec<(SimTime, Option<usize>)> = plan
+        .links
+        .iter()
+        .enumerate()
+        .map(|(change, &(t_ms, ..))| (SimTime::from_millis(t_ms), Some(change)))
+        .chain(
+            extra_stops
+                .iter()
+                .map(|&t_us| (SimTime::from_nanos(t_us * 1_000), None)),
+        )
+        .collect();
+    stops.sort_by_key(|&(at, _)| at);
+    for (at, change) in stops {
+        sim.run_until(at);
+        if let Some(change) = change {
+            let (_, a, b, link) = plan.links[change];
+            let (a, b) = (a % plan.hosts, b % plan.hosts);
+            if a != b {
+                sim.set_link(hosts[a], hosts[b], link);
+            }
+        }
+    }
+    sim.run_until(SimTime::from_millis(plan.horizon_ms));
+    outcome(sim)
 }
 
 proptest! {
@@ -313,16 +360,50 @@ proptest! {
         prop_assert_eq!(&a.4, &b.4);
         prop_assert_eq!(a.1, b.1);
 
-        let (traces, fingerprint, counters) = run_plan(&plan);
+        let (traces, fingerprint, counters) = run_plan(&plan, &[]);
         prop_assert!(
             counters.iter().any(|(name, v)| name == "net.delivered" && *v > 0)
                 || plan.chatter.iter().all(|(_, sends, ..)| *sends == 0),
             "workload should exchange traffic"
         );
-        let again = run_plan(&plan);
+        let again = run_plan(&plan, &[]);
         prop_assert_eq!(&again.0, &traces, "execution traces diverged");
         prop_assert_eq!(again.1, fingerprint, "trace fingerprint diverged");
         prop_assert_eq!(&again.2, &counters, "counters diverged");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Where the caller stops does not change a run. `run_until` serves
+    /// work that finds its host busy in the call that pops it when the
+    /// CPU frees by the deadline, and parks it behind a `Drain`
+    /// otherwise; `step` always parks it. Extra `run_until` boundaries,
+    /// which leave work parked across them, and a `step` loop must give
+    /// the traces, fingerprint and counters of one call per link change
+    /// and of one call to the end of time.
+    #[test]
+    fn run_until_boundaries_leave_the_run_unchanged(
+        plan in busy_plan_strategy(),
+        extra_stops in prop::collection::vec(1u64..60_000, 1..=8),
+    ) {
+        let whole = run_plan(&plan, &[]);
+        let split = run_plan(&plan, &extra_stops);
+        prop_assert_eq!(&split.0, &whole.0, "traces diverged at stops {:?}", extra_stops);
+        prop_assert_eq!(split.1, whole.1, "fingerprint diverged");
+        prop_assert_eq!(&split.2, &whole.2, "counters diverged");
+
+        let still = Plan { links: Vec::new(), ..plan };
+        let (mut sim, _) = build_plan(&still);
+        sim.run_until(SimTime::MAX);
+        let until = outcome(sim);
+        let (mut sim, _) = build_plan(&still);
+        while sim.step() {}
+        let stepped = outcome(sim);
+        prop_assert_eq!(&stepped.0, &until.0, "step traces diverged");
+        prop_assert_eq!(stepped.1, until.1, "step fingerprint diverged");
+        prop_assert_eq!(&stepped.2, &until.2, "step counters diverged");
     }
 }
 
@@ -495,35 +576,122 @@ impl Process for Burster {
 /// idle is pinned. The worker is busy for its first millisecond; three
 /// packets (ids 100–102) and a timer (1) queue behind that. At exactly
 /// 1 ms two more timers (2, 3) fire and two more packets (103, 104)
-/// land, while every queued handler costs no CPU — so the CPU is free
-/// with work still queued. Those arrivals must run behind the backlog,
-/// in arrival order; an engine that gated only on a busy CPU would run
-/// them first.
+/// land, while every queued handler costs no CPU — so, under `step`,
+/// the CPU is free with work still parked behind a `Drain`. Those
+/// arrivals must run behind the backlog, in arrival order; an engine
+/// that gated only on a busy CPU would run them first. `run_until`
+/// serves the backlog in the calls that pop it, at 1 ms, and must
+/// give the same run.
 #[test]
 fn idle_cpu_backlog_drains_in_arrival_order() {
-    let mut sim = Simulation::new(3);
-    let worker_host = sim.add_host("worker", NicConfig::default());
+    for stepped in [false, true] {
+        let mut sim = Simulation::new(3);
+        let worker_host = sim.add_host("worker", NicConfig::default());
+        let sender_host = sim.add_host("sender", NicConfig::default());
+        sim.set_trace_enabled(true);
+        let ms = SimDuration::from_millis(1);
+        let worker = sim.add_typed_process(
+            worker_host,
+            Backlog {
+                busy: ms,
+                timers: vec![(SimDuration::from_micros(300), 1), (ms, 2), (ms, 3)],
+                ran: Vec::new(),
+            },
+        );
+        // The default link's 200 µs latency: bursts land at 200 µs and 1 ms.
+        let bursts = vec![(SimDuration::ZERO, 100, 3), (SimDuration::from_micros(800), 103, 2)];
+        sim.add_typed_process(sender_host, Burster { dst: worker, bursts });
+        if stepped {
+            while sim.step() {}
+        } else {
+            sim.run_until(SimTime::from_millis(5));
+        }
+
+        let ran = &sim.process_ref::<Backlog>(worker).expect("worker").ran;
+        let order: Vec<u64> = ran.iter().map(|&(_, what)| what).collect();
+        assert_eq!(order, [100, 101, 102, 1, 2, 3, 103, 104], "stepped: {stepped}");
+        assert!(ran.iter().all(|&(at, _)| at == SimTime::from_millis(1)), "{ran:?}");
+        let counters: Vec<(&str, u64)> = sim.counters().collect();
+        assert_eq!(counters, [("net.delivered", 5)]);
+        assert_eq!(sim.trace_fingerprint(), 0x1162_64b8_813e_60a5, "stepped: {stepped}");
+    }
+}
+
+/// Spends `start_busy` of CPU at start and arms a timer for
+/// `timer_after` whose handler spends `timer_busy`; forwards each packet
+/// it receives to `dst` as 100 bytes after `per_packet` of CPU.
+struct Relay {
+    dst: ProcessId,
+    start_busy: SimDuration,
+    timer_after: SimDuration,
+    timer_busy: SimDuration,
+    per_packet: SimDuration,
+}
+
+impl Process for Relay {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(self.timer_after, 0);
+        ctx.spend_cpu(self.start_busy);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+        ctx.spend_cpu(self.timer_busy);
+    }
+
+    fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+        ctx.spend_cpu(self.per_packet);
+        ctx.send_shared(self.dst, packet.payload_handle(), 100);
+    }
+}
+
+/// Records each packet's one-way delay: arrival minus send stamp.
+#[derive(Default)]
+struct DelaySink {
+    delays: Vec<SimDuration>,
+}
+
+impl Process for DelaySink {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+        self.delays.push(ctx.now().saturating_duration_since(packet.sent_at));
+    }
+}
+
+/// `run_until` serves no work that starts after its deadline. The
+/// relay's CPU is busy from start to 1 ms; a timer it armed for 100 µs
+/// keeps it busy on to 5 ms; three packets reach it at 200 µs, before
+/// the first call's 3 ms deadline. That call runs the timer at 1 ms,
+/// when the CPU frees, and returns 1 ms; the packets cannot start
+/// before 5 ms and stay parked. The relay's link to the sink then
+/// slows from 200 µs to 3 ms, and every forward must cross it at the
+/// new latency. An engine that served the packets past the deadline
+/// would forward them over the old link and report reaching 7 ms.
+#[test]
+fn run_until_serves_no_work_past_its_deadline() {
+    let mut sim = Simulation::new(5);
+    let relay_host = sim.add_host("relay", NicConfig::default());
     let sender_host = sim.add_host("sender", NicConfig::default());
-    sim.set_trace_enabled(true);
+    let sink_host = sim.add_host("sink", NicConfig::default());
+    let sink = sim.add_typed_process(sink_host, DelaySink::default());
     let ms = SimDuration::from_millis(1);
-    let worker = sim.add_typed_process(
-        worker_host,
-        Backlog {
-            busy: ms,
-            timers: vec![(SimDuration::from_micros(300), 1), (ms, 2), (ms, 3)],
-            ran: Vec::new(),
+    let relay = sim.add_typed_process(
+        relay_host,
+        Relay {
+            dst: sink,
+            start_busy: ms,
+            timer_after: SimDuration::from_micros(100),
+            timer_busy: SimDuration::from_millis(4),
+            per_packet: ms,
         },
     );
-    // The default link's 200 µs latency: bursts land at 200 µs and 1 ms.
-    let bursts = vec![(SimDuration::ZERO, 100, 3), (SimDuration::from_micros(800), 103, 2)];
-    sim.add_typed_process(sender_host, Burster { dst: worker, bursts });
-    sim.run_until(SimTime::from_millis(5));
+    let bursts = vec![(SimDuration::ZERO, 0, 3)];
+    sim.add_typed_process(sender_host, Burster { dst: relay, bursts });
 
-    let ran = &sim.process_ref::<Backlog>(worker).expect("worker").ran;
-    let order: Vec<u64> = ran.iter().map(|&(_, what)| what).collect();
-    assert_eq!(order, [100, 101, 102, 1, 2, 3, 103, 104]);
-    assert!(ran.iter().all(|&(at, _)| at == SimTime::from_millis(1)), "{ran:?}");
-    let counters: Vec<(&str, u64)> = sim.counters().collect();
-    assert_eq!(counters, [("net.delivered", 5)]);
-    assert_eq!(sim.trace_fingerprint(), 0x1162_64b8_813e_60a5);
+    assert_eq!(sim.run_until(SimTime::from_millis(3)), SimTime::from_millis(1));
+    let slow = SimDuration::from_millis(3);
+    sim.set_link(relay_host, sink_host, LinkConfig { latency: slow, loss: 0.0 });
+    sim.run_until(SimTime::from_secs(1));
+
+    let delays = &sim.process_ref::<DelaySink>(sink).expect("sink").delays;
+    let one_way = slow + Bandwidth::from_gbps(1).transmit_time(100);
+    assert_eq!(delays, &[one_way; 3]);
 }
