@@ -318,10 +318,10 @@ impl Process for MulticastRelay {
         };
         ctx.spend_cpu(self.relay_cpu);
         let wire = event.wire_len();
-        let message = Arc::new(ClientMsg::Deliver(Arc::clone(event)));
         for receiver in &self.local_receivers {
-            // Loopback delivery: same host, no NIC serialization.
-            ctx.send_shared(*receiver, message.clone(), wire);
+            // Loopback delivery: same host, no NIC serialization, and
+            // the message the broker delivered, passed on as it is.
+            ctx.send_shared(*receiver, packet.payload_handle(), wire);
         }
         let relayed = *self
             .relayed_counter

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mmcs_sim::{Context, CounterId, Packet, Process, ProcessId};
+use mmcs_sim::{Context, CounterId, Packet, Payload, Process, ProcessId};
 use mmcs_util::id::{BrokerId, ClientId, IdMap};
 use mmcs_util::time::SimDuration;
 
@@ -210,8 +210,8 @@ impl BrokerProcess {
         self.send_costs.clear();
         let mut send_index = 0usize;
         // Every delivery shares one message, so 400 receivers cost one
-        // allocation.
-        let mut fanout: Option<Arc<ClientMsg>> = None;
+        // allocation and the engine holds one handle for them all.
+        let mut fanout: Option<Payload> = None;
         for &(client, profile) in &plan.local {
             let Some(&process) = self.clients.get(&client) else {
                 ctx.bump(counters.unknown_client, 1);
@@ -230,7 +230,7 @@ impl BrokerProcess {
             ctx.spend_cpu(charge);
             send_index += 1;
             let message = fanout.get_or_insert_with(|| Arc::new(ClientMsg::Deliver(Arc::clone(&event))));
-            ctx.send_shared(process, message.clone(), wire);
+            ctx.send_shared(process, message, wire);
         }
         let delivered = send_index as u64;
         if delivered > 0 {

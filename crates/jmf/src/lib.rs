@@ -192,11 +192,10 @@ impl Process for ReflectorProcess {
             ReflectorMsg::Rtp(raw) => {
                 ctx.spend_cpu(self.cost.routing);
                 let wire = raw.bytes.len() + UDP_OVERHEAD;
-                let shared = packet.payload_handle();
                 for receiver in &self.receivers {
                     // Serial unicast: every receiver pays the full cost.
                     ctx.spend_cpu(self.cost.send_cost(wire));
-                    ctx.send_shared(*receiver, std::sync::Arc::clone(&shared), wire);
+                    ctx.send_shared(*receiver, packet.payload_handle(), wire);
                 }
                 self.reflected += 1;
                 ctx.bump(reflected, 1);

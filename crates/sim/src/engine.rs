@@ -31,13 +31,75 @@ use crate::net::{HostId, LinkConfig, NetworkState, NicConfig};
 use crate::process::{Context, Packet, Process, ProcessId};
 use crate::queue::EventQueue;
 
-/// A packet send requested during a callback, not yet routed.
-pub(crate) struct PendingSend {
+/// A packet payload as the engine holds it: shared, and `Send + Sync`
+/// so that a [`Simulation`] with packets in flight stays `Send`.
+pub type Payload = Arc<dyn Any + Send + Sync>;
+
+/// A packet on its way: requested by a callback, then queued. The
+/// payload stays in the engine's [`PayloadSlots`]; the delivery names
+/// its slot.
+#[derive(Debug)]
+pub(crate) struct Delivery {
     pub src: ProcessId,
     pub dst: ProcessId,
     pub wire_bytes: usize,
-    pub at: SimTime,
-    pub payload: Arc<dyn Any + Send + Sync>,
+    pub sent_at: SimTime,
+    pub slot: u32,
+}
+
+/// The payloads of sent packets, each with the number of deliveries
+/// still naming it. Sends of one handle in a row from one callback
+/// share an entry, so a 400-way fan-out costs one `Arc` clone and one
+/// drop, not a locked refcount increment and decrement per delivery.
+/// A delivery's callback borrows the payload out of its entry; the
+/// last delivery dispatched or dropped frees it.
+#[derive(Default)]
+pub(crate) struct PayloadSlots {
+    entries: Vec<(Option<Payload>, u32)>,
+    free: Vec<u32>,
+}
+
+impl PayloadSlots {
+    /// Holds `payload` for one delivery; returns its slot.
+    pub(crate) fn hold(&mut self, payload: Payload) -> u32 {
+        let slot = self.free.pop().unwrap_or(self.entries.len() as u32);
+        match self.entries.get_mut(slot as usize) {
+            Some(entry) => *entry = (Some(payload), 1),
+            None => self.entries.push((Some(payload), 1)),
+        }
+        slot
+    }
+
+    /// Adds one delivery to `slot` if it holds `payload` itself.
+    pub(crate) fn join(&mut self, slot: u32, payload: &Payload) -> bool {
+        match self.entries.get_mut(slot as usize) {
+            Some((Some(held), refs)) if Arc::ptr_eq(held, payload) => {
+                *refs += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Takes `slot`'s payload out for a delivery's callback to borrow.
+    fn lend(&mut self, slot: u32) -> Option<Payload> {
+        self.entries.get_mut(slot as usize)?.0.take()
+    }
+
+    /// Ends one delivery from `slot`, putting back what [`Self::lend`]
+    /// took. The last delivery drops the payload and frees the slot.
+    fn release(&mut self, slot: u32, lent: Option<Payload>) {
+        let Some((held, refs)) = self.entries.get_mut(slot as usize) else {
+            return;
+        };
+        if *refs > 1 {
+            *refs -= 1;
+            *held = held.take().or(lent);
+        } else if *refs == 1 {
+            (*held, *refs) = (None, 0);
+            self.free.push(slot);
+        }
+    }
 }
 
 /// An event body; deferred ones sit in a host's pending queue while its
@@ -45,7 +107,7 @@ pub(crate) struct PendingSend {
 #[derive(Debug)]
 pub(crate) enum EventKind {
     Start(ProcessId),
-    Deliver(Packet),
+    Deliver(Delivery),
     /// A timer armed by a process, with the token it chose.
     Timer(ProcessId, u64),
     /// Pop and run the next pending event on a host.
@@ -187,6 +249,7 @@ pub struct EngineCore {
     pub(crate) control_seq: u64,
     pub(crate) queue: EventQueue,
     pub(crate) metrics: MetricTable,
+    pub(crate) slots: PayloadSlots,
     pub(crate) proc_hosts: Vec<HostId>,
     /// Whether dispatches append to the per-host execution traces.
     pub(crate) trace_on: bool,
@@ -244,26 +307,33 @@ impl EngineCore {
         self.metrics.bump(id, delta);
     }
 
+    /// Counts a send the network dropped, ending its hold on its slot.
+    fn drop_send(&mut self, counter: CounterId, send: Delivery) {
+        self.metrics.bump(counter, 1);
+        self.slots.release(send.slot, None);
+    }
+
+    /// Counts an event for a process that does not exist.
+    fn unroutable(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::Deliver(delivery) => self.drop_send(NET_NOROUTE, delivery),
+            _ => self.metrics.bump(NET_NOROUTE, 1),
+        }
+    }
+
     /// Routes one send through loopback or the NIC + link model.
     ///
     /// The loss draw comes from the *sending* host's private RNG stream,
     /// so it depends only on that host's own execution order.
-    fn route(&mut self, send: PendingSend) {
-        let Some(src_host) = self.host_of(send.src) else {
-            self.metrics.bump(NET_NOROUTE, 1);
-            return;
+    fn route(&mut self, send: Delivery) {
+        let (Some(src_host), Some(dst_host)) = (self.host_of(send.src), self.host_of(send.dst)) else {
+            return self.drop_send(NET_NOROUTE, send);
         };
-        let Some(dst_host) = self.host_of(send.dst) else {
-            self.metrics.bump(NET_NOROUTE, 1);
-            return;
-        };
-
-        let packet = Packet::new(send.src, send.dst, send.wire_bytes, send.at, send.payload);
 
         if src_host == dst_host {
             let latency = self.net.host(src_host).nic.loopback_latency;
-            let at = send.at.saturating_add(latency);
-            self.push_from(src_host, at, EventKind::Deliver(packet));
+            let at = send.sent_at.saturating_add(latency);
+            self.push_from(src_host, at, EventKind::Deliver(send));
             return;
         }
 
@@ -273,26 +343,24 @@ impl EngineCore {
         let nic_free_at = self.net.host(src_host).nic_free_at;
         let backlog = nic
             .bandwidth
-            .bytes_in(nic_free_at.saturating_duration_since(send.at));
+            .bytes_in(nic_free_at.saturating_duration_since(send.sent_at));
         if backlog + send.wire_bytes as u64 > nic.queue_bytes {
-            self.metrics.bump(NET_QUEUE, 1);
-            return;
+            return self.drop_send(NET_QUEUE, send);
         }
-        let start = if nic_free_at > send.at {
+        let start = if nic_free_at > send.sent_at {
             nic_free_at
         } else {
-            send.at
+            send.sent_at
         };
         let tx_done = start.saturating_add(nic.bandwidth.transmit_time(send.wire_bytes));
         self.net.host_mut(src_host).nic_free_at = tx_done;
 
         let link = self.net.link(src_host, dst_host);
         if link.loss > 0.0 && self.host_rng(src_host).chance(link.loss) {
-            self.metrics.bump(NET_LOSS, 1);
-            return;
+            return self.drop_send(NET_LOSS, send);
         }
         let at = tx_done.saturating_add(link.latency);
-        self.push_from(src_host, at, EventKind::Deliver(packet));
+        self.push_from(src_host, at, EventKind::Deliver(send));
     }
 }
 
@@ -324,7 +392,9 @@ pub struct Simulation {
     started: bool,
     /// The buffer lent to each callback's [`Context`] for its sends, so
     /// a 400-way fan-out grows it once per run, not once per publish.
-    send_buf: Vec<PendingSend>,
+    send_buf: Vec<Delivery>,
+    /// Events popped, and of them drain events: [`Simulation::event_pops`].
+    pops: (u64, u64),
 }
 
 impl Simulation {
@@ -338,12 +408,14 @@ impl Simulation {
                 control_seq: 0,
                 queue: EventQueue::default(),
                 metrics: MetricTable::with_engine_counters(),
+                slots: PayloadSlots::default(),
                 proc_hosts: Vec::new(),
                 trace_on: false,
             },
             processes: Vec::new(),
             started: false,
             send_buf: Vec::new(),
+            pops: (0, 0),
         }
     }
 
@@ -382,7 +454,7 @@ impl Simulation {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
                 self.0.on_start(ctx);
             }
-            fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+            fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet<'_>) {
                 self.0.on_packet(ctx, packet);
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
@@ -457,6 +529,13 @@ impl Simulation {
     /// reporting.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.core.metrics.counters()
+    }
+
+    /// Events popped so far, and how many of them were drains running a
+    /// busy host's backlog: the engine's work, not the model's, so not
+    /// in [`Simulation::counters`] (`step` and `run_until` differ here).
+    pub fn event_pops(&self) -> (u64, u64) {
+        self.pops
     }
 
     /// Enables recording a per-host execution trace: every dispatched
@@ -553,20 +632,22 @@ impl Simulation {
         let Some(event) = self.core.queue.pop() else {
             return self.core.now;
         };
+        self.pops.0 += 1;
         debug_assert!(event.key.at >= self.core.now, "time ran backwards");
         self.core.now = event.key.at;
         let now = event.key.at;
 
         let pid = match &event.kind {
             EventKind::Start(p) | EventKind::Timer(p, _) => *p,
-            EventKind::Deliver(pkt) => pkt.dst,
+            EventKind::Deliver(delivery) => delivery.dst,
             EventKind::Drain(host) => {
+                self.pops.1 += 1;
                 // Run the backlog's head; arm the next drain for the
                 // rest, each one event, so a backlog of K drains in K
                 // events instead of K^2 heap churn.
                 let host = *host;
                 if let Some(kind) = self.core.net.host_mut(host).pending.pop_front() {
-                    self.dispatch(kind, now);
+                    self.dispatch(kind, host, now);
                     let host_state = self.core.net.host_mut(host);
                     if !host_state.pending.is_empty() {
                         let at = host_state.cpu_free_at.max(now);
@@ -578,7 +659,7 @@ impl Simulation {
         };
         let Some(host) = self.core.host_of(pid) else {
             // Destination process never existed; count and move on.
-            self.core.metrics.bump(NET_NOROUTE, 1);
+            self.core.unroutable(event.kind);
             return now;
         };
 
@@ -594,45 +675,38 @@ impl Simulation {
             }
             return now;
         }
-        self.dispatch(event.kind, start);
+        self.dispatch(event.kind, host, start);
         start
     }
 
-    /// Runs one event body to completion at `now`.
-    fn dispatch(&mut self, kind: EventKind, now: SimTime) {
+    /// Runs one event body to completion at `now` on `host`, where its
+    /// process lives.
+    fn dispatch(&mut self, kind: EventKind, host: HostId, now: SimTime) {
         let (pid, is_delivery) = match &kind {
             EventKind::Start(p) => (*p, false),
             EventKind::Timer(p, _) => (*p, false),
-            EventKind::Deliver(pkt) => (pkt.dst, true),
+            EventKind::Deliver(delivery) => (delivery.dst, true),
             EventKind::Drain(_) => return,
         };
-        let Some(host) = self.core.host_of(pid) else {
-            self.core.metrics.bump(NET_NOROUTE, 1);
-            return;
+        let Some(process) = pid.0.checked_sub(1).and_then(|idx| self.processes.get_mut(idx as usize)) else {
+            return self.core.unroutable(kind);
         };
         if self.core.trace_on {
             let record: [u64; TRACE_WORDS] = match &kind {
                 EventKind::Start(p) => [now.as_nanos(), p.0, TRACE_START, 0, 0, 0],
                 EventKind::Timer(p, token) => [now.as_nanos(), p.0, TRACE_TIMER, *token, 0, 0],
-                EventKind::Deliver(pkt) => [
+                EventKind::Deliver(delivery) => [
                     now.as_nanos(),
-                    pkt.dst.0,
+                    delivery.dst.0,
                     TRACE_DELIVER,
-                    pkt.src.0,
-                    pkt.sent_at.as_nanos(),
-                    pkt.wire_bytes as u64,
+                    delivery.src.0,
+                    delivery.sent_at.as_nanos(),
+                    delivery.wire_bytes as u64,
                 ],
                 EventKind::Drain(_) => return,
             };
             self.core.net.host_mut(host).trace.extend_from_slice(&record);
         }
-        let Some(process) = pid
-            .0
-            .checked_sub(1)
-            .and_then(|idx| self.processes.get_mut(idx as usize))
-        else {
-            return;
-        };
 
         let mut ctx = Context {
             core: &mut self.core,
@@ -645,9 +719,15 @@ impl Simulation {
         match kind {
             EventKind::Start(_) => process.on_start(&mut ctx),
             EventKind::Timer(_, token) => process.on_timer(&mut ctx, token),
-            EventKind::Deliver(packet) => {
+            EventKind::Deliver(delivery) => {
                 ctx.core.metrics.bump(NET_DELIVERED, 1);
-                process.on_packet(&mut ctx, packet);
+                // The callback borrows the payload out of its slot, so
+                // no delivery touches the payload's refcount.
+                let lent = ctx.core.slots.lend(delivery.slot);
+                if let Some(payload) = &lent {
+                    process.on_packet(&mut ctx, Packet::new(&delivery, payload));
+                }
+                ctx.core.slots.release(delivery.slot, lent);
             }
             EventKind::Drain(_) => {}
         }

@@ -18,7 +18,10 @@
 //! * **Link propagation and loss** — per-pair latency and loss
 //!   probability.
 //!
-//! Components are actor-style [`Process`]es exchanging [`Packet`]s; all
+//! Components are actor-style [`Process`]es exchanging [`Packet`]s. The
+//! engine holds each payload ([`Payload`]) once for all the deliveries
+//! of one fan-out ([`Context::send_shared`]), and each receiver's
+//! packet borrows it, so a delivery costs no refcount traffic. All
 //! scheduling is virtual-time ([`SimTime`](mmcs_util::time::SimTime)), all
 //! randomness is seeded per host, so runs are bit-reproducible. There is
 //! one engine, and it is single-threaded (see `DESIGN.md` §2 "One
@@ -65,6 +68,6 @@ pub mod net;
 pub mod process;
 mod queue;
 
-pub use engine::{CounterId, Simulation};
+pub use engine::{CounterId, Payload, Simulation};
 pub use net::{LinkConfig, NicConfig};
 pub use process::{Context, Packet, Process, ProcessId};

@@ -6,13 +6,12 @@
 //! to each callback: sending packets, arming timers, spending CPU time and
 //! bumping named counters.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use mmcs_util::rng::DetRng;
 use mmcs_util::time::{SimDuration, SimTime};
 
-use crate::engine::{CounterId, EngineCore, PendingSend};
+use crate::engine::{CounterId, Delivery, EngineCore, Payload};
 use crate::net::HostId;
 
 /// Identifies a process registered with a [`Simulation`](crate::Simulation).
@@ -42,12 +41,12 @@ impl std::fmt::Display for ProcessId {
 
 /// A packet delivered to a process.
 ///
-/// The payload is reference-counted (atomically: a queued packet must
-/// not stop a `Simulation` from being `Send`) — a fan-out of one logical
-/// message to hundreds of receivers does not copy the payload;
+/// The packet borrows its payload from the engine, which holds it once
+/// for every delivery of one fan-out (see [`Context::send_shared`]): a
+/// delivery neither copies the payload nor touches its refcount.
 /// `wire_bytes` is the size the network charges for serialization.
 #[derive(Debug, Clone)]
-pub struct Packet {
+pub struct Packet<'a> {
     /// The sending process.
     pub src: ProcessId,
     /// The destination process.
@@ -56,34 +55,29 @@ pub struct Packet {
     pub wire_bytes: usize,
     /// When the sender handed the packet to its NIC.
     pub sent_at: SimTime,
-    payload: Arc<dyn Any + Send + Sync>,
+    payload: &'a Payload,
 }
 
-impl Packet {
-    pub(crate) fn new(
-        src: ProcessId,
-        dst: ProcessId,
-        wire_bytes: usize,
-        sent_at: SimTime,
-        payload: Arc<dyn Any + Send + Sync>,
-    ) -> Self {
+impl<'a> Packet<'a> {
+    pub(crate) fn new(delivery: &Delivery, payload: &'a Payload) -> Self {
         Self {
-            src,
-            dst,
-            wire_bytes,
-            sent_at,
+            src: delivery.src,
+            dst: delivery.dst,
+            wire_bytes: delivery.wire_bytes,
+            sent_at: delivery.sent_at,
             payload,
         }
     }
 
     /// Downcasts the payload to a concrete type.
-    pub fn payload<T: 'static>(&self) -> Option<&T> {
+    pub fn payload<T: 'static>(&self) -> Option<&'a T> {
         self.payload.downcast_ref::<T>()
     }
 
-    /// Clones the payload handle (cheap; reference-counted).
-    pub fn payload_handle(&self) -> Arc<dyn Any + Send + Sync> {
-        Arc::clone(&self.payload)
+    /// The payload's handle, to send it on with [`Context::send_shared`]
+    /// or to clone it (one refcount increment) to keep it.
+    pub fn payload_handle(&self) -> &'a Payload {
+        self.payload
     }
 }
 
@@ -98,7 +92,7 @@ pub trait Process {
     }
 
     /// Called when a packet addressed to this process arrives.
-    fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet);
+    fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet<'_>);
 
     /// Called when a timer armed with [`Context::set_timer`] fires.
     ///
@@ -122,7 +116,7 @@ pub struct Context<'a> {
     pub(crate) started_at: SimTime,
     /// CPU time consumed so far within this callback.
     pub(crate) elapsed: SimDuration,
-    pub(crate) sends: &'a mut Vec<PendingSend>,
+    pub(crate) sends: &'a mut Vec<Delivery>,
 }
 
 impl<'a> Context<'a> {
@@ -160,26 +154,28 @@ impl<'a> Context<'a> {
     ///
     /// The payload may be any `Send + Sync + 'static` value (packets sit
     /// in the event queue, and a `Simulation` is `Send`); receivers
-    /// downcast with [`Packet::payload`]. For fan-out, pass an `Arc` via
-    /// [`Context::send_shared`] to avoid cloning.
+    /// downcast with [`Packet::payload`]. To send one payload to many
+    /// receivers, use [`Context::send_shared`].
     pub fn send<T: Send + Sync + 'static>(&mut self, dst: ProcessId, payload: T, wire_bytes: usize) {
-        self.send_shared(dst, Arc::new(payload), wire_bytes);
+        let slot = self.core.slots.hold(Arc::new(payload));
+        self.push_send(dst, slot, wire_bytes);
     }
 
-    /// Sends an already reference-counted payload (cheap fan-out).
-    pub fn send_shared(
-        &mut self,
-        dst: ProcessId,
-        payload: Arc<dyn Any + Send + Sync>,
-        wire_bytes: usize,
-    ) {
-        self.sends.push(PendingSend {
-            src: self.me,
-            dst,
-            wire_bytes,
-            at: self.now(),
-            payload,
-        });
+    /// Sends a shared payload to `dst`. Sends of one handle in a row
+    /// from one callback share one engine-held copy of the handle: a
+    /// fan-out to 400 receivers clones it once and drops that clone once
+    /// its last delivery is done, and every receiver borrows it.
+    pub fn send_shared(&mut self, dst: ProcessId, payload: &Payload, wire_bytes: usize) {
+        let slot = match self.sends.last() {
+            Some(last) if self.core.slots.join(last.slot, payload) => last.slot,
+            _ => self.core.slots.hold(Arc::clone(payload)),
+        };
+        self.push_send(dst, slot, wire_bytes);
+    }
+
+    fn push_send(&mut self, dst: ProcessId, slot: u32, wire_bytes: usize) {
+        let (src, sent_at) = (self.me, self.now());
+        self.sends.push(Delivery { src, dst, wire_bytes, sent_at, slot });
     }
 
     /// Arms a timer that fires on this process after `delay`, passing
@@ -238,16 +234,17 @@ mod tests {
 
     #[test]
     fn packet_payload_downcast() {
-        let p = Packet::new(
-            ProcessId(1),
-            ProcessId(2),
-            100,
-            SimTime::ZERO,
-            Arc::new(42u32),
-        );
+        let delivery = Delivery {
+            src: ProcessId(1),
+            dst: ProcessId(2),
+            wire_bytes: 100,
+            sent_at: SimTime::ZERO,
+            slot: 0,
+        };
+        let payload: Payload = Arc::new(42u32);
+        let p = Packet::new(&delivery, &payload);
         assert_eq!(p.payload::<u32>(), Some(&42));
         assert_eq!(p.payload::<u64>(), None);
-        let handle = p.payload_handle();
-        assert_eq!(handle.downcast_ref::<u32>(), Some(&42));
+        assert!(Arc::ptr_eq(p.payload_handle(), &payload));
     }
 }

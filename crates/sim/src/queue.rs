@@ -73,10 +73,10 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Delivery;
     use crate::net::HostId;
-    use crate::process::{Packet, ProcessId};
+    use crate::process::ProcessId;
     use mmcs_util::time::SimTime;
-    use std::sync::Arc;
 
     fn key(at: u64, origin: u64, seq: u64) -> EventKey {
         EventKey {
@@ -87,10 +87,16 @@ mod tests {
     }
 
     fn deliver(key: EventKey) -> Event {
-        let packet = Packet::new(ProcessId(1), ProcessId(2), 100, key.at, Arc::new(key.seq));
+        let delivery = Delivery {
+            src: ProcessId(1),
+            dst: ProcessId(2),
+            wire_bytes: 100,
+            sent_at: key.at,
+            slot: key.seq as u32,
+        };
         Event {
             key,
-            kind: EventKind::Deliver(packet),
+            kind: EventKind::Deliver(delivery),
         }
     }
 
@@ -121,8 +127,8 @@ mod tests {
 
         let mut order = Vec::new();
         while let Some(event) = queue.pop() {
-            if let EventKind::Deliver(packet) = &event.kind {
-                assert_eq!(packet.payload::<u64>(), Some(&event.key.seq));
+            if let EventKind::Deliver(delivery) = &event.kind {
+                assert_eq!(u64::from(delivery.slot), event.key.seq);
             }
             order.push((event.key.at.as_nanos(), event.key.origin, event.key.seq));
             assert_eq!(queue.peek_key().is_none(), queue.is_empty());
@@ -133,5 +139,8 @@ mod tests {
         assert_eq!(order.len(), 9);
         assert_eq!(order[2], (20, 1, 20));
         assert_eq!(order[4], (30, 1, 7));
+        // Every push and pop copies the event: a delivery names its
+        // payload's slot instead of carrying the `Arc`.
+        assert_eq!(std::mem::size_of::<Event>(), 72);
     }
 }

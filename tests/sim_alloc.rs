@@ -5,19 +5,25 @@
 //! *published* packet that does not move with the fan-out: the RTP
 //! packet (payload `Vec`, its `Bytes` owner, a share of the frame's
 //! `Vec`), its encoding, the topic clone, `Arc<Event>`, the publish
-//! message and the one `Arc<ClientMsg>` the whole fan-out shares — 7.2,
-//! bounded here at 8. Per delivery that is 0.07 at a fan-out of 100 and
-//! 0.02 at Figure 3's 400. The parent paid ≥ 5 per *delivery* — three
-//! counter-name `String`s, an `Arc<ClientMsg>` and a 1 KiB payload copy
-//! — and a fresh `sends` buffer per dispatch.
+//! message and the one `Arc<ClientMsg>` the whole fan-out shares —
+//! 6.3 at a fan-out of 100 and 6.4 at 400, bounded here at 8. Per
+//! delivery that is 0.06 at 100 and 0.02 at Figure 3's 400. The shared message is not even cloned per
+//! delivery: the engine holds one handle for the whole fan-out and each
+//! receiver borrows it, so its refcount moves twice per fan-out, not
+//! twice per delivery (`tests/sim_properties.rs` checks that through
+//! the public API). The parent paid ≥ 5 allocations per *delivery* —
+//! three counter-name `String`s, an `Arc<ClientMsg>` and a 1 KiB
+//! payload copy — and a fresh `sends` buffer per dispatch.
 //!
-//! The same run is where the per-event budget of DESIGN.md §2 is read,
-//! through the public `step()`, which executes one event per call: the
-//! client machine is busy when nearly every packet arrives, so under
-//! `step()` a delivery is two engine events (its `Deliver`, then the
-//! `Drain` that runs it) and never more. `run_until` serves such a
-//! delivery in the call that pops it, one event; `tests/sim_properties.rs`
-//! checks that the two give the same run.
+//! The same worlds are where the per-event budget of DESIGN.md §2 is
+//! read, from `Simulation::event_pops`. The client machine is busy when
+//! nearly every packet arrives, so under the public `step()`, which
+//! executes one event per call, a delivery is two engine events (its
+//! `Deliver`, then the `Drain` that runs it) and never more.
+//! `run_until` serves such a delivery in the call that pops it: one
+//! whole run in one call pops at most 1.01 events per delivery, none of
+//! them a `Drain`. `tests/sim_properties.rs` checks that the two give
+//! the same run.
 //!
 //! This file holds exactly one test so the counting allocator sees no
 //! traffic from sibling tests in the same binary.
@@ -37,7 +43,7 @@ use mmcs_sim::{ProcessId, Simulation};
 use mmcs_telemetry::Histogram;
 use mmcs_util::id::{BrokerId, ClientId};
 use mmcs_util::rng::DetRng;
-use mmcs_util::time::SimDuration;
+use mmcs_util::time::{SimDuration, SimTime};
 
 struct CountingAlloc;
 
@@ -78,15 +84,12 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 const WARM_PACKETS: u64 = 50;
 const MEASURED_PACKETS: u64 = 200;
 
+/// A client machine's process, made from its broker, id and filter.
+type MakeClient<'a> = &'a dyn Fn(ProcessId, ClientId, TopicFilter) -> Box<dyn mmcs_sim::Process + Send>;
+
 /// One publisher → one broker → `receivers` clients made by `client`,
-/// all on one machine. Returns allocations per published packet and
-/// engine events per delivery over the measured packets, `delivered`
-/// naming the counter the clients bump once per delivery.
-fn steady_state(
-    receivers: u64,
-    delivered: &str,
-    client: impl Fn(ProcessId, ClientId, TopicFilter) -> Box<dyn mmcs_sim::Process + Send>,
-) -> (f64, f64) {
+/// all on one machine.
+fn world(receivers: u64, client: MakeClient<'_>) -> Simulation {
     let mut sim = Simulation::new(7);
     let sender_host = sim.add_host("sender", NicConfig::default());
     let broker_host = sim.add_host("broker", NicConfig::default());
@@ -104,42 +107,73 @@ fn steady_state(
     config.max_packets = WARM_PACKETS + MEASURED_PACKETS;
     let source = VideoSource::new(VideoSourceConfig::default(), 3, DetRng::new(4));
     sim.add_typed_process(sender_host, Publisher::new(config, source));
+    sim
+}
 
+/// Steps a [`world`] through its warm-up, then to its end. Returns
+/// allocations per published packet and events popped per delivery over
+/// the measured packets, `delivered` naming the counter the clients
+/// bump once per delivery.
+fn stepped(receivers: u64, delivered: &str, client: MakeClient<'_>) -> (f64, f64) {
+    let mut sim = world(receivers, client);
     while sim.counter("publisher.rtp_sent") < WARM_PACKETS {
         assert!(sim.step(), "the publisher stopped before the warm-up ended");
     }
     let (allocs_before, delivered_before) = (thread_allocs(), sim.counter(delivered));
-    let mut events = 0u64;
-    while sim.step() {
-        events += 1;
-    }
+    let (pops_before, _) = sim.event_pops();
+    while sim.step() {}
     let allocs = thread_allocs() - allocs_before;
+    let pops = sim.event_pops().0 - pops_before;
     let deliveries = sim.counter(delivered) - delivered_before;
     // Nothing lost, and the window really held the measured packets
     // (the last warm-up packets were still in flight when it opened).
     assert!(deliveries >= MEASURED_PACKETS * receivers, "{delivered}: {deliveries}");
     assert_eq!(sim.counter("net.dropped.queue"), 0);
-    (allocs as f64 / MEASURED_PACKETS as f64, events as f64 / deliveries as f64)
+    (allocs as f64 / MEASURED_PACKETS as f64, pops as f64 / deliveries as f64)
+}
+
+/// Runs a whole [`world`] in one `run_until`, which serves work that
+/// finds its host busy in the call that pops it. Returns events popped
+/// per delivery (start-ups and the publisher's timers included) and the
+/// number of `Drain` events popped.
+fn served(receivers: u64, client: MakeClient<'_>) -> (f64, u64) {
+    let mut sim = world(receivers, client);
+    sim.run_until(SimTime::MAX);
+    let (pops, drains) = sim.event_pops();
+    let deliveries = sim.counter("net.delivered");
+    assert!(deliveries >= (WARM_PACKETS + MEASURED_PACKETS) * receivers);
+    (pops as f64 / deliveries as f64, drains)
 }
 
 #[test]
 fn warm_delivery_allocates_nothing() {
     let recv_cpu = SimDuration::from_micros(30);
+    // The frontier rig's receiver: the same engine path, a pooled
+    // histogram instead of per-receiver RTP statistics.
+    let pool = Arc::new(Histogram::new());
+    let rtp_receiver = |broker, id, filter| -> Box<dyn mmcs_sim::Process + Send> {
+        Box::new(RtpReceiver::new(broker, id, filter, payload_type::H263, recv_cpu))
+    };
+    let bundle = |broker, id, filter| -> Box<dyn mmcs_sim::Process + Send> {
+        Box::new(ClientBundle::new(broker, id, filter, 1, recv_cpu, Arc::clone(&pool)))
+    };
+    let clients: [(&str, &str, MakeClient<'_>); 2] = [
+        ("RtpReceivers", "receiver.rtp_received", &rtp_receiver),
+        ("ClientBundles", "bundle.delivered_clients", &bundle),
+    ];
+    let mut pooled = 0;
     for receivers in [100, 400] {
-        let (allocs, events) = steady_state(receivers, "receiver.rtp_received", |broker, id, filter| {
-            Box::new(RtpReceiver::new(broker, id, filter, payload_type::H263, recv_cpu))
-        });
-        assert!(allocs <= 8.0, "{receivers} RtpReceivers: {allocs} allocations per packet");
-        assert!(events <= 2.05, "{receivers} RtpReceivers: {events} events per delivery");
+        for (name, delivered, client) in clients {
+            let (allocs, pops) = stepped(receivers, delivered, client);
+            assert!(allocs <= 8.0, "{receivers} {name}: {allocs} allocations per packet");
+            assert!(pops <= 2.05, "{receivers} {name}: {pops} step() events per delivery");
 
-        // The frontier rig's receiver: the same engine path, a pooled
-        // histogram instead of per-receiver RTP statistics.
-        let pool = Arc::new(Histogram::new());
-        let (allocs, events) = steady_state(receivers, "bundle.delivered_clients", |broker, id, filter| {
-            Box::new(ClientBundle::new(broker, id, filter, 1, recv_cpu, Arc::clone(&pool)))
-        });
-        assert!(allocs <= 8.0, "{receivers} ClientBundles: {allocs} allocations per packet");
-        assert!(events <= 2.05, "{receivers} ClientBundles: {events} events per delivery");
-        assert_eq!(pool.snapshot().count(), (WARM_PACKETS + MEASURED_PACKETS) * receivers);
+            let (pops, drains) = served(receivers, client);
+            assert!(pops <= 1.01, "{receivers} {name}: {pops} run_until events per delivery");
+            assert_eq!(drains, 0, "{receivers} {name}: run_until popped a Drain");
+        }
+        // Both ClientBundle worlds delivered every packet to every client.
+        pooled += 2 * (WARM_PACKETS + MEASURED_PACKETS) * receivers;
+        assert_eq!(pool.snapshot().count(), pooled);
     }
 }

@@ -13,8 +13,15 @@
 //! the same whatever the `run_until` boundaries and under a `step()`
 //! loop, and a relay whose link slows at a deadline pins that no work
 //! starting after the deadline is served before it.
+//!
+//! The engine holds a fan-out's payload once and its receivers borrow
+//! it: a world whose 32 deliveries of one handle are all queued at once
+//! pins that every receiver sees the handle shared by exactly two
+//! owners (the sender and the engine), and that the engine lets go of it
+//! once the last delivery is done or dropped.
 
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -24,7 +31,7 @@ use mmcs::broker::topic::{Topic, TopicFilter};
 use mmcs::rtp::packet::payload_type;
 use mmcs::rtp::source::{VideoSource, VideoSourceConfig};
 use mmcs::sim::net::{HostId, LinkConfig, NicConfig};
-use mmcs::sim::{Context, Packet, Process, ProcessId, Simulation};
+use mmcs::sim::{Context, Packet, Payload, Process, ProcessId, Simulation};
 use mmcs_bench::load::{Publisher, PublisherConfig, RtpReceiver};
 use mmcs_util::id::{BrokerId, ClientId};
 use mmcs_util::rate::Bandwidth;
@@ -694,4 +701,75 @@ fn run_until_serves_no_work_past_its_deadline() {
     let delays = &sim.process_ref::<DelaySink>(sink).expect("sink").delays;
     let one_way = slow + Bandwidth::from_gbps(1).transmit_time(100);
     assert_eq!(delays, &[one_way; 3]);
+}
+
+/// Keeps a handle to its payload and sends it to every receiver, then
+/// once more into a full NIC queue and once to a process that does not
+/// exist.
+struct FanOut {
+    payload: Payload,
+    receivers: Vec<ProcessId>,
+}
+
+impl Process for FanOut {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for &receiver in &self.receivers {
+            ctx.send_shared(receiver, &self.payload, 1250);
+        }
+        ctx.send_shared(self.receivers[0], &self.payload, 1250);
+        ctx.send_shared(ProcessId(9_999), &self.payload, 1250);
+    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _packet: Packet) {}
+}
+
+/// Records how many owners the payload handle it was delivered had.
+#[derive(Default)]
+struct OwnerCount {
+    owners: Vec<usize>,
+}
+
+impl Process for OwnerCount {
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
+        assert_eq!(packet.payload::<&str>(), Some(&"frame"));
+        self.owners.push(Arc::strong_count(packet.payload_handle()));
+    }
+}
+
+/// A fan-out holds its payload once. The sender's 1 Mbps NIC takes
+/// 10 ms per packet, so all 32 deliveries are queued at once, and its
+/// queue holds exactly 32: the 33rd send is dropped there, and the 34th
+/// names no process. Every receiver borrows the one handle the engine
+/// holds for all of them (two owners: the sender and the engine), and
+/// when the queue is empty the sender is the only owner again. An
+/// engine that cloned the handle per send, or kept a dropped send's
+/// hold, fails one of the counts; one that let go too early loses a
+/// delivery.
+#[test]
+fn a_fan_out_holds_its_payload_once() {
+    const RECEIVERS: usize = 32;
+    let mut sim = Simulation::new(3);
+    let slow = NicConfig {
+        bandwidth: Bandwidth::from_mbps(1),
+        queue_bytes: RECEIVERS as u64 * 1250 + 625,
+        ..NicConfig::default()
+    };
+    let sender_host = sim.add_host("sender", slow);
+    let receiver_host = sim.add_host("receivers", NicConfig::default());
+    let receivers: Vec<ProcessId> = (0..RECEIVERS)
+        .map(|_| sim.add_typed_process(receiver_host, OwnerCount::default()))
+        .collect();
+    let payload: Payload = Arc::new("frame");
+    let fan_out = FanOut { payload, receivers: receivers.clone() };
+    let sender = sim.add_typed_process(sender_host, fan_out);
+
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.counter("net.delivered"), RECEIVERS as u64);
+    assert_eq!(sim.counter("net.dropped.queue"), 1);
+    assert_eq!(sim.counter("net.dropped.noroute"), 1);
+    for receiver in receivers {
+        let owners = &sim.process_ref::<OwnerCount>(receiver).expect("receiver").owners;
+        assert_eq!(owners, &[2], "{receiver}");
+    }
+    let kept = &sim.process_ref::<FanOut>(sender).expect("sender").payload;
+    assert_eq!(Arc::strong_count(kept), 1);
 }
