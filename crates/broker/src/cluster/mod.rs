@@ -6,7 +6,8 @@
 //! via the anti-entropy gossip of [`crate::gossip`], and events cross
 //! nodes as [`ClusterFrame`]s — a 16-byte envelope around the PR-6
 //! zero-copy [`crate::wire`] event frame. Clients are homed to the
-//! nearest **zone gateway** by a static [`LatencyMap`], and inter-node
+//! nearest **zone gateway** by a static [`LatencyMap`] and stay there,
+//! the way the paper homes a client on one broker; inter-node
 //! routing follows latency-weighted shortest paths ([`RouteTable`],
 //! Floyd–Warshall over the same map, minus the links a failure detector
 //! suspects) with a hard hop bound ([`MAX_HOPS`]) so no forwarding loop
@@ -92,7 +93,6 @@ mod plane;
 mod route;
 mod tcp;
 
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,7 +100,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mmcs_util::id::ClientId;
-use parking_lot::Mutex;
 
 use crate::event::{Event, EventClass};
 use crate::gossip::{GossipState, InterestEntry, NodeId};
@@ -251,12 +250,6 @@ impl ClusterShared {
         self.planes.get(node as usize).map(Arc::as_ref)
     }
 
-    /// Attaches client `id` to `node`'s broker.
-    fn attach_at(&self, node: NodeId, id: ClientId) -> ShardedClient {
-        let plane = self.plane(node).expect("home node in range");
-        plane.broker.attach_as(id)
-    }
-
     /// Runs `change` on `node`'s gossip state (see
     /// [`DataPlane::change_interest`]).
     fn change_interest(&self, node: NodeId, change: impl FnOnce(&mut GossipState)) {
@@ -308,24 +301,17 @@ impl Cluster {
         &self.shared.planes[index].broker
     }
 
-    /// Attaches a client homed to `zone`'s nearest gateway node. Client
-    /// ids are allocated at cluster scope, so they stay unique across
-    /// nodes and survive [`ClusterClient::move_to_zone`].
+    /// Attaches a client homed to `zone`'s nearest gateway node, where it
+    /// stays. Client ids are allocated at cluster scope, so they are
+    /// unique across nodes.
     pub fn attach(&self, zone: usize) -> ClusterClient {
         let id = ClientId::from_raw(self.shared.next_client.fetch_add(1, Ordering::Relaxed));
         let node = self.shared.latency.home_node(zone);
-        let inner = self.shared.attach_at(node, id);
+        let plane = Arc::clone(&self.shared.planes[node as usize]);
         ClusterClient {
-            id,
-            shared: Arc::clone(&self.shared),
-            state: Mutex::new(ClientState {
-                zone,
-                node,
-                inner,
-                filters: Vec::new(),
-                stash: VecDeque::new(),
-            }),
-            seq: AtomicU64::new(0),
+            inner: plane.broker.attach_as(id),
+            plane,
+            zone,
         }
     }
 
@@ -565,75 +551,47 @@ impl std::fmt::Debug for Cluster {
     }
 }
 
-/// Mutable per-client state behind the [`ClusterClient`] handle.
-struct ClientState {
-    zone: usize,
-    node: NodeId,
-    inner: ShardedClient,
-    filters: Vec<TopicFilter>,
-    /// Deliveries drained from the previous gateway during a move,
-    /// handed out before new ones so nothing is lost or reordered.
-    stash: VecDeque<Arc<Event>>,
-}
-
-/// A client of the federation: homed on one zone gateway, movable
-/// between zones, publishing and receiving through its current node.
+/// A client of the federation: homed on the zone gateway it attached
+/// at, for its whole life, publishing and receiving through that node.
 pub struct ClusterClient {
-    id: ClientId,
-    shared: Arc<ClusterShared>,
-    state: Mutex<ClientState>,
-    seq: AtomicU64,
+    /// The client on its gateway's broker, which holds its filter list.
+    inner: ShardedClient,
+    /// The gateway's data plane.
+    plane: Arc<DataPlane>,
+    zone: usize,
 }
 
 impl ClusterClient {
     /// This client's cluster-unique id.
     pub fn id(&self) -> ClientId {
-        self.id
+        self.inner.id()
     }
 
-    /// The node currently homing this client.
+    /// The node homing this client.
     pub fn node(&self) -> NodeId {
-        self.state.lock().node
+        self.plane.me
     }
 
-    /// The zone this client last homed to.
+    /// The zone this client attached from.
     pub fn zone(&self) -> usize {
-        self.state.lock().zone
+        self.zone
     }
 
     /// Subscribes to `filter`: locally on the home node's broker, and
     /// cluster-wide via the gossip interest plane. Duplicate
     /// subscriptions are a no-op, mirroring [`crate::node::BrokerNode`].
     pub fn subscribe(&self, filter: TopicFilter) {
-        let node = {
-            let mut state = self.state.lock();
-            if state.filters.contains(&filter) {
-                return;
-            }
-            state.inner.subscribe(filter.clone());
-            state.filters.push(filter.clone());
-            state.node
-        };
-        self.shared.change_interest(node, |gossip| {
-            gossip.subscribe(&filter);
-        });
+        if self.inner.change_filter(filter.clone(), true) {
+            self.plane.change_interest(|gossip| gossip.subscribe(&filter));
+        }
     }
 
     /// Removes one subscription; a filter this client does not hold is
     /// a no-op.
     pub fn unsubscribe(&self, filter: &TopicFilter) {
-        let node = {
-            let mut state = self.state.lock();
-            let Some(pos) = state.filters.iter().position(|f| f == filter) else {
-                return;
-            };
-            state.filters.remove(pos);
-            state.inner.unsubscribe(filter.clone());
-            state.node
-        };
-        self.shared.change_interest(node, |gossip| {
-            gossip.unsubscribe(filter);
-        });
+        if self.inner.change_filter(filter.clone(), false) {
+            self.plane.change_interest(|gossip| gossip.unsubscribe(filter));
+        }
     }
 
     /// Publishes a data event through the home gateway.
@@ -643,100 +601,36 @@ impl ClusterClient {
 
     /// Publishes with an explicit class, on the calling thread: into the
     /// home node's broker as this client's publish, then one frame per
-    /// interested remote node. The sequence counter lives in this
-    /// handle, so per-source ordering survives zone moves.
+    /// interested remote node.
     pub fn publish_class(&self, topic: Topic, class: EventClass, payload: Bytes) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let event = Event::new(topic, self.id, seq, class, payload).into_shared();
-        let node = {
-            let state = self.state.lock();
-            state.inner.publish_shared(Arc::clone(&event));
-            state.node
-        };
-        if let Some(plane) = self.shared.plane(node) {
-            plane.publish(&event);
-        }
+        let event = self.inner.next_event(topic, class, payload);
+        self.inner.publish_shared(Arc::clone(&event));
+        self.plane.publish(&event);
     }
 
-    /// Rehomes this client to `zone`'s nearest gateway. Pending
-    /// deliveries are drained into a stash first, so with the cluster
-    /// quiesced a move loses and reorders nothing; subscriptions are
-    /// re-established on the new node and withdrawn from the old one.
-    pub fn move_to_zone(&self, zone: usize) {
-        let (old_node, new_node, filters) = {
-            let mut state = self.state.lock();
-            state.zone = zone;
-            let new_node = self.shared.latency.home_node(zone);
-            if new_node == state.node {
-                return;
-            }
-            let mut pending = Vec::new();
-            state.inner.drain_into(&mut pending);
-            state.stash.extend(pending);
-            for filter in state.filters.clone() {
-                state.inner.unsubscribe(filter);
-            }
-            // Replacing the handle detaches the old attachment on drop.
-            state.inner = self.shared.attach_at(new_node, self.id);
-            for filter in state.filters.clone() {
-                state.inner.subscribe(filter);
-            }
-            let old_node = std::mem::replace(&mut state.node, new_node);
-            (old_node, new_node, state.filters.clone())
-        };
-        self.shared.change_interest(old_node, |gossip| {
-            for filter in &filters {
-                gossip.unsubscribe(filter);
-            }
-        });
-        self.shared.change_interest(new_node, |gossip| {
-            for filter in &filters {
-                gossip.subscribe(filter);
-            }
-        });
-    }
-
-    /// Receives the next delivered event, waiting up to `timeout`. The
-    /// wait is on the current gateway's mailbox and holds no lock of
-    /// this handle, so sibling threads keep publishing meanwhile; a
-    /// [`ClusterClient::move_to_zone`] during the wait ends it early.
+    /// Receives the next delivered event, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
-        let mailbox = {
-            let mut state = self.state.lock();
-            // Stashed events are older than anything the mailbox holds.
-            if let Some(stashed) = state.stash.pop_front() {
-                return Some(stashed);
-            }
-            state.inner.mailbox()
-        };
-        mailbox.recv_timeout(timeout)
+        self.inner.recv_timeout(timeout)
     }
 
     /// Receives without blocking.
     pub fn try_recv(&self) -> Option<Arc<Event>> {
-        let mut state = self.state.lock();
-        let stashed = state.stash.pop_front();
-        stashed.or_else(|| state.inner.try_recv())
+        self.inner.try_recv()
     }
 
-    /// Drains everything currently delivered into `sink`, stashed
-    /// events first; returns how many were appended.
+    /// Drains everything currently delivered into `sink`; returns how
+    /// many events were appended.
     pub fn drain_into(&self, sink: &mut Vec<Arc<Event>>) -> usize {
-        let mut state = self.state.lock();
-        let before = sink.len();
-        sink.extend(state.stash.drain(..));
-        state.inner.drain_into(sink);
-        sink.len() - before
+        self.inner.drain_into(sink)
     }
 }
 
 impl std::fmt::Debug for ClusterClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock();
         f.debug_struct("ClusterClient")
-            .field("id", &self.id)
-            .field("node", &state.node)
-            .field("zone", &state.zone)
+            .field("id", &self.id())
+            .field("node", &self.node())
+            .field("zone", &self.zone)
             .finish_non_exhaustive()
     }
 }

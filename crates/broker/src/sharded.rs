@@ -26,7 +26,9 @@
 //!   id). All of the client's subscriptions live as **local**
 //!   subscriptions only on its home shard's node, so overlapping
 //!   filters dedup in one place and each event is delivered at most
-//!   once.
+//!   once. The client's filter list itself lives once, in its
+//!   [`ShardedClient`] handle: a duplicate subscribe or an unknown
+//!   unsubscribe stops there, and no shard keeps a copy.
 //! * **Cross-shard forwarding ring**: a shard's peers are the other
 //!   shards, each known to its node only as a peer id (the shard index).
 //!   When a client's filter can match topics owned by another shard,
@@ -52,8 +54,12 @@
 //! broadcast to all shards and become visible shard-by-shard; data
 //! routing is exact between control epochs. Commands from one thread
 //! stay FIFO per shard queue, so the classic "subscribe, then publish"
-//! sequence from a single thread is reliably delivered. Tests settle
-//! in-flight traffic with [`ShardedBroker::quiesce`].
+//! sequence from a single thread is reliably delivered. A handle
+//! broadcasts a subscription change while it holds its filter list, so
+//! every shard sees one client's changes in the list's order, and a
+//! detach hands the list to the shards, which withdraw the remote
+//! interest it caused; after it the handle ignores control operations.
+//! Tests settle in-flight traffic with [`ShardedBroker::quiesce`].
 //!
 //! # Backpressure
 //!
@@ -88,7 +94,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -165,7 +171,9 @@ enum ShardCmd {
         /// `Some` only on the client's home shard.
         delivery: Option<MailboxWriter>,
     },
-    Detach(ClientId),
+    /// The client's filter list, empty on its home shard (the node drops
+    /// local subscriptions with the client).
+    Detach(ClientId, Vec<TopicFilter>),
     Subscribe(ClientId, TopicFilter),
     Unsubscribe(ClientId, TopicFilter),
     Event(Inbound),
@@ -206,7 +214,7 @@ fn cmd_bytes(cmd: &ShardCmd) -> usize {
 
 /// One client's egress: the buffer its home worker appends to and the
 /// client handle drains, shared by both.
-pub(crate) struct Mailbox {
+struct Mailbox {
     /// Mirrors the buffer's length (written under the lock), so a drain
     /// that would find nothing returns without taking it.
     len: AtomicUsize,
@@ -276,7 +284,7 @@ impl Mailbox {
 
     /// Pops the next event, sleeping up to `timeout` for one. A closed
     /// mailbox hands out what it still holds, then `None` at once.
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
+    fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
         let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
         let deadline = monotonic_now().saturating_add(SimDuration::from_nanos(nanos));
         let mut inbox = self.inbox.lock();
@@ -492,10 +500,9 @@ impl ShardedBroker {
 
     /// Attaches a client under a caller-chosen id. The federation layer
     /// ([`crate::cluster`]) allocates client ids at cluster scope so
-    /// they stay globally unique across nodes and survive a client
-    /// moving between zone gateways. The caller owns uniqueness: a
-    /// duplicate id is rejected shard-side and the returned handle
-    /// receives nothing.
+    /// they stay globally unique across nodes. The caller owns
+    /// uniqueness: a duplicate id is rejected shard-side and the
+    /// returned handle receives nothing.
     pub fn attach_as_with(&self, id: ClientId, profile: TransportProfile) -> ShardedClient {
         let home = self.home_shard(id);
         let mailbox = Mailbox::new();
@@ -512,6 +519,7 @@ impl ShardedBroker {
             router: Arc::clone(&self.router),
             mailbox,
             seq: AtomicU64::new(0),
+            filters: Mutex::new(Some(Vec::new())),
         }
     }
 
@@ -600,13 +608,17 @@ impl std::fmt::Debug for ShardedBroker {
 
 /// A client handle bound to a [`ShardedBroker`]. Deliveries arrive in
 /// the client's mailbox, appended by its home worker once per processed
-/// batch, and are taken one at a time or all at once.
+/// batch, and are taken one at a time or all at once. The handle holds
+/// the client's filter list; only subscribe, unsubscribe and detach
+/// lock it.
 pub struct ShardedClient {
     id: ClientId,
     home: usize,
     router: Arc<Router>,
     mailbox: Arc<Mailbox>,
     seq: AtomicU64,
+    /// The client's filters, `None` once it has detached.
+    filters: Mutex<Option<Vec<TopicFilter>>>,
 }
 
 impl ShardedClient {
@@ -620,24 +632,44 @@ impl ShardedClient {
         self.home
     }
 
-    /// The receiving end, for a wrapper that must wait on it without
-    /// holding whatever guards this handle.
-    pub(crate) fn mailbox(&self) -> Arc<Mailbox> {
-        Arc::clone(&self.mailbox)
-    }
-
     /// Subscribes to a filter. The subscription is broadcast to all
     /// shards; the home shard records it locally and each shard that
     /// may own a matching topic counts one remote interest pointing home.
+    /// A filter the client already holds, or a detached client, changes
+    /// nothing.
     pub fn subscribe(&self, filter: TopicFilter) {
-        self.router
-            .broadcast(|| ShardCmd::Subscribe(self.id, filter.clone()));
+        self.change_filter(filter, true);
     }
 
-    /// Removes one subscription.
+    /// Removes one subscription; a filter the client does not hold is a
+    /// no-op.
     pub fn unsubscribe(&self, filter: TopicFilter) {
-        self.router
-            .broadcast(|| ShardCmd::Unsubscribe(self.id, filter.clone()));
+        self.change_filter(filter, false);
+    }
+
+    /// Adds (`subscribe`) or removes `filter` and tells every shard, if
+    /// that changes the client's list; returns whether it did. The
+    /// broadcast runs under the list's lock, so concurrent changes reach
+    /// every shard in the order the list took them.
+    pub(crate) fn change_filter(&self, filter: TopicFilter, subscribe: bool) -> bool {
+        let mut filters = self.filters.lock();
+        let Some(list) = filters.as_mut() else {
+            return false;
+        };
+        match (list.iter().position(|f| *f == filter), subscribe) {
+            (None, true) => {
+                self.router
+                    .broadcast(|| ShardCmd::Subscribe(self.id, filter.clone()));
+                list.push(filter);
+            }
+            (Some(pos), false) => {
+                list.remove(pos);
+                self.router
+                    .broadcast(|| ShardCmd::Unsubscribe(self.id, filter.clone()));
+            }
+            _ => return false,
+        }
+        true
     }
 
     /// Publishes a data event to its owner shard, waiting while that
@@ -648,17 +680,18 @@ impl ShardedClient {
 
     /// Publishes an event with an explicit class.
     pub fn publish_class(&self, topic: Topic, class: EventClass, payload: bytes::Bytes) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let shard = owner_shard_of_topic(&topic, self.router.shard_count());
-        let event = Event::new(topic, self.id, seq, class, payload).into_shared();
-        self.router
-            .publish_to(shard, ShardCmd::Event(Inbound::Publish(self.id, event)));
+        self.publish_shared(self.next_event(topic, class, payload));
     }
 
-    /// Publishes an event built by the caller as this client's publish
-    /// (its `source` should be this client). The federation layer
-    /// numbers a client's events across zone moves itself, and shares
-    /// the one `Arc` with the frames it sends to other nodes.
+    /// This client's next event, numbered by this handle.
+    pub(crate) fn next_event(&self, topic: Topic, class: EventClass, payload: bytes::Bytes) -> Arc<Event> {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        Event::new(topic, self.id, seq, class, payload).into_shared()
+    }
+
+    /// Publishes an event from [`ShardedClient::next_event`]. The
+    /// federation layer shares the one `Arc` with the frames it sends to
+    /// other nodes.
     pub(crate) fn publish_shared(&self, event: Arc<Event>) {
         let shard = owner_shard_of_topic(&event.topic, self.router.shard_count());
         self.router
@@ -686,9 +719,17 @@ impl ShardedClient {
         self.mailbox.try_recv()
     }
 
-    /// Detaches this client everywhere (also done on drop).
+    /// Detaches this client everywhere (also done on drop). Every other
+    /// shard gets the filter list with the detach, to withdraw the
+    /// remote interest it counted; later control operations are ignored.
     pub fn detach(&self) {
-        self.router.broadcast(|| ShardCmd::Detach(self.id));
+        let Some(filters) = self.filters.lock().take() else {
+            return;
+        };
+        for (index, ingress) in self.router.shards.iter().enumerate() {
+            let withdraw = if index == self.home { Vec::new() } else { filters.clone() };
+            ingress.push(ShardCmd::Detach(self.id, withdraw));
+        }
     }
 }
 
@@ -749,7 +790,7 @@ impl Egress {
     }
 }
 
-/// Per-worker state: one node slice plus every client's filter list.
+/// Per-worker state: one node slice and the egress of its homed clients.
 struct ShardWorker {
     index: usize,
     shards: usize,
@@ -758,9 +799,6 @@ struct ShardWorker {
     metrics: Option<Arc<BrokerMetrics>>,
     node: BrokerNode,
     egress: Egress,
-    /// Every client's filter list (all shards track all clients, so
-    /// duplicate subscribes dedup identically everywhere).
-    filters: HashMap<ClientId, Vec<TopicFilter>>,
     /// Barrier acks owed after the current batch's flush.
     acks: Vec<BarrierAck>,
 }
@@ -785,7 +823,6 @@ impl ShardWorker {
             metrics,
             node: BrokerNode::new(BrokerId::from_raw(index as u64)),
             egress: Egress::default(),
-            filters: HashMap::new(),
             acks: Vec::new(),
         }
     }
@@ -835,9 +872,15 @@ impl ShardWorker {
                     }
                     self.apply_control(Input::AttachClient { client, profile });
                 }
-                ShardCmd::Detach(client) => self.detach(client),
-                ShardCmd::Subscribe(client, filter) => self.subscribe(client, filter),
-                ShardCmd::Unsubscribe(client, filter) => self.unsubscribe(client, filter),
+                ShardCmd::Detach(client, filters) => {
+                    self.egress.slots.remove(&client);
+                    for filter in filters {
+                        self.interest(client, filter, false);
+                    }
+                    self.apply_control(Input::DetachClient { client });
+                }
+                ShardCmd::Subscribe(client, filter) => self.interest(client, filter, true),
+                ShardCmd::Unsubscribe(client, filter) => self.interest(client, filter, false),
                 ShardCmd::Event(inbound) => self.fan_out(inbound),
                 ShardCmd::Barrier(ack) => self.acks.push(ack),
                 ShardCmd::Stall(duration) => std::thread::sleep(duration),
@@ -868,71 +911,21 @@ impl ShardWorker {
         let _ = self.node.handle_into(input, &mut Vec::new());
     }
 
-    fn subscribe(&mut self, client: ClientId, filter: TopicFilter) {
-        let known = self
-            .filters
-            .get(&client)
-            .is_some_and(|fs| fs.contains(&filter));
-        if known {
-            return; // duplicate subscribe: no-op, same as the node.
-        }
-        self.filters
-            .entry(client)
-            .or_default()
-            .push(filter.clone());
+    /// Feeds the node one change of a client's subscriptions, which the
+    /// client's handle has already deduplicated: the subscription itself
+    /// at home, or one remote interest pointing home where this shard
+    /// may own a matching topic.
+    fn interest(&mut self, client: ClientId, filter: TopicFilter, subscribe: bool) {
         let home = home_shard(client, self.shards);
-        if home == self.index {
-            self.apply_control(Input::Subscribe { client, filter });
-        } else if shard_may_own(&filter, self.index, self.shards) {
-            self.apply_control(Input::RemoteSubscribe {
-                peer: BrokerId::from_raw(home as u64),
-                filter,
-            });
-        }
-    }
-
-    fn unsubscribe(&mut self, client: ClientId, filter: TopicFilter) {
-        let removed = match self.filters.get_mut(&client) {
-            Some(fs) => match fs.iter().position(|f| *f == filter) {
-                Some(pos) => {
-                    fs.remove(pos);
-                    true
-                }
-                None => false,
-            },
-            None => false,
+        let peer = BrokerId::from_raw(home as u64);
+        let input = match (home == self.index, subscribe) {
+            (true, true) => Input::Subscribe { client, filter },
+            (true, false) => Input::Unsubscribe { client, filter },
+            (false, _) if !shard_may_own(&filter, self.index, self.shards) => return,
+            (false, true) => Input::RemoteSubscribe { peer, filter },
+            (false, false) => Input::RemoteUnsubscribe { peer, filter },
         };
-        if !removed {
-            return;
-        }
-        let home = home_shard(client, self.shards);
-        if home == self.index {
-            self.apply_control(Input::Unsubscribe { client, filter });
-        } else if shard_may_own(&filter, self.index, self.shards) {
-            self.apply_control(Input::RemoteUnsubscribe {
-                peer: BrokerId::from_raw(home as u64),
-                filter,
-            });
-        }
-    }
-
-    fn detach(&mut self, client: ClientId) {
-        self.egress.slots.remove(&client);
-        let home = home_shard(client, self.shards);
-        if let Some(filters) = self.filters.remove(&client) {
-            if home != self.index {
-                for filter in filters {
-                    if shard_may_own(&filter, self.index, self.shards) {
-                        self.apply_control(Input::RemoteUnsubscribe {
-                            peer: BrokerId::from_raw(home as u64),
-                            filter,
-                        });
-                    }
-                }
-            }
-            // Home-shard local subscriptions fall with DetachClient.
-        }
-        self.apply_control(Input::DetachClient { client });
+        self.apply_control(input);
     }
 
     /// The one data path, for all three ways an event enters a shard:
@@ -1211,6 +1204,73 @@ mod tests {
             publisher.publish(topic("d/x"), Bytes::new());
             assert!(fresh.recv_timeout(RECV).is_some());
             assert!(fresh.try_recv().is_none());
+        }
+    }
+
+    /// A client of `broker` homed on any shard but `shard`.
+    fn homed_off(broker: &ShardedBroker, shard: usize) -> ShardedClient {
+        loop {
+            let client = broker.attach();
+            if client.home_shard() != shard {
+                return client;
+            }
+        }
+    }
+
+    #[test]
+    fn detach_withdraws_remote_interest() {
+        for shards in [2, 4] {
+            let metrics = ShardedBrokerMetrics::detached(shards);
+            let broker = ShardedBroker::spawn_with_metrics(Arc::clone(&metrics));
+            let owner = broker.shard_for_topic(&topic("w/x"));
+            let publisher = broker.attach();
+            let forwards = || metrics.total(|s| s.cross_shard_forwards.get());
+            let publish = |count| {
+                for _ in 0..count {
+                    publisher.publish(topic("w/x"), Bytes::new());
+                }
+                broker.quiesce();
+            };
+            let subscriber = homed_off(&broker, owner);
+            subscriber.subscribe(filter("w/#"));
+            broker.quiesce();
+            publish(1);
+            assert_eq!(forwards(), 1, "{shards} shards: one hop to the subscriber's home");
+            assert!(subscriber.try_recv().is_some());
+            subscriber.detach();
+            broker.quiesce();
+            publish(10);
+            assert_eq!(forwards(), 1, "{shards} shards: the owner still routes to a detached client");
+            // A duplicate subscribe is one subscription: one unsubscribe
+            // ends it, on the owner shard too.
+            let flapper = homed_off(&broker, owner);
+            flapper.subscribe(filter("w/#"));
+            flapper.subscribe(filter("w/#"));
+            flapper.unsubscribe(filter("w/#"));
+            broker.quiesce();
+            publish(10);
+            assert_eq!(forwards(), 1, "{shards} shards: an unsubscribed filter still routes");
+            assert!(flapper.try_recv().is_none());
+        }
+    }
+
+    #[test]
+    fn a_detached_client_ignores_control_operations() {
+        for shards in [2, 4] {
+            let metrics = ShardedBrokerMetrics::detached(shards);
+            let broker = ShardedBroker::spawn_with_metrics(Arc::clone(&metrics));
+            let owner = broker.shard_for_topic(&topic("w/x"));
+            let publisher = broker.attach();
+            let subscriber = homed_off(&broker, owner);
+            subscriber.detach();
+            subscriber.subscribe(filter("w/#"));
+            broker.quiesce();
+            for _ in 0..10 {
+                publisher.publish(topic("w/x"), Bytes::new());
+            }
+            broker.quiesce();
+            assert_eq!(metrics.total(|s| s.cross_shard_forwards.get()), 0, "{shards} shards");
+            assert!(subscriber.try_recv().is_none());
         }
     }
 

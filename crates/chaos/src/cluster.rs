@@ -3,7 +3,7 @@
 //! Drives a **real** [`Cluster`] — live sharded node brokers, gossip
 //! interest exchange, multi-hop frame routing, failure detection — with
 //! a deterministic, seed-derived schedule of subscription flapping,
-//! client zone moves, publish bursts, and federation faults: node
+//! publish bursts, and federation faults: node
 //! crashes, zone partitions (severed links), and gossip loss (interest
 //! frames dropped while events still flow). Every fault toggle is
 //! preceded by a cluster quiesce, and a gossip round runs on the calling
@@ -152,8 +152,6 @@ pub enum ClusterOp {
     Unsubscribe(usize, String),
     /// Client `index` publishes to the topic path.
     Publish(usize, String),
-    /// Client `index` rehomes to the zone.
-    Move(usize, usize),
     /// Crash the node's gateway (no-op if already down).
     Crash(usize),
     /// Restart a crashed node (no-op if up).
@@ -177,7 +175,7 @@ pub fn generate_cluster_ops(config: &ClusterChaosConfig) -> Vec<ClusterOp> {
     let n = config.nodes;
     let mut ops = Vec::with_capacity(config.ops);
     for _ in 0..config.ops {
-        let roll = rng.range_u64(0, 100);
+        let roll = rng.range_u64(0, 94);
         let client = rng.range_usize(0, config.clients);
         let a = rng.range_usize(0, n);
         let b = rng.range_usize(0, n);
@@ -186,20 +184,18 @@ pub fn generate_cluster_ops(config: &ClusterChaosConfig) -> Vec<ClusterOp> {
         } else if roll < 28 {
             ClusterOp::Unsubscribe(client, random_filter(&mut rng))
         } else if roll < 34 {
-            ClusterOp::Move(client, rng.range_usize(0, 2 * n))
-        } else if roll < 40 {
             ClusterOp::Crash(a)
-        } else if roll < 47 {
+        } else if roll < 41 {
             ClusterOp::Restore(a)
-        } else if roll < 52 {
+        } else if roll < 46 {
             ClusterOp::Partition(a, b)
-        } else if roll < 58 {
+        } else if roll < 52 {
             ClusterOp::HealLink(a, b)
-        } else if roll < 63 {
+        } else if roll < 57 {
             ClusterOp::GossipLoss(a, b)
-        } else if roll < 68 {
+        } else if roll < 62 {
             ClusterOp::GossipHeal(a, b)
-        } else if roll < 78 {
+        } else if roll < 72 {
             ClusterOp::GossipRound
         } else {
             ClusterOp::Publish(client, random_topic(&mut rng))
@@ -337,11 +333,6 @@ pub fn run_cluster(
                     cluster.quiesce();
                 }
             }
-            ClusterOp::Move(index, zone) => {
-                cluster.quiesce();
-                clients[*index].move_to_zone(*zone);
-                cluster.quiesce();
-            }
             ClusterOp::Crash(node) => {
                 if crashed.insert(*node) {
                     cluster.quiesce();
@@ -478,13 +469,12 @@ fn converged_around(cluster: &Cluster, down: usize) -> bool {
 /// on its publisher's side of that node.
 pub fn oracle_probes(config: &ClusterChaosConfig, ops: &[ClusterOp]) -> Vec<Delivery> {
     let latency = config.latency();
-    let mut homes: Vec<usize> = (0..config.clients)
+    let homes: Vec<usize> = (0..config.clients)
         .map(|i| latency.home_node(i % (2 * config.nodes)) as usize)
         .collect();
     let mut oracle = Oracle::new(config.clients);
     for op in ops {
         match op {
-            ClusterOp::Move(index, zone) => homes[*index] = latency.home_node(*zone) as usize,
             ClusterOp::Subscribe(index, pattern) => {
                 if let Ok(filter) = TopicFilter::parse(pattern) {
                     oracle.add_filter(*index, filter);

@@ -642,19 +642,29 @@ impl Simulation {
             EventKind::Deliver(delivery) => delivery.dst,
             EventKind::Drain(host) => {
                 self.pops.1 += 1;
-                // Run the backlog's head; arm the next drain for the
-                // rest, each one event, so a backlog of K drains in K
-                // events instead of K^2 heap churn.
+                // Run the backlog from its head while the next item can
+                // start by the horizon (nothing popped later can start
+                // ahead of a backlog item; under `step()` the horizon is
+                // the drain's own time, so that is the head alone unless
+                // it took no CPU), then arm one drain for the rest, so a
+                // backlog of K drains in at most K events instead of K^2
+                // heap churn.
                 let host = *host;
-                if let Some(kind) = self.core.net.host_mut(host).pending.pop_front() {
-                    self.dispatch(kind, host, now);
+                let mut ran = now;
+                while let Some(kind) = self.core.net.host_mut(host).pending.pop_front() {
+                    ran = self.core.net.host_mut(host).cpu_free_at.max(now);
+                    self.dispatch(kind, host, ran);
                     let host_state = self.core.net.host_mut(host);
-                    if !host_state.pending.is_empty() {
+                    if host_state.pending.is_empty() {
+                        break;
+                    }
+                    if host_state.cpu_free_at > horizon {
                         let at = host_state.cpu_free_at.max(now);
                         self.core.push_from(host, at, EventKind::Drain(host));
+                        break;
                     }
                 }
-                return now;
+                return ran;
             }
         };
         let Some(host) = self.core.host_of(pid) else {
@@ -752,8 +762,9 @@ impl Simulation {
     ///
     /// Work that finds its host's CPU busy behind an empty backlog runs
     /// in the call that pops it, at the time the CPU frees, when that is
-    /// no later than `deadline`; only work that cannot start by then
-    /// waits in the backlog for a drain event. Every host runs the same
+    /// no later than `deadline`, and a drain event serves its backlog in
+    /// order up to the first item that cannot start by then; only that
+    /// work waits for a next drain event. Every host runs the same
     /// callbacks at the same virtual times, in the same order, as under
     /// [`Simulation::step`]; a [`Simulation::set_link`] between two
     /// calls reaches every send stamped after the first call's deadline.

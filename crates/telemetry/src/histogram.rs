@@ -244,9 +244,8 @@ impl HistogramSnapshot {
         }
     }
 
-    /// The value at quantile `q` (clamped to `[0, 1]`), using the same
-    /// nearest-rank convention as `mmcs_util::stats::SampleSeries`:
-    /// rank `round((count - 1) × q)`. Returns the containing bucket's
+    /// The value at quantile `q` (clamped to `[0, 1]`), using the
+    /// nearest-rank convention: rank `round((count - 1) × q)`. Returns the containing bucket's
     /// midpoint — within [`Histogram::REL_ERROR`] of the exact order
     /// statistic. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {

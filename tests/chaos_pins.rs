@@ -11,15 +11,15 @@
 use mmcs_chaos::cluster::{generate_cluster_ops, run_cluster, ClusterChaosConfig, Transport};
 
 /// Seed 7: 3-node chain (relays of hop 2); 20: 4-node mesh; 24: 2-node
-/// mesh; 29: 4-node chain; 8 and 63: the chain-plus-chord map with node
+/// mesh; 29: 4-node chain; 8 and 78: the chain-plus-chord map with node
 /// 2 left crashed, whose probes reach node 3 only over the chord.
 const CLUSTER_PINS: [(u64, u64); 6] = [
-    (7, 0xb414_2bf7_8947_9382),
-    (20, 0xfde2_6d22_5041_fb54),
-    (24, 0xda6a_a452_5487_6b2c),
-    (29, 0xa39a_4017_0638_9379),
-    (8, 0xa0f2_a5f4_a8fd_073e),
-    (63, 0xd718_cc1a_2e76_5cdf),
+    (7, 0x56b9_d141_a813_1c02),
+    (20, 0x9d27_5526_31ec_d4ea),
+    (24, 0xe1f5_9581_e475_4a45),
+    (29, 0x4b31_e92b_c98c_c40f),
+    (8, 0xda98_cfa5_731e_1adf),
+    (78, 0x3d54_fae2_39e9_68f7),
 ];
 
 fn pinned_on(transport: Transport) {

@@ -22,8 +22,9 @@
 //! `Deliver`, then the `Drain` that runs it) and never more.
 //! `run_until` serves such a delivery in the call that pops it: one
 //! whole run in one call pops at most 1.01 events per delivery, none of
-//! them a `Drain`. `tests/sim_properties.rs` checks that the two give
-//! the same run.
+//! them a `Drain`, and so does one call after a `step()` warm-up, whose
+//! parked backlog one `Drain` serves up to the call's horizon.
+//! `tests/sim_properties.rs` checks that the two give the same run.
 //!
 //! This file holds exactly one test so the counting allocator sees no
 //! traffic from sibling tests in the same binary.
@@ -145,6 +146,22 @@ fn served(receivers: u64, client: MakeClient<'_>) -> (f64, u64) {
     (pops as f64 / deliveries as f64, drains)
 }
 
+/// Steps a [`world`] through its warm-up, which leaves the busy client
+/// machine a backlog, then runs the rest in one `run_until`: the first
+/// `Drain` serves that backlog as far as the horizon allows. Returns
+/// events popped per delivery after the warm-up.
+fn served_after_steps(receivers: u64, client: MakeClient<'_>) -> f64 {
+    let mut sim = world(receivers, client);
+    while sim.counter("publisher.rtp_sent") < WARM_PACKETS {
+        assert!(sim.step(), "the publisher stopped before the warm-up ended");
+    }
+    let (pops_before, delivered_before) = (sim.event_pops().0, sim.counter("net.delivered"));
+    sim.run_until(SimTime::MAX);
+    let deliveries = sim.counter("net.delivered") - delivered_before;
+    assert!(deliveries >= MEASURED_PACKETS * receivers);
+    (sim.event_pops().0 - pops_before) as f64 / deliveries as f64
+}
+
 #[test]
 fn warm_delivery_allocates_nothing() {
     let recv_cpu = SimDuration::from_micros(30);
@@ -171,9 +188,13 @@ fn warm_delivery_allocates_nothing() {
             let (pops, drains) = served(receivers, client);
             assert!(pops <= 1.01, "{receivers} {name}: {pops} run_until events per delivery");
             assert_eq!(drains, 0, "{receivers} {name}: run_until popped a Drain");
+
+            let pops = served_after_steps(receivers, client);
+            assert!(pops <= 1.01, "{receivers} {name}: {pops} run_until events per delivery after step()s");
         }
-        // Both ClientBundle worlds delivered every packet to every client.
-        pooled += 2 * (WARM_PACKETS + MEASURED_PACKETS) * receivers;
+        // All three ClientBundle worlds delivered every packet to every
+        // client.
+        pooled += 3 * (WARM_PACKETS + MEASURED_PACKETS) * receivers;
         assert_eq!(pool.snapshot().count(), pooled);
     }
 }
