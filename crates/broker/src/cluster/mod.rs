@@ -625,6 +625,18 @@ impl ClusterClient {
     }
 }
 
+impl Drop for ClusterClient {
+    /// Withdraws the client's filters from its gateway's gossip interest.
+    fn drop(&mut self) {
+        let filters = self.inner.detach_filters();
+        self.plane.change_interest(|gossip| {
+            for filter in &filters {
+                gossip.unsubscribe(filter);
+            }
+        });
+    }
+}
+
 impl std::fmt::Debug for ClusterClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterClient")

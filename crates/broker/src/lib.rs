@@ -43,9 +43,9 @@
 //! * [`sharded`] — the live runtime on real OS threads: the topic space
 //!   is partitioned across N shards (one is a plain single-loop
 //!   broker), each with its own node slice and batched ingress queue,
-//!   joined by a cross-shard forwarding ring; a shard learns the other
-//!   shards' interest from the client's subscription broadcast. Its
-//!   workers and the TCP
+//!   joined by a cross-shard forwarding ring; a client is attached on
+//!   its home shard alone, and its handle sends each subscription to
+//!   the shards that may own a matching topic. Its workers and the TCP
 //!   link senders of [`cluster`] wait on one queue type, the private
 //!   `handoff` module's swap-whole `Handoff`.
 //! * [`cluster`] — the federation: sharded brokers joined over

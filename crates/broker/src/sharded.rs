@@ -23,43 +23,41 @@
 //!   segment (`session/42/…`), so they colocate on one shard and their
 //!   relative order is preserved end-to-end.
 //! * **Client homing**: every client has a *home* shard (hash of its
-//!   id). All of the client's subscriptions live as **local**
-//!   subscriptions only on its home shard's node, so overlapping
-//!   filters dedup in one place and each event is delivered at most
-//!   once. The client's filter list itself lives once, in its
-//!   [`ShardedClient`] handle: a duplicate subscribe or an unknown
-//!   unsubscribe stops there, and no shard keeps a copy.
+//!   id) and is attached there alone: its local subscriptions and its
+//!   mailbox live there, so overlapping filters dedup in one place and
+//!   each event is delivered at most once. Its filter list lives once,
+//!   in its [`ShardedClient`] handle; no shard keeps a copy.
 //! * **Cross-shard forwarding ring**: a shard's peers are the other
 //!   shards, each known to its node only as a peer id (the shard index).
-//!   When a client's filter can match topics owned by another shard,
-//!   that shard feeds its node one *remote* subscription for it (peer
-//!   id = the client's home shard), and the node counts them per
-//!   (peer, filter). The subscription broadcast (see the consistency
-//!   model) is what tells every shard; the node tells no one. A publish
-//!   then touches at most the owner shard plus the subscriber home
-//!   shards: the owner routes, the event's `Arc` hops once over the
-//!   ring to every interested home shard, and the home shard delivers
-//!   from its own route plan without re-forwarding.
-//! * **Fan-out straight from the plan**: a worker asks its node for the
-//!   cached route plan ([`BrokerNode::publish_plan`], which also counts
-//!   the publish) and walks it — a staged delivery per local subscriber,
-//!   found in a multiply-hashed slot map, and an `Arc` clone per remote
-//!   shard. Publishes, ring hops and injected events take that one path;
-//!   no `Action` is built for any of them, and no event is encoded: the
-//!   wire codec is for bytes that go onto a link.
+//!   A shard that may own a topic a client's filter matches counts one
+//!   *remote* subscription for it, pointing at the client's home shard.
+//!   A publish then touches at most the owner shard plus the subscriber
+//!   home shards: the owner routes by topic alone, the event's `Arc`
+//!   hops once over the ring to every interested home shard, and the
+//!   home shard delivers from its own route plan without re-forwarding.
+//! * **Fan-out straight from the plan**: a worker walks its node's
+//!   cached route plan ([`BrokerNode::plan_for`]) — a staged delivery
+//!   per local subscriber, found in a multiply-hashed slot map, and an
+//!   `Arc` clone per remote shard — and counts the arrival itself.
+//!   Publishes, injected events and ring hops take that one path; no
+//!   `Action` is built and no event is encoded: the wire codec is for
+//!   bytes that go onto a link.
 //!
 //! # Consistency model
 //!
-//! Control operations (attach/detach/subscribe/unsubscribe) are
-//! broadcast to all shards and become visible shard-by-shard; data
-//! routing is exact between control epochs. Commands from one thread
-//! stay FIFO per shard queue, so the classic "subscribe, then publish"
-//! sequence from a single thread is reliably delivered. A handle
-//! broadcasts a subscription change while it holds its filter list, so
-//! every shard sees one client's changes in the list's order, and a
-//! detach hands the list to the shards, which withdraw the remote
-//! interest it caused; after it the handle ignores control operations.
-//! Tests settle in-flight traffic with [`ShardedBroker::quiesce`].
+//! A client's commands go only to the shards that act on them: an
+//! attach to home; a subscribe or unsubscribe to home and to the shards
+//! that may own a matching topic (the owner of a literal first segment,
+//! every shard for a wildcard head); a detach as one unsubscribe per
+//! held filter to those shards and one detach to home. The handle drops
+//! a duplicate subscribe or an unknown unsubscribe and sends a change
+//! while it holds its list, so every shard sees one client's changes in
+//! order; after a detach it ignores control operations and drops its
+//! own publishes. Changes become visible shard by shard; data routing
+//! is exact between control epochs. Commands from one thread stay FIFO
+//! per shard queue, so "subscribe, then publish" from a single thread
+//! is reliably delivered. Tests settle in-flight traffic with
+//! [`ShardedBroker::quiesce`].
 //!
 //! # Backpressure
 //!
@@ -95,7 +93,8 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -108,7 +107,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::event::{Event, EventClass};
 use crate::handoff::{BarrierAck, Handoff, Latch};
 use crate::metrics::{BrokerMetrics, ShardedBrokerMetrics};
-use crate::node::{BrokerNode, Input, Origin};
+use crate::node::{BrokerNode, Input};
 use crate::profile::TransportProfile;
 use crate::topic::{Topic, TopicFilter};
 
@@ -154,26 +153,12 @@ pub fn owner_shard_of_topic(topic: &Topic, shards: usize) -> usize {
     }
 }
 
-/// Whether shard `index` can own topics matching `filter`. A literal
-/// head pins the filter to one shard; a wildcard head (`*` or bare `#`)
-/// can match topics on every shard.
-fn shard_may_own(filter: &TopicFilter, index: usize, shards: usize) -> bool {
-    match filter.first_literal() {
-        Some(head) => owner_shard(head, shards) == index,
-        None => true,
-    }
-}
-
+/// A command on a shard's ingress. `Attach` and `Detach` go to the
+/// client's home shard alone, a (un)subscribe to home and to the
+/// shards that may own a topic its filter matches.
 enum ShardCmd {
-    Attach {
-        client: ClientId,
-        profile: TransportProfile,
-        /// `Some` only on the client's home shard.
-        delivery: Option<MailboxWriter>,
-    },
-    /// The client's filter list, empty on its home shard (the node drops
-    /// local subscriptions with the client).
-    Detach(ClientId, Vec<TopicFilter>),
+    Attach(ClientId, MailboxWriter),
+    Detach(ClientId),
     Subscribe(ClientId, TopicFilter),
     Unsubscribe(ClientId, TopicFilter),
     Event(Inbound),
@@ -184,30 +169,23 @@ enum ShardCmd {
     Shutdown,
 }
 
-/// A data event entering a shard. Where it comes from decides who
-/// counts it and whether it may still hop the ring.
+/// A data event entering a shard; the two differ only in whether the
+/// event may still hop the ring.
 enum Inbound {
-    /// A client's publish, at the topic's owner shard.
-    Publish(ClientId, Arc<Event>),
+    /// An event entering at its topic's owner shard — a client's
+    /// publish or [`ShardedBroker::inject`] — routed by topic alone:
+    /// local deliveries plus one ring hop per subscriber home shard.
+    Publish(Arc<Event>),
     /// An event hopping the ring from its owner shard to a subscriber's
     /// home shard: the owner's own `Arc`, so every target shard delivers
     /// the one allocation. Delivered from the receiving shard's route
     /// plan and never re-forwarded.
     Forward(Arc<Event>),
-    /// An event arriving from *outside* this broker — another cluster
-    /// node forwarded it over the federation wire, and the cluster layer
-    /// decoded it. It enters at the topic's owner shard and fans out
-    /// exactly like a local publish (local deliveries plus one ring hop
-    /// to subscriber home shards). It is never sent back to the cluster:
-    /// inter-node routing happens a layer above, in [`crate::cluster`].
-    Inject(Arc<Event>),
 }
 
 fn cmd_bytes(cmd: &ShardCmd) -> usize {
     match cmd {
-        ShardCmd::Event(
-            Inbound::Publish(_, event) | Inbound::Forward(event) | Inbound::Inject(event),
-        ) => event.payload.len(),
+        ShardCmd::Event(Inbound::Publish(event) | Inbound::Forward(event)) => event.payload.len(),
         _ => 0,
     }
 }
@@ -328,18 +306,21 @@ impl Router {
         self.shards.len()
     }
 
-    fn broadcast(&self, mut make: impl FnMut() -> ShardCmd) {
-        for ingress in &self.shards {
-            ingress.push(make());
+    /// Control enqueue: never waits.
+    fn push(&self, shard: usize, cmd: ShardCmd) {
+        if let Some(ingress) = self.shards.get(shard) {
+            ingress.push(cmd);
         }
     }
 
-    /// Client-publish enqueue, bounded by the owner shard's capacity.
-    fn publish_to(&self, shard: usize, cmd: ShardCmd) {
-        // Shard indices come from `owner_shard(_, self.shard_count())`, so
-        // this lookup cannot miss; `get` keeps the hot path panic-free.
-        if let Some(ingress) = self.shards.get(shard) {
-            ingress.push_bounded(cmd);
+    /// Enqueues `event` at its topic's owner shard, bounded by that
+    /// shard's capacity.
+    fn publish(&self, event: Arc<Event>) {
+        let owner = owner_shard_of_topic(&event.topic, self.shard_count());
+        // `owner` is below the shard count, so this lookup cannot miss;
+        // `get` keeps the hot path panic-free.
+        if let Some(ingress) = self.shards.get(owner) {
+            ingress.push_bounded(ShardCmd::Event(Inbound::Publish(event)));
         }
     }
 }
@@ -384,7 +365,36 @@ impl ShardedBrokerBuilder {
                 self.shards
             );
         }
-        ShardedBroker::spawn_inner(self.shards, self.capacity, self.metrics)
+        let (shards, metrics) = (self.shards, self.metrics);
+        let links: Vec<Arc<Handoff<ShardCmd>>> = (0..shards)
+            .map(|index| {
+                let depth = match &metrics {
+                    Some(m) => Arc::clone(&m.shard(index).queue_depth),
+                    None => Arc::new(Gauge::new()),
+                };
+                Arc::new(Handoff::new(self.capacity, depth))
+            })
+            .collect();
+        let mut handles = Vec::with_capacity(shards);
+        for index in 0..shards {
+            let worker = ShardWorker::new(
+                index,
+                links.clone(),
+                metrics.as_ref().map(|m| Arc::clone(m.shard(index))),
+            );
+            let handle = std::thread::Builder::new()
+                .name(format!("mmcs-shard{index}"))
+                .spawn(move || worker.run())
+                .expect("spawn shard worker thread");
+            handles.push(handle);
+        }
+        ShardedBroker {
+            router: Arc::new(Router {
+                shards: links,
+                next_client: AtomicU64::new(1),
+            }),
+            handles,
+        }
     }
 }
 
@@ -407,7 +417,7 @@ impl ShardedBroker {
     }
 
     /// Spawns one worker per bundle shard with telemetry installed:
-    /// each shard's node reports the hot-path instruments, the ingress
+    /// each shard reports the hot-path instruments, the ingress
     /// gauges double as `queue_depth`, batch sizes land in
     /// `batch_size`, and ring sends in `cross_shard_forwards`.
     ///
@@ -427,42 +437,6 @@ impl ShardedBroker {
         }
     }
 
-    fn spawn_inner(
-        shards: usize,
-        capacity: usize,
-        metrics: Option<Arc<ShardedBrokerMetrics>>,
-    ) -> Self {
-        let links: Vec<Arc<Handoff<ShardCmd>>> = (0..shards)
-            .map(|index| {
-                let depth = match &metrics {
-                    Some(m) => Arc::clone(&m.shard(index).queue_depth),
-                    None => Arc::new(Gauge::new()),
-                };
-                Arc::new(Handoff::new(capacity, depth))
-            })
-            .collect();
-        let mut handles = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let worker = ShardWorker::new(
-                index,
-                links.clone(),
-                metrics.as_ref().map(|m| Arc::clone(m.shard(index))),
-            );
-            let handle = std::thread::Builder::new()
-                .name(format!("mmcs-shard{index}"))
-                .spawn(move || worker.run())
-                .expect("spawn shard worker thread");
-            handles.push(handle);
-        }
-        Self {
-            router: Arc::new(Router {
-                shards: links,
-                next_client: AtomicU64::new(1),
-            }),
-            handles,
-        }
-    }
-
     /// Number of worker shards.
     pub fn shard_count(&self) -> usize {
         self.router.shard_count()
@@ -479,40 +453,23 @@ impl ShardedBroker {
         home_shard(client, self.shard_count())
     }
 
-    /// Attaches a client with the default (TCP) profile.
+    /// Attaches a client, on its home shard alone.
     pub fn attach(&self) -> ShardedClient {
-        self.attach_with(TransportProfile::default())
-    }
-
-    /// Attaches a client with an explicit transport profile. The client
-    /// is attached on every shard (publish validation is local to the
-    /// owner shard) but homed — subscriptions and deliveries — on one.
-    pub fn attach_with(&self, profile: TransportProfile) -> ShardedClient {
         let id = ClientId::from_raw(self.router.next_client.fetch_add(1, Ordering::Relaxed));
-        self.attach_as_with(id, profile)
+        self.attach_as(id)
     }
 
-    /// Attaches a client under a caller-chosen id with the default
-    /// profile. See [`ShardedBroker::attach_as_with`].
-    pub fn attach_as(&self, id: ClientId) -> ShardedClient {
-        self.attach_as_with(id, TransportProfile::default())
-    }
-
-    /// Attaches a client under a caller-chosen id. The federation layer
-    /// ([`crate::cluster`]) allocates client ids at cluster scope so
-    /// they stay globally unique across nodes. The caller owns
-    /// uniqueness: a duplicate id is rejected shard-side and the
-    /// returned handle receives nothing.
-    pub fn attach_as_with(&self, id: ClientId, profile: TransportProfile) -> ShardedClient {
+    /// Attaches a client under a caller-chosen id, which must not be
+    /// attached already: the federation layer ([`crate::cluster`])
+    /// allocates its ids at cluster scope, so they are unique across
+    /// nodes. The home shard refuses a duplicate's mailbox, so the
+    /// first client keeps its deliveries, but the duplicate handle's
+    /// subscriptions and detach still act on the first client.
+    pub(crate) fn attach_as(&self, id: ClientId) -> ShardedClient {
         let home = self.home_shard(id);
         let mailbox = Mailbox::new();
-        for (index, ingress) in self.router.shards.iter().enumerate() {
-            ingress.push(ShardCmd::Attach {
-                client: id,
-                profile,
-                delivery: (index == home).then(|| MailboxWriter(Arc::clone(&mailbox))),
-            });
-        }
+        self.router
+            .push(home, ShardCmd::Attach(id, MailboxWriter(Arc::clone(&mailbox))));
         ShardedClient {
             id,
             home,
@@ -520,6 +477,7 @@ impl ShardedBroker {
             mailbox,
             seq: AtomicU64::new(0),
             filters: Mutex::new(Some(Vec::new())),
+            detached: AtomicBool::new(false),
         }
     }
 
@@ -531,9 +489,7 @@ impl ShardedBroker {
     /// layer) owns inter-node routing, and decodes what arrives off a
     /// link before handing it here.
     pub fn inject(&self, event: Arc<Event>) {
-        let shard = owner_shard_of_topic(&event.topic, self.shard_count());
-        self.router
-            .publish_to(shard, ShardCmd::Event(Inbound::Inject(event)));
+        self.router.publish(event);
     }
 
     /// Waits until every command enqueued before this call — including
@@ -619,6 +575,8 @@ pub struct ShardedClient {
     seq: AtomicU64,
     /// The client's filters, `None` once it has detached.
     filters: Mutex<Option<Vec<TopicFilter>>>,
+    /// Set by detach, for the publish path.
+    detached: AtomicBool,
 }
 
 impl ShardedClient {
@@ -632,11 +590,10 @@ impl ShardedClient {
         self.home
     }
 
-    /// Subscribes to a filter. The subscription is broadcast to all
-    /// shards; the home shard records it locally and each shard that
-    /// may own a matching topic counts one remote interest pointing home.
-    /// A filter the client already holds, or a detached client, changes
-    /// nothing.
+    /// Subscribes to a filter. The home shard records it locally, and
+    /// every other shard that may own a matching topic counts one remote
+    /// interest pointing home. A filter the client already holds, or a
+    /// detached client, changes nothing.
     pub fn subscribe(&self, filter: TopicFilter) {
         self.change_filter(filter, true);
     }
@@ -647,29 +604,45 @@ impl ShardedClient {
         self.change_filter(filter, false);
     }
 
-    /// Adds (`subscribe`) or removes `filter` and tells every shard, if
-    /// that changes the client's list; returns whether it did. The
-    /// broadcast runs under the list's lock, so concurrent changes reach
-    /// every shard in the order the list took them.
+    /// Adds (`subscribe`) or removes `filter` and tells the shards that
+    /// act on it, if that changes the client's list; returns whether it
+    /// did. The sends run under the list's lock, so concurrent changes
+    /// reach every shard in the order the list took them.
     pub(crate) fn change_filter(&self, filter: TopicFilter, subscribe: bool) -> bool {
         let mut filters = self.filters.lock();
         let Some(list) = filters.as_mut() else {
             return false;
         };
-        match (list.iter().position(|f| *f == filter), subscribe) {
-            (None, true) => {
-                self.router
-                    .broadcast(|| ShardCmd::Subscribe(self.id, filter.clone()));
-                list.push(filter);
-            }
+        let held = list.iter().position(|f| *f == filter);
+        let cmd: fn(ClientId, TopicFilter) -> ShardCmd = match (held, subscribe) {
+            (None, true) => ShardCmd::Subscribe,
             (Some(pos), false) => {
                 list.remove(pos);
-                self.router
-                    .broadcast(|| ShardCmd::Unsubscribe(self.id, filter.clone()));
+                ShardCmd::Unsubscribe
             }
             _ => return false,
+        };
+        self.router.push(self.home, cmd(self.id, filter.clone()));
+        for shard in self.owners(&filter).filter(|&shard| shard != self.home) {
+            self.router.push(shard, cmd(self.id, filter.clone()));
+        }
+        if subscribe {
+            list.push(filter);
         }
         true
+    }
+
+    /// The shards that may own a topic `filter` matches: the owner of a
+    /// literal head, every shard for a wildcard head.
+    fn owners(&self, filter: &TopicFilter) -> Range<usize> {
+        let shards = self.router.shard_count();
+        match filter.first_literal() {
+            Some(head) => {
+                let owner = owner_shard(head, shards);
+                owner..owner + 1
+            }
+            None => 0..shards,
+        }
     }
 
     /// Publishes a data event to its owner shard, waiting while that
@@ -689,13 +662,13 @@ impl ShardedClient {
         Event::new(topic, self.id, seq, class, payload).into_shared()
     }
 
-    /// Publishes an event from [`ShardedClient::next_event`]. The
-    /// federation layer shares the one `Arc` with the frames it sends to
-    /// other nodes.
+    /// Publishes an event from [`ShardedClient::next_event`]; a detached
+    /// client's goes nowhere. The federation layer shares the one `Arc`
+    /// with the frames it sends to other nodes.
     pub(crate) fn publish_shared(&self, event: Arc<Event>) {
-        let shard = owner_shard_of_topic(&event.topic, self.router.shard_count());
-        self.router
-            .publish_to(shard, ShardCmd::Event(Inbound::Publish(self.id, event)));
+        if !self.detached.load(Ordering::Relaxed) {
+            self.router.publish(event);
+        }
     }
 
     /// Receives the next delivered event, waiting up to `timeout` for
@@ -719,17 +692,29 @@ impl ShardedClient {
         self.mailbox.try_recv()
     }
 
-    /// Detaches this client everywhere (also done on drop). Every other
-    /// shard gets the filter list with the detach, to withdraw the
-    /// remote interest it counted; later control operations are ignored.
+    /// Detaches this client (also done on drop): each shard besides
+    /// home that counted remote interest for a held filter gets an
+    /// unsubscribe, and home the detach. Later control operations and
+    /// publishes are ignored.
     pub fn detach(&self) {
+        self.detach_filters();
+    }
+
+    /// [`ShardedClient::detach`], handing back the filters the client
+    /// held (none after an earlier detach).
+    pub(crate) fn detach_filters(&self) -> Vec<TopicFilter> {
         let Some(filters) = self.filters.lock().take() else {
-            return;
+            return Vec::new();
         };
-        for (index, ingress) in self.router.shards.iter().enumerate() {
-            let withdraw = if index == self.home { Vec::new() } else { filters.clone() };
-            ingress.push(ShardCmd::Detach(self.id, withdraw));
+        self.detached.store(true, Ordering::Relaxed);
+        for filter in &filters {
+            for shard in self.owners(filter).filter(|&shard| shard != self.home) {
+                self.router
+                    .push(shard, ShardCmd::Unsubscribe(self.id, filter.clone()));
+            }
         }
+        self.router.push(self.home, ShardCmd::Detach(self.id));
+        filters
     }
 }
 
@@ -793,7 +778,6 @@ impl Egress {
 /// Per-worker state: one node slice and the egress of its homed clients.
 struct ShardWorker {
     index: usize,
-    shards: usize,
     /// Every shard's ingress, this worker's own at `index`.
     links: Vec<Arc<Handoff<ShardCmd>>>,
     metrics: Option<Arc<BrokerMetrics>>,
@@ -818,7 +802,6 @@ impl ShardWorker {
     fn new(index: usize, links: Vec<Arc<Handoff<ShardCmd>>>, metrics: Option<Arc<BrokerMetrics>>) -> Self {
         Self {
             index,
-            shards: links.len(),
             links,
             metrics,
             node: BrokerNode::new(BrokerId::from_raw(index as u64)),
@@ -858,25 +841,17 @@ impl ShardWorker {
             count += 1;
             bytes += cmd_bytes(&cmd);
             match cmd {
-                ShardCmd::Attach {
-                    client,
-                    profile,
-                    delivery,
-                } => {
-                    if let Some(mailbox) = delivery {
-                        let slot = Slot {
-                            mailbox,
-                            staged: Vec::new(),
-                        };
-                        self.egress.slots.insert(client, slot);
+                ShardCmd::Attach(client, mailbox) => {
+                    // A duplicate id keeps the first client's slot; its
+                    // own mailbox closes as the writer drops here.
+                    let profile = TransportProfile::default();
+                    if self.apply_control(Input::AttachClient { client, profile }) {
+                        let staged = Vec::new();
+                        self.egress.slots.insert(client, Slot { mailbox, staged });
                     }
-                    self.apply_control(Input::AttachClient { client, profile });
                 }
-                ShardCmd::Detach(client, filters) => {
+                ShardCmd::Detach(client) => {
                     self.egress.slots.remove(&client);
-                    for filter in filters {
-                        self.interest(client, filter, false);
-                    }
                     self.apply_control(Input::DetachClient { client });
                 }
                 ShardCmd::Subscribe(client, filter) => self.interest(client, filter, true),
@@ -903,55 +878,43 @@ impl ShardWorker {
     }
 
     /// Applies a control input to the node, which emits no action for
-    /// one (so the empty buffer never allocates): every shard hears
-    /// every client's subscriptions from the client's own broadcast,
-    /// which stays FIFO with that client's publishes. Errors are
-    /// dropped: a rejected input leaves the node unchanged.
-    fn apply_control(&mut self, input: Input) {
-        let _ = self.node.handle_into(input, &mut Vec::new());
+    /// one (so the empty buffer never allocates); returns whether the
+    /// node accepted it (a rejected input leaves the node unchanged).
+    fn apply_control(&mut self, input: Input) -> bool {
+        self.node.handle_into(input, &mut Vec::new()).is_ok()
     }
 
-    /// Feeds the node one change of a client's subscriptions, which the
-    /// client's handle has already deduplicated: the subscription itself
-    /// at home, or one remote interest pointing home where this shard
-    /// may own a matching topic.
+    /// Feeds the node one change of a client's subscriptions, as its
+    /// handle sent it: the subscription itself at home, one remote
+    /// interest pointing home anywhere else.
     fn interest(&mut self, client: ClientId, filter: TopicFilter, subscribe: bool) {
-        let home = home_shard(client, self.shards);
+        let home = home_shard(client, self.links.len());
         let peer = BrokerId::from_raw(home as u64);
         let input = match (home == self.index, subscribe) {
             (true, true) => Input::Subscribe { client, filter },
             (true, false) => Input::Unsubscribe { client, filter },
-            (false, _) if !shard_may_own(&filter, self.index, self.shards) => return,
             (false, true) => Input::RemoteSubscribe { peer, filter },
             (false, false) => Input::RemoteUnsubscribe { peer, filter },
         };
         self.apply_control(input);
     }
 
-    /// The one data path, for all three ways an event enters a shard:
-    /// stage a delivery for every `plan.local` client, then — unless the
-    /// event already crossed the ring — hand a clone of its `Arc` to
-    /// every `plan.remote` shard. No `Action` is built.
+    /// The one data path, for both ways an event enters a shard: stage
+    /// a delivery for every `plan.local` client, then — unless the event
+    /// already crossed the ring — hand a clone of its `Arc` to every
+    /// `plan.remote` shard, and count the arrival the way the node
+    /// counts a publish. No `Action` is built.
     // Out of line on purpose: inlined into `process_batch`'s command
     // loop it measured 9 % slower on the `session_churn` benchmark,
     // where control commands interleave with publishes (2-core x86-64
     // guest, 15 alternating 20 s pairs, none ahead).
     #[inline(never)]
     fn fan_out(&mut self, inbound: Inbound) {
-        let (publisher, event, hop) = match inbound {
-            Inbound::Publish(client, event) => (Some(client), event, true),
-            Inbound::Inject(event) => (None, event, true),
-            Inbound::Forward(event) => (None, event, false),
+        let (event, hop) = match inbound {
+            Inbound::Publish(event) => (event, true),
+            Inbound::Forward(event) => (event, false),
         };
-        let plan = match publisher {
-            // The node validates the publisher and counts the publish.
-            Some(client) => match self.node.publish_plan(Origin::Client(client), &event.topic) {
-                Ok(plan) => plan,
-                // A racing detach invalidated this publish; skip it.
-                Err(_) => return,
-            },
-            None => self.node.plan_for(&event.topic),
-        };
+        let plan = self.node.plan_for(&event.topic);
         let mut delivered = 0;
         for &(client, _) in &plan.local {
             delivered += u64::from(self.egress.stage(client, &event));
@@ -970,16 +933,13 @@ impl ShardWorker {
             }
         }
         if let Some(m) = &self.metrics {
+            m.events_in.inc();
+            m.deliveries.add(delivered);
+            m.forwards.add(hops);
             m.cross_shard_forwards.add(hops);
-            if publisher.is_none() {
-                // The node never saw this event: count it here the way
-                // the node counts a publish, by what this shard did.
-                m.events_in.inc();
-                m.deliveries.add(delivered);
-                m.fanout.record(delivered);
-                if delivered == 0 && hops == 0 {
-                    m.unroutable.inc();
-                }
+            m.fanout.record(delivered + hops);
+            if delivered + hops == 0 {
+                m.unroutable.inc();
             }
         }
     }
@@ -1275,6 +1235,72 @@ mod tests {
     }
 
     #[test]
+    fn client_commands_reach_only_the_shards_that_act_on_them() {
+        for shards in [2, 4] {
+            let metrics = ShardedBrokerMetrics::detached(shards);
+            let broker = ShardedBroker::spawn_with_metrics(Arc::clone(&metrics));
+            // Commands each shard has processed, read after a quiesce.
+            let processed = || {
+                broker.quiesce();
+                let sums = metrics.shards().map(|s| s.batch_size.snapshot().sum());
+                sums.collect::<Vec<_>>()
+            };
+            // Commands each shard processed since `before`, less the
+            // two barriers of the quiesce that read them.
+            let since = |before: Vec<u64>| {
+                let after = processed();
+                after.iter().zip(before).map(|(a, b)| a - b - 2).collect::<Vec<_>>()
+            };
+            // One command per shard named, on each shard named.
+            let to = |named: &[usize]| {
+                let count = |i| named.iter().filter(|&&s| s == i).count() as u64;
+                (0..shards).map(count).collect::<Vec<_>>()
+            };
+            let every: Vec<usize> = (0..shards).collect();
+
+            let before = processed();
+            let client = broker.attach();
+            assert_eq!(since(before), to(&[client.home_shard()]), "{shards} shards: attach");
+            let before = processed();
+            client.detach();
+            assert_eq!(since(before), to(&[client.home_shard()]), "{shards} shards: detach");
+
+            let owner = broker.shard_for_topic(&topic("w/x"));
+            let client = homed_off(&broker, owner);
+            let home = client.home_shard();
+            let before = processed();
+            client.subscribe(filter("w/#"));
+            assert_eq!(since(before), to(&[home, owner]), "{shards} shards: literal head");
+            let before = processed();
+            client.subscribe(filter("#"));
+            assert_eq!(since(before), to(&every), "{shards} shards: wildcard head");
+            // An unsubscribe per held filter where it counted remote
+            // interest, then the detach at home.
+            let before = processed();
+            client.detach();
+            let owners: Vec<usize> = every.iter().copied().chain([owner]).collect();
+            assert_eq!(since(before), to(&owners), "{shards} shards: detach");
+        }
+    }
+
+    #[test]
+    fn a_duplicate_attach_leaves_the_first_client_its_deliveries() {
+        for shards in [1, 2] {
+            let broker = ShardedBroker::spawn(shards);
+            let original = broker.attach_as(ClientId::from_raw(4242));
+            original.subscribe(filter("d/#"));
+            let duplicate = broker.attach_as(ClientId::from_raw(4242));
+            let publisher = broker.attach();
+            broker.quiesce();
+            publisher.publish(topic("d/x"), Bytes::new());
+            broker.quiesce();
+            assert!(original.try_recv().is_some(), "{shards} shards: the duplicate took it");
+            // The home shard refused the duplicate's mailbox: it is closed.
+            assert!(duplicate.recv_timeout(RECV).is_none(), "{shards} shards");
+        }
+    }
+
+    #[test]
     fn metrics_identities_hold_after_quiesce() {
         for shards in [1, 4] {
             metrics_identities_hold(shards);
@@ -1415,16 +1441,10 @@ mod tests {
         let (subscriber, publisher) = (ClientId::from_raw(1), ClientId::from_raw(2));
         let publish = |seq| {
             let event = Event::new(topic("s/x"), publisher, seq, EventClass::Data, Bytes::new());
-            ShardCmd::Event(Inbound::Publish(publisher, event.into_shared()))
-        };
-        let attach = |client, delivery| ShardCmd::Attach {
-            client,
-            profile: TransportProfile::default(),
-            delivery,
+            ShardCmd::Event(Inbound::Publish(event.into_shared()))
         };
         let mut commands = vec![
-            attach(subscriber, Some(MailboxWriter(Arc::clone(&inbox)))),
-            attach(publisher, None),
+            ShardCmd::Attach(subscriber, MailboxWriter(Arc::clone(&inbox))),
             ShardCmd::Subscribe(subscriber, filter("s/#")),
             publish(0),
             ShardCmd::Shutdown,

@@ -18,10 +18,10 @@
 //!
 //! The link graph is always a full mesh (every shard mesh,
 //! [`LatencyMap::full_mesh`]): each broker process sends every
-//! subscription of its own clients to every peer it was given, as the
-//! shard runtime's subscription broadcast does, and an event crosses
-//! exactly one link, which is the shard runtime's one-hop forwarding
-//! ring and the live cluster's direct-path routing. Any
+//! subscription of its own clients to every peer it was given (the
+//! shard runtime skips shards that own no matching topic), and an
+//! event crosses exactly one link, which is the shard runtime's one-hop
+//! forwarding ring and the live cluster's direct-path routing. Any
 //! other federation map is rejected: the node relays nothing, and the
 //! deterministic model has no gossip or next-hop table to relay with.
 //!

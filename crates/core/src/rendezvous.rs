@@ -22,7 +22,6 @@
 
 use bytes::Bytes;
 use mmcs_broker::event::EventClass;
-use mmcs_broker::profile::TransportProfile;
 use mmcs_broker::sharded::{ShardedBroker, ShardedClient};
 use mmcs_broker::topic::{Topic, TopicFilter};
 use mmcs_rtp::packet::{payload_type, DecodeRtpError, WireRtp};
@@ -43,7 +42,7 @@ impl RendezvousAgent {
     pub(crate) fn new(broker: &ShardedBroker, session: SessionId, remote: String) -> Self {
         let prefix = format!("globalmmcs/session-{}", session.value());
         let parse = |kind: &str| Topic::parse(&format!("{prefix}/{kind}")).expect("session topic");
-        let client = broker.attach_with(TransportProfile::RawRtp);
+        let client = broker.attach();
         client.subscribe(TopicFilter::parse(&format!("{prefix}/#")).expect("session filter"));
         Self {
             remote,

@@ -425,7 +425,9 @@ impl Simulation {
         self.core.net.add_host(name, nic, master_seed)
     }
 
-    /// Registers a process on `host`. Ids are sequential starting at 1.
+    /// Registers a process on `host`, where
+    /// [`Simulation::process_ref`] can inspect it later. Ids are
+    /// sequential starting at 1.
     ///
     /// Processes must be `Send` so that the simulation itself is: callers
     /// build and run one on a spawned thread.
@@ -434,45 +436,6 @@ impl Simulation {
     ///
     /// Panics if the simulation has already started running or if `host`
     /// does not exist.
-    pub fn add_process(
-        &mut self,
-        host: HostId,
-        process: Box<dyn Process + Send + 'static>,
-    ) -> ProcessId {
-        assert!(
-            !self.started,
-            "processes must be registered before the simulation runs"
-        );
-        assert!(
-            (host.0 as usize) < self.core.net.hosts.len(),
-            "unknown host {host}"
-        );
-        // Re-box through a concrete wrapper is unnecessary: Box<dyn Process>
-        // does not implement Process itself, so wrap it.
-        struct BoxedProcess(Box<dyn Process + Send>);
-        impl Process for BoxedProcess {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                self.0.on_start(ctx);
-            }
-            fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet<'_>) {
-                self.0.on_packet(ctx, packet);
-            }
-            fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-                self.0.on_timer(ctx, token);
-            }
-        }
-        let id = ProcessId(self.processes.len() as u64 + 1);
-        self.processes.push(Box::new(BoxedProcess(process)));
-        self.core.proc_hosts.push(host);
-        id
-    }
-
-    /// Registers a concrete process so it can be inspected later with
-    /// [`Simulation::process_ref`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Simulation::add_process`].
     pub fn add_typed_process<T: Process + Send + 'static>(
         &mut self,
         host: HostId,
@@ -848,13 +811,13 @@ mod tests {
         let (mut sim, a, b) = two_host_sim(Bandwidth::from_mbps(1));
         sim.set_default_latency(SimDuration::from_millis(1));
         let sink = sim.add_typed_process(b, Sink::default());
-        sim.add_process(
+        sim.add_typed_process(
             a,
-            Box::new(Blaster {
+            Blaster {
                 dst: sink,
                 count: 3,
                 bytes: 1250,
-            }),
+            },
         );
         sim.run_until(SimTime::from_secs(1));
         let sink_state: &Sink = sim.process_ref(sink).unwrap();
@@ -872,13 +835,13 @@ mod tests {
             host.nic.queue_bytes = 2600;
         }
         let sink = sim.add_typed_process(b, Sink::default());
-        sim.add_process(
+        sim.add_typed_process(
             a,
-            Box::new(Blaster {
+            Blaster {
                 dst: sink,
                 count: 10,
                 bytes: 1250,
-            }),
+            },
         );
         sim.run_until(SimTime::from_secs(1));
         assert!(sim.counter("net.dropped.queue") > 0);
@@ -899,13 +862,13 @@ mod tests {
             },
         );
         let sink = sim.add_typed_process(b, Sink::default());
-        sim.add_process(
+        sim.add_typed_process(
             a,
-            Box::new(Blaster {
+            Blaster {
                 dst: sink,
                 count: 1000,
                 bytes: 100,
-            }),
+            },
         );
         sim.run_until(SimTime::from_secs(5));
         let lost = sim.counter("net.dropped.loss");
@@ -943,7 +906,7 @@ mod tests {
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _p: Packet) {}
         }
-        sim.add_process(a, Box::new(DualSend(s1, s2)));
+        sim.add_typed_process(a, DualSend(s1, s2));
         sim.run_until(SimTime::from_secs(1));
         let t1 = sim.process_ref::<Sink>(s1).unwrap().arrivals[0];
         let t2 = sim.process_ref::<Sink>(s2).unwrap().arrivals[0];
@@ -963,13 +926,13 @@ mod tests {
             },
         );
         let sink = sim.add_typed_process(a, Sink::default());
-        sim.add_process(
+        sim.add_typed_process(
             a,
-            Box::new(Blaster {
+            Blaster {
                 dst: sink,
                 count: 5,
                 bytes: 10_000,
-            }),
+            },
         );
         sim.run_until(SimTime::from_secs(1));
         let sink_state: &Sink = sim.process_ref(sink).unwrap();
@@ -1014,13 +977,13 @@ mod tests {
                 },
             );
             let sink = sim.add_typed_process(b, Sink::default());
-            sim.add_process(
+            sim.add_typed_process(
                 a,
-                Box::new(Blaster {
+                Blaster {
                     dst: sink,
                     count: 500,
                     bytes: 500,
-                }),
+                },
             );
             sim.run_until(SimTime::from_secs(2));
             (sim.counter("net.delivered"), sim.counter("net.dropped.loss"))
@@ -1058,7 +1021,7 @@ mod tests {
         }
         let mut sim = Simulation::new(1);
         let a = sim.add_host("a", NicConfig::default());
-        sim.add_process(a, Box::new(Meter));
+        sim.add_typed_process(a, Meter);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.counter("meter.twice"), 5);
         assert_eq!(sim.counter("meter.never"), 0);
@@ -1109,7 +1072,7 @@ mod tests {
     #[should_panic(expected = "unknown host")]
     fn adding_process_to_missing_host_panics() {
         let mut sim = Simulation::new(1);
-        sim.add_process(HostId(5), Box::new(Sink::default()));
+        sim.add_typed_process(HostId(5), Sink::default());
     }
 }
 

@@ -57,8 +57,8 @@
 //! let a = sim.add_host("a", NicConfig::default());
 //! let b = sim.add_host("b", NicConfig::default());
 //! sim.set_default_latency(SimDuration::from_millis(1));
-//! sim.add_process(a, Box::new(Ping));
-//! sim.add_process(b, Box::new(Pong));
+//! sim.add_typed_process(a, Ping);
+//! sim.add_typed_process(b, Pong);
 //! sim.run_until(SimTime::from_secs(1));
 //! assert!(sim.counter("net.delivered") >= 2);
 //! ```

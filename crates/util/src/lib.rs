@@ -16,7 +16,7 @@
 //!   allowed offline dependency list, so we carry our own.
 //! * [`stats`] — online statistics and time-series capture
 //!   used by the benchmark harnesses.
-//! * [`rate`] — bandwidth/serialization arithmetic and a token bucket.
+//! * [`rate`] — bandwidth/serialization arithmetic.
 //! * [`pool`] — thread-local size-classed buffer pools backing the
 //!   zero-copy wire path (the one module with a dependency: the vendored
 //!   `bytes` shim, so pooled frames can escape as shared [`bytes::Bytes`]).

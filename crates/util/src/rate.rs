@@ -1,9 +1,8 @@
-//! Bandwidth arithmetic and rate limiting.
+//! Bandwidth arithmetic.
 //!
 //! [`Bandwidth`] converts between bits-per-second and the time it takes to
 //! serialize a packet onto a link — the core quantity behind the fan-out
-//! queueing that produces Figure 3's delay curves. [`TokenBucket`] models
-//! rate-limited producers (e.g. a pacing media source).
+//! queueing that produces Figure 3's delay curves.
 //!
 //! # Examples
 //!
@@ -15,7 +14,7 @@
 //! assert_eq!(fast_ethernet.transmit_time(1250).as_micros(), 100);
 //! ```
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use core::fmt;
 
 /// A link or NIC capacity in bits per second.
@@ -80,72 +79,6 @@ impl fmt::Display for Bandwidth {
     }
 }
 
-/// A token bucket rate limiter over virtual time.
-///
-/// Tokens are measured in bytes and refill continuously at `rate`. The
-/// bucket never holds more than `burst` bytes.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate: Bandwidth,
-    burst_bytes: f64,
-    tokens: f64,
-    last_refill: SimTime,
-}
-
-impl TokenBucket {
-    /// Creates a bucket that starts full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `burst_bytes` is zero.
-    pub fn new(rate: Bandwidth, burst_bytes: u64, now: SimTime) -> Self {
-        assert!(burst_bytes > 0, "burst must be positive");
-        Self {
-            rate,
-            burst_bytes: burst_bytes as f64,
-            tokens: burst_bytes as f64,
-            last_refill: now,
-        }
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        let elapsed = now.saturating_duration_since(self.last_refill);
-        self.tokens = (self.tokens + self.rate.bps() as f64 / 8.0 * elapsed.as_secs_f64())
-            .min(self.burst_bytes);
-        self.last_refill = now;
-    }
-
-    /// Attempts to consume `bytes` tokens at `now`; returns whether the
-    /// packet conforms to the rate.
-    pub fn try_consume(&mut self, bytes: usize, now: SimTime) -> bool {
-        self.refill(now);
-        if self.tokens >= bytes as f64 {
-            self.tokens -= bytes as f64;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Returns when `bytes` tokens will next be available (possibly `now`).
-    pub fn next_available(&mut self, bytes: usize, now: SimTime) -> SimTime {
-        self.refill(now);
-        if self.tokens >= bytes as f64 {
-            now
-        } else {
-            let deficit = bytes as f64 - self.tokens;
-            let secs = deficit * 8.0 / self.rate.bps() as f64;
-            now + SimDuration::from_secs_f64(secs)
-        }
-    }
-
-    /// Currently available tokens in bytes (after refilling to `now`).
-    pub fn available(&mut self, now: SimTime) -> u64 {
-        self.refill(now);
-        self.tokens as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,36 +111,5 @@ mod tests {
         assert_eq!(Bandwidth::from_kbps(600).to_string(), "600.0Kbps");
         assert_eq!(Bandwidth::from_mbps(240).to_string(), "240.0Mbps");
         assert_eq!(Bandwidth::from_gbps(1).to_string(), "1.0Gbps");
-    }
-
-    #[test]
-    fn token_bucket_starts_full_and_drains() {
-        let t0 = SimTime::ZERO;
-        let mut tb = TokenBucket::new(Bandwidth::from_kbps(8), 1000, t0); // 1000 B/s refill
-        assert!(tb.try_consume(1000, t0));
-        assert!(!tb.try_consume(1, t0));
-        // After half a second, 500 bytes refilled.
-        let t1 = t0 + SimDuration::from_millis(500);
-        assert!(tb.try_consume(500, t1));
-        assert!(!tb.try_consume(1, t1));
-    }
-
-    #[test]
-    fn token_bucket_next_available() {
-        let t0 = SimTime::ZERO;
-        let mut tb = TokenBucket::new(Bandwidth::from_kbps(8), 1000, t0);
-        assert_eq!(tb.next_available(500, t0), t0);
-        assert!(tb.try_consume(1000, t0));
-        // Need 250 bytes at 1000 B/s -> 250 ms.
-        let when = tb.next_available(250, t0);
-        assert_eq!(when.as_millis(), 250);
-    }
-
-    #[test]
-    fn token_bucket_caps_at_burst() {
-        let t0 = SimTime::ZERO;
-        let mut tb = TokenBucket::new(Bandwidth::from_mbps(8), 100, t0);
-        let much_later = t0 + SimDuration::from_secs(60);
-        assert_eq!(tb.available(much_later), 100);
     }
 }

@@ -187,6 +187,41 @@ fn uninterested_nodes_receive_no_event_frames() {
 }
 
 #[test]
+fn a_dropped_client_withdraws_its_interest() {
+    for transport in TRANSPORTS {
+        let cluster = spawn(LatencyMap::full_mesh(2, 5), transport);
+        let publisher = cluster.attach(0);
+        let forwards = || cluster.metrics().node(0).inter_node_forwards.get();
+        let publish = |count| {
+            let before = forwards();
+            for _ in 0..count {
+                publisher.publish(topic("t/x"), Bytes::new());
+            }
+            cluster.quiesce();
+            forwards() - before
+        };
+        let subscriber = cluster.attach(1);
+        let sibling = cluster.attach(1);
+        assert_eq!((subscriber.node(), sibling.node()), (1, 1));
+        subscriber.subscribe(filter("t/#"));
+        sibling.subscribe(filter("t/#"));
+        assert!(cluster.converge(8), "{transport:?}");
+        drop(subscriber);
+        assert!(cluster.converge(8), "{transport:?}");
+        assert_eq!(publish(10), 10, "{transport:?}: a sibling's filter stays advertised");
+        let mut got = Vec::new();
+        assert_eq!(sibling.drain_into(&mut got), 10, "{transport:?}");
+        drop(sibling);
+        assert!(cluster.converge(8), "{transport:?}");
+        assert_eq!(publish(10), 0, "{transport:?}: node 0 forwards to a node no one receives on");
+        assert!(
+            cluster.snapshot(0)[1].filters.is_empty(),
+            "{transport:?}: node 0 still lists node 1's filters"
+        );
+    }
+}
+
+#[test]
 fn crash_and_restart_reconverges_interest() {
     let cluster = Cluster::spawn(LatencyMap::full_mesh(3, 5));
     let sub = cluster.attach(1);

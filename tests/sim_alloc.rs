@@ -40,7 +40,7 @@ use mmcs_bench::load::{ClientBundle, Publisher, PublisherConfig, RtpReceiver};
 use mmcs_rtp::packet::payload_type;
 use mmcs_rtp::source::{VideoSource, VideoSourceConfig};
 use mmcs_sim::net::NicConfig;
-use mmcs_sim::{ProcessId, Simulation};
+use mmcs_sim::{Context, Packet, Process, ProcessId, Simulation};
 use mmcs_telemetry::Histogram;
 use mmcs_util::id::{BrokerId, ClientId};
 use mmcs_util::rng::DetRng;
@@ -86,7 +86,24 @@ const WARM_PACKETS: u64 = 50;
 const MEASURED_PACKETS: u64 = 200;
 
 /// A client machine's process, made from its broker, id and filter.
-type MakeClient<'a> = &'a dyn Fn(ProcessId, ClientId, TopicFilter) -> Box<dyn mmcs_sim::Process + Send>;
+type MakeClient<'a> = &'a dyn Fn(ProcessId, ClientId, TopicFilter) -> Client;
+
+/// Either kind of simulated client, so one world builder takes both.
+struct Client(Box<dyn Process + Send>);
+
+impl Process for Client {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.0.on_start(ctx);
+    }
+
+    fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet<'_>) {
+        self.0.on_packet(ctx, packet);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        self.0.on_timer(ctx, token);
+    }
+}
 
 /// One publisher → one broker → `receivers` clients made by `client`,
 /// all on one machine.
@@ -102,7 +119,7 @@ fn world(receivers: u64, client: MakeClient<'_>) -> Simulation {
     let topic = Topic::parse("conf/1/video").unwrap();
     for i in 0..receivers {
         let id = ClientId::from_raw(100 + i);
-        sim.add_process(client_host, client(broker, id, TopicFilter::exact(&topic)));
+        sim.add_typed_process(client_host, client(broker, id, TopicFilter::exact(&topic)));
     }
     let mut config = PublisherConfig::new(broker, ClientId::from_raw(1), topic);
     config.max_packets = WARM_PACKETS + MEASURED_PACKETS;
@@ -168,11 +185,11 @@ fn warm_delivery_allocates_nothing() {
     // The frontier rig's receiver: the same engine path, a pooled
     // histogram instead of per-receiver RTP statistics.
     let pool = Arc::new(Histogram::new());
-    let rtp_receiver = |broker, id, filter| -> Box<dyn mmcs_sim::Process + Send> {
-        Box::new(RtpReceiver::new(broker, id, filter, payload_type::H263, recv_cpu))
+    let rtp_receiver = |broker, id, filter| {
+        Client(Box::new(RtpReceiver::new(broker, id, filter, payload_type::H263, recv_cpu)))
     };
-    let bundle = |broker, id, filter| -> Box<dyn mmcs_sim::Process + Send> {
-        Box::new(ClientBundle::new(broker, id, filter, 1, recv_cpu, Arc::clone(&pool)))
+    let bundle = |broker, id, filter| {
+        Client(Box::new(ClientBundle::new(broker, id, filter, 1, recv_cpu, Arc::clone(&pool))))
     };
     let clients: [(&str, &str, MakeClient<'_>); 2] = [
         ("RtpReceivers", "receiver.rtp_received", &rtp_receiver),

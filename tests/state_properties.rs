@@ -194,35 +194,3 @@ proptest! {
         prop_assert_eq!(left.max(), whole.max());
     }
 }
-
-proptest! {
-    /// The token bucket never goes negative and never exceeds its burst;
-    /// conforming traffic over a long window respects the average rate.
-    #[test]
-    fn token_bucket_respects_rate(
-        arrivals in prop::collection::vec((1u64..200, 1usize..500), 1..80),
-    ) {
-        use mmcs_util::rate::{Bandwidth, TokenBucket};
-        use mmcs_util::time::{SimDuration, SimTime};
-        let rate = Bandwidth::from_kbps(80); // 10_000 bytes/s
-        let burst = 2_000u64;
-        let mut bucket = TokenBucket::new(rate, burst, SimTime::ZERO);
-        let mut now = SimTime::ZERO;
-        let mut accepted_bytes = 0u64;
-        for (gap_ms, bytes) in arrivals {
-            now += SimDuration::from_millis(gap_ms);
-            prop_assert!(bucket.available(now) <= burst);
-            if bucket.try_consume(bytes, now) {
-                accepted_bytes += bytes as u64;
-            }
-        }
-        // Everything accepted fits within burst + rate x elapsed.
-        let budget = burst + rate.bytes_in(now.saturating_duration_since(SimTime::ZERO));
-        prop_assert!(
-            accepted_bytes <= budget,
-            "accepted {} > budget {}",
-            accepted_bytes,
-            budget
-        );
-    }
-}
